@@ -42,18 +42,18 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 
 # Superblock-chaining multi-version block cache (DESIGN §11): the vm
 # suite pins rewrite-precise invalidation (self-modifying code,
-# host-planted traps fired mid-superblock, unmap/protect),
-# three-way uncached/cached/superblocked fingerprint parity and
-# hot-entry survival under capacity eviction; the core suites pin trap
-# visibility across a full customize cycle with a hot cache, the
-# zero-flush version-swapping commit and the re-decode-free rollback.
-# The syscall_args and serve_deadline suites are the fd/pid truncation
-# and deadline-overshoot regression pins. `figures interp` regenerates
-# results/interp.json and panics unless MIPS > 0, superblocked >=
-# uncached, speedup >= 2x over uncached and >= 1.5x over the plain
-# cache, superblocks were promoted, the commit version-swapped (swaps >
-# 0, warm-hit ratio > 0), retirement counts are identical and
-# fingerprints match (the dynacut-interp-v2 schema gate).
+# host-planted traps fired mid-superblock, unmap/protect), fingerprint
+# parity with the uncached interpreter and hot-entry survival under
+# capacity eviction; the core suites pin trap visibility across a full
+# customize cycle with a hot cache, the zero-flush version-swapping
+# commit and the rollback that re-dispatches without re-decoding.
+# The syscall_args and serve_deadline suites are the fd/pid truncation,
+# wild-length and deadline-overshoot regression pins. `figures interp`
+# regenerates results/interp.json and panics unless MIPS > 0,
+# superblocked >= uncached, speedup >= 2x over uncached, superblocks
+# were promoted, the commit version-swapped (swaps > 0, warm-hit ratio
+# > 0), retirement counts are identical and fingerprints match (the
+# dynacut-interp-v3 schema gate).
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
 cargo test -q -p dynacut-vm --test serve_deadline
@@ -62,7 +62,7 @@ cargo test -q -p dynacut --test version_swap
 cargo test -q -p dynacut-bench interp
 cargo run --release -q -p dynacut-bench --bin figures -- interp > /dev/null
 test -s results/interp.json
-grep -q '"schema": "dynacut-interp-v2"' results/interp.json
+grep -q '"schema": "dynacut-interp-v3"' results/interp.json
 grep -q '"fingerprints_match": true' results/interp.json
 ! grep -q '"superblocks": 0,' results/interp.json
 ! grep -q '"version_swaps": 0,' results/interp.json
@@ -70,20 +70,21 @@ grep -q '"fingerprints_match": true' results/interp.json
 
 # Zero-copy CoW restore (DESIGN §12): the criu battery proptests
 # intern/restore-via-handle/CoW/release interleavings for exact
-# refcounts and byte-identity with the copying path; the core suite
-# pins the per-cycle byte accounting and cross-mode fingerprint
-# parity; `figures restore` regenerates results/restore.json and
-# panics unless the copying restore moved >= 5x the bytes at 8
-# replicas, the two modes' kernels fingerprint-match, no run leaked a
-# page ref, and zero-copy cost stays flat from 2 to 8 replicas (the
-# dynacut-restore-v1 gate — all deterministic byte counts).
+# refcounts and byte-identity with a model of the payload, and checks
+# that re-dumping a restored process reproduces what the store
+# materializes; the core suite pins the per-cycle byte accounting and
+# the same round trip after every customize; `figures restore`
+# regenerates results/restore.json and panics unless the copy baseline
+# (the cycle's stored page bytes) is >= 5x the bytes the zero-copy
+# restore copied at 8 replicas, no run leaked a page ref, and
+# zero-copy cost stays flat from 2 to 8 replicas (the
+# dynacut-restore-v2 gate — all deterministic byte counts).
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut --test restore_accounting
 cargo test -q -p dynacut-bench experiments::restore
 cargo run --release -q -p dynacut-bench --bin figures -- restore > /dev/null
 test -s results/restore.json
-grep -q '"schema": "dynacut-restore-v1"' results/restore.json
-grep -q '"fingerprints_match": true' results/restore.json
+grep -q '"schema": "dynacut-restore-v2"' results/restore.json
 grep -q '"refcount_leaked_bytes": 0' results/restore.json
 
 # Canary-then-fleet rollout (DESIGN §13): the core suite pins
@@ -111,19 +112,24 @@ grep -q '"demotion_fingerprints_match": true' results/rollout.json
 # Preemptive MLFQ scheduler (DESIGN §14): the vm suite pins the
 # starvation bound (every runnable progresses within two boost
 # windows), zero quanta burned by blocked guests, wake lists never
-# waking the wrong pid, single-process fingerprint parity with the
-# round-robin oracle, the event-ring seq-anchoring regression for
-# run_until_event, and the named pump tunable. `figures sched`
-# regenerates results/sched.json and panics unless the MLFQ serving
-# p99 stays within 2x from the 100- to the 1000-replica fleet while
-# the oracle degrades >= 2x and MLFQ wakeups stay flat across sizes
-# (the dynacut-sched-v1 schema gate).
+# waking the wrong pid, golden single-process fingerprints, the
+# event-ring seq-anchoring regression for run_until_event, and the
+# named pump tunable. `figures sched` regenerates results/sched.json
+# and panics unless the MLFQ serving p99 (guest time) stays within 2x
+# from the 100- to the 1000-replica fleet and MLFQ wakeups stay flat
+# across sizes (the dynacut-sched-v2 schema gate).
 cargo test -q -p dynacut-vm --test sched
 cargo test -q -p dynacut-bench experiments::sched
 cargo run --release -q -p dynacut-bench --bin figures -- sched > /dev/null
 test -s results/sched.json
-grep -q '"schema": "dynacut-sched-v1"' results/sched.json
+grep -q '"schema": "dynacut-sched-v2"' results/sched.json
 grep -q '"fleet_size": 1000' results/sched.json
+
+# The host-wall benchmark (perfbench/, run by BENCHMARK.json) is a
+# separate cargo package that calls only the crates' public API: it must
+# still build and pass its own unit tests.
+CARGO_TARGET_DIR=.bench_build cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

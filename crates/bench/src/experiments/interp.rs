@@ -1,20 +1,19 @@
-//! The interpreter experiment: guest throughput (MIPS) under three
-//! dispatch modes — no cache, the PR 5 decoded-block cache, and the
-//! superblock-chaining cache (DESIGN §11) — on the Redis and Nginx
+//! The interpreter experiment: guest throughput (MIPS) with the
+//! superblock-chaining block cache (DESIGN §11) against the uncached
+//! interpreter — the ISA's semantic reference — on the Redis and Nginx
 //! workloads.
 //!
-//! Each server is booted three times and driven with **identical**
-//! traffic: a steady-state request batch timed on the host clock, then
-//! a full customize cycle whose freshly planted traps must fire on the
-//! very next request, then a post-cycle warm batch. The superblocked
-//! run must clear [`MIN_SPEEDUP`]× the uncached run and
-//! [`MIN_SUPERBLOCK_SPEEDUP`]× the plain-cache run in steady state, the
+//! Each server is booted twice and driven with **identical** traffic: a
+//! steady-state request batch timed on the host clock, then a full
+//! customize cycle whose freshly planted traps must fire on the very
+//! next request, then a post-cycle warm batch. The superblocked run
+//! must clear [`MIN_SPEEDUP`]× the uncached run in steady state, the
 //! customize commit must *carry* the cache (version swaps observed, not
-//! a cold re-decode storm), and all three kernels must land on the same
+//! a cold re-decode storm), and both kernels must land on the same
 //! `state_fingerprint()` with the same retirement count — the cache is
 //! a pure interpreter accelerator, invisible to the guest.
 //!
-//! Emits `results/interp.json` (`dynacut-interp-v2`), schema-gated by
+//! Emits `results/interp.json` (`dynacut-interp-v3`), schema-gated by
 //! CI: MIPS > 0, superblocks built, version swaps after the cycle,
 //! warm-hit ratio positive, fingerprints bit-identical.
 
@@ -25,16 +24,13 @@ use dynacut_apps::{nginx, redis};
 use std::time::Instant;
 
 /// Schema identifier embedded in the JSON for forward compatibility.
-pub const SCHEMA: &str = "dynacut-interp-v2";
+pub const SCHEMA: &str = "dynacut-interp-v3";
 
 /// Steady-state requests per measured batch in the headline run.
 pub const STEADY_REQUESTS: usize = 600;
 
 /// The acceptance floor on the superblocked-over-uncached speedup.
 pub const MIN_SPEEDUP: f64 = 2.0;
-
-/// The acceptance floor on the superblocked-over-plain-cache speedup.
-pub const MIN_SUPERBLOCK_SPEEDUP: f64 = 1.5;
 
 /// Timed trials per pass; the reported MIPS is the best trial, which
 /// filters host scheduling noise out of the speedup ratios.
@@ -47,10 +43,8 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "servers",
     "server",
     "uncached_mips",
-    "cached_mips",
     "superblocked_mips",
     "speedup",
-    "superblock_speedup",
     "insns_measured",
     "cache_hits",
     "cache_misses",
@@ -63,18 +57,8 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "fingerprints_match",
 ];
 
-/// How a pass dispatches guest instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Straight decode-and-execute, no cache (the reference).
-    Uncached,
-    /// The PR 5 decoded-block cache, superblock chaining disabled.
-    Cached,
-    /// The full pipeline: block cache plus hot-path superblocks.
-    Superblocked,
-}
-
-/// One boot-drive-customize-warm pass over a server under one [`Mode`].
+/// One boot-drive-customize-warm pass over a server, with or without
+/// the block cache.
 #[derive(Debug, Clone)]
 pub struct ServerRun {
     /// Guest instructions retired per host second, in millions.
@@ -115,16 +99,14 @@ impl ServerRun {
     }
 }
 
-/// The three passes over one server.
+/// The two passes over one server.
 #[derive(Debug, Clone)]
 pub struct ServerRow {
     /// Server module name ("redis" / "nginx").
     pub server: &'static str,
     /// The reference pass with the cache disabled.
     pub uncached: ServerRun,
-    /// The plain decoded-block cache, superblocks off.
-    pub cached: ServerRun,
-    /// The full superblock-chaining pipeline.
+    /// The block cache with hot-path superblocks.
     pub superblocked: ServerRun,
 }
 
@@ -134,16 +116,9 @@ impl ServerRow {
         self.superblocked.mips / self.uncached.mips
     }
 
-    /// Steady-state MIPS ratio, superblocked over the plain cache —
-    /// what the chaining itself buys.
-    pub fn superblock_speedup(&self) -> f64 {
-        self.superblocked.mips / self.cached.mips
-    }
-
-    /// Whether all three passes ended on the same kernel fingerprint.
+    /// Whether both passes ended on the same kernel fingerprint.
     pub fn fingerprints_match(&self) -> bool {
-        self.cached.fingerprint == self.uncached.fingerprint
-            && self.superblocked.fingerprint == self.uncached.fingerprint
+        self.superblocked.fingerprint == self.uncached.fingerprint
     }
 }
 
@@ -222,20 +197,15 @@ fn drive_warm(workload: &mut Workload, server: Server, requests: usize) {
     }
 }
 
-/// Boots `server` under `mode`, measures a steady-state batch, runs the
-/// customize cycle with trap traffic, measures the post-cycle warm
-/// batch, and fingerprints the kernel.
-fn measure(server: Server, mode: Mode, requests: usize) -> ServerRun {
+/// Boots `server` with or without the block cache, measures a
+/// steady-state batch, runs the customize cycle with trap traffic,
+/// measures the post-cycle warm batch, and fingerprints the kernel.
+fn measure(server: Server, cache_enabled: bool, requests: usize) -> ServerRun {
     let mut workload = boot_server(server, false);
-    match mode {
-        Mode::Uncached => workload.kernel.set_block_cache_enabled(false),
-        Mode::Cached => workload.kernel.set_superblocks_enabled(false),
-        Mode::Superblocked => {}
-    }
+    workload.kernel.set_block_cache_enabled(cache_enabled);
     let counter = |workload: &Workload, name: &str| workload.kernel.flight().metrics().counter(name);
-    // Boot ran with the default (fully enabled) cache either way; count
-    // cache activity only from this point, once the toggles are in
-    // effect.
+    // Boot ran with the default (enabled) cache either way; count cache
+    // activity only from this point, once the toggle is in effect.
     let hits_base = counter(&workload, "block_cache.hits");
     let misses_base = counter(&workload, "block_cache.misses");
     let invals_base = counter(&workload, "block_cache.invalidations");
@@ -244,8 +214,8 @@ fn measure(server: Server, mode: Mode, requests: usize) -> ServerRun {
     // block cache, so the timed batches are steady state.
     drive(&mut workload, server, requests / 4 + 8);
     // Guest execution is deterministic; host wall time is not. Take the
-    // best of [`TRIALS`] identical batches so the MIPS ratios compare
-    // interpreter dispatch modes, not host scheduling jitter.
+    // best of [`TRIALS`] identical batches so the MIPS ratio compares
+    // the two dispatch paths, not host scheduling jitter.
     let mut mips = 0.0_f64;
     let mut insns_measured = 0;
     let mut wall_ns = 0;
@@ -283,17 +253,16 @@ fn measure(server: Server, mode: Mode, requests: usize) -> ServerRun {
     }
 }
 
-/// Measures one server under all three modes with identical traffic.
+/// Measures one server with and without the cache, identical traffic.
 pub fn run_server(server: Server, requests: usize) -> ServerRow {
     ServerRow {
         server: server.module(),
-        uncached: measure(server, Mode::Uncached, requests),
-        cached: measure(server, Mode::Cached, requests),
-        superblocked: measure(server, Mode::Superblocked, requests),
+        uncached: measure(server, false, requests),
+        superblocked: measure(server, true, requests),
     }
 }
 
-/// Runs the whole figure: Redis and Nginx, three modes each.
+/// Runs the whole figure: Redis and Nginx, both passes each.
 pub fn run(requests: usize) -> InterpFigure {
     InterpFigure {
         steady_requests: requests,
@@ -304,7 +273,7 @@ pub fn run(requests: usize) -> InterpFigure {
     }
 }
 
-/// Serialises the figure as the `dynacut-interp-v2` JSON document.
+/// Serialises the figure as the `dynacut-interp-v3` JSON document.
 pub fn to_json(figure: &InterpFigure) -> String {
     let rows: Vec<String> = figure
         .rows
@@ -315,13 +284,10 @@ pub fn to_json(figure: &InterpFigure) -> String {
                     "    {{\n",
                     "      \"server\": \"{server}\",\n",
                     "      \"uncached_mips\": {unc:.4},\n",
-                    "      \"cached_mips\": {cac:.4},\n",
                     "      \"superblocked_mips\": {sup:.4},\n",
                     "      \"speedup\": {speedup:.4},\n",
-                    "      \"superblock_speedup\": {sb_speedup:.4},\n",
                     "      \"insns_measured\": {insns},\n",
                     "      \"uncached_wall_ns\": {unc_wall},\n",
-                    "      \"cached_wall_ns\": {cac_wall},\n",
                     "      \"superblocked_wall_ns\": {sup_wall},\n",
                     "      \"cache_hits\": {hits},\n",
                     "      \"cache_misses\": {misses},\n",
@@ -336,13 +302,10 @@ pub fn to_json(figure: &InterpFigure) -> String {
                 ),
                 server = row.server,
                 unc = row.uncached.mips,
-                cac = row.cached.mips,
                 sup = row.superblocked.mips,
                 speedup = row.speedup(),
-                sb_speedup = row.superblock_speedup(),
                 insns = row.superblocked.insns_measured,
                 unc_wall = row.uncached.wall_ns,
-                cac_wall = row.cached.wall_ns,
                 sup_wall = row.superblocked.wall_ns,
                 hits = row.superblocked.hits,
                 misses = row.superblocked.misses,
@@ -371,12 +334,12 @@ pub fn to_json(figure: &InterpFigure) -> String {
 }
 
 /// Checks the invariants CI relies on: every required key appears, the
-/// cache really ran (hits, superblocks), throughput is positive and
-/// monotone across the three modes' ordering guarantees, all passes
-/// retired the **same** instruction count over the timed batch and
-/// ended bit-identical, the customize commit carried the cache (version
-/// swaps observed, warm batch hits), and the headline speedups clear
-/// [`MIN_SPEEDUP`] and [`MIN_SUPERBLOCK_SPEEDUP`].
+/// cache really ran (hits, superblocks), throughput is positive and the
+/// cached pass is no slower than the uncached one, both passes retired
+/// the **same** instruction count over the timed batch and ended
+/// bit-identical, the customize commit carried the cache (version swaps
+/// observed, warm batch hits), and the headline speedup clears
+/// [`MIN_SPEEDUP`].
 ///
 /// # Errors
 ///
@@ -392,7 +355,7 @@ pub fn validate(json: &str, figure: &InterpFigure) -> Result<(), String> {
     }
     for row in &figure.rows {
         let server = row.server;
-        if row.uncached.mips <= 0.0 || row.cached.mips <= 0.0 || row.superblocked.mips <= 0.0 {
+        if row.uncached.mips <= 0.0 || row.superblocked.mips <= 0.0 {
             return Err(format!("{server}: non-positive MIPS"));
         }
         if row.superblocked.mips < row.uncached.mips {
@@ -407,24 +370,13 @@ pub fn validate(json: &str, figure: &InterpFigure) -> Result<(), String> {
                 row.speedup()
             ));
         }
-        if row.superblock_speedup() < MIN_SUPERBLOCK_SPEEDUP {
+        if row.superblocked.insns_measured != row.uncached.insns_measured {
             return Err(format!(
-                "{server}: superblock speedup {:.2}x below the \
-                 {MIN_SUPERBLOCK_SPEEDUP}x floor",
-                row.superblock_speedup()
+                "{server}: retirement drift between passes ({} / {})",
+                row.uncached.insns_measured, row.superblocked.insns_measured
             ));
         }
-        if row.cached.insns_measured != row.uncached.insns_measured
-            || row.superblocked.insns_measured != row.uncached.insns_measured
-        {
-            return Err(format!(
-                "{server}: retirement drift across modes ({} / {} / {})",
-                row.uncached.insns_measured,
-                row.cached.insns_measured,
-                row.superblocked.insns_measured
-            ));
-        }
-        if row.superblocked.hits == 0 || row.cached.hits == 0 {
+        if row.superblocked.hits == 0 {
             return Err(format!("{server}: cache never hit"));
         }
         if row.uncached.hits != 0 {
@@ -432,11 +384,6 @@ pub fn validate(json: &str, figure: &InterpFigure) -> Result<(), String> {
         }
         if row.superblocked.superblocks == 0 {
             return Err(format!("{server}: no superblocks were promoted"));
-        }
-        if row.cached.superblocks != 0 {
-            return Err(format!(
-                "{server}: superblocks promoted with chaining disabled"
-            ));
         }
         if row.superblocked.version_swaps == 0 {
             return Err(format!(
@@ -458,17 +405,13 @@ pub fn validate(json: &str, figure: &InterpFigure) -> Result<(), String> {
 /// Prints the MIPS table, writes `results/interp.json`, and panics if
 /// the document violates the schema (the CI gate).
 pub fn print() {
-    println!(
-        "== Interp: dispatch modes, guest MIPS uncached/cached/superblocked (steady state) ==\n"
-    );
+    println!("== Interp: guest MIPS uncached vs superblocked block cache (steady state) ==\n");
     let figure = run(STEADY_REQUESTS);
     let mut table = Table::new(&[
         "server",
         "uncached MIPS",
-        "cached MIPS",
         "superblocked MIPS",
         "speedup",
-        "sb speedup",
         "superblocks",
         "version swaps",
         "warm hit %",
@@ -478,10 +421,8 @@ pub fn print() {
         table.row(&[
             row.server.to_owned(),
             format!("{:.2}", row.uncached.mips),
-            format!("{:.2}", row.cached.mips),
             format!("{:.2}", row.superblocked.mips),
             format!("{:.2}x", row.speedup()),
-            format!("{:.2}x", row.superblock_speedup()),
             row.superblocked.superblocks.to_string(),
             row.superblocked.version_swaps.to_string(),
             format!("{:.1}", row.superblocked.warm_hit_ratio() * 100.0),
@@ -523,13 +464,6 @@ mod tests {
         ServerRow {
             server: "redis",
             uncached: base.clone(),
-            cached: ServerRun {
-                mips: 10.0 * speedup / 2.0,
-                hits: 400,
-                version_swaps: 3,
-                warm_hits: 50,
-                ..base.clone()
-            },
             superblocked: ServerRun {
                 mips: 10.0 * speedup,
                 hits: 500,
@@ -557,18 +491,6 @@ mod tests {
                 .unwrap_err()
                 .contains("floor"),
             "sub-2x headline speedup is rejected"
-        );
-
-        let mut figure = InterpFigure {
-            steady_requests: 10,
-            rows: vec![synthetic_row(4.0)],
-        };
-        figure.rows[0].cached.mips = figure.rows[0].superblocked.mips / 1.1;
-        assert!(
-            validate(&to_json(&figure), &figure)
-                .unwrap_err()
-                .contains("superblock speedup"),
-            "sub-1.5x chaining speedup is rejected"
         );
 
         let mut figure = InterpFigure {
@@ -619,18 +541,15 @@ mod tests {
 
     /// A small real pass: identical retirement, matching fingerprints,
     /// live cache, promoted superblocks and a version-swapped commit.
-    /// (The speedup floors are asserted by the release-mode `figures
+    /// (The speedup floor is asserted by the release-mode `figures
     /// interp` run in CI, not in debug unit tests.)
     #[test]
     fn small_redis_pass_is_bit_identical_with_a_live_cache() {
         let row = run_server(Server::Redis, 40);
         assert!(row.fingerprints_match(), "fingerprints diverge");
-        assert_eq!(row.cached.insns_measured, row.uncached.insns_measured);
         assert_eq!(row.superblocked.insns_measured, row.uncached.insns_measured);
-        assert!(row.cached.hits > 0, "plain cache never hit");
         assert!(row.superblocked.hits > 0, "superblocked cache never hit");
         assert_eq!(row.uncached.hits, 0);
-        assert_eq!(row.cached.superblocks, 0, "chaining was disabled");
         assert!(row.superblocked.superblocks > 0, "no superblocks promoted");
         assert!(
             row.superblocked.version_swaps > 0,

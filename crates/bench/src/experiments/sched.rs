@@ -1,37 +1,31 @@
 //! The scheduler experiment: serving tail latency under the preemptive
-//! MLFQ versus the cooperative round-robin oracle while customize-class
-//! guest work churns in the background.
+//! MLFQ while customize-class guest work churns in the background.
 //!
 //! Each run boots an N-replica Redis fleet, turns a small slice of it
 //! into compute-bound "crunchers" by feeding them long pipelined
 //! command blobs, and tags those replicas [`SchedClass::Background`] —
 //! the class the customize engine pins on cycle-driven guest work. A
 //! sequence of fresh-connection `PING` probes then measures serving
-//! latency on the deterministic guest clock:
+//! latency on the deterministic guest clock (simulated time, not host
+//! time). The woken acceptor dispatches at level 0 ahead of the
+//! background crunchers, so the probe's p99 stays flat as the fleet
+//! (and its cruncher share) grows, and the wait-object registry means a
+//! wake costs one list pop, not an O(N) scan.
 //!
-//! * **MLFQ** — the woken acceptor dispatches at level 0 ahead of the
-//!   background crunchers, so the probe's p99 stays flat as the fleet
-//!   (and its cruncher share) grows, and the wait-object registry means
-//!   a wake costs one list pop, not an O(N) scan;
-//! * **round-robin** — every probe waits out a full slice per runnable
-//!   cruncher (and the accept wake is a thundering herd over every
-//!   parked replica), so the p99 grows with the fleet.
-//!
-//! Emits `results/sched.json` (`dynacut-sched-v1`), schema-gated by CI:
+//! Emits `results/sched.json` (`dynacut-sched-v2`), schema-gated by CI:
 //! the MLFQ p99 must stay within 2x from the smallest to the largest
-//! fleet, the round-robin p99 must degrade by at least 2x over the same
-//! span, and MLFQ wakeups must stay flat across fleet sizes — O(1) per
-//! probe, never scaling with N the way the oracle's scans do.
+//! fleet, and MLFQ wakeups must stay flat across fleet sizes — O(1) per
+//! probe, never scaling with N.
 
 use crate::report::{fmt_duration, Table};
 use crate::workloads::boot_fleet;
-use dynacut_vm::{Pid, SchedClass, SchedPolicy};
+use dynacut_vm::{Pid, SchedClass};
 use std::time::Duration;
 
 /// Fleet sizes the headline figure sweeps.
 pub const FLEET_SIZES: &[usize] = &[100, 250, 1000];
 
-/// Serving probes per (size, policy) cell.
+/// Serving probes per fleet size.
 pub const PROBES: usize = 40;
 
 /// Pump chunk while probing: bounds the guest-clock quantisation of a
@@ -43,7 +37,7 @@ pub const PROBE_PUMP_NS: u64 = 500;
 const CRUNCH_CMDS: usize = 20_000;
 
 /// Schema identifier embedded in the JSON for forward compatibility.
-pub const SCHEMA: &str = "dynacut-sched-v1";
+pub const SCHEMA: &str = "dynacut-sched-v2";
 
 /// Top-level keys the JSON must contain (the CI schema check).
 pub const REQUIRED_KEYS: &[&str] = &[
@@ -54,8 +48,6 @@ pub const REQUIRED_KEYS: &[&str] = &[
     "crunchers",
     "mlfq_p50_ns",
     "mlfq_p99_ns",
-    "rr_p50_ns",
-    "rr_p99_ns",
     "wakeups",
     "quanta",
 ];
@@ -67,31 +59,21 @@ pub fn crunchers_for(fleet_size: usize) -> usize {
     (fleet_size / 50).max(2)
 }
 
-/// One policy's latency cell.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PolicyCell {
-    /// Median probe latency, guest nanoseconds.
-    pub p50_ns: u64,
-    /// 99th-percentile probe latency, guest nanoseconds.
-    pub p99_ns: u64,
-    /// `sched.wakeups` over the probe window (0 under round-robin —
-    /// the oracle has no registry to count).
-    pub wakeups: u64,
-    /// `sched.quanta` over the probe window (0 under round-robin).
-    pub quanta: u64,
-}
-
-/// One fleet size's MLFQ-versus-round-robin comparison.
+/// One fleet size's probe measurements.
 #[derive(Debug, Clone, Copy)]
 pub struct SizeRow {
     /// Replica count.
     pub fleet_size: usize,
     /// Compute-bound replicas among them.
     pub crunchers: usize,
-    /// The preemptive scheduler's cell.
-    pub mlfq: PolicyCell,
-    /// The cooperative oracle's cell.
-    pub rr: PolicyCell,
+    /// Median probe latency, guest nanoseconds.
+    pub p50_ns: u64,
+    /// 99th-percentile probe latency, guest nanoseconds.
+    pub p99_ns: u64,
+    /// `sched.wakeups` over the probe window.
+    pub wakeups: u64,
+    /// `sched.quanta` over the probe window.
+    pub quanta: u64,
 }
 
 /// The whole figure.
@@ -103,13 +85,9 @@ pub struct SchedFigure {
     pub rows: Vec<SizeRow>,
 }
 
-/// Boots a fresh fleet, loads its crunchers, and measures one policy
-/// cell. A fresh fleet per cell keeps the two policies' background
-/// load identical — reusing one fleet would hand the second policy
-/// half-drained blobs.
-pub fn measure(fleet_size: usize, policy: SchedPolicy) -> PolicyCell {
+/// Boots a fresh fleet, loads its crunchers, and probes it.
+pub fn measure(fleet_size: usize) -> SizeRow {
     let mut fleet = boot_fleet(fleet_size);
-    fleet.kernel.set_scheduler(policy);
     fleet.kernel.set_pump_chunk_ns(PROBE_PUMP_NS);
 
     // Feed the crunchers: each pipelined blob keeps one replica
@@ -124,9 +102,7 @@ pub fn measure(fleet_size: usize, policy: SchedPolicy) -> PolicyCell {
         fleet.kernel.run_for(2_000);
     }
     // Tag the crunching replicas Background — exactly the class the
-    // customize engine pins on cycle-driven guest work. The oracle
-    // ignores the class; the tag is applied either way so the two
-    // cells run the same configuration.
+    // customize engine pins on cycle-driven guest work.
     let busy: Vec<Pid> = fleet
         .kernel
         .pids()
@@ -166,7 +142,9 @@ pub fn measure(fleet_size: usize, policy: SchedPolicy) -> PolicyCell {
     latencies.sort_unstable();
     let p50 = latencies[latencies.len() / 2];
     let p99 = latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)];
-    PolicyCell {
+    SizeRow {
+        fleet_size,
+        crunchers: crunchers_for(fleet_size),
         p50_ns: p50,
         p99_ns: p99,
         wakeups: fleet.kernel.flight().metrics().counter("sched.wakeups") - metrics_before.0,
@@ -178,12 +156,7 @@ pub fn measure(fleet_size: usize, policy: SchedPolicy) -> PolicyCell {
 pub fn run(sizes: &[usize]) -> SchedFigure {
     let rows = sizes
         .iter()
-        .map(|&fleet_size| SizeRow {
-            fleet_size,
-            crunchers: crunchers_for(fleet_size),
-            mlfq: measure(fleet_size, SchedPolicy::Mlfq),
-            rr: measure(fleet_size, SchedPolicy::RoundRobin),
-        })
+        .map(|&fleet_size| measure(fleet_size))
         .collect();
     SchedFigure {
         probes: PROBES,
@@ -191,7 +164,7 @@ pub fn run(sizes: &[usize]) -> SchedFigure {
     }
 }
 
-/// Serialises the figure as the `dynacut-sched-v1` JSON document.
+/// Serialises the figure as the `dynacut-sched-v2` JSON document.
 pub fn to_json(figure: &SchedFigure) -> String {
     let rows: Vec<String> = figure
         .rows
@@ -204,20 +177,16 @@ pub fn to_json(figure: &SchedFigure) -> String {
                     "      \"crunchers\": {crunchers},\n",
                     "      \"mlfq_p50_ns\": {mp50},\n",
                     "      \"mlfq_p99_ns\": {mp99},\n",
-                    "      \"rr_p50_ns\": {rp50},\n",
-                    "      \"rr_p99_ns\": {rp99},\n",
                     "      \"wakeups\": {wakeups},\n",
                     "      \"quanta\": {quanta}\n",
                     "    }}"
                 ),
                 size = row.fleet_size,
                 crunchers = row.crunchers,
-                mp50 = row.mlfq.p50_ns,
-                mp99 = row.mlfq.p99_ns,
-                rp50 = row.rr.p50_ns,
-                rp99 = row.rr.p99_ns,
-                wakeups = row.mlfq.wakeups,
-                quanta = row.mlfq.quanta,
+                mp50 = row.p50_ns,
+                mp99 = row.p99_ns,
+                wakeups = row.wakeups,
+                quanta = row.quanta,
             )
         })
         .collect();
@@ -242,11 +211,10 @@ const FLATNESS_FLOOR_NS: u64 = 4 * PROBE_PUMP_NS;
 
 /// Checks the claims CI relies on: every required key appears, rows
 /// cover ascending fleet sizes, the MLFQ p99 stays within 2x across the
-/// sweep (above the quantisation floor), the round-robin p99 degrades
-/// by at least 2x over the same span and loses to the MLFQ at the
-/// largest size, and MLFQ wakeups stay flat from the smallest to the
-/// largest fleet (each probe costs O(1) wake-list pops, so the count
-/// must not scale with N), never exceeding the quanta they gate.
+/// sweep (above the quantisation floor), and MLFQ wakeups stay flat
+/// from the smallest to the largest fleet (each probe costs O(1)
+/// wake-list pops, so the count must not scale with N), never exceeding
+/// the quanta they gate.
 ///
 /// # Errors
 ///
@@ -265,44 +233,30 @@ pub fn validate(json: &str, figure: &SchedFigure) -> Result<(), String> {
     }
     let (first, last) = (figure.rows[0], *figure.rows.last().unwrap());
     for row in &figure.rows {
-        if row.mlfq.p99_ns == 0 || row.rr.p99_ns == 0 {
+        if row.p99_ns == 0 {
             return Err(format!("fleet {}: empty latency cell", row.fleet_size));
         }
-        if row.mlfq.quanta == 0 {
+        if row.quanta == 0 {
             return Err(format!("fleet {}: MLFQ burned no quanta", row.fleet_size));
         }
-        if row.mlfq.wakeups > row.mlfq.quanta {
+        if row.wakeups > row.quanta {
             return Err(format!(
                 "fleet {}: {} wakeups against {} quanta — the registry is polling",
-                row.fleet_size, row.mlfq.wakeups, row.mlfq.quanta
+                row.fleet_size, row.wakeups, row.quanta
             ));
         }
     }
-    if last.mlfq.wakeups > 2 * first.mlfq.wakeups.max(figure.probes as u64) {
+    if last.wakeups > 2 * first.wakeups.max(figure.probes as u64) {
         return Err(format!(
             "MLFQ wakeups grew {} -> {} from fleet {} to {} — wakes are \
              scaling with the fleet, not with the probes",
-            first.mlfq.wakeups, last.mlfq.wakeups, first.fleet_size, last.fleet_size
+            first.wakeups, last.wakeups, first.fleet_size, last.fleet_size
         ));
     }
-    if last.mlfq.p99_ns > 2 * first.mlfq.p99_ns.max(FLATNESS_FLOOR_NS) {
+    if last.p99_ns > 2 * first.p99_ns.max(FLATNESS_FLOOR_NS) {
         return Err(format!(
             "MLFQ p99 grew {} -> {} ns from fleet {} to {} — not flat within 2x",
-            first.mlfq.p99_ns, last.mlfq.p99_ns, first.fleet_size, last.fleet_size
-        ));
-    }
-    if last.rr.p99_ns < 2 * first.rr.p99_ns {
-        return Err(format!(
-            "round-robin p99 only moved {} -> {} ns from fleet {} to {} — \
-             expected at least 2x degradation",
-            first.rr.p99_ns, last.rr.p99_ns, first.fleet_size, last.fleet_size
-        ));
-    }
-    if last.rr.p99_ns < 2 * last.mlfq.p99_ns {
-        return Err(format!(
-            "at fleet {} the round-robin p99 ({} ns) is not at least 2x the \
-             MLFQ p99 ({} ns)",
-            last.fleet_size, last.rr.p99_ns, last.mlfq.p99_ns
+            first.p99_ns, last.p99_ns, first.fleet_size, last.fleet_size
         ));
     }
     Ok(())
@@ -312,7 +266,7 @@ pub fn validate(json: &str, figure: &SchedFigure) -> Result<(), String> {
 /// the document violates the schema (the CI gate).
 pub fn print() {
     println!(
-        "== Sched: serving p99 under MLFQ vs round-robin, \
+        "== Sched: serving p99 under the MLFQ (guest time), \
          background-heavy Redis fleets ==\n"
     );
     let figure = run(FLEET_SIZES);
@@ -321,31 +275,24 @@ pub fn print() {
         "crunchers",
         "mlfq p50",
         "mlfq p99",
-        "rr p50",
-        "rr p99",
         "wakeups/quanta",
     ]);
     for row in &figure.rows {
         table.row(&[
             row.fleet_size.to_string(),
             row.crunchers.to_string(),
-            fmt_duration(Duration::from_nanos(row.mlfq.p50_ns)),
-            fmt_duration(Duration::from_nanos(row.mlfq.p99_ns)),
-            fmt_duration(Duration::from_nanos(row.rr.p50_ns)),
-            fmt_duration(Duration::from_nanos(row.rr.p99_ns)),
-            format!("{}/{}", row.mlfq.wakeups, row.mlfq.quanta),
+            fmt_duration(Duration::from_nanos(row.p50_ns)),
+            fmt_duration(Duration::from_nanos(row.p99_ns)),
+            format!("{}/{}", row.wakeups, row.quanta),
         ]);
     }
     print!("{}", table.render());
     let (first, last) = (figure.rows[0], *figure.rows.last().unwrap());
     println!(
-        "\nmlfq p99 {} -> {} ({}x), rr p99 {} -> {} ({}x) over {}x fleet growth",
-        fmt_duration(Duration::from_nanos(first.mlfq.p99_ns)),
-        fmt_duration(Duration::from_nanos(last.mlfq.p99_ns)),
-        last.mlfq.p99_ns / first.mlfq.p99_ns.max(1),
-        fmt_duration(Duration::from_nanos(first.rr.p99_ns)),
-        fmt_duration(Duration::from_nanos(last.rr.p99_ns)),
-        last.rr.p99_ns / first.rr.p99_ns.max(1),
+        "\nmlfq p99 {} -> {} ({}x) over {}x fleet growth",
+        fmt_duration(Duration::from_nanos(first.p99_ns)),
+        fmt_duration(Duration::from_nanos(last.p99_ns)),
+        last.p99_ns / first.p99_ns.max(1),
         last.fleet_size / first.fleet_size.max(1),
     );
     let json = to_json(&figure);
@@ -365,35 +312,29 @@ pub fn print() {
 mod tests {
     use super::*;
 
-    /// A small sweep is enough to see the separation: the MLFQ's probe
-    /// latency does not grow with the cruncher count, the oracle's
-    /// does, and the JSON carries every schema key.
+    /// A small sweep: the MLFQ burns quanta, its wakeups neither rival
+    /// the quanta nor grow with the fleet, and the JSON carries every
+    /// schema key.
     #[test]
-    fn small_sweep_separates_the_policies_and_validates() {
+    fn small_sweep_keeps_wakeups_flat_and_validates() {
         let figure = run(&[16, 64]);
         let json = to_json(&figure);
         for key in REQUIRED_KEYS {
             assert!(json.contains(&format!("\"{key}\"")), "missing {key}");
         }
         let (first, last) = (figure.rows[0], *figure.rows.last().unwrap());
-        assert!(last.mlfq.quanta > 0);
+        assert!(last.quanta > 0);
         assert!(
-            last.mlfq.wakeups <= last.mlfq.quanta,
+            last.wakeups <= last.quanta,
             "{} wakeups vs {} quanta",
-            last.mlfq.wakeups,
-            last.mlfq.quanta
+            last.wakeups,
+            last.quanta
         );
         assert!(
-            last.mlfq.wakeups <= 2 * first.mlfq.wakeups.max(PROBES as u64),
+            last.wakeups <= 2 * first.wakeups.max(PROBES as u64),
             "wakeups grew with the fleet: {} -> {}",
-            first.mlfq.wakeups,
-            last.mlfq.wakeups
-        );
-        assert!(
-            last.rr.p99_ns >= last.mlfq.p99_ns,
-            "rr p99 {} beat mlfq p99 {} at fleet 64",
-            last.rr.p99_ns,
-            last.mlfq.p99_ns
+            first.wakeups,
+            last.wakeups
         );
     }
 
@@ -405,14 +346,18 @@ mod tests {
                 SizeRow {
                     fleet_size: 16,
                     crunchers: 2,
-                    mlfq: PolicyCell { p50_ns: 900, p99_ns: 1_500, wakeups: 50, quanta: 4_000 },
-                    rr: PolicyCell { p50_ns: 1_500, p99_ns: 3_000, ..Default::default() },
+                    p50_ns: 900,
+                    p99_ns: 1_500,
+                    wakeups: 50,
+                    quanta: 4_000,
                 },
                 SizeRow {
                     fleet_size: 64,
                     crunchers: 2,
-                    mlfq: PolicyCell { p50_ns: 900, p99_ns: 1_600, wakeups: 60, quanta: 5_000 },
-                    rr: PolicyCell { p50_ns: 4_000, p99_ns: 8_000, ..Default::default() },
+                    p50_ns: 900,
+                    p99_ns: 1_600,
+                    wakeups: 60,
+                    quanta: 5_000,
                 },
             ],
         };
@@ -420,12 +365,12 @@ mod tests {
         validate(&json, &figure).expect("healthy figure validates");
 
         // A polling registry (wakeups rivaling quanta) is rejected.
-        figure.rows[1].mlfq.wakeups = figure.rows[1].mlfq.quanta;
+        figure.rows[1].wakeups = figure.rows[1].quanta;
         assert!(validate(&to_json(&figure), &figure).is_err());
-        figure.rows[1].mlfq.wakeups = 60;
+        figure.rows[1].wakeups = 60;
 
         // A p99 that grows with the fleet under MLFQ is rejected.
-        figure.rows[1].mlfq.p99_ns = 10_000;
+        figure.rows[1].p99_ns = 10_000;
         assert!(validate(&to_json(&figure), &figure).is_err());
     }
 }

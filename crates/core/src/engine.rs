@@ -215,9 +215,8 @@ pub struct FleetTotals {
     /// store without content addressing would hold for these cycles).
     pub stored_page_bytes: usize,
     /// Page bytes restore phases physically copied, fleet-wide (see
-    /// [`CustomizeReport::restore_copied_bytes`]). On the zero-copy path
-    /// this scales with *distinct rewritten pages*, not resident set ×
-    /// replicas.
+    /// [`CustomizeReport::restore_copied_bytes`]). This scales with
+    /// *distinct rewritten pages*, not resident set × replicas.
     pub restore_copied_bytes: usize,
     /// Page bytes the session's store physically holds after the run:
     /// one copy per distinct page content.
@@ -562,31 +561,24 @@ impl DynaCut {
             Stage::RestorePrepare => {
                 let checkpoint = cycle.checkpoint.as_ref().expect("dump stage ran");
                 let registry = cycle.staged_registry.as_ref().expect("inject stage ran");
-                if self.zero_copy_restore {
-                    // Zero-copy: intern the edited payload into the
-                    // session's content-addressed store (copying only
-                    // pages it has never seen — later replicas hash-hit
-                    // the first one's baseline) and back every staged
-                    // page with a shared frame. The interning refs are
-                    // released inside `prepare_shared`; the staged
-                    // processes keep the frames alive, so the store's
-                    // refcounts are unchanged on every path.
-                    let copied_before = self.store.page_store().copied_bytes();
-                    let txn = RestoreTransaction::prepare_shared(
-                        kernel,
-                        checkpoint,
-                        registry,
-                        self.store.page_store_mut(),
-                    )?;
-                    cycle.report.restore_copied_bytes =
-                        (self.store.page_store().copied_bytes() - copied_before) as usize;
-                    cycle.txn = Some(txn);
-                } else {
-                    // Copying baseline: every dumped page is written
-                    // into the staged address spaces byte for byte.
-                    cycle.report.restore_copied_bytes = checkpoint.pages_bytes();
-                    cycle.txn = Some(RestoreTransaction::prepare(kernel, checkpoint, registry)?);
-                }
+                // Intern the edited payload into the session's
+                // content-addressed store (copying only pages it has
+                // never seen — later replicas hash-hit the first one's
+                // baseline) and back every staged page with a shared
+                // frame. The interning refs are released inside
+                // `prepare`; the staged processes keep the frames
+                // alive, so the store's refcounts are unchanged on
+                // every path.
+                let copied_before = self.store.page_store().copied_bytes();
+                let txn = RestoreTransaction::prepare(
+                    kernel,
+                    checkpoint,
+                    registry,
+                    self.store.page_store_mut(),
+                )?;
+                cycle.report.restore_copied_bytes =
+                    (self.store.page_store().copied_bytes() - copied_before) as usize;
+                cycle.txn = Some(txn);
                 Ok(())
             }
             Stage::RestoreCommit => {

@@ -65,14 +65,13 @@ pub struct CustomizeReport {
     /// when a parent baseline existed, the full payload otherwise. `None`
     /// without incremental mode (nothing is stored).
     pub stored_page_bytes: Option<usize>,
-    /// Page bytes the restore phase **physically copied**. On the
-    /// default zero-copy path this counts only first-sight page interns
-    /// — pages the content-addressed store had never seen — while every
-    /// other restored page is backed by a shared frame and copied only
-    /// if a later guest write CoW-faults it. On the copying path
-    /// ([`DynaCut::with_copying_restore`]) this is the whole page
-    /// payload, once per restore. The `figures restore` experiment gates
-    /// on the ratio of the two.
+    /// Page bytes the restore phase **physically copied**: only
+    /// first-sight page interns — pages the content-addressed store had
+    /// never seen — while every other restored page is backed by a
+    /// shared frame and copied only if a later guest write CoW-faults
+    /// it. The `figures restore` experiment gates on its ratio to
+    /// [`stored_page_bytes`](CustomizeReport::stored_page_bytes), the
+    /// payload a byte-copying restore would move.
     pub restore_copied_bytes: usize,
     /// Id of the stored checkpoint (incremental mode only).
     pub checkpoint_id: Option<CkptId>,
@@ -163,11 +162,6 @@ pub struct DynaCut {
     /// Incremental checkpointing: pre-dump clean pages while the guest
     /// runs and store dirty-page deltas against the previous baseline.
     pub(crate) incremental: bool,
-    /// Restore pages as zero-copy shared frames out of the session's
-    /// page store (the default). When off, the restore copies every
-    /// page byte — kept as the oracle the zero-copy path is checked
-    /// against, and as the baseline the restore experiment compares to.
-    pub(crate) zero_copy_restore: bool,
     /// Delta-chain checkpoint store (incremental mode only), backed by a
     /// content-addressed page store shared across every group this
     /// session customizes.
@@ -195,7 +189,6 @@ impl DynaCut {
             registry,
             dump_options: DumpOptions::default(),
             incremental: false,
-            zero_copy_restore: true,
             store: CheckpointStore::new(),
             baselines: BTreeMap::new(),
             injections: 0,
@@ -218,18 +211,6 @@ impl DynaCut {
     /// dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
-        self
-    }
-
-    /// Disables the zero-copy restore: every restored page is copied
-    /// byte for byte instead of being backed by a shared frame. The
-    /// guest-visible result — `state_fingerprint()` included — is
-    /// bit-identical to the default; only the physical copy cost
-    /// ([`CustomizeReport::restore_copied_bytes`]) differs. Used by the
-    /// restore experiment as the baseline and by the test battery as
-    /// the oracle.
-    pub fn with_copying_restore(mut self) -> Self {
-        self.zero_copy_restore = false;
         self
     }
 

@@ -29,9 +29,9 @@ use dynacut_vm::{Kernel, LoadSpec, Pid, ProcState};
 use std::sync::Arc;
 
 /// Every injection point in the customize cycle, in execution order.
-/// The default restore is zero-copy, so `RestoreHandles` (handle
-/// resolution and interning) and `CowMaterialize` (frame installation)
-/// bracket the per-process `RestoreBuild`.
+/// The restore is zero-copy, so `RestoreHandles` (handle resolution and
+/// interning) and `CowMaterialize` (frame installation) bracket the
+/// per-process `RestoreBuild`.
 const ALL_PHASES: [FaultPhase; 10] = [
     FaultPhase::PreDump,
     FaultPhase::Dump,
@@ -550,33 +550,6 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         nginx::RESP_201,
         "PUT re-enabled by the retried cycle"
     );
-}
-
-/// With the copying restore opted in, the zero-copy hooks are never
-/// reached: the armed fault stays armed and the identical customize
-/// commits — proving `RestoreHandles`/`CowMaterialize` live strictly on
-/// the handle-based path.
-#[test]
-fn copying_restore_never_reaches_the_zero_copy_hooks() {
-    for phase in [FaultPhase::RestoreHandles, FaultPhase::CowMaterialize] {
-        let mut server = boot_redis();
-        let mut dynacut = DynaCut::new(server.registry.clone())
-            .with_incremental()
-            .with_copying_restore();
-        let plan = redis_plan(&server);
-        fault::arm(phase, 0);
-        dynacut
-            .customize(&mut server.kernel, &server.pids, &plan)
-            .unwrap_or_else(|err| panic!("copying restore must not hit {phase}: {err}"));
-        assert_eq!(fault::armed_count(), 1, "fault still armed ({phase})");
-        fault::disarm_all();
-        let conn = server.kernel.client_connect(redis::PORT).unwrap();
-        assert_eq!(
-            server.kernel.client_request(conn, REDIS_PROOF.0, 5_000_000).unwrap(),
-            REDIS_PROOF.1,
-            "the customization committed under the copying restore"
-        );
-    }
 }
 
 /// An armed fault whose phase is never reached stays armed (and is

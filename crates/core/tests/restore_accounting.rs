@@ -1,14 +1,14 @@
 //! Byte accounting for the zero-copy restore (DESIGN §12): a restored
 //! page counts toward `restore_copied_bytes` only when it is physically
 //! copied — a first-sight intern into the content-addressed store —
-//! never when it is handed out as a shared frame. The copying restore
-//! reports the whole payload every cycle; both modes end in
-//! bit-identical guest state, and the flight metrics mirror the
-//! per-cycle reports exactly.
+//! never when it is handed out as a shared frame. The flight metrics
+//! mirror the per-cycle reports exactly, and every cycle restores
+//! exactly the checkpoint it stored: re-dumping the group gives back
+//! what the session's store materializes.
 
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
-use dynacut_criu::ModuleRegistry;
+use dynacut_criu::{dump_many, DumpOptions, ModuleRegistry};
 use dynacut_vm::{Kernel, LoadSpec, Pid};
 use std::sync::Arc;
 
@@ -95,8 +95,8 @@ fn run_two_cycles(mut dynacut: DynaCut, mut server: Server) -> (Server, Vec<dyna
 
 /// Zero-copy accounting: the first cycle pays for first-sight pages
 /// once; the second cycle's restore copies only what changed since the
-/// stored baseline — far less than the payload the copying restore
-/// would move — and the flight metrics agree with the reports.
+/// stored baseline — far less than the stored payload — and the flight
+/// metrics agree with the reports.
 #[test]
 fn zero_copy_counts_only_first_sight_pages() {
     let server = boot_redis();
@@ -157,64 +157,47 @@ fn zero_copy_counts_only_first_sight_pages() {
     }
 }
 
-/// The copying restore pays the whole stored payload every cycle and
-/// leaves no page on a shared frame — the baseline the figure's ≥5×
-/// gate divides by.
+/// The round-trip reference for the engine's restore: after each
+/// customize, freezing the group and dumping it again gives back exactly
+/// the edited checkpoint the session stored for that cycle — the
+/// restored processes hold the stored image byte for byte.
 #[test]
-fn copying_restore_reports_the_whole_payload_every_cycle() {
-    let server = boot_redis();
-    let dynacut = DynaCut::new(server.registry.clone())
-        .with_incremental()
-        .with_copying_restore();
-    let (server, reports) = run_two_cycles(dynacut, server);
-
-    assert_eq!(
-        reports[0].restore_copied_bytes,
-        reports[0].stored_page_bytes.expect("baseline stored"),
-        "first cycle: the copying restore moves the full payload"
-    );
-    for (i, report) in reports.iter().enumerate() {
-        assert!(
-            report.restore_copied_bytes > 0,
-            "cycle {i} copied its payload"
+fn each_cycle_restores_exactly_the_stored_checkpoint() {
+    let mut server = boot_redis();
+    let mut dynacut = DynaCut::new(server.registry.clone()).with_incremental();
+    for (cycle, plan) in [disable_plan(&server), enable_plan(&server)]
+        .into_iter()
+        .enumerate()
+    {
+        let report = dynacut
+            .customize(&mut server.kernel, &server.pids, &plan)
+            .unwrap_or_else(|err| panic!("cycle {cycle}: {err}"));
+        let id = report
+            .checkpoint_id
+            .expect("incremental mode stores the checkpoint");
+        for &pid in &server.pids {
+            server.kernel.freeze(pid).unwrap();
+        }
+        let redump = dump_many(&mut server.kernel, &server.pids, &DumpOptions::default()).unwrap();
+        assert_eq!(
+            redump,
+            dynacut.store().materialize(id).unwrap(),
+            "cycle {cycle}: the restored group re-dumps to the stored checkpoint"
         );
+        for &pid in &server.pids {
+            server.kernel.thaw(pid).unwrap();
+            let ids = server.kernel.conn_ids_of(pid).unwrap();
+            server.kernel.unrepair_connections(&ids);
+        }
+        let conn = server.kernel.client_connect(redis::PORT).unwrap();
+        assert_eq!(
+            server
+                .kernel
+                .client_request(conn, b"SET k v\n", 5_000_000)
+                .unwrap(),
+            b"+OK\n",
+            "cycle {cycle}: the group still serves"
+        );
+        server.kernel.client_close(conn).unwrap();
     }
-    assert_eq!(
-        server
-            .kernel
-            .process(server.pids[0])
-            .unwrap()
-            .mem
-            .shared_page_count(),
-        0,
-        "the copying restore owns every page privately"
-    );
-}
-
-/// Both restore modes end in bit-identical guest state: two identically
-/// booted and identically driven kernels fingerprint-match across the
-/// zero-copy/copying divide — only the physical copy cost differs.
-#[test]
-fn restore_modes_are_fingerprint_identical() {
-    let zc = boot_redis();
-    let zc_dynacut = DynaCut::new(zc.registry.clone()).with_incremental();
-    let (zc_server, zc_reports) = run_two_cycles(zc_dynacut, zc);
-
-    let cp = boot_redis();
-    let cp_dynacut = DynaCut::new(cp.registry.clone())
-        .with_incremental()
-        .with_copying_restore();
-    let (cp_server, cp_reports) = run_two_cycles(cp_dynacut, cp);
-
-    assert_eq!(
-        zc_server.kernel.state_fingerprint(),
-        cp_server.kernel.state_fingerprint(),
-        "restore mode must be invisible to guest-observable state"
-    );
-    let zc_copied: usize = zc_reports.iter().map(|r| r.restore_copied_bytes).sum();
-    let cp_copied: usize = cp_reports.iter().map(|r| r.restore_copied_bytes).sum();
-    assert!(
-        zc_copied < cp_copied,
-        "zero-copy moved fewer bytes ({zc_copied} >= {cp_copied})"
-    );
 }

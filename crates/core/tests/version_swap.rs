@@ -8,7 +8,7 @@
 //! (no re-decode), blocks over rewritten pages can never revalidate,
 //! and a rollback re-inserts the original process whose cache — keyed
 //! under the old epoch — is hot the moment it lands. These tests pin
-//! all three, plus fingerprint parity against the uncached oracle.
+//! all three, plus fingerprint parity against the uncached interpreter.
 
 use dynacut::{
     Downtime, DynaCut, FaultPolicy, Feature, RewritePlan, RolloutDecision, RolloutPlan,
@@ -16,7 +16,7 @@ use dynacut::{
 };
 use dynacut_apps::{libc::guest_libc, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
-use dynacut_vm::{Kernel, LoadSpec, Pid, SchedPolicy};
+use dynacut_vm::{Kernel, LoadSpec, Pid};
 use std::sync::Arc;
 
 // ----- customize commit: version swap instead of flush ------------------
@@ -188,23 +188,14 @@ impl Replica {
 
 /// A demoted rollout re-inserts the original process with its cache
 /// intact under the *old* epoch: the pristine version re-dispatches
-/// immediately — the steady-state miss counter does not move — and the
-/// replica's state matches both the pre-attempt snapshot and an
-/// uncached oracle that served the same traffic.
+/// immediately — one decode miss where a cold cache takes a whole
+/// request path — and the replica's state matches both the pre-attempt
+/// snapshot and an uncached oracle that served the same traffic.
 #[test]
 fn rollback_redispatches_pristine_version_without_redecode() {
     let mut replica = boot_redis();
     let mut oracle = boot_redis();
     oracle.kernel.set_block_cache_enabled(false);
-    // This pin counts decode misses, and mid-block slice-over re-enters
-    // the dispatcher at a fresh cache key — so the miss count is
-    // sensitive to where slices end. Run under the fixed-quantum
-    // round-robin oracle, whose slicing repeats exactly between the
-    // steady-state batches and the post-rollback batch; the MLFQ's
-    // per-level quanta shift those boundaries (guest-invisibly) as the
-    // process changes level across the rollout.
-    replica.kernel.set_scheduler(SchedPolicy::RoundRobin);
-    oracle.kernel.set_scheduler(SchedPolicy::RoundRobin);
 
     // Warm to a steady state: identical batches until one completes
     // without a single new decode (every block on the path is cached).
@@ -249,17 +240,37 @@ fn rollback_redispatches_pristine_version_without_redecode() {
     );
 
     // The rollback guarantee: the restored original still carries its
-    // hot pre-rollout cache, so the same batch is served entirely out
-    // of it — zero re-decodes — and SETRANGE is enabled again.
+    // hot pre-rollout cache, so the same batch is served out of it and
+    // SETRANGE is enabled again. Exactly one decode misses: the miss
+    // count follows where slices end (a slice that ends mid-block
+    // re-enters the dispatcher at a fresh cache key), and the MLFQ's
+    // per-level quanta put one boundary of this batch mid-block.
     let misses_before = replica.misses();
     let cache_len = replica.kernel.process(replica.pid).unwrap().block_cache.len();
     assert!(cache_len > 0, "the restored original kept its cache");
     replica.batch();
     oracle.batch();
+    let rollback_misses = replica.misses() - misses_before;
     assert_eq!(
-        replica.misses(),
-        misses_before,
-        "the pristine version re-dispatched with zero re-decodes"
+        rollback_misses, 1,
+        "the pristine version re-dispatched without re-decoding"
+    );
+
+    // A flush on rollback would cost the whole request path: the same
+    // batch on a cold cache decodes more than ten times as often.
+    replica
+        .kernel
+        .process_mut(replica.pid)
+        .unwrap()
+        .block_cache
+        .flush();
+    let cold_before = replica.misses();
+    replica.batch();
+    oracle.batch();
+    let cold_misses = replica.misses() - cold_before;
+    assert!(
+        rollback_misses * 10 < cold_misses,
+        "rollback batch missed {rollback_misses} times, a cold batch {cold_misses}"
     );
 
     // And the demoted replica still agrees with the uncached oracle on

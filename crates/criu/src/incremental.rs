@@ -33,7 +33,7 @@
 use crate::dump::{dump, dump_many, DumpOptions};
 use crate::images::*;
 use crate::page_store::{PageKey, PageStore, SharedPages};
-use crate::restore::{build_process_shared, RestoreTransaction, StagedProcess};
+use crate::restore::{build_process, RestoreTransaction, StagedProcess};
 use crate::CriuError;
 use dynacut_obj::PAGE_SIZE;
 use dynacut_vm::{Kernel, Pid};
@@ -617,7 +617,7 @@ impl CheckpointStore {
     }
 
     /// Mutable access to the backing page store, for handle-based
-    /// restore paths ([`RestoreTransaction::prepare_shared`]) that
+    /// restore paths ([`RestoreTransaction::prepare`]) that
     /// intern a transient payload and release it before returning.
     /// Callers own the refcount discipline: every reference taken
     /// through this must be released through it.
@@ -730,27 +730,6 @@ impl CheckpointStore {
         self.put_delta(delta)
     }
 
-    /// Restores the checkpoint `id` **through** the store: the delta
-    /// chain and every page payload are read back from the
-    /// content-addressed store and the processes are rebuilt with
-    /// [`restore_many`] — bit-identical to restoring the original dump.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`materialize`] and [`restore_many`] failures.
-    ///
-    /// [`materialize`]: CheckpointStore::materialize
-    /// [`restore_many`]: crate::restore_many
-    pub fn restore(
-        &self,
-        kernel: &mut Kernel,
-        id: CkptId,
-        registry: &crate::ModuleRegistry,
-    ) -> Result<Vec<Pid>, CriuError> {
-        let image = self.materialize(id)?;
-        crate::restore_many(kernel, &image, registry)
-    }
-
     /// Restores the checkpoint `id` **zero-copy**: instead of
     /// materializing the page payload, the delta chain is resolved at
     /// the *key* level (newest delta wins per page) and every restored
@@ -758,13 +737,12 @@ impl CheckpointStore {
     /// handle straight out of the content-addressed store. No page byte
     /// is copied by the restore itself ([`PageStore::copied_bytes`] does
     /// not move); the first guest write to each page copy-on-writes it
-    /// private. Guest-visible state — `state_fingerprint()` included —
-    /// is bit-identical to [`restore`](CheckpointStore::restore).
+    /// private. Re-dumping the restored processes gives back
+    /// [`materialize`](CheckpointStore::materialize)`(id)` byte for byte.
     ///
-    /// The commit is transactional exactly like the copying path, and
-    /// flushes every restored process's block cache (the
-    /// `RestoreTransaction::commit` choke point), so no decoded block
-    /// survives the swap.
+    /// The commit is transactional ([`RestoreTransaction::commit`]) and
+    /// flushes every restored process's block cache (the commit's choke
+    /// point), so no decoded block survives the swap.
     ///
     /// # Errors
     ///
@@ -772,7 +750,7 @@ impl CheckpointStore {
     /// is absent or released, [`CriuError::BadImage`] /
     /// [`CriuError::Inconsistent`] on a malformed chain, or propagates
     /// build/commit failures (kernel untouched or rolled back).
-    pub fn restore_shared(
+    pub fn restore(
         &self,
         kernel: &mut Kernel,
         id: CkptId,
@@ -786,13 +764,7 @@ impl CheckpointStore {
                     dynacut_vm::fault::FaultPhase::RestoreHandles,
                 ));
             }
-            staged.push(build_process_shared(
-                kernel,
-                image,
-                registry,
-                keys,
-                &self.pages,
-            )?);
+            staged.push(build_process(kernel, image, registry, keys, &self.pages)?);
         }
         let committed = RestoreTransaction::from_staged(staged).commit(kernel)?;
         Ok(committed.pids().to_vec())
@@ -848,7 +820,7 @@ impl CheckpointStore {
                 ));
             }
             let retargeted = Self::retarget(kernel, image, pid)?;
-            staged.push(build_process_shared(
+            staged.push(build_process(
                 kernel,
                 &retargeted,
                 registry,

@@ -8,8 +8,10 @@
 //!   `core` (registers, sigactions), `mm` (VMAs), `pagemap` (which pages
 //!   are populated), `pages` (raw page bytes), `files` (descriptors) and
 //!   `tcp` (repaired connections),
-//! * [`dump`]/[`restore`] — checkpoint a frozen process and bring it back,
-//!   including live TCP connections (`TCP_REPAIR` analogue),
+//! * [`dump`]/[`RestoreTransaction`] — checkpoint a frozen process and
+//!   bring it back, including live TCP connections (`TCP_REPAIR`
+//!   analogue); restored pages are zero-copy frames out of a
+//!   content-addressed [`PageStore`],
 //! * [`DumpOptions::dump_exec_pages`] — the paper's one-line but essential
 //!   CRIU patch: stock CRIU skips file-backed executable pages (they are
 //!   reconstructed from the binary on restore), so **rewites to text would
@@ -53,8 +55,7 @@ pub use incremental::{
 };
 pub use page_store::{PageKey, PageStore, SharedPages};
 pub use restore::{
-    build_process, build_process_shared, restore, restore_chain, restore_many, CommittedRestore,
-    ModuleRegistry, RestoreTransaction, StagedProcess,
+    build_process, CommittedRestore, ModuleRegistry, RestoreTransaction, StagedProcess,
 };
 
 /// Error type shared by dump, restore and editing operations.

@@ -1,14 +1,14 @@
 //! Restoring a process from (possibly rewritten) images.
 //!
-//! Two page paths exist (DESIGN §12): the **copying** path writes every
-//! dumped page into the staged address space byte by byte
-//! ([`build_process`]), and the **zero-copy** path installs refcounted
-//! [`SharedFrame`](dynacut_vm::SharedFrame) handles from the
-//! [`PageStore`] instead ([`build_process_shared`],
-//! [`RestoreTransaction::prepare_shared`]), deferring any physical copy
-//! to the first guest write (CoW). Both produce fingerprint-identical
-//! kernels; the copying path remains the oracle the test battery checks
-//! the fast path against.
+//! Restored pages are never copied into the staged address space: each
+//! dumped page is installed as a refcounted
+//! [`SharedFrame`](dynacut_vm::SharedFrame) handle out of the
+//! content-addressed [`PageStore`] ([`build_process`],
+//! [`RestoreTransaction::prepare`]), deferring any physical copy to the
+//! first guest write (CoW, DESIGN §12). The test battery checks the
+//! result against [`CheckpointStore::materialize`](crate::CheckpointStore::materialize):
+//! re-dumping a restored process gives back the materialized image,
+//! byte for byte.
 
 use crate::images::*;
 use crate::page_store::{PageKey, PageStore, SharedPages};
@@ -77,65 +77,28 @@ pub struct StagedProcess {
 /// effects (listeners to ensure, connections to unrepair) for the commit
 /// phase to apply.
 ///
-/// Pages recorded in the pagemap are written verbatim (so image edits take
-/// effect). Executable VMAs with **no** dumped pages are reconstructed
-/// from the binary in `registry` — the stock-CRIU file-backed-page path
-/// that silently discards text rewrites (see
+/// Dumped pages are backed by zero-copy
+/// [`SharedFrame`](dynacut_vm::SharedFrame) handles out of `store`:
+/// `keys[i]` names the frame for `image.pagemap.pages[i]`, and
+/// `image.pages` is ignored (typically empty — the payload lives in the
+/// store). Every installed page starts shared; the first guest write
+/// copy-on-writes it private. Because the frames hold the dumped bytes,
+/// image edits take effect. Executable VMAs with **no** dumped pages
+/// are reconstructed from the binary in `registry` — the stock-CRIU
+/// file-backed-page path that silently discards text rewrites (see
 /// [`DumpOptions`](crate::DumpOptions)).
 ///
 /// # Errors
 ///
-/// Fails if a module is missing from the registry or the images are
-/// inconsistent.
+/// Fails if a module is missing from the registry, the images are
+/// inconsistent, a key has no live frame in the store, or the key list
+/// disagrees with the pagemap ([`CriuError::Inconsistent`]).
 pub fn build_process(
-    kernel: &Kernel,
-    image: &ProcessImage,
-    registry: &ModuleRegistry,
-) -> Result<StagedProcess, CriuError> {
-    build_process_with(kernel, image, registry, PageSource::Inline(&image.pages))
-}
-
-/// Builds a restored [`Process`] whose dumped pages are backed by
-/// zero-copy [`SharedFrame`](dynacut_vm::SharedFrame) handles out of
-/// `store` instead of byte copies.
-///
-/// `keys[i]` names the frame for `image.pagemap.pages[i]`; `image.pages`
-/// is ignored (and typically empty — the payload lives in the store).
-/// Every installed page starts shared and read-only-backed; the first
-/// guest write copy-on-writes it private. Guest-visible state is
-/// bit-identical to [`build_process`] of the materialized payload.
-///
-/// # Errors
-///
-/// Fails like [`build_process`], and additionally with
-/// [`CriuError::Inconsistent`] if a key has no live frame in the store
-/// or the key list disagrees with the pagemap.
-pub fn build_process_shared(
     kernel: &Kernel,
     image: &ProcessImage,
     registry: &ModuleRegistry,
     keys: &[PageKey],
     store: &PageStore,
-) -> Result<StagedProcess, CriuError> {
-    build_process_with(kernel, image, registry, PageSource::Shared { keys, store })
-}
-
-/// Where a staged process's dumped pages come from.
-enum PageSource<'a> {
-    /// Byte payload carried inline in the image (the copying path).
-    Inline(&'a PagesImage),
-    /// Refcounted frames in a page store (the zero-copy path).
-    Shared {
-        keys: &'a [PageKey],
-        store: &'a PageStore,
-    },
-}
-
-fn build_process_with(
-    kernel: &Kernel,
-    image: &ProcessImage,
-    registry: &ModuleRegistry,
-    source: PageSource<'_>,
 ) -> Result<StagedProcess, CriuError> {
     if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreBuild) {
         return Err(CriuError::FaultInjected(
@@ -203,50 +166,28 @@ fn build_process_with(
     }
     proc.modules = modules;
 
-    // 4. Dumped pages: copied verbatim, or installed as shared frames
-    //    (the zero-copy path — same guest-visible effect, no byte copy
-    //    until a write CoW-faults the page private).
-    match source {
-        PageSource::Inline(pages) => {
-            if pages.bytes.len() != image.pagemap.pages.len() * PAGE_SIZE as usize {
-                return Err(CriuError::Inconsistent(format!(
-                    "pages.img holds {} bytes but pagemap lists {} pages",
-                    pages.bytes.len(),
-                    image.pagemap.pages.len()
-                )));
-            }
-            for (index, &page_base) in image.pagemap.pages.iter().enumerate() {
-                if skip_undumped_text(image, page_base) {
-                    continue;
-                }
-                let start = index * PAGE_SIZE as usize;
-                proc.mem
-                    .write_unchecked(page_base, &pages.bytes[start..start + PAGE_SIZE as usize]);
-            }
+    // 4. Dumped pages, installed as shared frames: no byte copy until a
+    //    write CoW-faults the page private.
+    if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::CowMaterialize) {
+        return Err(CriuError::FaultInjected(
+            dynacut_vm::fault::FaultPhase::CowMaterialize,
+        ));
+    }
+    if keys.len() != image.pagemap.pages.len() {
+        return Err(CriuError::Inconsistent(format!(
+            "{} page handles but pagemap lists {} pages",
+            keys.len(),
+            image.pagemap.pages.len()
+        )));
+    }
+    for (&key, &page_base) in keys.iter().zip(&image.pagemap.pages) {
+        if skip_undumped_text(image, page_base) {
+            continue;
         }
-        PageSource::Shared { keys, store } => {
-            if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::CowMaterialize) {
-                return Err(CriuError::FaultInjected(
-                    dynacut_vm::fault::FaultPhase::CowMaterialize,
-                ));
-            }
-            if keys.len() != image.pagemap.pages.len() {
-                return Err(CriuError::Inconsistent(format!(
-                    "{} page handles but pagemap lists {} pages",
-                    keys.len(),
-                    image.pagemap.pages.len()
-                )));
-            }
-            for (&key, &page_base) in keys.iter().zip(&image.pagemap.pages) {
-                if skip_undumped_text(image, page_base) {
-                    continue;
-                }
-                let frame = store.frame(key).ok_or_else(|| {
-                    CriuError::Inconsistent(format!("{key} is not in the page store"))
-                })?;
-                proc.mem.install_shared_page(page_base, frame);
-            }
-        }
+        let frame = store
+            .frame(key)
+            .ok_or_else(|| CriuError::Inconsistent(format!("{key} is not in the page store")))?;
+        proc.mem.install_shared_page(page_base, frame);
     }
 
     // 5. Registers and signal state.
@@ -429,27 +370,8 @@ impl RestoreTransaction {
         RestoreTransaction { staged }
     }
 
-    /// Builds every process of `checkpoint` without mutating the kernel.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first image that cannot be built; the kernel is
-    /// untouched in that case.
-    pub fn prepare(
-        kernel: &Kernel,
-        checkpoint: &CheckpointImage,
-        registry: &ModuleRegistry,
-    ) -> Result<Self, CriuError> {
-        let staged = checkpoint
-            .procs
-            .iter()
-            .map(|image| build_process(kernel, image, registry))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RestoreTransaction { staged })
-    }
-
-    /// Builds every process of `checkpoint` with its dumped pages backed
-    /// by zero-copy frames out of `store` instead of byte copies.
+    /// Builds every process of `checkpoint` without mutating the kernel,
+    /// its dumped pages backed by zero-copy frames out of `store`.
     ///
     /// The checkpoint's payload is interned into the store for the
     /// duration of the call — so identical pages across processes (and
@@ -464,9 +386,10 @@ impl RestoreTransaction {
     ///
     /// # Errors
     ///
-    /// Fails like [`prepare`](RestoreTransaction::prepare); the kernel is
-    /// untouched and the store's refcounts are unchanged.
-    pub fn prepare_shared(
+    /// Fails on the first image that cannot be built (see
+    /// [`build_process`]) or whose payload disagrees with its pagemap;
+    /// the kernel is untouched and the store's refcounts are unchanged.
+    pub fn prepare(
         kernel: &Kernel,
         checkpoint: &CheckpointImage,
         registry: &ModuleRegistry,
@@ -513,7 +436,7 @@ impl RestoreTransaction {
             };
             handles.push(shared);
             let keys = handles.last().expect("just pushed").keys().to_vec();
-            match build_process_shared(kernel, image, registry, &keys, store) {
+            match build_process(kernel, image, registry, &keys, store) {
                 Ok(built) => staged.push(built),
                 Err(err) => {
                     let _ = release_all(&handles, store);
@@ -604,66 +527,4 @@ impl RestoreTransaction {
             new_listeners,
         })
     }
-}
-
-/// Restores a process from its image set into the kernel under its
-/// original pid.
-///
-/// A thin wrapper over [`build_process`] + a single-process commit; see
-/// [`RestoreTransaction`] for the multi-process all-or-nothing variant.
-///
-/// # Errors
-///
-/// Fails if the pid is taken, a module is missing from the registry, or
-/// the images are inconsistent.
-pub fn restore(
-    kernel: &mut Kernel,
-    image: &ProcessImage,
-    registry: &ModuleRegistry,
-) -> Result<Pid, CriuError> {
-    let staged = build_process(kernel, image, registry)?;
-    let pid = staged.proc.pid;
-    kernel.insert_process(staged.proc)?;
-    for port in staged.listeners {
-        kernel.restore_listener(port);
-    }
-    kernel.unrepair_connections(&staged.conns);
-    Ok(pid)
-}
-
-/// Restores every process of a checkpoint, transactionally: either every
-/// process is restored or the kernel is left untouched (see
-/// [`RestoreTransaction`]).
-///
-/// # Errors
-///
-/// Fails if any process cannot be built or committed.
-pub fn restore_many(
-    kernel: &mut Kernel,
-    checkpoint: &CheckpointImage,
-    registry: &ModuleRegistry,
-) -> Result<Vec<Pid>, CriuError> {
-    let txn = RestoreTransaction::prepare(kernel, checkpoint, registry)?;
-    let committed = txn.commit(kernel)?;
-    Ok(committed.pids().to_vec())
-}
-
-/// Restores from an incremental chain: materializes `parent` plus each
-/// delta of `deltas` in order, then restores every process of the result.
-/// The restored state is bit-identical to restoring the full dump the
-/// chain stands in for.
-///
-/// # Errors
-///
-/// Fails if the chain does not apply (see
-/// [`materialize_chain`](crate::materialize_chain)) or any process cannot
-/// be restored.
-pub fn restore_chain<'a>(
-    kernel: &mut Kernel,
-    parent: &CheckpointImage,
-    deltas: impl IntoIterator<Item = &'a crate::DeltaImage>,
-    registry: &ModuleRegistry,
-) -> Result<Vec<Pid>, CriuError> {
-    let materialized = crate::materialize_chain(parent, deltas)?;
-    restore_many(kernel, &materialized, registry)
 }

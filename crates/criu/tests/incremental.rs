@@ -6,8 +6,7 @@
 
 use dynacut_criu::{
     dump_incremental, dump_many, mark_clean_after_dump, materialize_chain, pre_dump,
-    restore_chain, CheckpointImage, CheckpointStore, CkptId, CriuError, DeltaImage, DumpOptions,
-    ModuleRegistry,
+    CheckpointImage, CheckpointStore, CkptId, CriuError, DeltaImage, DumpOptions, ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -140,8 +139,13 @@ fn incremental_dump_materializes_bit_identically_after_guest_writes() {
     assert_eq!(materialized.to_bytes(), full.to_bytes());
 
     // And restoring the chain yields a live, serving process.
+    let mut store = CheckpointStore::new();
+    store.put_full(parent).unwrap();
+    let delta_id = store.put_delta(delta).unwrap();
     setup.kernel.remove_process(setup.pid).unwrap();
-    restore_chain(&mut setup.kernel, &parent, [&delta], &setup.registry).unwrap();
+    store
+        .restore(&mut setup.kernel, delta_id, &setup.registry)
+        .unwrap();
     let reply = setup
         .kernel
         .client_request(conn, b"again", 1_000_000)

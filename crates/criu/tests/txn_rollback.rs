@@ -6,7 +6,7 @@
 #![cfg(feature = "fault-injection")]
 
 use dynacut_criu::{
-    dump_many, CriuError, DumpOptions, ModuleRegistry, RestoreTransaction,
+    dump_many, CriuError, DumpOptions, ModuleRegistry, PageStore, RestoreTransaction,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
@@ -104,8 +104,10 @@ fn commit_failure_on_second_process_reinserts_the_first() {
     let checkpoint = dump_many(&mut setup.kernel, &setup.pids, &DumpOptions::default()).unwrap();
     let frozen_state = setup.kernel.state_fingerprint();
 
+    let mut store = PageStore::new();
     fault::arm(FaultPhase::RestoreCommit, 1);
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry).unwrap();
+    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+        .unwrap();
     let err = txn.commit(&mut setup.kernel).expect_err("second swap must fail");
     assert!(matches!(
         err,
@@ -120,7 +122,8 @@ fn commit_failure_on_second_process_reinserts_the_first() {
 
     // A clean retry swaps both; the servers keep answering on the
     // connections that predate the whole episode.
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry).unwrap();
+    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+        .unwrap();
     let committed = txn.commit(&mut setup.kernel).expect("clean commit");
     assert_eq!(committed.pids(), setup.pids);
     assert_eq!(
@@ -153,7 +156,9 @@ fn committed_restore_undo_reverts_the_swap() {
     }
     let checkpoint = dump_many(&mut setup.kernel, &setup.pids, &DumpOptions::default()).unwrap();
 
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry).unwrap();
+    let mut store = PageStore::new();
+    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+        .unwrap();
     let committed = txn.commit(&mut setup.kernel).expect("commit");
     committed.undo(&mut setup.kernel);
 
@@ -182,7 +187,8 @@ fn prepare_failure_leaves_kernel_untouched() {
     let frozen_state = setup.kernel.state_fingerprint();
 
     fault::arm(FaultPhase::RestoreBuild, 0);
-    let err = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry)
+    let mut store = PageStore::new();
+    let err = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
         .expect_err("prepare must fail");
     assert!(matches!(
         err,

@@ -1,16 +1,16 @@
 //! The zero-copy restore battery (DESIGN §12): arbitrary
 //! restore-via-handle / guest-write-CoW / release interleavings must
-//! keep the PageStore's refcounts exact and every materialized page
-//! bit-identical to what the copying restore would have produced; live
-//! guests restored through `restore_shared` must be fingerprint-equal
-//! to the copying path, take CoW faults only on first write, and never
+//! keep the PageStore's refcounts exact and every page bit-identical to
+//! a byte-exact model of the interned payload; live guests restored
+//! through `CheckpointStore::restore` must re-dump to exactly what the
+//! store materializes, take CoW faults only on first write, and never
 //! write through a shared frame into a sibling replica or the store.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, CheckpointStore, CriuError, DumpOptions,
-    ModuleRegistry, PageStore, PagesImage, RestoreTransaction, SharedPages,
+    dump_incremental, dump_many, mark_clean_after_dump, CheckpointStore, CkptId, CriuError,
+    DumpOptions, ModuleRegistry, PageStore, PagesImage, RestoreTransaction, SharedPages,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -62,8 +62,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Where restored pages land in the model address spaces.
 const BASE: u64 = 0x10_0000;
 
-/// A restored replica plus the byte-exact model of what the *copying*
-/// restore path would have produced for it.
+/// A restored replica plus the byte-exact model of its pages: the
+/// interned payload, updated by every guest write.
 struct Replica {
     space: AddressSpace,
     /// page base → expected bytes (updated on guest writes).
@@ -80,7 +80,7 @@ proptest! {
     /// release interleave, (1) the store's refcounts are exactly the
     /// live checkpoint handles — mapping frames into guests never moves
     /// them, (2) every restored page reads back bit-identical to the
-    /// copying path, before and after CoW, and (3) CoW faults happen
+    /// model, before and after CoW, and (3) CoW faults happen
     /// exactly once per written page.
     #[test]
     fn interleavings_keep_refcounts_exact_and_bytes_identical(
@@ -151,7 +151,7 @@ proptest! {
             let logical: usize = handles.iter().map(|(h, _)| h.pages_bytes()).sum();
             prop_assert_eq!(store.logical_bytes(), logical);
 
-            // (2) Byte identity with the copying path, per replica.
+            // (2) Byte identity with the model, per replica.
             for replica in &replicas {
                 let actual: BTreeMap<u64, Vec<u8>> = replica
                     .space
@@ -270,12 +270,33 @@ fn boot() -> Setup {
     }
 }
 
-/// `restore_shared` is guest-invisible: fingerprint-equal to the
-/// copying restore, zero bytes physically copied by the restore itself,
-/// the store's refcounts untouched — and the replica still serves, its
-/// first writes arriving as CoW faults.
+/// The round-trip reference for every restore: freezing the restored
+/// processes and dumping them again gives back exactly the image the
+/// store materializes for `id`. The processes are thawed (and their
+/// connections taken out of repair mode) afterwards.
+fn assert_round_trip(kernel: &mut Kernel, pids: &[Pid], store: &CheckpointStore, id: CkptId) {
+    for &pid in pids {
+        kernel.freeze(pid).unwrap();
+    }
+    let redump = dump_many(kernel, pids, &DumpOptions::default()).unwrap();
+    assert_eq!(
+        redump,
+        store.materialize(id).unwrap(),
+        "re-dumping the restored processes reproduces the checkpoint"
+    );
+    for &pid in pids {
+        kernel.thaw(pid).unwrap();
+        let ids = kernel.conn_ids_of(pid).unwrap();
+        kernel.unrepair_connections(&ids);
+    }
+}
+
+/// `CheckpointStore::restore` is guest-invisible — the restored process
+/// re-dumps to exactly the stored checkpoint — copies zero page bytes
+/// itself and leaves the store's refcounts untouched; the replica still
+/// serves, its first writes arriving as CoW faults.
 #[test]
-fn restore_shared_matches_copying_restore_bit_for_bit() {
+fn store_restore_round_trips_without_copying() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
@@ -283,35 +304,13 @@ fn restore_shared_matches_copying_restore_bit_for_bit() {
     let mut store = CheckpointStore::new();
     let id = store.put_full(full).unwrap();
 
-    // Copying path first, as the oracle.
-    setup.kernel.remove_process(setup.pid).unwrap();
-    store
-        .restore(&mut setup.kernel, id, &setup.registry)
-        .unwrap();
-    let copying_fingerprint = setup.kernel.state_fingerprint();
-    assert_eq!(
-        setup
-            .kernel
-            .process(setup.pid)
-            .unwrap()
-            .mem
-            .shared_page_count(),
-        0,
-        "the copying restore owns every page privately"
-    );
-
-    // Zero-copy path: no page bytes move, no store refs move.
+    // No page bytes move, no store refs move.
     let copied_before = store.page_store().copied_bytes();
     let logical_before = store.logical_pages_bytes();
     setup.kernel.remove_process(setup.pid).unwrap();
     store
-        .restore_shared(&mut setup.kernel, id, &setup.registry)
+        .restore(&mut setup.kernel, id, &setup.registry)
         .unwrap();
-    assert_eq!(
-        setup.kernel.state_fingerprint(),
-        copying_fingerprint,
-        "zero-copy restore is bit-identical under state_fingerprint()"
-    );
     assert_eq!(
         store.page_store().copied_bytes(),
         copied_before,
@@ -328,6 +327,7 @@ fn restore_shared_matches_copying_restore_bit_for_bit() {
         "restored pages are backed by shared frames"
     );
     assert_eq!(proc.mem.cow_fault_count(), 0, "no write yet, no CoW yet");
+    assert_round_trip(&mut setup.kernel, &[setup.pid], &store, id);
 
     // The replica serves (restore left it runnable)...
     let conn = setup.kernel.client_connect(8080).unwrap();
@@ -361,13 +361,9 @@ fn cow_divergence_is_invisible_to_sibling_replicas_and_the_store() {
     // Two fresh kernels, both restored zero-copy from the same store:
     // their frames alias, their guest state is identical.
     let mut kernel_a = Kernel::new();
-    store
-        .restore_shared(&mut kernel_a, id, &setup.registry)
-        .unwrap();
+    store.restore(&mut kernel_a, id, &setup.registry).unwrap();
     let mut kernel_b = Kernel::new();
-    store
-        .restore_shared(&mut kernel_b, id, &setup.registry)
-        .unwrap();
+    store.restore(&mut kernel_b, id, &setup.registry).unwrap();
     assert_eq!(
         kernel_a.state_fingerprint(),
         kernel_b.state_fingerprint(),
@@ -403,10 +399,10 @@ fn cow_divergence_is_invisible_to_sibling_replicas_and_the_store() {
 }
 
 /// A store-backed delta chain spanning an unmap-remap window restores
-/// zero-copy to exactly the state the materialize-then-restore path
-/// produces — newest-wins key resolution agrees with byte replay.
+/// zero-copy to a process that re-dumps to exactly what the chain
+/// materializes — newest-wins key resolution agrees with byte replay.
 #[test]
-fn delta_chain_restore_shared_matches_materialized_restore() {
+fn delta_chain_restore_round_trips_through_materialize() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let bss = {
@@ -447,21 +443,13 @@ fn delta_chain_restore_shared_matches_materialized_restore() {
     .unwrap();
     let id = store.put_delta(delta).unwrap();
 
-    // Oracle: materialize the chain and restore by copying.
+    let copied_before = store.page_store().copied_bytes();
     setup.kernel.remove_process(setup.pid).unwrap();
     store
         .restore(&mut setup.kernel, id, &setup.registry)
         .unwrap();
-    let copying_fingerprint = setup.kernel.state_fingerprint();
-
-    // Zero-copy chain restore.
-    let copied_before = store.page_store().copied_bytes();
-    setup.kernel.remove_process(setup.pid).unwrap();
-    store
-        .restore_shared(&mut setup.kernel, id, &setup.registry)
-        .unwrap();
-    assert_eq!(setup.kernel.state_fingerprint(), copying_fingerprint);
     assert_eq!(store.page_store().copied_bytes(), copied_before);
+    assert_round_trip(&mut setup.kernel, &[setup.pid], &store, id);
     let mem = &setup.kernel.process(setup.pid).unwrap().mem;
     assert!(!mem.page_present(bss), "unmapped page stayed gone");
     let mut back = [0u8; 16];
@@ -469,12 +457,12 @@ fn delta_chain_restore_shared_matches_materialized_restore() {
     assert_eq!(back, [0x33; 16], "newest delta won the recycled page");
 }
 
-/// `prepare_shared` against a store that already holds the checkpoint
-/// copies nothing and leaves the refcounts exactly as found — on the
-/// success path here; the fault-injection battery covers the error
-/// paths.
+/// `RestoreTransaction::prepare` against a store that already holds the
+/// checkpoint copies nothing and leaves the refcounts exactly as found
+/// — on the success path here; the fault-injection battery covers the
+/// error paths.
 #[test]
-fn prepare_shared_is_refcount_neutral_and_copy_free_on_a_warm_store() {
+fn prepare_is_refcount_neutral_and_copy_free_on_a_warm_store() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
@@ -485,7 +473,7 @@ fn prepare_shared_is_refcount_neutral_and_copy_free_on_a_warm_store() {
     let logical_before = store.page_store().logical_bytes();
     let unique_before = store.page_store().unique_pages();
 
-    let txn = RestoreTransaction::prepare_shared(
+    let txn = RestoreTransaction::prepare(
         &setup.kernel,
         &full,
         &setup.registry,
@@ -513,7 +501,7 @@ fn prepare_shared_is_refcount_neutral_and_copy_free_on_a_warm_store() {
 /// Restoring a released checkpoint fails cleanly with `MissingParent`
 /// and leaves the kernel untouched.
 #[test]
-fn restore_shared_after_release_fails_without_touching_the_kernel() {
+fn restore_after_release_fails_without_touching_the_kernel() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
@@ -523,7 +511,7 @@ fn restore_shared_after_release_fails_without_touching_the_kernel() {
 
     let before = setup.kernel.state_fingerprint();
     let err = store
-        .restore_shared(&mut setup.kernel, id, &setup.registry)
+        .restore(&mut setup.kernel, id, &setup.registry)
         .unwrap_err();
     assert!(matches!(err, CriuError::MissingParent(_)), "got {err}");
     assert_eq!(setup.kernel.state_fingerprint(), before);

@@ -107,6 +107,13 @@ pub fn page_align(value: u64) -> u64 {
     value.div_ceil(PAGE_SIZE) * PAGE_SIZE
 }
 
+/// [`page_align`] for lengths that arrive from outside the program (a
+/// guest syscall argument): `None` when the rounded value does not fit
+/// a `u64`.
+pub fn checked_page_align(value: u64) -> Option<u64> {
+    value.div_ceil(PAGE_SIZE).checked_mul(PAGE_SIZE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,6 +124,11 @@ mod tests {
         assert_eq!(page_align(1), PAGE_SIZE);
         assert_eq!(page_align(PAGE_SIZE), PAGE_SIZE);
         assert_eq!(page_align(PAGE_SIZE + 1), 2 * PAGE_SIZE);
+        assert_eq!(checked_page_align(PAGE_SIZE + 1), Some(2 * PAGE_SIZE));
+        let top_page = u64::MAX - PAGE_SIZE + 1;
+        assert_eq!(checked_page_align(top_page), Some(top_page));
+        assert_eq!(checked_page_align(top_page + 1), None);
+        assert_eq!(checked_page_align(u64::MAX), None);
     }
 
     #[test]

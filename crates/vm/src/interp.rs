@@ -45,46 +45,6 @@ pub(crate) fn fetch_insn(proc: &mut Process, pc: u64) -> Result<(Insn, usize), (
     }
 }
 
-/// Decodes the straight-line block entered at `entry`: instructions are
-/// appended until (and including) the first terminator or syscall, or
-/// until [`MAX_BLOCK_INSNS`].
-///
-/// Every page the run decodes from is registered with
-/// [`AddressSpace::note_code_page`](crate::AddressSpace::note_code_page)
-/// and its generation snapshotted, so any later mutation of those pages
-/// invalidates the block.
-///
-/// A decode failure on the *first* instruction is the caller's fault to
-/// deliver. A failure later simply ends the block early: execution will
-/// reach that pc, miss the cache, and raise the fault with the exact
-/// same `(signal, addr)` the uncached interpreter would.
-pub(crate) fn decode_block(proc: &mut Process, entry: u64) -> Result<CachedBlock, (Signal, u64)> {
-    let mut insns: Vec<(Insn, u8)> = Vec::new();
-    let mut pcs: Vec<u64> = Vec::new();
-    let mut pages: Vec<(u64, u64)> = Vec::new();
-    let mut pc = entry;
-    loop {
-        let (insn, len) = match fetch_insn(proc, pc) {
-            Ok(pair) => pair,
-            Err(fault) if insns.is_empty() => return Err(fault),
-            Err(_) => break,
-        };
-        note_insn_pages(proc, &mut pages, pc, len);
-        insns.push((insn, len as u8));
-        pcs.push(pc);
-        pc += len as u64;
-        if insn.is_terminator() || matches!(insn, Insn::Syscall) || insns.len() >= MAX_BLOCK_INSNS {
-            break;
-        }
-    }
-    Ok(CachedBlock {
-        insns: insns.into_boxed_slice(),
-        pcs: pcs.into_boxed_slice(),
-        pages,
-        is_superblock: false,
-    })
-}
-
 /// Registers (and generation-snapshots) every code page the instruction
 /// at `pc` spans, deduplicating against `pages`.
 fn note_insn_pages(proc: &mut Process, pages: &mut Vec<(u64, u64)>, pc: u64, len: usize) {
@@ -99,7 +59,13 @@ fn note_insn_pages(proc: &mut Process, pages: &mut Vec<(u64, u64)>, pc: u64, len
     }
 }
 
-/// Re-decodes a hot entry as a **superblock**: the decoder follows the
+/// Decodes the instruction run entered at `entry`.
+///
+/// A cold entry (`hot == false`) decodes the straight-line basic block:
+/// instructions are appended until (and including) the first terminator
+/// or syscall, or until [`MAX_BLOCK_INSNS`].
+///
+/// A hot entry decodes a **superblock**: the decoder follows the
 /// statically *predicted* control flow across direct branches instead
 /// of stopping at the first terminator, up to
 /// [`MAX_SUPERBLOCK_INSNS`]:
@@ -116,13 +82,28 @@ fn note_insn_pages(proc: &mut Process, pages: &mut Vec<(u64, u64)>, pc: u64, len
 /// unrolling, bounded by the cap. The prediction is pure speculation —
 /// the recorded [`CachedBlock::pcs`] let the dispatcher side-exit the
 /// moment the guest's actual pc diverges — so a wrong prediction costs
-/// a redispatch, never correctness. Page registration and generation
-/// snapshots are identical to [`decode_block`], so a planted trap byte
-/// anywhere in the chain invalidates the whole superblock.
-pub(crate) fn decode_superblock(
+/// a redispatch, never correctness.
+///
+/// Every page the run decodes from is registered with
+/// [`AddressSpace::note_code_page`](crate::AddressSpace::note_code_page)
+/// and its generation snapshotted, so any later mutation of those pages
+/// — a planted trap byte anywhere in a chain included — invalidates the
+/// whole block.
+///
+/// A decode failure on the *first* instruction is the caller's fault to
+/// deliver. A failure later simply ends the block early: execution will
+/// reach that pc, miss the cache, and raise the fault with the exact
+/// same `(signal, addr)` the uncached interpreter would.
+pub(crate) fn decode_block(
     proc: &mut Process,
     entry: u64,
+    hot: bool,
 ) -> Result<CachedBlock, (Signal, u64)> {
+    let cap = if hot {
+        MAX_SUPERBLOCK_INSNS
+    } else {
+        MAX_BLOCK_INSNS
+    };
     let mut insns: Vec<(Insn, u8)> = Vec::new();
     let mut pcs: Vec<u64> = Vec::new();
     let mut pages: Vec<(u64, u64)> = Vec::new();
@@ -137,14 +118,13 @@ pub(crate) fn decode_superblock(
         insns.push((insn, len as u8));
         pcs.push(pc);
         let next = pc + len as u64;
-        if insns.len() >= MAX_SUPERBLOCK_INSNS {
+        if insns.len() >= cap {
             break;
         }
         pc = match insn {
-            Insn::Jmp(disp) => next.wrapping_add(disp as i64 as u64),
-            Insn::Call(disp) => next.wrapping_add(disp as i64 as u64),
-            Insn::Jcc(_, disp) if disp < 0 => next.wrapping_add(disp as i64 as u64),
-            Insn::Jcc(..) => next,
+            Insn::Jmp(disp) | Insn::Call(disp) if hot => next.wrapping_add(disp as i64 as u64),
+            Insn::Jcc(_, disp) if hot && disp < 0 => next.wrapping_add(disp as i64 as u64),
+            Insn::Jcc(..) if hot => next,
             Insn::Syscall => break,
             _ if insn.is_terminator() => break,
             _ => next,
@@ -154,7 +134,7 @@ pub(crate) fn decode_superblock(
         insns: insns.into_boxed_slice(),
         pcs: pcs.into_boxed_slice(),
         pages,
-        is_superblock: true,
+        is_superblock: hot,
     })
 }
 

@@ -8,12 +8,12 @@ use crate::interp::{self, Exec};
 use crate::loader::{load_into, LoadSpec, MMAP_BASE};
 use crate::net::{ConnId, NetStack, TcpConn, TcpState};
 use crate::process::{Pid, ProcState, Process, WaitReason};
-use crate::sched::{SchedClass, SchedPolicy, Scheduler, WakeHint, BOOST_INTERVAL_NS};
+use crate::sched::{SchedClass, Scheduler, WakeHint, BOOST_INTERVAL_NS};
 use crate::signal::Signal;
 use crate::syscall::{err_ret, perms_from_bits, Sysno};
 use crate::VmError;
 use dynacut_isa::Reg;
-use dynacut_obj::{page_align, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, PAGE_SIZE};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -99,10 +99,6 @@ pub struct Kernel {
     /// decoded-block cache *enabled*. See
     /// [`set_block_cache_enabled`](Kernel::set_block_cache_enabled).
     block_cache_disabled: bool,
-    /// Inverted for the same reason: hot entries are promoted to
-    /// superblocks by default. See
-    /// [`set_superblocks_enabled`](Kernel::set_superblocks_enabled).
-    superblocks_disabled: bool,
     /// MLFQ run queues and wait-object registry (host-side only: never
     /// fingerprinted, never checkpointed — see DESIGN §14).
     sched: Scheduler,
@@ -125,7 +121,6 @@ impl Default for Kernel {
             event_capacity: DEFAULT_EVENT_CAPACITY,
             flight: FlightRecorder::default(),
             block_cache_disabled: false,
-            superblocks_disabled: false,
             sched: Scheduler::default(),
             pump_chunk_ns: DEFAULT_PUMP_CHUNK_NS,
         }
@@ -189,54 +184,6 @@ impl Kernel {
     /// Whether the decoded-block translation cache is enabled.
     pub fn block_cache_enabled(&self) -> bool {
         !self.block_cache_disabled
-    }
-
-    /// Enables or disables superblock promotion (enabled by default).
-    /// Disabling flushes every process's cache so no already-promoted
-    /// superblock keeps executing. Superblocked, plain-cached, and
-    /// uncached execution are bit-identical in every guest-observable
-    /// way — the toggle exists for the `figures interp` three-way
-    /// comparison and for bisecting.
-    pub fn set_superblocks_enabled(&mut self, enabled: bool) {
-        self.superblocks_disabled = !enabled;
-        if !enabled {
-            for proc in self.procs.values_mut() {
-                proc.block_cache.flush();
-            }
-        }
-    }
-
-    /// Whether hot entries are promoted to superblocks.
-    pub fn superblocks_enabled(&self) -> bool {
-        !self.superblocks_disabled
-    }
-
-    /// Selects the run-loop policy (the preemptive MLFQ by default).
-    /// Switching rebuilds the scheduler's run queues and wait-object
-    /// registry from the current `ProcState` of every process — the
-    /// scheduler holds no state that cannot be rebuilt this way, which
-    /// is also why it is never checkpointed. The round-robin path is
-    /// kept as a toggleable oracle: single-process workloads are
-    /// bit-identical under [`state_fingerprint`](Kernel::state_fingerprint)
-    /// between the two policies.
-    pub fn set_scheduler(&mut self, policy: SchedPolicy) {
-        if self.sched.policy == policy {
-            return;
-        }
-        self.sched.policy = policy;
-        self.sched.clear_dynamic();
-        if policy == SchedPolicy::Mlfq {
-            self.sched.last_boost_ns = self.clock_ns;
-            let pids: Vec<Pid> = self.procs.keys().copied().collect();
-            for pid in pids {
-                self.sched_reattach(pid);
-            }
-        }
-    }
-
-    /// The active run-loop policy.
-    pub fn scheduler_policy(&self) -> SchedPolicy {
-        self.sched.policy
     }
 
     /// Tags a process's scheduling class. [`SchedClass::Background`]
@@ -585,9 +532,9 @@ impl Kernel {
             .connect(port)
             .map(ClientConn)
             .ok_or(VmError::ConnectionRefused(port))?;
-        // One backlog entry: wake one acceptor (not the whole herd the
-        // round-robin scan used to release, N-1 of which would retry
-        // `accept` against an already-drained backlog and re-block).
+        // One backlog entry: wake one acceptor, not the whole herd —
+        // N-1 of them would retry `accept` against an already-drained
+        // backlog and re-block.
         self.sched.note(WakeHint::Port(port));
         Ok(conn)
     }
@@ -853,68 +800,13 @@ impl Kernel {
 
     // ----- running ------------------------------------------------------
 
-    /// Runs the machine for up to `ns` nanoseconds of simulated time,
-    /// under the active [`SchedPolicy`].
+    /// Runs the machine for up to `ns` nanoseconds of simulated time
+    /// under the MLFQ scheduler (DESIGN §14).
     pub fn run_for(&mut self, ns: u64) -> RunOutcome {
         let deadline = self.clock_ns.saturating_add(ns);
-        let outcome = match self.sched.policy {
-            SchedPolicy::RoundRobin => self.run_for_rr(deadline),
-            SchedPolicy::Mlfq => self.run_for_mlfq(deadline),
-        };
+        let outcome = self.run_for_mlfq(deadline);
         self.flush_sched_stats();
         outcome
-    }
-
-    /// The historical cooperative round-robin pump, kept verbatim as the
-    /// fingerprint-parity oracle: every pass re-scans all blocked
-    /// processes (`wake_blocked`) and round-robins the runnables.
-    fn run_for_rr(&mut self, deadline: u64) -> RunOutcome {
-        loop {
-            self.wake_blocked();
-            let runnable: Vec<Pid> = self
-                .procs
-                .values()
-                .filter(|p| p.is_runnable())
-                .map(|p| p.pid)
-                .collect();
-            if runnable.is_empty() {
-                if self.procs.values().all(|p| p.is_exited()) {
-                    return RunOutcome::AllExited;
-                }
-                // Earliest timer wake-up, if any.
-                let next_timer = self
-                    .procs
-                    .values()
-                    .filter_map(|p| match p.state {
-                        ProcState::Blocked(WaitReason::Until(t)) => Some(t),
-                        _ => None,
-                    })
-                    .min();
-                match next_timer {
-                    Some(t) if t < deadline => {
-                        self.clock_ns = t;
-                        continue;
-                    }
-                    _ => {
-                        self.clock_ns = deadline;
-                        return RunOutcome::Idle;
-                    }
-                }
-            }
-            for pid in runnable {
-                // Clamp the slice to the time left: every budget unit
-                // advances the clock by at least 1 ns, so a full
-                // QUANTUM could overshoot the deadline by most of a
-                // slice. (A syscall on the final instruction can still
-                // cost up to SYSCALL_COST_NS - 1 ns past it — the same
-                // quantisation the real kernel's tick has.)
-                let budget = QUANTUM.min(deadline.saturating_sub(self.clock_ns));
-                self.step_slice(pid, budget);
-                if self.clock_ns >= deadline {
-                    return RunOutcome::Deadline;
-                }
-            }
-        }
     }
 
     /// The preemptive MLFQ run loop. Each pass services the wait-object
@@ -1028,10 +920,9 @@ impl Kernel {
 
     /// One registry service pass: periodic priority boost, expired
     /// timers, and deferred wake notes. Every wake is re-validated
-    /// against [`pid_ready`](Kernel::pid_ready) — the exact ready
-    /// conditions of the round-robin scan — so stale registry entries
-    /// and optimistic hints can never wake a process the oracle would
-    /// have left blocked.
+    /// against [`pid_ready`](Kernel::pid_ready), so stale registry
+    /// entries and optimistic hints can never wake a process whose
+    /// ready condition does not hold.
     fn sched_service(&mut self) {
         if self.clock_ns.saturating_sub(self.sched.last_boost_ns) >= BOOST_INTERVAL_NS {
             self.sched.last_boost_ns = self.clock_ns;
@@ -1118,9 +1009,11 @@ impl Kernel {
         }
     }
 
-    /// Whether the round-robin `wake_blocked` scan would wake `pid`
-    /// right now (already-runnable counts as ready). The single
-    /// ready-condition oracle both policies share.
+    /// Whether `pid` is ready to run right now (already-runnable counts
+    /// as ready): a pending signal, an expired sleep, readable or
+    /// closed connection data, a listener backlog, or an fd that will
+    /// make the blocked syscall fail. The one definition of the ready
+    /// conditions — every wake path validates against it.
     fn pid_ready(&self, pid: Pid) -> bool {
         let Some(proc) = self.procs.get(&pid) else {
             return false;
@@ -1155,10 +1048,10 @@ impl Kernel {
     }
 
     /// Flips a blocked process runnable and admits it to the run
-    /// queues. The *only* `Blocked → Runnable` site under the MLFQ —
-    /// and it only runs from inside `run_for`, mirroring the oracle's
-    /// rule that scheduler-driven state flips never happen from host
-    /// methods (fingerprints taken between runs stay policy-agnostic).
+    /// queues. The *only* `Blocked → Runnable` site, and it only runs
+    /// from inside `run_for`: scheduler-driven state flips never happen
+    /// from host methods, so a fingerprint taken between runs depends
+    /// only on how much guest time has run, not on when hints landed.
     fn wake_pid(&mut self, pid: Pid) {
         let Some(proc) = self.procs.get_mut(&pid) else {
             return;
@@ -1207,8 +1100,8 @@ impl Kernel {
     /// that have no wait object, like a bogus fd) become `Pid` hints so
     /// the next service pass wakes the process; genuinely parked
     /// waiters cost nothing until their object is touched. A console
-    /// read has no wake source and parks nowhere, exactly like the
-    /// round-robin scan that never wakes it.
+    /// read has no wake source and parks nowhere:
+    /// [`pid_ready`](Kernel::pid_ready) never holds for it.
     fn sched_park(&mut self, pid: Pid) {
         let Some(proc) = self.procs.get(&pid) else {
             return;
@@ -1259,13 +1152,10 @@ impl Kernel {
     }
 
     /// (Re-)attaches a process to the scheduler from its `ProcState`
-    /// alone — spawn, thaw, restore-insert, and policy switches all
-    /// funnel through here. This is why scheduler state never needs
-    /// checkpointing: everything it holds is derivable on demand.
+    /// alone — spawn, thaw and restore-insert all funnel through here.
+    /// This is why scheduler state never needs checkpointing:
+    /// everything it holds is derivable on demand.
     fn sched_reattach(&mut self, pid: Pid) {
-        if !self.sched.is_mlfq() {
-            return;
-        }
         let Some(proc) = self.procs.get(&pid) else {
             return;
         };
@@ -1361,48 +1251,6 @@ impl Kernel {
         self.exit_status(pid)
     }
 
-    fn wake_blocked(&mut self) {
-        let clock = self.clock_ns;
-        // Collect wake decisions first to appease the borrow checker.
-        let mut wake: Vec<Pid> = Vec::new();
-        for proc in self.procs.values() {
-            let ProcState::Blocked(reason) = proc.state else {
-                continue;
-            };
-            if !proc.pending_signals.is_empty() {
-                wake.push(proc.pid);
-                continue;
-            }
-            let ready = match reason {
-                WaitReason::Until(t) => clock >= t,
-                WaitReason::ReadFd(fd) => match proc.fds.get(fd) {
-                    Some(FileDesc::Conn(id)) => match self.net.conn(*id) {
-                        Some(conn) => {
-                            (!conn.to_server.is_empty() && conn.state == TcpState::Established)
-                                || conn.state == TcpState::Closed
-                        }
-                        None => true, // vanished: read will return 0
-                    },
-                    Some(FileDesc::File { .. }) => true,
-                    Some(FileDesc::Console) => false,
-                    _ => true, // bogus fd: let the syscall fail
-                },
-                WaitReason::Accept(fd) => match proc.fds.get(fd) {
-                    Some(FileDesc::Listener { port }) => self.net.has_backlog(*port),
-                    _ => true,
-                },
-            };
-            if ready {
-                wake.push(proc.pid);
-            }
-        }
-        for pid in wake {
-            if let Some(proc) = self.procs.get_mut(&pid) {
-                proc.state = ProcState::Runnable;
-            }
-        }
-    }
-
     /// Runs one process for at most `budget` instructions.
     ///
     /// With the block cache enabled (the default), execution dispatches
@@ -1410,13 +1258,13 @@ impl Kernel {
     /// generations and then retires its instructions without touching
     /// `decode` or the VMA walk again. Entries that stay hot are
     /// re-decoded as superblocks chained across predicted-taken direct
-    /// branches (see [`interp::decode_superblock`]); a recorded
+    /// branches (see [`interp::decode_block`]); a recorded
     /// per-instruction pc guard side-exits the moment the guest's
     /// control flow diverges from the prediction. Every
     /// per-instruction accounting rule of the uncached path — clock,
     /// `insns_retired`, hook callbacks, signal-delivery interleaving —
-    /// is reproduced exactly, so uncached, cached, and superblocked
-    /// runs are bit-identical under
+    /// is reproduced exactly, so cached and uncached runs are
+    /// bit-identical under
     /// [`state_fingerprint`](Kernel::state_fingerprint).
     fn step_slice(&mut self, pid: Pid, budget: u64) {
         use crate::bcache::HOT_THRESHOLD;
@@ -1441,7 +1289,6 @@ impl Kernel {
         }
         let mut hook = self.hook.take();
         let use_cache = !self.block_cache_disabled;
-        let use_superblocks = !self.superblocks_disabled;
         // Hot-path stats are accumulated locally and flushed to the
         // metrics registry once per slice.
         let mut cache_hits = 0u64;
@@ -1559,13 +1406,11 @@ impl Kernel {
                 };
             }
             let block = match lookup {
-                Some((block, heat))
-                    if use_superblocks && !block.is_superblock && heat >= HOT_THRESHOLD =>
-                {
+                Some((block, heat)) if !block.is_superblock && heat >= HOT_THRESHOLD => {
                     // Hot entry: re-decode chained across predicted
                     // branches and replace the plain block in place
                     // (the entry keeps its dispatch profile).
-                    match interp::decode_superblock(proc, entry) {
+                    match interp::decode_block(proc, entry, true) {
                         Ok(superblock) => {
                             let superblock = Arc::new(superblock);
                             capacity_evictions +=
@@ -1581,7 +1426,7 @@ impl Kernel {
                 Some((block, _)) => block,
                 None => {
                     cache_misses += 1;
-                    match interp::decode_block(proc, entry) {
+                    match interp::decode_block(proc, entry, false) {
                         Ok(block) => {
                             let block = Arc::new(block);
                             capacity_evictions +=
@@ -1799,24 +1644,23 @@ impl Kernel {
                         return false;
                     }
                 };
-                let (ptr, len) = (args[1], args[2] as usize);
-                let mut buf = vec![0u8; len];
-                if proc.mem.read_checked(ptr, &mut buf).is_err() {
+                let (ptr, len) = (args[1], args[2]);
+                let Ok(buf) = proc.mem.read_vec_checked(ptr, len) else {
                     proc.cpu.set_reg(Reg::R0, err_ret(14)); // EFAULT
                     return false;
-                }
-                self.clock_ns += (len as u64) / 8;
+                };
+                self.clock_ns += len / 8;
                 match proc.fds.get(fd) {
                     Some(FileDesc::Console) => {
                         proc.console.extend_from_slice(&buf);
-                        proc.cpu.set_reg(Reg::R0, len as u64);
+                        proc.cpu.set_reg(Reg::R0, len);
                     }
                     Some(FileDesc::Conn(id)) => {
                         let id = *id;
                         match self.net.conn_mut(id) {
                             Some(conn) if conn.state != TcpState::Closed => {
                                 conn.to_client.extend(buf);
-                                proc.cpu.set_reg(Reg::R0, len as u64);
+                                proc.cpu.set_reg(Reg::R0, len);
                             }
                             _ => proc.cpu.set_reg(Reg::R0, err_ret(32)), // EPIPE
                         }
@@ -1892,12 +1736,10 @@ impl Kernel {
                 }
             }
             Sysno::Open => {
-                let (ptr, len) = (args[0], args[1] as usize);
-                let mut buf = vec![0u8; len];
-                if proc.mem.read_checked(ptr, &mut buf).is_err() {
-                    proc.cpu.set_reg(Reg::R0, err_ret(14));
+                let Ok(buf) = proc.mem.read_vec_checked(args[0], args[1]) else {
+                    proc.cpu.set_reg(Reg::R0, err_ret(14)); // EFAULT
                     return false;
-                }
+                };
                 let Ok(path) = String::from_utf8(buf) else {
                     proc.cpu.set_reg(Reg::R0, err_ret(2)); // ENOENT
                     return false;
@@ -2072,40 +1914,41 @@ impl Kernel {
                 false
             }
             Sysno::Mmap => {
-                let (hint, len, perm_bits) = (args[0], args[1], args[2]);
-                let len = page_align(len.max(1));
+                let (hint, perm_bits) = (args[0], args[2]);
                 let perms = perms_from_bits(perm_bits);
-                let addr = if hint != 0 && hint % PAGE_SIZE == 0 {
-                    let free = proc
-                        .mem
-                        .vmas()
-                        .iter()
-                        .all(|vma| !vma.overlaps(hint, hint + len));
-                    if free {
+                // A length that cannot be page-aligned, or a range that
+                // fits nowhere below the top of the address space, is
+                // ENOMEM. A hint whose range wraps is as unusable as
+                // one that overlaps a mapping: place it elsewhere.
+                let mapped = checked_page_align(args[1].max(1)).and_then(|len| {
+                    let hint_free = hint != 0
+                        && hint % PAGE_SIZE == 0
+                        && hint.checked_add(len).is_some_and(|end| {
+                            proc.mem.vmas().iter().all(|vma| !vma.overlaps(hint, end))
+                        });
+                    let addr = if hint_free {
                         hint
                     } else {
-                        proc.mem.find_free(MMAP_BASE, len)
-                    }
-                } else {
-                    proc.mem.find_free(MMAP_BASE, len)
-                };
-                match proc.mem.map(addr, len, perms, "anon") {
-                    Ok(()) => proc.cpu.set_reg(Reg::R0, addr),
-                    Err(_) => proc.cpu.set_reg(Reg::R0, err_ret(12)), // ENOMEM
-                }
+                        proc.mem.find_free(MMAP_BASE, len)?
+                    };
+                    proc.mem.map(addr, len, perms, "anon").ok().map(|()| addr)
+                });
+                proc.cpu.set_reg(Reg::R0, mapped.unwrap_or(err_ret(12))); // ENOMEM
                 false
             }
             Sysno::Munmap => {
-                let result = proc.mem.unmap(args[0], page_align(args[1].max(1)));
+                let result = checked_page_align(args[1].max(1))
+                    .is_some_and(|len| proc.mem.unmap(args[0], len).is_ok());
                 proc.cpu
-                    .set_reg(Reg::R0, if result.is_ok() { 0 } else { err_ret(22) });
+                    .set_reg(Reg::R0, if result { 0 } else { err_ret(22) });
                 false
             }
             Sysno::Mprotect => {
                 let perms = perms_from_bits(args[2]);
-                let result = proc.mem.protect(args[0], page_align(args[1].max(1)), perms);
+                let result = checked_page_align(args[1].max(1))
+                    .is_some_and(|len| proc.mem.protect(args[0], len, perms).is_ok());
                 proc.cpu
-                    .set_reg(Reg::R0, if result.is_ok() { 0 } else { err_ret(22) });
+                    .set_reg(Reg::R0, if result { 0 } else { err_ret(22) });
                 false
             }
             Sysno::ClockGettime => {

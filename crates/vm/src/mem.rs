@@ -1,7 +1,7 @@
 //! Paged address spaces with VMA-granular permissions.
 
 use crate::{VmError, Vma};
-use dynacut_obj::{Perms, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -147,7 +147,10 @@ impl AddressSpace {
         if len == 0 || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned(len));
         }
-        let end = start + len;
+        let end = start.checked_add(len).ok_or(VmError::BadAccess {
+            addr: start,
+            kind: "mmap",
+        })?;
         if self.vmas.iter().any(|vma| vma.overlaps(start, end)) {
             return Err(VmError::MappingOverlap { start, len });
         }
@@ -167,7 +170,10 @@ impl AddressSpace {
         if !start.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned(start | len));
         }
-        let end = start + len;
+        let end = start.checked_add(len).ok_or(VmError::BadAccess {
+            addr: start,
+            kind: "munmap",
+        })?;
         let mut next: Vec<Vma> = Vec::with_capacity(self.vmas.len() + 1);
         for vma in self.vmas.drain(..) {
             if !vma.overlaps(start, end) {
@@ -207,7 +213,10 @@ impl AddressSpace {
         if !start.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) {
             return Err(VmError::Unaligned(start | len));
         }
-        let end = start + len;
+        let end = start.checked_add(len).ok_or(VmError::BadAccess {
+            addr: start,
+            kind: "mprotect",
+        })?;
         // Verify coverage first so the operation is atomic.
         let mut cursor = start;
         for vma in self.vmas.iter().filter(|v| v.overlaps(start, end)) {
@@ -265,17 +274,16 @@ impl AddressSpace {
         &self.vmas
     }
 
-    /// Finds `len` bytes of unmapped space at or above `hint`, page-aligned.
-    pub fn find_free(&self, hint: u64, len: u64) -> u64 {
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let mut candidate = hint.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+    /// Finds `len` bytes of unmapped space at or above `hint`,
+    /// page-aligned, or `None` if no such range fits below the top of
+    /// the address space.
+    pub fn find_free(&self, hint: u64, len: u64) -> Option<u64> {
+        let len = checked_page_align(len)?;
+        let mut candidate = checked_page_align(hint)?;
         loop {
-            match self
-                .vmas
-                .iter()
-                .find(|vma| vma.overlaps(candidate, candidate + len))
-            {
-                None => return candidate,
+            let end = candidate.checked_add(len)?;
+            match self.vmas.iter().find(|vma| vma.overlaps(candidate, end)) {
+                None => return Some(candidate),
                 Some(vma) => candidate = vma.end,
             }
         }
@@ -313,6 +321,18 @@ impl AddressSpace {
         self.check(addr, buf.len() as u64, Access::Read)?;
         self.copy_out(addr, buf);
         Ok(())
+    }
+
+    /// Guest read of `len` bytes into a fresh buffer (permission-checked).
+    /// The range is checked *before* the buffer is allocated, so a wild
+    /// guest length fails with [`VmError::BadAccess`] instead of asking
+    /// the host allocator for it.
+    pub(crate) fn read_vec_checked(&self, addr: u64, len: u64) -> Result<Vec<u8>, VmError> {
+        self.check(addr, len, Access::Read)?;
+        let len = usize::try_from(len).map_err(|_| VmError::BadAccess { addr, kind: "read" })?;
+        let mut buf = vec![0u8; len];
+        self.copy_out(addr, &mut buf);
+        Ok(buf)
     }
 
     /// Guest write (permission-checked).
@@ -418,7 +438,7 @@ impl AddressSpace {
     /// guest-visible effect as `write_unchecked(base, frame.bytes())` —
     /// it marks the page dirty and bumps a registered code-page
     /// generation — so fingerprints cannot distinguish a shared-backed
-    /// restore from a copying one.
+    /// page from one written byte for byte.
     ///
     /// # Panics
     ///
@@ -722,9 +742,10 @@ mod tests {
         let mut space = AddressSpace::new();
         space.map(0x1000, PAGE_SIZE, Perms::RW, "a").unwrap();
         space.map(0x3000, PAGE_SIZE, Perms::RW, "b").unwrap();
-        assert_eq!(space.find_free(0x1000, PAGE_SIZE), 0x2000);
-        assert_eq!(space.find_free(0x1000, 2 * PAGE_SIZE), 0x4000);
-        assert_eq!(space.find_free(0x9000, PAGE_SIZE), 0x9000);
+        assert_eq!(space.find_free(0x1000, PAGE_SIZE), Some(0x2000));
+        assert_eq!(space.find_free(0x1000, 2 * PAGE_SIZE), Some(0x4000));
+        assert_eq!(space.find_free(0x9000, PAGE_SIZE), Some(0x9000));
+        assert_eq!(space.find_free(0x1000, u64::MAX - PAGE_SIZE), None);
     }
 
     #[test]

@@ -1,10 +1,5 @@
-//! The MLFQ run-queue and wait-object registry.
-//!
-//! [`Kernel::run_for`](crate::Kernel::run_for) historically was a
-//! cooperative round-robin pump: every loop pass rebuilt a `Vec<Pid>` of
-//! runnables and linearly re-checked **every** blocked process
-//! (`wake_blocked`) — O(N) bookkeeping per quantum, no priorities. This
-//! module replaces that with:
+//! The MLFQ run-queue and wait-object registry behind
+//! [`Kernel::run_for`](crate::Kernel::run_for):
 //!
 //! * a **multi-level feedback queue** ([`SCHED_LEVELS`] levels, FIFO per
 //!   level). A process that burns its full per-level quantum is demoted
@@ -14,18 +9,18 @@
 //!   top level, bounding starvation. [`SchedClass::Background`]
 //!   processes are pinned to the bottom level so customize-driven guest
 //!   work never delays serving replicas;
-//! * a **wait-object registry** that kills both O(N) scans: sleepers
-//!   live in a `BinaryHeap` min-heap keyed by wake time, and
-//!   `ReadFd`/`Accept` waiters are indexed by connection id / listener
-//!   port, so delivery and block sites wake exactly the affected pids.
+//! * a **wait-object registry** with no O(N) scan: sleepers live in a
+//!   `BinaryHeap` min-heap keyed by wake time, and `ReadFd`/`Accept`
+//!   waiters are indexed by connection id / listener port, so delivery
+//!   and block sites wake exactly the affected pids.
 //!
 //! The registry is deliberately **lazy**: entries are never cancelled
 //! in place (a freeze, exit, or signal wake may strand one), they are
 //! validated when popped — an entry only wakes a process that is still
-//! blocked for that exact reason *and* whose ready condition genuinely
-//! holds, so a stale entry can never produce a spurious wake (which
-//! would re-execute the blocked syscall and break the bit-identical
-//! fingerprint parity with the round-robin oracle).
+//! blocked for that exact reason *and* whose ready condition
+//! (`Kernel::pid_ready`, the one definition of "ready") genuinely holds,
+//! so a stale entry can never produce a spurious wake (which would
+//! re-execute the blocked syscall).
 //!
 //! None of this state is guest-observable: it is rebuilt from
 //! [`ProcState`](crate::ProcState) on demand, excluded from
@@ -46,21 +41,7 @@ pub const SCHED_LEVELS: usize = 4;
 /// becoming runnable (the starvation bound the proptest suite pins).
 pub const BOOST_INTERVAL_NS: u64 = 100_000;
 
-/// Which run loop [`Kernel::run_for`](crate::Kernel::run_for) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// The historical cooperative pump: round-robin over every runnable
-    /// process, full `wake_blocked` scan per pass. Kept as a toggleable
-    /// oracle (mirroring `set_block_cache_enabled`) — single-process
-    /// workloads are bit-identical under `state_fingerprint` between
-    /// the two policies.
-    RoundRobin,
-    /// The preemptive MLFQ with wait-object wake lists (the default).
-    #[default]
-    Mlfq,
-}
-
-/// Scheduling class of a process under [`SchedPolicy::Mlfq`].
+/// Scheduling class of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedClass {
     /// Normal feedback scheduling (the default).
@@ -102,8 +83,8 @@ pub(crate) struct SchedStats {
     /// Priority boosts performed.
     pub boosts: u64,
     /// Blocked→runnable transitions via the wait-object registry. The
-    /// whole point of the registry is `wakeups ≪ quanta`: the old
-    /// round-robin pump re-checked every blocked process every pass.
+    /// whole point of the registry is `wakeups ≪ quanta`: no pass
+    /// re-checks every blocked process.
     pub wakeups: u64,
     /// Guest time fast-forwarded with nothing runnable.
     pub idle_ns: u64,
@@ -114,8 +95,6 @@ pub(crate) struct SchedStats {
 /// from its `ProcState` alone.
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
-    /// Active policy.
-    pub(crate) policy: SchedPolicy,
     /// FIFO run queue per level.
     queues: [VecDeque<Pid>; SCHED_LEVELS],
     /// Pids currently sitting in some queue (guards double-enqueue).
@@ -146,11 +125,6 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// Whether the MLFQ machinery is active.
-    pub(crate) fn is_mlfq(&self) -> bool {
-        self.policy == SchedPolicy::Mlfq
-    }
-
     /// The process's scheduling class.
     pub(crate) fn class_of(&self, pid: Pid) -> SchedClass {
         self.class.get(&pid).copied().unwrap_or_default()
@@ -179,10 +153,9 @@ impl Scheduler {
         }
     }
 
-    /// Enqueues at the effective level. No-op if already queued (or
-    /// under the round-robin oracle).
+    /// Enqueues at the effective level. No-op if already queued.
     pub(crate) fn enqueue(&mut self, pid: Pid) {
-        if !self.is_mlfq() || !self.queued.insert(pid) {
+        if !self.queued.insert(pid) {
             return;
         }
         let level = self.effective_level(pid);
@@ -228,12 +201,9 @@ impl Scheduler {
         }
     }
 
-    /// Pushes a deferred wake note. No-op under the round-robin oracle
-    /// (its full scan needs no notes, and nothing would drain them).
+    /// Pushes a deferred wake note.
     pub(crate) fn note(&mut self, hint: WakeHint) {
-        if self.is_mlfq() {
-            self.hints.push_back(hint);
-        }
+        self.hints.push_back(hint);
     }
 
     /// Drops a pid from the run queues and the level map (process
@@ -247,20 +217,6 @@ impl Scheduler {
             }
         }
         self.level.remove(&pid);
-    }
-
-    /// Clears everything rebuilt from process state (policy switch).
-    /// Class tags, stats, and the boost clock survive.
-    pub(crate) fn clear_dynamic(&mut self) {
-        for queue in &mut self.queues {
-            queue.clear();
-        }
-        self.queued.clear();
-        self.level.clear();
-        self.timers.clear();
-        self.read_waiters.clear();
-        self.accept_waiters.clear();
-        self.hints.clear();
     }
 
     /// Takes and zeroes the per-run counters.
@@ -323,17 +279,5 @@ mod tests {
         sched.forget(Pid(9));
         assert_eq!(sched.pop_next(), None);
         assert_eq!(sched.class_of(Pid(9)), SchedClass::Background);
-    }
-
-    #[test]
-    fn notes_are_dropped_under_the_round_robin_oracle() {
-        let mut sched = Scheduler {
-            policy: SchedPolicy::RoundRobin,
-            ..Scheduler::default()
-        };
-        sched.note(WakeHint::Pid(Pid(1)));
-        sched.enqueue(Pid(1));
-        assert!(sched.hints.is_empty());
-        assert_eq!(sched.pop_next(), None);
     }
 }

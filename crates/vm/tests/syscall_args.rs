@@ -9,6 +9,12 @@
 //! to an unrelated process. A value that does not fit the descriptor
 //! (or pid) space must fail with the typed errno the kernel uses for
 //! "no such descriptor" (EBADF) / "no such process" (ESRCH).
+//!
+//! Wild lengths are the same defect class one step further: `write`
+//! and `open` allocated a host buffer of the guest's length before
+//! checking the range (a 1 TiB request aborted the whole host process),
+//! and `mmap`/`munmap`/`mprotect` overflowed page alignment or
+//! `start + len`. Each must fail with an errno instead.
 
 use dynacut_isa::{encode, Insn, Reg};
 use dynacut_obj::{Perms, PAGE_SIZE};
@@ -24,6 +30,12 @@ const ALIAS_PID_1: u64 = 0x1_0000_0001;
 
 const EBADF: u64 = 9;
 const ESRCH: u64 = 3;
+const EFAULT: u64 = 14;
+const ENOMEM: u64 = 12;
+const EINVAL: u64 = 22;
+/// The last page of the address space: any range of two pages from it
+/// wraps.
+const TOP_PAGE: u64 = 0xFFFF_FFFF_FFFF_F000;
 const SIGKILL_NUMBER: u64 = 4;
 
 /// Boots one process running `insns`, which must end by exiting with
@@ -153,4 +165,48 @@ fn kill_does_not_alias_huge_pid_onto_an_existing_process() {
         .expect("the caller survives its own wild kill");
     assert_eq!(status.fatal_signal, None, "no signal was delivered");
     assert_eq!(status.code, err_ret(ESRCH), "ESRCH, same as a vacant pid");
+}
+
+/// Wild lengths and wrapping ranges fail with an errno. Each of these
+/// used to take the host down: `write`/`open` allocated a buffer of the
+/// guest's length before the range check (1 TiB aborted the process,
+/// `u64::MAX` panicked on capacity overflow), and the mapping calls
+/// overflowed page alignment, the free-range search or `start + len`.
+#[test]
+fn wild_lengths_and_wrapping_ranges_fail_with_an_errno() {
+    let cases = [
+        (Sysno::Write, 0, STACK, 1 << 40, EFAULT),
+        (Sysno::Write, 0, STACK, u64::MAX, EFAULT),
+        (Sysno::Open, STACK, u64::MAX, 0, EFAULT),
+        (Sysno::Mmap, 0, u64::MAX, 3, ENOMEM),
+        (Sysno::Mmap, 0, u64::MAX - PAGE_SIZE, 3, ENOMEM),
+        (Sysno::Munmap, STACK, u64::MAX, 0, EINVAL),
+        (Sysno::Mprotect, STACK, u64::MAX, 3, EINVAL),
+        (Sysno::Munmap, TOP_PAGE, 2 * PAGE_SIZE, 0, EINVAL),
+        (Sysno::Mprotect, TOP_PAGE, 2 * PAGE_SIZE, 3, EINVAL),
+    ];
+    for (nr, arg0, arg1, arg2, errno) in cases {
+        let (mut kernel, pid) = boot(&call_then_exit(nr, arg0, arg1, arg2));
+        let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+        let call = format!("{nr:?}({arg0:#x}, {arg1:#x}, {arg2:#x})");
+        assert_eq!(status.fatal_signal, None, "{call} killed the caller");
+        assert_eq!(status.code, err_ret(errno), "{call}");
+        assert!(kernel.process(pid).unwrap().console_text().is_empty());
+    }
+}
+
+/// An `mmap` hint whose range wraps past the top of the address space
+/// is unusable, like one that overlaps a mapping: the kernel places the
+/// mapping elsewhere instead of overflowing `hint + len`.
+#[test]
+fn mmap_places_a_wrapping_hint_elsewhere() {
+    let (mut kernel, pid) = boot(&call_then_exit(Sysno::Mmap, TOP_PAGE, 2 * PAGE_SIZE, 3));
+    let addr = kernel.run_until_exit(pid, 1_000_000).expect("exits").code;
+    assert!(
+        !dynacut_vm::is_err(addr),
+        "mmap placed the mapping: {addr:#x}"
+    );
+    assert_ne!(addr, TOP_PAGE);
+    let mem = &kernel.process(pid).unwrap().mem;
+    assert!(mem.vma_at(addr).is_some() && mem.vma_at(addr + PAGE_SIZE).is_some());
 }

@@ -295,7 +295,7 @@ fn dynamic_seccomp_filter_via_process_rewriting() {
 #[test]
 fn stale_handler_library_can_be_unloaded() {
     use dynacut::{DynaCut, FaultPolicy, Feature};
-    use dynacut_criu::{dump, restore, DumpOptions};
+    use dynacut_criu::{dump, CheckpointImage, CheckpointStore, DumpOptions};
 
     let libc = guest_libc();
     let exe = lighttpd::image(&libc);
@@ -351,7 +351,13 @@ fn stale_handler_library_can_be_unloaded() {
         "dangling sigaction reset"
     );
     kernel.remove_process(pid).unwrap();
-    restore(&mut kernel, &image, dynacut.registry()).unwrap();
+    let checkpoint = CheckpointImage {
+        procs: vec![image],
+        time_ns: kernel.clock_ns(),
+    };
+    let mut store = CheckpointStore::new();
+    let id = store.put_full(checkpoint).unwrap();
+    store.restore(&mut kernel, id, dynacut.registry()).unwrap();
 
     // Still serving, PUT included.
     let conn = kernel.client_connect(lighttpd::PORT).unwrap();

@@ -6,8 +6,8 @@
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_apps::{libc::guest_libc, nginx, EVENT_READY};
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, materialize_chain, restore_chain,
-    CheckpointStore, CkptId, DumpOptions, ModuleRegistry,
+    dump_incremental, dump_many, mark_clean_after_dump, materialize_chain, CheckpointStore, CkptId,
+    DumpOptions, ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
@@ -139,9 +139,14 @@ proptest! {
         prop_assert_eq!(&materialized, &full);
         prop_assert_eq!(materialized.to_bytes(), full.to_bytes());
 
-        // And the restored process memory matches the full image exactly.
+        // And the process restored from the stored chain holds the full
+        // image's memory exactly.
+        let mut store = CheckpointStore::new();
+        store.put_full(parent).unwrap();
+        store.put_delta(delta_1).unwrap();
+        let delta_2_id = store.put_delta(delta_2).unwrap();
         kernel.remove_process(pid).unwrap();
-        restore_chain(&mut kernel, &parent, [&delta_1, &delta_2], &registry).unwrap();
+        store.restore(&mut kernel, delta_2_id, &registry).unwrap();
         let restored = kernel.process(pid).unwrap();
         let image = &full.procs[0];
         for (index, &page) in image.pagemap.pages.iter().enumerate() {
@@ -259,11 +264,13 @@ fn nginx_master_and_worker_checkpoint_incrementally() {
     let parent_id = store.put_full(parent).unwrap();
     let delta_id = store.put_delta(delta).unwrap();
     assert_eq!((parent_id, delta_id), (CkptId(0), CkptId(1)));
-    let resolved = store.materialize(delta_id).unwrap();
+    assert_eq!(store.materialize(delta_id).unwrap(), full);
     for &pid in &world.pids {
         world.kernel.remove_process(pid).unwrap();
     }
-    restore_chain(&mut world.kernel, &resolved, [], &world.registry).unwrap();
+    store
+        .restore(&mut world.kernel, delta_id, &world.registry)
+        .unwrap();
     assert_eq!(request(&mut world.kernel, b"GET /y\n"), nginx::RESP_200);
 }
 

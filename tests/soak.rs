@@ -9,7 +9,7 @@ use dynacut::{
     BlockPolicy, Downtime, DynaCut, EventKind, FaultPolicy, Feature, Phase, RewritePlan,
 };
 use dynacut_apps::{libc::guest_libc, nginx, EVENT_READY};
-use dynacut_criu::{dump_many, restore_many, DumpOptions, ModuleRegistry};
+use dynacut_criu::{dump_many, CheckpointStore, DumpOptions, ModuleRegistry};
 use dynacut_vm::{Kernel, LoadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,7 +174,9 @@ fn randomized_feature_churn_matches_the_model() {
             for &pid in &pids {
                 kernel.remove_process(pid).unwrap();
             }
-            restore_many(&mut kernel, &checkpoint, dynacut.registry()).unwrap();
+            let mut store = CheckpointStore::new();
+            let id = store.put_full(checkpoint).unwrap();
+            store.restore(&mut kernel, id, dynacut.registry()).unwrap();
         }
 
         // Probe every feature and GET; replies must match the model.
