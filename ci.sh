@@ -131,5 +131,13 @@ grep -q '"fleet_size": 1000' results/sched.json
 CARGO_TARGET_DIR=.bench_build cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Smoke run of the benchmark on the customize-cycle workload. A traced
+# run fails its `correct` flag unless the deterministic counts (criu
+# bytes per op, modules per process, ...) repeat across episodes, so
+# this gates the dump and restore-prepare path end to end in seconds.
+bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload toggle --seed 7 --seconds 1 --trace 1 | tail -n 1)
+grep -q '"correct": true' <<< "$bench_result"
+grep -q '"failed": 0,' <<< "$bench_result"
+
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

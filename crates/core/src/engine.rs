@@ -55,7 +55,7 @@ pub enum Stage {
     PreDump,
     /// Freeze the group's processes.
     Freeze,
-    /// Dump the frozen processes and serialise to the tmpfs store.
+    /// Dump the frozen processes into an in-memory checkpoint.
     Dump,
     /// Edit the images: trap bytes, wipes, unmaps, re-enables.
     ImageEdit,
@@ -209,7 +209,7 @@ pub struct FleetTotals {
     pub frozen_page_bytes: usize,
     /// Page bytes pre-copied while guests served, fleet-wide.
     pub prewritten_page_bytes: usize,
-    /// Serialized checkpoint bytes (tmpfs footprint), fleet-wide.
+    /// Encoded checkpoint bytes (tmpfs footprint), fleet-wide.
     pub image_bytes: usize,
     /// Logical page bytes written into the checkpoint store (what a
     /// store without content addressing would hold for these cycles).
@@ -539,11 +539,11 @@ impl DynaCut {
                 let (checkpoint, frozen, prewritten) = dumped?;
                 cycle.report.frozen_page_bytes = frozen;
                 cycle.report.prewritten_page_bytes = prewritten;
-                // Serialise to the tmpfs-like in-memory store, as the
-                // paper does ("we checkpoint the process images into an
-                // in-memory filesystem, i.e., tmpfs").
-                let tmpfs_bytes = checkpoint.to_bytes();
-                cycle.report.image_bytes = tmpfs_bytes.len();
+                // The paper checkpoints "into an in-memory filesystem,
+                // i.e., tmpfs"; here the checkpoint stays in memory and
+                // is never serialized, so only its encoded size is
+                // reported.
+                cycle.report.image_bytes = checkpoint.encoded_len();
                 cycle.checkpoint = Some(checkpoint);
                 Ok(())
             }
@@ -956,8 +956,8 @@ impl DynaCut {
     /// journal and committed-restore receipt stay live while the canary
     /// serves for [`RolloutPlan::soak_slices`] slices.
     ///
-    /// * **Clean soak** — the canary's stored image is promoted onto
-    ///   every remaining group via
+    /// * **Clean soak** — the canary's stored image is resolved once
+    ///   and promoted onto every remaining group via
     ///   [`CheckpointStore::promote_shared`](dynacut_criu::CheckpointStore::promote_shared):
     ///   one tiny freeze window per replica (serialized, with serve
     ///   slices pumped between), no per-replica re-dump or re-rewrite,
@@ -1104,11 +1104,21 @@ impl DynaCut {
         // remaining group, serialized like the fleet engine's windows,
         // with serve slices pumped between. The canary cycle is still
         // open: a failure at replica k unwinds replicas 0..k and then
-        // demotes the canary, so the fleet is all-or-nothing.
+        // demotes the canary, so the fleet is all-or-nothing. The
+        // canary image is resolved once, before the first freeze: the
+        // delta chain walk stays out of every window, and a resolve
+        // failure demotes the canary like a failure at the first group.
         let ckpt_id = cycle
             .report
             .checkpoint_id
             .expect("incremental canary cycle stored its baseline");
+        let resolved = match self.store.resolve(ckpt_id) {
+            Ok(resolved) => resolved,
+            Err(err) => {
+                self.demote_canary(kernel, cycle, reports.len());
+                return Err(err.into());
+            }
+        };
         let mut promoted: Vec<(Vec<Pid>, CommittedRestore, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
         let mut wave_err: Option<DynacutError> = None;
@@ -1139,7 +1149,10 @@ impl DynaCut {
                     .staged_registry
                     .as_ref()
                     .expect("canary cycle staged its registry");
-                match self.store.promote_shared(kernel, ckpt_id, registry, group) {
+                match self
+                    .store
+                    .promote_shared(kernel, &resolved, registry, group)
+                {
                     Ok(receipt) => {
                         let copied = self.store.page_store().copied_bytes() - copied_before;
                         let window = window_started.elapsed();

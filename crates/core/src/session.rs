@@ -49,7 +49,10 @@ pub struct CustomizeReport {
     pub pages_unmapped: u64,
     /// Blocks re-enabled.
     pub blocks_enabled: usize,
-    /// Serialized checkpoint size in bytes (the tmpfs image footprint).
+    /// Encoded checkpoint size in bytes, [`CheckpointImage::encoded_len`]:
+    /// the tmpfs image footprint, computed without serializing.
+    ///
+    /// [`CheckpointImage::encoded_len`]: dynacut_criu::CheckpointImage::encoded_len
     pub image_bytes: usize,
     /// Base address the handler library was injected at, per process.
     pub handler_bases: Vec<(Pid, u64)>,

@@ -9,24 +9,58 @@
 use crate::images::*;
 use crate::incremental::{CkptId, DeltaImage, DeltaProcessImage};
 use crate::CriuError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use dynacut_obj::Perms;
 use dynacut_vm::{ConnId, Pid, SigAction, Signal};
 
 const MAGIC: &[u8; 4] = b"DCR1";
 const DELTA_MAGIC: &[u8; 4] = b"DCD1";
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+/// Where the encoders write: a `Vec<u8>` collects the bytes, a
+/// [`ByteCount`] only adds up how many there would be. Both run the
+/// same encoders, so [`CheckpointImage::encoded_len`] equals
+/// `to_bytes().len()` by construction.
+trait Sink {
+    fn put_slice(&mut self, src: &[u8]);
+    fn put_u8(&mut self, value: u8) {
+        self.put_slice(&[value]);
+    }
+    fn put_u16_le(&mut self, value: u16) {
+        self.put_slice(&value.to_le_bytes());
+    }
+    fn put_u32_le(&mut self, value: u32) {
+        self.put_slice(&value.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, value: u64) {
+        self.put_slice(&value.to_le_bytes());
+    }
+}
+
+impl Sink for Vec<u8> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
+    }
+}
+
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+fn put_str(buf: &mut impl Sink, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_vec(buf: &mut BytesMut, v: &[u8]) {
+fn put_vec(buf: &mut impl Sink, v: &[u8]) {
     buf.put_u64_le(v.len() as u64);
     buf.put_slice(v);
 }
 
-fn put_perms(buf: &mut BytesMut, perms: Perms) {
+fn put_perms(buf: &mut impl Sink, perms: Perms) {
     buf.put_u8((perms.read as u8) | (perms.write as u8) << 1 | (perms.exec as u8) << 2);
 }
 
@@ -91,14 +125,26 @@ impl Reader {
 impl CheckpointImage {
     /// Serialises the checkpoint to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode(&mut buf);
+        buf
+    }
+
+    /// Exactly `to_bytes().len()`, without building the buffer: the
+    /// size the checkpoint would take on the image store.
+    pub fn encoded_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.encode(&mut count);
+        count.0
+    }
+
+    fn encode(&self, buf: &mut impl Sink) {
         buf.put_slice(MAGIC);
         buf.put_u64_le(self.time_ns);
         buf.put_u32_le(self.procs.len() as u32);
         for image in &self.procs {
-            encode_proc(&mut buf, image);
+            encode_proc(buf, image);
         }
-        buf.to_vec()
     }
 
     /// Parses a checkpoint previously produced by
@@ -126,7 +172,7 @@ impl DeltaImage {
     /// id, and a per-process dirty-page index in front of the (dirty-only)
     /// page payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_slice(DELTA_MAGIC);
         buf.put_u64_le(self.parent.0);
         buf.put_u64_le(self.time_ns);
@@ -141,7 +187,7 @@ impl DeltaImage {
             encode_files(&mut buf, &image.files);
             encode_tcp(&mut buf, &image.tcp);
         }
-        buf.to_vec()
+        buf
     }
 
     /// Parses a delta previously produced by [`DeltaImage::to_bytes`].
@@ -186,7 +232,7 @@ impl DeltaImage {
     }
 }
 
-fn encode_proc(buf: &mut BytesMut, image: &ProcessImage) {
+fn encode_proc(buf: &mut impl Sink, image: &ProcessImage) {
     buf.put_u8(image.exec_pages_dumped as u8);
     encode_core(buf, &image.core);
     encode_mm(buf, &image.mm);
@@ -217,7 +263,7 @@ fn decode_proc(reader: &mut Reader) -> Result<ProcessImage, CriuError> {
     })
 }
 
-fn encode_core(buf: &mut BytesMut, core: &CoreImage) {
+fn encode_core(buf: &mut impl Sink, core: &CoreImage) {
     buf.put_u32_le(core.pid.0);
     match core.parent {
         Some(pid) => {
@@ -292,7 +338,7 @@ fn decode_core(reader: &mut Reader) -> Result<CoreImage, CriuError> {
     })
 }
 
-fn encode_mm(buf: &mut BytesMut, mm: &MmImage) {
+fn encode_mm(buf: &mut impl Sink, mm: &MmImage) {
     buf.put_u32_le(mm.vmas.len() as u32);
     for vma in &mm.vmas {
         buf.put_u64_le(vma.start);
@@ -320,7 +366,7 @@ fn decode_mm(reader: &mut Reader) -> Result<MmImage, CriuError> {
     Ok(MmImage { vmas })
 }
 
-fn encode_pagemap(buf: &mut BytesMut, pagemap: &PagemapImage) {
+fn encode_pagemap(buf: &mut impl Sink, pagemap: &PagemapImage) {
     buf.put_u32_le(pagemap.pages.len() as u32);
     for page in &pagemap.pages {
         buf.put_u64_le(*page);
@@ -336,7 +382,7 @@ fn decode_pagemap(reader: &mut Reader) -> Result<PagemapImage, CriuError> {
     Ok(PagemapImage { pages })
 }
 
-fn encode_files(buf: &mut BytesMut, files: &FilesImage) {
+fn encode_files(buf: &mut impl Sink, files: &FilesImage) {
     buf.put_u32_le(files.fds.len() as u32);
     for (fd, entry) in &files.fds {
         buf.put_u32_le(*fd);
@@ -386,7 +432,7 @@ fn decode_files(reader: &mut Reader) -> Result<FilesImage, CriuError> {
     Ok(FilesImage { fds })
 }
 
-fn encode_tcp(buf: &mut BytesMut, tcp: &TcpImage) {
+fn encode_tcp(buf: &mut impl Sink, tcp: &TcpImage) {
     buf.put_u32_le(tcp.conns.len() as u32);
     for conn in &tcp.conns {
         buf.put_u64_le(conn.id.0);

@@ -482,10 +482,15 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::PageCollision`] if any page's content key
-    /// is already held by different bytes; references taken for earlier
-    /// processes are released again and nothing is stored.
+    /// Fails with [`CriuError::BadImage`] if a process's payload is not
+    /// exactly one page per pagemap entry (no page ref is taken), or
+    /// [`CriuError::PageCollision`] if any page's content key is already
+    /// held by different bytes; references taken for earlier processes
+    /// are released again and nothing is stored.
     pub fn put_full(&mut self, mut image: CheckpointImage) -> Result<CkptId, CriuError> {
+        for proc in &image.procs {
+            check_payload(&proc.pages, &proc.pagemap)?;
+        }
         let mut pages = Vec::with_capacity(image.procs.len());
         for proc in &mut image.procs {
             match SharedPages::intern(&mut self.pages, &proc.pages) {
@@ -521,11 +526,16 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// Fails with [`CriuError::MissingParent`] if the parent id is not
-    /// live in the store, or [`CriuError::PageCollision`] if a dirty
-    /// page's key is already held by different bytes (nothing is stored).
+    /// live in the store, [`CriuError::BadImage`] if a process's payload
+    /// is not exactly one page per dirty-list entry, or
+    /// [`CriuError::PageCollision`] if a dirty page's key is already held
+    /// by different bytes. Nothing is stored and no page ref is kept.
     pub fn put_delta(&mut self, mut delta: DeltaImage) -> Result<CkptId, CriuError> {
         if self.get(delta.parent).is_none() {
             return Err(CriuError::MissingParent(delta.parent));
+        }
+        for proc in &delta.procs {
+            check_payload(&proc.pages, &proc.dirty)?;
         }
         let mut pages = Vec::with_capacity(delta.procs.len());
         for proc in &mut delta.procs {
@@ -756,9 +766,9 @@ impl CheckpointStore {
         id: CkptId,
         registry: &crate::ModuleRegistry,
     ) -> Result<Vec<Pid>, CriuError> {
-        let resolved = self.resolve_shared(id)?;
-        let mut staged: Vec<StagedProcess> = Vec::with_capacity(resolved.len());
-        for (image, keys) in &resolved {
+        let resolved = self.resolve(id)?;
+        let mut staged: Vec<StagedProcess> = Vec::with_capacity(resolved.procs.len());
+        for (image, keys) in &resolved.procs {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreHandles) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::RestoreHandles,
@@ -770,8 +780,9 @@ impl CheckpointStore {
         Ok(committed.pids().to_vec())
     }
 
-    /// Promotes the checkpoint `id` — a customized canary image — onto a
-    /// *different* replica group: each frozen `target` process is
+    /// Promotes a resolved checkpoint — a customized canary image, from
+    /// [`resolve`](CheckpointStore::resolve) — onto a *different*
+    /// replica group: each frozen `target` process is
     /// replaced by a clone of the corresponding canary process built
     /// entirely from shared page handles. This is the fleet-rollout fast
     /// path: no page is dumped from the target, no page byte is copied
@@ -791,29 +802,32 @@ impl CheckpointStore {
     /// the promotion if a later replica
     /// fails — the same PR 2 transaction machinery as a normal cycle.
     ///
+    /// One resolved image serves every group of a promotion wave, so the
+    /// delta chain is walked once per wave, not once per group. Its keys
+    /// stay valid while the checkpoint it was resolved from is live.
+    ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::Inconsistent`] on a group-size mismatch,
-    /// [`CriuError::Vm`] if a target is missing or not frozen, or
-    /// propagates chain-resolution/build/commit failures; the kernel is
-    /// untouched or rolled back on every error path.
+    /// Fails with [`CriuError::Inconsistent`] on a group-size mismatch or
+    /// a key the store no longer holds, [`CriuError::Vm`] if a target is
+    /// missing or not frozen, or propagates build/commit failures; the
+    /// kernel is untouched or rolled back on every error path.
     pub fn promote_shared(
         &self,
         kernel: &mut Kernel,
-        id: CkptId,
+        resolved: &ResolvedCheckpoint,
         registry: &crate::ModuleRegistry,
         targets: &[Pid],
     ) -> Result<crate::CommittedRestore, CriuError> {
-        let resolved = self.resolve_shared(id)?;
-        if resolved.len() != targets.len() {
+        if resolved.procs.len() != targets.len() {
             return Err(CriuError::Inconsistent(format!(
                 "canary image holds {} processes but the target group has {}",
-                resolved.len(),
+                resolved.procs.len(),
                 targets.len()
             )));
         }
         let mut staged: Vec<StagedProcess> = Vec::with_capacity(targets.len());
-        for ((image, keys), &pid) in resolved.iter().zip(targets) {
+        for ((image, keys), &pid) in resolved.procs.iter().zip(targets) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::PromoteRestore,
@@ -889,10 +903,19 @@ impl CheckpointStore {
     /// Resolves checkpoint `id` to per-process skeletons plus one page
     /// key per pagemap entry, walking the delta chain with newest-wins
     /// semantics — the key-level analogue of [`materialize`], with no
-    /// page bytes touched.
+    /// page bytes touched. [`restore`] and [`promote_shared`] build
+    /// processes from the result.
     ///
     /// [`materialize`]: CheckpointStore::materialize
-    fn resolve_shared(&self, id: CkptId) -> Result<Vec<(ProcessImage, Vec<PageKey>)>, CriuError> {
+    /// [`restore`]: CheckpointStore::restore
+    /// [`promote_shared`]: CheckpointStore::promote_shared
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor
+    /// is absent or released, or [`CriuError::BadImage`] /
+    /// [`CriuError::Inconsistent`] on a malformed chain.
+    pub fn resolve(&self, id: CkptId) -> Result<ResolvedCheckpoint, CriuError> {
         // Collect the chain newest-first, stopping at the full base.
         let mut chain: Vec<&StoredCheckpoint> = Vec::new();
         let mut cursor = id;
@@ -984,7 +1007,7 @@ impl CheckpointStore {
             }
         }
 
-        skeletons
+        let procs = skeletons
             .into_iter()
             .map(|(pid, image)| {
                 let map = keymaps
@@ -1002,8 +1025,35 @@ impl CheckpointStore {
                     .collect::<Result<Vec<_>, _>>()?;
                 Ok((image, keys))
             })
-            .collect()
+            .collect::<Result<_, CriuError>>()?;
+        Ok(ResolvedCheckpoint { procs })
     }
+}
+
+/// A stored checkpoint resolved down to what a zero-copy restore needs:
+/// per-process skeletons (no page bytes) plus one page key per pagemap
+/// entry, the delta chain already applied. Built by
+/// [`CheckpointStore::resolve`]; consumed by
+/// [`CheckpointStore::promote_shared`].
+#[derive(Debug, Clone)]
+pub struct ResolvedCheckpoint {
+    procs: Vec<(ProcessImage, Vec<PageKey>)>,
+}
+
+/// Checks that a payload holds exactly one whole page per entry of the
+/// pagemap it ships with — the invariant every zero-copy restore of the
+/// stored entry relies on (a short page would reach the guest as a
+/// partial frame).
+fn check_payload(pages: &PagesImage, listed: &PagemapImage) -> Result<(), CriuError> {
+    let expected = listed.pages.len() * PAGE_SIZE as usize;
+    if pages.bytes.len() != expected {
+        return Err(CriuError::BadImage(format!(
+            "pages.img holds {} bytes but {} pages ({expected} bytes) are listed",
+            pages.bytes.len(),
+            listed.pages.len()
+        )));
+    }
+    Ok(())
 }
 
 /// A store entry with its page payload read back out of the page store.

@@ -51,7 +51,7 @@ pub use images::{
 pub use incremental::{
     apply_delta, dump_incremental, mark_clean_after_dump, materialize_chain, pre_dump,
     CheckpointStore, CkptId, DeltaImage, DeltaProcessImage, PreDump, PreDumpStats,
-    StoredCheckpoint,
+    ResolvedCheckpoint, StoredCheckpoint,
 };
 pub use page_store::{PageKey, PageStore, SharedPages};
 pub use restore::{

@@ -30,7 +30,7 @@ use dynacut_obj::PAGE_SIZE;
 use dynacut_vm::SharedFrame;
 use std::collections::BTreeMap;
 
-/// Content hash of one page: 128-bit FNV-1a over the page bytes.
+/// Content hash of one page: 128-bit FNV-1a taken a word at a time.
 ///
 /// 128 bits keep accidental collisions out of reach for any realistic
 /// store size; [`PageStore::intern`] additionally compares bytes on
@@ -40,16 +40,26 @@ use std::collections::BTreeMap;
 pub struct PageKey(u128);
 
 impl PageKey {
-    /// Hashes one page's bytes.
+    /// Hashes one page's bytes: one FNV-1a-128 step per little-endian
+    /// `u64` word, one per byte of a tail shorter than a word, and a
+    /// final step over the input length — without it `[0; 8]` and `[0]`
+    /// would share a key. Each step (xor, then multiply by an odd prime)
+    /// is a bijection of the state, so inputs of one length that differ
+    /// in any single word or byte always get distinct keys.
     pub fn of(bytes: &[u8]) -> Self {
         const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
         const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013B;
+        let step = |hash: u128, value: u128| (hash ^ value).wrapping_mul(PRIME);
+        let mut words = bytes.chunks_exact(8);
         let mut hash = OFFSET;
-        for &byte in bytes {
-            hash ^= u128::from(byte);
-            hash = hash.wrapping_mul(PRIME);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks_exact yields 8-byte words");
+            hash = step(hash, u128::from(u64::from_le_bytes(word)));
         }
-        PageKey(hash)
+        for &byte in words.remainder() {
+            hash = step(hash, u128::from(byte));
+        }
+        PageKey(step(hash, bytes.len() as u128))
     }
 }
 
@@ -316,9 +326,60 @@ impl SharedPages {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn page(fill: u8) -> Vec<u8> {
         vec![fill; PAGE_SIZE as usize]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every byte of a page reaches the key: flipping any one of
+        /// them, in any bit pattern, changes it.
+        #[test]
+        fn page_key_changes_when_any_byte_flips(
+            bytes in proptest::collection::vec(any::<u8>(), PAGE_SIZE as usize),
+            position in any::<proptest::sample::Index>(),
+            flip in 1u8..=255,
+        ) {
+            let mut flipped = bytes.clone();
+            flipped[position.index(bytes.len())] ^= flip;
+            prop_assert_ne!(PageKey::of(&bytes), PageKey::of(&flipped));
+        }
+
+        /// Tails shorter than a word are hashed too: for every length up
+        /// to two words short of a byte, each byte of the input — the
+        /// trailing ones included — changes the key.
+        #[test]
+        fn page_key_hashes_tails_of_1_to_15_bytes(
+            bytes in proptest::collection::vec(any::<u8>(), 15),
+            flip in 1u8..=255,
+        ) {
+            for len in 1..=15 {
+                let input = &bytes[..len];
+                for position in 0..len {
+                    let mut flipped = input.to_vec();
+                    flipped[position] ^= flip;
+                    prop_assert!(
+                        PageKey::of(input) != PageKey::of(&flipped),
+                        "len {} byte {}",
+                        len,
+                        position
+                    );
+                }
+            }
+        }
+    }
+
+    /// The length is folded in last, so zero words and zero tail bytes
+    /// cannot stand in for one another.
+    #[test]
+    fn page_key_separates_inputs_that_differ_only_in_length() {
+        let pairs: [(&[u8], &[u8]); 3] = [(&[], &[0]), (&[0; 8], &[0; 16]), (&[0; 8], &[0])];
+        for (a, b) in pairs {
+            assert_ne!(PageKey::of(a), PageKey::of(b), "{a:?} vs {b:?}");
+        }
     }
 
     #[test]

@@ -129,6 +129,7 @@ proptest! {
     ) {
         let checkpoint = CheckpointImage { procs, time_ns: time };
         let bytes = checkpoint.to_bytes();
+        prop_assert_eq!(checkpoint.encoded_len(), bytes.len());
         let parsed = CheckpointImage::from_bytes(&bytes).expect("parses");
         prop_assert_eq!(parsed, checkpoint);
     }

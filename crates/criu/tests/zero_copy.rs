@@ -9,8 +9,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, CheckpointStore, CkptId, CriuError,
-    DumpOptions, ModuleRegistry, PageStore, PagesImage, RestoreTransaction, SharedPages,
+    dump_incremental, dump_many, mark_clean_after_dump, CheckpointImage, CheckpointStore, CkptId,
+    CriuError, DeltaImage, DumpOptions, ModuleRegistry, PageStore, PagesImage, RestoreTransaction,
+    SharedPages,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -256,6 +257,19 @@ fn first_shared_page(kernel: &Kernel, pid: Pid) -> u64 {
         .expect("restored process has shared pages")
 }
 
+/// Base of the echo server's four-page BSS scratch area.
+fn bss_base(kernel: &Kernel, pid: Pid) -> u64 {
+    kernel
+        .process(pid)
+        .unwrap()
+        .mem
+        .vmas()
+        .iter()
+        .find(|v| v.perms.write && v.end - v.start >= 4 * PAGE_SIZE)
+        .expect("bss vma")
+        .start
+}
+
 fn boot() -> Setup {
     let exe = echo_server();
     let mut registry = ModuleRegistry::new();
@@ -405,15 +419,7 @@ fn cow_divergence_is_invisible_to_sibling_replicas_and_the_store() {
 fn delta_chain_restore_round_trips_through_materialize() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
-    let bss = {
-        let proc = setup.kernel.process(setup.pid).unwrap();
-        proc.mem
-            .vmas()
-            .iter()
-            .find(|v| v.perms.write && v.end - v.start >= 4 * PAGE_SIZE)
-            .expect("bss vma")
-            .start
-    };
+    let bss = bss_base(&setup.kernel, setup.pid);
     {
         let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
         mem.write_unchecked(bss, &[0x11; 16]);
@@ -515,4 +521,68 @@ fn restore_after_release_fails_without_touching_the_kernel() {
         .unwrap_err();
     assert!(matches!(err, CriuError::MissingParent(_)), "got {err}");
     assert_eq!(setup.kernel.state_fingerprint(), before);
+}
+
+/// Regression: a full checkpoint whose payload is 2 KiB short of its
+/// pagemap survives the codec round trip and used to be stored; the next
+/// restore then panicked the host on a partial page frame. The store now
+/// refuses it at put time, taking no page refs.
+#[test]
+fn put_full_rejects_a_payload_that_disagrees_with_its_pagemap() {
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let mut full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let payload = &mut full.procs[0].pages.bytes;
+    payload.truncate(payload.len() - 2048);
+    let full = CheckpointImage::from_bytes(&full.to_bytes()).expect("the codec carries it");
+
+    let mut store = CheckpointStore::new();
+    let err = store.put_full(full).unwrap_err();
+    assert!(matches!(err, CriuError::BadImage(_)), "got {err}");
+    assert!(store.is_empty(), "nothing was stored");
+    assert_eq!(store.logical_pages_bytes(), 0, "no page ref was taken");
+    assert_eq!(store.page_store().unique_pages(), 0);
+}
+
+/// The delta half of the regression above: a delta's payload must hold
+/// one page per dirty-list entry.
+#[test]
+fn put_delta_rejects_a_payload_that_disagrees_with_its_dirty_list() {
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(parent.clone()).unwrap();
+
+    let bss = bss_base(&setup.kernel, setup.pid);
+    let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
+    mem.write_unchecked(bss, &[0x44; 16]);
+    let mut delta = dump_incremental(
+        &mut setup.kernel,
+        &[setup.pid],
+        &DumpOptions::default(),
+        parent_id,
+        &parent,
+    )
+    .unwrap();
+    assert!(
+        !delta.procs[0].dirty.pages.is_empty(),
+        "the write dirtied a page"
+    );
+    let payload = &mut delta.procs[0].pages.bytes;
+    payload.truncate(payload.len() - 2048);
+    let delta = DeltaImage::from_bytes(&delta.to_bytes()).expect("the codec carries it");
+
+    let logical_before = store.logical_pages_bytes();
+    let unique_before = store.page_store().unique_pages();
+    let err = store.put_delta(delta).unwrap_err();
+    assert!(matches!(err, CriuError::BadImage(_)), "got {err}");
+    assert_eq!(store.len(), 1, "only the parent is stored");
+    assert_eq!(
+        store.logical_pages_bytes(),
+        logical_before,
+        "no page ref was taken"
+    );
+    assert_eq!(store.page_store().unique_pages(), unique_before);
 }
