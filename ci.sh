@@ -47,8 +47,11 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # capacity eviction; the core suites pin trap visibility across a full
 # customize cycle with a hot cache, the zero-flush version-swapping
 # commit and the rollback that re-dispatches without re-decoding.
-# The syscall_args and serve_deadline suites are the fd/pid truncation,
-# wild-length and deadline-overshoot regression pins. `figures interp`
+# The syscall_args, robustness and serve_deadline suites pin the typed
+# syscall ABI (DESIGN §15): fd/pid truncation, wild lengths, a read
+# EFAULT that keeps its source's bytes, fd/pid counters that stop at
+# u32::MAX (EMFILE/EAGAIN) instead of wrapping, every random call's
+# error a known Errno, and no deadline overshoot. `figures interp`
 # regenerates results/interp.json and panics unless MIPS > 0,
 # superblocked >= uncached, speedup >= 2x over uncached, superblocks
 # were promoted, the commit version-swapped (swaps > 0, warm-hit ratio
@@ -56,6 +59,7 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # dynacut-interp-v3 schema gate).
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
+cargo test -q -p dynacut-vm --test robustness
 cargo test -q -p dynacut-vm --test serve_deadline
 cargo test -q -p dynacut --test cache_trap_visibility
 cargo test -q -p dynacut --test version_swap

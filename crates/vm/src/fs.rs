@@ -47,7 +47,8 @@ pub enum FileDesc {
 #[derive(Debug, Clone, Default)]
 pub struct FdTable {
     entries: BTreeMap<u32, FileDesc>,
-    next: u32,
+    /// The next never-used number: a `u64`, so it cannot wrap to 0.
+    next: u64,
 }
 
 impl FdTable {
@@ -61,12 +62,19 @@ impl FdTable {
         table
     }
 
-    /// Allocates the lowest free descriptor for `desc`.
-    pub fn alloc(&mut self, desc: FileDesc) -> u32 {
-        let fd = self.next;
+    /// The number [`alloc`](FdTable::alloc) hands out next, or `None`
+    /// once `u32::MAX` has been used.
+    pub(crate) fn next_fd(&self) -> Option<u32> {
+        u32::try_from(self.next).ok()
+    }
+
+    /// Installs `desc` at the next never-used number (not the lowest free
+    /// one) and returns it, or `None` once the `u32` space is used up.
+    pub fn alloc(&mut self, desc: FileDesc) -> Option<u32> {
+        let fd = self.next_fd()?;
         self.entries.insert(fd, desc);
         self.next += 1;
-        fd
+        Some(fd)
     }
 
     /// Looks up a descriptor.
@@ -92,7 +100,7 @@ impl FdTable {
     /// Replaces the descriptor stored at `fd` (used by checkpoint restore).
     pub fn insert(&mut self, fd: u32, desc: FileDesc) {
         self.entries.insert(fd, desc);
-        self.next = self.next.max(fd + 1);
+        self.next = self.next.max(u64::from(fd) + 1);
     }
 }
 
@@ -109,8 +117,8 @@ mod tests {
     #[test]
     fn alloc_returns_increasing_fds() {
         let mut table = FdTable::new();
-        let a = table.alloc(FileDesc::Socket);
-        let b = table.alloc(FileDesc::Socket);
+        let a = table.alloc(FileDesc::Socket).unwrap();
+        let b = table.alloc(FileDesc::Socket).unwrap();
         assert!(b > a);
         assert!(table.get(a).is_some());
     }
@@ -118,7 +126,7 @@ mod tests {
     #[test]
     fn close_removes_descriptor() {
         let mut table = FdTable::new();
-        let fd = table.alloc(FileDesc::Socket);
+        let fd = table.alloc(FileDesc::Socket).unwrap();
         assert_eq!(table.close(fd), Some(FileDesc::Socket));
         assert!(table.get(fd).is_none());
         assert_eq!(table.close(fd), None);
@@ -128,7 +136,7 @@ mod tests {
     fn insert_bumps_next_allocation() {
         let mut table = FdTable::new();
         table.insert(10, FileDesc::Socket);
-        let fd = table.alloc(FileDesc::Socket);
+        let fd = table.alloc(FileDesc::Socket).unwrap();
         assert!(fd > 10);
     }
 }

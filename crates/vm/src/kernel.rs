@@ -9,11 +9,10 @@ use crate::loader::{load_into, LoadSpec, MMAP_BASE};
 use crate::net::{ConnId, NetStack, TcpConn, TcpState};
 use crate::process::{Pid, ProcState, Process, WaitReason};
 use crate::sched::{SchedClass, Scheduler, WakeHint, BOOST_INTERVAL_NS};
-use crate::signal::Signal;
-use crate::syscall::{err_ret, perms_from_bits, Sysno};
+use crate::signal::{SigAction, Signal};
+use crate::syscall::{self, perms_from_bits, Errno, Outcome, Sysno};
 use crate::VmError;
 use dynacut_isa::Reg;
-use dynacut_obj::{checked_page_align, PAGE_SIZE};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -219,10 +218,10 @@ impl Kernel {
     ///
     /// # Errors
     ///
-    /// Fails if the images cannot be mapped or linked imports cannot be
-    /// resolved.
+    /// Fails if the images cannot be mapped, linked imports cannot be
+    /// resolved or the pid space is used up.
     pub fn spawn(&mut self, spec: &LoadSpec) -> Result<Pid, VmError> {
-        let pid = self.alloc_pid();
+        let pid = self.alloc_pid()?;
         let mut proc = Process::new(pid, "loading");
         load_into(&mut proc, spec)?;
         self.procs.insert(pid, proc);
@@ -230,10 +229,15 @@ impl Kernel {
         Ok(pid)
     }
 
-    /// Allocates a fresh pid.
-    pub fn alloc_pid(&mut self) -> Pid {
-        self.next_pid += 1;
-        Pid(self.next_pid)
+    /// Allocates a fresh pid: one past the highest ever used.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`VmError::ResourceExhausted`] once `u32::MAX` is used.
+    pub fn alloc_pid(&mut self) -> Result<Pid, VmError> {
+        let next = self.next_pid.checked_add(1);
+        self.next_pid = next.ok_or(VmError::ResourceExhausted("pids"))?;
+        Ok(Pid(self.next_pid))
     }
 
     /// Immutable access to a process.
@@ -484,9 +488,11 @@ impl Kernel {
     /// a verifier report mid-soak without steering traffic at the
     /// canary.
     pub fn inject_event(&mut self, pid: Pid, code: u64) {
-        let clock = self.clock_ns;
         self.push_event(pid, code);
         let kind = if code & VERIFIER_EVENT_BIT != 0 {
+            // The injected verifier library reports a falsely blocked
+            // address (paper §3.2.3): surface it in the journal instead
+            // of leaving it buried in the raw event stream.
             self.flight.metrics_mut().incr("verifier.reports", 1);
             EventKind::VerifierReport {
                 addr: code & !VERIFIER_EVENT_BIT,
@@ -494,7 +500,7 @@ impl Kernel {
         } else {
             EventKind::GuestMarker { code }
         };
-        self.flight.record(clock, Some(pid), kind);
+        self.flight.record(self.clock_ns, Some(pid), kind);
     }
 
     // ----- flight recorder ----------------------------------------------
@@ -1585,427 +1591,218 @@ impl Kernel {
         }
         self.hook = hook;
     }
+}
 
-    /// Narrows a raw guest syscall argument to a descriptor number.
-    ///
-    /// The handlers used to take `args[0] as u32`, silently aliasing
-    /// e.g. fd `0x1_0000_0005` to fd `5` — the same truncation defect
-    /// class as the PR 3 drcov offset bug, except here it could make a
-    /// wild argument *succeed* against an unrelated open descriptor.
-    /// Anything that does not fit a `u32` is EBADF by construction.
-    fn syscall_fd(arg: u64) -> Result<u32, u64> {
-        u32::try_from(arg).map_err(|_| err_ret(9)) // EBADF
-    }
-
-    /// Dispatches the syscall whose number is in `r0`. Returns `true` if
-    /// the process blocked or exited (ending its time slice).
-    ///
-    /// `syscall_pc` is the address of the `syscall` instruction, used to
-    /// rewind restartable calls when they block.
-    fn do_syscall(
-        &mut self,
-        pid: Pid,
-        syscall_pc: u64,
-        mut hook: Option<&mut (dyn Hook + '_)>,
-    ) -> bool {
-        let clock = self.clock_ns;
+/// The syscall layer (DESIGN §15); its decoders live in [`crate::syscall`].
+#[deny(clippy::cast_possible_truncation)]
+impl Kernel {
+    /// Runs the syscall at `pc` and applies its [`Outcome`]: the one place
+    /// that writes `r0`, rewinds `pc` and parks the caller. Returns `true`
+    /// if the caller's slice ends.
+    fn do_syscall(&mut self, pid: Pid, pc: u64, mut hook: Option<&mut (dyn Hook + '_)>) -> bool {
         let proc = self.procs.get_mut(&pid).expect("caller checked");
         let nr = proc.cpu.reg(Reg::R0);
-        let args = [
-            proc.cpu.reg(Reg::R1),
-            proc.cpu.reg(Reg::R2),
-            proc.cpu.reg(Reg::R3),
-            proc.cpu.reg(Reg::R4),
-            proc.cpu.reg(Reg::R5),
-        ];
         if let Some(hook) = hook.as_deref_mut() {
             hook.on_syscall(pid, nr);
         }
         // Seccomp-style filtering (paper §5): a blocked syscall kills the
         // process with SIGSYS, like `SECCOMP_RET_KILL`.
-        if !proc.syscall_allowed(nr) {
+        let outcome = if proc.syscall_allowed(nr) {
+            let result = self.syscall(pid, hook);
+            result.unwrap_or_else(|errno| Outcome::Ret(errno.ret()))
+        } else {
             proc.kill(Signal::Sigsys);
-            return true;
-        }
-        let Some(sysno) = Sysno::from_raw(nr) else {
-            proc.cpu.set_reg(Reg::R0, err_ret(38)); // ENOSYS
-            return false;
+            Outcome::End(None)
         };
+        let proc = self.procs.get_mut(&pid).expect("caller exists");
+        match outcome {
+            Outcome::Ret(value) => proc.cpu.set_reg(Reg::R0, value),
+            Outcome::Restart(reason) => {
+                proc.cpu.pc = pc;
+                proc.state = ProcState::Blocked(reason);
+            }
+            Outcome::End(Some(reason)) => {
+                proc.cpu.set_reg(Reg::R0, 0);
+                proc.state = ProcState::Blocked(reason);
+            }
+            Outcome::Resume | Outcome::End(None) => {}
+        }
+        matches!(outcome, Outcome::Restart(_) | Outcome::End(_))
+    }
+
+    /// The handler of the permitted syscall in the caller's `r0`.
+    fn syscall(&mut self, pid: Pid, hook: Option<&mut (dyn Hook + '_)>) -> Result<Outcome, Errno> {
+        use Outcome::{End, Restart, Resume, Ret};
+        use TcpState::{Closed, Repair};
+        let proc = self.procs.get_mut(&pid).expect("caller checked");
+        let sysno = Sysno::from_raw(proc.cpu.reg(Reg::R0)).ok_or(Errno::Enosys)?;
+        let args = [Reg::R1, Reg::R2, Reg::R3, Reg::R4, Reg::R5].map(|reg| proc.cpu.reg(reg));
         match sysno {
             Sysno::Exit => {
                 proc.exit(args[0]);
-                true
+                Ok(End(None))
             }
             Sysno::Write => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
-                };
-                let (ptr, len) = (args[1], args[2]);
-                let Ok(buf) = proc.mem.read_vec_checked(ptr, len) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(14)); // EFAULT
-                    return false;
-                };
-                self.clock_ns += len / 8;
+                let fd = syscall::fd(args[0])?;
+                let buf = syscall::copy_from_user(&proc.mem, args[1], args[2])?;
+                self.clock_ns += args[2] / 8;
                 match proc.fds.get(fd) {
-                    Some(FileDesc::Console) => {
-                        proc.console.extend_from_slice(&buf);
-                        proc.cpu.set_reg(Reg::R0, len);
-                    }
-                    Some(FileDesc::Conn(id)) => {
-                        let id = *id;
-                        match self.net.conn_mut(id) {
-                            Some(conn) if conn.state != TcpState::Closed => {
-                                conn.to_client.extend(buf);
-                                proc.cpu.set_reg(Reg::R0, len);
-                            }
-                            _ => proc.cpu.set_reg(Reg::R0, err_ret(32)), // EPIPE
-                        }
-                    }
-                    _ => proc.cpu.set_reg(Reg::R0, err_ret(9)), // EBADF
+                    Some(FileDesc::Console) => proc.console.extend_from_slice(&buf),
+                    Some(FileDesc::Conn(id)) => match self.net.conn_mut(*id) {
+                        Some(conn) if conn.state != Closed => conn.to_client.extend(buf),
+                        _ => return Err(Errno::Epipe),
+                    },
+                    _ => return Err(Errno::Ebadf),
                 }
-                false
+                Ok(Ret(args[2]))
             }
             Sysno::Read => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
-                };
-                let (ptr, len) = (args[1], args[2] as usize);
-                match proc.fds.get_mut(fd) {
+                let fd = syscall::fd(args[0])?;
+                // A length only caps the copy, so saturating it is exact.
+                let len = usize::try_from(args[2]).unwrap_or(usize::MAX);
+                // A source is consumed only once its copy succeeded: EFAULT keeps it.
+                let n = match proc.fds.get_mut(fd) {
                     Some(FileDesc::File { file, pos }) => {
-                        let contents = &file.contents;
-                        let start = (*pos as usize).min(contents.len());
-                        let n = len.min(contents.len() - start);
-                        let chunk = contents[start..start + n].to_vec();
+                        let at = usize::try_from(*pos).unwrap_or(usize::MAX);
+                        let rest = file.contents.get(at..).unwrap_or_default();
+                        let n = len.min(rest.len());
+                        syscall::copy_to_user(&mut proc.mem, args[1], &rest[..n])?;
                         *pos += n as u64;
-                        if proc.mem.write_checked(ptr, &chunk).is_err() {
-                            proc.cpu.set_reg(Reg::R0, err_ret(14));
-                            return false;
+                        n
+                    }
+                    Some(FileDesc::Conn(id)) => match self.net.conn_mut(*id) {
+                        Some(conn) if !conn.to_server.is_empty() && conn.state != Repair => {
+                            let n = len.min(conn.to_server.len());
+                            let bytes = &conn.to_server.make_contiguous()[..n];
+                            syscall::copy_to_user(&mut proc.mem, args[1], bytes)?;
+                            conn.to_server.drain(..n);
+                            n
                         }
-                        proc.cpu.set_reg(Reg::R0, n as u64);
-                        self.clock_ns += (n as u64) / 8;
-                        false
-                    }
-                    Some(FileDesc::Conn(id)) => {
-                        let id = *id;
-                        match self.net.conn_mut(id) {
-                            Some(conn) => {
-                                if conn.to_server.is_empty() || conn.state == TcpState::Repair {
-                                    if conn.state == TcpState::Closed {
-                                        proc.cpu.set_reg(Reg::R0, 0);
-                                        return false;
-                                    }
-                                    // Block and restart the syscall later.
-                                    proc.cpu.pc = syscall_pc;
-                                    proc.state =
-                                        ProcState::Blocked(WaitReason::ReadFd(fd));
-                                    return true;
-                                }
-                                let n = len.min(conn.to_server.len());
-                                let chunk: Vec<u8> = conn.to_server.drain(..n).collect();
-                                if proc.mem.write_checked(ptr, &chunk).is_err() {
-                                    proc.cpu.set_reg(Reg::R0, err_ret(14));
-                                    return false;
-                                }
-                                proc.cpu.set_reg(Reg::R0, n as u64);
-                                self.clock_ns += (n as u64) / 8;
-                                false
-                            }
-                            None => {
-                                proc.cpu.set_reg(Reg::R0, 0);
-                                false
-                            }
-                        }
-                    }
-                    Some(FileDesc::Console) => {
-                        proc.cpu.pc = syscall_pc;
-                        proc.state = ProcState::Blocked(WaitReason::ReadFd(fd));
-                        true
-                    }
-                    _ => {
-                        proc.cpu.set_reg(Reg::R0, err_ret(9));
-                        false
-                    }
-                }
+                        // Gone, or closed and drained: end of file.
+                        None | Some(TcpConn { state: Closed, .. }) => 0,
+                        Some(_) => return Ok(Restart(WaitReason::ReadFd(fd))),
+                    },
+                    Some(FileDesc::Console) => return Ok(Restart(WaitReason::ReadFd(fd))),
+                    _ => return Err(Errno::Ebadf),
+                };
+                self.clock_ns += n as u64 / 8;
+                Ok(Ret(n as u64))
             }
             Sysno::Open => {
-                let Ok(buf) = proc.mem.read_vec_checked(args[0], args[1]) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(14)); // EFAULT
-                    return false;
-                };
-                let Ok(path) = String::from_utf8(buf) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(2)); // ENOENT
-                    return false;
-                };
-                match self.vfs.get(&path) {
-                    Some(contents) => {
-                        let fd = proc.fds.alloc(FileDesc::File {
-                            file: VfsFile {
-                                path,
-                                contents: Arc::clone(contents),
-                            },
-                            pos: 0,
-                        });
-                        proc.cpu.set_reg(Reg::R0, fd as u64);
-                    }
-                    None => proc.cpu.set_reg(Reg::R0, err_ret(2)),
-                }
-                false
+                let path = syscall::copy_from_user(&proc.mem, args[0], args[1])?;
+                let path = String::from_utf8(path).map_err(|_| Errno::Enoent)?;
+                let contents = Arc::clone(self.vfs.get(&path).ok_or(Errno::Enoent)?);
+                let file = VfsFile { path, contents };
+                syscall::new_fd(&mut proc.fds, FileDesc::File { file, pos: 0 })
             }
             Sysno::Close => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
-                };
-                match proc.fds.close(fd) {
-                    Some(FileDesc::Conn(id)) => {
-                        self.net.close(id);
-                        // A close makes any blocked read on the
-                        // connection ready (it returns 0).
-                        self.sched.note(WakeHint::Conn(id));
-                        proc.cpu.set_reg(Reg::R0, 0);
-                    }
-                    Some(_) => proc.cpu.set_reg(Reg::R0, 0),
-                    None => proc.cpu.set_reg(Reg::R0, err_ret(9)),
+                let desc = proc.fds.close(syscall::fd(args[0])?).ok_or(Errno::Ebadf)?;
+                if let FileDesc::Conn(id) = desc {
+                    self.net.close(id);
+                    // A close readies any read blocked on the connection (it returns 0).
+                    self.sched.note(WakeHint::Conn(id));
                 }
-                false
+                Ok(Ret(0))
             }
-            Sysno::Socket => {
-                let fd = proc.fds.alloc(FileDesc::Socket);
-                proc.cpu.set_reg(Reg::R0, fd as u64);
-                false
-            }
+            Sysno::Socket => syscall::new_fd(&mut proc.fds, FileDesc::Socket),
             Sysno::Bind => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
+                let (fd, port) = (syscall::fd(args[0])?, syscall::port(args[1])?);
+                let Some(desc @ FileDesc::Socket) = proc.fds.get_mut(fd) else {
+                    return Err(Errno::Ebadf);
                 };
-                // Ports are a full 16-bit space, so any u16 pattern is a
-                // valid port — but a wider argument is still a caller
-                // bug, not a port.
-                let Ok(port) = u16::try_from(args[1]) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(22)); // EINVAL
-                    return false;
-                };
-                match proc.fds.get_mut(fd) {
-                    Some(desc @ FileDesc::Socket) => {
-                        *desc = FileDesc::Listener { port };
-                        proc.cpu.set_reg(Reg::R0, 0);
-                    }
-                    _ => proc.cpu.set_reg(Reg::R0, err_ret(9)),
-                }
-                false
+                *desc = FileDesc::Listener { port };
+                Ok(Ret(0))
             }
-            Sysno::Listen => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
-                };
-                match proc.fds.get(fd) {
-                    Some(FileDesc::Listener { port }) => {
-                        self.net.listen(*port);
-                        proc.cpu.set_reg(Reg::R0, 0);
-                    }
-                    _ => proc.cpu.set_reg(Reg::R0, err_ret(9)),
+            Sysno::Listen => match proc.fds.get(syscall::fd(args[0])?) {
+                Some(FileDesc::Listener { port }) => {
+                    self.net.listen(*port);
+                    Ok(Ret(0))
                 }
-                false
-            }
+                _ => Err(Errno::Ebadf),
+            },
             Sysno::Accept => {
-                let fd = match Self::syscall_fd(args[0]) {
-                    Ok(fd) => fd,
-                    Err(errno) => {
-                        proc.cpu.set_reg(Reg::R0, errno);
-                        return false;
-                    }
+                let fd = syscall::fd(args[0])?;
+                let Some(&FileDesc::Listener { port }) = proc.fds.get(fd) else {
+                    return Err(Errno::Ebadf);
                 };
-                match proc.fds.get(fd) {
-                    Some(FileDesc::Listener { port }) => {
-                        let port = *port;
-                        match self.net.accept(port) {
-                            Some(id) => {
-                                let conn_fd = proc.fds.alloc(FileDesc::Conn(id));
-                                proc.cpu.set_reg(Reg::R0, conn_fd as u64);
-                                false
-                            }
-                            None => {
-                                proc.cpu.pc = syscall_pc;
-                                proc.state = ProcState::Blocked(WaitReason::Accept(fd));
-                                true
-                            }
-                        }
-                    }
-                    _ => {
-                        proc.cpu.set_reg(Reg::R0, err_ret(9));
-                        false
-                    }
+                // EMFILE before the backlog pop, so a full table loses no connection.
+                proc.fds.next_fd().ok_or(Errno::Emfile)?;
+                match self.net.accept(port) {
+                    Some(id) => syscall::new_fd(&mut proc.fds, FileDesc::Conn(id)),
+                    None => Ok(Restart(WaitReason::Accept(fd))),
                 }
             }
             Sysno::Fork => {
-                let mut child = proc.clone();
-                let parent_pid = proc.pid;
-                let child_pid = {
-                    self.next_pid += 1;
-                    Pid(self.next_pid)
-                };
+                let child_pid = self.alloc_pid().map_err(|_| Errno::Eagain)?;
+                let mut child = self.procs[&pid].clone();
                 child.pid = child_pid;
-                child.parent = Some(parent_pid);
+                child.parent = Some(pid);
                 child.cpu.set_reg(Reg::R0, 0);
                 child.console.clear();
                 child.insns_retired = 0;
-                // Parent sees the child pid.
-                self.procs
-                    .get_mut(&parent_pid)
-                    .expect("parent exists")
-                    .cpu
-                    .set_reg(Reg::R0, child_pid.0 as u64);
                 self.procs.insert(child_pid, child);
                 self.sched.note(WakeHint::Pid(child_pid));
-                if let Some(hook) = hook.as_deref_mut() {
-                    hook.on_fork(parent_pid, child_pid);
+                if let Some(hook) = hook {
+                    hook.on_fork(pid, child_pid);
                 }
-                false
+                Ok(Ret(u64::from(child_pid.0)))
             }
-            Sysno::Getpid => {
-                proc.cpu.set_reg(Reg::R0, pid.0 as u64);
-                false
-            }
+            Sysno::Getpid => Ok(Ret(u64::from(pid.0))),
             Sysno::Nanosleep => {
-                let until = clock.saturating_add(args[0]);
-                proc.cpu.set_reg(Reg::R0, 0);
-                proc.state = ProcState::Blocked(WaitReason::Until(until));
-                true
+                let until = self.clock_ns.saturating_add(args[0]);
+                Ok(End(Some(WaitReason::Until(until))))
             }
             Sysno::Sigaction => {
-                let (signo, handler, restorer, mask) = (args[0], args[1], args[2], args[3]);
-                match Signal::from_number(signo) {
-                    Some(signal) if signal.catchable() => {
-                        proc.sigactions[signo as usize] = crate::signal::SigAction {
-                            handler,
-                            restorer,
-                            mask,
-                        };
-                        proc.cpu.set_reg(Reg::R0, 0);
-                    }
-                    _ => proc.cpu.set_reg(Reg::R0, err_ret(22)), // EINVAL
+                let signal = syscall::signal(args[0])?;
+                if !signal.catchable() {
+                    return Err(Errno::Einval);
                 }
-                false
+                proc.sigactions[signal as usize] = SigAction {
+                    handler: args[1],
+                    restorer: args[2],
+                    mask: args[3],
+                };
+                Ok(Ret(0))
             }
             Sysno::Sigreturn => {
                 if interp::sigreturn(proc, args[0]).is_err() {
                     proc.kill(Signal::Sigsegv);
-                    return true;
+                    return Ok(End(None));
                 }
-                false
+                Ok(Resume)
             }
             Sysno::Mmap => {
-                let (hint, perm_bits) = (args[0], args[2]);
-                let perms = perms_from_bits(perm_bits);
-                // A length that cannot be page-aligned, or a range that
-                // fits nowhere below the top of the address space, is
-                // ENOMEM. A hint whose range wraps is as unusable as
-                // one that overlaps a mapping: place it elsewhere.
-                let mapped = checked_page_align(args[1].max(1)).and_then(|len| {
-                    let hint_free = hint != 0
-                        && hint % PAGE_SIZE == 0
-                        && hint.checked_add(len).is_some_and(|end| {
-                            proc.mem.vmas().iter().all(|vma| !vma.overlaps(hint, end))
-                        });
-                    let addr = if hint_free {
-                        hint
-                    } else {
-                        proc.mem.find_free(MMAP_BASE, len)?
-                    };
-                    proc.mem.map(addr, len, perms, "anon").ok().map(|()| addr)
-                });
-                proc.cpu.set_reg(Reg::R0, mapped.unwrap_or(err_ret(12))); // ENOMEM
-                false
+                let (hint, len) = (args[0], syscall::page_len(args[1], Errno::Enomem)?);
+                // Take the hint only if its whole range is free; else map elsewhere.
+                let addr = match proc.mem.find_free(hint, len) {
+                    Some(free) if free == hint && hint != 0 => hint,
+                    _ => proc.mem.find_free(MMAP_BASE, len).ok_or(Errno::Enomem)?,
+                };
+                let mapped = proc.mem.map(addr, len, perms_from_bits(args[2]), "anon");
+                mapped.map(|()| Ret(addr)).map_err(|_| Errno::Enomem)
             }
             Sysno::Munmap => {
-                let result = checked_page_align(args[1].max(1))
-                    .is_some_and(|len| proc.mem.unmap(args[0], len).is_ok());
-                proc.cpu
-                    .set_reg(Reg::R0, if result { 0 } else { err_ret(22) });
-                false
+                let len = syscall::page_len(args[1], Errno::Einval)?;
+                let unmapped = proc.mem.unmap(args[0], len);
+                unmapped.map(|()| Ret(0)).map_err(|_| Errno::Einval)
             }
             Sysno::Mprotect => {
-                let perms = perms_from_bits(args[2]);
-                let result = checked_page_align(args[1].max(1))
-                    .is_some_and(|len| proc.mem.protect(args[0], len, perms).is_ok());
-                proc.cpu
-                    .set_reg(Reg::R0, if result { 0 } else { err_ret(22) });
-                false
+                let len = syscall::page_len(args[1], Errno::Einval)?;
+                let changed = proc.mem.protect(args[0], len, perms_from_bits(args[2]));
+                changed.map(|()| Ret(0)).map_err(|_| Errno::Einval)
             }
-            Sysno::ClockGettime => {
-                proc.cpu.set_reg(Reg::R0, clock);
-                false
-            }
+            Sysno::ClockGettime => Ok(Ret(self.clock_ns)),
             Sysno::EmitEvent => {
-                let code = args[0];
-                proc.cpu.set_reg(Reg::R0, 0);
-                self.push_event(pid, code);
-                let kind = if code & VERIFIER_EVENT_BIT != 0 {
-                    // The injected verifier library reports a falsely
-                    // blocked address (paper §3.2.3): surface it in the
-                    // journal instead of leaving it buried in the raw
-                    // event stream.
-                    self.flight.metrics_mut().incr("verifier.reports", 1);
-                    EventKind::VerifierReport {
-                        addr: code & !VERIFIER_EVENT_BIT,
-                    }
-                } else {
-                    EventKind::GuestMarker { code }
-                };
-                self.flight.record(clock, Some(pid), kind);
+                self.inject_event(pid, args[0]);
                 if let Some(hook) = hook {
-                    hook.on_event(pid, code);
+                    hook.on_event(pid, args[0]);
                 }
-                false
+                Ok(Ret(0))
             }
             Sysno::Kill => {
-                // Pids are u32; a wider argument must not alias an
-                // existing pid (0x1_0000_0001 is not pid 1). ESRCH, the
-                // same answer a vacant pid gets.
-                let Ok(raw_pid) = u32::try_from(args[0]) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(3)); // ESRCH
-                    return false;
-                };
-                let (target, signo) = (Pid(raw_pid), args[1]);
-                let Some(signal) = Signal::from_number(signo) else {
-                    proc.cpu.set_reg(Reg::R0, err_ret(22));
-                    return false;
-                };
-                proc.cpu.set_reg(Reg::R0, 0);
-                match self.procs.get_mut(&target) {
-                    Some(target_proc) => {
-                        target_proc.pending_signals.push_back(signal);
-                        // A pending signal makes a blocked target ready.
-                        self.sched.note(WakeHint::Pid(target));
-                    }
-                    None => {
-                        self.procs
-                            .get_mut(&pid)
-                            .expect("caller exists")
-                            .cpu
-                            .set_reg(Reg::R0, err_ret(3)); // ESRCH
-                    }
-                }
-                false
+                let (target, signal) = (syscall::pid(args[0])?, syscall::signal(args[1])?);
+                self.post_signal(target, signal).map_err(|_| Errno::Esrch)?;
+                Ok(Ret(0))
             }
         }
     }

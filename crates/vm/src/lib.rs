@@ -14,7 +14,7 @@
 //!   (the injected fault handler updates the saved instruction pointer,
 //!   paper §3.2.2, Figure 5),
 //! * **syscalls** (exit/read/write/socket/accept/fork/sigaction/…,
-//!   [`Sysno`]),
+//!   [`Sysno`], [`Errno`]),
 //! * a simulated **TCP stack** whose connections survive a
 //!   checkpoint/restore cycle ([`Kernel::client_connect`]) — the
 //!   `TCP_REPAIR` behaviour CRIU relies on (paper §3.3),
@@ -65,7 +65,7 @@ pub use signal::{
     SIG_FRAME_REGS, SIG_FRAME_SIGNO,
 };
 pub use kernel::Event;
-pub use syscall::{err_ret, is_err, perms_from_bits, perms_to_bits, Sysno};
+pub use syscall::{err_ret, is_err, perms_from_bits, perms_to_bits, Errno, Sysno};
 pub use vma::Vma;
 
 pub use dynacut_obj::{Perms, PAGE_SIZE};

@@ -15,10 +15,19 @@
 //! checking the range (a 1 TiB request aborted the whole host process),
 //! and `mmap`/`munmap`/`mprotect` overflowed page alignment or
 //! `start + len`. Each must fail with an errno instead.
+//!
+//! The last pins cover the typed ABI's two fixed defects. `read` used to
+//! consume its source (file offset, connection bytes) before finding the
+//! destination unwritable, so an EFAULT lost data. And the fd and pid
+//! counters wrapped: a restored image may carry fd or pid `u32::MAX`,
+//! after which the next `socket()` replaced the console at fd 0 and the
+//! next fork or spawn inserted over a live pid (a panic in debug builds).
 
-use dynacut_isa::{encode, Insn, Reg};
-use dynacut_obj::{Perms, PAGE_SIZE};
-use dynacut_vm::{err_ret, Kernel, Pid, Process, Sysno};
+use dynacut_isa::{encode, Assembler, Insn, Reg};
+use dynacut_obj::{ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
+use dynacut_vm::{
+    err_ret, Errno, FdTable, FileDesc, Kernel, LoadSpec, Pid, Process, Sysno, VmError,
+};
 
 const TEXT: u64 = 0x1000;
 const STACK: u64 = 0x8000;
@@ -41,6 +50,11 @@ const SIGKILL_NUMBER: u64 = 4;
 /// Boots one process running `insns`, which must end by exiting with
 /// the interesting syscall's return value: `Mov(R1, R0); exit`.
 fn boot(insns: &[Insn]) -> (Kernel, Pid) {
+    boot_with(insns, |_| {})
+}
+
+/// [`boot`], with `setup` applied to the process before it is inserted.
+fn boot_with(insns: &[Insn], setup: impl FnOnce(&mut Process)) -> (Kernel, Pid) {
     let mut bytes = Vec::new();
     for insn in insns {
         bytes.extend(encode(insn));
@@ -53,6 +67,7 @@ fn boot(insns: &[Insn]) -> (Kernel, Pid) {
     proc.mem.map(STACK, PAGE_SIZE, Perms::RW, "[stack]").unwrap();
     proc.cpu.set_sp(STACK + PAGE_SIZE);
     proc.cpu.pc = TEXT;
+    setup(&mut proc);
     let mut kernel = Kernel::new();
     kernel.insert_process(proc).unwrap();
     (kernel, pid)
@@ -209,4 +224,163 @@ fn mmap_places_a_wrapping_hint_elsewhere() {
     assert_ne!(addr, TOP_PAGE);
     let mem = &kernel.process(pid).unwrap().mem;
     assert!(mem.vma_at(addr).is_some() && mem.vma_at(addr + PAGE_SIZE).is_some());
+}
+
+/// An address no test maps.
+const UNMAPPED: u64 = 0xdead_0000;
+const PORT: u16 = 7070;
+
+/// `read(R6, UNMAPPED, 5)` into R7, then `read(R6, STACK, 5)` into R8,
+/// then `exit(0)`.
+fn read_twice() -> Vec<Insn> {
+    let mut insns = Vec::new();
+    for (buf, result) in [(UNMAPPED, Reg::R7), (STACK, Reg::R8)] {
+        insns.extend([
+            Insn::Movi(Reg::R0, Sysno::Read as u64),
+            Insn::Mov(Reg::R1, Reg::R6),
+            Insn::Movi(Reg::R2, buf),
+            Insn::Movi(Reg::R3, 5),
+            Insn::Syscall,
+            Insn::Mov(result, Reg::R0),
+        ]);
+    }
+    insns.extend([
+        Insn::Movi(Reg::R0, Sysno::Exit as u64),
+        Insn::Movi(Reg::R1, 0),
+        Insn::Syscall,
+    ]);
+    insns
+}
+
+/// Issues `nr(R6, arg1)`.
+fn call_on_r6(nr: Sysno, arg1: u64) -> [Insn; 4] {
+    [
+        Insn::Movi(Reg::R0, nr as u64),
+        Insn::Mov(Reg::R1, Reg::R6),
+        Insn::Movi(Reg::R2, arg1),
+        Insn::Syscall,
+    ]
+}
+
+/// After `read_twice`, the EFAULT read returned EFAULT and the next read
+/// got the source's first five bytes.
+fn assert_efault_kept_the_bytes(kernel: &Kernel, pid: Pid, source: &str) {
+    let proc = kernel.process(pid).unwrap();
+    assert_eq!(proc.exit_code, Some(0), "{source}: exits normally");
+    assert_eq!(proc.cpu.reg(Reg::R7), Errno::Efault.ret(), "{source}");
+    assert_eq!(proc.cpu.reg(Reg::R8), 5, "{source}: the retry reads");
+    let mut got = [0u8; 5];
+    proc.mem.read_unchecked(STACK, &mut got);
+    assert_eq!(&got, b"hello", "{source}: EFAULT consumed nothing");
+}
+
+/// A `read` whose destination is unmapped fails with EFAULT and leaves
+/// the file offset where it was: the retry gets the file's first bytes.
+#[test]
+fn read_efault_keeps_the_file_offset() {
+    let path = b"/etc/motd";
+    let mut program = vec![
+        Insn::Movi(Reg::R0, Sysno::Open as u64),
+        Insn::Movi(Reg::R1, STACK),
+        Insn::Movi(Reg::R2, path.len() as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R6, Reg::R0),
+    ];
+    program.extend(read_twice());
+    let (mut kernel, pid) = boot_with(&program, |proc| proc.mem.write_unchecked(STACK, path));
+    kernel.add_file("/etc/motd", b"hello, world");
+    kernel.run_until_exit(pid, 1_000_000).expect("exits");
+    assert_efault_kept_the_bytes(&kernel, pid, "file");
+}
+
+/// The same for a connection: an EFAULT read leaves the client's bytes
+/// queued, where it used to drain them and the retry blocked forever.
+#[test]
+fn read_efault_keeps_the_connection_bytes() {
+    let mut program = vec![
+        Insn::Movi(Reg::R0, Sysno::Socket as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R6, Reg::R0),
+    ];
+    program.extend(call_on_r6(Sysno::Bind, u64::from(PORT)));
+    program.extend(call_on_r6(Sysno::Listen, 0));
+    program.extend(call_on_r6(Sysno::Accept, 0));
+    program.push(Insn::Mov(Reg::R6, Reg::R0));
+    program.extend(read_twice());
+    let (mut kernel, pid) = boot(&program);
+    kernel.run_for(100_000);
+    let conn = kernel.client_connect(PORT).expect("the guest listens");
+    kernel.client_send(conn, b"hello").unwrap();
+    kernel
+        .run_until_exit(pid, 1_000_000)
+        .expect("the retry finds the bytes instead of blocking");
+    assert_efault_kept_the_bytes(&kernel, pid, "connection");
+}
+
+/// The descriptor counter stops at the top of the `u32` space instead
+/// of wrapping: a table holding fd `u32::MAX` allocates nothing more.
+#[test]
+fn fd_table_at_u32_max_allocates_nothing() {
+    let mut table = FdTable::new();
+    table.insert(u32::MAX, FileDesc::Socket);
+    assert_eq!(table.alloc(FileDesc::Socket), None);
+    assert_eq!(table.get(0), Some(&FileDesc::Console));
+    assert_eq!(table.iter().count(), 2, "nothing was stored");
+}
+
+/// With fd `u32::MAX - 1` in the table, the first `socket()` gets
+/// `u32::MAX` and the second EMFILE. The counter used to wrap, so the
+/// second socket replaced the console at fd 0.
+#[test]
+fn socket_past_the_last_fd_is_emfile_not_fd_zero() {
+    let mut program = vec![
+        Insn::Movi(Reg::R0, Sysno::Socket as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R6, Reg::R0),
+    ];
+    program.extend(call_then_exit(Sysno::Socket, 0, 0, 0));
+    let (mut kernel, pid) = boot_with(&program, |proc| {
+        proc.fds.insert(u32::MAX - 1, FileDesc::Socket);
+    });
+    let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+    assert_eq!(status.code, Errno::Emfile.ret());
+    let proc = kernel.process(pid).unwrap();
+    assert_eq!(proc.cpu.reg(Reg::R6), u64::from(u32::MAX));
+    assert_eq!(proc.fds.get(0), Some(&FileDesc::Console));
+}
+
+/// Inserts a frozen process at pid `u32::MAX`, as a restore of an image
+/// carrying that pid would: the pid counter is then used up.
+fn insert_last_pid(kernel: &mut Kernel) {
+    let last = Pid(u32::MAX);
+    kernel.insert_process(Process::new(last, "last")).unwrap();
+    kernel.freeze(last).unwrap();
+}
+
+/// `fork` with the pid space used up is EAGAIN; the counter used to wrap
+/// (a debug-build panic) and insert the child over pid 0's slot.
+#[test]
+fn fork_past_the_last_pid_is_eagain() {
+    let (mut kernel, pid) = boot(&call_then_exit(Sysno::Fork, 0, 0, 0));
+    insert_last_pid(&mut kernel);
+    let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+    assert_eq!(status.code, Errno::Eagain.ret());
+    assert_eq!(kernel.pids(), vec![pid, Pid(u32::MAX)], "no child");
+}
+
+/// `spawn` with the pid space used up fails with a typed error.
+#[test]
+fn spawn_past_the_last_pid_is_resource_exhausted() {
+    let mut asm = Assembler::new();
+    asm.func("_start");
+    asm.push(Insn::Syscall);
+    let mut builder = ModuleBuilder::new("late", ObjectKind::Executable);
+    builder.text(asm.finish().unwrap());
+    builder.entry("_start");
+    let exe = builder.link(&[]).unwrap();
+    let mut kernel = Kernel::new();
+    insert_last_pid(&mut kernel);
+    let err = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap_err();
+    assert_eq!(err, VmError::ResourceExhausted("pids"));
+    assert_eq!(kernel.pids(), vec![Pid(u32::MAX)]);
 }
