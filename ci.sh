@@ -83,7 +83,13 @@ grep -q '"fingerprints_match": true' results/interp.json
 # restore copied at 8 replicas, no run leaked a page ref, and
 # zero-copy cost stays flat from 2 to 8 replicas (the
 # dynacut-restore-v2 gate — all deterministic byte counts).
+# Checkpoint store entries are flat: a delta is applied when it is put,
+# every entry holds one page key per page and reads no other, so
+# releasing a parent leaves every later entry intact (zero_copy), and
+# the incremental suite pins delta materialization and that a chain of
+# deltas adds only its dirtied pages to the bytes physically held.
 cargo test -q -p dynacut-criu --test zero_copy
+cargo test -q -p dynacut-criu --test incremental
 cargo test -q -p dynacut --test restore_accounting
 cargo test -q -p dynacut-bench experiments::restore
 cargo run --release -q -p dynacut-bench --bin figures -- restore > /dev/null

@@ -37,8 +37,9 @@ pub struct CycleStats {
     pub frozen_page_bytes: usize,
     /// Page bytes the pre-dump moved while the guest still ran.
     pub prewritten_page_bytes: usize,
-    /// Page bytes this checkpoint occupies in the store (full image for
-    /// the full series and the chain root, dirty delta afterwards).
+    /// Page bytes this checkpoint adds over the previous one: the full
+    /// image for the full series and the first incremental cycle, the
+    /// pages changed since the previous baseline afterwards.
     pub stored_page_bytes: usize,
 }
 
@@ -52,7 +53,11 @@ pub struct Fig8IncrementalSeries {
 }
 
 impl Fig8IncrementalSeries {
-    /// Total store footprint of a series in page bytes.
+    /// Sum of a series' [`CycleStats::stored_page_bytes`]: for the
+    /// incremental series, the first image plus the pages each later
+    /// cycle changed. This is not what the store holds: every stored
+    /// entry keeps a full key list, and the page bytes physically held
+    /// are `CheckpointStore::unique_pages_bytes`.
     pub fn total_stored(series: &[CycleStats]) -> usize {
         series.iter().map(|s| s.stored_page_bytes).sum()
     }
@@ -201,8 +206,9 @@ mod tests {
             );
             assert!(incr.prewritten_page_bytes > 0, "cycle {}", full.cycle);
         }
-        // Every cycle after the chain root stores a dirty delta, strictly
-        // smaller than the full image stored by the default pipeline.
+        // Every incremental cycle after the first adds only its changed
+        // pages, strictly fewer than the full image of the default
+        // pipeline.
         for (full, incr) in series.full.iter().zip(&series.incremental).skip(1) {
             assert!(
                 incr.stored_page_bytes < full.stored_page_bytes,

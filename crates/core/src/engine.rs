@@ -35,7 +35,7 @@ use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
 use crate::session::{end_phase, start_phase, CustomizeReport, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
-    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CommittedRestore, DeltaImage,
+    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CommittedRestore, CriuError,
     DumpOptions, ModuleRegistry, PreDump, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
@@ -211,8 +211,9 @@ pub struct FleetTotals {
     pub prewritten_page_bytes: usize,
     /// Encoded checkpoint bytes (tmpfs footprint), fleet-wide.
     pub image_bytes: usize,
-    /// Logical page bytes written into the checkpoint store (what a
-    /// store without content addressing would hold for these cycles).
+    /// Sum of every group's [`CustomizeReport::stored_page_bytes`]:
+    /// the page bytes each group's new baseline holds that are absent
+    /// from, or different in, its previous one.
     pub stored_page_bytes: usize,
     /// Page bytes restore phases physically copied, fleet-wide (see
     /// [`CustomizeReport::restore_copied_bytes`]). This scales with
@@ -744,6 +745,12 @@ impl DynaCut {
                     image
                         .mm
                         .find_free(hint, dynacut_obj::page_align(library.footprint()))
+                        .ok_or_else(|| {
+                            CriuError::Inconsistent(format!(
+                                "no free range for library `{}` at or above {hint:#x}",
+                                library.name
+                            ))
+                        })?
                 };
                 let base = image.inject_library(&library, Some(base), &staged_registry)?;
                 staged_registry.insert(std::sync::Arc::new(library.clone()));
@@ -770,12 +777,13 @@ impl DynaCut {
 
     /// The restored memory now equals the edited checkpoint on every
     /// clean page, so sweep the bitmap and make that image the new
-    /// baseline — stored as a dirty-page delta when the chain has a
-    /// parent, writing the payload through the session's
-    /// content-addressed store either way. A failure here still rolls
-    /// the whole cycle back: the committed restore is undone first,
-    /// putting the original (frozen) processes back for the journal
-    /// rollback to thaw.
+    /// baseline, written through the session's content-addressed store
+    /// as a flat entry. The cycle reports as stored the pages that are
+    /// new or changed since the group's previous baseline; the rest are
+    /// shared with it. A failure here still rolls the whole
+    /// cycle back: the committed restore is undone first, putting the
+    /// original (frozen) processes back for the journal rollback to
+    /// thaw.
     fn stage_baseline_store(
         &mut self,
         kernel: &mut Kernel,
@@ -787,24 +795,23 @@ impl DynaCut {
             if fault::hit(FaultPhase::BaselineStore) {
                 return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
             }
-            match &cycle.journal.last_baseline {
-                Some((parent_id, parent)) => {
-                    let delta = DeltaImage::diff(*parent_id, parent, &checkpoint);
-                    let bytes = delta.pages_bytes();
-                    Ok((self.store.put_delta(delta)?, bytes))
-                }
-                None => {
-                    let bytes = checkpoint.pages_bytes();
-                    Ok((self.store.put_full(checkpoint.clone())?, bytes))
-                }
-            }
+            let full_bytes = checkpoint.pages_bytes();
+            let id = self.store.put_full(checkpoint)?;
+            let bytes = match cycle.journal.last_baseline {
+                Some(parent) => self
+                    .store
+                    .changed_pages_bytes(parent, id)
+                    .expect("a group's baseline stays stored until a cycle displaces it"),
+                None => full_bytes,
+            };
+            Ok((id, bytes))
         })();
         match stored {
             Ok((id, bytes)) => {
                 cycle.report.stored_page_bytes = Some(bytes);
                 cycle.report.checkpoint_id = Some(id);
                 self.baselines
-                    .insert(cycle.journal.baseline_key.clone(), (id, checkpoint));
+                    .insert(cycle.journal.baseline_key.clone(), id);
                 Ok(())
             }
             Err(err) => {
@@ -881,7 +888,7 @@ impl DynaCut {
     }
 }
 
-/// `(stored checkpoint id, logical page bytes it occupies)`.
+/// `(stored checkpoint id, page bytes new since the previous baseline)`.
 type CkptIdAndBytes = (dynacut_criu::CkptId, usize);
 
 /// What one promoted replica group cost.
@@ -956,8 +963,8 @@ impl DynaCut {
     /// journal and committed-restore receipt stay live while the canary
     /// serves for [`RolloutPlan::soak_slices`] slices.
     ///
-    /// * **Clean soak** — the canary's stored image is resolved once
-    ///   and promoted onto every remaining group via
+    /// * **Clean soak** — the canary's stored image is promoted onto
+    ///   every remaining group via
     ///   [`CheckpointStore::promote_shared`](dynacut_criu::CheckpointStore::promote_shared):
     ///   one tiny freeze window per replica (serialized, with serve
     ///   slices pumped between), no per-replica re-dump or re-rewrite,
@@ -1104,21 +1111,11 @@ impl DynaCut {
         // remaining group, serialized like the fleet engine's windows,
         // with serve slices pumped between. The canary cycle is still
         // open: a failure at replica k unwinds replicas 0..k and then
-        // demotes the canary, so the fleet is all-or-nothing. The
-        // canary image is resolved once, before the first freeze: the
-        // delta chain walk stays out of every window, and a resolve
-        // failure demotes the canary like a failure at the first group.
+        // demotes the canary, so the fleet is all-or-nothing.
         let ckpt_id = cycle
             .report
             .checkpoint_id
             .expect("incremental canary cycle stored its baseline");
-        let resolved = match self.store.resolve(ckpt_id) {
-            Ok(resolved) => resolved,
-            Err(err) => {
-                self.demote_canary(kernel, cycle, reports.len());
-                return Err(err.into());
-            }
-        };
         let mut promoted: Vec<(Vec<Pid>, CommittedRestore, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
         let mut wave_err: Option<DynacutError> = None;
@@ -1151,7 +1148,7 @@ impl DynaCut {
                     .expect("canary cycle staged its registry");
                 match self
                     .store
-                    .promote_shared(kernel, &resolved, registry, group)
+                    .promote_shared(kernel, ckpt_id, registry, group)
                 {
                     Ok(receipt) => {
                         let copied = self.store.page_store().copied_bytes() - copied_before;

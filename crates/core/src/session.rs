@@ -5,9 +5,7 @@
 use crate::handler::VERIFIER_EVENT_BIT;
 use crate::plan::RewritePlan;
 use crate::DynacutError;
-use dynacut_criu::{
-    CheckpointImage, CheckpointStore, CkptId, DumpOptions, ModuleRegistry,
-};
+use dynacut_criu::{CheckpointStore, CkptId, DumpOptions, ModuleRegistry};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -64,9 +62,13 @@ pub struct CustomizeReport {
     /// Page bytes the pre-dump copied while the guest was still running
     /// (zero without incremental mode).
     pub prewritten_page_bytes: usize,
-    /// Page bytes the checkpoint occupies in the store: the delta payload
-    /// when a parent baseline existed, the full payload otherwise. `None`
-    /// without incremental mode (nothing is stored).
+    /// Page bytes of the stored checkpoint that are absent from, or
+    /// different in, the group's previous baseline — what a dirty-page
+    /// delta against it would carry — or the full payload for a group's
+    /// first baseline. The store entry itself is flat and lists every
+    /// page; the unchanged ones are shared with the previous baseline
+    /// and copy nothing. `None` without incremental mode (nothing is
+    /// stored).
     pub stored_page_bytes: Option<usize>,
     /// Page bytes the restore phase **physically copied**: only
     /// first-sight page interns — pages the content-addressed store had
@@ -153,7 +155,7 @@ pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
     pub(crate) saved_dirty: Vec<(Pid, Vec<u64>)>,
     pub(crate) baseline_key: Vec<Pid>,
-    pub(crate) last_baseline: Option<(CkptId, CheckpointImage)>,
+    pub(crate) last_baseline: Option<CkptId>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
@@ -163,18 +165,17 @@ pub struct DynaCut {
     pub(crate) registry: ModuleRegistry,
     pub(crate) dump_options: DumpOptions,
     /// Incremental checkpointing: pre-dump clean pages while the guest
-    /// runs and store dirty-page deltas against the previous baseline.
+    /// runs and store each cycle's checkpoint as the next baseline.
     pub(crate) incremental: bool,
-    /// Delta-chain checkpoint store (incremental mode only), backed by a
+    /// Checkpoint store (incremental mode only), backed by a
     /// content-addressed page store shared across every group this
     /// session customizes.
     pub(crate) store: CheckpointStore,
-    /// Per process group, the checkpoint its dirty bitmaps are clean
-    /// against: the edited image restored by the group's previous
-    /// customization. A fleet's groups chain independently; an entry is
-    /// removed when a cycle displaces it and re-inserted if that cycle
-    /// fails.
-    pub(crate) baselines: BTreeMap<Vec<Pid>, (CkptId, CheckpointImage)>,
+    /// Per process group, the stored checkpoint its dirty bitmaps are
+    /// clean against: the edited image restored by the group's previous
+    /// customization. A map entry is removed when a cycle displaces it
+    /// and re-inserted if that cycle fails.
+    pub(crate) baselines: BTreeMap<Vec<Pid>, CkptId>,
     pub(crate) injections: u64,
     /// Per-pid accumulated redirect table (blocked addr → resume addr):
     /// every injected handler carries the union of all still-blocked
@@ -210,8 +211,9 @@ impl DynaCut {
     /// Enables incremental checkpointing for disable/enable cycles: each
     /// customization pre-dumps clean pages while the guest still runs
     /// (shrinking the freeze window to the dirty residue) and stores the
-    /// checkpoint as a dirty-page delta against the previous one. Full
-    /// dumps remain the default.
+    /// checkpoint in the content-addressed [`CheckpointStore`], where
+    /// pages unchanged since the previous one are shared, not copied.
+    /// Full dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
         self

@@ -9,6 +9,7 @@ use dynacut_analysis::{init_only_blocks, CovGraph};
 use dynacut_apps::{libc::guest_libc, lighttpd, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
 use dynacut_isa::{BasicBlock, TRAP_OPCODE};
+use dynacut_obj::{Perms, PAGE_SIZE};
 use dynacut_trace::Tracer;
 use dynacut_vm::{Kernel, LoadSpec, Pid, Signal};
 use std::sync::Arc;
@@ -580,4 +581,46 @@ fn customize_reaches_every_worker() {
     for &pid in &pids {
         assert!(kernel.exit_status(pid).is_none());
     }
+}
+
+/// A guest that maps every gap from the injection window to the top of
+/// the address space leaves no room for the handler library. The cycle
+/// fails with an error and rolls back; the free-range search used to
+/// overflow instead (a host panic in debug builds, a misleading
+/// unmapped-address error in release builds).
+#[test]
+fn full_address_space_fails_handler_injection_and_rolls_back() {
+    let mut server = boot_redis();
+    // The base of the highest page: no mapping can end above it.
+    let top = !(PAGE_SIZE - 1);
+    for &pid in &server.pids {
+        let mem = &mut server.kernel.process_mut(pid).unwrap().mem;
+        let taken: Vec<(u64, u64)> = mem.vmas().iter().map(|v| (v.start, v.end)).collect();
+        let mut cursor = 0x6000_0000_0000u64;
+        for (start, end) in taken.into_iter().chain([(top, top)]) {
+            if start > cursor {
+                mem.map(cursor, start - cursor, Perms::RW, "filler")
+                    .unwrap();
+            }
+            cursor = cursor.max(end);
+        }
+    }
+    let before = server.kernel.state_fingerprint();
+
+    let setrange = Feature::from_function("SETRANGE", &server.exe, "rd_cmd_setrange")
+        .unwrap()
+        .redirect_to_function(&server.exe, redis::ERROR_HANDLER)
+        .unwrap();
+    let plan = RewritePlan::new()
+        .disable(setrange)
+        .with_fault_policy(FaultPolicy::Redirect)
+        .with_downtime(Downtime::None);
+    let mut dynacut = DynaCut::new(server.registry.clone());
+    let result = dynacut.customize(&mut server.kernel, &server.pids, &plan);
+    assert!(result.is_err(), "no room for the handler: {result:?}");
+    assert_eq!(
+        server.kernel.state_fingerprint(),
+        before,
+        "the failed cycle rolled back"
+    );
 }

@@ -4,7 +4,7 @@
 
 use crate::images::{ProcessImage, VmaImage};
 use crate::CriuError;
-use dynacut_obj::{materialize, page_align, Image, Perms, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, materialize, page_align, Image, Perms, PAGE_SIZE};
 use dynacut_vm::{SigAction, Signal};
 use std::collections::BTreeMap;
 
@@ -81,7 +81,8 @@ impl ProcessImage {
     ///
     /// # Errors
     ///
-    /// Fails if the requested range overlaps an existing VMA.
+    /// Fails if the requested range overlaps an existing VMA or runs
+    /// past the top of the address space.
     pub fn add_vma(
         &mut self,
         start: u64,
@@ -89,8 +90,13 @@ impl ProcessImage {
         perms: Perms,
         name: &str,
     ) -> Result<u64, CriuError> {
-        let len = page_align(len.max(1));
-        let end = start + len;
+        let end = checked_page_align(len.max(1))
+            .and_then(|len| start.checked_add(len))
+            .ok_or_else(|| {
+                CriuError::Inconsistent(format!(
+                    "vma of {len:#x} bytes at {start:#x} runs past the top of the address space"
+                ))
+            })?;
         if self.mm.vmas.iter().any(|v| v.start < end && start < v.end) {
             return Err(CriuError::VmaOverlap(start));
         }
@@ -212,7 +218,12 @@ impl ProcessImage {
         let footprint = page_align(library.footprint());
         let base = match base {
             Some(base) => base,
-            None => self.mm.find_free(0x6000_0000_0000, footprint),
+            None => self
+                .mm
+                .find_free(0x6000_0000_0000, footprint)
+                .ok_or_else(|| {
+                    CriuError::Inconsistent(format!("no free range for library `{}`", library.name))
+                })?,
         };
         let segments = materialize(library, base, |symbol| globals.get(symbol).copied())
             .map_err(|err| match err {
@@ -277,24 +288,6 @@ impl ProcessImage {
             self.core.sigactions[trap] = SigAction::default();
         }
         Ok((pages_before - self.pagemap.pages.len()) as u64)
-    }
-
-    /// The mapped module reference whose text contains `addr`, if any.
-    pub fn module_containing(
-        &self,
-        addr: u64,
-        registry: &crate::ModuleRegistry,
-    ) -> Option<(crate::images::ModuleRef, std::sync::Arc<Image>)> {
-        for module_ref in &self.core.modules {
-            let Some(binary) = registry.get(&module_ref.name) else {
-                continue;
-            };
-            let text_end = module_ref.base + binary.text.len() as u64;
-            if addr >= module_ref.base && addr < text_end {
-                return Some((module_ref.clone(), std::sync::Arc::clone(binary)));
-            }
-        }
-        None
     }
 
     fn check_mapped(&self, addr: u64, len: usize) -> Result<(), CriuError> {

@@ -1,6 +1,6 @@
 //! The checkpoint image types — one struct per CRIU image file.
 
-use dynacut_obj::{Perms, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, Perms};
 use dynacut_vm::{ConnId, Pid, SigAction, Signal};
 
 /// A module mapped in the checkpointed process: name + base address.
@@ -78,17 +78,19 @@ impl MmImage {
     }
 
     /// Finds `len` bytes of unmapped, page-aligned space at or above
-    /// `hint`.
-    pub fn find_free(&self, hint: u64, len: u64) -> u64 {
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let mut candidate = hint.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+    /// `hint`, or `None` if no such range fits below the top of the
+    /// address space.
+    pub fn find_free(&self, hint: u64, len: u64) -> Option<u64> {
+        let len = checked_page_align(len)?;
+        let mut candidate = checked_page_align(hint)?;
         loop {
+            let end = candidate.checked_add(len)?;
             match self
                 .vmas
                 .iter()
-                .find(|v| v.start < candidate + len && candidate < v.end)
+                .find(|v| v.start < end && candidate < v.end)
             {
-                None => return candidate,
+                None => return Some(candidate),
                 Some(vma) => candidate = vma.end,
             }
         }
@@ -103,8 +105,9 @@ pub struct PagemapImage {
     pub pages: Vec<u64>,
 }
 
-/// `pages.img`: raw page contents, one [`PAGE_SIZE`] record per
-/// [`PagemapImage`] entry, in the same order.
+/// `pages.img`: raw page contents, one
+/// [`PAGE_SIZE`](dynacut_obj::PAGE_SIZE) record per [`PagemapImage`]
+/// entry, in the same order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PagesImage {
     /// Concatenated page bytes.
@@ -207,16 +210,12 @@ impl CheckpointImage {
     pub fn proc_image(&self, pid: Pid) -> Option<&ProcessImage> {
         self.procs.iter().find(|p| p.core.pid == pid)
     }
-
-    /// Mutable access to the image for `pid`.
-    pub fn proc_image_mut(&mut self, pid: Pid) -> Option<&mut ProcessImage> {
-        self.procs.iter_mut().find(|p| p.core.pid == pid)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynacut_obj::PAGE_SIZE;
 
     #[test]
     fn mm_find_free_skips_vmas() {
@@ -236,8 +235,8 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(mm.find_free(0x1000, PAGE_SIZE), 0x3000);
-        assert_eq!(mm.find_free(0x1000, 2 * PAGE_SIZE), 0x5000);
+        assert_eq!(mm.find_free(0x1000, PAGE_SIZE), Some(0x3000));
+        assert_eq!(mm.find_free(0x1000, 2 * PAGE_SIZE), Some(0x5000));
         assert_eq!(mm.vma_at(0x2000).unwrap().name, "a");
         assert!(mm.vma_at(0x3000).is_none());
     }

@@ -19,6 +19,13 @@
 //!   TCP-repair state. [`PreDump::complete`] reports how many page bytes
 //!   actually had to be copied inside the freeze window.
 //!
+//! The [`CheckpointStore`] keeps no chains. A delta is applied to its
+//! parent when it is put, and every entry is stored flat: the skeleton
+//! plus one content-addressed page key per pagemap entry. Pages a delta
+//! left clean hash-hit the parent's, so they cost a key and a refcount,
+//! not a byte copy; reading, restoring or promoting an entry touches
+//! only that entry, and releasing one leaves every other intact.
+//!
 //! Baseline contract: the dirty bitmap means "written since the last
 //! [`AddressSpace::mark_clean`] sweep". [`pre_dump`] sweeps as part of
 //! its atomic pre-copy; plain dumps do **not** sweep (a failed dump must
@@ -32,7 +39,7 @@
 
 use crate::dump::{dump, dump_many, DumpOptions};
 use crate::images::*;
-use crate::page_store::{PageKey, PageStore, SharedPages};
+use crate::page_store::{PageStore, SharedPages};
 use crate::restore::{build_process, RestoreTransaction, StagedProcess};
 use crate::CriuError;
 use dynacut_obj::PAGE_SIZE;
@@ -94,52 +101,6 @@ impl DeltaImage {
     /// [`CheckpointImage::pages_bytes`].
     pub fn pages_bytes(&self) -> usize {
         self.procs.iter().map(|p| p.pages.bytes.len()).sum()
-    }
-
-    /// Builds a delta by comparing two materialized checkpoints byte for
-    /// byte: a page is dirty if it is absent from `parent` or its
-    /// contents differ. Useful when the kernel-side dirty bitmap is not
-    /// available for the interval (e.g. diffing two stored images);
-    /// [`dump_incremental`] is the live-process path.
-    pub fn diff(parent_id: CkptId, parent: &CheckpointImage, current: &CheckpointImage) -> Self {
-        let page = PAGE_SIZE as usize;
-        let procs = current
-            .procs
-            .iter()
-            .map(|image| {
-                let parent_proc = parent.proc_image(image.core.pid);
-                let mut dirty = PagemapImage::default();
-                let mut pages = PagesImage::default();
-                for (index, &base) in image.pagemap.pages.iter().enumerate() {
-                    let bytes = &image.pages.bytes[index * page..(index + 1) * page];
-                    let same_in_parent = parent_proc.is_some_and(|p| {
-                        p.pagemap
-                            .pages
-                            .binary_search(&base)
-                            .is_ok_and(|i| &p.pages.bytes[i * page..(i + 1) * page] == bytes)
-                    });
-                    if !same_in_parent {
-                        dirty.pages.push(base);
-                        pages.bytes.extend_from_slice(bytes);
-                    }
-                }
-                DeltaProcessImage {
-                    core: image.core.clone(),
-                    mm: image.mm.clone(),
-                    pagemap: image.pagemap.clone(),
-                    dirty,
-                    pages,
-                    files: image.files.clone(),
-                    tcp: image.tcp.clone(),
-                    exec_pages_dumped: image.exec_pages_dumped,
-                }
-            })
-            .collect();
-        DeltaImage {
-            parent: parent_id,
-            procs,
-            time_ns: current.time_ns,
-        }
     }
 }
 
@@ -412,57 +373,40 @@ impl PreDump {
 
 /// One entry of a [`CheckpointStore`]: the checkpoint's *skeleton*
 /// (registers, VMAs, pagemaps, descriptors, TCP state — everything but
-/// the page bytes) plus one [`SharedPages`] reference set per process.
-/// The page payload itself lives, deduplicated, in the store's
-/// [`PageStore`].
+/// the page bytes) plus one [`SharedPages`] reference set per process,
+/// one key per pagemap entry. The page payload itself lives,
+/// deduplicated, in the store's [`PageStore`]. Every entry is
+/// self-contained: none refers to another.
 #[derive(Debug, Clone)]
-pub enum StoredCheckpoint {
-    /// A self-contained checkpoint.
-    Full {
-        /// The checkpoint with every process's `pages.bytes` emptied.
-        skeleton: CheckpointImage,
-        /// Interned page payload, one entry per process, in `procs` order.
-        pages: Vec<SharedPages>,
-    },
-    /// A delta referencing an earlier entry.
-    Delta {
-        /// The delta with every process's `pages.bytes` emptied.
-        skeleton: DeltaImage,
-        /// Interned dirty-page payload, one entry per process.
-        pages: Vec<SharedPages>,
-    },
+struct StoredCheckpoint {
+    /// The checkpoint with every process's page payload dropped.
+    skeleton: CheckpointImage,
+    /// Interned page payload, one entry per process, in `procs` order.
+    pages: Vec<SharedPages>,
 }
 
 impl StoredCheckpoint {
     /// Logical page payload of this entry — what a store without content
-    /// addressing would hold for it (full payload for a full checkpoint,
-    /// the dirty payload for a delta).
-    pub fn pages_bytes(&self) -> usize {
-        match self {
-            StoredCheckpoint::Full { pages, .. } | StoredCheckpoint::Delta { pages, .. } => {
-                pages.iter().map(SharedPages::pages_bytes).sum()
-            }
-        }
-    }
-
-    fn shared_pages(&self) -> &[SharedPages] {
-        match self {
-            StoredCheckpoint::Full { pages, .. } | StoredCheckpoint::Delta { pages, .. } => pages,
-        }
+    /// addressing would hold for it.
+    fn pages_bytes(&self) -> usize {
+        self.pages.iter().map(SharedPages::pages_bytes).sum()
     }
 }
 
-/// The tmpfs-like checkpoint store, extended to hold delta chains and
-/// backed by a content-addressed [`PageStore`]: every dump written into
-/// the store interns its page payload (N processes running the same
-/// binary share one copy of every identical page; repeated cycles dedup
-/// against prior checkpoints), and every materialization reads back
-/// through it bit-identically.
+/// The tmpfs-like checkpoint store, backed by a content-addressed
+/// [`PageStore`]: every checkpoint written into the store interns its
+/// page payload (N processes running the same binary share one copy of
+/// every identical page; repeated cycles dedup against prior
+/// checkpoints), and every materialization reads back through it
+/// bit-identically.
 ///
-/// Entries get sequential [`CkptId`]s; a delta's parent must already be
-/// stored (and not released), so chains always resolve backwards.
-/// [`release`] drops an entry and its page references; released ids —
-/// and chains through them — fail with [`CriuError::MissingParent`].
+/// Entries get sequential [`CkptId`]s and are **flat**: each holds one
+/// page key per pagemap entry, so reading one never touches another. A
+/// delta is applied to its parent when it is put
+/// ([`CheckpointStore::put_delta`]); the clean pages it shares with the
+/// parent cost a key and a refcount, not a byte copy. [`release`] drops
+/// an entry and its page references and leaves every other entry
+/// intact; released ids fail with [`CriuError::MissingParent`].
 ///
 /// [`release`]: CheckpointStore::release
 #[derive(Debug, Clone, Default)]
@@ -495,81 +439,61 @@ impl CheckpointStore {
         for proc in &mut image.procs {
             match SharedPages::intern(&mut self.pages, &proc.pages) {
                 Ok(shared) => {
-                    proc.pages.bytes.clear();
+                    // Drop the allocation, not just the length: the
+                    // skeleton must not pin a payload-sized buffer.
+                    proc.pages = PagesImage::default();
                     pages.push(shared);
                 }
                 Err(err) => {
-                    Self::unwind_interned(&mut self.pages, &pages);
+                    for shared in pages.iter().rev() {
+                        // These refs were just taken, so the release
+                        // cannot miss; the collision is the error.
+                        let _ = shared.release(&mut self.pages);
+                    }
                     return Err(err);
                 }
             }
         }
-        self.entries.push(Some(StoredCheckpoint::Full {
+        self.entries.push(Some(StoredCheckpoint {
             skeleton: image,
             pages,
         }));
         Ok(CkptId(self.entries.len() as u64 - 1))
     }
 
-    /// Releases references taken for a partially-interned checkpoint
-    /// whose later process hit a collision. The refs were just taken, so
-    /// misses are impossible; the collision stays the reported error.
-    fn unwind_interned(pages: &mut PageStore, taken: &[SharedPages]) {
-        for shared in taken.iter().rev() {
-            let _ = shared.release(pages);
-        }
-    }
-
-    /// Stores a delta, interning its dirty-page payload and validating
-    /// that its parent exists and has not been released.
+    /// Stores a delta as a full entry: the delta is applied to its
+    /// materialized parent ([`apply_delta`]) and the result interned
+    /// like [`put_full`](CheckpointStore::put_full). Clean pages hash-hit
+    /// the parent's, so they take a reference but copy no byte. The new
+    /// entry does not depend on the parent: releasing the parent later
+    /// leaves it intact.
     ///
     /// # Errors
     ///
     /// Fails with [`CriuError::MissingParent`] if the parent id is not
     /// live in the store, [`CriuError::BadImage`] if a process's payload
-    /// is not exactly one page per dirty-list entry, or
-    /// [`CriuError::PageCollision`] if a dirty page's key is already held
-    /// by different bytes. Nothing is stored and no page ref is kept.
-    pub fn put_delta(&mut self, mut delta: DeltaImage) -> Result<CkptId, CriuError> {
-        if self.get(delta.parent).is_none() {
-            return Err(CriuError::MissingParent(delta.parent));
-        }
-        for proc in &delta.procs {
-            check_payload(&proc.pages, &proc.dirty)?;
-        }
-        let mut pages = Vec::with_capacity(delta.procs.len());
-        for proc in &mut delta.procs {
-            match SharedPages::intern(&mut self.pages, &proc.pages) {
-                Ok(shared) => {
-                    proc.pages.bytes.clear();
-                    pages.push(shared);
-                }
-                Err(err) => {
-                    Self::unwind_interned(&mut self.pages, &pages);
-                    return Err(err);
-                }
-            }
-        }
-        self.entries.push(Some(StoredCheckpoint::Delta {
-            skeleton: delta,
-            pages,
-        }));
-        Ok(CkptId(self.entries.len() as u64 - 1))
+    /// is not exactly one page per dirty-list entry,
+    /// [`CriuError::Inconsistent`] if a clean page is missing from the
+    /// parent, or [`CriuError::PageCollision`] if a page's key is already
+    /// held by different bytes. Nothing is stored and no page ref is kept.
+    pub fn put_delta(&mut self, delta: DeltaImage) -> Result<CkptId, CriuError> {
+        let parent = self.materialize(delta.parent)?;
+        self.put_full(apply_delta(&parent, &delta)?)
     }
 
-    /// Looks up a live entry. The entry is a skeleton — page payloads
-    /// live in the [`PageStore`]; use [`materialize`] to rehydrate.
-    ///
-    /// [`materialize`]: CheckpointStore::materialize
-    pub fn get(&self, id: CkptId) -> Option<&StoredCheckpoint> {
-        self.entries.get(id.0 as usize).and_then(Option::as_ref)
+    /// Looks up a live entry.
+    fn get(&self, id: CkptId) -> Result<&StoredCheckpoint, CriuError> {
+        self.entries
+            .get(id.0 as usize)
+            .and_then(Option::as_ref)
+            .ok_or(CriuError::MissingParent(id))
     }
 
     /// Releases a checkpoint: drops its entry and one page-store
     /// reference per page it interned; bytes no other checkpoint shares
-    /// are freed. Ids are never reused, so later [`materialize`] or
-    /// [`CheckpointStore::put_delta`] calls naming this id (or chaining through it) fail
-    /// with [`CriuError::MissingParent`].
+    /// are freed. Every other entry stays intact. Ids are never reused,
+    /// so later [`materialize`] or [`CheckpointStore::put_delta`] calls
+    /// naming this id fail with [`CriuError::MissingParent`].
     ///
     /// [`materialize`]: CheckpointStore::materialize
     ///
@@ -580,13 +504,13 @@ impl CheckpointStore {
     /// references was already gone from the page store (every other
     /// reference is still released).
     pub fn release(&mut self, id: CkptId) -> Result<(), CriuError> {
-        let slot = self
+        let entry = self
             .entries
             .get_mut(id.0 as usize)
+            .and_then(Option::take)
             .ok_or(CriuError::MissingParent(id))?;
-        let entry = slot.take().ok_or(CriuError::MissingParent(id))?;
         let mut first_miss = None;
-        for shared in entry.shared_pages() {
+        for shared in &entry.pages {
             if let Err(err) = shared.release(&mut self.pages) {
                 first_miss.get_or_insert(err);
             }
@@ -607,10 +531,9 @@ impl CheckpointStore {
         self.len() == 0
     }
 
-    /// Total **logical** page payload across live entries — what a store
-    /// without delta chains *and* without content addressing would hold,
-    /// the sum a full-dump-only policy would inflate. The physically
-    /// held bytes are [`unique_pages_bytes`].
+    /// Total **logical** page payload across live entries — each entry's
+    /// full page list, what a store without content addressing would
+    /// hold. The physically held bytes are [`unique_pages_bytes`].
     ///
     /// [`unique_pages_bytes`]: CheckpointStore::unique_pages_bytes
     pub fn stored_pages_bytes(&self) -> usize {
@@ -619,6 +542,42 @@ impl CheckpointStore {
             .flatten()
             .map(StoredCheckpoint::pages_bytes)
             .sum()
+    }
+
+    /// Page bytes of checkpoint `id` that are absent from, or differ in,
+    /// checkpoint `since` (processes matched by pid): the payload a
+    /// dirty-page delta from `since` to `id` would carry. Only keys are
+    /// compared — [`PageStore::intern`] refuses collisions, so two live
+    /// pages with one key hold the same bytes.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if either id is absent or
+    /// released.
+    pub fn changed_pages_bytes(&self, since: CkptId, id: CkptId) -> Result<usize, CriuError> {
+        let before = self.get(since)?;
+        let after = self.get(id)?;
+        let mut changed = 0;
+        for (proc, shared) in after.skeleton.procs.iter().zip(&after.pages) {
+            let old = before
+                .skeleton
+                .procs
+                .iter()
+                .zip(&before.pages)
+                .find(|(old, _)| old.core.pid == proc.core.pid);
+            for (base, key) in proc.pagemap.pages.iter().zip(shared.keys()) {
+                let same = old.is_some_and(|(old, old_shared)| {
+                    old.pagemap
+                        .pages
+                        .binary_search(base)
+                        .is_ok_and(|index| old_shared.keys()[index] == *key)
+                });
+                if !same {
+                    changed += PAGE_SIZE as usize;
+                }
+            }
+        }
+        Ok(changed)
     }
 
     /// The content-addressed page store backing this checkpoint store.
@@ -656,94 +615,28 @@ impl CheckpointStore {
         self.pages.dedup_ratio()
     }
 
-    /// Rehydrates one live entry's page payload from the page store.
-    fn rehydrate(&self, entry: &StoredCheckpoint) -> Result<RehydratedCheckpoint, CriuError> {
-        match entry {
-            StoredCheckpoint::Full { skeleton, pages } => {
-                let mut image = skeleton.clone();
-                for (proc, shared) in image.procs.iter_mut().zip(pages) {
-                    proc.pages = shared.materialize(&self.pages)?;
-                }
-                Ok(RehydratedCheckpoint::Full(image))
-            }
-            StoredCheckpoint::Delta { skeleton, pages } => {
-                let mut delta = skeleton.clone();
-                for (proc, shared) in delta.procs.iter_mut().zip(pages) {
-                    proc.pages = shared.materialize(&self.pages)?;
-                }
-                Ok(RehydratedCheckpoint::Delta(delta))
-            }
-        }
-    }
-
-    /// Materializes the checkpoint `id` by walking its delta chain back
-    /// to the nearest full checkpoint, rehydrating every page payload
-    /// from the content-addressed store, and replaying the deltas in
-    /// order. Bit-identical to the images originally written in.
+    /// Materializes the checkpoint `id`: its skeleton with every page
+    /// payload read back from the content-addressed store. Bit-identical
+    /// to the image originally written in (for a delta, to the parent
+    /// with the delta applied).
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor is
-    /// absent or released, or propagates [`apply_delta`] failures.
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released.
     pub fn materialize(&self, id: CkptId) -> Result<CheckpointImage, CriuError> {
-        let mut chain: Vec<DeltaImage> = Vec::new();
-        let mut cursor = id;
-        let base = loop {
-            match self.get(cursor) {
-                None => return Err(CriuError::MissingParent(cursor)),
-                Some(entry) => match self.rehydrate(entry)? {
-                    RehydratedCheckpoint::Full(image) => break image,
-                    RehydratedCheckpoint::Delta(delta) => {
-                        cursor = delta.parent;
-                        chain.push(delta);
-                    }
-                },
-            }
-        };
-        materialize_chain(&base, chain.iter().rev())
-    }
-
-    /// Dumps frozen processes straight **through** the store: a full
-    /// [`dump_many`] whose page payload is interned on the way in.
-    /// Returns the new entry's id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`dump_many`] failures.
-    pub fn dump_full(
-        &mut self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        options: &DumpOptions,
-    ) -> Result<CkptId, CriuError> {
-        let image = dump_many(kernel, pids, options)?;
-        self.put_full(image)
-    }
-
-    /// Dumps frozen processes as a delta against a stored parent,
-    /// reading the parent back through the page store and interning the
-    /// dirty payload on the way in. Returns the new entry's id.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if the parent is absent
-    /// or released; propagates [`dump_incremental`] failures.
-    pub fn dump_delta(
-        &mut self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        options: &DumpOptions,
-        parent_id: CkptId,
-    ) -> Result<CkptId, CriuError> {
-        let parent = self.materialize(parent_id)?;
-        let delta = dump_incremental(kernel, pids, options, parent_id, &parent)?;
-        self.put_delta(delta)
+        let entry = self.get(id)?;
+        let mut image = entry.skeleton.clone();
+        for (proc, shared) in image.procs.iter_mut().zip(&entry.pages) {
+            proc.pages = shared.materialize(&self.pages)?;
+        }
+        Ok(image)
     }
 
     /// Restores the checkpoint `id` **zero-copy**: instead of
-    /// materializing the page payload, the delta chain is resolved at
-    /// the *key* level (newest delta wins per page) and every restored
-    /// page is backed by a [`SharedFrame`](dynacut_vm::SharedFrame)
+    /// materializing the page payload, the entry's page keys are read
+    /// and every restored page is backed by a
+    /// [`SharedFrame`](dynacut_vm::SharedFrame)
     /// handle straight out of the content-addressed store. No page byte
     /// is copied by the restore itself ([`PageStore::copied_bytes`] does
     /// not move); the first guest write to each page copy-on-writes it
@@ -756,33 +649,37 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor
-    /// is absent or released, [`CriuError::BadImage`] /
-    /// [`CriuError::Inconsistent`] on a malformed chain, or propagates
-    /// build/commit failures (kernel untouched or rolled back).
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released, or propagates build/commit failures (kernel untouched
+    /// or rolled back).
     pub fn restore(
         &self,
         kernel: &mut Kernel,
         id: CkptId,
         registry: &crate::ModuleRegistry,
     ) -> Result<Vec<Pid>, CriuError> {
-        let resolved = self.resolve(id)?;
-        let mut staged: Vec<StagedProcess> = Vec::with_capacity(resolved.procs.len());
-        for (image, keys) in &resolved.procs {
+        let entry = self.get(id)?;
+        let mut staged: Vec<StagedProcess> = Vec::with_capacity(entry.pages.len());
+        for (image, shared) in entry.skeleton.procs.iter().zip(&entry.pages) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreHandles) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::RestoreHandles,
                 ));
             }
-            staged.push(build_process(kernel, image, registry, keys, &self.pages)?);
+            staged.push(build_process(
+                kernel,
+                image,
+                registry,
+                shared.keys(),
+                &self.pages,
+            )?);
         }
         let committed = RestoreTransaction::from_staged(staged).commit(kernel)?;
         Ok(committed.pids().to_vec())
     }
 
-    /// Promotes a resolved checkpoint — a customized canary image, from
-    /// [`resolve`](CheckpointStore::resolve) — onto a *different*
-    /// replica group: each frozen `target` process is
+    /// Promotes the stored checkpoint `id` — a customized canary image —
+    /// onto a *different* replica group: each frozen `target` process is
     /// replaced by a clone of the corresponding canary process built
     /// entirely from shared page handles. This is the fleet-rollout fast
     /// path: no page is dumped from the target, no page byte is copied
@@ -802,32 +699,33 @@ impl CheckpointStore {
     /// the promotion if a later replica
     /// fails — the same PR 2 transaction machinery as a normal cycle.
     ///
-    /// One resolved image serves every group of a promotion wave, so the
-    /// delta chain is walked once per wave, not once per group. Its keys
-    /// stay valid while the checkpoint it was resolved from is live.
+    /// Like [`restore`](CheckpointStore::restore), it reads the one
+    /// entry `id` names, in place.
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::Inconsistent`] on a group-size mismatch or
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released, [`CriuError::Inconsistent`] on a group-size mismatch or
     /// a key the store no longer holds, [`CriuError::Vm`] if a target is
     /// missing or not frozen, or propagates build/commit failures; the
     /// kernel is untouched or rolled back on every error path.
     pub fn promote_shared(
         &self,
         kernel: &mut Kernel,
-        resolved: &ResolvedCheckpoint,
+        id: CkptId,
         registry: &crate::ModuleRegistry,
         targets: &[Pid],
     ) -> Result<crate::CommittedRestore, CriuError> {
-        if resolved.procs.len() != targets.len() {
+        let entry = self.get(id)?;
+        if entry.pages.len() != targets.len() {
             return Err(CriuError::Inconsistent(format!(
                 "canary image holds {} processes but the target group has {}",
-                resolved.procs.len(),
+                entry.pages.len(),
                 targets.len()
             )));
         }
         let mut staged: Vec<StagedProcess> = Vec::with_capacity(targets.len());
-        for ((image, keys), &pid) in resolved.procs.iter().zip(targets) {
+        for ((image, shared), &pid) in entry.skeleton.procs.iter().zip(&entry.pages).zip(targets) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::PromoteRestore,
@@ -838,7 +736,7 @@ impl CheckpointStore {
                 kernel,
                 &retargeted,
                 registry,
-                keys,
+                shared.keys(),
                 &self.pages,
             )?);
         }
@@ -899,145 +797,6 @@ impl CheckpointStore {
             exec_pages_dumped: canary.exec_pages_dumped,
         })
     }
-
-    /// Resolves checkpoint `id` to per-process skeletons plus one page
-    /// key per pagemap entry, walking the delta chain with newest-wins
-    /// semantics — the key-level analogue of [`materialize`], with no
-    /// page bytes touched. [`restore`] and [`promote_shared`] build
-    /// processes from the result.
-    ///
-    /// [`materialize`]: CheckpointStore::materialize
-    /// [`restore`]: CheckpointStore::restore
-    /// [`promote_shared`]: CheckpointStore::promote_shared
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if `id` or any ancestor
-    /// is absent or released, or [`CriuError::BadImage`] /
-    /// [`CriuError::Inconsistent`] on a malformed chain.
-    pub fn resolve(&self, id: CkptId) -> Result<ResolvedCheckpoint, CriuError> {
-        // Collect the chain newest-first, stopping at the full base.
-        let mut chain: Vec<&StoredCheckpoint> = Vec::new();
-        let mut cursor = id;
-        loop {
-            let entry = self.get(cursor).ok_or(CriuError::MissingParent(cursor))?;
-            chain.push(entry);
-            match entry {
-                StoredCheckpoint::Full { .. } => break,
-                StoredCheckpoint::Delta { skeleton, .. } => cursor = skeleton.parent,
-            }
-        }
-
-        // Replay oldest-first, carrying a per-pid map of page base → key.
-        let mut keymaps: BTreeMap<Pid, BTreeMap<u64, PageKey>> = BTreeMap::new();
-        let mut skeletons: Vec<(Pid, ProcessImage)> = Vec::new();
-        for entry in chain.iter().rev() {
-            match entry {
-                StoredCheckpoint::Full { skeleton, pages } => {
-                    keymaps.clear();
-                    skeletons.clear();
-                    for (proc, shared) in skeleton.procs.iter().zip(pages) {
-                        if shared.page_count() != proc.pagemap.pages.len() {
-                            return Err(CriuError::BadImage(format!(
-                                "stored checkpoint holds {} page refs but pagemap lists {} pages",
-                                shared.page_count(),
-                                proc.pagemap.pages.len()
-                            )));
-                        }
-                        let map = proc
-                            .pagemap
-                            .pages
-                            .iter()
-                            .copied()
-                            .zip(shared.keys().iter().copied())
-                            .collect();
-                        keymaps.insert(proc.core.pid, map);
-                        skeletons.push((proc.core.pid, proc.clone()));
-                    }
-                }
-                StoredCheckpoint::Delta { skeleton, pages } => {
-                    let mut next_maps: BTreeMap<Pid, BTreeMap<u64, PageKey>> = BTreeMap::new();
-                    let mut next_skeletons: Vec<(Pid, ProcessImage)> = Vec::new();
-                    for (d, shared) in skeleton.procs.iter().zip(pages) {
-                        if shared.page_count() != d.dirty.pages.len() {
-                            return Err(CriuError::BadImage(format!(
-                                "stored delta holds {} page refs but {} dirty pages are listed",
-                                shared.page_count(),
-                                d.dirty.pages.len()
-                            )));
-                        }
-                        let dirty: BTreeMap<u64, PageKey> = d
-                            .dirty
-                            .pages
-                            .iter()
-                            .copied()
-                            .zip(shared.keys().iter().copied())
-                            .collect();
-                        let parent_map = keymaps.get(&d.core.pid);
-                        let mut map = BTreeMap::new();
-                        for &base in &d.pagemap.pages {
-                            let key = match dirty.get(&base) {
-                                Some(&key) => key,
-                                None => *parent_map.and_then(|m| m.get(&base)).ok_or_else(|| {
-                                    CriuError::Inconsistent(format!(
-                                        "clean page {base:#x} is missing from the parent checkpoint"
-                                    ))
-                                })?,
-                            };
-                            map.insert(base, key);
-                        }
-                        next_maps.insert(d.core.pid, map);
-                        next_skeletons.push((
-                            d.core.pid,
-                            ProcessImage {
-                                core: d.core.clone(),
-                                mm: d.mm.clone(),
-                                pagemap: d.pagemap.clone(),
-                                pages: PagesImage::default(),
-                                files: d.files.clone(),
-                                tcp: d.tcp.clone(),
-                                exec_pages_dumped: d.exec_pages_dumped,
-                            },
-                        ));
-                    }
-                    // Processes absent from the delta exited before it.
-                    keymaps = next_maps;
-                    skeletons = next_skeletons;
-                }
-            }
-        }
-
-        let procs = skeletons
-            .into_iter()
-            .map(|(pid, image)| {
-                let map = keymaps
-                    .get(&pid)
-                    .ok_or_else(|| CriuError::Inconsistent(format!("no key map for pid {}", pid.0)))?;
-                let keys = image
-                    .pagemap
-                    .pages
-                    .iter()
-                    .map(|base| {
-                        map.get(base).copied().ok_or_else(|| {
-                            CriuError::Inconsistent(format!("no key for page {base:#x}"))
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok((image, keys))
-            })
-            .collect::<Result<_, CriuError>>()?;
-        Ok(ResolvedCheckpoint { procs })
-    }
-}
-
-/// A stored checkpoint resolved down to what a zero-copy restore needs:
-/// per-process skeletons (no page bytes) plus one page key per pagemap
-/// entry, the delta chain already applied. Built by
-/// [`CheckpointStore::resolve`]; consumed by
-/// [`CheckpointStore::promote_shared`].
-#[derive(Debug, Clone)]
-pub struct ResolvedCheckpoint {
-    procs: Vec<(ProcessImage, Vec<PageKey>)>,
 }
 
 /// Checks that a payload holds exactly one whole page per entry of the
@@ -1054,10 +813,4 @@ fn check_payload(pages: &PagesImage, listed: &PagemapImage) -> Result<(), CriuEr
         )));
     }
     Ok(())
-}
-
-/// A store entry with its page payload read back out of the page store.
-enum RehydratedCheckpoint {
-    Full(CheckpointImage),
-    Delta(DeltaImage),
 }

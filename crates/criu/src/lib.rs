@@ -30,7 +30,9 @@
 //!   [`CheckpointStore`]) — dirty-page deltas and the two-phase pre-dump
 //!   protocol that shrink the rewrite freeze window; a delta chain
 //!   materializes bit-identically to the full dump taken at the same
-//!   instant, and
+//!   instant. The store applies each delta when it is put and keeps
+//!   every entry flat (a skeleton plus one content-addressed page key
+//!   per page), so no read walks a chain, and
 //! * a textual decoder ([`ProcessImage::decode_text`]) mirroring
 //!   `crit decode`.
 
@@ -51,7 +53,6 @@ pub use images::{
 pub use incremental::{
     apply_delta, dump_incremental, mark_clean_after_dump, materialize_chain, pre_dump,
     CheckpointStore, CkptId, DeltaImage, DeltaProcessImage, PreDump, PreDumpStats,
-    ResolvedCheckpoint, StoredCheckpoint,
 };
 pub use page_store::{PageKey, PageStore, SharedPages};
 pub use restore::{
@@ -76,7 +77,9 @@ pub enum CriuError {
     UnresolvedSymbol(String),
     /// Image editing produced an inconsistent state.
     Inconsistent(String),
-    /// A delta references a checkpoint that is not in the store.
+    /// A checkpoint id is not live in the store: a delta's parent, or
+    /// an id passed to a read, restore or release, was never stored or
+    /// has been released.
     MissingParent(CkptId),
     /// Two pages with distinct contents hashed to the same
     /// [`PageKey`]. Interning the second would hand
@@ -107,7 +110,7 @@ impl std::fmt::Display for CriuError {
             CriuError::UnresolvedSymbol(name) => write!(f, "cannot resolve symbol `{name}`"),
             CriuError::Inconsistent(reason) => write!(f, "inconsistent image: {reason}"),
             CriuError::MissingParent(id) => {
-                write!(f, "delta parent {id} is not in the checkpoint store")
+                write!(f, "checkpoint {id} is not live in the checkpoint store")
             }
             CriuError::PageCollision(key) => {
                 write!(f, "page hash collision on {key}: distinct contents map to one key")

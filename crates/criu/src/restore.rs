@@ -42,15 +42,6 @@ impl ModuleRegistry {
     pub fn get(&self, name: &str) -> Option<&Arc<Image>> {
         self.modules.get(name)
     }
-
-    /// Builds a registry from a process's loaded modules.
-    pub fn from_modules<'a>(modules: impl IntoIterator<Item = &'a LoadedModule>) -> Self {
-        let mut registry = ModuleRegistry::new();
-        for module in modules {
-            registry.insert(Arc::clone(&module.image));
-        }
-        registry
-    }
 }
 
 /// A fully-built restored process that has not touched the kernel yet.

@@ -463,6 +463,57 @@ fn delta_chain_restore_round_trips_through_materialize() {
     assert_eq!(back, [0x33; 16], "newest delta won the recycled page");
 }
 
+/// Store entries are flat: a delta is applied when it is put, so
+/// releasing its parent leaves it whole. It still materializes to the
+/// full dump taken at its instant and restores zero-copy from its own
+/// page references.
+#[test]
+fn delta_outlives_its_released_parent() {
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(parent.clone()).unwrap();
+
+    let bss = bss_base(&setup.kernel, setup.pid);
+    let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
+    mem.write_unchecked(bss, &[0x55; 16]);
+    let delta = dump_incremental(
+        &mut setup.kernel,
+        &[setup.pid],
+        &DumpOptions::default(),
+        parent_id,
+        &parent,
+    )
+    .unwrap();
+    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let id = store.put_delta(delta).unwrap();
+    store.release(parent_id).unwrap();
+
+    assert_eq!(
+        store.materialize(id).unwrap(),
+        full,
+        "the delta materializes without its parent"
+    );
+    assert_eq!(
+        store.logical_pages_bytes(),
+        full.pages_bytes(),
+        "the delta's entry holds one ref per page, the parent's none"
+    );
+    let copied_before = store.page_store().copied_bytes();
+    setup.kernel.remove_process(setup.pid).unwrap();
+    store
+        .restore(&mut setup.kernel, id, &setup.registry)
+        .unwrap();
+    assert_eq!(
+        store.page_store().copied_bytes(),
+        copied_before,
+        "the restore copied zero page bytes"
+    );
+    assert_round_trip(&mut setup.kernel, &[setup.pid], &store, id);
+}
+
 /// `RestoreTransaction::prepare` against a store that already holds the
 /// checkpoint copies nothing and leaves the refcounts exactly as found
 /// — on the success path here; the fault-injection battery covers the

@@ -161,11 +161,6 @@ impl Kernel {
         self.hook = Some(hook);
     }
 
-    /// Removes and returns the installed hook.
-    pub fn take_hook(&mut self) -> Option<Box<dyn Hook>> {
-        self.hook.take()
-    }
-
     /// Enables or disables the decoded-block translation cache (enabled
     /// by default). Disabling also flushes every process's cache, so a
     /// later re-enable starts cold. Cached and uncached execution are
@@ -196,11 +191,6 @@ impl Kernel {
     /// or a checkpoint image.
     pub fn set_sched_class(&mut self, pid: Pid, class: SchedClass) {
         self.sched.set_class(pid, class);
-    }
-
-    /// The process's scheduling class.
-    pub fn sched_class(&self, pid: Pid) -> SchedClass {
-        self.sched.class_of(pid)
     }
 
     /// Enables journalling every MLFQ dispatch as an
