@@ -83,11 +83,15 @@ grep -q '"fingerprints_match": true' results/interp.json
 # restore copied at 8 replicas, no run leaked a page ref, and
 # zero-copy cost stays flat from 2 to 8 replicas (the
 # dynacut-restore-v2 gate — all deterministic byte counts).
-# Checkpoint store entries are flat: a delta is applied when it is put,
-# every entry holds one page key per page and reads no other, so
-# releasing a parent leaves every later entry intact (zero_copy), and
-# the incremental suite pins delta materialization and that a chain of
-# deltas adds only its dirtied pages to the bytes physically held.
+# Checkpoint store entries are flat: put_full is the only way pages
+# enter the store, every entry holds one page key per page and reads no
+# other, so releasing an earlier entry leaves every later one intact
+# (zero_copy); the incremental suite pins that a stored checkpoint
+# materializes to exactly the dump that was put, that each later
+# checkpoint adds only its dirtied pages to the bytes physically held,
+# and ids that are sequential, never reused and fail cleanly once
+# released; restore_accounting pins that each customize cycle interns
+# its checkpoint once.
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test incremental
 cargo test -q -p dynacut --test restore_accounting
@@ -146,6 +150,12 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/
 # bytes per op, modules per process, ...) repeat across episodes, so
 # this gates the dump and restore-prepare path end to end in seconds.
 bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload toggle --seed 7 --seconds 1 --trace 1 | tail -n 1)
+grep -q '"correct": true' <<< "$bench_result"
+grep -q '"failed": 0,' <<< "$bench_result"
+# The same on the rollout workload, the one that reaches the baseline
+# store and the zero-copy promotion; the run also counts a failed op
+# whenever a promotion is not clean or copies a page byte.
+bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload rollout --seed 7 --seconds 1 --trace 1 | tail -n 1)
 grep -q '"correct": true' <<< "$bench_result"
 grep -q '"failed": 0,' <<< "$bench_result"
 

@@ -48,7 +48,7 @@ pub struct CycleStats {
 pub struct Fig8IncrementalSeries {
     /// Full dump every cycle (the default pipeline).
     pub full: Vec<CycleStats>,
-    /// Pre-dump + delta store ([`DynaCut::with_incremental`]).
+    /// Pre-dump + flat checkpoint store ([`DynaCut::with_incremental`]).
     pub incremental: Vec<CycleStats>,
 }
 
@@ -132,7 +132,7 @@ pub fn run() -> Fig8IncrementalSeries {
 
 /// Prints the per-cycle comparison and the store-footprint totals.
 pub fn print() {
-    println!("== Figure 8 (incremental): freeze-window bytes, full vs pre-dump + deltas ==\n");
+    println!("== Figure 8 (incremental): freeze-window bytes, full vs pre-dump + flat store ==\n");
     let series = run();
     let mut table = Table::new(&[
         "cycle",
@@ -162,7 +162,7 @@ pub fn print() {
     let full_stored = Fig8IncrementalSeries::total_stored(&series.full);
     let incr_stored = Fig8IncrementalSeries::total_stored(&series.incremental);
     println!(
-        "\nstore footprint over {CYCLES} cycles: full images {} vs chain (1 full + {} deltas) {} ({:.1}x smaller)",
+        "\nstore footprint over {CYCLES} cycles: full images {} vs pages new to each baseline (1 full + {} changed sets) {} ({:.1}x smaller)",
         fmt_bytes(full_stored as u64),
         CYCLES - 1,
         fmt_bytes(incr_stored as u64),

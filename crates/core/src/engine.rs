@@ -61,12 +61,13 @@ pub enum Stage {
     ImageEdit,
     /// Build and inject the fault-handler/verifier library.
     Inject,
-    /// Build every replacement process (no kernel writes).
+    /// Store the edited checkpoint and build every replacement process
+    /// from its store entry (no kernel writes).
     RestorePrepare,
     /// Swap the replacements in, all-or-nothing.
     RestoreCommit,
-    /// Sweep dirty bits and store the new incremental baseline
-    /// (incremental only).
+    /// Sweep dirty bits and adopt the cycle's stored checkpoint as the
+    /// new incremental baseline (incremental only).
     BaselineStore,
 }
 
@@ -254,6 +255,7 @@ impl DynaCut {
                 saved_dirty: Vec::new(),
                 baseline_key: pids.to_vec(),
                 last_baseline: None,
+                stored: None,
             },
             begun: false,
             predump: None,
@@ -562,24 +564,19 @@ impl DynaCut {
             Stage::RestorePrepare => {
                 let checkpoint = cycle.checkpoint.as_ref().expect("dump stage ran");
                 let registry = cycle.staged_registry.as_ref().expect("inject stage ran");
-                // Intern the edited payload into the session's
-                // content-addressed store (copying only pages it has
-                // never seen — later replicas hash-hit the first one's
-                // baseline) and back every staged page with a shared
-                // frame. The interning refs are released inside
-                // `prepare`; the staged processes keep the frames
-                // alive, so the store's refcounts are unchanged on
-                // every path.
+                // Put the edited checkpoint into the session's
+                // content-addressed store once (copying only pages it
+                // has never seen — later replicas hash-hit the first
+                // one's baseline) and stage the restore from that
+                // entry, so every staged page shares its frame. The
+                // journal owns the entry until the baseline store
+                // adopts it; a rollback releases it.
                 let copied_before = self.store.page_store().copied_bytes();
-                let txn = RestoreTransaction::prepare(
-                    kernel,
-                    checkpoint,
-                    registry,
-                    self.store.page_store_mut(),
-                )?;
+                let id = self.store.put_full(checkpoint)?;
+                cycle.journal.stored = Some(id);
                 cycle.report.restore_copied_bytes =
                     (self.store.page_store().copied_bytes() - copied_before) as usize;
-                cycle.txn = Some(txn);
+                cycle.txn = Some(self.store.stage_restore(kernel, id, registry)?);
                 Ok(())
             }
             Stage::RestoreCommit => {
@@ -776,59 +773,62 @@ impl DynaCut {
     }
 
     /// The restored memory now equals the edited checkpoint on every
-    /// clean page, so sweep the bitmap and make that image the new
-    /// baseline, written through the session's content-addressed store
-    /// as a flat entry. The cycle reports as stored the pages that are
-    /// new or changed since the group's previous baseline; the rest are
-    /// shared with it. A failure here still rolls the whole
-    /// cycle back: the committed restore is undone first, putting the
-    /// original (frozen) processes back for the journal rollback to
-    /// thaw.
+    /// clean page, so sweep the bitmap and adopt the entry the restore
+    /// was staged from as the group's new baseline. The cycle reports as
+    /// stored the pages that are new or changed since the group's
+    /// previous baseline; the rest are shared with it. A failure here
+    /// still rolls the whole cycle back: the committed restore is undone
+    /// first, putting the original (frozen) processes back for the
+    /// journal rollback to thaw and to release the entry.
     fn stage_baseline_store(
         &mut self,
         kernel: &mut Kernel,
         cycle: &mut CycleState,
     ) -> Result<(), DynacutError> {
-        let checkpoint = cycle.checkpoint.take().expect("dump stage ran");
-        let stored: Result<CkptIdAndBytes, DynacutError> = (|| {
+        let id = cycle
+            .journal
+            .stored
+            .expect("restore-prepare stored the checkpoint");
+        // The edited payload is not needed past this point: the entry
+        // holds its pages.
+        let full_bytes = cycle
+            .checkpoint
+            .take()
+            .expect("dump stage ran")
+            .pages_bytes();
+        let adopted: Result<(), DynacutError> = (|| {
             mark_clean_after_dump(kernel, &cycle.pids)?;
             if fault::hit(FaultPhase::BaselineStore) {
                 return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
             }
-            let full_bytes = checkpoint.pages_bytes();
-            let id = self.store.put_full(checkpoint)?;
-            let bytes = match cycle.journal.last_baseline {
-                Some(parent) => self
-                    .store
-                    .changed_pages_bytes(parent, id)
-                    .expect("a group's baseline stays stored until a cycle displaces it"),
-                None => full_bytes,
-            };
-            Ok((id, bytes))
+            Ok(())
         })();
-        match stored {
-            Ok((id, bytes)) => {
-                cycle.report.stored_page_bytes = Some(bytes);
-                cycle.report.checkpoint_id = Some(id);
-                self.baselines
-                    .insert(cycle.journal.baseline_key.clone(), id);
-                Ok(())
-            }
-            Err(err) => {
-                kernel.record_flight(
-                    None,
-                    EventKind::RollbackStep {
-                        step: RollbackStep::UndoRestore,
-                    },
-                );
-                cycle
-                    .committed
-                    .take()
-                    .expect("restore committed before the baseline store")
-                    .undo(kernel);
-                Err(err)
-            }
+        if let Err(err) = adopted {
+            kernel.record_flight(
+                None,
+                EventKind::RollbackStep {
+                    step: RollbackStep::UndoRestore,
+                },
+            );
+            cycle
+                .committed
+                .take()
+                .expect("restore committed before the baseline store")
+                .undo(kernel);
+            return Err(err);
         }
+        let bytes = match cycle.journal.last_baseline {
+            Some(parent) => self
+                .store
+                .changed_pages_bytes(parent, id)
+                .expect("a group's baseline stays stored until a cycle displaces it"),
+            None => full_bytes,
+        };
+        cycle.report.stored_page_bytes = Some(bytes);
+        cycle.report.checkpoint_id = Some(id);
+        self.baselines
+            .insert(cycle.journal.baseline_key.clone(), id);
+        Ok(())
     }
 
     /// Every stage succeeded: fold the staged session state in and
@@ -843,13 +843,24 @@ impl DynaCut {
     ) -> CustomizeReport {
         let CycleState {
             pids,
+            incremental,
             report,
+            journal,
             staged_redirect_state,
             staged_verify_state,
             staged_registry,
             staged_injections,
             ..
         } = cycle;
+        // Only an incremental cycle keeps its entry, as the group's
+        // baseline; any other cycle's store stays empty.
+        if !incremental {
+            if let Some(id) = journal.stored {
+                self.store
+                    .release(id)
+                    .expect("the cycle's own entry releases cleanly");
+            }
+        }
         if let Some(state) = staged_redirect_state {
             self.redirect_state = state;
         }
@@ -887,9 +898,6 @@ impl DynaCut {
         report
     }
 }
-
-/// `(stored checkpoint id, page bytes new since the previous baseline)`.
-type CkptIdAndBytes = (dynacut_criu::CkptId, usize);
 
 /// What one promoted replica group cost.
 #[derive(Debug, Clone)]
@@ -973,10 +981,11 @@ impl DynaCut {
     ///   cycle commit.
     /// * **Any verifier report** (or injected fault) — the canary is
     ///   **demoted** through the PR 2 transaction machinery: the
-    ///   committed restore is undone, the just-stored baseline released,
-    ///   and the journal rollback thaws/unrepairs/re-marks exactly as a
-    ///   failed cycle would. A failure while promoting replica *k*
-    ///   first unwinds replicas `0..k`, so the fleet is all-or-nothing.
+    ///   committed restore is undone, and the journal rollback
+    ///   thaws/unrepairs/re-marks and releases the just-stored baseline
+    ///   exactly as for a failed cycle. A failure while promoting
+    ///   replica *k* first unwinds replicas `0..k`, so the fleet is
+    ///   all-or-nothing.
     ///
     /// # Errors
     ///
@@ -1264,11 +1273,12 @@ impl DynaCut {
 
     /// Rolls a held-open canary cycle all the way back: undo the
     /// committed restore (the pre-freeze original returns, its soak
-    /// divergence discarded with the replacement process), release the
-    /// baseline this cycle stored, then run the PR 2 journal rollback —
-    /// thaw, unrepair, re-mark dirty bits, restore the displaced
-    /// baseline. [`EventKind::CanaryDemoted`] is journalled before the
-    /// rollback so `CustomizeRollback` stays the terminal event.
+    /// divergence discarded with the replacement process), drop the
+    /// baseline this cycle adopted, then run the journal rollback —
+    /// thaw, unrepair, re-mark dirty bits, release the cycle's store
+    /// entry, restore the displaced baseline.
+    /// [`EventKind::CanaryDemoted`] is journalled before the rollback so
+    /// `CustomizeRollback` stays the terminal event.
     fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: usize) {
         kernel.record_flight(
             None,
@@ -1281,12 +1291,7 @@ impl DynaCut {
             .take()
             .expect("canary cycle committed its restore before the soak")
             .undo(kernel);
-        if let Some(id) = cycle.report.checkpoint_id {
-            self.baselines.remove(&cycle.journal.baseline_key);
-            self.store
-                .release(id)
-                .expect("the canary's baseline entry releases cleanly");
-        }
+        self.baselines.remove(&cycle.journal.baseline_key);
         kernel.record_flight(None, EventKind::CanaryDemoted { reports });
         kernel.flight_mut().metrics_mut().incr("rollout.demotions", 1);
         let CycleState { pids, journal, .. } = cycle;

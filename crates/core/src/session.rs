@@ -63,12 +63,12 @@ pub struct CustomizeReport {
     /// (zero without incremental mode).
     pub prewritten_page_bytes: usize,
     /// Page bytes of the stored checkpoint that are absent from, or
-    /// different in, the group's previous baseline — what a dirty-page
-    /// delta against it would carry — or the full payload for a group's
+    /// different in, the group's previous baseline — the pages it does
+    /// not share with that baseline — or the full payload for a group's
     /// first baseline. The store entry itself is flat and lists every
     /// page; the unchanged ones are shared with the previous baseline
-    /// and copy nothing. `None` without incremental mode (nothing is
-    /// stored).
+    /// and copy nothing. `None` without incremental mode (no baseline
+    /// is kept).
     pub stored_page_bytes: Option<usize>,
     /// Page bytes the restore phase **physically copied**: only
     /// first-sight page interns — pages the content-addressed store had
@@ -78,7 +78,8 @@ pub struct CustomizeReport {
     /// [`stored_page_bytes`](CustomizeReport::stored_page_bytes), the
     /// payload a byte-copying restore would move.
     pub restore_copied_bytes: usize,
-    /// Id of the stored checkpoint (incremental mode only).
+    /// Id of the stored checkpoint, kept as the group's baseline
+    /// (incremental mode only).
     pub checkpoint_id: Option<CkptId>,
     /// Fine-grained per-phase durations, in execution order — the same
     /// phases the flight recorder journals ([`Phase`]). Sums to the
@@ -149,13 +150,16 @@ pub(crate) fn end_phase(
 
 /// Pre-customization state one customize attempt must restore on
 /// failure (DESIGN §5): which pids it froze, the dirty-page bits the
-/// pre-dump swept, and the incremental baseline it displaced (keyed by
-/// the process group that owned it).
+/// pre-dump swept, the incremental baseline it displaced (keyed by the
+/// process group that owned it), and the store entry it put.
 pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
     pub(crate) saved_dirty: Vec<(Pid, Vec<u64>)>,
     pub(crate) baseline_key: Vec<Pid>,
     pub(crate) last_baseline: Option<CkptId>,
+    /// The edited checkpoint's store entry, put by the restore-prepare
+    /// stage; the attempt's only store references.
+    pub(crate) stored: Option<CkptId>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
@@ -167,9 +171,10 @@ pub struct DynaCut {
     /// Incremental checkpointing: pre-dump clean pages while the guest
     /// runs and store each cycle's checkpoint as the next baseline.
     pub(crate) incremental: bool,
-    /// Checkpoint store (incremental mode only), backed by a
-    /// content-addressed page store shared across every group this
-    /// session customizes.
+    /// Checkpoint store, backed by a content-addressed page store shared
+    /// across every group this session customizes. Every cycle puts its
+    /// edited checkpoint here once and restores from that entry; only
+    /// incremental cycles keep it, as the group's baseline.
     pub(crate) store: CheckpointStore,
     /// Per process group, the stored checkpoint its dirty bitmaps are
     /// clean against: the edited image restored by the group's previous
@@ -271,7 +276,8 @@ impl DynaCut {
     /// thaws every process this attempt froze (back to its pre-freeze
     /// scheduler state), takes every connection of the target pids out
     /// of TCP repair mode, re-marks the dirty pages the pre-dump swept,
-    /// and restores the incremental baseline the attempt displaced.
+    /// releases the store entry the attempt put, and restores the
+    /// incremental baseline the attempt displaced.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
         for &pid in &journal.frozen {
             let _ = kernel.thaw(pid);
@@ -306,6 +312,11 @@ impl DynaCut {
                     step: RollbackStep::RestoreDirtyBits,
                 },
             );
+        }
+        if let Some(id) = journal.stored {
+            self.store
+                .release(id)
+                .expect("the attempt's own entry releases cleanly");
         }
         if let Some(baseline) = journal.last_baseline {
             self.baselines.insert(journal.baseline_key, baseline);

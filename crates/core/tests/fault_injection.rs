@@ -29,9 +29,9 @@ use dynacut_vm::{Kernel, LoadSpec, Pid, ProcState};
 use std::sync::Arc;
 
 /// Every injection point in the customize cycle, in execution order.
-/// The restore is zero-copy, so `RestoreHandles` (handle resolution and
-/// interning) and `CowMaterialize` (frame installation) bracket the
-/// per-process `RestoreBuild`.
+/// The restore is zero-copy, so `RestoreHandles` (staging from the
+/// checkpoint's store entry) and `CowMaterialize` (frame installation)
+/// bracket the per-process `RestoreBuild`.
 const ALL_PHASES: [FaultPhase; 10] = [
     FaultPhase::PreDump,
     FaultPhase::Dump,
@@ -298,14 +298,24 @@ fn assert_rollback_then_retry(
         );
     }
 
-    // Zero leaked `SharedPages` refs: the aborted handle-based restore
-    // interned its payload and must have released every reference on
-    // the error path, so the store's refcount-derived footprint still
-    // equals the sum over stored checkpoints.
+    // Zero leaked `SharedPages` refs: the aborted attempt put its edited
+    // checkpoint into the store before the commit, and the rollback must
+    // have released that entry, so the store's refcount-derived
+    // footprint still equals the sum over stored checkpoints. The
+    // session is fresh, so nothing at all may be left behind.
     assert_eq!(
         dynacut.store().logical_pages_bytes(),
         dynacut.store().stored_pages_bytes(),
         "no leaked page refs after rollback ({ctx})"
+    );
+    assert!(
+        dynacut.store().is_empty(),
+        "the failed attempt left no store entry ({ctx})"
+    );
+    assert_eq!(
+        dynacut.store().logical_pages_bytes(),
+        0,
+        "the failed attempt left no page ref ({ctx})"
     );
 
     // The flight journal is the observable record of the failure: it
@@ -657,6 +667,17 @@ fn assert_demoted_then_repromote(
         dynacut.store().logical_pages_bytes(),
         dynacut.store().stored_pages_bytes(),
         "no leaked page refs after demotion ({ctx})"
+    );
+    // Every caller starts from a fresh session: the demoted canary's
+    // entry was its only one, and the rollback released it.
+    assert!(
+        dynacut.store().is_empty(),
+        "the demoted attempt left no store entry ({ctx})"
+    );
+    assert_eq!(
+        dynacut.store().logical_pages_bytes(),
+        0,
+        "the demoted attempt left no page ref ({ctx})"
     );
 
     let retry = dynacut

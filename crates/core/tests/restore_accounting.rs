@@ -2,9 +2,10 @@
 //! page counts toward `restore_copied_bytes` only when it is physically
 //! copied — a first-sight intern into the content-addressed store —
 //! never when it is handed out as a shared frame. The flight metrics
-//! mirror the per-cycle reports exactly, and every cycle restores
-//! exactly the checkpoint it stored: re-dumping the group gives back
-//! what the session's store materializes.
+//! mirror the per-cycle reports exactly, every cycle restores exactly
+//! the checkpoint it stored (re-dumping the group gives back what the
+//! session's store materializes), and every cycle interns its checkpoint
+//! once.
 
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
@@ -276,5 +277,68 @@ fn stored_page_bytes_are_exactly_the_pages_changed_since_the_last_cycle() {
             "cycle {cycle}: the group still serves"
         );
         server.kernel.client_close(conn).unwrap();
+    }
+}
+
+/// Each cycle interns its edited checkpoint once: the restore is staged
+/// from the cycle's store entry, and the baseline store adopts that
+/// entry instead of putting the checkpoint again. Over a whole cycle the
+/// page store therefore copies exactly the bytes the report says the
+/// restore copied, in both modes. A session without incremental mode
+/// releases the entry when the cycle commits, so its store stays empty.
+#[test]
+fn each_cycle_interns_its_checkpoint_once() {
+    for incremental in [false, true] {
+        let mut server = boot_redis();
+        let mut dynacut = DynaCut::new(server.registry.clone());
+        if incremental {
+            dynacut = dynacut.with_incremental();
+        }
+        let plans = [
+            disable_plan(&server),
+            enable_plan(&server),
+            disable_plan(&server),
+            enable_plan(&server),
+        ];
+        for (cycle, plan) in plans.iter().enumerate() {
+            let ctx = format!("incremental {incremental}, cycle {cycle}");
+            let copied_before = dynacut.store().page_store().copied_bytes();
+            let report = dynacut
+                .customize(&mut server.kernel, &server.pids, plan)
+                .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+            assert_eq!(
+                dynacut.store().page_store().copied_bytes() - copied_before,
+                report.restore_copied_bytes as u64,
+                "{ctx}: the cycle copied its pages once"
+            );
+            if incremental {
+                assert_eq!(
+                    dynacut.store().len(),
+                    cycle + 1,
+                    "{ctx}: one entry per cycle"
+                );
+            } else {
+                assert!(
+                    dynacut.store().is_empty(),
+                    "{ctx}: no entry outlives the cycle"
+                );
+                assert_eq!(
+                    dynacut.store().logical_pages_bytes(),
+                    0,
+                    "{ctx}: no page ref either"
+                );
+            }
+
+            let conn = server.kernel.client_connect(redis::PORT).unwrap();
+            assert_eq!(
+                server
+                    .kernel
+                    .client_request(conn, b"SET k v\n", 5_000_000)
+                    .unwrap(),
+                b"+OK\n",
+                "{ctx}: the group still serves"
+            );
+            server.kernel.client_close(conn).unwrap();
+        }
     }
 }

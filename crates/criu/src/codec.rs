@@ -1,20 +1,13 @@
 //! Binary serialisation of checkpoint images (the protobuf-format
 //! analogue; stored on the harness's tmpfs-like in-memory store).
-//!
-//! Full checkpoints ([`CheckpointImage`]) and incremental deltas
-//! ([`DeltaImage`]) share the per-image encoders below; a delta is the
-//! same record with a parent reference, a dirty-page index and a
-//! dirty-only page payload.
 
 use crate::images::*;
-use crate::incremental::{CkptId, DeltaImage, DeltaProcessImage};
 use crate::CriuError;
 use bytes::{Buf, Bytes};
 use dynacut_obj::Perms;
 use dynacut_vm::{ConnId, Pid, SigAction, Signal};
 
 const MAGIC: &[u8; 4] = b"DCR1";
-const DELTA_MAGIC: &[u8; 4] = b"DCD1";
 
 /// Where the encoders write: a `Vec<u8>` collects the bytes, a
 /// [`ByteCount`] only adds up how many there would be. Both run the
@@ -163,72 +156,6 @@ impl CheckpointImage {
             procs.push(decode_proc(&mut reader)?);
         }
         Ok(CheckpointImage { procs, time_ns })
-    }
-}
-
-impl DeltaImage {
-    /// Serialises the delta to bytes. The layout mirrors
-    /// [`CheckpointImage::to_bytes`] with a distinct magic, the parent
-    /// id, and a per-process dirty-page index in front of the (dirty-only)
-    /// page payload.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.put_slice(DELTA_MAGIC);
-        buf.put_u64_le(self.parent.0);
-        buf.put_u64_le(self.time_ns);
-        buf.put_u32_le(self.procs.len() as u32);
-        for image in &self.procs {
-            buf.put_u8(image.exec_pages_dumped as u8);
-            encode_core(&mut buf, &image.core);
-            encode_mm(&mut buf, &image.mm);
-            encode_pagemap(&mut buf, &image.pagemap);
-            encode_pagemap(&mut buf, &image.dirty);
-            put_vec(&mut buf, &image.pages.bytes);
-            encode_files(&mut buf, &image.files);
-            encode_tcp(&mut buf, &image.tcp);
-        }
-        buf
-    }
-
-    /// Parses a delta previously produced by [`DeltaImage::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::BadImage`] on malformed input.
-    pub fn from_bytes(raw: &[u8]) -> Result<DeltaImage, CriuError> {
-        let mut reader = Reader(Bytes::copy_from_slice(raw));
-        reader.magic(DELTA_MAGIC)?;
-        let parent = CkptId(reader.u64()?);
-        let time_ns = reader.u64()?;
-        let count = reader.u32()?;
-        let mut procs = Vec::with_capacity((count as usize).min(4096));
-        for _ in 0..count {
-            let exec_pages_dumped = reader.u8()? != 0;
-            let core = decode_core(&mut reader)?;
-            let mm = decode_mm(&mut reader)?;
-            let pagemap = decode_pagemap(&mut reader)?;
-            let dirty = decode_pagemap(&mut reader)?;
-            let pages = PagesImage {
-                bytes: reader.vec()?,
-            };
-            let files = decode_files(&mut reader)?;
-            let tcp = decode_tcp(&mut reader)?;
-            procs.push(DeltaProcessImage {
-                core,
-                mm,
-                pagemap,
-                dirty,
-                pages,
-                files,
-                tcp,
-                exec_pages_dumped,
-            });
-        }
-        Ok(DeltaImage {
-            parent,
-            procs,
-            time_ns,
-        })
     }
 }
 

@@ -1,50 +1,49 @@
-//! Incremental (dirty-page) checkpointing.
+//! Incremental (dirty-page) checkpointing and the checkpoint store.
 //!
 //! The paper's rewrite loop freezes the application for the whole
 //! checkpoint→edit→restore round trip. Most of that window is spent
 //! copying pages that have not changed since the previous checkpoint.
-//! This module reproduces the two CRIU mechanisms that shrink it:
+//! This module reproduces the CRIU mechanisms that shrink it:
 //!
-//! * **Incremental dumps** ([`dump_incremental`]): using the kernel's
-//!   dirty-page bitmap (the soft-dirty analogue,
-//!   [`AddressSpace::dirty_pages`]), a dump emits a [`DeltaImage`] that
-//!   references a parent checkpoint and carries page *data* only for the
-//!   pages written since that parent was taken. A delta chain
-//!   materializes ([`materialize_chain`]) to an image **bit-identical**
-//!   to the full dump taken at the same instant.
 //! * **Pre-dump** ([`pre_dump`]): the two-phase protocol that copies the
 //!   current page contents while the guest is still running, then
-//!   freezes only to collect the *dirty residue* — pages written between
-//!   the pre-copy and the freeze — plus registers, sigactions and
-//!   TCP-repair state. [`PreDump::complete`] reports how many page bytes
-//!   actually had to be copied inside the freeze window.
-//!
-//! The [`CheckpointStore`] keeps no chains. A delta is applied to its
-//! parent when it is put, and every entry is stored flat: the skeleton
-//! plus one content-addressed page key per pagemap entry. Pages a delta
-//! left clean hash-hit the parent's, so they cost a key and a refcount,
-//! not a byte copy; reading, restoring or promoting an entry touches
-//! only that entry, and releasing one leaves every other intact.
+//!   freezes only to collect the *dirty residue* — the pages the
+//!   kernel's dirty-page bitmap (the soft-dirty analogue,
+//!   [`AddressSpace::dirty_pages`]) flags as written since the
+//!   pre-copy — plus registers, sigactions and TCP-repair state.
+//!   [`PreDump::complete`] reports how many page bytes actually had to
+//!   be copied inside the freeze window.
+//! * **The checkpoint store** ([`CheckpointStore`]): every checkpoint
+//!   enters it whole, through [`CheckpointStore::put_full`], and is
+//!   stored flat — the skeleton plus one content-addressed page key per
+//!   pagemap entry. A page unchanged since an earlier checkpoint
+//!   hash-hits that checkpoint's copy, so it costs a key and a
+//!   refcount, not a byte copy: content addressing alone keeps
+//!   repeated checkpoints as small as parent-linked incremental images
+//!   would, with no chain to walk. Reading, restoring or promoting an
+//!   entry touches only that entry, and releasing one leaves every
+//!   other intact.
 //!
 //! Baseline contract: the dirty bitmap means "written since the last
 //! [`AddressSpace::mark_clean`] sweep". [`pre_dump`] sweeps as part of
 //! its atomic pre-copy; plain dumps do **not** sweep (a failed dump must
 //! not invalidate the baseline) — callers establish a new baseline
 //! explicitly with [`mark_clean_after_dump`] once a dump is safely
-//! stored. [`dump_incremental`]'s `parent` must be the checkpoint that
-//! established the current baseline, otherwise the delta under-reports.
+//! stored. From then on, every page that differs between that
+//! checkpoint and the next dump of the process is in the bitmap, or
+//! was absent from the baseline.
 //!
 //! [`AddressSpace::dirty_pages`]: dynacut_vm::AddressSpace::dirty_pages
 //! [`AddressSpace::mark_clean`]: dynacut_vm::AddressSpace::mark_clean
 
-use crate::dump::{dump, dump_many, DumpOptions};
+use crate::dump::{dump_many, DumpOptions};
 use crate::images::*;
 use crate::page_store::{PageStore, SharedPages};
-use crate::restore::{build_process, RestoreTransaction, StagedProcess};
+use crate::restore::{build_process, ModuleRegistry, RestoreTransaction, StagedProcess};
 use crate::CriuError;
 use dynacut_obj::PAGE_SIZE;
 use dynacut_vm::{Kernel, Pid};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Identifier of a checkpoint in a [`CheckpointStore`] (sequential).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -56,203 +55,10 @@ impl std::fmt::Display for CkptId {
     }
 }
 
-/// The per-process part of a [`DeltaImage`].
-///
-/// Everything except page *data* is recorded in full (registers, VMAs,
-/// descriptors, TCP state are tiny next to memory). The `pagemap` lists
-/// **all** populated pages at delta time — so pages dropped or unmapped
-/// since the parent disappear on materialization — while `pages` holds
-/// data only for the `dirty` subset; clean pages are looked up in the
-/// parent at materialization time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaProcessImage {
-    /// Registers and signal state (full copy).
-    pub core: CoreImage,
-    /// VMA list (full copy).
-    pub mm: MmImage,
-    /// All populated pages at delta time, sorted.
-    pub pagemap: PagemapImage,
-    /// The subset of `pagemap` whose data ships in `pages`, sorted.
-    pub dirty: PagemapImage,
-    /// Page data for `dirty` only, in the same order.
-    pub pages: PagesImage,
-    /// Descriptor table (full copy).
-    pub files: FilesImage,
-    /// TCP connections (full copy).
-    pub tcp: TcpImage,
-    /// Mirrors [`ProcessImage::exec_pages_dumped`].
-    pub exec_pages_dumped: bool,
-}
-
-/// An incremental checkpoint: a parent reference plus per-process deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeltaImage {
-    /// The checkpoint this delta applies on top of.
-    pub parent: CkptId,
-    /// Per-process deltas, in pid order.
-    pub procs: Vec<DeltaProcessImage>,
-    /// Kernel time at dump.
-    pub time_ns: u64,
-}
-
-impl DeltaImage {
-    /// Total size of the dirty-page payload, in bytes — the number this
-    /// whole module exists to shrink relative to
-    /// [`CheckpointImage::pages_bytes`].
-    pub fn pages_bytes(&self) -> usize {
-        self.procs.iter().map(|p| p.pages.bytes.len()).sum()
-    }
-}
-
-/// Applies one delta on top of a materialized parent checkpoint.
-///
-/// Processes absent from the delta are dropped (they exited before the
-/// delta was taken); processes absent from the parent must be fully
-/// dirty.
-///
-/// # Errors
-///
-/// Fails with [`CriuError::BadImage`] if the delta is internally
-/// inconsistent, or [`CriuError::Inconsistent`] if a clean page cannot be
-/// found in the parent.
-pub fn apply_delta(
-    parent: &CheckpointImage,
-    delta: &DeltaImage,
-) -> Result<CheckpointImage, CriuError> {
-    let page = PAGE_SIZE as usize;
-    let mut procs = Vec::with_capacity(delta.procs.len());
-    for d in &delta.procs {
-        if d.pages.bytes.len() != d.dirty.pages.len() * page {
-            return Err(CriuError::BadImage(format!(
-                "delta pages hold {} bytes but {} dirty pages are listed",
-                d.pages.bytes.len(),
-                d.dirty.pages.len()
-            )));
-        }
-        for base in &d.dirty.pages {
-            if d.pagemap.pages.binary_search(base).is_err() {
-                return Err(CriuError::BadImage(format!(
-                    "dirty page {base:#x} is not in the delta pagemap"
-                )));
-            }
-        }
-        let parent_proc = parent.proc_image(d.core.pid);
-        let mut bytes = Vec::with_capacity(d.pagemap.pages.len() * page);
-        for &base in &d.pagemap.pages {
-            if let Ok(index) = d.dirty.pages.binary_search(&base) {
-                bytes.extend_from_slice(&d.pages.bytes[index * page..(index + 1) * page]);
-                continue;
-            }
-            let source = parent_proc.ok_or_else(|| {
-                CriuError::Inconsistent(format!(
-                    "pid {} is new in the delta but page {base:#x} is not dirty",
-                    d.core.pid.0
-                ))
-            })?;
-            let index = source.pagemap.pages.binary_search(&base).map_err(|_| {
-                CriuError::Inconsistent(format!(
-                    "clean page {base:#x} is missing from the parent checkpoint"
-                ))
-            })?;
-            bytes.extend_from_slice(&source.pages.bytes[index * page..(index + 1) * page]);
-        }
-        procs.push(ProcessImage {
-            core: d.core.clone(),
-            mm: d.mm.clone(),
-            pagemap: d.pagemap.clone(),
-            pages: PagesImage { bytes },
-            files: d.files.clone(),
-            tcp: d.tcp.clone(),
-            exec_pages_dumped: d.exec_pages_dumped,
-        });
-    }
-    Ok(CheckpointImage {
-        procs,
-        time_ns: delta.time_ns,
-    })
-}
-
-/// Materializes a delta chain: applies each delta of `deltas`, in order,
-/// on top of `parent`. The result is bit-identical to the full dump that
-/// would have been taken at the last delta's instant.
-///
-/// # Errors
-///
-/// Propagates [`apply_delta`] failures.
-pub fn materialize_chain<'a>(
-    parent: &CheckpointImage,
-    deltas: impl IntoIterator<Item = &'a DeltaImage>,
-) -> Result<CheckpointImage, CriuError> {
-    let mut current = parent.clone();
-    for delta in deltas {
-        current = apply_delta(&current, delta)?;
-    }
-    Ok(current)
-}
-
-/// Dumps processes as a [`DeltaImage`] against `parent`, carrying page
-/// data only for pages the kernel's dirty bitmap flags — plus pages
-/// absent from the parent's pagemap, which have no clean copy to fall
-/// back on (e.g. binary-reconstructed text after a restore).
-///
-/// `parent` must be the checkpoint that established the current clean
-/// baseline (the bitmap was swept when it was stored, via [`pre_dump`]
-/// or [`mark_clean_after_dump`]). Like [`dump`], this does **not** sweep
-/// the bitmap; sweep once the delta is safely stored.
-///
-/// # Errors
-///
-/// Fails if any process is missing or not frozen.
-pub fn dump_incremental(
-    kernel: &mut Kernel,
-    pids: &[Pid],
-    options: &DumpOptions,
-    parent_id: CkptId,
-    parent: &CheckpointImage,
-) -> Result<DeltaImage, CriuError> {
-    let page = PAGE_SIZE as usize;
-    let mut procs = Vec::with_capacity(pids.len());
-    let mut time_ns = kernel.clock_ns();
-    for &pid in pids {
-        let dirty_now: BTreeSet<u64> = kernel.process(pid)?.mem.dirty_pages().collect();
-        let full = dump(kernel, pid, options)?;
-        time_ns = kernel.clock_ns();
-        let parent_proc = parent.proc_image(pid);
-        let mut dirty = PagemapImage::default();
-        let mut pages = PagesImage::default();
-        for (index, &base) in full.pagemap.pages.iter().enumerate() {
-            let in_parent = parent_proc
-                .map(|p| p.pagemap.pages.binary_search(&base).is_ok())
-                .unwrap_or(false);
-            if dirty_now.contains(&base) || !in_parent {
-                dirty.pages.push(base);
-                pages
-                    .bytes
-                    .extend_from_slice(&full.pages.bytes[index * page..(index + 1) * page]);
-            }
-        }
-        procs.push(DeltaProcessImage {
-            core: full.core,
-            mm: full.mm,
-            pagemap: full.pagemap,
-            dirty,
-            pages,
-            files: full.files,
-            tcp: full.tcp,
-            exec_pages_dumped: full.exec_pages_dumped,
-        });
-    }
-    Ok(DeltaImage {
-        parent: parent_id,
-        procs,
-        time_ns,
-    })
-}
-
 /// Sweeps the dirty bitmap of each process, establishing the checkpoint
-/// just taken as the clean baseline for future [`dump_incremental`]
-/// calls. Call this only after the dump is safely stored — a dump that
-/// failed (or was discarded) must leave the old baseline intact.
+/// just taken as the clean baseline the bitmap is measured against.
+/// Call this only after the dump is safely stored — a dump that failed
+/// (or was discarded) must leave the old baseline intact.
 ///
 /// # Errors
 ///
@@ -400,18 +206,22 @@ impl StoredCheckpoint {
 /// checkpoints), and every materialization reads back through it
 /// bit-identically.
 ///
-/// Entries get sequential [`CkptId`]s and are **flat**: each holds one
-/// page key per pagemap entry, so reading one never touches another. A
-/// delta is applied to its parent when it is put
-/// ([`CheckpointStore::put_delta`]); the clean pages it shares with the
-/// parent cost a key and a refcount, not a byte copy. [`release`] drops
-/// an entry and its page references and leaves every other entry
-/// intact; released ids fail with [`CriuError::MissingParent`].
+/// [`put_full`](CheckpointStore::put_full) is the only way pages enter
+/// the store, so the refcount rules live here alone: an entry holds one
+/// reference per page, taken when it is put and dropped by
+/// [`release`]. Entries get sequential [`CkptId`]s and are **flat**:
+/// each holds one page key per pagemap entry, so reading one never
+/// touches another, and the pages it shares with earlier entries cost a
+/// key and a refcount, not a byte copy. Only live entries are kept;
+/// ids are never reused, and a released id fails with
+/// [`CriuError::MissingParent`].
 ///
 /// [`release`]: CheckpointStore::release
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointStore {
-    entries: Vec<Option<StoredCheckpoint>>,
+    entries: BTreeMap<CkptId, StoredCheckpoint>,
+    /// The id the next [`put_full`](CheckpointStore::put_full) assigns.
+    next_id: u64,
     pages: PageStore,
 }
 
@@ -421,29 +231,27 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Stores a full checkpoint, interning its page payload, and returns
-    /// its id.
+    /// Stores a checkpoint, interning its page payload, and returns its
+    /// id. The image is only read: the entry keeps its skeleton and page
+    /// keys, and the caller keeps the payload buffer.
     ///
     /// # Errors
     ///
     /// Fails with [`CriuError::BadImage`] if a process's payload is not
-    /// exactly one page per pagemap entry (no page ref is taken), or
-    /// [`CriuError::PageCollision`] if any page's content key is already
-    /// held by different bytes; references taken for earlier processes
-    /// are released again and nothing is stored.
-    pub fn put_full(&mut self, mut image: CheckpointImage) -> Result<CkptId, CriuError> {
+    /// exactly one page per pagemap entry or a VMA ends before it starts
+    /// (no page ref is taken), or [`CriuError::PageCollision`] if any
+    /// page's content key is already held by different bytes;
+    /// references taken for earlier processes are released again and
+    /// nothing is stored.
+    pub fn put_full(&mut self, image: &CheckpointImage) -> Result<CkptId, CriuError> {
         for proc in &image.procs {
             check_payload(&proc.pages, &proc.pagemap)?;
+            check_vmas(&proc.mm)?;
         }
         let mut pages = Vec::with_capacity(image.procs.len());
-        for proc in &mut image.procs {
+        for proc in &image.procs {
             match SharedPages::intern(&mut self.pages, &proc.pages) {
-                Ok(shared) => {
-                    // Drop the allocation, not just the length: the
-                    // skeleton must not pin a payload-sized buffer.
-                    proc.pages = PagesImage::default();
-                    pages.push(shared);
-                }
+                Ok(shared) => pages.push(shared),
                 Err(err) => {
                     for shared in pages.iter().rev() {
                         // These refs were just taken, so the release
@@ -454,48 +262,41 @@ impl CheckpointStore {
                 }
             }
         }
-        self.entries.push(Some(StoredCheckpoint {
-            skeleton: image,
-            pages,
-        }));
-        Ok(CkptId(self.entries.len() as u64 - 1))
-    }
-
-    /// Stores a delta as a full entry: the delta is applied to its
-    /// materialized parent ([`apply_delta`]) and the result interned
-    /// like [`put_full`](CheckpointStore::put_full). Clean pages hash-hit
-    /// the parent's, so they take a reference but copy no byte. The new
-    /// entry does not depend on the parent: releasing the parent later
-    /// leaves it intact.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if the parent id is not
-    /// live in the store, [`CriuError::BadImage`] if a process's payload
-    /// is not exactly one page per dirty-list entry,
-    /// [`CriuError::Inconsistent`] if a clean page is missing from the
-    /// parent, or [`CriuError::PageCollision`] if a page's key is already
-    /// held by different bytes. Nothing is stored and no page ref is kept.
-    pub fn put_delta(&mut self, delta: DeltaImage) -> Result<CkptId, CriuError> {
-        let parent = self.materialize(delta.parent)?;
-        self.put_full(apply_delta(&parent, &delta)?)
+        // The entry keeps everything but the payload, whose pages now
+        // live in the page store.
+        let skeleton = CheckpointImage {
+            procs: image
+                .procs
+                .iter()
+                .map(|proc| ProcessImage {
+                    core: proc.core.clone(),
+                    mm: proc.mm.clone(),
+                    pagemap: proc.pagemap.clone(),
+                    pages: PagesImage::default(),
+                    files: proc.files.clone(),
+                    tcp: proc.tcp.clone(),
+                    exec_pages_dumped: proc.exec_pages_dumped,
+                })
+                .collect(),
+            time_ns: image.time_ns,
+        };
+        let id = CkptId(self.next_id);
+        self.next_id += 1;
+        self.entries
+            .insert(id, StoredCheckpoint { skeleton, pages });
+        Ok(id)
     }
 
     /// Looks up a live entry.
     fn get(&self, id: CkptId) -> Result<&StoredCheckpoint, CriuError> {
-        self.entries
-            .get(id.0 as usize)
-            .and_then(Option::as_ref)
-            .ok_or(CriuError::MissingParent(id))
+        self.entries.get(&id).ok_or(CriuError::MissingParent(id))
     }
 
     /// Releases a checkpoint: drops its entry and one page-store
     /// reference per page it interned; bytes no other checkpoint shares
     /// are freed. Every other entry stays intact. Ids are never reused,
-    /// so later [`materialize`] or [`CheckpointStore::put_delta`] calls
-    /// naming this id fail with [`CriuError::MissingParent`].
-    ///
-    /// [`materialize`]: CheckpointStore::materialize
+    /// so later calls naming this id fail with
+    /// [`CriuError::MissingParent`].
     ///
     /// # Errors
     ///
@@ -506,8 +307,7 @@ impl CheckpointStore {
     pub fn release(&mut self, id: CkptId) -> Result<(), CriuError> {
         let entry = self
             .entries
-            .get_mut(id.0 as usize)
-            .and_then(Option::take)
+            .remove(&id)
             .ok_or(CriuError::MissingParent(id))?;
         let mut first_miss = None;
         for shared in &entry.pages {
@@ -523,12 +323,12 @@ impl CheckpointStore {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.entries.len()
     }
 
     /// Whether the store holds no live entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
     /// Total **logical** page payload across live entries — each entry's
@@ -538,16 +338,14 @@ impl CheckpointStore {
     /// [`unique_pages_bytes`]: CheckpointStore::unique_pages_bytes
     pub fn stored_pages_bytes(&self) -> usize {
         self.entries
-            .iter()
-            .flatten()
+            .values()
             .map(StoredCheckpoint::pages_bytes)
             .sum()
     }
 
     /// Page bytes of checkpoint `id` that are absent from, or differ in,
-    /// checkpoint `since` (processes matched by pid): the payload a
-    /// dirty-page delta from `since` to `id` would carry. Only keys are
-    /// compared — [`PageStore::intern`] refuses collisions, so two live
+    /// checkpoint `since` (processes matched by pid): the pages `id` does
+    /// not share with `since`. Only keys are compared — [`PageStore::intern`] refuses collisions, so two live
     /// pages with one key hold the same bytes.
     ///
     /// # Errors
@@ -585,15 +383,6 @@ impl CheckpointStore {
         &self.pages
     }
 
-    /// Mutable access to the backing page store, for handle-based
-    /// restore paths ([`RestoreTransaction::prepare`]) that
-    /// intern a transient payload and release it before returning.
-    /// Callers own the refcount discipline: every reference taken
-    /// through this must be released through it.
-    pub fn page_store_mut(&mut self) -> &mut PageStore {
-        &mut self.pages
-    }
-
     /// Physically held page bytes: one copy per distinct page content.
     pub fn unique_pages_bytes(&self) -> usize {
         self.pages.unique_bytes()
@@ -617,8 +406,7 @@ impl CheckpointStore {
 
     /// Materializes the checkpoint `id`: its skeleton with every page
     /// payload read back from the content-addressed store. Bit-identical
-    /// to the image originally written in (for a delta, to the parent
-    /// with the delta applied).
+    /// to the image originally written in.
     ///
     /// # Errors
     ///
@@ -633,31 +421,27 @@ impl CheckpointStore {
         Ok(image)
     }
 
-    /// Restores the checkpoint `id` **zero-copy**: instead of
-    /// materializing the page payload, the entry's page keys are read
-    /// and every restored page is backed by a
-    /// [`SharedFrame`](dynacut_vm::SharedFrame)
-    /// handle straight out of the content-addressed store. No page byte
-    /// is copied by the restore itself ([`PageStore::copied_bytes`] does
-    /// not move); the first guest write to each page copy-on-writes it
-    /// private. Re-dumping the restored processes gives back
-    /// [`materialize`](CheckpointStore::materialize)`(id)` byte for byte.
-    ///
-    /// The commit is transactional ([`RestoreTransaction::commit`]) and
-    /// flushes every restored process's block cache (the commit's choke
-    /// point), so no decoded block survives the swap.
+    /// Stages a restore of the checkpoint `id` without mutating the
+    /// kernel: every process is built from the entry's skeleton, each dumped page backed by a
+    /// [`SharedFrame`](dynacut_vm::SharedFrame) handle straight out of
+    /// the content-addressed store. No page byte is copied and no store
+    /// reference is taken ([`PageStore::copied_bytes`] and the refcounts
+    /// do not move): the staged processes keep the frames alive through
+    /// their own handles, and the first guest write to each page
+    /// copy-on-writes it private. This is the one way a restore is
+    /// staged; [`RestoreTransaction::commit`] swaps the result in.
     ///
     /// # Errors
     ///
     /// Fails with [`CriuError::MissingParent`] if `id` is absent or
-    /// released, or propagates build/commit failures (kernel untouched
-    /// or rolled back).
-    pub fn restore(
+    /// released, or propagates the first build failure; the kernel is
+    /// untouched either way.
+    pub fn stage_restore(
         &self,
-        kernel: &mut Kernel,
+        kernel: &Kernel,
         id: CkptId,
-        registry: &crate::ModuleRegistry,
-    ) -> Result<Vec<Pid>, CriuError> {
+        registry: &ModuleRegistry,
+    ) -> Result<RestoreTransaction, CriuError> {
         let entry = self.get(id)?;
         let mut staged: Vec<StagedProcess> = Vec::with_capacity(entry.pages.len());
         for (image, shared) in entry.skeleton.procs.iter().zip(&entry.pages) {
@@ -674,7 +458,31 @@ impl CheckpointStore {
                 &self.pages,
             )?);
         }
-        let committed = RestoreTransaction::from_staged(staged).commit(kernel)?;
+        Ok(RestoreTransaction::from_staged(staged))
+    }
+
+    /// Restores the checkpoint `id` **zero-copy**: the restore staged by
+    /// [`stage_restore`](CheckpointStore::stage_restore), committed. No
+    /// page byte is copied by the restore itself. Re-dumping the
+    /// restored processes gives back
+    /// [`materialize`](CheckpointStore::materialize)`(id)` byte for byte.
+    ///
+    /// The commit is transactional ([`RestoreTransaction::commit`]) and
+    /// flushes every restored process's block cache (the commit's choke
+    /// point), so no decoded block survives the swap.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released, or propagates build/commit failures (kernel untouched
+    /// or rolled back).
+    pub fn restore(
+        &self,
+        kernel: &mut Kernel,
+        id: CkptId,
+        registry: &ModuleRegistry,
+    ) -> Result<Vec<Pid>, CriuError> {
+        let committed = self.stage_restore(kernel, id, registry)?.commit(kernel)?;
         Ok(committed.pids().to_vec())
     }
 
@@ -713,7 +521,7 @@ impl CheckpointStore {
         &self,
         kernel: &mut Kernel,
         id: CkptId,
-        registry: &crate::ModuleRegistry,
+        registry: &ModuleRegistry,
         targets: &[Pid],
     ) -> Result<crate::CommittedRestore, CriuError> {
         let entry = self.get(id)?;
@@ -800,7 +608,7 @@ impl CheckpointStore {
 }
 
 /// Checks that a payload holds exactly one whole page per entry of the
-/// pagemap it ships with — the invariant every zero-copy restore of the
+/// pagemap it ships with — an invariant every zero-copy restore of the
 /// stored entry relies on (a short page would reach the guest as a
 /// partial frame).
 fn check_payload(pages: &PagesImage, listed: &PagemapImage) -> Result<(), CriuError> {
@@ -813,4 +621,17 @@ fn check_payload(pages: &PagesImage, listed: &PagemapImage) -> Result<(), CriuEr
         )));
     }
     Ok(())
+}
+
+/// Checks that no VMA ends before it starts — the other invariant a
+/// restore of the stored entry relies on: it maps `end - start` bytes
+/// per VMA.
+fn check_vmas(mm: &MmImage) -> Result<(), CriuError> {
+    match mm.vmas.iter().find(|vma| vma.end < vma.start) {
+        Some(vma) => Err(CriuError::BadImage(format!(
+            "vma `{}` ends at {:#x}, before its start {:#x}",
+            vma.name, vma.end, vma.start
+        ))),
+        None => Ok(()),
+    }
 }

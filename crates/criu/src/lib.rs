@@ -8,10 +8,11 @@
 //!   `core` (registers, sigactions), `mm` (VMAs), `pagemap` (which pages
 //!   are populated), `pages` (raw page bytes), `files` (descriptors) and
 //!   `tcp` (repaired connections),
-//! * [`dump`]/[`RestoreTransaction`] — checkpoint a frozen process and
-//!   bring it back, including live TCP connections (`TCP_REPAIR`
-//!   analogue); restored pages are zero-copy frames out of a
-//!   content-addressed [`PageStore`],
+//! * [`dump`]/[`CheckpointStore::restore`] — checkpoint a frozen process
+//!   and bring it back from its store entry, including live TCP
+//!   connections (`TCP_REPAIR` analogue); restored pages are zero-copy
+//!   frames out of the store's content-addressed [`PageStore`], and a
+//!   [`RestoreTransaction`] swaps them in all-or-nothing,
 //! * [`DumpOptions::dump_exec_pages`] — the paper's one-line but essential
 //!   CRIU patch: stock CRIU skips file-backed executable pages (they are
 //!   reconstructed from the binary on restore), so **rewites to text would
@@ -22,17 +23,16 @@
 //!   [`ProcessImage::add_vma`], [`ProcessImage::unmap_range`],
 //!   [`ProcessImage::set_sigaction`], …) — the API surface the paper added
 //!   to CRIT "to provide easy-to-use APIs for process transformation",
-//! * a binary codec ([`CheckpointImage::to_bytes`],
-//!   [`DeltaImage::to_bytes`]) so checkpoints can be stored on a
-//!   tmpfs-like in-memory store and their sizes reported (Figure 7's
-//!   "image size" row),
-//! * **incremental checkpointing** ([`dump_incremental`], [`pre_dump`],
-//!   [`CheckpointStore`]) — dirty-page deltas and the two-phase pre-dump
-//!   protocol that shrink the rewrite freeze window; a delta chain
-//!   materializes bit-identically to the full dump taken at the same
-//!   instant. The store applies each delta when it is put and keeps
-//!   every entry flat (a skeleton plus one content-addressed page key
-//!   per page), so no read walks a chain, and
+//! * a binary codec ([`CheckpointImage::to_bytes`]) so checkpoints can
+//!   be stored on a tmpfs-like in-memory store and their sizes reported
+//!   (Figure 7's "image size" row),
+//! * **incremental checkpointing** ([`pre_dump`], [`CheckpointStore`]) —
+//!   the dirty-page bitmap and the two-phase pre-dump protocol that
+//!   shrink the rewrite freeze window. Every checkpoint enters the
+//!   store through [`CheckpointStore::put_full`] and is kept flat (a
+//!   skeleton plus one content-addressed page key per page), so pages
+//!   unchanged since an earlier checkpoint are shared, not copied, and
+//!   no read walks a chain, and
 //! * a textual decoder ([`ProcessImage::decode_text`]) mirroring
 //!   `crit decode`.
 
@@ -51,13 +51,10 @@ pub use images::{
     PagesImage, ProcessImage, TcpConnImage, TcpImage, VmaImage,
 };
 pub use incremental::{
-    apply_delta, dump_incremental, mark_clean_after_dump, materialize_chain, pre_dump,
-    CheckpointStore, CkptId, DeltaImage, DeltaProcessImage, PreDump, PreDumpStats,
+    mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDump, PreDumpStats,
 };
 pub use page_store::{PageKey, PageStore, SharedPages};
-pub use restore::{
-    build_process, CommittedRestore, ModuleRegistry, RestoreTransaction, StagedProcess,
-};
+pub use restore::{CommittedRestore, ModuleRegistry, RestoreTransaction};
 
 /// Error type shared by dump, restore and editing operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,9 +74,8 @@ pub enum CriuError {
     UnresolvedSymbol(String),
     /// Image editing produced an inconsistent state.
     Inconsistent(String),
-    /// A checkpoint id is not live in the store: a delta's parent, or
-    /// an id passed to a read, restore or release, was never stored or
-    /// has been released.
+    /// A checkpoint id passed to a read, restore or release is not live
+    /// in the store: it was never stored or has been released.
     MissingParent(CkptId),
     /// Two pages with distinct contents hashed to the same
     /// [`PageKey`]. Interning the second would hand

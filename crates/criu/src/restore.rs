@@ -1,17 +1,22 @@
 //! Restoring a process from (possibly rewritten) images.
 //!
-//! Restored pages are never copied into the staged address space: each
-//! dumped page is installed as a refcounted
-//! [`SharedFrame`](dynacut_vm::SharedFrame) handle out of the
-//! content-addressed [`PageStore`] ([`build_process`],
-//! [`RestoreTransaction::prepare`]), deferring any physical copy to the
-//! first guest write (CoW, DESIGN §12). The test battery checks the
-//! result against [`CheckpointStore::materialize`](crate::CheckpointStore::materialize):
+//! Every restore starts from a [`CheckpointStore`] entry: the store
+//! stages it ([`CheckpointStore::stage_restore`]) and a
+//! [`RestoreTransaction`] commits it. Restored pages are never copied
+//! into the staged address space: each dumped page is installed as a
+//! refcounted [`SharedFrame`](dynacut_vm::SharedFrame) handle out of
+//! the content-addressed [`PageStore`] (`build_process`), deferring any
+//! physical copy to the first guest write (CoW, DESIGN §12). The test
+//! battery checks the result against [`CheckpointStore::materialize`]:
 //! re-dumping a restored process gives back the materialized image,
 //! byte for byte.
+//!
+//! [`CheckpointStore`]: crate::CheckpointStore
+//! [`CheckpointStore::stage_restore`]: crate::CheckpointStore::stage_restore
+//! [`CheckpointStore::materialize`]: crate::CheckpointStore::materialize
 
 use crate::images::*;
-use crate::page_store::{PageKey, PageStore, SharedPages};
+use crate::page_store::{PageKey, PageStore};
 use crate::CriuError;
 use dynacut_obj::{materialize, Image, PAGE_SIZE};
 use dynacut_vm::{
@@ -52,7 +57,7 @@ impl ModuleRegistry {
 /// text materialization, pagemap consistency checks) happens before the
 /// first original process is disturbed.
 #[derive(Debug, Clone)]
-pub struct StagedProcess {
+pub(crate) struct StagedProcess {
     /// The process, ready for [`Kernel::insert_process`].
     pub proc: Process,
     /// Listening ports its descriptor table references.
@@ -84,7 +89,7 @@ pub struct StagedProcess {
 /// Fails if a module is missing from the registry, the images are
 /// inconsistent, a key has no live frame in the store, or the key list
 /// disagrees with the pagemap ([`CriuError::Inconsistent`]).
-pub fn build_process(
+pub(crate) fn build_process(
     kernel: &Kernel,
     image: &ProcessImage,
     registry: &ModuleRegistry,
@@ -242,17 +247,18 @@ fn skip_undumped_text(image: &ProcessImage, page_base: u64) -> bool {
         .unwrap_or(false)
 }
 
-/// A multi-process restore staged as a transaction: `prepare` builds
-/// every process without touching the kernel, `commit` swaps them in
-/// all-or-nothing.
+/// A multi-process restore staged as a transaction:
+/// [`CheckpointStore::stage_restore`](crate::CheckpointStore::stage_restore)
+/// builds every process without touching the kernel, `commit` swaps
+/// them in all-or-nothing.
 ///
 /// This is the fix for the classic restore hazard — removing the
 /// original processes first and only then discovering that one of the
 /// replacement images cannot be restored, leaving the application dead.
-/// With the transaction, any failure during
-/// [`prepare`](RestoreTransaction::prepare) leaves the kernel untouched, and any
-/// failure during [`commit`](RestoreTransaction::commit) rolls back the
-/// processes already swapped, restoring the originals bit-identically.
+/// With the transaction, any failure while staging leaves the kernel
+/// untouched, and any failure during
+/// [`commit`](RestoreTransaction::commit) rolls back the processes
+/// already swapped, restoring the originals bit-identically.
 #[derive(Debug)]
 pub struct RestoreTransaction {
     staged: Vec<StagedProcess>,
@@ -354,89 +360,10 @@ impl CommittedRestore {
 }
 
 impl RestoreTransaction {
-    /// Wraps already-built staged processes (the store's zero-copy
-    /// restore resolves handles itself and only needs the commit
-    /// machinery).
+    /// Wraps already-built staged processes; the store's staging methods
+    /// build them and only need the commit machinery.
     pub(crate) fn from_staged(staged: Vec<StagedProcess>) -> Self {
         RestoreTransaction { staged }
-    }
-
-    /// Builds every process of `checkpoint` without mutating the kernel,
-    /// its dumped pages backed by zero-copy frames out of `store`.
-    ///
-    /// The checkpoint's payload is interned into the store for the
-    /// duration of the call — so identical pages across processes (and
-    /// against checkpoints already stored, e.g. an earlier replica's
-    /// baseline) are physically copied at most once — and **every
-    /// reference taken here is released before returning**, on success
-    /// and on every error path alike. The staged processes keep the
-    /// frames alive through their own handles, so the store's refcounts
-    /// are exactly what they were before the call: zero leaked
-    /// `SharedPages` refs by construction, which the fault-injection
-    /// battery asserts.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first image that cannot be built (see
-    /// [`build_process`]) or whose payload disagrees with its pagemap;
-    /// the kernel is untouched and the store's refcounts are unchanged.
-    pub fn prepare(
-        kernel: &Kernel,
-        checkpoint: &CheckpointImage,
-        registry: &ModuleRegistry,
-        store: &mut PageStore,
-    ) -> Result<Self, CriuError> {
-        let mut handles: Vec<SharedPages> = Vec::with_capacity(checkpoint.procs.len());
-        // The references below were all taken within this call, so a
-        // release can only miss if the store itself is corrupt; on error
-        // paths the original error stays the one reported.
-        let release_all = |handles: &[SharedPages], store: &mut PageStore| {
-            let mut first_miss = None;
-            for handle in handles {
-                if let Err(err) = handle.release(store) {
-                    first_miss.get_or_insert(err);
-                }
-            }
-            match first_miss {
-                Some(err) => Err(err),
-                None => Ok(()),
-            }
-        };
-        let mut staged = Vec::with_capacity(checkpoint.procs.len());
-        for image in &checkpoint.procs {
-            if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreHandles) {
-                let _ = release_all(&handles, store);
-                return Err(CriuError::FaultInjected(
-                    dynacut_vm::fault::FaultPhase::RestoreHandles,
-                ));
-            }
-            if image.pages.bytes.len() != image.pagemap.pages.len() * PAGE_SIZE as usize {
-                let _ = release_all(&handles, store);
-                return Err(CriuError::Inconsistent(format!(
-                    "pages.img holds {} bytes but pagemap lists {} pages",
-                    image.pages.bytes.len(),
-                    image.pagemap.pages.len()
-                )));
-            }
-            let shared = match SharedPages::intern(store, &image.pages) {
-                Ok(shared) => shared,
-                Err(err) => {
-                    let _ = release_all(&handles, store);
-                    return Err(err);
-                }
-            };
-            handles.push(shared);
-            let keys = handles.last().expect("just pushed").keys().to_vec();
-            match build_process(kernel, image, registry, &keys, store) {
-                Ok(built) => staged.push(built),
-                Err(err) => {
-                    let _ = release_all(&handles, store);
-                    return Err(err);
-                }
-            }
-        }
-        release_all(&handles, store)?;
-        Ok(RestoreTransaction { staged })
     }
 
     /// Pids this transaction will restore, in checkpoint order.

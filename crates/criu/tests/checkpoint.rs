@@ -94,7 +94,7 @@ fn boot() -> Setup {
 fn restore(kernel: &mut Kernel, image: &ProcessImage, registry: &ModuleRegistry) -> Pid {
     let mut store = CheckpointStore::new();
     let id = store
-        .put_full(CheckpointImage {
+        .put_full(&CheckpointImage {
             procs: vec![image.clone()],
             time_ns: kernel.clock_ns(),
         })

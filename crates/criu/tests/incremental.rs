@@ -1,15 +1,18 @@
-//! Incremental checkpointing: dirty-page deltas, the two-phase pre-dump,
-//! and the delta-chain store — exercised end to end on a live guest.
+//! Incremental checkpointing: the dirty-page bitmap, the two-phase
+//! pre-dump, and the flat checkpoint store — exercised end to end on a
+//! live guest.
 //!
-//! The load-bearing property throughout: a delta chain materializes
-//! **bit-identically** to the full dump taken at the same instant.
+//! The load-bearing properties throughout: a stored checkpoint
+//! materializes **bit-identically** to the dump that was put, and a
+//! checkpoint put after a guest wrote a few pages copies only those
+//! pages into the store; the rest hash-hit the previous entry.
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, materialize_chain, pre_dump,
-    CheckpointImage, CheckpointStore, CkptId, CriuError, DeltaImage, DumpOptions, ModuleRegistry,
+    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CheckpointStore, CkptId,
+    CriuError, DumpOptions, ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
-use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
+use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
 use dynacut_vm::{Kernel, LoadSpec, Pid, Sysno};
 
 /// A small echo server with a multi-page BSS scratch area, so guest
@@ -99,10 +102,12 @@ fn baseline(setup: &mut Setup) -> CheckpointImage {
 }
 
 #[test]
-fn incremental_dump_materializes_bit_identically_after_guest_writes() {
+fn second_checkpoint_copies_only_written_pages_and_restores_bit_identically() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let parent = baseline(&mut setup);
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(&parent).unwrap();
     setup.kernel.thaw(setup.pid).unwrap();
 
     // Real guest activity: the server reads the request into its buffer
@@ -115,36 +120,44 @@ fn incremental_dump_materializes_bit_identically_after_guest_writes() {
     assert_eq!(reply, b"hello");
 
     setup.kernel.freeze(setup.pid).unwrap();
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        CkptId(0),
-        &parent,
-    )
-    .unwrap();
+    let dirty: Vec<u64> = setup
+        .kernel
+        .process(setup.pid)
+        .unwrap()
+        .mem
+        .dirty_pages()
+        .collect();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let copied_before = store.page_store().copied_bytes();
+    let id = store.put_full(&full).unwrap();
 
-    // The delta moves strictly fewer page bytes, but materializes to the
-    // exact same image — down to the serialized byte stream.
-    assert!(delta.pages_bytes() > 0, "guest writes must show up");
+    // The second entry shares every clean page with the first: it
+    // copies at most the dirtied pages, and differs from the first in
+    // some but not all of its pages.
+    assert!(!dirty.is_empty(), "guest writes must show up");
+    let copied = (store.page_store().copied_bytes() - copied_before) as usize;
     assert!(
-        delta.pages_bytes() < full.pages_bytes(),
-        "delta ({}) not smaller than full ({})",
-        delta.pages_bytes(),
+        copied <= dirty.len() * PAGE_SIZE as usize,
+        "copied {copied} bytes for {} dirty pages",
+        dirty.len()
+    );
+    let changed = store.changed_pages_bytes(parent_id, id).unwrap();
+    assert!(
+        0 < changed && changed < full.pages_bytes(),
+        "changed {changed} of {}",
         full.pages_bytes()
     );
-    let materialized = materialize_chain(&parent, [&delta]).unwrap();
+
+    // It materializes to the exact image that was put — down to the
+    // serialized byte stream.
+    let materialized = store.materialize(id).unwrap();
     assert_eq!(materialized, full);
     assert_eq!(materialized.to_bytes(), full.to_bytes());
 
-    // And restoring the chain yields a live, serving process.
-    let mut store = CheckpointStore::new();
-    store.put_full(parent).unwrap();
-    let delta_id = store.put_delta(delta).unwrap();
+    // And restoring the entry yields a live, serving process.
     setup.kernel.remove_process(setup.pid).unwrap();
     store
-        .restore(&mut setup.kernel, delta_id, &setup.registry)
+        .restore(&mut setup.kernel, id, &setup.registry)
         .unwrap();
     let reply = setup
         .kernel
@@ -154,132 +167,66 @@ fn incremental_dump_materializes_bit_identically_after_guest_writes() {
 }
 
 #[test]
-fn clean_process_yields_empty_delta() {
+fn clean_process_stores_no_changed_page() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let parent = baseline(&mut setup);
-    // Nothing ran since the sweep: dump → mark_clean → dump is empty.
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        CkptId(0),
-        &parent,
-    )
-    .unwrap();
-    assert_eq!(delta.pages_bytes(), 0);
-    assert!(delta.procs.iter().all(|p| p.dirty.pages.is_empty()));
-    let materialized = materialize_chain(&parent, [&delta]).unwrap();
-    assert_eq!(materialized.procs, parent.procs);
+    let mut store = CheckpointStore::new();
+    let parent_id = store.put_full(&parent).unwrap();
+    // Nothing ran since the sweep: dump → mark_clean → dump dirties
+    // nothing, and the second entry shares every page with the first.
+    let proc = setup.kernel.process(setup.pid).unwrap();
+    assert_eq!(proc.mem.dirty_pages().count(), 0);
+    let again = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let copied_before = store.page_store().copied_bytes();
+    let id = store.put_full(&again).unwrap();
+    assert_eq!(store.page_store().copied_bytes(), copied_before);
+    assert_eq!(store.changed_pages_bytes(parent_id, id).unwrap(), 0);
+    assert_eq!(store.materialize(id).unwrap().procs, parent.procs);
 }
 
+/// Ids are sequential and never reused; an id that was never stored, or
+/// has been released, fails every read, restore and release with
+/// `MissingParent` while the live entries stay intact.
 #[test]
-fn delta_codec_round_trips_and_rejects_corruption() {
+fn unknown_and_released_ids_fail_cleanly() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let parent = baseline(&mut setup);
-    let page = writable_page(&setup, 1);
-    setup
-        .kernel
-        .process_mut(setup.pid)
-        .unwrap()
-        .mem
-        .write_unchecked(page, &[0xAB; 32]);
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        CkptId(3),
-        &parent,
-    )
-    .unwrap();
-
-    let bytes = delta.to_bytes();
-    let parsed = DeltaImage::from_bytes(&bytes).unwrap();
-    assert_eq!(parsed, delta);
-    assert_eq!(parsed.parent, CkptId(3));
-
-    for cut in [0, 4, bytes.len() / 2, bytes.len() - 1] {
-        assert!(DeltaImage::from_bytes(&bytes[..cut]).is_err());
-    }
-    // Magic bytes keep full checkpoints and deltas from being confused.
-    assert!(CheckpointImage::from_bytes(&bytes).is_err());
-    assert!(DeltaImage::from_bytes(&parent.to_bytes()).is_err());
-}
-
-#[test]
-fn delta_referencing_missing_parent_errors_cleanly() {
-    let mut setup = boot();
-    setup.kernel.freeze(setup.pid).unwrap();
-    let parent = baseline(&mut setup);
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        CkptId(41),
-        &parent,
-    )
-    .unwrap();
 
     let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent).unwrap();
-    assert_eq!(parent_id, CkptId(0));
-    // The delta names checkpoint 41, which the store has never seen.
-    match store.put_delta(delta) {
-        Err(CriuError::MissingParent(id)) => assert_eq!(id, CkptId(41)),
-        other => panic!("expected MissingParent, got {other:?}"),
-    }
-    // Materializing an unknown id fails the same way.
-    match store.materialize(CkptId(7)) {
-        Err(CriuError::MissingParent(id)) => assert_eq!(id, CkptId(7)),
-        other => panic!("expected MissingParent, got {other:?}"),
-    }
-}
+    let ids: Vec<CkptId> = (0..3).map(|_| store.put_full(&parent).unwrap()).collect();
+    assert_eq!(ids, [CkptId(0), CkptId(1), CkptId(2)]);
+    store.release(CkptId(1)).unwrap();
+    assert_eq!(store.len(), 2);
+    assert_eq!(
+        store.logical_pages_bytes(),
+        store.stored_pages_bytes(),
+        "the released entry's page refs went with it"
+    );
+    assert_eq!(store.stored_pages_bytes(), 2 * parent.pages_bytes());
 
-#[test]
-fn unmap_and_remap_inside_the_delta_window_materialize_exactly() {
-    let mut setup = boot();
-    setup.kernel.freeze(setup.pid).unwrap();
-    // Ensure two BSS pages are populated in the baseline.
-    let gone = writable_page(&setup, 0);
-    let recycled = writable_page(&setup, 1);
-    {
-        let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.write_unchecked(gone, &[0x11; 16]);
-        mem.write_unchecked(recycled, &[0x22; 16]);
-    }
-    let parent = baseline(&mut setup);
-    assert!(parent.procs[0].pagemap.pages.contains(&gone));
-
-    // Delta window: one page is unmapped for good, the other is unmapped
-    // and remapped (fresh zero page) then written.
-    {
-        let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.unmap(gone, PAGE_SIZE).unwrap();
-        mem.unmap(recycled, PAGE_SIZE).unwrap();
-        mem.map(recycled, PAGE_SIZE, Perms::RW, "recycled").unwrap();
-        mem.write_unchecked(recycled, &[0x33; 16]);
+    for missing in [CkptId(1), CkptId(7)] {
+        let expect_missing = |result: Result<(), CriuError>| match result {
+            Err(CriuError::MissingParent(id)) => assert_eq!(id, missing),
+            other => panic!("expected MissingParent({missing}), got {other:?}"),
+        };
+        expect_missing(store.materialize(missing).map(drop));
+        expect_missing(store.release(missing));
+        expect_missing(store.changed_pages_bytes(CkptId(0), missing).map(drop));
+        expect_missing(
+            store
+                .stage_restore(&setup.kernel, missing, &setup.registry)
+                .map(drop),
+        );
     }
 
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        CkptId(0),
-        &parent,
-    )
-    .unwrap();
-    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    let materialized = materialize_chain(&parent, [&delta]).unwrap();
-    assert_eq!(materialized, full);
-
-    // The vanished page is gone from the materialized pagemap; the
-    // recycled page carries the post-remap contents, not the parent's.
-    let image = &materialized.procs[0];
-    assert!(!image.pagemap.pages.contains(&gone));
-    let index = image.pagemap.pages.binary_search(&recycled).unwrap();
-    let bytes = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
-    assert_eq!(&bytes[..16], &[0x33; 16]);
+    // The released id is not handed out again, and the survivors still
+    // materialize.
+    assert_eq!(store.put_full(&parent).unwrap(), CkptId(3));
+    for id in [CkptId(0), CkptId(2), CkptId(3)] {
+        assert_eq!(store.materialize(id).unwrap(), parent);
+    }
 }
 
 #[test]
@@ -315,16 +262,16 @@ fn pre_dump_moves_clean_pages_before_the_freeze() {
 }
 
 #[test]
-fn store_materializes_a_chain_of_deltas() {
+fn each_checkpoint_adds_only_its_dirtied_pages() {
     let mut setup = boot();
     let mut store = CheckpointStore::new();
 
     setup.kernel.freeze(setup.pid).unwrap();
     let parent = baseline(&mut setup);
-    let parent_id = store.put_full(parent.clone()).unwrap();
+    let parent_id = store.put_full(&parent).unwrap();
     let unique_after_parent = store.unique_pages_bytes();
 
-    // Round one: dirty a page, take a delta, re-baseline.
+    // Round one: dirty a page, checkpoint, re-baseline.
     let page_a = writable_page(&setup, 0);
     setup
         .kernel
@@ -332,19 +279,15 @@ fn store_materializes_a_chain_of_deltas() {
         .unwrap()
         .mem
         .write_unchecked(page_a, b"round-1");
-    let delta_1 = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        parent_id,
-        &parent,
-    )
-    .unwrap();
-    let id_1 = store.put_delta(delta_1).unwrap();
+    let round_1 = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let id_1 = store.put_full(&round_1).unwrap();
     mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
-    let baseline_1 = store.materialize(id_1).unwrap();
+    assert_eq!(
+        store.changed_pages_bytes(parent_id, id_1).unwrap(),
+        PAGE_SIZE as usize
+    );
 
-    // Round two: another page, chained off the materialized first delta.
+    // Round two: another page; the bitmap flags exactly that page.
     let page_b = writable_page(&setup, 2);
     setup
         .kernel
@@ -352,24 +295,28 @@ fn store_materializes_a_chain_of_deltas() {
         .unwrap()
         .mem
         .write_unchecked(page_b, b"round-2");
-    let delta_2 = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        id_1,
-        &baseline_1,
-    )
-    .unwrap();
-    assert_eq!(delta_2.procs[0].dirty.pages, vec![page_b]);
-    let id_2 = store.put_delta(delta_2).unwrap();
+    let dirty: Vec<u64> = setup
+        .kernel
+        .process(setup.pid)
+        .unwrap()
+        .mem
+        .dirty_pages()
+        .collect();
+    assert_eq!(dirty, vec![page_b]);
+    let round_2 = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let id_2 = store.put_full(&round_2).unwrap();
+    assert_eq!(
+        store.changed_pages_bytes(id_1, id_2).unwrap(),
+        PAGE_SIZE as usize
+    );
 
-    // full → delta → delta resolves to exactly today's full dump.
-    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    // Each entry materializes to exactly the dump that was put.
     let materialized = store.materialize(id_2).unwrap();
-    assert_eq!(materialized, full);
-    assert_eq!(materialized.to_bytes(), full.to_bytes());
+    assert_eq!(materialized, round_2);
+    assert_eq!(materialized.to_bytes(), round_2.to_bytes());
+    assert_eq!(store.materialize(id_1).unwrap(), round_1);
 
-    // The store holds three entries, but each delta added only the one
+    // The store holds three entries, but each later one added only the
     // page it dirtied to the bytes physically held.
     assert_eq!(store.len(), 3);
     assert!(store.unique_pages_bytes() <= unique_after_parent + 2 * PAGE_SIZE as usize);

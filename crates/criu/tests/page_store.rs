@@ -1,15 +1,15 @@
 //! Property tests for the content-addressed page store: dedup and
 //! refcount bookkeeping over arbitrary intern/release interleavings,
-//! and bit-identical round trips through the store-backed delta chain
-//! (including unmap-remap inside the delta window).
+//! and the fleet dedup claim at its smallest scale — two identical
+//! processes checkpointed into one store.
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, CheckpointStore, CriuError, DumpOptions,
-    ModuleRegistry, PageStore, PagesImage, SharedPages,
+    dump_many, CheckpointStore, CriuError, DumpOptions, ModuleRegistry, PageStore, PagesImage,
+    SharedPages,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
-use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
-use dynacut_vm::{Kernel, LoadSpec, Pid, Sysno};
+use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
+use dynacut_vm::{Kernel, LoadSpec, Sysno};
 use proptest::prelude::*;
 
 /// Page payloads drawn from a tiny alphabet so random inputs actually
@@ -149,81 +149,6 @@ fn echo_server() -> Image {
     builder.link(&[]).unwrap()
 }
 
-struct Setup {
-    kernel: Kernel,
-    pid: Pid,
-}
-
-fn boot() -> Setup {
-    let mut kernel = Kernel::new();
-    let pid = kernel.spawn(&LoadSpec::exe_only(echo_server())).unwrap();
-    kernel.run_until_event(1, 10_000_000).expect("server up");
-    Setup { kernel, pid }
-}
-
-/// Base of a writable page the tests can scribble on (the BSS area).
-fn writable_page(setup: &Setup, index: u64) -> u64 {
-    let proc = setup.kernel.process(setup.pid).unwrap();
-    let vma = proc
-        .mem
-        .vmas()
-        .iter()
-        .find(|v| v.perms.write && v.end - v.start >= 4 * PAGE_SIZE)
-        .expect("bss vma")
-        .clone();
-    vma.start + index * PAGE_SIZE
-}
-
-/// A store-backed delta chain spanning an unmap-remap window resolves to
-/// exactly the full dump taken at the same instant — the PR 1
-/// materialization property, now read back through interned pages.
-#[test]
-fn store_backed_chain_with_unmap_remap_materializes_exactly() {
-    let mut setup = boot();
-    setup.kernel.freeze(setup.pid).unwrap();
-    let gone = writable_page(&setup, 0);
-    let recycled = writable_page(&setup, 1);
-    {
-        let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.write_unchecked(gone, &[0x11; 16]);
-        mem.write_unchecked(recycled, &[0x22; 16]);
-    }
-    let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
-
-    let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent.clone()).unwrap();
-
-    // Delta window: one page unmapped for good, one recycled (unmap,
-    // remap fresh, rewrite).
-    {
-        let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.unmap(gone, PAGE_SIZE).unwrap();
-        mem.unmap(recycled, PAGE_SIZE).unwrap();
-        mem.map(recycled, PAGE_SIZE, Perms::RW, "recycled").unwrap();
-        mem.write_unchecked(recycled, &[0x33; 16]);
-    }
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        parent_id,
-        &parent,
-    )
-    .unwrap();
-    let id = store.put_delta(delta).unwrap();
-
-    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    let materialized = store.materialize(id).unwrap();
-    assert_eq!(materialized, full);
-    assert_eq!(materialized.to_bytes(), full.to_bytes());
-    let image = &materialized.procs[0];
-    assert!(!image.pagemap.pages.contains(&gone));
-    let index = image.pagemap.pages.binary_search(&recycled).unwrap();
-    let bytes = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
-    assert_eq!(&bytes[..16], &[0x33; 16]);
-}
-
 /// Two identical processes checkpointed into one store share every page:
 /// the fleet dedup claim at its smallest scale, plus the refcount
 /// lifecycle across a release.
@@ -242,9 +167,9 @@ fn identical_processes_share_pages_and_release_drops_refs() {
     kernel.freeze(a).unwrap();
     kernel.freeze(b).unwrap();
     let mut store = CheckpointStore::new();
-    let id_a = store.put_full(dump_many(&mut kernel, &[a], &DumpOptions::default()).unwrap()).unwrap();
+    let id_a = store.put_full(&dump_many(&mut kernel, &[a], &DumpOptions::default()).unwrap()).unwrap();
     let unique_after_a = store.unique_pages_bytes();
-    let id_b = store.put_full(dump_many(&mut kernel, &[b], &DumpOptions::default()).unwrap()).unwrap();
+    let id_b = store.put_full(&dump_many(&mut kernel, &[b], &DumpOptions::default()).unwrap()).unwrap();
 
     // The second replica's pages were already present: the unique
     // footprint barely moves while the logical footprint doubles.

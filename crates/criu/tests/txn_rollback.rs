@@ -1,13 +1,12 @@
 //! Staged-restore transaction tests at the checkpoint layer: a commit
 //! that fails partway through a multi-process swap must re-insert every
 //! already-swapped original, and an explicit [`CommittedRestore::undo`]
-//! must revert a successful commit bit-exactly. Only built with
-//! `--features fault-injection` (the commit failure is injected).
+//! must revert a successful commit bit-exactly. Every restore is staged
+//! from a store entry ([`CheckpointStore::stage_restore`]). Only built
+//! with `--features fault-injection` (the failures are injected).
 #![cfg(feature = "fault-injection")]
 
-use dynacut_criu::{
-    dump_many, CriuError, DumpOptions, ModuleRegistry, PageStore, RestoreTransaction,
-};
+use dynacut_criu::{dump_many, CheckpointStore, CriuError, DumpOptions, ModuleRegistry};
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
 use dynacut_vm::fault::{self, FaultPhase};
@@ -104,9 +103,11 @@ fn commit_failure_on_second_process_reinserts_the_first() {
     let checkpoint = dump_many(&mut setup.kernel, &setup.pids, &DumpOptions::default()).unwrap();
     let frozen_state = setup.kernel.state_fingerprint();
 
-    let mut store = PageStore::new();
+    let mut store = CheckpointStore::new();
+    let id = store.put_full(&checkpoint).unwrap();
     fault::arm(FaultPhase::RestoreCommit, 1);
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+    let txn = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
         .unwrap();
     let err = txn.commit(&mut setup.kernel).expect_err("second swap must fail");
     assert!(matches!(
@@ -122,7 +123,8 @@ fn commit_failure_on_second_process_reinserts_the_first() {
 
     // A clean retry swaps both; the servers keep answering on the
     // connections that predate the whole episode.
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+    let txn = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
         .unwrap();
     let committed = txn.commit(&mut setup.kernel).expect("clean commit");
     assert_eq!(committed.pids(), setup.pids);
@@ -156,8 +158,10 @@ fn committed_restore_undo_reverts_the_swap() {
     }
     let checkpoint = dump_many(&mut setup.kernel, &setup.pids, &DumpOptions::default()).unwrap();
 
-    let mut store = PageStore::new();
-    let txn = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
+    let mut store = CheckpointStore::new();
+    let id = store.put_full(&checkpoint).unwrap();
+    let txn = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
         .unwrap();
     let committed = txn.commit(&mut setup.kernel).expect("commit");
     committed.undo(&mut setup.kernel);
@@ -176,9 +180,10 @@ fn committed_restore_undo_reverts_the_swap() {
 }
 
 /// A failure while **building** staged processes (before any swap) must
-/// leave the kernel completely untouched — prepare is read-only.
+/// leave the kernel and the store entry untouched — staging is
+/// read-only, and a retry from the same entry commits.
 #[test]
-fn prepare_failure_leaves_kernel_untouched() {
+fn staging_failure_leaves_kernel_untouched() {
     let mut setup = boot_pair();
     for &pid in &setup.pids {
         setup.kernel.freeze(pid).unwrap();
@@ -186,13 +191,24 @@ fn prepare_failure_leaves_kernel_untouched() {
     let checkpoint = dump_many(&mut setup.kernel, &setup.pids, &DumpOptions::default()).unwrap();
     let frozen_state = setup.kernel.state_fingerprint();
 
+    let mut store = CheckpointStore::new();
+    let id = store.put_full(&checkpoint).unwrap();
+    let logical = store.logical_pages_bytes();
     fault::arm(FaultPhase::RestoreBuild, 0);
-    let mut store = PageStore::new();
-    let err = RestoreTransaction::prepare(&setup.kernel, &checkpoint, &setup.registry, &mut store)
-        .expect_err("prepare must fail");
+    let err = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
+        .expect_err("staging must fail");
     assert!(matches!(
         err,
         CriuError::FaultInjected(FaultPhase::RestoreBuild)
     ));
     assert_eq!(setup.kernel.state_fingerprint(), frozen_state);
+    assert_eq!(store.logical_pages_bytes(), logical, "no page ref moved");
+    assert_eq!(store.materialize(id).unwrap(), checkpoint);
+
+    let committed = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
+        .and_then(|txn| txn.commit(&mut setup.kernel))
+        .expect("retry from the same entry");
+    assert_eq!(committed.pids(), setup.pids);
 }

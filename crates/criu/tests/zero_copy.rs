@@ -9,9 +9,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, CheckpointImage, CheckpointStore, CkptId,
-    CriuError, DeltaImage, DumpOptions, ModuleRegistry, PageStore, PagesImage, RestoreTransaction,
-    SharedPages,
+    dump_many, mark_clean_after_dump, CheckpointImage, CheckpointStore, CkptId, CriuError,
+    DumpOptions, ModuleRegistry, PageStore, PagesImage, SharedPages,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -316,7 +315,7 @@ fn store_restore_round_trips_without_copying() {
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
 
     let mut store = CheckpointStore::new();
-    let id = store.put_full(full).unwrap();
+    let id = store.put_full(&full).unwrap();
 
     // No page bytes move, no store refs move.
     let copied_before = store.page_store().copied_bytes();
@@ -370,7 +369,7 @@ fn cow_divergence_is_invisible_to_sibling_replicas_and_the_store() {
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     let mut store = CheckpointStore::new();
-    let id = store.put_full(full.clone()).unwrap();
+    let id = store.put_full(&full).unwrap();
 
     // Two fresh kernels, both restored zero-copy from the same store:
     // their frames alias, their guest state is identical.
@@ -412,42 +411,59 @@ fn cow_divergence_is_invisible_to_sibling_replicas_and_the_store() {
     );
 }
 
-/// A store-backed delta chain spanning an unmap-remap window restores
-/// zero-copy to a process that re-dumps to exactly what the chain
-/// materializes — newest-wins key resolution agrees with byte replay.
+/// A checkpoint put after an unmap-remap window — one page unmapped for
+/// good, one unmapped, remapped fresh and rewritten — materializes to
+/// exactly the dump that was put, copies only the rewritten page into
+/// the store, and restores zero-copy to a process that re-dumps to the
+/// same image.
 #[test]
-fn delta_chain_restore_round_trips_through_materialize() {
+fn unmap_and_remap_between_checkpoints_store_and_restore_exactly() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let bss = bss_base(&setup.kernel, setup.pid);
+    let (gone, recycled) = (bss, bss + PAGE_SIZE);
     {
         let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.write_unchecked(bss, &[0x11; 16]);
-        mem.write_unchecked(bss + PAGE_SIZE, &[0x22; 16]);
+        mem.write_unchecked(gone, &[0x11; 16]);
+        mem.write_unchecked(recycled, &[0x22; 16]);
     }
     let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+    assert!(parent.procs[0].pagemap.pages.contains(&gone));
     let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent.clone()).unwrap();
+    let parent_id = store.put_full(&parent).unwrap();
 
-    // Delta window: one page unmapped for good, one recycled.
     {
         let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-        mem.unmap(bss, PAGE_SIZE).unwrap();
-        mem.unmap(bss + PAGE_SIZE, PAGE_SIZE).unwrap();
-        mem.map(bss + PAGE_SIZE, PAGE_SIZE, Perms::RW, "recycled")
-            .unwrap();
-        mem.write_unchecked(bss + PAGE_SIZE, &[0x33; 16]);
+        mem.unmap(gone, PAGE_SIZE).unwrap();
+        mem.unmap(recycled, PAGE_SIZE).unwrap();
+        mem.map(recycled, PAGE_SIZE, Perms::RW, "recycled").unwrap();
+        mem.write_unchecked(recycled, &[0x33; 16]);
+        assert_eq!(mem.dirty_pages().collect::<Vec<_>>(), vec![recycled]);
     }
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        parent_id,
-        &parent,
-    )
-    .unwrap();
-    let id = store.put_delta(delta).unwrap();
+    let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let copied_before = store.page_store().copied_bytes();
+    let id = store.put_full(&full).unwrap();
+    assert_eq!(
+        store.page_store().copied_bytes() - copied_before,
+        PAGE_SIZE,
+        "only the rewritten page is new to the store"
+    );
+    assert_eq!(
+        store.changed_pages_bytes(parent_id, id).unwrap(),
+        PAGE_SIZE as usize
+    );
+
+    // The vanished page is gone from the entry; the recycled page
+    // carries the post-remap contents, not the parent's.
+    let materialized = store.materialize(id).unwrap();
+    assert_eq!(materialized, full);
+    assert_eq!(materialized.to_bytes(), full.to_bytes());
+    let image = &materialized.procs[0];
+    assert!(!image.pagemap.pages.contains(&gone));
+    let index = image.pagemap.pages.binary_search(&recycled).unwrap();
+    let bytes = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
+    assert_eq!(&bytes[..16], &[0x33; 16]);
 
     let copied_before = store.page_store().copied_bytes();
     setup.kernel.remove_process(setup.pid).unwrap();
@@ -457,49 +473,41 @@ fn delta_chain_restore_round_trips_through_materialize() {
     assert_eq!(store.page_store().copied_bytes(), copied_before);
     assert_round_trip(&mut setup.kernel, &[setup.pid], &store, id);
     let mem = &setup.kernel.process(setup.pid).unwrap().mem;
-    assert!(!mem.page_present(bss), "unmapped page stayed gone");
+    assert!(!mem.page_present(gone), "unmapped page stayed gone");
     let mut back = [0u8; 16];
-    mem.read_unchecked(bss + PAGE_SIZE, &mut back);
-    assert_eq!(back, [0x33; 16], "newest delta won the recycled page");
+    mem.read_unchecked(recycled, &mut back);
+    assert_eq!(back, [0x33; 16], "the recycled page holds its new contents");
 }
 
-/// Store entries are flat: a delta is applied when it is put, so
-/// releasing its parent leaves it whole. It still materializes to the
-/// full dump taken at its instant and restores zero-copy from its own
-/// page references.
+/// Store entries are flat: releasing an earlier entry leaves a later one
+/// whole, even when every clean page of the later one hash-hit the
+/// earlier one's. It still materializes to the dump that was put and
+/// restores zero-copy from its own page references.
 #[test]
-fn delta_outlives_its_released_parent() {
+fn entry_outlives_the_release_of_an_earlier_one() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
     let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent.clone()).unwrap();
+    let parent_id = store.put_full(&parent).unwrap();
 
     let bss = bss_base(&setup.kernel, setup.pid);
     let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
     mem.write_unchecked(bss, &[0x55; 16]);
-    let delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        parent_id,
-        &parent,
-    )
-    .unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    let id = store.put_delta(delta).unwrap();
+    let id = store.put_full(&full).unwrap();
     store.release(parent_id).unwrap();
 
     assert_eq!(
         store.materialize(id).unwrap(),
         full,
-        "the delta materializes without its parent"
+        "the later entry materializes without the earlier one"
     );
     assert_eq!(
         store.logical_pages_bytes(),
         full.pages_bytes(),
-        "the delta's entry holds one ref per page, the parent's none"
+        "the later entry holds one ref per page, the earlier one none"
     );
     let copied_before = store.page_store().copied_bytes();
     setup.kernel.remove_process(setup.pid).unwrap();
@@ -514,34 +522,38 @@ fn delta_outlives_its_released_parent() {
     assert_round_trip(&mut setup.kernel, &[setup.pid], &store, id);
 }
 
-/// `RestoreTransaction::prepare` against a store that already holds the
-/// checkpoint copies nothing and leaves the refcounts exactly as found
-/// — on the success path here; the fault-injection battery covers the
-/// error paths.
+/// Putting a checkpoint the store already holds copies nothing, and
+/// staging a restore from the new entry takes no store reference and
+/// copies no byte; the committed restore serves.
 #[test]
-fn prepare_is_refcount_neutral_and_copy_free_on_a_warm_store() {
+fn repeat_put_copies_nothing_and_staging_is_refcount_neutral() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     let mut store = CheckpointStore::new();
-    store.put_full(full.clone()).unwrap();
+    store.put_full(&full).unwrap();
 
     let copied_before = store.page_store().copied_bytes();
     let logical_before = store.page_store().logical_bytes();
     let unique_before = store.page_store().unique_pages();
-
-    let txn = RestoreTransaction::prepare(
-        &setup.kernel,
-        &full,
-        &setup.registry,
-        store.page_store_mut(),
-    )
-    .unwrap();
+    let id = store.put_full(&full).unwrap();
     assert_eq!(
         store.page_store().copied_bytes(),
         copied_before,
-        "every page hash-hit the stored baseline: zero bytes copied"
+        "every page hash-hit the first entry: zero bytes copied"
     );
+    assert_eq!(
+        store.page_store().logical_bytes(),
+        logical_before + full.pages_bytes(),
+        "the new entry takes one ref per page"
+    );
+    assert_eq!(store.page_store().unique_pages(), unique_before);
+
+    let logical_before = store.page_store().logical_bytes();
+    let txn = store
+        .stage_restore(&setup.kernel, id, &setup.registry)
+        .unwrap();
+    assert_eq!(store.page_store().copied_bytes(), copied_before);
     assert_eq!(store.page_store().logical_bytes(), logical_before);
     assert_eq!(store.page_store().unique_pages(), unique_before);
 
@@ -563,7 +575,7 @@ fn restore_after_release_fails_without_touching_the_kernel() {
     setup.kernel.freeze(setup.pid).unwrap();
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     let mut store = CheckpointStore::new();
-    let id = store.put_full(full).unwrap();
+    let id = store.put_full(&full).unwrap();
     store.release(id).unwrap();
 
     let before = setup.kernel.state_fingerprint();
@@ -588,52 +600,30 @@ fn put_full_rejects_a_payload_that_disagrees_with_its_pagemap() {
     let full = CheckpointImage::from_bytes(&full.to_bytes()).expect("the codec carries it");
 
     let mut store = CheckpointStore::new();
-    let err = store.put_full(full).unwrap_err();
+    let err = store.put_full(&full).unwrap_err();
     assert!(matches!(err, CriuError::BadImage(_)), "got {err}");
     assert!(store.is_empty(), "nothing was stored");
     assert_eq!(store.logical_pages_bytes(), 0, "no page ref was taken");
     assert_eq!(store.page_store().unique_pages(), 0);
 }
 
-/// The delta half of the regression above: a delta's payload must hold
-/// one page per dirty-list entry.
+/// Regression: an image whose VMA ends before it starts survives the
+/// codec round trip and used to be stored; the next restore then
+/// panicked the host (debug) or failed with a misleading mmap error
+/// (release). The store now refuses it at put time, taking no page refs.
 #[test]
-fn put_delta_rejects_a_payload_that_disagrees_with_its_dirty_list() {
+fn put_full_rejects_an_inverted_vma() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
-    let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+    let mut full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let vma = &mut full.procs[0].mm.vmas[0];
+    std::mem::swap(&mut vma.start, &mut vma.end);
+    let full = CheckpointImage::from_bytes(&full.to_bytes()).expect("the codec carries it");
+
     let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent.clone()).unwrap();
-
-    let bss = bss_base(&setup.kernel, setup.pid);
-    let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
-    mem.write_unchecked(bss, &[0x44; 16]);
-    let mut delta = dump_incremental(
-        &mut setup.kernel,
-        &[setup.pid],
-        &DumpOptions::default(),
-        parent_id,
-        &parent,
-    )
-    .unwrap();
-    assert!(
-        !delta.procs[0].dirty.pages.is_empty(),
-        "the write dirtied a page"
-    );
-    let payload = &mut delta.procs[0].pages.bytes;
-    payload.truncate(payload.len() - 2048);
-    let delta = DeltaImage::from_bytes(&delta.to_bytes()).expect("the codec carries it");
-
-    let logical_before = store.logical_pages_bytes();
-    let unique_before = store.page_store().unique_pages();
-    let err = store.put_delta(delta).unwrap_err();
+    let err = store.put_full(&full).unwrap_err();
     assert!(matches!(err, CriuError::BadImage(_)), "got {err}");
-    assert_eq!(store.len(), 1, "only the parent is stored");
-    assert_eq!(
-        store.logical_pages_bytes(),
-        logical_before,
-        "no page ref was taken"
-    );
-    assert_eq!(store.page_store().unique_pages(), unique_before);
+    assert!(store.is_empty(), "nothing was stored");
+    assert_eq!(store.logical_pages_bytes(), 0, "no page ref was taken");
+    assert_eq!(store.page_store().unique_pages(), 0);
 }

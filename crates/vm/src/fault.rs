@@ -37,8 +37,8 @@ pub enum FaultPhase {
     LibraryInjection,
     /// Building one restored process from its images (no kernel writes).
     RestoreBuild,
-    /// Resolving one process's page-store handles for a zero-copy
-    /// restore (interning the checkpoint payload, before any frame is
+    /// Staging one process's zero-copy restore from its checkpoint-store
+    /// entry (resolving the entry's page keys, before any frame is
     /// installed).
     RestoreHandles,
     /// Installing shared frames / taking the lazy CoW-materialization
@@ -46,7 +46,8 @@ pub enum FaultPhase {
     CowMaterialize,
     /// Swapping one restored process in for its original.
     RestoreCommit,
-    /// Storing the checkpoint (full or delta) into the checkpoint store.
+    /// Adopting the cycle's stored checkpoint as the group's incremental
+    /// baseline.
     BaselineStore,
     /// Sweeping the dirty bitmap after a committed restore.
     MarkClean,

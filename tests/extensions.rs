@@ -356,7 +356,7 @@ fn stale_handler_library_can_be_unloaded() {
         time_ns: kernel.clock_ns(),
     };
     let mut store = CheckpointStore::new();
-    let id = store.put_full(checkpoint).unwrap();
+    let id = store.put_full(&checkpoint).unwrap();
     store.restore(&mut kernel, id, dynacut.registry()).unwrap();
 
     // Still serving, PUT included.

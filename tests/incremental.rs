@@ -1,18 +1,20 @@
-//! Incremental checkpointing, cross-crate: the delta-chain bit-identity
-//! property, multi-process (nginx master + worker) incremental dumps,
-//! the [`DynaCut::with_incremental`] session flow, and the regression
+//! Incremental checkpointing, cross-crate: the dirty-bitmap property
+//! behind the pre-dump, multi-process (nginx master + worker)
+//! checkpoints sharing pages in the flat store, the
+//! [`DynaCut::with_incremental`] session flow, and the regression
 //! pinning the stock-CRIU lost-rewrite hazard.
 
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_apps::{libc::guest_libc, nginx, EVENT_READY};
 use dynacut_criu::{
-    dump_incremental, dump_many, mark_clean_after_dump, materialize_chain, CheckpointStore, CkptId,
-    DumpOptions, ModuleRegistry,
+    dump_many, mark_clean_after_dump, CheckpointImage, CheckpointStore, CkptId, DumpOptions,
+    ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
-use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
+use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
 use dynacut_vm::{Kernel, LoadSpec, Pid, Sysno};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------
@@ -88,77 +90,126 @@ fn scratch_base(kernel: &Kernel, pid: Pid) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Property: restoring parent + deltas is bit-for-bit identical to
-// restoring the full dump, for arbitrary guest write/drop sequences
-// split across two delta windows.
+// Property: the dirty bitmap covers every page that changed between two
+// consecutive checkpoints of a process, for arbitrary guest write, drop
+// and unmap/remap sequences. `PreDump::complete` counts a clean page as
+// pre-copied on exactly this property.
 // ---------------------------------------------------------------------
+
+/// One guest-side change to a scratch page.
+#[derive(Debug, Clone)]
+enum Touch {
+    /// Write `len` copies of `byte` at the start of the page.
+    Write { page: u64, byte: u8, len: usize },
+    /// Drop the page's contents (it reads back as zeros, unpopulated).
+    Drop { page: u64 },
+    /// Unmap the page and map a fresh one in its place.
+    Remap { page: u64 },
+}
+
+fn arb_touch() -> impl Strategy<Value = Touch> {
+    prop_oneof![
+        (0u64..SCRATCH_PAGES, any::<u8>(), 1usize..64).prop_map(|(page, byte, len)| Touch::Write {
+            page,
+            byte,
+            len
+        }),
+        (0u64..SCRATCH_PAGES).prop_map(|page| Touch::Drop { page }),
+        (0u64..SCRATCH_PAGES).prop_map(|page| Touch::Remap { page }),
+    ]
+}
+
+fn apply(kernel: &mut Kernel, pid: Pid, base: u64, touch: &Touch) {
+    let mem = &mut kernel.process_mut(pid).unwrap().mem;
+    match *touch {
+        Touch::Write { page, byte, len } => {
+            mem.write_unchecked(base + page * PAGE_SIZE, &vec![byte; len]);
+        }
+        Touch::Drop { page } => mem.drop_page(base + page * PAGE_SIZE),
+        Touch::Remap { page } => {
+            let addr = base + page * PAGE_SIZE;
+            mem.unmap(addr, PAGE_SIZE).unwrap();
+            mem.map(addr, PAGE_SIZE, Perms::RW, "recycled").unwrap();
+        }
+    }
+}
+
+/// Every page of `after` that is absent from, or differs in, `before`
+/// must be in `dirty` (single-process checkpoints).
+fn assert_dirty_covers_changes(
+    before: &CheckpointImage,
+    after: &CheckpointImage,
+    dirty: &BTreeSet<u64>,
+) -> Result<(), TestCaseError> {
+    let page = PAGE_SIZE as usize;
+    let (old, new) = (&before.procs[0], &after.procs[0]);
+    for (index, base) in new.pagemap.pages.iter().enumerate() {
+        let Ok(at) = old.pagemap.pages.binary_search(base) else {
+            continue; // absent from the first entry
+        };
+        let changed =
+            old.pages.bytes[at * page..][..page] != new.pages.bytes[index * page..][..page];
+        prop_assert!(
+            !changed || dirty.contains(base),
+            "page {:#x} changed but the bitmap did not flag it",
+            base
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn delta_chain_restore_is_bit_identical(
-        window_1 in proptest::collection::vec((0u64..SCRATCH_PAGES, any::<u8>(), 1usize..64), 0..12),
-        window_2 in proptest::collection::vec((0u64..SCRATCH_PAGES, any::<u8>(), 1usize..64), 0..12),
-        drop_page in proptest::option::of(0u64..SCRATCH_PAGES),
+    fn dirty_bitmap_covers_every_changed_page(
+        window_1 in proptest::collection::vec(arb_touch(), 0..12),
+        window_2 in proptest::collection::vec(arb_touch(), 0..12),
     ) {
         let (mut kernel, pid, registry) = boot_scratch();
         let base = scratch_base(&kernel, pid);
         kernel.freeze(pid).unwrap();
-        let parent = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
-        mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
-
-        // First delta window.
-        for &(page, byte, len) in &window_1 {
-            let fill = vec![byte; len];
-            kernel.process_mut(pid).unwrap().mem
-                .write_unchecked(base + page * PAGE_SIZE, &fill);
-        }
-        let delta_1 = dump_incremental(
-            &mut kernel, &[pid], &DumpOptions::default(), CkptId(0), &parent,
-        ).unwrap();
-        mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
-        let baseline_1 = materialize_chain(&parent, [&delta_1]).unwrap();
-
-        // Second delta window, including an optional page drop.
-        for &(page, byte, len) in &window_2 {
-            let fill = vec![byte; len];
-            kernel.process_mut(pid).unwrap().mem
-                .write_unchecked(base + page * PAGE_SIZE, &fill);
-        }
-        if let Some(page) = drop_page {
-            kernel.process_mut(pid).unwrap().mem.drop_page(base + page * PAGE_SIZE);
-        }
-        let delta_2 = dump_incremental(
-            &mut kernel, &[pid], &DumpOptions::default(), CkptId(1), &baseline_1,
-        ).unwrap();
-
-        // The chain materializes to the exact full dump, byte for byte.
-        let full = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
-        let materialized = materialize_chain(&parent, [&delta_1, &delta_2]).unwrap();
-        prop_assert_eq!(&materialized, &full);
-        prop_assert_eq!(materialized.to_bytes(), full.to_bytes());
-
-        // And the process restored from the stored chain holds the full
-        // image's memory exactly.
         let mut store = CheckpointStore::new();
-        store.put_full(parent).unwrap();
-        store.put_delta(delta_1).unwrap();
-        let delta_2_id = store.put_delta(delta_2).unwrap();
+        let first = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
+        let mut previous = store.put_full(&first).unwrap();
+        mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
+
+        // Two windows, each ending in a checkpoint compared page by page
+        // with the one before it, then a sweep that re-baselines.
+        let mut last = first;
+        for window in [&window_1, &window_2] {
+            for touch in window {
+                apply(&mut kernel, pid, base, touch);
+            }
+            let dirty: BTreeSet<u64> = kernel.process(pid).unwrap().mem.dirty_pages().collect();
+            last = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
+            let id = store.put_full(&last).unwrap();
+            assert_dirty_covers_changes(
+                &store.materialize(previous).unwrap(),
+                &store.materialize(id).unwrap(),
+                &dirty,
+            )?;
+            mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
+            previous = id;
+        }
+
+        // The process restored from the last entry holds the last dump's
+        // memory exactly.
         kernel.remove_process(pid).unwrap();
-        store.restore(&mut kernel, delta_2_id, &registry).unwrap();
+        store.restore(&mut kernel, previous, &registry).unwrap();
         let restored = kernel.process(pid).unwrap();
-        let image = &full.procs[0];
+        let image = &last.procs[0];
         for (index, &page) in image.pagemap.pages.iter().enumerate() {
             let expected = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
             let mut got = vec![0u8; PAGE_SIZE as usize];
             restored.mem.read_unchecked(page, &mut got);
-            prop_assert_eq!(&got[..], expected, "page {:#x} differs after chain restore", page);
+            prop_assert_eq!(&got[..], expected, "page {:#x} differs after restore", page);
         }
     }
 
-    /// dump → mark_clean → dump always yields an empty delta, whatever
-    /// ran before the baseline was taken.
+    /// dump → mark_clean → dump always stores a checkpoint that changes
+    /// no page and copies no byte, whatever ran before the baseline was
+    /// taken.
     #[test]
     fn dump_after_sweep_is_always_empty(
         warmup in proptest::collection::vec((0u64..SCRATCH_PAGES, any::<u8>()), 0..8),
@@ -170,19 +221,22 @@ proptest! {
                 .write_unchecked(base + page * PAGE_SIZE, &[byte; 8]);
         }
         kernel.freeze(pid).unwrap();
+        let mut store = CheckpointStore::new();
         let parent = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
+        let parent_id = store.put_full(&parent).unwrap();
         mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
-        let delta = dump_incremental(
-            &mut kernel, &[pid], &DumpOptions::default(), CkptId(0), &parent,
-        ).unwrap();
-        prop_assert_eq!(delta.pages_bytes(), 0);
-        prop_assert!(delta.procs.iter().all(|p| p.dirty.pages.is_empty()));
+        prop_assert_eq!(kernel.process(pid).unwrap().mem.dirty_pages().count(), 0);
+        let again = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
+        let copied_before = store.page_store().copied_bytes();
+        let id = store.put_full(&again).unwrap();
+        prop_assert_eq!(store.changed_pages_bytes(parent_id, id).unwrap(), 0);
+        prop_assert_eq!(store.page_store().copied_bytes(), copied_before);
     }
 }
 
 // ---------------------------------------------------------------------
-// Multi-process: nginx master + worker through dump_many-style
-// incremental checkpoints.
+// Multi-process: nginx master + worker checkpointed twice into one
+// store.
 // ---------------------------------------------------------------------
 
 struct World {
@@ -244,39 +298,37 @@ fn nginx_master_and_worker_checkpoint_incrementally() {
     for &pid in &world.pids {
         world.kernel.freeze(pid).unwrap();
     }
-    let delta = dump_incremental(
-        &mut world.kernel,
-        &world.pids,
-        &DumpOptions::default(),
-        CkptId(0),
-        &parent,
-    )
-    .unwrap();
     let full = dump_many(&mut world.kernel, &world.pids, &DumpOptions::default()).unwrap();
+    assert_eq!(full.procs.len(), world.pids.len());
 
-    assert_eq!(delta.procs.len(), world.pids.len());
-    assert!(delta.pages_bytes() < full.pages_bytes());
-    let materialized = materialize_chain(&parent, [&delta]).unwrap();
-    assert_eq!(materialized, full);
-
-    // Store round trip, then restore the chain and serve again.
+    // Store round trip: the second entry shares every unchanged page of
+    // both processes with the first.
     let mut store = CheckpointStore::new();
-    let parent_id = store.put_full(parent).unwrap();
-    let delta_id = store.put_delta(delta).unwrap();
-    assert_eq!((parent_id, delta_id), (CkptId(0), CkptId(1)));
-    assert_eq!(store.materialize(delta_id).unwrap(), full);
+    let parent_id = store.put_full(&parent).unwrap();
+    let id = store.put_full(&full).unwrap();
+    assert_eq!((parent_id, id), (CkptId(0), CkptId(1)));
+    let changed = store.changed_pages_bytes(parent_id, id).unwrap();
+    assert!(
+        0 < changed && changed < full.pages_bytes(),
+        "changed {changed} of {}",
+        full.pages_bytes()
+    );
+    assert_eq!(store.materialize(id).unwrap(), full);
+
+    // Restore the entry and serve again.
     for &pid in &world.pids {
         world.kernel.remove_process(pid).unwrap();
     }
     store
-        .restore(&mut world.kernel, delta_id, &world.registry)
+        .restore(&mut world.kernel, id, &world.registry)
         .unwrap();
     assert_eq!(request(&mut world.kernel, b"GET /y\n"), nginx::RESP_200);
 }
 
 // ---------------------------------------------------------------------
 // Session flow: DynaCut::with_incremental pre-dumps outside the freeze
-// window and stores disable/enable cycles as a delta chain.
+// window and keeps each cycle's checkpoint as the next baseline, sharing
+// its unchanged pages with the previous one.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -284,7 +336,8 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
     let mut world = boot_nginx();
     let mut dynacut = DynaCut::new(world.registry.clone()).with_incremental();
 
-    // Cycle one: block PUT. First checkpoint has no parent → stored full.
+    // Cycle one: block PUT. The first checkpoint has no baseline to
+    // share pages with, so all of its pages count as stored.
     let put = Feature::from_function("PUT", &world.exe, "ngx_put_handler")
         .unwrap()
         .redirect_to_function(&world.exe, nginx::ERROR_HANDLER)
@@ -311,8 +364,9 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
     // Traffic between cycles dirties a few pages.
     assert_eq!(request(&mut world.kernel, b"GET /x\n"), nginx::RESP_200);
 
-    // Cycle two: block DELETE as well → stored as a delta, far smaller
-    // than the full image.
+    // Cycle two: block DELETE as well. Only the pages that differ from
+    // cycle one's baseline count as stored, far fewer than the full
+    // image.
     let delete = Feature::from_function("DELETE", &world.exe, "ngx_delete_handler")
         .unwrap()
         .redirect_to_function(&world.exe, nginx::ERROR_HANDLER)
@@ -325,13 +379,14 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
         .customize(&mut world.kernel, &world.pids.clone(), &plan)
         .unwrap();
     assert_eq!(report_2.checkpoint_id, Some(CkptId(1)));
-    let delta_bytes = report_2.stored_page_bytes.unwrap();
+    let changed_bytes = report_2.stored_page_bytes.unwrap();
     assert!(
-        delta_bytes < full_bytes,
-        "delta ({delta_bytes}) not smaller than full ({full_bytes})"
+        changed_bytes < full_bytes,
+        "changed pages ({changed_bytes}) not fewer than the full image ({full_bytes})"
     );
 
-    // The chain materializes and both rewrites are live.
+    // Both entries are kept, the latest materializes, and both rewrites
+    // are live.
     assert_eq!(dynacut.store().len(), 2);
     dynacut.store().materialize(CkptId(1)).unwrap();
     assert_eq!(request(&mut world.kernel, b"PUT /x data"), nginx::RESP_403);

@@ -175,7 +175,7 @@ fn randomized_feature_churn_matches_the_model() {
                 kernel.remove_process(pid).unwrap();
             }
             let mut store = CheckpointStore::new();
-            let id = store.put_full(checkpoint).unwrap();
+            let id = store.put_full(&checkpoint).unwrap();
             store.restore(&mut kernel, id, dynacut.registry()).unwrap();
         }
 
