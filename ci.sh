@@ -8,6 +8,13 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The examples drive `customize` end to end on live guests and read its
+# report; each returns a customize error from `main`, so an error or a
+# panic in any of them exits non-zero and fails the gate.
+for example in quickstart webdav_lockdown redis_cve_shield init_shedding brop_surface temporal_seccomp; do
+    cargo run --release -q --example "$example" > /dev/null
+done
+
 # Transactional-customize error paths: the fault-injection hooks only
 # exist behind the feature gate, so the rollback suites need their own run.
 cargo test -q -p dynacut-vm -p dynacut-criu -p dynacut --features fault-injection
@@ -104,7 +111,9 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 # Canary-then-fleet rollout (DESIGN §13): the core suite pins
 # promote/demote end to end (one dump per rollout, zero-copy
 # promotion, clock-masked fingerprint parity on demotion, selective
-# verifier-event drain); the fault battery adds the CanarySoak /
+# verifier-event drain, one stored entry after two rollouts, and every
+# stage bracket of a rollout and of a fleet run, promotion windows
+# included, nesting the same way); the fault battery adds the CanarySoak /
 # PromoteRestore phases and the synthetic mid-soak report, each with
 # fleet-wide parity + no leaked page refs + retry-promotes. The page
 # store's collision/unknown-key typed errors ride the page_store and

@@ -76,11 +76,12 @@ fn one_rep(server: Server) -> (Duration, Duration, Duration, Duration, usize) {
     let report = dynacut
         .customize(&mut workload.kernel, &workload.pids, &plan)
         .expect("customize succeeds");
+    let timings = report.timings();
     (
-        report.timings.checkpoint,
-        report.timings.disable_code,
-        report.timings.insert_sighandler,
-        report.timings.restore,
+        timings.checkpoint,
+        timings.disable_code,
+        timings.insert_sighandler,
+        timings.restore,
         report.image_bytes,
     )
 }

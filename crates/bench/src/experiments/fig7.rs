@@ -57,10 +57,11 @@ fn measure(mut workload: Workload, module: &str) -> Fig7Row {
     let report = dynacut
         .customize(&mut workload.kernel, &workload.pids, &plan)
         .expect("customize succeeds");
+    let timings = report.timings();
     Fig7Row {
         app: module.to_owned(),
-        checkpoint_restore: report.timings.checkpoint + report.timings.restore,
-        code_update: report.timings.disable_code + report.timings.insert_sighandler,
+        checkpoint_restore: timings.checkpoint + timings.restore,
+        code_update: timings.disable_code + timings.insert_sighandler,
         code_size: workload.exe.text_size(),
         image_size: report.image_bytes,
         blocks_removed: blocks.len(),

@@ -1,11 +1,12 @@
 //! Figure 8 (incremental variant): the rewrite freeze window measured in
-//! page bytes moved while the guest is frozen — full dumps vs the
-//! two-phase incremental pre-dump — over repeated disable/enable cycles
-//! against Redis.
+//! the page bytes a pre-dump protocol leaves for the freeze — full dumps
+//! vs the two-phase incremental pre-dump — over repeated disable/enable
+//! cycles against Redis.
 //!
-//! Downtime is charged to the kernel clock in proportion to the bytes
-//! copied inside the freeze ([`freeze_window_ns`]), so the incremental
-//! series also shows up as shorter guest-visible stalls.
+//! Downtime is charged to the kernel clock in proportion to those bytes
+//! ([`freeze_window_ns`]), so the incremental series also shows up as
+//! shorter guest-visible stalls. The model is the protocol's: the
+//! in-memory dump itself still copies every page under the freeze.
 
 use crate::report::{fmt_bytes, Table};
 use crate::workloads::{boot_server, Server, Workload};
@@ -33,7 +34,7 @@ pub struct CycleStats {
     pub cycle: usize,
     /// `"disable SET"` or `"re-enable SET"`.
     pub action: &'static str,
-    /// Page bytes copied while frozen.
+    /// Page bytes left for the freeze, which the modeled window charges.
     pub frozen_page_bytes: usize,
     /// Page bytes the pre-dump moved while the guest still ran.
     pub prewritten_page_bytes: usize,
@@ -194,8 +195,10 @@ mod tests {
         assert_eq!(series.incremental.len(), CYCLES);
 
         for (full, incr) in series.full.iter().zip(&series.incremental) {
-            // The full series copies the entire payload under the freeze;
-            // the pre-dump leaves at most the dirty residue there.
+            // The full series leaves the entire payload for the freeze;
+            // the pre-dump protocol leaves at most the dirty residue,
+            // which is what the modeled window charges (the in-memory
+            // dump still copies every page).
             assert!(full.frozen_page_bytes > 0, "cycle {}", full.cycle);
             assert!(
                 incr.frozen_page_bytes < full.frozen_page_bytes,

@@ -16,9 +16,7 @@
 use crate::experiments::fig8_incremental::freeze_window_ns;
 use crate::report::{fmt_bytes, Table};
 use crate::workloads::{boot_fleet, FleetWorkload};
-use dynacut::{
-    Downtime, DynaCut, FaultPolicy, Feature, FleetOptions, FleetReport, RewritePlan,
-};
+use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, FleetReport, RewritePlan};
 use dynacut_apps::redis;
 
 /// Replicas in the headline fleet.
@@ -108,12 +106,7 @@ pub fn execute(fleet_size: usize) -> (FleetWorkload, FleetReport) {
         .with_downtime(Downtime::None);
     let groups = fleet.groups.clone();
     let report = dynacut
-        .customize_fleet(
-            &mut fleet.kernel,
-            &groups,
-            &plan,
-            &FleetOptions::default(),
-        )
+        .customize_fleet(&mut fleet.kernel, &groups, &plan)
         .expect("fleet customize");
     (fleet, report)
 }
@@ -398,12 +391,7 @@ mod tests {
 
         let groups = fleet.groups.clone();
         dynacut
-            .customize_fleet(
-                &mut fleet.kernel,
-                &groups,
-                &plan,
-                &FleetOptions::default(),
-            )
+            .customize_fleet(&mut fleet.kernel, &groups, &plan)
             .expect("fleet customize");
 
         let reply = fleet.kernel.client_recv(conn).expect("recv");

@@ -26,9 +26,7 @@
 
 use crate::report::{fmt_bytes, Table};
 use crate::workloads::boot_fleet;
-use dynacut::{
-    Downtime, DynaCut, FaultPolicy, Feature, FleetOptions, Phase, RewritePlan,
-};
+use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, Phase, RewritePlan};
 use dynacut_apps::redis;
 
 /// Replicas in the headline measurement.
@@ -111,7 +109,7 @@ pub fn measure(fleet_size: usize) -> RestoreRun {
         .with_downtime(Downtime::None);
     let groups = fleet.groups.clone();
     let report = dynacut
-        .customize_fleet(&mut fleet.kernel, &groups, &plan, &FleetOptions::default())
+        .customize_fleet(&mut fleet.kernel, &groups, &plan)
         .expect("fleet customize");
     let restore_wall_ns = report
         .procs

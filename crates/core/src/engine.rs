@@ -1,125 +1,155 @@
 //! The staged customize engine.
 //!
-//! [`DynaCut::customize`] used to be one monolithic function that walked
-//! a single process group end to end. This module decomposes the cycle
-//! into explicit [`Stage`]s over a per-group [`CycleState`], which buys
-//! two things:
+//! A customize cycle is a list of [`Phase`] stages over a per-group
+//! [`CycleState`], driven by one loop ([`DynaCut::run_stages`]) that
+//! rolls the cycle back on the first failing stage. Three entry points
+//! share it:
 //!
-//! * **Single group** — [`DynaCut::customize`] runs the stage sequence
-//!   back to back, preserving the monolith's exact journal event order
-//!   and transactional contract (DESIGN §5).
+//! * **Single group** — [`DynaCut::customize`] runs the stage list back
+//!   to back under the transactional contract of DESIGN §5.
 //! * **Fleet** — [`DynaCut::customize_fleet`] drives the same stages
 //!   over many independent process groups. Stages that run while the
-//!   guest serves (the pre-dump) proceed round-robin across groups with
-//!   the kernel pumped between steps; the **freeze-serialization
-//!   invariant** holds for the rest: at most one group is inside its
-//!   freeze window (freeze → restore-commit) at any time, so every
-//!   other group keeps serving and the fleet's per-process downtime is
-//!   one group's window — max-of-windows, not sum-of-cycles.
+//!   guest serves (the pre-dump) proceed group by group with the kernel
+//!   pumped between steps; the **freeze-serialization invariant** holds
+//!   for the rest: at most one group is inside its freeze window
+//!   (freeze → restore-commit) at any time, so every other group keeps
+//!   serving and the fleet's per-process downtime is one group's window
+//!   — max-of-windows, not sum-of-cycles.
+//! * **Rollout** — [`DynaCut::rollout`] runs the canary's cycle, then
+//!   soaks and promotes it.
 //!
-//! Every stage is journalled per process as a
-//! [`EventKind::StageScheduled`]/[`EventKind::StageRetired`] pair
-//! bracketing the group-level `PhaseStart`/`PhaseEnd` events, so a
-//! fleet run's flight journal fully orders how the groups interleaved.
+//! Every stage, the rollout's soak and promotion windows included, is
+//! journalled through one [`Bracket`]: per-pid
+//! [`EventKind::StageScheduled`] events, the group-level `PhaseStart`,
+//! the body, `PhaseEnd`, then per-pid [`EventKind::StageRetired`]
+//! events, so a fleet run's flight journal fully orders how the groups
+//! interleaved.
 //!
 //! Checkpoints written by incremental fleet cycles land in the
 //! session's content-addressed [`CheckpointStore`]
 //! ([`dynacut_criu::PageStore`]): N replicas of the same binary intern
 //! one copy of every identical page, which is the fleet experiment's
 //! dedup win.
+//!
+//! [`CheckpointStore`]: dynacut_criu::CheckpointStore
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::handler::{build_fault_handler, build_verifier_library};
 use crate::original::OriginalText;
 use crate::plan::{FaultPolicy, RewritePlan, RolloutPlan};
 use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
-use crate::session::{end_phase, start_phase, CustomizeReport, TxnJournal};
+use crate::session::{in_freeze_window, unwind, CustomizeReport, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
-    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CommittedRestore, CriuError,
-    DumpOptions, ModuleRegistry, PreDump, RestoreTransaction,
+    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CkptId, CommittedRestore,
+    CriuError, ModuleRegistry, PreDump, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
-use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep, SchedClass, SigAction, Signal};
+use dynacut_vm::{EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-/// One stage of the customize cycle, named by the [`Phase`] it executes.
-///
-/// The split matters to the fleet scheduler: [`Stage::in_freeze_window`]
-/// stages run inside a group's exclusive critical section (the group's
-/// processes are frozen and no other group may be), while the pre-dump
-/// runs concurrently across groups with the guest still serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Stage {
-    /// Copy clean pages while the guest still runs (incremental only).
-    PreDump,
-    /// Freeze the group's processes.
-    Freeze,
-    /// Dump the frozen processes into an in-memory checkpoint.
-    Dump,
-    /// Edit the images: trap bytes, wipes, unmaps, re-enables.
-    ImageEdit,
-    /// Build and inject the fault-handler/verifier library.
-    Inject,
-    /// Store the edited checkpoint and build every replacement process
-    /// from its store entry (no kernel writes).
-    RestorePrepare,
-    /// Swap the replacements in, all-or-nothing.
-    RestoreCommit,
-    /// Sweep dirty bits and adopt the cycle's stored checkpoint as the
-    /// new incremental baseline (incremental only).
-    BaselineStore,
+/// Every stage of an incremental cycle, in execution order. A full-dump
+/// cycle runs the stages between the first and the last: it neither
+/// pre-dumps nor keeps a baseline.
+const STAGES: [Phase; 8] = [
+    Phase::PreDump,
+    Phase::Freeze,
+    Phase::Dump,
+    Phase::ImageEdit,
+    Phase::Inject,
+    Phase::RestorePrepare,
+    Phase::RestoreCommit,
+    Phase::BaselineStore,
+];
+
+/// Guest nanoseconds [`DynaCut::customize_fleet`] pumps the kernel for
+/// ([`Kernel::run_for`]) between stage steps, so unfrozen groups keep
+/// serving while another group's cycle proceeds.
+const FLEET_SERVE_SLICE_NS: u64 = 200_000;
+
+/// One stage's journal bracket (DESIGN §9): per-pid `StageScheduled`,
+/// the group-level `PhaseStart`, then, once the body succeeded,
+/// `PhaseEnd` and per-pid `StageRetired`. A failed body never closes
+/// its bracket, so the dangling `PhaseStart` names the stage a cycle
+/// died in. A phase with no per-pid stage (the rollout's soak, which
+/// the whole fleet serves through) passes no pids.
+#[must_use = "a stage's bracket closes only when its body succeeded"]
+struct Bracket {
+    phase: Phase,
+    started: Instant,
 }
 
-impl Stage {
-    /// Every stage in execution order. Non-incremental cycles skip
-    /// [`Stage::PreDump`] and [`Stage::BaselineStore`].
-    pub const SEQUENCE: [Stage; 8] = [
-        Stage::PreDump,
-        Stage::Freeze,
-        Stage::Dump,
-        Stage::ImageEdit,
-        Stage::Inject,
-        Stage::RestorePrepare,
-        Stage::RestoreCommit,
-        Stage::BaselineStore,
-    ];
-
-    /// The flight-recorder phase this stage journals as.
-    pub fn phase(self) -> Phase {
-        match self {
-            Stage::PreDump => Phase::PreDump,
-            Stage::Freeze => Phase::Freeze,
-            Stage::Dump => Phase::Dump,
-            Stage::ImageEdit => Phase::ImageEdit,
-            Stage::Inject => Phase::Inject,
-            Stage::RestorePrepare => Phase::RestorePrepare,
-            Stage::RestoreCommit => Phase::RestoreCommit,
-            Stage::BaselineStore => Phase::BaselineStore,
+impl Bracket {
+    fn open(kernel: &mut Kernel, pids: &[Pid], phase: Phase) -> Bracket {
+        for &pid in pids {
+            kernel.record_flight(Some(pid), EventKind::StageScheduled { stage: phase });
+        }
+        kernel.record_flight(None, EventKind::PhaseStart { phase });
+        Bracket {
+            phase,
+            started: Instant::now(),
         }
     }
 
-    /// Whether the group's processes are frozen during this stage — the
-    /// interval the fleet scheduler serializes across groups. The
-    /// pre-dump runs before the freeze; the baseline store runs after
-    /// the restored processes are already live again.
-    pub fn in_freeze_window(self) -> bool {
-        matches!(
-            self,
-            Stage::Freeze
-                | Stage::Dump
-                | Stage::ImageEdit
-                | Stage::Inject
-                | Stage::RestorePrepare
-                | Stage::RestoreCommit
-        )
+    /// Closes the bracket over the pids it was opened with and returns
+    /// the stage's host wall-clock duration.
+    fn close(self, kernel: &mut Kernel, pids: &[Pid]) -> Duration {
+        let elapsed = self.started.elapsed();
+        let duration_ns = saturating_nanos(elapsed);
+        kernel.record_flight(
+            None,
+            EventKind::PhaseEnd {
+                phase: self.phase,
+                duration_ns,
+            },
+        );
+        for &pid in pids {
+            kernel.record_flight(
+                Some(pid),
+                EventKind::StageRetired {
+                    stage: self.phase,
+                    duration_ns,
+                },
+            );
+        }
+        elapsed
     }
 }
 
-impl std::fmt::Display for Stage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.phase().fmt(f)
+/// A duration in whole nanoseconds, saturating at `u64::MAX` (some 584
+/// years) instead of truncating.
+fn saturating_nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// Tags every process of a group with a scheduling class. Cycle work
+/// pumps serve slices between stages, and a group mid-customize
+/// (post-restore catch-up bursts, repair-mode drains) must not steal
+/// quanta from replicas that are purely serving — the MLFQ pins
+/// [`SchedClass::Background`] processes to its bottom level. The tag is
+/// host-side scheduler state only: it survives the remove/insert swap of
+/// a restore and never reaches a fingerprint or checkpoint, so tagging
+/// cannot perturb the transactional parity guarantees.
+fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
+    for &pid in pids {
+        kernel.set_sched_class(pid, class);
     }
+}
+
+/// One process's accumulated redirect or verifier table, from a
+/// cycle's staged state, in address order: what the handler library
+/// injected into that process carries. The image-edit stage gives every
+/// process of the cycle an entry.
+fn union_table<V: Copy>(
+    state: Option<&BTreeMap<Pid, BTreeMap<u64, V>>>,
+    pid: Pid,
+) -> Vec<(u64, V)> {
+    state
+        .and_then(|state| state.get(&pid))
+        .map(|table| table.iter().map(|(&addr, &value)| (addr, value)).collect())
+        .unwrap_or_default()
 }
 
 /// Everything one group's in-flight cycle carries between stages: the
@@ -127,36 +157,21 @@ impl std::fmt::Display for Stage {
 /// session state that commits only if every stage succeeds.
 pub(crate) struct CycleState {
     pub(crate) pids: Vec<Pid>,
-    /// The one dump-options struct threaded through every stage.
-    options: DumpOptions,
-    incremental: bool,
     pub(crate) report: CustomizeReport,
     pub(crate) journal: TxnJournal,
     begun: bool,
     predump: Option<PreDump>,
     checkpoint: Option<CheckpointImage>,
-    redirects: Vec<Vec<(u64, u64)>>,
-    originals: Vec<Vec<(u64, u8)>>,
     staged_redirect_state: Option<BTreeMap<Pid, BTreeMap<u64, u64>>>,
     staged_verify_state: Option<BTreeMap<Pid, BTreeMap<u64, u8>>>,
     staged_registry: Option<ModuleRegistry>,
     staged_injections: u64,
     txn: Option<RestoreTransaction>,
-    committed: Option<CommittedRestore>,
 }
 
 impl CycleState {
-    /// The stages this cycle runs, in order.
-    fn stage_sequence(&self) -> Vec<Stage> {
-        Stage::SEQUENCE
-            .into_iter()
-            .filter(|stage| {
-                self.incremental || !matches!(stage, Stage::PreDump | Stage::BaselineStore)
-            })
-            .collect()
-    }
-
-    /// Journals the cycle's `CustomizeBegin` (once).
+    /// Opens the cycle: journals its `CustomizeBegin` (once) and tags its
+    /// group [`SchedClass::Background`] until it commits or rolls back.
     fn begin(&mut self, kernel: &mut Kernel) {
         if !self.begun {
             self.begun = true;
@@ -167,23 +182,7 @@ impl CycleState {
                 },
             );
         }
-    }
-}
-
-/// Knobs for [`DynaCut::customize_fleet`].
-#[derive(Debug, Clone, Copy)]
-pub struct FleetOptions {
-    /// Guest nanoseconds the scheduler pumps the kernel for between
-    /// stage steps ([`Kernel::run_for`]), so unfrozen groups keep
-    /// serving while another group's cycle proceeds.
-    pub serve_slice_ns: u64,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        FleetOptions {
-            serve_slice_ns: 200_000,
-        }
+        set_group_class(kernel, &self.pids, SchedClass::Background);
     }
 }
 
@@ -206,7 +205,8 @@ pub struct FleetTotals {
     pub groups: usize,
     /// Processes customized (sum of group sizes).
     pub processes: usize,
-    /// Page bytes copied inside freeze windows, fleet-wide.
+    /// Page bytes the pre-dump protocol left for the freeze windows,
+    /// fleet-wide (see [`CustomizeReport::frozen_page_bytes`]).
     pub frozen_page_bytes: usize,
     /// Page bytes pre-copied while guests served, fleet-wide.
     pub prewritten_page_bytes: usize,
@@ -247,79 +247,131 @@ impl DynaCut {
     fn begin_cycle(&self, pids: &[Pid]) -> CycleState {
         CycleState {
             pids: pids.to_vec(),
-            options: self.dump_options,
-            incremental: self.incremental,
             report: CustomizeReport::default(),
-            journal: TxnJournal {
-                frozen: Vec::new(),
-                saved_dirty: Vec::new(),
-                baseline_key: pids.to_vec(),
-                last_baseline: None,
-                stored: None,
-            },
+            journal: TxnJournal::default(),
             begun: false,
             predump: None,
             checkpoint: None,
-            redirects: Vec::new(),
-            originals: Vec::new(),
             staged_redirect_state: None,
             staged_verify_state: None,
             staged_registry: None,
             staged_injections: self.injections,
             txn: None,
-            committed: None,
         }
     }
 
-    /// Tags every process of an in-flight cycle with a scheduling
-    /// class. Cycle work pumps serve slices between stages, and a
-    /// group mid-customize (post-restore catch-up bursts, repair-mode
-    /// drains) must not steal quanta from replicas that are purely
-    /// serving — the MLFQ pins [`SchedClass::Background`] processes to
-    /// its bottom level. The tag is host-side scheduler state only: it
-    /// survives the remove/insert swap of a restore and never reaches a
-    /// fingerprint or checkpoint, so tagging cannot perturb the
-    /// transactional parity guarantees.
-    fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
-        for &pid in pids {
-            kernel.set_sched_class(pid, class);
+    /// The stages this session's cycles run, in order.
+    fn stages(&self) -> &'static [Phase] {
+        if self.incremental {
+            &STAGES
+        } else {
+            &STAGES[1..STAGES.len() - 1]
         }
     }
 
-    /// Runs the full stage sequence over one group — the single-group
-    /// customize path. Rolls the cycle back on any stage failure.
-    pub(crate) fn run_cycle(
+    /// Applies a rewrite plan to one or more live processes (a
+    /// multi-process application passes all its pids, as with the Nginx
+    /// master + worker).
+    ///
+    /// The processes are frozen, dumped, rewritten as images, and
+    /// restored; established TCP connections survive. Wall-clock timings
+    /// of each phase are measured and reported; guest-visible downtime is
+    /// charged to the kernel clock per [`RewritePlan::downtime`].
+    ///
+    /// The cycle runs as a list of [`Phase`] stages (pre-dump → freeze →
+    /// dump → image-edit → inject → restore → baseline-store);
+    /// [`DynaCut::customize_fleet`] drives the same stages over many
+    /// groups, serializing only the freeze windows.
+    ///
+    /// The whole cycle is **transactional** (DESIGN §5): on any error —
+    /// before, during, or after the restore swap — the kernel is rolled
+    /// back to exactly its pre-customization state (processes alive and
+    /// thawed to their prior scheduler states, TCP connections out of
+    /// repair mode, dirty bitmaps and the incremental baseline restored)
+    /// and this session's accumulated state (registry, redirect/verifier
+    /// tables, injection counter) is left untouched, so retrying the same
+    /// plan afterwards behaves as if the failed attempt never happened.
+    ///
+    /// # Errors
+    ///
+    /// Fails on plan validation, missing processes/modules, or
+    /// image-editing errors. The kernel is always left as described
+    /// above.
+    pub fn customize(
         &mut self,
         kernel: &mut Kernel,
         pids: &[Pid],
         plan: &RewritePlan,
     ) -> Result<CustomizeReport, DynacutError> {
-        let mut cycle = self.begin_cycle(pids);
+        plan.validate()?;
+        let cycle = self.run_stages(kernel, self.begin_cycle(pids), plan, self.stages())?;
+        Ok(self.commit_cycle(kernel, cycle, plan))
+    }
+
+    /// The one stage loop: opens the cycle, then runs `stages` in order,
+    /// each inside its [`Bracket`]. The first failing stage rolls the
+    /// cycle back, returns its group to normal scheduling and fails with
+    /// that stage's error; otherwise the cycle comes back ready to commit
+    /// (or, for a rollout's canary, to soak).
+    fn run_stages(
+        &mut self,
+        kernel: &mut Kernel,
+        mut cycle: CycleState,
+        plan: &RewritePlan,
+        stages: &[Phase],
+    ) -> Result<CycleState, DynacutError> {
         cycle.begin(kernel);
-        Self::set_group_class(kernel, pids, SchedClass::Background);
-        for stage in cycle.stage_sequence() {
-            if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
-                let CycleState { pids, journal, .. } = cycle;
-                self.rollback(kernel, &pids, journal);
-                Self::set_group_class(kernel, &pids, SchedClass::Normal);
+        for &phase in stages {
+            if let Err(err) = self.run_stage(kernel, &mut cycle, plan, phase) {
+                self.abort_cycle(kernel, cycle);
                 return Err(err);
             }
         }
-        Self::set_group_class(kernel, pids, SchedClass::Normal);
-        Ok(self.commit_cycle(kernel, cycle, plan))
+        Ok(cycle)
+    }
+
+    /// Runs one stage for one group inside its bracket and appends its
+    /// duration to the cycle's report.
+    fn run_stage(
+        &mut self,
+        kernel: &mut Kernel,
+        cycle: &mut CycleState,
+        plan: &RewritePlan,
+        phase: Phase,
+    ) -> Result<(), DynacutError> {
+        let bracket = Bracket::open(kernel, &cycle.pids, phase);
+        self.stage_body(kernel, cycle, plan, phase)?;
+        let elapsed = bracket.close(kernel, &cycle.pids);
+        cycle.report.phases.push((phase, elapsed));
+        Ok(())
+    }
+
+    /// Rolls back a cycle that has begun and returns its group to normal
+    /// scheduling.
+    fn abort_cycle(&mut self, kernel: &mut Kernel, cycle: CycleState) {
+        let CycleState {
+            pids,
+            journal,
+            begun,
+            ..
+        } = cycle;
+        if begun {
+            self.rollback(kernel, &pids, journal);
+        }
+        set_group_class(kernel, &pids, SchedClass::Normal);
     }
 
     /// Customizes a fleet of independent process groups with one plan.
     ///
-    /// Stages that run while the guest serves (the incremental
-    /// pre-dump) proceed **round-robin** across groups; the freeze
-    /// window — freeze through restore-commit (plus the baseline store,
-    /// which must observe the just-restored group unperturbed) — is
+    /// Stages before the freeze window (the incremental pre-dump) run
+    /// for every group in turn while the guest serves; the freeze window
+    /// — freeze through restore-commit (plus the baseline store, which
+    /// must observe the just-restored group unperturbed) — is
     /// **serialized**: at most one group is frozen at any time, and the
-    /// kernel is pumped for [`FleetOptions::serve_slice_ns`] guest
-    /// nanoseconds between steps so every other group keeps serving.
-    /// The per-pid [`EventKind::StageScheduled`]/[`EventKind::StageRetired`]
-    /// journal pairs record the interleaving.
+    /// kernel is pumped for a fixed serve slice of guest time between
+    /// steps so every other group keeps serving. The per-pid
+    /// [`EventKind::StageScheduled`]/[`EventKind::StageRetired`] journal
+    /// pairs record the interleaving.
     ///
     /// Each group's cycle is individually transactional, exactly as
     /// [`DynaCut::customize`]: a stage failure rolls that group — and
@@ -337,28 +389,31 @@ impl DynaCut {
         kernel: &mut Kernel,
         groups: &[Vec<Pid>],
         plan: &RewritePlan,
-        options: &FleetOptions,
     ) -> Result<FleetReport, DynacutError> {
         plan.validate()?;
         let started = Instant::now();
+        let stages = self.stages();
+        let freeze = stages
+            .iter()
+            .position(|&phase| in_freeze_window(phase))
+            .expect("every cycle freezes");
+        let (live, window) = stages.split_at(freeze);
         let mut cycles: VecDeque<CycleState> =
             groups.iter().map(|group| self.begin_cycle(group)).collect();
 
-        // Wave 1 — concurrent stages. Every group pre-dumps while its
-        // own (and everyone else's) processes still run; the serve
-        // slices between steps let queued client traffic drain.
-        if self.incremental {
-            let mut failed = None;
-            for cycle in &mut cycles {
+        // Wave 1 — the stages before the freeze. Every group pre-dumps
+        // while its own (and everyone else's) processes still run; the
+        // serve slices between steps let queued client traffic drain.
+        if !live.is_empty() {
+            let pre_dumped = cycles.iter_mut().try_for_each(|cycle| {
                 cycle.begin(kernel);
-                Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
-                if let Err(err) = self.run_stage(kernel, cycle, plan, Stage::PreDump) {
-                    failed = Some(err);
-                    break;
+                for &phase in live {
+                    self.run_stage(kernel, cycle, plan, phase)?;
                 }
-                kernel.run_for(options.serve_slice_ns);
-            }
-            if let Some(err) = failed {
+                kernel.run_for(FLEET_SERVE_SLICE_NS);
+                Ok(())
+            });
+            if let Err(err) = pre_dumped {
                 return Err(self.abort_fleet(kernel, cycles, err));
             }
         }
@@ -368,26 +423,13 @@ impl DynaCut {
         // the kernel is pumped between groups so the rest of the fleet
         // serves during every other group's window.
         let mut report = FleetReport::default();
-        while let Some(mut cycle) = cycles.pop_front() {
-            cycle.begin(kernel);
-            Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
-            let window: Vec<Stage> = cycle
-                .stage_sequence()
-                .into_iter()
-                .filter(|stage| *stage != Stage::PreDump)
-                .collect();
-            for stage in window {
-                if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
-                    let CycleState { pids, journal, .. } = cycle;
-                    self.rollback(kernel, &pids, journal);
-                    Self::set_group_class(kernel, &pids, SchedClass::Normal);
-                    return Err(self.abort_fleet(kernel, cycles, err));
-                }
-            }
+        while let Some(cycle) = cycles.pop_front() {
+            let cycle = match self.run_stages(kernel, cycle, plan, window) {
+                Ok(cycle) => cycle,
+                Err(err) => return Err(self.abort_fleet(kernel, cycles, err)),
+            };
             let pids = cycle.pids.clone();
             let group_report = self.commit_cycle(kernel, cycle, plan);
-            // Committed: the group is a plain serving replica again.
-            Self::set_group_class(kernel, &pids, SchedClass::Normal);
             report.totals.groups += 1;
             report.totals.processes += pids.len();
             report.totals.frozen_page_bytes += group_report.frozen_page_bytes;
@@ -401,7 +443,7 @@ impl DynaCut {
             for &pid in &pids {
                 report.procs.insert(pid, group_report.clone());
             }
-            kernel.run_for(options.serve_slice_ns);
+            kernel.run_for(FLEET_SERVE_SLICE_NS);
         }
 
         let pages = self.store.page_store();
@@ -412,9 +454,11 @@ impl DynaCut {
         Ok(report)
     }
 
-    /// Unwinds every pending group that already has journal state (its
-    /// pre-dump swept dirty bits or displaced a baseline) after another
-    /// group's cycle failed, and passes the error through.
+    /// Aborts every pending group after another group's cycle failed —
+    /// rolling back those that already have journal state (their
+    /// pre-dump swept dirty bits or displaced a baseline) and untagging
+    /// every one, since wave 1 tags a group before its pre-dump — and
+    /// passes the error through.
     fn abort_fleet(
         &mut self,
         kernel: &mut Kernel,
@@ -422,85 +466,27 @@ impl DynaCut {
         err: DynacutError,
     ) -> DynacutError {
         for cycle in cycles {
-            let begun = cycle.begun;
-            let CycleState { pids, journal, .. } = cycle;
-            if begun {
-                self.rollback(kernel, &pids, journal);
-            }
-            // Untag unconditionally: a never-begun group was still
-            // tagged if wave 1 reached it before the failure.
-            Self::set_group_class(kernel, &pids, SchedClass::Normal);
+            self.abort_cycle(kernel, cycle);
         }
         err
     }
 
-    /// Runs one stage for one group: per-pid `StageScheduled` events,
-    /// the group-level phase bracket, the stage body, then per-pid
-    /// `StageRetired` events. A failing stage leaves its `PhaseStart`
-    /// dangling (and retires nothing) — the journal names the stage the
-    /// cycle died in, exactly as the monolithic path did.
-    fn run_stage(
-        &mut self,
-        kernel: &mut Kernel,
-        cycle: &mut CycleState,
-        plan: &RewritePlan,
-        stage: Stage,
-    ) -> Result<(), DynacutError> {
-        let phase = stage.phase();
-        for index in 0..cycle.pids.len() {
-            let pid = cycle.pids[index];
-            kernel.record_flight(Some(pid), EventKind::StageScheduled { stage: phase });
-        }
-        let started = start_phase(kernel, phase);
-        self.stage_body(kernel, cycle, plan, stage)?;
-        end_phase(kernel, &mut cycle.report, phase, started);
-        let elapsed = cycle
-            .report
-            .phases
-            .last()
-            .map(|(_, elapsed)| *elapsed)
-            .unwrap_or_default();
-        match stage {
-            Stage::PreDump | Stage::Freeze | Stage::Dump => {
-                cycle.report.timings.checkpoint += elapsed;
-            }
-            Stage::ImageEdit => cycle.report.timings.disable_code += elapsed,
-            Stage::Inject => cycle.report.timings.insert_sighandler += elapsed,
-            Stage::RestorePrepare | Stage::RestoreCommit => {
-                cycle.report.timings.restore += elapsed;
-            }
-            // Outside the paper's Figure 6 legend: the baseline store
-            // happens after the processes are serving again.
-            Stage::BaselineStore => {}
-        }
-        for index in 0..cycle.pids.len() {
-            let pid = cycle.pids[index];
-            kernel.record_flight(
-                Some(pid),
-                EventKind::StageRetired {
-                    stage: phase,
-                    duration_ns: elapsed.as_nanos() as u64,
-                },
-            );
-        }
-        Ok(())
-    }
-
-    /// The stage bodies, moved verbatim from the monolithic customize.
+    /// The stage bodies.
     fn stage_body(
         &mut self,
         kernel: &mut Kernel,
         cycle: &mut CycleState,
         plan: &RewritePlan,
-        stage: Stage,
+        phase: Phase,
     ) -> Result<(), DynacutError> {
-        match stage {
+        match phase {
             // Incremental mode, phase one: copy clean pages while the
-            // guest still runs, so the freeze only has to move the dirty
-            // residue. The pre-dump sweeps the dirty bitmap; snapshot it
-            // first so a failed cycle can restore it (with the bits
-            // intact, the old baseline stays valid across the failure).
-            Stage::PreDump => {
+            // guest still runs, so a pre-dump protocol leaves only the
+            // dirty residue for the freeze. The pre-dump sweeps the dirty
+            // bitmap; snapshot it first so a failed cycle can restore it
+            // (with the bits intact, the old baseline stays valid across
+            // the failure).
+            Phase::PreDump => {
                 for index in 0..cycle.pids.len() {
                     let pid = cycle.pids[index];
                     let dirty = kernel.process(pid)?.mem.dirty_pages().collect();
@@ -510,10 +496,10 @@ impl DynaCut {
                 // The bitmap now matches no stored checkpoint until a
                 // new baseline is stored below; the journal holds the
                 // old one for rollback.
-                cycle.journal.last_baseline = self.baselines.remove(&cycle.journal.baseline_key);
+                cycle.journal.last_baseline = self.baselines.remove(&cycle.pids);
                 Ok(())
             }
-            Stage::Freeze => {
+            Phase::Freeze => {
                 for index in 0..cycle.pids.len() {
                     let pid = cycle.pids[index];
                     kernel.freeze(pid)?;
@@ -521,9 +507,9 @@ impl DynaCut {
                 }
                 Ok(())
             }
-            Stage::Dump => {
+            Phase::Dump => {
                 let dumped = match &cycle.predump {
-                    Some(pre) => pre.complete(kernel, &cycle.pids, &cycle.options).map(
+                    Some(pre) => pre.complete(kernel, &cycle.pids, &self.dump_options).map(
                         |(checkpoint, stats)| {
                             (
                                 checkpoint,
@@ -532,12 +518,10 @@ impl DynaCut {
                             )
                         },
                     ),
-                    None => {
-                        dump_many(kernel, &cycle.pids, &cycle.options).map(|checkpoint| {
-                            let frozen = checkpoint.pages_bytes();
-                            (checkpoint, frozen, 0)
-                        })
-                    }
+                    None => dump_many(kernel, &cycle.pids, &self.dump_options).map(|checkpoint| {
+                        let frozen = checkpoint.pages_bytes();
+                        (checkpoint, frozen, 0)
+                    }),
                 };
                 let (checkpoint, frozen, prewritten) = dumped?;
                 cycle.report.frozen_page_bytes = frozen;
@@ -556,12 +540,12 @@ impl DynaCut {
             // restore (and, in incremental mode, the baseline store)
             // succeed. A failure anywhere leaves `self` exactly as it
             // was.
-            Stage::ImageEdit => self.stage_image_edit(cycle, plan),
-            Stage::Inject => self.stage_inject(kernel, cycle, plan),
+            Phase::ImageEdit => self.stage_image_edit(cycle, plan),
+            Phase::Inject => self.stage_inject(kernel, cycle, plan),
             // Staged: every replacement process is fully built before
             // the first original is touched, and the swap itself rolls
             // back on a mid-commit failure (see `RestoreTransaction`).
-            Stage::RestorePrepare => {
+            Phase::RestorePrepare => {
                 let checkpoint = cycle.checkpoint.as_ref().expect("dump stage ran");
                 let registry = cycle.staged_registry.as_ref().expect("inject stage ran");
                 // Put the edited checkpoint into the session's
@@ -575,11 +559,12 @@ impl DynaCut {
                 let id = self.store.put_full(checkpoint)?;
                 cycle.journal.stored = Some(id);
                 cycle.report.restore_copied_bytes =
-                    (self.store.page_store().copied_bytes() - copied_before) as usize;
+                    usize::try_from(self.store.page_store().copied_bytes() - copied_before)
+                        .expect("bytes copied into memory fit in usize");
                 cycle.txn = Some(self.store.stage_restore(kernel, id, registry)?);
                 Ok(())
             }
-            Stage::RestoreCommit => {
+            Phase::RestoreCommit => {
                 let txn = cycle.txn.take().expect("restore was prepared");
                 let committed = txn.commit(kernel)?;
                 // The swap just replaced these processes' text with the
@@ -595,10 +580,11 @@ impl DynaCut {
                 // validate). No flush, no cold restart, traps still
                 // land (DESIGN §11).
                 committed.carry_block_caches(kernel);
-                cycle.committed = Some(committed);
+                cycle.journal.committed = Some(committed);
                 Ok(())
             }
-            Stage::BaselineStore => self.stage_baseline_store(kernel, cycle),
+            Phase::BaselineStore => self.stage_baseline_store(kernel, cycle),
+            other => unreachable!("{other} is not a cycle stage"),
         }
     }
 
@@ -613,13 +599,13 @@ impl DynaCut {
         let checkpoint = cycle.checkpoint.as_mut().expect("dump stage ran");
         let mut staged_redirect_state = self.redirect_state.clone();
         let mut staged_verify_state = self.verify_state.clone();
-        let mut redirects: Vec<Vec<(u64, u64)>> = vec![Vec::new(); checkpoint.procs.len()];
-        let mut originals: Vec<Vec<(u64, u8)>> = vec![Vec::new(); checkpoint.procs.len()];
-        for (index, image) in checkpoint.procs.iter_mut().enumerate() {
+        for image in &mut checkpoint.procs {
             if fault::hit(FaultPhase::ImageEdit) {
                 return Err(DynacutError::FaultInjected(FaultPhase::ImageEdit));
             }
             let pid = image.core.pid;
+            let mut redirects: Vec<(u64, u64)> = Vec::new();
+            let mut originals: Vec<(u64, u8)> = Vec::new();
             let mut original_text = OriginalText::new();
             for feature in &plan.enable {
                 let Some(module) = image
@@ -655,8 +641,8 @@ impl DynaCut {
                 cycle.report.blocks_disabled += outcome.blocks;
                 cycle.report.bytes_written += outcome.bytes_written;
                 cycle.report.pages_unmapped += outcome.pages_unmapped;
-                redirects[index].extend(outcome.redirects);
-                originals[index].extend(outcome.originals);
+                redirects.extend(outcome.redirects);
+                originals.extend(outcome.originals);
             }
             for (module, blocks) in &plan.remove_blocks {
                 if !image.core.modules.iter().any(|m| &m.name == module) {
@@ -666,7 +652,7 @@ impl DynaCut {
                 cycle.report.blocks_disabled += outcome.blocks;
                 cycle.report.bytes_written += outcome.bytes_written;
                 cycle.report.pages_unmapped += outcome.pages_unmapped;
-                originals[index].extend(outcome.originals);
+                originals.extend(outcome.originals);
             }
             if let Some(allowed) = &plan.allow_syscalls {
                 let mut mask = 0u64;
@@ -675,30 +661,26 @@ impl DynaCut {
                     // keeps even a hypothetically unvalidated plan from
                     // overflowing the shift.
                     debug_assert!(sysno < u64::from(dynacut_vm::SYSCALL_FILTER_BITS));
-                    mask |= 1u64.checked_shl(sysno as u32).unwrap_or(0);
+                    mask |= u32::try_from(sysno)
+                        .ok()
+                        .and_then(|shift| 1u64.checked_shl(shift))
+                        .unwrap_or(0);
                 }
                 // Signal delivery always needs sigreturn.
                 mask |= 1 << (dynacut_vm::Sysno::Sigreturn as u64);
                 image.set_syscall_filter(mask);
             }
             // Fold this plan's effects into the staged accumulated
-            // state and emit the union tables for the handler build
-            // below.
+            // state; the handler build below injects its union tables.
             let redirect_acc = staged_redirect_state.entry(pid).or_default();
-            for (from, to) in redirects[index].drain(..) {
-                redirect_acc.insert(from, to);
-            }
-            redirects[index] = redirect_acc.iter().map(|(&f, &t)| (f, t)).collect();
+            redirect_acc.extend(redirects);
             let verify_acc = staged_verify_state.entry(pid).or_default();
-            for (addr, byte) in originals[index].drain(..) {
+            for (addr, byte) in originals {
                 verify_acc.entry(addr).or_insert(byte);
             }
-            originals[index] = verify_acc.iter().map(|(&a, &b)| (a, b)).collect();
         }
         cycle.staged_redirect_state = Some(staged_redirect_state);
         cycle.staged_verify_state = Some(staged_verify_state);
-        cycle.redirects = redirects;
-        cycle.originals = originals;
         Ok(())
     }
 
@@ -716,11 +698,16 @@ impl DynaCut {
         let mut staged_registry = self.registry.clone();
         let mut staged_injections = self.injections;
         let checkpoint = cycle.checkpoint.as_mut().expect("dump stage ran");
+        let redirect_state = cycle.staged_redirect_state.as_ref();
+        let verify_state = cycle.staged_verify_state.as_ref();
         if plan.fault_policy != FaultPolicy::Terminate {
-            for (index, image) in checkpoint.procs.iter_mut().enumerate() {
+            for image in &mut checkpoint.procs {
+                let pid = image.core.pid;
                 let mut library = match plan.fault_policy {
-                    FaultPolicy::Redirect => build_fault_handler(&cycle.redirects[index])?,
-                    FaultPolicy::Verify => build_verifier_library(&cycle.originals[index])?,
+                    FaultPolicy::Redirect => {
+                        build_fault_handler(&union_table(redirect_state, pid))?
+                    }
+                    FaultPolicy::Verify => build_verifier_library(&union_table(verify_state, pid))?,
                     FaultPolicy::Terminate => unreachable!(),
                 };
                 // Repeated customizations inject repeatedly: keep module
@@ -777,9 +764,9 @@ impl DynaCut {
     /// was staged from as the group's new baseline. The cycle reports as
     /// stored the pages that are new or changed since the group's
     /// previous baseline; the rest are shared with it. A failure here
-    /// still rolls the whole cycle back: the committed restore is undone
-    /// first, putting the original (frozen) processes back for the
-    /// journal rollback to thaw and to release the entry.
+    /// still rolls the whole cycle back: the journal rollback undoes the
+    /// committed restore first, putting the original (frozen) processes
+    /// back to be thawed, and releases the entry.
     fn stage_baseline_store(
         &mut self,
         kernel: &mut Kernel,
@@ -796,45 +783,27 @@ impl DynaCut {
             .take()
             .expect("dump stage ran")
             .pages_bytes();
-        let adopted: Result<(), DynacutError> = (|| {
-            mark_clean_after_dump(kernel, &cycle.pids)?;
-            if fault::hit(FaultPhase::BaselineStore) {
-                return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
-            }
-            Ok(())
-        })();
-        if let Err(err) = adopted {
-            kernel.record_flight(
-                None,
-                EventKind::RollbackStep {
-                    step: RollbackStep::UndoRestore,
-                },
-            );
-            cycle
-                .committed
-                .take()
-                .expect("restore committed before the baseline store")
-                .undo(kernel);
-            return Err(err);
+        mark_clean_after_dump(kernel, &cycle.pids)?;
+        if fault::hit(FaultPhase::BaselineStore) {
+            return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
         }
         let bytes = match cycle.journal.last_baseline {
             Some(parent) => self
                 .store
                 .changed_pages_bytes(parent, id)
-                .expect("a group's baseline stays stored until a cycle displaces it"),
+                .expect("a displaced baseline stays stored until its cycle commits"),
             None => full_bytes,
         };
         cycle.report.stored_page_bytes = Some(bytes);
         cycle.report.checkpoint_id = Some(id);
-        self.baselines
-            .insert(cycle.journal.baseline_key.clone(), id);
+        self.baselines.insert(cycle.pids.clone(), id);
         Ok(())
     }
 
-    /// Every stage succeeded: fold the staged session state in and
-    /// charge the guest-visible downtime. The cycle's journal is
-    /// dropped — the originals it would have resurrected no longer
-    /// exist.
+    /// Every stage succeeded: fold the staged session state in, return
+    /// the group to normal scheduling and charge the guest-visible
+    /// downtime. The cycle's journal is dropped — the originals it would
+    /// have resurrected no longer exist.
     fn commit_cycle(
         &mut self,
         kernel: &mut Kernel,
@@ -843,7 +812,6 @@ impl DynaCut {
     ) -> CustomizeReport {
         let CycleState {
             pids,
-            incremental,
             report,
             journal,
             staged_redirect_state,
@@ -852,14 +820,20 @@ impl DynaCut {
             staged_injections,
             ..
         } = cycle;
-        // Only an incremental cycle keeps its entry, as the group's
-        // baseline; any other cycle's store stays empty.
-        if !incremental {
-            if let Some(id) = journal.stored {
-                self.store
-                    .release(id)
-                    .expect("the cycle's own entry releases cleanly");
-            }
+        // The commit releases the entry it leaves behind, so the store
+        // holds one entry per group: an incremental cycle keeps its own
+        // as the group's baseline and drops the one it displaced, any
+        // other cycle keeps none. Never earlier: a failed cycle or a
+        // demoted canary puts the displaced baseline back.
+        let spent = if self.incremental {
+            journal.last_baseline
+        } else {
+            journal.stored
+        };
+        if let Some(id) = spent {
+            self.store
+                .release(id)
+                .expect("a cycle's spent entry is still stored");
         }
         if let Some(state) = staged_redirect_state {
             self.redirect_state = state;
@@ -882,6 +856,7 @@ impl DynaCut {
         for &pid in &pids {
             kernel.flight_mut().set_trap_policy(pid, policy_label);
         }
+        set_group_class(kernel, &pids, SchedClass::Normal);
         let metrics = kernel.flight_mut().metrics_mut();
         metrics.incr("customize.commits", 1);
         metrics.incr("blocks_patched", report.blocks_disabled as u64);
@@ -891,10 +866,10 @@ impl DynaCut {
         metrics.incr("pages_restore_copied_bytes", report.restore_copied_bytes as u64);
         metrics.incr("injections", report.handler_bases.len() as u64);
         for (phase, elapsed) in &report.phases {
-            metrics.observe(&format!("phase.{phase}"), elapsed.as_nanos() as u64);
+            metrics.observe(&format!("phase.{phase}"), saturating_nanos(*elapsed));
         }
         kernel.record_flight(None, EventKind::CustomizeCommit);
-        kernel.advance_clock(plan.downtime.charge_ns(report.timings.total()));
+        kernel.advance_clock(plan.downtime.charge_ns(report.timings().total()));
         report
     }
 }
@@ -1033,31 +1008,21 @@ impl DynaCut {
         }
         let started = Instant::now();
 
-        // Stage 1 — the canary cycle: the full stage sequence over
+        // Stage 1 — the canary cycle: the full stage list over
         // groups[0], deliberately *not* committed yet. The canary is
         // live and serving the rewritten image after RestoreCommit, but
         // the journal and the committed-restore receipt stay in hand so
         // a dirty soak can still demote it.
-        let mut cycle = self.begin_cycle(&groups[0]);
-        cycle.begin(kernel);
-        Self::set_group_class(kernel, &cycle.pids, SchedClass::Background);
-        for stage in cycle.stage_sequence() {
-            if let Err(err) = self.run_stage(kernel, &mut cycle, plan, stage) {
-                let CycleState { pids, journal, .. } = cycle;
-                self.rollback(kernel, &pids, journal);
-                Self::set_group_class(kernel, &pids, SchedClass::Normal);
-                return Err(err);
-            }
-        }
+        let cycle = self.run_stages(kernel, self.begin_cycle(&groups[0]), plan, self.stages())?;
         // The soak is the canary's *validation* serving: it must compete
         // for quanta exactly like the replicas it will be promoted onto,
         // so the background tag comes off before the soak pumps.
-        Self::set_group_class(kernel, &cycle.pids, SchedClass::Normal);
+        set_group_class(kernel, &cycle.pids, SchedClass::Normal);
 
         // Stage 2 — soak: pump serve slices and watch the canary. Only
         // verifier-tagged events are drained (the PR 7 selective drain);
         // everything else stays queued for its own consumers.
-        let soak_started = start_phase(kernel, Phase::Soak);
+        let soak = Bracket::open(kernel, &[], Phase::Soak);
         let seq0 = kernel.flight().next_seq();
         let mut reports: Vec<u64> = Vec::new();
         let mut soaked = 0u64;
@@ -1084,13 +1049,9 @@ impl DynaCut {
                     && event.pid.is_some_and(|pid| cycle.pids.contains(&pid))
             })
             .count() as u64;
-        kernel.record_flight(
-            None,
-            EventKind::PhaseEnd {
-                phase: Phase::Soak,
-                duration_ns: soak_started.elapsed().as_nanos() as u64,
-            },
-        );
+        // The soak stays out of the canary's report: its phases must
+        // keep summing to the cycle's cost.
+        soak.close(kernel, &[]);
         kernel
             .flight_mut()
             .metrics_mut()
@@ -1125,81 +1086,35 @@ impl DynaCut {
             .report
             .checkpoint_id
             .expect("incremental canary cycle stored its baseline");
+        let registry = cycle
+            .staged_registry
+            .as_ref()
+            .expect("canary cycle staged its registry");
         let mut promoted: Vec<(Vec<Pid>, CommittedRestore, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
         let mut wave_err: Option<DynacutError> = None;
-        'wave: for group in &groups[1..] {
-            let window_started = Instant::now();
+        for group in &groups[1..] {
             // Background from the window start until the rollout
             // commits (or this group is unwound): the just-promoted
             // replica's catch-up burst drains under the serving fleet.
-            Self::set_group_class(kernel, group, SchedClass::Background);
-            kernel.record_flight(None, EventKind::PhaseStart { phase: Phase::Promote });
-            for &pid in group.iter() {
-                kernel.record_flight(Some(pid), EventKind::StageScheduled { stage: Phase::Promote });
-            }
-            let mut frozen: Vec<Pid> = Vec::new();
-            let mut group_err: Option<DynacutError> = None;
-            for &pid in group.iter() {
-                match kernel.freeze(pid) {
-                    Ok(()) => frozen.push(pid),
-                    Err(err) => {
-                        group_err = Some(err.into());
-                        break;
-                    }
+            set_group_class(kernel, group, SchedClass::Background);
+            let bracket = Bracket::open(kernel, group, Phase::Promote);
+            let copied_before = self.store.page_store().copied_bytes();
+            match self.promote_group(kernel, ckpt_id, registry, group) {
+                Ok(receipt) => {
+                    let copied = self.store.page_store().copied_bytes() - copied_before;
+                    let window = bracket.close(kernel, group);
+                    promoted.push((group.clone(), receipt, window, copied));
+                    kernel.run_for(rollout.serve_slice_ns);
+                }
+                Err(err) => {
+                    // The window's PhaseStart stays dangling, as a
+                    // failed stage's always does.
+                    set_group_class(kernel, group, SchedClass::Normal);
+                    wave_err = Some(err);
+                    break;
                 }
             }
-            if group_err.is_none() {
-                let copied_before = self.store.page_store().copied_bytes();
-                let registry = cycle
-                    .staged_registry
-                    .as_ref()
-                    .expect("canary cycle staged its registry");
-                match self
-                    .store
-                    .promote_shared(kernel, ckpt_id, registry, group)
-                {
-                    Ok(receipt) => {
-                        let copied = self.store.page_store().copied_bytes() - copied_before;
-                        let window = window_started.elapsed();
-                        for &pid in group.iter() {
-                            kernel.record_flight(
-                                Some(pid),
-                                EventKind::StageRetired {
-                                    stage: Phase::Promote,
-                                    duration_ns: window.as_nanos() as u64,
-                                },
-                            );
-                        }
-                        kernel.record_flight(
-                            None,
-                            EventKind::PhaseEnd {
-                                phase: Phase::Promote,
-                                duration_ns: window.as_nanos() as u64,
-                            },
-                        );
-                        promoted.push((group.clone(), receipt, window, copied));
-                        kernel.run_for(rollout.serve_slice_ns);
-                        continue 'wave;
-                    }
-                    Err(err) => group_err = Some(err.into()),
-                }
-            }
-            // This group failed before its swap landed: thaw what this
-            // window froze. The Promote PhaseStart stays dangling, as a
-            // failed stage's bracket always does.
-            for &pid in frozen.iter().rev() {
-                let _ = kernel.thaw(pid);
-                kernel.record_flight(
-                    Some(pid),
-                    EventKind::RollbackStep {
-                        step: RollbackStep::Thaw,
-                    },
-                );
-            }
-            Self::set_group_class(kernel, group, SchedClass::Normal);
-            wave_err = group_err;
-            break;
         }
 
         if let Some(err) = wave_err {
@@ -1207,23 +1122,8 @@ impl DynaCut {
             // undo re-inserts the frozen original, which is then thawed
             // back to its pre-freeze scheduler state.
             for (group, receipt, _, _) in promoted.into_iter().rev() {
-                kernel.record_flight(
-                    None,
-                    EventKind::RollbackStep {
-                        step: RollbackStep::UndoRestore,
-                    },
-                );
-                receipt.undo(kernel);
-                for &pid in group.iter().rev() {
-                    let _ = kernel.thaw(pid);
-                    kernel.record_flight(
-                        Some(pid),
-                        EventKind::RollbackStep {
-                            step: RollbackStep::Thaw,
-                        },
-                    );
-                }
-                Self::set_group_class(kernel, &group, SchedClass::Normal);
+                unwind(kernel, Some(receipt), group.iter().rev().copied());
+                set_group_class(kernel, &group, SchedClass::Normal);
             }
             self.demote_canary(kernel, cycle, reports.len());
             return Err(err);
@@ -1238,7 +1138,7 @@ impl DynaCut {
         let mut promoted_out = Vec::with_capacity(promoted.len());
         let mut promotion_copied = 0u64;
         for (pids, _receipt, window, copied) in promoted {
-            Self::set_group_class(kernel, &pids, SchedClass::Normal);
+            set_group_class(kernel, &pids, SchedClass::Normal);
             for &pid in &pids {
                 kernel.flight_mut().set_trap_policy(pid, "verify");
             }
@@ -1271,6 +1171,31 @@ impl DynaCut {
         })
     }
 
+    /// One promotion window's body: freezes `group` and installs the
+    /// stored checkpoint `id` on it from shared frames. A failure thaws
+    /// what the window froze, newest first, before returning.
+    fn promote_group(
+        &mut self,
+        kernel: &mut Kernel,
+        id: CkptId,
+        registry: &ModuleRegistry,
+        group: &[Pid],
+    ) -> Result<CommittedRestore, DynacutError> {
+        let mut frozen = Vec::with_capacity(group.len());
+        let mut promote = || -> Result<CommittedRestore, DynacutError> {
+            for &pid in group {
+                kernel.freeze(pid)?;
+                frozen.push(pid);
+            }
+            Ok(self.store.promote_shared(kernel, id, registry, group)?)
+        };
+        let landed = promote();
+        if landed.is_err() {
+            unwind(kernel, None, frozen.into_iter().rev());
+        }
+        landed
+    }
+
     /// Rolls a held-open canary cycle all the way back: undo the
     /// committed restore (the pre-freeze original returns, its soak
     /// divergence discarded with the replacement process), drop the
@@ -1280,22 +1205,15 @@ impl DynaCut {
     /// [`EventKind::CanaryDemoted`] is journalled before the rollback so
     /// `CustomizeRollback` stays the terminal event.
     fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: usize) {
-        kernel.record_flight(
-            None,
-            EventKind::RollbackStep {
-                step: RollbackStep::UndoRestore,
-            },
-        );
-        cycle
+        let committed = cycle
+            .journal
             .committed
             .take()
-            .expect("canary cycle committed its restore before the soak")
-            .undo(kernel);
-        self.baselines.remove(&cycle.journal.baseline_key);
+            .expect("canary cycle committed its restore before the soak");
+        unwind(kernel, Some(committed), std::iter::empty());
+        self.baselines.remove(&cycle.pids);
         kernel.record_flight(None, EventKind::CanaryDemoted { reports });
         kernel.flight_mut().metrics_mut().incr("rollout.demotions", 1);
-        let CycleState { pids, journal, .. } = cycle;
-        self.rollback(kernel, &pids, journal);
-        Self::set_group_class(kernel, &pids, SchedClass::Normal);
+        self.abort_cycle(kernel, cycle);
     }
 }

@@ -36,7 +36,7 @@
 //! let mut dynacut = DynaCut::new(registry);
 //! let plan = RewritePlan::new().disable(feature);
 //! let report = dynacut.customize(kernel, &[pid], &plan)?;
-//! println!("service interruption: {} µs", report.timings.total().as_micros());
+//! println!("service interruption: {} µs", report.timings().total().as_micros());
 //! # Ok(())
 //! # }
 //! ```
@@ -59,9 +59,7 @@ pub use original::OriginalText;
 pub use plan::{BlockPolicy, Downtime, FaultPolicy, RewritePlan, RolloutPlan};
 pub use profile::Profiler;
 pub use rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image, DisableOutcome};
-pub use engine::{
-    FleetOptions, FleetReport, FleetTotals, PromotedReplica, RolloutDecision, RolloutReport, Stage,
-};
+pub use engine::{FleetReport, FleetTotals, PromotedReplica, RolloutDecision, RolloutReport};
 pub use session::{CustomizeReport, DynaCut, Timings};
 // The flight-recorder vocabulary [`CustomizeReport::phases`] and the
 // journal assertions speak, re-exported so report consumers need not

@@ -1,22 +1,22 @@
 //! The DynaCut session: framework state, reports, and the transaction
-//! journal. The customize cycle itself is decomposed into explicit
-//! stages driven by the scheduler in `engine.rs` ([`Stage`](crate::Stage)).
+//! journal. The customize cycle itself is a list of [`Phase`]s run by
+//! the stage runner in `engine.rs`.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::handler::VERIFIER_EVENT_BIT;
-use crate::plan::RewritePlan;
-use crate::DynacutError;
-use dynacut_criu::{CheckpointStore, CkptId, DumpOptions, ModuleRegistry};
+use dynacut_criu::{CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Wall-clock timing breakdown of one customization, matching the legend
 /// of the paper's Figure 6 (checkpoint / disable code w/ int3 / insert
-/// sighandler / restore).
+/// sighandler / restore). [`CustomizeReport::timings`] derives it from
+/// the report's per-phase durations.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Timings {
-    /// Freezing and dumping the process(es), including serialising the
-    /// images to the in-memory tmpfs store.
+    /// Pre-dumping, freezing and dumping the process(es).
     pub checkpoint: Duration,
     /// Editing the images: trap bytes, wipes, unmaps, restores.
     pub disable_code: Duration,
@@ -34,11 +34,24 @@ impl Timings {
     }
 }
 
+/// Whether a cycle's processes are frozen during `phase`: freeze through
+/// restore commit. The pre-dump runs while the guest serves and the
+/// baseline store runs after the restored processes are live again.
+pub(crate) fn in_freeze_window(phase: Phase) -> bool {
+    matches!(
+        phase,
+        Phase::Freeze
+            | Phase::Dump
+            | Phase::ImageEdit
+            | Phase::Inject
+            | Phase::RestorePrepare
+            | Phase::RestoreCommit
+    )
+}
+
 /// What a customization did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CustomizeReport {
-    /// Timing breakdown.
-    pub timings: Timings,
     /// Distinct basic blocks disabled or removed.
     pub blocks_disabled: usize,
     /// `int3` bytes written.
@@ -54,10 +67,12 @@ pub struct CustomizeReport {
     pub image_bytes: usize,
     /// Base address the handler library was injected at, per process.
     pub handler_bases: Vec<(Pid, u64)>,
-    /// Page bytes copied while the processes were frozen. Without
-    /// incremental mode this is the whole page payload; with
-    /// [`DynaCut::with_incremental`] the pre-dump moves clean pages
-    /// before the freeze and only the dirty residue lands here.
+    /// Page bytes a pre-dump protocol leaves for the freeze: the whole
+    /// page payload without incremental mode, only the dirty residue
+    /// with [`DynaCut::with_incremental`]. A modeled freeze window
+    /// charges these bytes (`figures fig8-incremental`); the in-memory
+    /// dump itself still copies every page while the processes are
+    /// frozen ([`PreDump::complete`](dynacut_criu::PreDump::complete)).
     pub frozen_page_bytes: usize,
     /// Page bytes the pre-dump copied while the guest was still running
     /// (zero without incremental mode).
@@ -83,8 +98,9 @@ pub struct CustomizeReport {
     pub checkpoint_id: Option<CkptId>,
     /// Fine-grained per-phase durations, in execution order — the same
     /// phases the flight recorder journals ([`Phase`]). Sums to the
-    /// cycle's wall-clock cost by construction; the coarse [`Timings`]
-    /// buckets above group these into the paper's Figure 6 legend.
+    /// cycle's wall-clock cost by construction;
+    /// [`timings`](CustomizeReport::timings) groups them into the
+    /// paper's Figure 6 legend.
     pub phases: Vec<(Phase, Duration)>,
 }
 
@@ -104,62 +120,45 @@ impl CustomizeReport {
     pub fn freeze_window(&self) -> Duration {
         self.phases
             .iter()
-            .filter(|(phase, _)| {
-                matches!(
-                    phase,
-                    Phase::Freeze
-                        | Phase::Dump
-                        | Phase::ImageEdit
-                        | Phase::Inject
-                        | Phase::RestorePrepare
-                        | Phase::RestoreCommit
-                )
-            })
+            .filter(|(phase, _)| in_freeze_window(*phase))
             .map(|(_, elapsed)| *elapsed)
             .sum()
     }
-}
 
-/// Journals a phase start in the flight recorder and returns the
-/// wall-clock anchor its matching [`end_phase`] measures from. A
-/// `PhaseStart` with no `PhaseEnd` in the journal marks the phase a
-/// failed cycle died in.
-pub(crate) fn start_phase(kernel: &mut Kernel, phase: Phase) -> Instant {
-    kernel.record_flight(None, EventKind::PhaseStart { phase });
-    Instant::now()
-}
-
-/// Journals a successful phase end and appends its duration to the
-/// report's per-phase breakdown.
-pub(crate) fn end_phase(
-    kernel: &mut Kernel,
-    report: &mut CustomizeReport,
-    phase: Phase,
-    started: Instant,
-) {
-    let elapsed = started.elapsed();
-    kernel.record_flight(
-        None,
-        EventKind::PhaseEnd {
-            phase,
-            duration_ns: elapsed.as_nanos() as u64,
-        },
-    );
-    report.phases.push((phase, elapsed));
+    /// The per-phase durations grouped into the paper's Figure 6
+    /// legend. The baseline store, which runs after the processes serve
+    /// again, falls outside it.
+    pub fn timings(&self) -> Timings {
+        let mut timings = Timings::default();
+        for &(phase, elapsed) in &self.phases {
+            let bucket = match phase {
+                Phase::PreDump | Phase::Freeze | Phase::Dump => &mut timings.checkpoint,
+                Phase::ImageEdit => &mut timings.disable_code,
+                Phase::Inject => &mut timings.insert_sighandler,
+                Phase::RestorePrepare | Phase::RestoreCommit => &mut timings.restore,
+                _ => continue,
+            };
+            *bucket += elapsed;
+        }
+        timings
+    }
 }
 
 /// Pre-customization state one customize attempt must restore on
 /// failure (DESIGN §5): which pids it froze, the dirty-page bits the
-/// pre-dump swept, the incremental baseline it displaced (keyed by the
-/// process group that owned it), and the store entry it put.
+/// pre-dump swept, the group's incremental baseline it displaced, the
+/// store entry it put and the restore it committed.
+#[derive(Default)]
 pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
     pub(crate) saved_dirty: Vec<(Pid, Vec<u64>)>,
-    pub(crate) baseline_key: Vec<Pid>,
     pub(crate) last_baseline: Option<CkptId>,
     /// The edited checkpoint's store entry, put by the restore-prepare
     /// stage; the attempt's only store references.
     pub(crate) stored: Option<CkptId>,
+    /// The receipt of the restore swap: undoing it puts the frozen
+    /// originals back.
+    pub(crate) committed: Option<CommittedRestore>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
@@ -174,12 +173,14 @@ pub struct DynaCut {
     /// Checkpoint store, backed by a content-addressed page store shared
     /// across every group this session customizes. Every cycle puts its
     /// edited checkpoint here once and restores from that entry; only
-    /// incremental cycles keep it, as the group's baseline.
+    /// incremental cycles keep it, as the group's baseline, and the
+    /// commit of the group's next cycle releases it.
     pub(crate) store: CheckpointStore,
     /// Per process group, the stored checkpoint its dirty bitmaps are
     /// clean against: the edited image restored by the group's previous
-    /// customization. A map entry is removed when a cycle displaces it
-    /// and re-inserted if that cycle fails.
+    /// customization. A map entry is removed when a cycle displaces it,
+    /// re-inserted if that cycle fails and released from the store if it
+    /// commits.
     pub(crate) baselines: BTreeMap<Vec<Pid>, CkptId>,
     pub(crate) injections: u64,
     /// Per-pid accumulated redirect table (blocked addr → resume addr):
@@ -214,17 +215,20 @@ impl DynaCut {
     }
 
     /// Enables incremental checkpointing for disable/enable cycles: each
-    /// customization pre-dumps clean pages while the guest still runs
-    /// (shrinking the freeze window to the dirty residue) and stores the
-    /// checkpoint in the content-addressed [`CheckpointStore`], where
-    /// pages unchanged since the previous one are shared, not copied.
-    /// Full dumps remain the default.
+    /// customization pre-dumps clean pages while the guest still runs and
+    /// stores the checkpoint in the content-addressed [`CheckpointStore`],
+    /// where pages unchanged since the previous one are shared, not
+    /// copied. The pre-dump leaves only the dirty residue for the freeze
+    /// ([`CustomizeReport::frozen_page_bytes`]), which is what a modeled
+    /// freeze window charges; this in-memory dump still copies every page
+    /// while the processes are frozen. Full dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
         self
     }
 
-    /// The checkpoint store accumulated by incremental customizations.
+    /// The checkpoint store: the current baseline of every group an
+    /// incremental session has customized.
     pub fn store(&self) -> &CheckpointStore {
         &self.store
     }
@@ -234,60 +238,15 @@ impl DynaCut {
         &self.registry
     }
 
-    /// Applies a rewrite plan to one or more live processes (a
-    /// multi-process application passes all its pids, as with the Nginx
-    /// master + worker).
-    ///
-    /// The processes are frozen, dumped, rewritten as images, and
-    /// restored; established TCP connections survive. Wall-clock timings
-    /// of each phase are measured and reported; guest-visible downtime is
-    /// charged to the kernel clock per [`RewritePlan::downtime`].
-    ///
-    /// The cycle runs as the staged sequence of [`crate::Stage`]s
-    /// (pre-dump → freeze → dump → image-edit → inject → restore →
-    /// baseline-store); [`DynaCut::customize_fleet`] drives the same
-    /// stages over many groups, serializing only the freeze windows.
-    ///
-    /// The whole cycle is **transactional** (DESIGN §5): on any error —
-    /// before, during, or after the restore swap — the kernel is rolled
-    /// back to exactly its pre-customization state (processes alive and
-    /// thawed to their prior scheduler states, TCP connections out of
-    /// repair mode, dirty bitmaps and the incremental baseline restored)
-    /// and this session's accumulated state (registry, redirect/verifier
-    /// tables, injection counter) is left untouched, so retrying the same
-    /// plan afterwards behaves as if the failed attempt never happened.
-    ///
-    /// # Errors
-    ///
-    /// Fails on plan validation, missing processes/modules, or
-    /// image-editing errors. The kernel is always left as described
-    /// above.
-    pub fn customize(
-        &mut self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        plan: &RewritePlan,
-    ) -> Result<CustomizeReport, DynacutError> {
-        plan.validate()?;
-        self.run_cycle(kernel, pids, plan)
-    }
-
     /// Reverts a failed customization to the pre-call kernel state:
-    /// thaws every process this attempt froze (back to its pre-freeze
-    /// scheduler state), takes every connection of the target pids out
-    /// of TCP repair mode, re-marks the dirty pages the pre-dump swept,
-    /// releases the store entry the attempt put, and restores the
-    /// incremental baseline the attempt displaced.
+    /// undoes the restore the attempt committed, thaws every process it
+    /// froze (back to its pre-freeze scheduler state), takes every
+    /// connection of the target pids out of TCP repair mode, re-marks the
+    /// dirty pages the pre-dump swept, releases the store entry the
+    /// attempt put, and restores the incremental baseline the attempt
+    /// displaced.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
-        for &pid in &journal.frozen {
-            let _ = kernel.thaw(pid);
-            kernel.record_flight(
-                Some(pid),
-                EventKind::RollbackStep {
-                    step: RollbackStep::Thaw,
-                },
-            );
-        }
+        unwind(kernel, journal.committed, journal.frozen);
         for &pid in pids {
             if let Ok(ids) = kernel.conn_ids_of(pid) {
                 kernel.unrepair_connections(&ids);
@@ -319,7 +278,7 @@ impl DynaCut {
                 .expect("the attempt's own entry releases cleanly");
         }
         if let Some(baseline) = journal.last_baseline {
-            self.baselines.insert(journal.baseline_key, baseline);
+            self.baselines.insert(pids.to_vec(), baseline);
             kernel.record_flight(
                 None,
                 EventKind::RollbackStep {
@@ -347,5 +306,34 @@ impl DynaCut {
             .into_iter()
             .map(|event| event.code & !VERIFIER_EVENT_BIT)
             .collect()
+    }
+}
+
+/// The one journalled unwind of a freeze window: undoes the committed
+/// restore, if any, which puts the frozen originals back, then thaws
+/// `frozen` in the order given, back to each process's pre-freeze
+/// scheduler state.
+pub(crate) fn unwind(
+    kernel: &mut Kernel,
+    committed: Option<CommittedRestore>,
+    frozen: impl IntoIterator<Item = Pid>,
+) {
+    if let Some(committed) = committed {
+        kernel.record_flight(
+            None,
+            EventKind::RollbackStep {
+                step: RollbackStep::UndoRestore,
+            },
+        );
+        committed.undo(kernel);
+    }
+    for pid in frozen {
+        let _ = kernel.thaw(pid);
+        kernel.record_flight(
+            Some(pid),
+            EventKind::RollbackStep {
+                step: RollbackStep::Thaw,
+            },
+        );
     }
 }

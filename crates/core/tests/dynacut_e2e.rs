@@ -458,7 +458,7 @@ fn customize_report_has_timings_and_sizes() {
         .customize(&mut server.kernel, &server.pids, &plan)
         .unwrap();
     assert!(report.image_bytes > 0);
-    assert!(report.timings.total().as_nanos() > 0);
+    assert!(report.timings().total().as_nanos() > 0);
     assert_eq!(report.bytes_written, 2, "one entry byte per process");
 }
 

@@ -9,18 +9,22 @@
 //!   bit-identical to the pre-attempt snapshot,
 //! * [`DynaCut::verifier_reports`] drains **only** verifier-tagged
 //!   events (the old implementation destroyed interleaved guest
-//!   events), and
+//!   events),
+//! * a rollout's commit releases the canary's displaced baseline,
 //! * malformed rollouts are rejected as [`DynacutError::BadPlan`]
-//!   before the fleet is touched.
+//!   before the fleet is touched, and
+//! * every stage bracket of a rollout and of a fleet customization
+//!   nests the same way, the promotion window's included.
 
 use dynacut::{
-    Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, RewritePlan,
-    RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
+    Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, FlightEvent, Phase,
+    RewritePlan, RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
 };
 use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
 use dynacut_isa::TRAP_OPCODE;
 use dynacut_vm::{Kernel, LoadSpec, Pid, ProcState};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A fleet of identical single-process Redis replicas sharing one
@@ -250,6 +254,57 @@ fn clean_soak_promotes_the_canary_image_fleet_wide() {
     );
 }
 
+/// Each rollout's commit releases the baseline the canary's cycle
+/// displaced: after a disabling and a re-enabling rollout the store
+/// holds only the canary's current baseline, leaks no page ref, and
+/// every replica serves the re-enabled feature.
+#[test]
+fn second_rollout_keeps_only_the_canary_baseline() {
+    let mut fleet = boot_fleet(3);
+    let disable = verify_plan(&fleet.exe);
+    let feature = disable.disable[0].clone();
+    let enable = RewritePlan::new()
+        .enable(feature.clone())
+        .with_fault_policy(FaultPolicy::Verify)
+        .with_downtime(Downtime::None);
+    let rollout_plan = RolloutPlan {
+        soak_slices: 2,
+        serve_slice_ns: 200_000,
+    };
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+
+    let first = dynacut
+        .rollout(&mut fleet.kernel, &groups, &disable, &rollout_plan)
+        .unwrap();
+    let second = dynacut
+        .rollout(&mut fleet.kernel, &groups, &enable, &rollout_plan)
+        .unwrap();
+    assert_eq!(first.decision, RolloutDecision::Promoted);
+    assert_eq!(second.decision, RolloutDecision::Promoted);
+
+    let previous = first.canary_report.checkpoint_id.unwrap();
+    let current = second.canary_report.checkpoint_id.unwrap();
+    assert_eq!(dynacut.store().len(), 1, "one entry: the canary's baseline");
+    dynacut.store().materialize(current).unwrap();
+    assert!(
+        dynacut.store().materialize(previous).is_err(),
+        "the displaced baseline was released"
+    );
+    assert_no_leaked_pages(&dynacut, "after two rollouts");
+
+    for group in &groups {
+        for &pid in group {
+            assert_ne!(
+                fleet.setrange_entry_byte(&feature, pid),
+                TRAP_OPCODE,
+                "{pid} carries the re-enabled SETRANGE"
+            );
+        }
+    }
+    assert_eq!(fleet.request(b"SETRANGE 8 abc\n"), b"+OK\n");
+}
+
 /// A verifier report during the soak demotes the canary through the
 /// transaction machinery: the fleet's clock-masked fingerprint is
 /// bit-identical to the pre-attempt snapshot, nothing leaks, and the
@@ -446,4 +501,130 @@ fn bad_rollouts_are_rejected_before_touching_the_fleet() {
         pristine,
         "every rejection happened before the fleet was touched"
     );
+}
+
+/// Walks a journal and asserts that every stage bracket nests the same
+/// way: a group's per-pid `StageScheduled { stage }` events come right
+/// before its `PhaseStart { phase: stage }`, and its `StageRetired`
+/// events right after the matching `PhaseEnd`, for the same pids in the
+/// same order. No bracket opens inside another. Returns each closed
+/// bracket's phase and pids, in journal order.
+fn assert_brackets_nest(events: &[FlightEvent], ctx: &str) -> Vec<(Phase, Vec<Pid>)> {
+    let mut scheduled: Vec<(Phase, Pid)> = Vec::new();
+    let mut open: Option<(Phase, Vec<Pid>)> = None;
+    let mut retiring: VecDeque<(Phase, Pid)> = VecDeque::new();
+    let mut closed = Vec::new();
+    for event in events {
+        if let Some((phase, pid)) = retiring.pop_front() {
+            let retired = match event.kind {
+                EventKind::StageRetired { stage, .. } => Some((stage, event.pid)),
+                _ => None,
+            };
+            assert_eq!(
+                retired,
+                Some((phase, Some(pid))),
+                "{ctx}: {pid} retires from {phase} right after its PhaseEnd"
+            );
+            continue;
+        }
+        match event.kind {
+            EventKind::StageScheduled { stage } => {
+                scheduled.push((stage, event.pid.expect("StageScheduled names its pid")));
+            }
+            EventKind::PhaseStart { phase } => {
+                assert!(
+                    scheduled.iter().all(|&(stage, _)| stage == phase),
+                    "{ctx}: {phase} starts right after its own StageScheduled events"
+                );
+                assert!(open.is_none(), "{ctx}: {phase} opens inside {open:?}");
+                let pids = scheduled.drain(..).map(|(_, pid)| pid).collect();
+                open = Some((phase, pids));
+            }
+            EventKind::PhaseEnd { phase, .. } => {
+                let (started, pids) = open.take().expect("PhaseEnd closes an open bracket");
+                assert_eq!(started, phase, "{ctx}: brackets close in order");
+                retiring.extend(pids.iter().map(|&pid| (phase, pid)));
+                closed.push((phase, pids));
+            }
+            EventKind::StageRetired { .. } => {
+                panic!("{ctx}: StageRetired away from its PhaseEnd: {event:?}")
+            }
+            _ => assert!(
+                scheduled.is_empty(),
+                "{ctx}: StageScheduled right before its PhaseStart, got {event:?} in between"
+            ),
+        }
+    }
+    assert!(
+        scheduled.is_empty() && open.is_none() && retiring.is_empty(),
+        "{ctx}: every bracket closed"
+    );
+    closed
+}
+
+/// Every stage bracket nests the same way — per-pid `StageScheduled`,
+/// `PhaseStart`, the body, `PhaseEnd`, per-pid `StageRetired` — across a
+/// promoted rollout (the canary's stages, then one `Promote` window per
+/// replica group) and a fleet customization (every group's pre-dump,
+/// then each group's serialized window). The soak is the one phase with
+/// no per-pid stage: the whole fleet serves through it.
+#[test]
+fn every_stage_bracket_nests_the_same_way() {
+    const CYCLE: [Phase; 8] = [
+        Phase::PreDump,
+        Phase::Freeze,
+        Phase::Dump,
+        Phase::ImageEdit,
+        Phase::Inject,
+        Phase::RestorePrepare,
+        Phase::RestoreCommit,
+        Phase::BaselineStore,
+    ];
+
+    let mut fleet = boot_fleet(3);
+    let plan = verify_plan(&fleet.exe);
+    let groups = fleet.groups.clone();
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let seq0 = fleet.kernel.flight().next_seq();
+    let report = dynacut
+        .rollout(
+            &mut fleet.kernel,
+            &groups,
+            &plan,
+            &RolloutPlan {
+                soak_slices: 2,
+                serve_slice_ns: 200_000,
+            },
+        )
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+    let events: Vec<_> = fleet.kernel.flight().since(seq0).cloned().collect();
+    let mut expected: Vec<(Phase, Vec<Pid>)> = CYCLE
+        .iter()
+        .map(|&phase| (phase, groups[0].clone()))
+        .collect();
+    expected.push((Phase::Soak, Vec::new()));
+    expected.extend(
+        groups[1..]
+            .iter()
+            .map(|group| (Phase::Promote, group.clone())),
+    );
+    assert_eq!(assert_brackets_nest(&events, "rollout"), expected);
+
+    let mut fleet = boot_fleet(3);
+    let groups = fleet.groups.clone();
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let seq0 = fleet.kernel.flight().next_seq();
+    dynacut
+        .customize_fleet(&mut fleet.kernel, &groups, &plan)
+        .unwrap();
+    let events: Vec<_> = fleet.kernel.flight().since(seq0).cloned().collect();
+    let mut expected: Vec<(Phase, Vec<Pid>)> = groups
+        .iter()
+        .map(|group| (Phase::PreDump, group.clone()))
+        .collect();
+    for group in &groups {
+        expected.extend(CYCLE[1..].iter().map(|&phase| (phase, group.clone())));
+    }
+    assert_eq!(assert_brackets_nest(&events, "fleet"), expected);
 }

@@ -81,12 +81,15 @@ pub struct PreDump {
     snapshots: BTreeMap<Pid, BTreeMap<u64, Vec<u8>>>,
 }
 
-/// How many page bytes [`PreDump::complete`] copied in each phase.
+/// How [`PreDump::complete`] accounts a checkpoint's page bytes: left
+/// for the freeze, or served from the pre-copy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreDumpStats {
-    /// Bytes copied inside the freeze window: the dirty residue plus
-    /// pages populated after the pre-copy. This is the term the freeze
-    /// window scales with (registers/sigactions/TCP state are O(1)).
+    /// Bytes a pre-dump protocol leaves for the freeze: the dirty
+    /// residue plus pages populated after the pre-copy. A modeled freeze
+    /// window charges these bytes (registers/sigactions/TCP state are
+    /// O(1)); [`PreDump::complete`] itself still copies every page
+    /// under the freeze.
     pub frozen_page_bytes: usize,
     /// Bytes served from the pre-copy, i.e. moved while the guest ran.
     pub prewritten_page_bytes: usize,
@@ -138,8 +141,11 @@ impl PreDump {
 
     /// Phase two: with the processes now frozen, produces a
     /// [`CheckpointImage`] bit-identical to a plain [`dump_many`] at this
-    /// instant, copying only the dirty residue inside the freeze window.
-    /// Returns the checkpoint plus the phase accounting.
+    /// instant. It runs that full dump, copying every page while the
+    /// processes are frozen, and counts as frozen only the dirty residue:
+    /// the bytes a pre-dump protocol leaves for the freeze, which a
+    /// modeled freeze window charges. Returns the checkpoint plus the
+    /// phase accounting.
     ///
     /// # Errors
     ///

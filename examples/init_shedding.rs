@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "shed {} blocks / {} bytes of int3 in {:?}",
         report.blocks_disabled,
         report.bytes_written,
-        report.timings.total()
+        report.timings().total()
     );
 
     // The server still serves on the same connection.

@@ -52,13 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_fault_policy(FaultPolicy::Redirect)
         .with_downtime(Downtime::None);
     let report = dynacut.customize(&mut kernel, &[pid], &plan)?;
+    let timings = report.timings();
     println!(
         "\ncustomized in {:?} (checkpoint {:?}, rewrite {:?}, handler {:?}, restore {:?})",
-        report.timings.total(),
-        report.timings.checkpoint,
-        report.timings.disable_code,
-        report.timings.insert_sighandler,
-        report.timings.restore,
+        timings.total(),
+        timings.checkpoint,
+        timings.disable_code,
+        timings.insert_sighandler,
+        timings.restore,
     );
 
     // 4. Same connection: SET is now politely refused, GET still works.

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = dynacut.customize(&mut kernel, &pids, &lockdown)?;
     println!(
         "\nlockdown applied to both processes in {:?} ({} bytes of int3):",
-        report.timings.total(),
+        report.timings().total(),
         report.bytes_written
     );
     show(&mut kernel, conn, b"GET /index.html\n");

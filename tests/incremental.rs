@@ -385,9 +385,10 @@ fn session_incremental_cycles_store_deltas_and_shrink_the_freeze() {
         "changed pages ({changed_bytes}) not fewer than the full image ({full_bytes})"
     );
 
-    // Both entries are kept, the latest materializes, and both rewrites
-    // are live.
-    assert_eq!(dynacut.store().len(), 2);
+    // The commit released cycle one's displaced baseline: the group's
+    // one entry is the latest, it materializes, and both rewrites are
+    // live.
+    assert_eq!(dynacut.store().len(), 1);
     dynacut.store().materialize(CkptId(1)).unwrap();
     assert_eq!(request(&mut world.kernel, b"PUT /x data"), nginx::RESP_403);
     assert_eq!(request(&mut world.kernel, b"DELETE /x"), nginx::RESP_403);
