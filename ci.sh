@@ -123,6 +123,11 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 # CanaryPromoted was journalled, and the demotion round-trip restored
 # the clock-masked fingerprint (the dynacut-rollout-v1 schema gate).
 cargo test -q -p dynacut --test rollout
+# One live handler library per process (DESIGN §7): forty Redirect
+# toggles and ten Verify rollouts each leave every process at its two
+# boot modules plus one library, and a cycle that freezes a process
+# inside its SIGTRAP handler keeps the library the handler runs in.
+cargo test -q -p dynacut --test handler_library
 cargo test -q -p dynacut --features fault-injection --test fault_injection
 cargo test -q -p dynacut-bench rollout
 cargo run --release -q -p dynacut-bench --bin figures -- rollout > /dev/null
@@ -158,15 +163,19 @@ CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/
 # run fails its `correct` flag unless the deterministic counts (criu
 # bytes per op, modules per process, ...) repeat across episodes, so
 # this gates the dump and restore-prepare path end to end in seconds.
+# Every process maps its 2 boot modules plus 1 live handler library,
+# so a library that outlives its cycle fails the modules gate.
 bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload toggle --seed 7 --seconds 1 --trace 1 | tail -n 1)
 grep -q '"correct": true' <<< "$bench_result"
 grep -q '"failed": 0,' <<< "$bench_result"
+grep -q '"core.modules_per_proc": {"value": 3,' <<< "$bench_result"
 # The same on the rollout workload, the one that reaches the baseline
 # store and the zero-copy promotion; the run also counts a failed op
 # whenever a promotion is not clean or copies a page byte.
 bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload rollout --seed 7 --seconds 1 --trace 1 | tail -n 1)
 grep -q '"correct": true' <<< "$bench_result"
 grep -q '"failed": 0,' <<< "$bench_result"
+grep -q '"core.modules_per_proc": {"value": 3,' <<< "$bench_result"
 
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

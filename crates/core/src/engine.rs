@@ -35,7 +35,7 @@
 
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::handler::{build_fault_handler, build_verifier_library};
+use crate::handler::{build_fault_handler, build_verifier_library, is_injected, name_injected};
 use crate::original::OriginalText;
 use crate::plan::{FaultPolicy, RewritePlan, RolloutPlan};
 use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
@@ -43,7 +43,7 @@ use crate::session::{in_freeze_window, unwind, CustomizeReport, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CkptId, CommittedRestore,
-    CriuError, ModuleRegistry, PreDump, RestoreTransaction,
+    CriuError, ModuleRegistry, PreDump, ProcessImage, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
@@ -150,6 +150,25 @@ fn union_table<V: Copy>(
         .and_then(|state| state.get(&pid))
         .map(|table| table.iter().map(|(&addr, &value)| (addr, value)).collect())
         .unwrap_or_default()
+}
+
+/// Unloads every library an earlier injection put into `image` —
+/// "unused shared library code can be dynamically unloaded through the
+/// process rewriting approach" (paper §5). The registry keeps their
+/// binaries: a demoted rollout's replicas, or an image skipped for a
+/// live signal frame, may still map one.
+fn retire_injected(image: &mut ProcessImage, registry: &ModuleRegistry) -> Result<(), CriuError> {
+    let retired: Vec<String> = image
+        .core
+        .modules
+        .iter()
+        .filter(|module| is_injected(&module.name))
+        .map(|module| module.name.clone())
+        .collect();
+    for name in &retired {
+        image.unload_module(name, registry)?;
+    }
+    Ok(())
 }
 
 /// Everything one group's in-flight cycle carries between stages: the
@@ -702,6 +721,14 @@ impl DynaCut {
         let verify_state = cycle.staged_verify_state.as_ref();
         if plan.fault_policy != FaultPolicy::Terminate {
             for image in &mut checkpoint.procs {
+                // One live library per process: the one built below
+                // carries the union tables and takes SIGTRAP over, so
+                // only a signal frame still live in the image could
+                // enter an earlier one. Such an image keeps them until
+                // a later cycle finds it at depth 0.
+                if image.core.signal_depth == 0 {
+                    retire_injected(image, &staged_registry)?;
+                }
                 let pid = image.core.pid;
                 let mut library = match plan.fault_policy {
                     FaultPolicy::Redirect => {
@@ -710,11 +737,8 @@ impl DynaCut {
                     FaultPolicy::Verify => build_verifier_library(&union_table(verify_state, pid))?,
                     FaultPolicy::Terminate => unreachable!(),
                 };
-                // Repeated customizations inject repeatedly: keep module
-                // names unique so the registry and module tables stay
-                // unambiguous.
                 staged_injections += 1;
-                library.name = format!("{}@{}", library.name, staged_injections);
+                name_injected(&mut library, staged_injections);
                 // "By default, DynaCut loads the shared library into a
                 // randomized but unused location" (paper §3.2.1). The
                 // RNG is seeded per injection so runs stay reproducible.

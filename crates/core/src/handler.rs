@@ -4,9 +4,12 @@
 //! `int3` execution" (paper §3.2.2). The handler is a position-independent
 //! shared library, built here from scratch per rewrite with the redirect
 //! table baked into its `.data`, and injected into the checkpointed
-//! process by [`ProcessImage::inject_library`].
+//! process by [`ProcessImage::inject_library`]. The next cycle that
+//! injects one unloads it with [`ProcessImage::unload_module`], so a
+//! process maps one live library (DESIGN §7).
 //!
 //! [`ProcessImage::inject_library`]: dynacut_criu::ProcessImage::inject_library
+//! [`ProcessImage::unload_module`]: dynacut_criu::ProcessImage::unload_module
 
 use dynacut_isa::{Assembler, Cond, Insn, Reg, Width};
 use dynacut_obj::{Image, ModuleBuilder, ObjError, ObjectKind};
@@ -21,6 +24,32 @@ pub use dynacut_vm::events::VERIFIER_EVENT_BIT;
 
 /// Exit code used when blocked code is reached and no redirect exists.
 const BLOCKED_EXIT_CODE: u64 = 135;
+
+/// Module name of the library [`build_fault_handler`] builds.
+const FAULT_HANDLER_LIBRARY: &str = "dc_sighandler";
+
+/// Module name of the library [`build_verifier_library`] builds.
+const VERIFIER_LIBRARY: &str = "dc_verifier";
+
+/// Every library a customize cycle injects, by module name.
+const INJECTED_LIBRARIES: [&str; 2] = [FAULT_HANDLER_LIBRARY, VERIFIER_LIBRARY];
+
+/// Names a built handler or verifier library for its injection: the
+/// session's `injection`th injected library maps as `dc_sighandler@N`
+/// or `dc_verifier@N`. Repeated customizations inject repeatedly, and
+/// the counter keeps names unique so the registry and module tables
+/// stay unambiguous. [`is_injected`] recognises exactly these names.
+pub(crate) fn name_injected(library: &mut Image, injection: u64) {
+    debug_assert!(INJECTED_LIBRARIES.contains(&library.name.as_str()));
+    library.name = format!("{}@{injection}", library.name);
+}
+
+/// Whether a mapped module is a library [`name_injected`] named.
+pub(crate) fn is_injected(module: &str) -> bool {
+    module.split_once('@').is_some_and(|(library, injection)| {
+        INJECTED_LIBRARIES.contains(&library) && injection.parse::<u64>().is_ok()
+    })
+}
 
 fn emit_restorer(asm: &mut Assembler) {
     // After the handler `ret`s, the stack pointer sits at the signal
@@ -84,7 +113,7 @@ pub fn build_fault_handler(redirects: &[(u64, u64)]) -> Result<Image, ObjError> 
         table.extend_from_slice(&to.to_le_bytes());
     }
 
-    let mut builder = ModuleBuilder::new("dc_sighandler", ObjectKind::SharedLib);
+    let mut builder = ModuleBuilder::new(FAULT_HANDLER_LIBRARY, ObjectKind::SharedLib);
     builder.text(asm.finish()?);
     builder.data("dc_table", &table);
     builder.link(&[])
@@ -161,7 +190,7 @@ pub fn build_verifier_library(originals: &[(u64, u8)]) -> Result<Image, ObjError
         table.extend_from_slice(&u64::from(*byte).to_le_bytes());
     }
 
-    let mut builder = ModuleBuilder::new("dc_verifier", ObjectKind::SharedLib);
+    let mut builder = ModuleBuilder::new(VERIFIER_LIBRARY, ObjectKind::SharedLib);
     builder.text(asm.finish()?);
     builder.data("dc_vtable", &table);
     builder.link(&[])
@@ -205,5 +234,27 @@ mod tests {
     fn empty_tables_are_valid() {
         assert!(build_fault_handler(&[]).is_ok());
         assert!(build_verifier_library(&[]).is_ok());
+    }
+
+    #[test]
+    fn injected_names_are_recognised_and_nothing_else() {
+        for mut library in [
+            build_fault_handler(&[]).unwrap(),
+            build_verifier_library(&[]).unwrap(),
+        ] {
+            assert!(!is_injected(&library.name), "unnamed build");
+            name_injected(&mut library, 7);
+            assert!(is_injected(&library.name), "{}", library.name);
+        }
+        for other in [
+            "libc",
+            "redis",
+            "redis@1",
+            "dc_sighandler@",
+            "dc_verifier@x",
+            "dc_sighandler@1@2",
+        ] {
+            assert!(!is_injected(other), "{other}");
+        }
     }
 }

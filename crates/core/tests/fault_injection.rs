@@ -517,7 +517,7 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
 
     // Cycle one: disable PUT. Establishes the incremental baseline.
     let disable = nginx_plan(&server);
-    dynacut
+    let first = dynacut
         .customize(&mut server.kernel, &server.pids, &disable)
         .expect("first cycle");
     assert_eq!(
@@ -550,9 +550,18 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         nginx::RESP_403,
         "cycle one's customization survives the aborted cycle two"
     );
+    // Cycle two retired cycle one's library from its images; the
+    // rollback put back processes that still map it.
+    for &(pid, base) in &first.handler_bases {
+        assert_eq!(
+            injected_library_bases(&server.kernel, pid),
+            vec![base],
+            "{pid:?} maps cycle one's library"
+        );
+    }
 
     // The displaced baseline was put back: cycle two retries cleanly.
-    dynacut
+    let retry = dynacut
         .customize(&mut server.kernel, &server.pids, &enable)
         .expect("retry of cycle two");
     assert_eq!(
@@ -560,6 +569,26 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         nginx::RESP_201,
         "PUT re-enabled by the retried cycle"
     );
+    assert_eq!(retry.handler_bases.len(), server.pids.len());
+    for &(pid, base) in &retry.handler_bases {
+        assert_eq!(
+            injected_library_bases(&server.kernel, pid),
+            vec![base],
+            "{pid:?} maps exactly the retry's library"
+        );
+    }
+}
+
+/// Bases of the handler libraries a customize cycle injected into `pid`.
+fn injected_library_bases(kernel: &Kernel, pid: Pid) -> Vec<u64> {
+    kernel
+        .process(pid)
+        .unwrap()
+        .modules
+        .iter()
+        .filter(|module| module.image.name.starts_with("dc_sighandler@"))
+        .map(|module| module.base)
+        .collect()
 }
 
 /// An armed fault whose phase is never reached stays armed (and is

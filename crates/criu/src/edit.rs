@@ -258,7 +258,9 @@ impl ProcessImage {
     /// # Errors
     ///
     /// Fails if no module of that name is mapped or its binary is missing
-    /// from the registry (needed to know the footprint).
+    /// from the registry (needed to know the footprint), and with
+    /// [`CriuError::Inconsistent`] if the image places the module so
+    /// that its footprint runs past the top of the address space.
     ///
     /// [`ModuleRef`]: crate::images::ModuleRef
     pub fn unload_module(
@@ -276,7 +278,14 @@ impl ProcessImage {
         let binary = registry
             .get(name)
             .ok_or_else(|| CriuError::UnknownModule(name.to_owned()))?;
-        let end = base + dynacut_obj::page_align(binary.footprint());
+        // `base` comes from the image, so it may be anything.
+        let end = checked_page_align(binary.footprint())
+            .and_then(|len| base.checked_add(len))
+            .ok_or_else(|| {
+                CriuError::Inconsistent(format!(
+                    "module `{name}` at {base:#x} runs past the top of the address space"
+                ))
+            })?;
         let pages_before = self.pagemap.pages.len();
         self.unmap_range(base, end)?;
         self.core.modules.remove(position);

@@ -2,7 +2,8 @@
 //! mechanism, exercised end to end on a live guest server.
 
 use dynacut_criu::{
-    dump, dump_many, CheckpointImage, CheckpointStore, DumpOptions, ModuleRegistry, ProcessImage,
+    dump, dump_many, CheckpointImage, CheckpointStore, CriuError, DumpOptions, ModuleRegistry,
+    ProcessImage,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg, TRAP_OPCODE};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
@@ -274,6 +275,42 @@ fn inject_library_creates_vmas_and_resolves_got() {
     assert_eq!(resolved, expected);
     // The module list now records the injection.
     assert!(image.core.modules.iter().any(|m| m.name == "sighelper"));
+}
+
+/// A module base read from an image is untrusted: one whose footprint
+/// would run past the top of the address space is a typed error naming
+/// the module, and the image is left as it was.
+#[test]
+fn unload_module_past_the_top_of_the_address_space_is_a_typed_error() {
+    let mut lib_asm = Assembler::new();
+    lib_asm.func("helper_entry");
+    lib_asm.push(Insn::Ret);
+    let mut lib_builder = ModuleBuilder::new("sighelper", ObjectKind::SharedLib);
+    lib_builder.text(lib_asm.finish().unwrap());
+    let library = lib_builder.link(&[]).unwrap();
+
+    let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let mut image = dump(&mut setup.kernel, setup.pid, &DumpOptions::default()).unwrap();
+    image
+        .inject_library(&library, None, &setup.registry)
+        .unwrap();
+    setup.registry.insert(std::sync::Arc::new(library));
+    let module = image
+        .core
+        .modules
+        .iter_mut()
+        .find(|m| m.name == "sighelper")
+        .unwrap();
+    // The top page of the address space.
+    module.base = !0xFFF;
+    let before = image.clone();
+
+    match image.unload_module("sighelper", &setup.registry) {
+        Err(CriuError::Inconsistent(msg)) => assert!(msg.contains("sighelper"), "{msg}"),
+        other => panic!("expected an Inconsistent error, got {other:?}"),
+    }
+    assert_eq!(image, before, "a failed unload edits nothing");
 }
 
 /// A frozen-but-not-removed process plus restore-after-remove equals the
