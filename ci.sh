@@ -113,7 +113,16 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 # promotion, clock-masked fingerprint parity on demotion, selective
 # verifier-event drain, one stored entry after two rollouts, and every
 # stage bracket of a rollout and of a fleet run, promotion windows
-# included, nesting the same way); the fault battery adds the CanarySoak /
+# included, nesting the same way). It also pins that a promotion takes
+# only the canary's code changes: a promoted replica resumes its own
+# syscall (no EBADF spin) and keeps its session's data, a self-healed
+# replica still takes the next rollout, a trap the canary healed is
+# cleared on every replica, a foreign replica fails its window with a
+# typed error and the canary is demoted with fingerprint parity, a
+# replica frozen inside its handler keeps its library, an unwind leaves
+# a replica inside the new library's handler promoted instead of
+# unmapping the library under it, and a rollout rejects UnmapPages;
+# the fault battery adds the CanarySoak /
 # PromoteRestore phases and the synthetic mid-soak report, each with
 # fleet-wide parity + no leaked page refs + retry-promotes. The page
 # store's collision/unknown-key typed errors ride the page_store and
@@ -171,11 +180,15 @@ grep -q '"failed": 0,' <<< "$bench_result"
 grep -q '"core.modules_per_proc": {"value": 3,' <<< "$bench_result"
 # The same on the rollout workload, the one that reaches the baseline
 # store and the zero-copy promotion; the run also counts a failed op
-# whenever a promotion is not clean or copies a page byte.
+# whenever a promotion is not clean or copies a page byte. A promoted
+# replica resumes its own syscall instead of the canary's, so a request
+# costs about what it does on `serve` (~650 guest instructions); a
+# replica replaying the canary's syscall spins and pushes it past 7,000.
 bench_result=$(CARGO_TARGET_DIR=.bench_build python3 perfbench/run.py --workload rollout --seed 7 --seconds 1 --trace 1 | tail -n 1)
 grep -q '"correct": true' <<< "$bench_result"
 grep -q '"failed": 0,' <<< "$bench_result"
 grep -q '"core.modules_per_proc": {"value": 3,' <<< "$bench_result"
+python3 -c 'import json, sys; insns = json.loads(sys.argv[1])["metrics"]["vm.insns_per_req"]["value"]; sys.exit(0 if insns < 1000 else f"vm.insns_per_req {insns} >= 1000")' "$bench_result"
 
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

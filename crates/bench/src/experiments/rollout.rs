@@ -2,11 +2,11 @@
 //! fleet the production way — **canary → soak → promote** — with
 //! [`DynaCut::rollout`], and measure what shared-image promotion buys:
 //!
-//! * **O(1 canary cycle + N fast restores)** — the whole fleet pays for
-//!   exactly one dump/rewrite/restore (the canary's); every other
-//!   replica is retargeted from the interned image, so the journal
-//!   shows one `ProcessDumped` no matter the fleet size;
-//! * **zero-copy promotion** — every promoted page is a shared frame
+//! * **O(1 canary cycle + N fast promotions)** — the whole fleet pays
+//!   for exactly one dump/rewrite/restore (the canary's); every other
+//!   replica takes only the canary's code changes, in place, so the
+//!   journal shows one `ProcessDumped` no matter the fleet size;
+//! * **zero-copy promotion** — every installed page is a shared frame
 //!   out of the content-addressed store, so the promotion wave copies
 //!   zero page bytes and the per-replica freeze window stays flat;
 //! * **all-or-nothing demotion** — a verifier report during the soak

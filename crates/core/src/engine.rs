@@ -37,13 +37,13 @@
 
 use crate::handler::{build_fault_handler, build_verifier_library, is_injected, name_injected};
 use crate::original::OriginalText;
-use crate::plan::{FaultPolicy, RewritePlan, RolloutPlan};
+use crate::plan::{BlockPolicy, FaultPolicy, RewritePlan, RolloutPlan};
 use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
-use crate::session::{in_freeze_window, unwind, CustomizeReport, TxnJournal};
+use crate::session::{in_freeze_window, unwind, CustomizeReport, Receipt, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CkptId, CommittedRestore,
-    CriuError, ModuleRegistry, PreDump, ProcessImage, RestoreTransaction,
+    CriuError, ModuleRegistry, PreDump, ProcessImage, Promotion, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
@@ -903,14 +903,14 @@ impl DynaCut {
 pub struct PromotedReplica {
     /// The group's pids.
     pub pids: Vec<Pid>,
-    /// Host wall-clock from this group's freeze to its commit — the
-    /// whole downtime a promoted replica experiences. No dump, no
-    /// rewrite, no page copy happens inside it, so it is flat in fleet
-    /// size.
+    /// Host wall-clock from this group's freeze to its thaw — the whole
+    /// downtime a promoted replica experiences. No dump, no rewrite and
+    /// no page copy happens inside it: the window installs the canary's
+    /// code changes in place, so it is flat in fleet size.
     pub freeze_window: Duration,
-    /// Page bytes the promotion physically copied for this group.
-    /// Shared-image promotion installs store frames, so this is 0; the
-    /// rollout figure gates on it.
+    /// Page bytes the promotion physically copied for this group. Every
+    /// installed page is a store frame, so this is 0; the rollout
+    /// figure gates on it.
     pub copied_bytes: u64,
 }
 
@@ -948,11 +948,12 @@ pub struct RolloutReport {
     /// [`FaultPolicy::Verify`] every one self-healed and produced a
     /// report.
     pub trap_hits: u64,
-    /// Per-group promotion receipts, in promotion order (empty on
-    /// demotion).
+    /// What each promoted replica group cost, in promotion order (empty
+    /// on demotion). Each group took the canary's code changes and kept
+    /// its own registers, descriptors and data.
     pub promoted: Vec<PromotedReplica>,
     /// Page bytes the whole promotion wave physically copied — 0 when
-    /// every page came out of the shared store.
+    /// every installed page came out of the shared store.
     pub promotion_copied_bytes: u64,
     /// Wall-clock duration of the whole rollout, soak included.
     pub wall: Duration,
@@ -970,28 +971,40 @@ impl DynaCut {
     /// journal and committed-restore receipt stay live while the canary
     /// serves for [`RolloutPlan::soak_slices`] slices.
     ///
-    /// * **Clean soak** — the canary's stored image is promoted onto
-    ///   every remaining group via
-    ///   [`CheckpointStore::promote_shared`](dynacut_criu::CheckpointStore::promote_shared):
-    ///   one tiny freeze window per replica (serialized, with serve
-    ///   slices pumped between), no per-replica re-dump or re-rewrite,
-    ///   and zero page bytes copied — every page is a shared frame out
-    ///   of the content-addressed store. Only then does the canary
-    ///   cycle commit.
+    /// * **Clean soak** — the canary cycle's code changes are promoted
+    ///   onto every remaining group via
+    ///   [`CheckpointStore::promote`](dynacut_criu::CheckpointStore::promote):
+    ///   one tiny freeze window per replica group (serialized, with
+    ///   serve slices pumped between) patches each replica in place with
+    ///   the changed boot text pages, the new verifier library, the
+    ///   retirement of its own earlier libraries, and the canary's
+    ///   SIGTRAP disposition, syscall filter and module list. The
+    ///   replica keeps its registers, descriptors, data, stack and
+    ///   block cache, and resumes in the state it was frozen in. No
+    ///   per-replica re-dump or re-rewrite, and zero page bytes copied —
+    ///   every installed page is a shared frame out of the
+    ///   content-addressed store. Only then does the canary cycle
+    ///   commit.
     /// * **Any verifier report** (or injected fault) — the canary is
     ///   **demoted** through the PR 2 transaction machinery: the
     ///   committed restore is undone, and the journal rollback
     ///   thaws/unrepairs/re-marks and releases the just-stored baseline
     ///   exactly as for a failed cycle. A failure while promoting
-    ///   replica *k* first unwinds replicas `0..k`, so the fleet is
-    ///   all-or-nothing.
+    ///   replica *k* — a replica that does not match the canary
+    ///   ([`CriuError::ReplicaMismatch`]), or a kernel error — first
+    ///   unwinds replicas `0..k`, each getting back what its window
+    ///   displaced, so the fleet is all-or-nothing. The one exception is
+    ///   a replica inside a signal handler, which keeps its promotion
+    ///   ([`Promotion::undo`](dynacut_criu::Promotion::undo)).
     ///
     /// # Errors
     ///
     /// Fails with [`DynacutError::BadPlan`] unless the plan uses
-    /// [`FaultPolicy::Verify`], the session is incremental, and every
-    /// group matches the canary group's size; propagates canary-cycle,
-    /// soak and promotion failures after rolling the fleet back to its
+    /// [`FaultPolicy::Verify`] and no [`BlockPolicy::UnmapPages`] (a
+    /// verifier cannot heal an unmapped page, and a promotion replays
+    /// no VMA change), the session is incremental, and every group
+    /// matches the canary group's size; propagates canary-cycle, soak
+    /// and promotion failures after rolling the fleet back to its
     /// pre-attempt state.
     pub fn rollout(
         &mut self,
@@ -1011,6 +1024,13 @@ impl DynaCut {
             return Err(DynacutError::BadPlan(
                 "rollout requires FaultPolicy::Verify: the canary's traps must self-heal \
                  and report, not kill or redirect"
+                    .into(),
+            ));
+        }
+        if plan.block_policy == BlockPolicy::UnmapPages {
+            return Err(DynacutError::BadPlan(
+                "rollout rejects BlockPolicy::UnmapPages: an unmapped page faults with \
+                 SIGSEGV, which the verifier cannot heal"
                     .into(),
             ));
         }
@@ -1104,8 +1124,10 @@ impl DynaCut {
         // Stage 3 — the promotion wave: one tiny freeze window per
         // remaining group, serialized like the fleet engine's windows,
         // with serve slices pumped between. The canary cycle is still
-        // open: a failure at replica k unwinds replicas 0..k and then
-        // demotes the canary, so the fleet is all-or-nothing.
+        // open: its committed restore holds the pre-edit canary, by
+        // which each window tells the boot modules from the new
+        // library, and a failure at replica k unwinds replicas 0..k and
+        // then demotes the canary, so the fleet is all-or-nothing.
         let ckpt_id = cycle
             .report
             .checkpoint_id
@@ -1114,17 +1136,22 @@ impl DynaCut {
             .staged_registry
             .as_ref()
             .expect("canary cycle staged its registry");
-        let mut promoted: Vec<(Vec<Pid>, CommittedRestore, Duration, u64)> =
+        let canary_restore = cycle
+            .journal
+            .committed
+            .as_ref()
+            .expect("canary cycle committed its restore before the soak");
+        let mut promoted: Vec<(Vec<Pid>, Promotion, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
         let mut wave_err: Option<DynacutError> = None;
         for group in &groups[1..] {
             // Background from the window start until the rollout
-            // commits (or this group is unwound): the just-promoted
-            // replica's catch-up burst drains under the serving fleet.
+            // commits (or this group is unwound), as a group is through
+            // its own customize cycle.
             set_group_class(kernel, group, SchedClass::Background);
             let bracket = Bracket::open(kernel, group, Phase::Promote);
             let copied_before = self.store.page_store().copied_bytes();
-            match self.promote_group(kernel, ckpt_id, registry, group) {
+            match self.promote_group(kernel, ckpt_id, canary_restore, registry, group) {
                 Ok(receipt) => {
                     let copied = self.store.page_store().copied_bytes() - copied_before;
                     let window = bracket.close(kernel, group);
@@ -1143,10 +1170,17 @@ impl DynaCut {
 
         if let Some(err) = wave_err {
             // Unwind the already-promoted replicas, newest first: each
-            // undo re-inserts the frozen original, which is then thawed
-            // back to its pre-freeze scheduler state.
+            // is frozen again, gets back what its window displaced, and
+            // is thawed back to the scheduler state it was frozen in.
             for (group, receipt, _, _) in promoted.into_iter().rev() {
-                unwind(kernel, Some(receipt), group.iter().rev().copied());
+                for &pid in &group {
+                    let _ = kernel.freeze(pid);
+                }
+                unwind(
+                    kernel,
+                    Some(Receipt::Promotion(receipt)),
+                    group.iter().rev().copied(),
+                );
                 set_group_class(kernel, &group, SchedClass::Normal);
             }
             self.demote_canary(kernel, cycle, reports.len());
@@ -1195,26 +1229,37 @@ impl DynaCut {
         })
     }
 
-    /// One promotion window's body: freezes `group` and installs the
-    /// stored checkpoint `id` on it from shared frames. A failure thaws
-    /// what the window froze, newest first, before returning.
+    /// One promotion window's body: freezes `group`, patches it in
+    /// place with the code changes of the canary cycle that stored `id`
+    /// (`canary` is that cycle's committed restore), and thaws it back
+    /// into the states it was frozen in. A failure changes nothing in
+    /// the group and thaws what the window froze, newest first, before
+    /// returning.
     fn promote_group(
-        &mut self,
+        &self,
         kernel: &mut Kernel,
         id: CkptId,
+        canary: &CommittedRestore,
         registry: &ModuleRegistry,
         group: &[Pid],
-    ) -> Result<CommittedRestore, DynacutError> {
+    ) -> Result<Promotion, DynacutError> {
         let mut frozen = Vec::with_capacity(group.len());
-        let mut promote = || -> Result<CommittedRestore, DynacutError> {
+        let mut promote = || -> Result<Promotion, DynacutError> {
             for &pid in group {
                 kernel.freeze(pid)?;
                 frozen.push(pid);
             }
-            Ok(self.store.promote_shared(kernel, id, registry, group)?)
+            Ok(self
+                .store
+                .promote(kernel, id, canary, registry, is_injected, group)?)
         };
         let landed = promote();
-        if landed.is_err() {
+        if landed.is_ok() {
+            for &pid in &frozen {
+                // Frozen above and patched in place, so still frozen.
+                let _ = kernel.thaw(pid);
+            }
+        } else {
             unwind(kernel, None, frozen.into_iter().rev());
         }
         landed
@@ -1234,7 +1279,7 @@ impl DynaCut {
             .committed
             .take()
             .expect("canary cycle committed its restore before the soak");
-        unwind(kernel, Some(committed), std::iter::empty());
+        unwind(kernel, Some(Receipt::Restore(committed)), std::iter::empty());
         self.baselines.remove(&cycle.pids);
         kernel.record_flight(None, EventKind::CanaryDemoted { reports });
         kernel.flight_mut().metrics_mut().incr("rollout.demotions", 1);

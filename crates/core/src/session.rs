@@ -5,7 +5,9 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::handler::VERIFIER_EVENT_BIT;
-use dynacut_criu::{CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry};
+use dynacut_criu::{
+    CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry, Promotion,
+};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep};
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -246,7 +248,7 @@ impl DynaCut {
     /// attempt put, and restores the incremental baseline the attempt
     /// displaced.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
-        unwind(kernel, journal.committed, journal.frozen);
+        unwind(kernel, journal.committed.map(Receipt::Restore), journal.frozen);
         for &pid in pids {
             if let Ok(ids) = kernel.conn_ids_of(pid) {
                 kernel.unrepair_connections(&ids);
@@ -309,23 +311,34 @@ impl DynaCut {
     }
 }
 
-/// The one journalled unwind of a freeze window: undoes the committed
-/// restore, if any, which puts the frozen originals back, then thaws
-/// `frozen` in the order given, back to each process's pre-freeze
-/// scheduler state.
+/// What a freeze window changed that an unwind can reverse: a committed
+/// restore, which swapped processes, or a promotion, which patched
+/// replicas in place.
+pub(crate) enum Receipt {
+    Restore(CommittedRestore),
+    Promotion(Promotion),
+}
+
+/// The one journalled unwind of a freeze window: reverses the receipt,
+/// if any (undoing a committed restore puts the frozen originals back),
+/// then thaws `frozen` in the order given, back to each process's
+/// pre-freeze scheduler state.
 pub(crate) fn unwind(
     kernel: &mut Kernel,
-    committed: Option<CommittedRestore>,
+    receipt: Option<Receipt>,
     frozen: impl IntoIterator<Item = Pid>,
 ) {
-    if let Some(committed) = committed {
+    if let Some(receipt) = receipt {
         kernel.record_flight(
             None,
             EventKind::RollbackStep {
                 step: RollbackStep::UndoRestore,
             },
         );
-        committed.undo(kernel);
+        match receipt {
+            Receipt::Restore(committed) => committed.undo(kernel),
+            Receipt::Promotion(promotion) => promotion.undo(kernel),
+        }
     }
     for pid in frozen {
         let _ = kernel.thaw(pid);

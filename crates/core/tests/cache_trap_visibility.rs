@@ -3,9 +3,13 @@
 //! very next request even though the request handler's blocks were hot
 //! in the cache when the cycle ran — and the whole cycle must be
 //! bit-identical under `state_fingerprint()` with the cache on and off.
+//! The same holds for a replica a rollout promoted: its window patches
+//! it in place, so its hot cache survives and the trap still fires.
 
-use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
-use dynacut_apps::{libc::guest_libc, nginx, EVENT_READY};
+use dynacut::{
+    Downtime, DynaCut, EventKind, FaultPolicy, Feature, RewritePlan, RolloutDecision, RolloutPlan,
+};
+use dynacut_apps::{libc::guest_libc, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
 use dynacut_vm::{Kernel, LoadSpec};
 use std::sync::Arc;
@@ -95,4 +99,87 @@ fn planted_trap_fires_through_hot_cache_after_customize() {
         fp_cached, fp_uncached,
         "cache invisible across a full customize cycle with traps firing"
     );
+}
+
+/// A promoted replica's hot cache: one replica's cache is warmed over
+/// SETRANGE's page, a rollout disables SETRANGE, and the promotion
+/// window keeps that cache instead of flushing it. With the canary
+/// frozen, SETRANGE on the replica traps on its first execution and
+/// self-heals.
+#[test]
+fn trap_fires_through_a_promoted_replicas_hot_cache() {
+    let libc = guest_libc();
+    let exe = redis::image(&libc);
+    let mut kernel = Kernel::new();
+    kernel.add_file(redis::CONFIG_PATH, &redis::config_file());
+    let spec = LoadSpec::with_libs(exe, vec![libc]);
+    let mut registry = ModuleRegistry::new();
+    registry.insert(Arc::clone(&spec.exe));
+    for lib in &spec.libs {
+        registry.insert(Arc::clone(lib));
+    }
+    let mut groups = Vec::new();
+    for _ in 0..3 {
+        groups.push(vec![kernel.spawn(&spec).unwrap()]);
+        kernel.run_until_event(EVENT_READY, 500_000_000).expect("boot");
+    }
+    let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
+
+    // Only the replica serves while its cache warms, SETRANGE included.
+    kernel.freeze(canary).unwrap();
+    kernel.freeze(last).unwrap();
+    let conn = kernel.client_connect(redis::PORT).unwrap();
+    for round in 0..3 {
+        for request in [format!("SET k{round} v\n"), format!("SETRANGE {round} abc\n")] {
+            assert_eq!(
+                kernel
+                    .client_request(conn, request.as_bytes(), 5_000_000)
+                    .unwrap(),
+                b"+OK\n"
+            );
+        }
+    }
+    kernel.client_close(conn).unwrap();
+    kernel.run_for(50_000);
+    kernel.thaw(canary).unwrap();
+    kernel.thaw(last).unwrap();
+    let warm = kernel.process(replica).unwrap().block_cache.len();
+    assert!(warm > 0, "the replica's cache is warm");
+
+    let setrange = Feature::from_function("SETRANGE", &spec.exe, "rd_cmd_setrange").unwrap();
+    let plan = RewritePlan::new()
+        .disable(setrange)
+        .with_fault_policy(FaultPolicy::Verify)
+        .with_downtime(Downtime::None);
+    let mut dynacut = DynaCut::new(registry).with_incremental();
+    let soak = RolloutPlan {
+        soak_slices: 2,
+        serve_slice_ns: 10_000,
+    };
+    let report = dynacut.rollout(&mut kernel, &groups, &plan, &soak).unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+    assert!(
+        kernel.process(replica).unwrap().block_cache.len() >= warm,
+        "the promotion window kept the replica's cache"
+    );
+
+    kernel.freeze(canary).unwrap();
+    kernel.freeze(last).unwrap();
+    let seq0 = kernel.flight().next_seq();
+    let conn = kernel.client_connect(redis::PORT).unwrap();
+    assert_eq!(
+        kernel
+            .client_request(conn, b"SETRANGE 8 abc\n", 5_000_000)
+            .unwrap(),
+        b"+OK\n",
+        "the promoted replica self-heals and serves"
+    );
+    let traps: Vec<_> = kernel
+        .flight()
+        .since(seq0)
+        .filter(|event| matches!(event.kind, EventKind::TrapHit { handled: true, .. }))
+        .map(|event| event.pid)
+        .collect();
+    assert_eq!(traps, vec![Some(replica)], "one trap, on its first execution");
+    assert_eq!(DynaCut::verifier_reports(&mut kernel).len(), 1, "and one heal");
 }

@@ -12,16 +12,23 @@
 //!   events),
 //! * a rollout's commit releases the canary's displaced baseline,
 //! * malformed rollouts are rejected as [`DynacutError::BadPlan`]
-//!   before the fleet is touched, and
+//!   before the fleet is touched,
 //! * every stage bracket of a rollout and of a fleet customization
-//!   nests the same way, the promotion window's included.
+//!   nests the same way, the promotion window's included, and
+//! * a promotion takes only the canary's code changes: a promoted
+//!   replica resumes its own syscall and keeps its own data, a
+//!   self-healed replica still takes the next rollout, a replica that
+//!   does not match the canary fails its window and demotes the canary
+//!   with nothing changed, a replica frozen inside its handler keeps
+//!   the library it runs in, and an unwind never unmaps a library under
+//!   a live signal frame.
 
 use dynacut::{
-    Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, FlightEvent, Phase,
-    RewritePlan, RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
+    BlockPolicy, Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, FlightEvent,
+    Phase, RewritePlan, RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
 };
-use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
-use dynacut_criu::ModuleRegistry;
+use dynacut_apps::{libc::guest_libc, lighttpd, redis, EVENT_READY};
+use dynacut_criu::{CriuError, ModuleRegistry};
 use dynacut_isa::TRAP_OPCODE;
 use dynacut_vm::{Kernel, LoadSpec, Pid, ProcState};
 use std::collections::VecDeque;
@@ -76,8 +83,33 @@ impl Fleet {
         reply
     }
 
-    /// The first byte of the SETRANGE handler in `pid`'s memory.
-    fn setrange_entry_byte(&self, feature: &Feature, pid: Pid) -> u8 {
+    /// [`request`](Fleet::request), served by `pid`: every other
+    /// process of the fleet is frozen until the reply is in.
+    fn request_on(&mut self, pid: Pid, bytes: &[u8]) -> Vec<u8> {
+        let others: Vec<Pid> = self.kernel.pids().into_iter().filter(|&p| p != pid).collect();
+        for &other in &others {
+            self.kernel.freeze(other).unwrap();
+        }
+        let reply = self.request(bytes);
+        for &other in &others {
+            self.kernel.thaw(other).unwrap();
+        }
+        reply
+    }
+
+    /// The names of the modules `pid` maps, in load order.
+    fn module_names(&self, pid: Pid) -> Vec<String> {
+        self.kernel
+            .process(pid)
+            .unwrap()
+            .modules
+            .iter()
+            .map(|module| module.image.name.clone())
+            .collect()
+    }
+
+    /// The address of the SETRANGE handler's first byte in `pid`.
+    fn setrange_entry(&self, feature: &Feature, pid: Pid) -> u64 {
         let proc = self.kernel.process(pid).unwrap();
         let base = proc
             .modules
@@ -85,11 +117,50 @@ impl Fleet {
             .find(|m| m.image.name == redis::MODULE)
             .unwrap()
             .base;
+        base + feature.entry_block().unwrap().addr
+    }
+
+    /// The first byte of the SETRANGE handler in `pid`'s memory.
+    fn setrange_entry_byte(&self, feature: &Feature, pid: Pid) -> u8 {
         let mut byte = [0u8; 1];
-        proc.mem
-            .read_unchecked(base + feature.entry_block().unwrap().addr, &mut byte);
+        self.kernel
+            .process(pid)
+            .unwrap()
+            .mem
+            .read_unchecked(self.setrange_entry(feature, pid), &mut byte);
         byte[0]
     }
+
+    /// Boots a lighttpd server next to the redis replicas: a process
+    /// that does not run the canary's program.
+    fn spawn_lighttpd(&mut self) -> Pid {
+        let libc = guest_libc();
+        self.kernel
+            .add_file(lighttpd::CONFIG_PATH, &lighttpd::config_file());
+        let pid = self
+            .kernel
+            .spawn(&LoadSpec::with_libs(lighttpd::image(&libc), vec![libc]))
+            .unwrap();
+        self.kernel
+            .run_until_event(EVENT_READY, 500_000_000)
+            .expect("lighttpd initializes");
+        pid
+    }
+}
+
+/// The short soak and serve slices perfbench rolls out with.
+const SHORT_SOAK: RolloutPlan = RolloutPlan {
+    soak_slices: 2,
+    serve_slice_ns: 10_000,
+};
+
+/// SETRANGE re-enabled under the verifier policy.
+fn enable_plan(exe: &dynacut_obj::Image) -> RewritePlan {
+    let setrange = Feature::from_function("SETRANGE", exe, "rd_cmd_setrange").unwrap();
+    RewritePlan::new()
+        .enable(setrange)
+        .with_fault_policy(FaultPolicy::Verify)
+        .with_downtime(Downtime::None)
 }
 
 /// "Misclassify" SETRANGE as undesired under the verifier policy — the
@@ -489,7 +560,16 @@ fn bad_rollouts_are_rejected_before_touching_the_fleet() {
         Err(DynacutError::BadPlan(_))
     ));
 
-    // Mismatched group sizes: the canary's image retargets one-to-one.
+    // Unmapped pages fault with SIGSEGV, which the verifier cannot
+    // heal, and a promotion replays no VMA split.
+    let unmap = verify_plan(&fleet.exe).with_block_policy(BlockPolicy::UnmapPages);
+    assert!(matches!(
+        incremental.rollout(&mut fleet.kernel, &groups, &unmap, &rollout_plan),
+        Err(DynacutError::BadPlan(_))
+    ));
+
+    // Mismatched group sizes: the canary's processes promote
+    // one-to-one.
     let lopsided = vec![vec![pid], vec![pid, pid]];
     assert!(matches!(
         incremental.rollout(&mut fleet.kernel, &lopsided, &plan, &rollout_plan),
@@ -627,4 +707,378 @@ fn every_stage_bracket_nests_the_same_way() {
         expected.extend(CYCLE[1..].iter().map(|&phase| (phase, group.clone())));
     }
     assert_eq!(assert_brackets_nest(&events, "fleet"), expected);
+}
+
+/// Regression: promotion used to give every replica the canary's
+/// registers, so a replica parked in `accept` resumed the canary's
+/// `read(3)` on a descriptor it does not have, failed with EBADF,
+/// dispatched a stale request buffer and spun (224,768 and 227,840
+/// instructions in 1 simulated ms). A promoted replica must resume its
+/// own syscall: it stays parked and no syscall fails with EBADF.
+#[test]
+fn promoted_replicas_resume_their_own_syscall() {
+    let mut fleet = boot_fleet(3);
+    let plan = verify_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+
+    // One PING over a transient connection, closed from the host before
+    // the guest runs again: the replica that served it is left blocked
+    // reading a closed connection, the others wait in `accept`.
+    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
+    assert_eq!(
+        fleet
+            .kernel
+            .client_request(conn, b"PING\n", 10_000_000)
+            .unwrap(),
+        b"+PONG\n"
+    );
+    fleet.kernel.client_close(conn).unwrap();
+
+    let ebadf = "syscall.failed.ebadf";
+    let failed_before = fleet.kernel.flight().metrics().counter(ebadf);
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+    let retired_before: Vec<u64> = groups[1..]
+        .iter()
+        .map(|group| fleet.kernel.process(group[0]).unwrap().insns_retired)
+        .collect();
+
+    fleet.kernel.run_for(1_000_000);
+
+    for (group, before) in groups[1..].iter().zip(retired_before) {
+        let proc = fleet.kernel.process(group[0]).unwrap();
+        assert!(
+            matches!(proc.state, ProcState::Blocked(_)),
+            "{} is parked, not spinning: {:?}",
+            proc.pid,
+            proc.state
+        );
+        assert!(
+            proc.insns_retired - before <= 16,
+            "{} retired {} instructions in an idle ms",
+            proc.pid,
+            proc.insns_retired - before
+        );
+    }
+    assert_eq!(
+        fleet.kernel.flight().metrics().counter(ebadf),
+        failed_before,
+        "no syscall failed with EBADF"
+    );
+}
+
+/// Regression: promotion used to replace a replica's data with the
+/// canary's, and its registers too, so a session's `GET` got no reply
+/// (the replica waited in `accept` while holding the session at fd 3).
+/// A replica keeps its own data and its own place in the session.
+#[test]
+fn a_session_keeps_its_replica_and_its_data_across_a_rollout() {
+    let mut fleet = boot_fleet(3);
+    let plan = verify_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
+
+    // Replica 2 accepts the session and stores `b`.
+    fleet.kernel.freeze(canary).unwrap();
+    fleet.kernel.freeze(last).unwrap();
+    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
+    assert_eq!(
+        fleet
+            .kernel
+            .client_request(conn, b"SET b 2\n", 10_000_000)
+            .unwrap(),
+        b"+OK\n"
+    );
+    assert!(!fleet.kernel.conn_ids_of(replica).unwrap().is_empty());
+    fleet.kernel.thaw(canary).unwrap();
+    fleet.kernel.thaw(last).unwrap();
+    fleet.kernel.run_for(100_000);
+
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+
+    assert_eq!(
+        fleet
+            .kernel
+            .client_request(conn, b"GET b\n", 10_000_000)
+            .unwrap(),
+        b"2\n",
+        "the session's replica still holds its data"
+    );
+}
+
+/// A verifier self-heal rewrites a promoted replica's text, so the
+/// promotion checks never compare text bytes: after a disabling rollout
+/// and a self-heal on a promoted replica, a re-enabling rollout still
+/// promotes, and every replica serves SETRANGE.
+#[test]
+fn a_self_healed_replica_still_takes_the_next_rollout() {
+    let mut fleet = boot_fleet(3);
+    let disable = verify_plan(&fleet.exe);
+    let feature = disable.disable[0].clone();
+    let enable = enable_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let canary = groups[0][0];
+
+    let first = dynacut
+        .rollout(&mut fleet.kernel, &groups, &disable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(first.decision, RolloutDecision::Promoted);
+    fleet.kernel.freeze(canary).unwrap();
+    assert_eq!(fleet.request(b"SETRANGE 8 abc\n"), b"+OK\n");
+    assert!(
+        !DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),
+        "a promoted replica self-healed"
+    );
+    fleet.kernel.thaw(canary).unwrap();
+    assert!(
+        groups[1..]
+            .iter()
+            .any(|group| fleet.setrange_entry_byte(&feature, group[0]) != TRAP_OPCODE),
+        "the healed replica's text differs from the canary's"
+    );
+
+    let second = dynacut
+        .rollout(&mut fleet.kernel, &groups, &enable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(second.decision, RolloutDecision::Promoted);
+    for group in &groups {
+        assert_eq!(
+            fleet.request_on(group[0], b"SETRANGE 8 abc\n"),
+            b"+OK\n",
+            "{} serves SETRANGE",
+            group[0]
+        );
+    }
+    assert_no_leaked_pages(&dynacut, "after the healed replica's rollout");
+}
+
+/// A replica that does not run the canary's program fails its window
+/// with a typed error before any of its bytes change; the replicas
+/// promoted before it are unwound and the canary is demoted, so the
+/// fleet is back at its pre-attempt state with no page ref leaked.
+/// (Promotion used to turn the lighttpd process into a redis server.)
+#[test]
+fn a_foreign_replica_fails_its_window_and_demotes_the_canary() {
+    let mut fleet = boot_fleet(3);
+    let foreign = fleet.spawn_lighttpd();
+    let plan = verify_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = vec![
+        fleet.groups[0].clone(),
+        fleet.groups[1].clone(),
+        vec![foreign],
+        fleet.groups[2].clone(),
+    ];
+    let modules = fleet.module_names(foreign);
+    let pristine = fleet.kernel.state_fingerprint_timeless();
+    let seq0 = fleet.kernel.flight().next_seq();
+
+    let err = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .expect_err("a foreign replica cannot take the canary's code");
+    assert!(
+        matches!(
+            err,
+            DynacutError::Criu(CriuError::ReplicaMismatch { pid, .. }) if pid == foreign
+        ),
+        "{err}"
+    );
+    let events: Vec<_> = fleet.kernel.flight().since(seq0).cloned().collect();
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CanaryDemoted { .. })),
+        "the canary was demoted"
+    );
+    assert_eq!(fleet.module_names(foreign), modules);
+    assert_eq!(
+        fleet.kernel.state_fingerprint_timeless(),
+        pristine,
+        "the wave and the canary were unwound bit for bit"
+    );
+    assert_no_leaked_pages(&dynacut, "after the foreign replica's window");
+    assert!(dynacut.store().is_empty());
+}
+
+/// A replica frozen inside the verifier's SIGTRAP handler at its window
+/// keeps the library the handler runs in and finishes the handler; the
+/// next rollout, at depth 0, retires that library.
+#[test]
+fn a_replica_inside_its_handler_keeps_its_library_until_depth_zero() {
+    let mut fleet = boot_fleet(3);
+    let disable = verify_plan(&fleet.exe);
+    let enable = enable_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
+    dynacut
+        .rollout(&mut fleet.kernel, &groups, &disable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(fleet.module_names(replica).len(), 3);
+
+    // Step the replica into its handler for a SETRANGE and hold it
+    // there: its window finds it frozen inside the handler.
+    fleet.kernel.freeze(canary).unwrap();
+    fleet.kernel.freeze(last).unwrap();
+    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
+    fleet.kernel.client_send(conn, b"SETRANGE 8 abc\n").unwrap();
+    let mut steps = 0;
+    while fleet.kernel.process(replica).unwrap().signal_depth == 0 {
+        assert!(steps < 100_000, "the replica never entered its handler");
+        fleet.kernel.run_for(1);
+        steps += 1;
+    }
+    fleet.kernel.freeze(replica).unwrap();
+    fleet.kernel.thaw(canary).unwrap();
+    fleet.kernel.thaw(last).unwrap();
+
+    let second = dynacut
+        .rollout(&mut fleet.kernel, &groups, &enable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(second.decision, RolloutDecision::Promoted);
+    let names = fleet.module_names(replica);
+    assert_eq!(names.len(), 4, "the handler's library stays: {names:?}");
+    assert_eq!(
+        fleet.kernel.client_request(conn, b"", 5_000_000).unwrap(),
+        b"+OK\n",
+        "the in-flight handler healed and the request completed"
+    );
+    let proc = fleet.kernel.process(replica).unwrap();
+    assert_eq!(proc.fatal_signal, None);
+    assert_eq!(proc.signal_depth, 0);
+    DynaCut::verifier_reports(&mut fleet.kernel);
+
+    let third = dynacut
+        .rollout(&mut fleet.kernel, &groups, &disable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(third.decision, RolloutDecision::Promoted);
+    assert_eq!(
+        fleet.module_names(replica),
+        fleet.module_names(canary),
+        "at depth 0 the old library is retired"
+    );
+    assert_eq!(fleet.module_names(replica).len(), 3);
+}
+
+/// A trap the canary healed is cleared on every replica by the rollout
+/// that re-enables its feature. The canary's edit writes bytes the
+/// canary already has back, so its text does not change; a replica
+/// still carries the trap, and the new library no longer lists it, so
+/// a promotion that took only the pages the edit changed on the canary
+/// would leave the replica to die on its next SETRANGE. A replica takes
+/// every boot text page that differs from the canary's.
+#[test]
+fn a_trap_the_canary_healed_is_cleared_on_every_replica() {
+    let mut fleet = boot_fleet(3);
+    let disable = verify_plan(&fleet.exe);
+    let feature = disable.disable[0].clone();
+    let enable = enable_plan(&fleet.exe);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let canary = groups[0][0];
+
+    dynacut
+        .rollout(&mut fleet.kernel, &groups, &disable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(fleet.request_on(canary, b"SETRANGE 8 abc\n"), b"+OK\n");
+    assert_eq!(
+        DynaCut::verifier_reports(&mut fleet.kernel).len(),
+        1,
+        "the canary healed"
+    );
+    assert_ne!(fleet.setrange_entry_byte(&feature, canary), TRAP_OPCODE);
+
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &enable, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+    for group in &groups {
+        let pid = group[0];
+        assert_ne!(fleet.setrange_entry_byte(&feature, pid), TRAP_OPCODE, "{pid}");
+        assert_eq!(fleet.request_on(pid, b"SETRANGE 8 abc\n"), b"+OK\n", "{pid}");
+        assert_eq!(fleet.kernel.process(pid).unwrap().fatal_signal, None, "{pid}");
+    }
+    assert!(
+        DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),
+        "no replica trapped"
+    );
+}
+
+/// An unwind never unmaps a library under a live signal frame. The
+/// replica is held at SETRANGE's trap byte; the rollout's window lands
+/// on it, its serve slice traps it into the new library's handler, and
+/// the next window, a foreign replica's, fails. Undoing the replica
+/// would unmap the library it is running in and kill it, so it keeps
+/// its promotion, finishes the handler and serves; the canary is
+/// demoted. The next rollout, at depth 0, brings it back in line.
+#[test]
+fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
+    let mut fleet = boot_fleet(3);
+    let plan = verify_plan(&fleet.exe);
+    let feature = plan.disable[0].clone();
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
+    dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .unwrap();
+
+    fleet.kernel.freeze(canary).unwrap();
+    fleet.kernel.freeze(last).unwrap();
+    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
+    fleet.kernel.client_send(conn, b"SETRANGE 8 abc\n").unwrap();
+    let trap = fleet.setrange_entry(&feature, replica);
+    let mut steps = 0;
+    while fleet.kernel.process(replica).unwrap().cpu.pc != trap {
+        assert!(steps < 100_000, "the replica never reached the trap");
+        fleet.kernel.run_for(1);
+        steps += 1;
+    }
+    fleet.kernel.freeze(replica).unwrap();
+    fleet.kernel.thaw(canary).unwrap();
+    fleet.kernel.thaw(last).unwrap();
+    let foreign = fleet.spawn_lighttpd();
+
+    let wave = vec![groups[0].clone(), groups[1].clone(), vec![foreign]];
+    let one_step = RolloutPlan {
+        soak_slices: 1,
+        serve_slice_ns: 1,
+    };
+    let err = dynacut
+        .rollout(&mut fleet.kernel, &wave, &plan, &one_step)
+        .expect_err("the foreign replica's window fails");
+    assert!(
+        matches!(err, DynacutError::Criu(CriuError::ReplicaMismatch { pid, .. }) if pid == foreign),
+        "{err}"
+    );
+    assert_eq!(fleet.kernel.process(replica).unwrap().signal_depth, 1);
+    assert_eq!(
+        fleet.kernel.client_request(conn, b"", 5_000_000).unwrap(),
+        b"+OK\n",
+        "the handler finished and the request completed"
+    );
+    let proc = fleet.kernel.process(replica).unwrap();
+    assert_eq!(proc.fatal_signal, None);
+    assert_eq!(proc.signal_depth, 0);
+    assert_ne!(
+        fleet.module_names(replica),
+        fleet.module_names(canary),
+        "the replica kept the new library; the demoted canary did not"
+    );
+    DynaCut::verifier_reports(&mut fleet.kernel);
+
+    let retry = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(retry.decision, RolloutDecision::Promoted);
+    assert_eq!(fleet.module_names(replica), fleet.module_names(canary));
+    assert_no_leaked_pages(&dynacut, "after the retry");
 }

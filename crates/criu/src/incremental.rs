@@ -190,11 +190,11 @@ impl PreDump {
 /// deduplicated, in the store's [`PageStore`]. Every entry is
 /// self-contained: none refers to another.
 #[derive(Debug, Clone)]
-struct StoredCheckpoint {
+pub(crate) struct StoredCheckpoint {
     /// The checkpoint with every process's page payload dropped.
-    skeleton: CheckpointImage,
+    pub(crate) skeleton: CheckpointImage,
     /// Interned page payload, one entry per process, in `procs` order.
-    pages: Vec<SharedPages>,
+    pub(crate) pages: Vec<SharedPages>,
 }
 
 impl StoredCheckpoint {
@@ -294,7 +294,7 @@ impl CheckpointStore {
     }
 
     /// Looks up a live entry.
-    fn get(&self, id: CkptId) -> Result<&StoredCheckpoint, CriuError> {
+    pub(crate) fn get(&self, id: CkptId) -> Result<&StoredCheckpoint, CriuError> {
         self.entries.get(&id).ok_or(CriuError::MissingParent(id))
     }
 
@@ -490,126 +490,6 @@ impl CheckpointStore {
     ) -> Result<Vec<Pid>, CriuError> {
         let committed = self.stage_restore(kernel, id, registry)?.commit(kernel)?;
         Ok(committed.pids().to_vec())
-    }
-
-    /// Promotes the stored checkpoint `id` — a customized canary image —
-    /// onto a *different* replica group: each frozen `target` process is
-    /// replaced by a clone of the corresponding canary process built
-    /// entirely from shared page handles. This is the fleet-rollout fast
-    /// path: no page is dumped from the target, no page byte is copied
-    /// out of the store ([`PageStore::copied_bytes`] does not move), and
-    /// the rewrite itself is never repeated.
-    ///
-    /// The canary image is **retargeted** before building: the target
-    /// keeps its own pid, parent and descriptor table (captured live,
-    /// exactly as [`dump`](crate::dump) would record them), while
-    /// memory, registers, sigactions, modules and the syscall filter
-    /// come from the canary — the promoted replica *is* the canary,
-    /// wearing the target's identity. Targets must match the canary
-    /// group one-to-one and be frozen.
-    ///
-    /// Returns the [`CommittedRestore`](crate::CommittedRestore) receipt
-    /// so a rollout engine can [`undo`](crate::CommittedRestore::undo)
-    /// the promotion if a later replica
-    /// fails — the same PR 2 transaction machinery as a normal cycle.
-    ///
-    /// Like [`restore`](CheckpointStore::restore), it reads the one
-    /// entry `id` names, in place.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
-    /// released, [`CriuError::Inconsistent`] on a group-size mismatch or
-    /// a key the store no longer holds, [`CriuError::Vm`] if a target is
-    /// missing or not frozen, or propagates build/commit failures; the
-    /// kernel is untouched or rolled back on every error path.
-    pub fn promote_shared(
-        &self,
-        kernel: &mut Kernel,
-        id: CkptId,
-        registry: &ModuleRegistry,
-        targets: &[Pid],
-    ) -> Result<crate::CommittedRestore, CriuError> {
-        let entry = self.get(id)?;
-        if entry.pages.len() != targets.len() {
-            return Err(CriuError::Inconsistent(format!(
-                "canary image holds {} processes but the target group has {}",
-                entry.pages.len(),
-                targets.len()
-            )));
-        }
-        let mut staged: Vec<StagedProcess> = Vec::with_capacity(targets.len());
-        for ((image, shared), &pid) in entry.skeleton.procs.iter().zip(&entry.pages).zip(targets) {
-            if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
-                return Err(CriuError::FaultInjected(
-                    dynacut_vm::fault::FaultPhase::PromoteRestore,
-                ));
-            }
-            let retargeted = Self::retarget(kernel, image, pid)?;
-            staged.push(build_process(
-                kernel,
-                &retargeted,
-                registry,
-                shared.keys(),
-                &self.pages,
-            )?);
-        }
-        RestoreTransaction::from_staged(staged).commit(kernel)
-    }
-
-    /// Rewrites a canary process image to wear a live target process's
-    /// identity: pid, parent, name and descriptor table come from the
-    /// (frozen) target; everything else stays the canary's.
-    fn retarget(
-        kernel: &Kernel,
-        canary: &ProcessImage,
-        pid: Pid,
-    ) -> Result<ProcessImage, CriuError> {
-        use dynacut_vm::{FileDesc, ProcState};
-        let proc = kernel.process(pid)?;
-        if proc.state != ProcState::Frozen {
-            return Err(CriuError::Vm(dynacut_vm::VmError::BadProcessState {
-                pid,
-                expected: "frozen",
-            }));
-        }
-        let files = FilesImage {
-            fds: proc
-                .fds
-                .iter()
-                .map(|(fd, desc)| {
-                    let entry = match desc {
-                        FileDesc::Console => FdImage::Console,
-                        FileDesc::File { file, pos } => FdImage::File {
-                            path: file.path.clone(),
-                            pos: *pos,
-                        },
-                        FileDesc::Socket => FdImage::Socket,
-                        FileDesc::Listener { port } => FdImage::Listener { port: *port },
-                        FileDesc::Conn(id) => FdImage::Conn { id: *id },
-                    };
-                    (fd, entry)
-                })
-                .collect(),
-        };
-        Ok(ProcessImage {
-            core: CoreImage {
-                pid,
-                parent: proc.parent,
-                name: proc.name.clone(),
-                ..canary.core.clone()
-            },
-            mm: canary.mm.clone(),
-            pagemap: canary.pagemap.clone(),
-            // Page payloads live in the store; the skeleton carries none.
-            pages: PagesImage::default(),
-            files,
-            // `tcp` only matters for repair-mode buffer transplants on a
-            // serialized restore; the target's live connections stay in
-            // the net stack untouched.
-            tcp: TcpImage::default(),
-            exec_pages_dumped: canary.exec_pages_dumped,
-        })
     }
 }
 

@@ -32,7 +32,11 @@
 //!   store through [`CheckpointStore::put_full`] and is kept flat (a
 //!   skeleton plus one content-addressed page key per page), so pages
 //!   unchanged since an earlier checkpoint are shared, not copied, and
-//!   no read walks a chain, and
+//!   no read walks a chain,
+//! * **promotion** ([`CheckpointStore::promote`]) — a rollout's canary
+//!   cycle's code changes, installed in place on the other replicas as
+//!   shared store frames, with a [`Promotion`] receipt that undoes
+//!   them, and
 //! * a textual decoder ([`ProcessImage::decode_text`]) mirroring
 //!   `crit decode`.
 
@@ -42,6 +46,7 @@ mod edit;
 mod images;
 mod incremental;
 mod page_store;
+mod promote;
 mod restore;
 mod text;
 
@@ -54,6 +59,7 @@ pub use incremental::{
     mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDump, PreDumpStats,
 };
 pub use page_store::{PageKey, PageStore, SharedPages};
+pub use promote::Promotion;
 pub use restore::{CommittedRestore, ModuleRegistry, RestoreTransaction};
 
 /// Error type shared by dump, restore and editing operations.
@@ -87,6 +93,17 @@ pub enum CriuError {
     /// invariant (`logical_pages_bytes == stored_pages_bytes`) exists to
     /// catch.
     UnknownPage(page_store::PageKey),
+    /// A promotion target does not match the canary it would take code
+    /// changes from: it maps the canary's boot modules under other
+    /// names, bases or executable VMAs, maps a module that is neither a
+    /// boot module nor an injected library, or has no free range for the
+    /// new library. Nothing of the target was changed.
+    ReplicaMismatch {
+        /// The target.
+        pid: dynacut_vm::Pid,
+        /// What differs.
+        reason: String,
+    },
     /// An armed test fault fired at this phase (see
     /// [`dynacut_vm::fault`]); only possible under the `fault-injection`
     /// feature.
@@ -113,6 +130,9 @@ impl std::fmt::Display for CriuError {
             }
             CriuError::UnknownPage(key) => {
                 write!(f, "{key} is not in the page store (double release or never interned)")
+            }
+            CriuError::ReplicaMismatch { pid, reason } => {
+                write!(f, "{pid} does not match the canary: {reason}")
             }
             CriuError::FaultInjected(phase) => {
                 write!(f, "injected fault fired at phase `{phase}`")

@@ -285,6 +285,15 @@ impl CommittedRestore {
         &self.restored
     }
 
+    /// The original process the commit displaced at `pid`, if any: for a
+    /// customize cycle, the process as it was before its edit.
+    pub fn original(&self, pid: Pid) -> Option<&Process> {
+        self.originals
+            .iter()
+            .find(|(of, _)| *of == pid)
+            .and_then(|(_, original)| original.as_ref())
+    }
+
     /// Reverses the commit: removes the restored processes, re-inserts
     /// the displaced originals, and closes listeners the commit created.
     /// Connections are deliberately left established — the rollback path

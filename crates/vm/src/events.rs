@@ -102,7 +102,9 @@ impl std::fmt::Display for Phase {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum RollbackStep {
-    /// A committed restore swap was reversed (originals re-inserted).
+    /// A committed restore swap was reversed (originals re-inserted),
+    /// or a promotion window's in-place patch was (what it displaced put
+    /// back).
     UndoRestore,
     /// A process this attempt froze was thawed back to its pre-freeze
     /// scheduler state.

@@ -54,8 +54,8 @@ pub enum FaultPhase {
     /// One serve slice of a canary rollout's soak period (one hit per
     /// slice).
     CanarySoak,
-    /// Promoting the canary image onto one fleet replica (one hit per
-    /// target process).
+    /// Promoting the canary's code changes onto one fleet replica (one
+    /// hit per target process, before any target is touched).
     PromoteRestore,
 }
 

@@ -1599,7 +1599,10 @@ impl Kernel {
         // process with SIGSYS, like `SECCOMP_RET_KILL`.
         let outcome = if proc.syscall_allowed(nr) {
             let result = self.syscall(pid, hook);
-            result.unwrap_or_else(|errno| Outcome::Ret(errno.ret()))
+            result.unwrap_or_else(|errno| {
+                self.flight.metrics_mut().incr(errno.failed_counter(), 1);
+                Outcome::Ret(errno.ret())
+            })
         } else {
             proc.kill(Signal::Sigsys);
             Outcome::End(None)

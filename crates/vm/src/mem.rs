@@ -66,6 +66,17 @@ impl PageSlot {
     }
 }
 
+/// One page slot taken out of an [`AddressSpace`] by
+/// [`AddressSpace::replace_page`], with its dirty bit: what
+/// [`AddressSpace::restore_page`] needs to put the page back bit for bit.
+/// Holding it holds the page's frame or bytes; no byte is copied.
+#[derive(Debug)]
+pub struct DisplacedPage {
+    base: u64,
+    slot: Option<PageSlot>,
+    dirty: bool,
+}
+
 /// What a guest access wanted to do; decides which permission bit applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Access {
@@ -457,6 +468,52 @@ impl AddressSpace {
         }
     }
 
+    /// Backs the page containing `addr` with `frame`, or drops it when
+    /// `frame` is `None`, and hands back the slot it displaced with its
+    /// dirty bit. An install has [`install_shared_page`]'s effects, a
+    /// drop [`drop_page`]'s. [`restore_page`] puts the displaced slot
+    /// back exactly, so a host-side patch can be undone without cloning
+    /// the space.
+    ///
+    /// [`install_shared_page`]: AddressSpace::install_shared_page
+    /// [`drop_page`]: AddressSpace::drop_page
+    /// [`restore_page`]: AddressSpace::restore_page
+    pub fn replace_page(&mut self, addr: u64, frame: Option<SharedFrame>) -> DisplacedPage {
+        let base = addr & !(PAGE_SIZE - 1);
+        // Moved out, never cloned: a private page's bytes stay where
+        // they are.
+        let displaced = DisplacedPage {
+            base,
+            slot: self.pages.remove(&base),
+            dirty: self.dirty.remove(&base),
+        };
+        match frame {
+            Some(frame) => self.install_shared_page(base, frame),
+            None => self.drop_page(base),
+        }
+        displaced
+    }
+
+    /// Puts back a slot [`replace_page`](AddressSpace::replace_page)
+    /// displaced: the same backing (a shared frame stays shared) and the
+    /// same dirty bit. A registered code page's generation is bumped, as
+    /// for any other change of its bytes.
+    pub fn restore_page(&mut self, page: DisplacedPage) {
+        let DisplacedPage { base, slot, dirty } = page;
+        match slot {
+            Some(slot) => self.pages.insert(base, slot),
+            None => self.pages.remove(&base),
+        };
+        if dirty {
+            self.dirty.insert(base);
+        } else {
+            self.dirty.remove(&base);
+        }
+        if let Some(gen) = self.code_gen.get_mut(&base) {
+            *gen += 1;
+        }
+    }
+
     /// Whether the page containing `addr` is currently backed by a
     /// shared frame (no copy-on-write fault taken yet).
     pub fn page_shared(&self, addr: u64) -> bool {
@@ -484,6 +541,11 @@ impl AddressSpace {
     /// Whether the page containing `addr` has been populated (written).
     pub fn page_present(&self, addr: u64) -> bool {
         self.pages.contains_key(&(addr & !(PAGE_SIZE - 1)))
+    }
+
+    /// The bytes of the page containing `addr`, if it is populated.
+    pub fn page_bytes(&self, addr: u64) -> Option<&[u8]> {
+        self.pages.get(&(addr & !(PAGE_SIZE - 1))).map(PageSlot::bytes)
     }
 
     /// Iterates over populated pages as `(page_base, bytes)`.
@@ -611,6 +673,40 @@ mod tests {
         let mut space = AddressSpace::new();
         space.map(start, len, perms, "test").unwrap();
         space
+    }
+
+    /// `restore_page` puts back exactly what `replace_page` displaced: a
+    /// dirty private page keeps its bytes and dirty bit, a clean shared
+    /// page stays shared and clean, and an empty slot empties again.
+    #[test]
+    fn restore_page_puts_back_what_replace_page_displaced() {
+        let mut space = space_with(0x1000, 3 * PAGE_SIZE, Perms::RW);
+        space.write_unchecked(0x1000, b"private");
+        let frame = SharedFrame::new(&[7; PAGE_SIZE as usize]);
+        space.install_shared_page(0x2000, frame.clone());
+        space.mark_clean();
+        space.mark_dirty(0x1000);
+        let before: Vec<(u64, Vec<u8>)> = space
+            .populated_pages()
+            .map(|(base, bytes)| (base, bytes.to_vec()))
+            .collect();
+        let displaced = [
+            space.replace_page(0x1000, Some(frame.clone())),
+            space.replace_page(0x2000, None),
+            space.replace_page(0x3000, Some(frame)),
+        ];
+        assert!(space.page_shared(0x1000) && !space.page_present(0x2000));
+        for page in displaced.into_iter().rev() {
+            space.restore_page(page);
+        }
+        let after: Vec<(u64, Vec<u8>)> = space
+            .populated_pages()
+            .map(|(base, bytes)| (base, bytes.to_vec()))
+            .collect();
+        assert_eq!(after, before);
+        assert_eq!(space.dirty_pages().collect::<Vec<_>>(), vec![0x1000]);
+        assert!(!space.page_shared(0x1000) && space.page_shared(0x2000));
+        assert_eq!(space.cow_fault_count(), 0, "nothing was copied");
     }
 
     #[test]

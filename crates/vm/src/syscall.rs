@@ -128,6 +128,25 @@ impl Errno {
         err_ret(self as u64)
     }
 
+    /// The flight-recorder counter of syscalls that failed with this
+    /// errno, named after it: `syscall.failed.ebadf`. A static key, so
+    /// counting a failure allocates only the first time
+    /// ([`Metrics::incr`](crate::Metrics::incr)).
+    pub fn failed_counter(self) -> &'static str {
+        match self {
+            Errno::Enoent => "syscall.failed.enoent",
+            Errno::Esrch => "syscall.failed.esrch",
+            Errno::Ebadf => "syscall.failed.ebadf",
+            Errno::Eagain => "syscall.failed.eagain",
+            Errno::Enomem => "syscall.failed.enomem",
+            Errno::Efault => "syscall.failed.efault",
+            Errno::Einval => "syscall.failed.einval",
+            Errno::Emfile => "syscall.failed.emfile",
+            Errno::Epipe => "syscall.failed.epipe",
+            Errno::Enosys => "syscall.failed.enosys",
+        }
+    }
+
     /// The errno a syscall return value carries, if it is one of these.
     pub fn from_ret(value: u64) -> Option<Errno> {
         use Errno::*;

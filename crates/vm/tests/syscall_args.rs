@@ -384,3 +384,37 @@ fn spawn_past_the_last_pid_is_resource_exhausted() {
     assert_eq!(err, VmError::ResourceExhausted("pids"));
     assert_eq!(kernel.pids(), vec![Pid(u32::MAX)]);
 }
+
+/// A failed syscall bumps the flight-recorder counter of its errno, and
+/// only that one: `read` on a descriptor the process just closed counts
+/// one `syscall.failed.ebadf`.
+#[test]
+fn read_on_a_closed_fd_counts_one_ebadf() {
+    let program = vec![
+        Insn::Movi(Reg::R0, Sysno::Socket as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R6, Reg::R0), // the fd, kept for the read
+        Insn::Mov(Reg::R1, Reg::R0),
+        Insn::Movi(Reg::R0, Sysno::Close as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R1, Reg::R6),
+        Insn::Movi(Reg::R2, STACK),
+        Insn::Movi(Reg::R3, 1),
+        Insn::Movi(Reg::R0, Sysno::Read as u64),
+        Insn::Syscall,
+        Insn::Mov(Reg::R1, Reg::R0),
+        Insn::Movi(Reg::R0, Sysno::Exit as u64),
+        Insn::Syscall,
+    ];
+    let (mut kernel, pid) = boot(&program);
+    let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+    assert_eq!(status.code, err_ret(EBADF));
+    let failed: Vec<(&str, u64)> = kernel
+        .flight()
+        .metrics()
+        .counters()
+        .filter(|(name, _)| name.starts_with("syscall.failed."))
+        .collect();
+    assert_eq!(failed, vec![(Errno::Ebadf.failed_counter(), 1)]);
+    assert_eq!(Errno::Ebadf.failed_counter(), "syscall.failed.ebadf");
+}
