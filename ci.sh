@@ -80,10 +80,11 @@ grep -q '"fingerprints_match": true' results/interp.json
 ! grep -q '"warm_hit_ratio": 0.0000' results/interp.json
 
 # Zero-copy CoW restore (DESIGN §12): the criu battery proptests
-# intern/restore-via-handle/CoW/release interleavings for exact
-# refcounts and byte-identity with a model of the payload, and checks
-# that re-dumping a restored process reproduces what the store
-# materializes; the core suite pins the per-cycle byte accounting and
+# put_full/restore-via-frames/CoW/release interleavings for exact
+# refcounts and byte-identity with a model of the checkpoint put, and
+# checks that re-dumping a restored process reproduces what the store
+# materializes and shares the entry's frame for every page the guest
+# has not written; the core suite pins the per-cycle byte accounting and
 # the same round trip after every customize; `figures restore`
 # regenerates results/restore.json and panics unless the copy baseline
 # (the cycle's stored page bytes) is >= 5x the bytes the zero-copy
@@ -91,15 +92,22 @@ grep -q '"fingerprints_match": true' results/interp.json
 # zero-copy cost stays flat from 2 to 8 replicas (the
 # dynacut-restore-v2 gate — all deterministic byte counts).
 # Checkpoint store entries are flat: put_full is the only way pages
-# enter the store, every entry holds one page key per page and reads no
-# other, so releasing an earlier entry leaves every later one intact
-# (zero_copy); the incremental suite pins that a stored checkpoint
+# enter the store, every entry is the image on the store's own frames
+# plus the key of each page it holds a ref on, and reads no other, so
+# releasing an earlier entry leaves every later one intact (zero_copy).
+# An image's pages are one map from base to frame; the codec suite
+# (codec_props) pins that from_bytes refuses a pagemap.img + pages.img
+# pair that disagrees with itself (entries out of order, repeated or
+# unaligned, or a payload that is not one page per entry) with
+# BadImage, and that an image edit never writes a frame another
+# handle can see; the incremental suite pins that a stored checkpoint
 # materializes to exactly the dump that was put, that each later
 # checkpoint adds only its dirtied pages to the bytes physically held,
 # and ids that are sequential, never reused and fail cleanly once
 # released; restore_accounting pins that each customize cycle interns
 # its checkpoint once.
 cargo test -q -p dynacut-criu --test zero_copy
+cargo test -q -p dynacut-criu --test codec_props
 cargo test -q -p dynacut-criu --test incremental
 cargo test -q -p dynacut --test restore_accounting
 cargo test -q -p dynacut-bench experiments::restore

@@ -72,12 +72,14 @@ pub struct CustomizeReport {
     /// Page bytes a pre-dump protocol leaves for the freeze: the whole
     /// page payload without incremental mode, only the dirty residue
     /// with [`DynaCut::with_incremental`]. A modeled freeze window
-    /// charges these bytes (`figures fig8-incremental`); the in-memory
-    /// dump itself still copies every page while the processes are
-    /// frozen ([`PreDump::complete`](dynacut_criu::PreDump::complete)).
+    /// charges these bytes (`figures fig8-incremental`). It is a modeled
+    /// count, not what the freeze copies: the in-memory dump runs in
+    /// full while the processes are frozen, sharing each page still
+    /// backed by a shared frame and copying each private one
+    /// ([`PreDump::complete`](dynacut_criu::PreDump::complete)).
     pub frozen_page_bytes: usize,
-    /// Page bytes the pre-dump copied while the guest was still running
-    /// (zero without incremental mode).
+    /// Page bytes the pre-dump snapshotted while the guest was still
+    /// running (zero without incremental mode).
     pub prewritten_page_bytes: usize,
     /// Page bytes of the stored checkpoint that are absent from, or
     /// different in, the group's previous baseline — the pages it does
@@ -222,7 +224,7 @@ impl DynaCut {
     /// where pages unchanged since the previous one are shared, not
     /// copied. The pre-dump leaves only the dirty residue for the freeze
     /// ([`CustomizeReport::frozen_page_bytes`]), which is what a modeled
-    /// freeze window charges; this in-memory dump still copies every page
+    /// freeze window charges; this in-memory dump still runs in full
     /// while the processes are frozen. Full dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;

@@ -211,14 +211,10 @@ fn changed_page_bytes(before: Option<&CheckpointImage>, after: &CheckpointImage)
     let mut changed = 0;
     for proc in &after.procs {
         let old = before.and_then(|image| image.proc_image(proc.core.pid));
-        for (index, base) in proc.pagemap.pages.iter().enumerate() {
-            let bytes = &proc.pages.bytes[index * page..][..page];
-            let same = old.is_some_and(|old| {
-                old.pagemap
-                    .pages
-                    .binary_search(base)
-                    .is_ok_and(|at| &old.pages.bytes[at * page..][..page] == bytes)
-            });
+        for (base, frame) in &proc.pages {
+            let same = old
+                .and_then(|old| old.pages.get(base))
+                .is_some_and(|old| old.bytes()[..] == frame.bytes()[..]);
             if !same {
                 changed += page;
             }

@@ -83,7 +83,7 @@ fn main() {
                     image.core.pid.0,
                     image.core.name,
                     image.mm.vmas.len(),
-                    image.pagemap.pages.len(),
+                    image.pages.len(),
                     image.files.fds.len(),
                     image.tcp.conns.len(),
                     if image.exec_pages_dumped {

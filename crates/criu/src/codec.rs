@@ -1,11 +1,17 @@
 //! Binary serialisation of checkpoint images (the protobuf-format
 //! analogue; stored on the harness's tmpfs-like in-memory store).
+//!
+//! A process image keeps its pages as one map from base to frame; the
+//! encoding splits it into CRIU's on-disk pair, `pagemap.img` (the bases)
+//! followed by `pages.img` (one page per base, in the same order), and
+//! decoding checks that the pair agrees before it builds the map again.
 
 use crate::images::*;
 use crate::CriuError;
 use bytes::{Buf, Bytes};
-use dynacut_obj::Perms;
-use dynacut_vm::{ConnId, Pid, SigAction, Signal};
+use dynacut_obj::{Perms, PAGE_SIZE};
+use dynacut_vm::{ConnId, Pid, SharedFrame, SigAction, Signal};
+use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 4] = b"DCR1";
 
@@ -92,12 +98,15 @@ impl Reader {
         String::from_utf8(self.0.split_to(len).to_vec())
             .map_err(|_| CriuError::BadImage("non-utf8 string".into()))
     }
-    fn vec(&mut self) -> Result<Vec<u8>, CriuError> {
+    fn bytes(&mut self) -> Result<Bytes, CriuError> {
         let len = self.u64()? as usize;
         if self.0.remaining() < len {
             return Err(CriuError::BadImage("truncated byte vector".into()));
         }
-        Ok(self.0.split_to(len).to_vec())
+        Ok(self.0.split_to(len))
+    }
+    fn vec(&mut self) -> Result<Vec<u8>, CriuError> {
+        Ok(self.bytes()?.to_vec())
     }
     fn perms(&mut self) -> Result<Perms, CriuError> {
         let bits = self.u8()?;
@@ -163,8 +172,7 @@ fn encode_proc(buf: &mut impl Sink, image: &ProcessImage) {
     buf.put_u8(image.exec_pages_dumped as u8);
     encode_core(buf, &image.core);
     encode_mm(buf, &image.mm);
-    encode_pagemap(buf, &image.pagemap);
-    put_vec(buf, &image.pages.bytes);
+    encode_pages(buf, &image.pages);
     encode_files(buf, &image.files);
     encode_tcp(buf, &image.tcp);
 }
@@ -173,16 +181,12 @@ fn decode_proc(reader: &mut Reader) -> Result<ProcessImage, CriuError> {
     let exec_pages_dumped = reader.u8()? != 0;
     let core = decode_core(reader)?;
     let mm = decode_mm(reader)?;
-    let pagemap = decode_pagemap(reader)?;
-    let pages = PagesImage {
-        bytes: reader.vec()?,
-    };
+    let pages = decode_pages(reader)?;
     let files = decode_files(reader)?;
     let tcp = decode_tcp(reader)?;
     Ok(ProcessImage {
         core,
         mm,
-        pagemap,
         pages,
         files,
         tcp,
@@ -293,20 +297,52 @@ fn decode_mm(reader: &mut Reader) -> Result<MmImage, CriuError> {
     Ok(MmImage { vmas })
 }
 
-fn encode_pagemap(buf: &mut impl Sink, pagemap: &PagemapImage) {
-    buf.put_u32_le(pagemap.pages.len() as u32);
-    for page in &pagemap.pages {
-        buf.put_u64_le(*page);
+/// `pagemap.img`, the populated bases in address order, then
+/// `pages.img`, their bytes in the same order.
+fn encode_pages(buf: &mut impl Sink, pages: &BTreeMap<u64, SharedFrame>) {
+    buf.put_u32_le(pages.len() as u32);
+    for &base in pages.keys() {
+        buf.put_u64_le(base);
+    }
+    buf.put_u64_le(pages.len() as u64 * PAGE_SIZE);
+    for frame in pages.values() {
+        buf.put_slice(frame.bytes());
     }
 }
 
-fn decode_pagemap(reader: &mut Reader) -> Result<PagemapImage, CriuError> {
-    let page_count = reader.u32()?;
-    let mut pages = Vec::with_capacity((page_count as usize).min(4096));
-    for _ in 0..page_count {
-        pages.push(reader.u64()?);
+/// The inverse of [`encode_pages`]. The two files must agree: every
+/// pagemap entry page-aligned and strictly above the one before it, and
+/// exactly one page of payload per entry.
+fn decode_pages(reader: &mut Reader) -> Result<BTreeMap<u64, SharedFrame>, CriuError> {
+    let count = reader.u32()?;
+    let mut bases = Vec::with_capacity((count as usize).min(4096));
+    for _ in 0..count {
+        bases.push(reader.u64()?);
     }
-    Ok(PagemapImage { pages })
+    let payload = reader.bytes()?;
+    if payload.len() as u64 != u64::from(count) * PAGE_SIZE {
+        return Err(CriuError::BadImage(format!(
+            "pages.img holds {} bytes but pagemap.img lists {count} pages",
+            payload.len()
+        )));
+    }
+    let mut pages = BTreeMap::new();
+    for (&base, page) in bases.iter().zip(payload.as_chunks().0) {
+        if !base.is_multiple_of(PAGE_SIZE) {
+            return Err(CriuError::BadImage(format!(
+                "pagemap entry {base:#x} is not page-aligned"
+            )));
+        }
+        if let Some((&last, _)) = pages.last_key_value() {
+            if base <= last {
+                return Err(CriuError::BadImage(format!(
+                    "pagemap entry {base:#x} is not above the entry {last:#x} before it"
+                )));
+            }
+        }
+        pages.insert(base, SharedFrame::new(page));
+    }
+    Ok(pages)
 }
 
 fn encode_files(buf: &mut impl Sink, files: &FilesImage) {

@@ -2,7 +2,9 @@
 
 use crate::images::*;
 use crate::CriuError;
-use dynacut_vm::{FileDesc, Kernel, Pid, ProcState};
+use dynacut_obj::PAGE_SIZE;
+use dynacut_vm::{FileDesc, Kernel, Pid, ProcState, SharedFrame};
+use std::collections::BTreeMap;
 
 /// Options controlling the dump, mirroring the paper's CRIU modification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,17 +103,15 @@ pub fn dump(
             .collect(),
     };
 
-    let mut pagemap = PagemapImage::default();
-    let mut pages = PagesImage::default();
-    for (base, bytes) in proc.mem.populated_pages() {
-        let vma = proc.mem.vma_at(base);
-        let exec = vma.map(|v| v.perms.exec).unwrap_or(false);
-        if exec && !options.dump_exec_pages {
-            continue;
-        }
-        pagemap.pages.push(base);
-        pages.bytes.extend_from_slice(bytes);
-    }
+    // A page still backed by a shared frame is dumped as that frame; only
+    // a private page is copied.
+    let pages: BTreeMap<u64, SharedFrame> = proc
+        .mem
+        .page_frames()
+        .filter(|&(base, _)| {
+            options.dump_exec_pages || !proc.mem.vma_at(base).is_some_and(|vma| vma.perms.exec)
+        })
+        .collect();
 
     let files = FilesImage {
         fds: proc
@@ -148,14 +148,13 @@ pub fn dump(
     kernel.record_flight(
         Some(pid),
         dynacut_vm::EventKind::ProcessDumped {
-            page_bytes: pages.bytes.len() as u64,
+            page_bytes: pages.len() as u64 * PAGE_SIZE,
         },
     );
 
     Ok(ProcessImage {
         core,
         mm,
-        pagemap,
         pages,
         files,
         tcp,

@@ -5,7 +5,7 @@
 use crate::images::{ProcessImage, VmaImage};
 use crate::CriuError;
 use dynacut_obj::{checked_page_align, materialize, page_align, Image, Perms, PAGE_SIZE};
-use dynacut_vm::{SigAction, Signal};
+use dynacut_vm::{SharedFrame, SigAction, Signal};
 use std::collections::BTreeMap;
 
 impl ProcessImage {
@@ -24,18 +24,20 @@ impl ProcessImage {
             let page_base = cursor & !(PAGE_SIZE - 1);
             let in_page = (cursor - page_base) as usize;
             let chunk = ((PAGE_SIZE as usize) - in_page).min(len - done);
-            if let Ok(index) = self.pagemap.pages.binary_search(&page_base) {
-                let start = index * PAGE_SIZE as usize + in_page;
-                out[done..done + chunk].copy_from_slice(&self.pages.bytes[start..start + chunk]);
+            if let Some(frame) = self.pages.get(&page_base) {
+                out[done..done + chunk].copy_from_slice(&frame.bytes()[in_page..in_page + chunk]);
             }
             done += chunk;
         }
         Ok(out)
     }
 
-    /// Writes bytes into the image at `addr`, materialising pages in the
-    /// pagemap as needed — the primitive behind "replacing arbitrary
-    /// instructions with one-byte `int3` instructions" (paper §3.2.1).
+    /// Writes bytes into the image at `addr`, materialising zero pages as
+    /// needed — the primitive behind "replacing arbitrary instructions
+    /// with one-byte `int3` instructions" (paper §3.2.1). Only the pages
+    /// written are touched: a frame another handle can see (the dumped
+    /// process, a checkpoint store) is copied first, one this image
+    /// alone holds is written in place.
     ///
     /// # Errors
     ///
@@ -48,20 +50,12 @@ impl ProcessImage {
             let page_base = cursor & !(PAGE_SIZE - 1);
             let in_page = (cursor - page_base) as usize;
             let chunk = ((PAGE_SIZE as usize) - in_page).min(bytes.len() - done);
-            let index = match self.pagemap.pages.binary_search(&page_base) {
-                Ok(index) => index,
-                Err(index) => {
-                    // Materialise a zero page at the right position.
-                    self.pagemap.pages.insert(index, page_base);
-                    let at = index * PAGE_SIZE as usize;
-                    self.pages
-                        .bytes
-                        .splice(at..at, std::iter::repeat_n(0u8, PAGE_SIZE as usize));
-                    index
-                }
-            };
-            let start = index * PAGE_SIZE as usize + in_page;
-            self.pages.bytes[start..start + chunk].copy_from_slice(&bytes[done..done + chunk]);
+            let page = self
+                .pages
+                .entry(page_base)
+                .or_insert_with(SharedFrame::zeroed)
+                .make_mut();
+            page[in_page..in_page + chunk].copy_from_slice(&bytes[done..done + chunk]);
             done += chunk;
         }
         Ok(())
@@ -148,19 +142,7 @@ impl ProcessImage {
         }
         next.sort_by_key(|v| v.start);
         self.mm.vmas = next;
-
-        // Drop the affected pages from pagemap/pages.
-        let mut index = 0;
-        while index < self.pagemap.pages.len() {
-            let page = self.pagemap.pages[index];
-            if page >= start && page < end {
-                self.pagemap.pages.remove(index);
-                let at = index * PAGE_SIZE as usize;
-                self.pages.bytes.drain(at..at + PAGE_SIZE as usize);
-            } else {
-                index += 1;
-            }
-        }
+        self.pages.retain(|&base, _| base < start || base >= end);
         Ok(())
     }
 
@@ -286,7 +268,7 @@ impl ProcessImage {
                     "module `{name}` at {base:#x} runs past the top of the address space"
                 ))
             })?;
-        let pages_before = self.pagemap.pages.len();
+        let pages_before = self.pages.len();
         self.unmap_range(base, end)?;
         self.core.modules.remove(position);
         // A dangling SIGTRAP handler inside the unloaded module would
@@ -296,7 +278,7 @@ impl ProcessImage {
         if action.handler >= base && action.handler < end {
             self.core.sigactions[trap] = SigAction::default();
         }
-        Ok((pages_before - self.pagemap.pages.len()) as u64)
+        Ok((pages_before - self.pages.len()) as u64)
     }
 
     fn check_mapped(&self, addr: u64, len: usize) -> Result<(), CriuError> {

@@ -1,7 +1,8 @@
 //! The checkpoint image types — one struct per CRIU image file.
 
-use dynacut_obj::{checked_page_align, Perms};
-use dynacut_vm::{ConnId, Pid, SigAction, Signal};
+use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
+use dynacut_vm::{ConnId, Pid, SharedFrame, SigAction, Signal};
+use std::collections::BTreeMap;
 
 /// A module mapped in the checkpointed process: name + base address.
 ///
@@ -97,23 +98,6 @@ impl MmImage {
     }
 }
 
-/// `pagemap.img`: which pages are populated with data ("information about
-/// which virtual memory regions are populated", paper §3.3).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PagemapImage {
-    /// Populated page base addresses, sorted ascending.
-    pub pages: Vec<u64>,
-}
-
-/// `pages.img`: raw page contents, one
-/// [`PAGE_SIZE`](dynacut_obj::PAGE_SIZE) record per [`PagemapImage`]
-/// entry, in the same order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PagesImage {
-    /// Concatenated page bytes.
-    pub bytes: Vec<u8>,
-}
-
 /// One file-descriptor entry of `files.img`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FdImage {
@@ -174,10 +158,14 @@ pub struct ProcessImage {
     pub core: CoreImage,
     /// VMA list.
     pub mm: MmImage,
-    /// Populated-page index.
-    pub pagemap: PagemapImage,
-    /// Raw page bytes.
-    pub pages: PagesImage,
+    /// The populated pages, each a frame keyed by its page-aligned base
+    /// address: CRIU's `pagemap.img` ("information about which virtual
+    /// memory regions are populated", paper §3.3) and `pages.img` in one
+    /// map. Only the codec splits them, into the on-disk pair. A frame
+    /// may be shared with the process it was dumped from or with a
+    /// checkpoint store; editing one copies it first (see
+    /// [`SharedFrame::make_mut`]).
+    pub pages: BTreeMap<u64, SharedFrame>,
     /// Descriptor table.
     pub files: FilesImage,
     /// TCP connections.
@@ -203,7 +191,7 @@ impl CheckpointImage {
     /// Total size of all page payloads, in bytes (the dominant term of the
     /// paper's reported "image size").
     pub fn pages_bytes(&self) -> usize {
-        self.procs.iter().map(|p| p.pages.bytes.len()).sum()
+        self.procs.iter().map(|p| p.pages.len()).sum::<usize>() * PAGE_SIZE as usize
     }
 
     /// The image for `pid`, if present.
@@ -215,7 +203,6 @@ impl CheckpointImage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynacut_obj::PAGE_SIZE;
 
     #[test]
     fn mm_find_free_skips_vmas() {

@@ -5,19 +5,20 @@
 //! copying pages that have not changed since the previous checkpoint.
 //! This module reproduces the CRIU mechanisms that shrink it:
 //!
-//! * **Pre-dump** ([`pre_dump`]): the two-phase protocol that copies the
-//!   current page contents while the guest is still running, then
-//!   freezes only to collect the *dirty residue* — the pages the
-//!   kernel's dirty-page bitmap (the soft-dirty analogue,
+//! * **Pre-dump** ([`pre_dump`]): the two-phase protocol that snapshots
+//!   the current pages while the guest is still running, then freezes
+//!   only to collect the *dirty residue* — the pages the kernel's
+//!   dirty-page bitmap (the soft-dirty analogue,
 //!   [`AddressSpace::dirty_pages`]) flags as written since the
-//!   pre-copy — plus registers, sigactions and TCP-repair state.
-//!   [`PreDump::complete`] reports how many page bytes actually had to
-//!   be copied inside the freeze window.
+//!   snapshot — plus registers, sigactions and TCP-repair state.
+//!   [`PreDump::complete`] reports how many page bytes a pre-dump
+//!   protocol leaves for the freeze window.
 //! * **The checkpoint store** ([`CheckpointStore`]): every checkpoint
 //!   enters it whole, through [`CheckpointStore::put_full`], and is
-//!   stored flat — the skeleton plus one content-addressed page key per
-//!   pagemap entry. A page unchanged since an earlier checkpoint
-//!   hash-hits that checkpoint's copy, so it costs a key and a
+//!   stored flat — the image itself, each page backed by the
+//!   content-addressed store's own frame, plus the key of every page it
+//!   holds a reference on. A page unchanged since an earlier checkpoint
+//!   hash-hits that checkpoint's frame, so it costs a key and a
 //!   refcount, not a byte copy: content addressing alone keeps
 //!   repeated checkpoints as small as parent-linked incremental images
 //!   would, with no chain to walk. Reading, restoring or promoting an
@@ -38,11 +39,11 @@
 
 use crate::dump::{dump_many, DumpOptions};
 use crate::images::*;
-use crate::page_store::{PageStore, SharedPages};
+use crate::page_store::{PageKey, PageStore};
 use crate::restore::{build_process, ModuleRegistry, RestoreTransaction, StagedProcess};
 use crate::CriuError;
 use dynacut_obj::PAGE_SIZE;
-use dynacut_vm::{Kernel, Pid};
+use dynacut_vm::{Kernel, Pid, SharedFrame};
 use std::collections::BTreeMap;
 
 /// Identifier of a checkpoint in a [`CheckpointStore`] (sequential).
@@ -75,10 +76,11 @@ pub fn mark_clean_after_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<(), Cr
     Ok(())
 }
 
-/// Page contents copied by [`pre_dump`] while the guest was running.
+/// The pages [`pre_dump`] snapshotted while the guest was running, as
+/// frames: each shared page's own frame, each private page a copy.
 #[derive(Debug, Clone)]
 pub struct PreDump {
-    snapshots: BTreeMap<Pid, BTreeMap<u64, Vec<u8>>>,
+    snapshots: BTreeMap<Pid, BTreeMap<u64, SharedFrame>>,
 }
 
 /// How [`PreDump::complete`] accounts a checkpoint's page bytes: left
@@ -88,8 +90,10 @@ pub struct PreDumpStats {
     /// Bytes a pre-dump protocol leaves for the freeze: the dirty
     /// residue plus pages populated after the pre-copy. A modeled freeze
     /// window charges these bytes (registers/sigactions/TCP state are
-    /// O(1)); [`PreDump::complete`] itself still copies every page
-    /// under the freeze.
+    /// O(1)). It is a modeled count, not what the freeze copies:
+    /// [`PreDump::complete`] itself runs a full dump under the freeze,
+    /// which shares each page still backed by a shared frame and copies
+    /// each private one.
     pub frozen_page_bytes: usize,
     /// Bytes served from the pre-copy, i.e. moved while the guest ran.
     pub prewritten_page_bytes: usize,
@@ -102,9 +106,11 @@ impl PreDumpStats {
     }
 }
 
-/// Phase one of the two-phase dump: copies every populated page of every
-/// process **without requiring a freeze**, then sweeps the dirty bitmap
-/// so [`PreDump::complete`] can identify the residue written afterwards.
+/// Phase one of the two-phase dump: snapshots every populated page of
+/// every process **without requiring a freeze** — sharing each page
+/// still backed by a shared frame, copying each private one — then
+/// sweeps the dirty bitmap so [`PreDump::complete`] can identify the
+/// residue written afterwards.
 ///
 /// # Errors
 ///
@@ -118,10 +124,7 @@ pub fn pre_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<PreDump, CriuError>
     let mut snapshots = BTreeMap::new();
     for &pid in pids {
         let mem = &mut kernel.process_mut(pid)?.mem;
-        let pages: BTreeMap<u64, Vec<u8>> = mem
-            .populated_pages()
-            .map(|(base, bytes)| (base, bytes.to_vec()))
-            .collect();
+        let pages: BTreeMap<u64, SharedFrame> = mem.page_frames().collect();
         mem.mark_clean();
         let page_bytes = (pages.len() * PAGE_SIZE as usize) as u64;
         snapshots.insert(pid, pages);
@@ -134,18 +137,19 @@ pub fn pre_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<PreDump, CriuError>
 }
 
 impl PreDump {
-    /// Total bytes copied during the pre-dump phase.
+    /// Total page bytes the pre-dump phase snapshotted.
     pub fn page_bytes(&self) -> usize {
         self.snapshots.values().map(|pages| pages.len() * PAGE_SIZE as usize).sum()
     }
 
     /// Phase two: with the processes now frozen, produces a
     /// [`CheckpointImage`] bit-identical to a plain [`dump_many`] at this
-    /// instant. It runs that full dump, copying every page while the
-    /// processes are frozen, and counts as frozen only the dirty residue:
-    /// the bytes a pre-dump protocol leaves for the freeze, which a
-    /// modeled freeze window charges. Returns the checkpoint plus the
-    /// phase accounting.
+    /// instant. It runs that full dump while the processes are frozen —
+    /// sharing each page still backed by a shared frame, copying each
+    /// private one — and counts as frozen only the dirty residue: the
+    /// bytes a pre-dump protocol leaves for the freeze, which a modeled
+    /// freeze window charges. Returns the checkpoint plus the phase
+    /// accounting.
     ///
     /// # Errors
     ///
@@ -162,17 +166,13 @@ impl PreDump {
         for image in &checkpoint.procs {
             let mem = &kernel.process(image.core.pid)?.mem;
             let snapshot = self.snapshots.get(&image.core.pid);
-            for (index, &base) in image.pagemap.pages.iter().enumerate() {
-                let prewritten = !mem.page_dirty(base)
-                    && snapshot.and_then(|pages| pages.get(&base)).is_some();
-                if prewritten {
+            for (base, frame) in &image.pages {
+                let snapped = snapshot.and_then(|pages| pages.get(base));
+                if !mem.page_dirty(*base) && snapped.is_some() {
                     // The clean page the freeze-window copy skips must
-                    // match what the pre-dump copied — the invariant the
-                    // dirty bitmap guarantees.
-                    debug_assert_eq!(
-                        snapshot.and_then(|pages| pages.get(&base)).map(|b| &b[..]),
-                        Some(&image.pages.bytes[index * page..(index + 1) * page]),
-                    );
+                    // match what the pre-dump snapshotted — the
+                    // invariant the dirty bitmap guarantees.
+                    debug_assert_eq!(snapped.map(SharedFrame::bytes), Some(frame.bytes()));
                     stats.prewritten_page_bytes += page;
                 } else {
                     stats.frozen_page_bytes += page;
@@ -183,26 +183,16 @@ impl PreDump {
     }
 }
 
-/// One entry of a [`CheckpointStore`]: the checkpoint's *skeleton*
-/// (registers, VMAs, pagemaps, descriptors, TCP state — everything but
-/// the page bytes) plus one [`SharedPages`] reference set per process,
-/// one key per pagemap entry. The page payload itself lives,
-/// deduplicated, in the store's [`PageStore`]. Every entry is
+/// One entry of a [`CheckpointStore`]: the checkpoint itself, every
+/// page backed by the [`PageStore`]'s own frame, plus the key of each
+/// page it holds one store reference on. Every entry is
 /// self-contained: none refers to another.
 #[derive(Debug, Clone)]
 pub(crate) struct StoredCheckpoint {
-    /// The checkpoint with every process's page payload dropped.
-    pub(crate) skeleton: CheckpointImage,
-    /// Interned page payload, one entry per process, in `procs` order.
-    pub(crate) pages: Vec<SharedPages>,
-}
-
-impl StoredCheckpoint {
-    /// Logical page payload of this entry — what a store without content
-    /// addressing would hold for it.
-    fn pages_bytes(&self) -> usize {
-        self.pages.iter().map(SharedPages::pages_bytes).sum()
-    }
+    /// The checkpoint as put, its pages the store's frames.
+    pub(crate) image: CheckpointImage,
+    /// One key per page of `image`, in process then address order.
+    keys: Vec<PageKey>,
 }
 
 /// The tmpfs-like checkpoint store, backed by a content-addressed
@@ -216,10 +206,10 @@ impl StoredCheckpoint {
 /// the store, so the refcount rules live here alone: an entry holds one
 /// reference per page, taken when it is put and dropped by
 /// [`release`]. Entries get sequential [`CkptId`]s and are **flat**:
-/// each holds one page key per pagemap entry, so reading one never
-/// touches another, and the pages it shares with earlier entries cost a
-/// key and a refcount, not a byte copy. Only live entries are kept;
-/// ids are never reused, and a released id fails with
+/// each is the image itself, holding the store's frames, so reading one
+/// never touches another, and the pages it shares with earlier entries
+/// cost a key and a refcount, not a byte copy. Only live entries are
+/// kept; ids are never reused, and a released id fails with
 /// [`CriuError::MissingParent`].
 ///
 /// [`release`]: CheckpointStore::release
@@ -237,59 +227,54 @@ impl CheckpointStore {
         Self::default()
     }
 
-    /// Stores a checkpoint, interning its page payload, and returns its
-    /// id. The image is only read: the entry keeps its skeleton and page
-    /// keys, and the caller keeps the payload buffer.
+    /// Stores a checkpoint, interning its pages, and returns its id. The
+    /// image is only read: the entry keeps a copy of it whose frames are
+    /// the page store's, so no byte is copied but a page the store has
+    /// never seen.
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::BadImage`] if a process's payload is not
-    /// exactly one page per pagemap entry or a VMA ends before it starts
-    /// (no page ref is taken), or [`CriuError::PageCollision`] if any
-    /// page's content key is already held by different bytes;
-    /// references taken for earlier processes are released again and
-    /// nothing is stored.
+    /// Fails with [`CriuError::BadImage`] if a page base is not
+    /// page-aligned or a VMA ends before it starts (no page ref is
+    /// taken), or [`CriuError::PageCollision`] if any page's content key
+    /// is already held by different bytes; references taken for earlier
+    /// pages are released again and nothing is stored.
     pub fn put_full(&mut self, image: &CheckpointImage) -> Result<CkptId, CriuError> {
         for proc in &image.procs {
-            check_payload(&proc.pages, &proc.pagemap)?;
+            check_pages(proc)?;
             check_vmas(&proc.mm)?;
         }
-        let mut pages = Vec::with_capacity(image.procs.len());
-        for proc in &image.procs {
-            match SharedPages::intern(&mut self.pages, &proc.pages) {
-                Ok(shared) => pages.push(shared),
+        let mut stored = image.clone();
+        let mut keys = Vec::with_capacity(image.procs.iter().map(|proc| proc.pages.len()).sum());
+        for frame in stored
+            .procs
+            .iter_mut()
+            .flat_map(|proc| proc.pages.values_mut())
+        {
+            match self.pages.intern(frame.bytes()) {
+                Ok((key, own)) => {
+                    keys.push(key);
+                    *frame = own;
+                }
                 Err(err) => {
-                    for shared in pages.iter().rev() {
+                    for &taken in keys.iter().rev() {
                         // These refs were just taken, so the release
                         // cannot miss; the collision is the error.
-                        let _ = shared.release(&mut self.pages);
+                        let _ = self.pages.release(taken);
                     }
                     return Err(err);
                 }
             }
         }
-        // The entry keeps everything but the payload, whose pages now
-        // live in the page store.
-        let skeleton = CheckpointImage {
-            procs: image
-                .procs
-                .iter()
-                .map(|proc| ProcessImage {
-                    core: proc.core.clone(),
-                    mm: proc.mm.clone(),
-                    pagemap: proc.pagemap.clone(),
-                    pages: PagesImage::default(),
-                    files: proc.files.clone(),
-                    tcp: proc.tcp.clone(),
-                    exec_pages_dumped: proc.exec_pages_dumped,
-                })
-                .collect(),
-            time_ns: image.time_ns,
-        };
         let id = CkptId(self.next_id);
         self.next_id += 1;
-        self.entries
-            .insert(id, StoredCheckpoint { skeleton, pages });
+        self.entries.insert(
+            id,
+            StoredCheckpoint {
+                image: stored,
+                keys,
+            },
+        );
         Ok(id)
     }
 
@@ -316,8 +301,8 @@ impl CheckpointStore {
             .remove(&id)
             .ok_or(CriuError::MissingParent(id))?;
         let mut first_miss = None;
-        for shared in &entry.pages {
-            if let Err(err) = shared.release(&mut self.pages) {
+        for &key in &entry.keys {
+            if let Err(err) = self.pages.release(key) {
                 first_miss.get_or_insert(err);
             }
         }
@@ -345,38 +330,27 @@ impl CheckpointStore {
     pub fn stored_pages_bytes(&self) -> usize {
         self.entries
             .values()
-            .map(StoredCheckpoint::pages_bytes)
-            .sum()
+            .map(|entry| entry.keys.len())
+            .sum::<usize>()
+            * PAGE_SIZE as usize
     }
 
     /// Page bytes of checkpoint `id` that are absent from, or differ in,
     /// checkpoint `since` (processes matched by pid): the pages `id` does
-    /// not share with `since`. Only keys are compared — [`PageStore::intern`] refuses collisions, so two live
-    /// pages with one key hold the same bytes.
+    /// not share with `since`.
     ///
     /// # Errors
     ///
     /// Fails with [`CriuError::MissingParent`] if either id is absent or
     /// released.
     pub fn changed_pages_bytes(&self, since: CkptId, id: CkptId) -> Result<usize, CriuError> {
-        let before = self.get(since)?;
-        let after = self.get(id)?;
+        let before = &self.get(since)?.image;
+        let after = &self.get(id)?.image;
         let mut changed = 0;
-        for (proc, shared) in after.skeleton.procs.iter().zip(&after.pages) {
-            let old = before
-                .skeleton
-                .procs
-                .iter()
-                .zip(&before.pages)
-                .find(|(old, _)| old.core.pid == proc.core.pid);
-            for (base, key) in proc.pagemap.pages.iter().zip(shared.keys()) {
-                let same = old.is_some_and(|(old, old_shared)| {
-                    old.pagemap
-                        .pages
-                        .binary_search(base)
-                        .is_ok_and(|index| old_shared.keys()[index] == *key)
-                });
-                if !same {
+        for proc in &after.procs {
+            let old = before.proc_image(proc.core.pid);
+            for (base, frame) in &proc.pages {
+                if old.and_then(|old| old.pages.get(base)) != Some(frame) {
                     changed += PAGE_SIZE as usize;
                 }
             }
@@ -410,27 +384,22 @@ impl CheckpointStore {
         self.pages.dedup_ratio()
     }
 
-    /// Materializes the checkpoint `id`: its skeleton with every page
-    /// payload read back from the content-addressed store. Bit-identical
-    /// to the image originally written in.
+    /// Materializes the checkpoint `id`: the entry's image, sharing the
+    /// store's frames (an edit of the copy copies the page it writes
+    /// first). Bit-identical to the image originally written in.
     ///
     /// # Errors
     ///
     /// Fails with [`CriuError::MissingParent`] if `id` is absent or
     /// released.
     pub fn materialize(&self, id: CkptId) -> Result<CheckpointImage, CriuError> {
-        let entry = self.get(id)?;
-        let mut image = entry.skeleton.clone();
-        for (proc, shared) in image.procs.iter_mut().zip(&entry.pages) {
-            proc.pages = shared.materialize(&self.pages)?;
-        }
-        Ok(image)
+        Ok(self.get(id)?.image.clone())
     }
 
     /// Stages a restore of the checkpoint `id` without mutating the
-    /// kernel: every process is built from the entry's skeleton, each dumped page backed by a
-    /// [`SharedFrame`](dynacut_vm::SharedFrame) handle straight out of
-    /// the content-addressed store. No page byte is copied and no store
+    /// kernel: every process is built from the entry's image, each dumped
+    /// page backed by a handle on the entry's [`SharedFrame`] for it, the
+    /// content-addressed store's own. No page byte is copied and no store
     /// reference is taken ([`PageStore::copied_bytes`] and the refcounts
     /// do not move): the staged processes keep the frames alive through
     /// their own handles, and the first guest write to each page
@@ -448,21 +417,15 @@ impl CheckpointStore {
         id: CkptId,
         registry: &ModuleRegistry,
     ) -> Result<RestoreTransaction, CriuError> {
-        let entry = self.get(id)?;
-        let mut staged: Vec<StagedProcess> = Vec::with_capacity(entry.pages.len());
-        for (image, shared) in entry.skeleton.procs.iter().zip(&entry.pages) {
+        let procs = &self.get(id)?.image.procs;
+        let mut staged: Vec<StagedProcess> = Vec::with_capacity(procs.len());
+        for image in procs {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreHandles) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::RestoreHandles,
                 ));
             }
-            staged.push(build_process(
-                kernel,
-                image,
-                registry,
-                shared.keys(),
-                &self.pages,
-            )?);
+            staged.push(build_process(kernel, image, registry)?);
         }
         Ok(RestoreTransaction::from_staged(staged))
     }
@@ -493,20 +456,21 @@ impl CheckpointStore {
     }
 }
 
-/// Checks that a payload holds exactly one whole page per entry of the
-/// pagemap it ships with — an invariant every zero-copy restore of the
-/// stored entry relies on (a short page would reach the guest as a
-/// partial frame).
-fn check_payload(pages: &PagesImage, listed: &PagemapImage) -> Result<(), CriuError> {
-    let expected = listed.pages.len() * PAGE_SIZE as usize;
-    if pages.bytes.len() != expected {
-        return Err(CriuError::BadImage(format!(
-            "pages.img holds {} bytes but {} pages ({expected} bytes) are listed",
-            pages.bytes.len(),
-            listed.pages.len()
-        )));
+/// Checks that every page base is page-aligned — an invariant every
+/// zero-copy restore of the stored entry relies on (an unaligned base
+/// would land its frame on the page below). The map keeps the bases
+/// sorted and unique, and each frame is one page by type.
+fn check_pages(image: &ProcessImage) -> Result<(), CriuError> {
+    match image
+        .pages
+        .keys()
+        .find(|base| !base.is_multiple_of(PAGE_SIZE))
+    {
+        Some(base) => Err(CriuError::BadImage(format!(
+            "page base {base:#x} is not page-aligned"
+        ))),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks that no VMA ends before it starts — the other invariant a
@@ -519,5 +483,97 @@ fn check_vmas(mm: &MmImage) -> Result<(), CriuError> {
             vma.name, vma.end, vma.start
         ))),
         None => Ok(()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynacut_obj::Perms;
+    use dynacut_vm::{SigAction, Signal};
+
+    /// A checkpoint of one process per entry of `procs`, the `i`-th page
+    /// of each filled with its `i`-th byte.
+    fn checkpoint(procs: &[&[u8]]) -> CheckpointImage {
+        let image = |pid: u32, fills: &[u8]| ProcessImage {
+            core: CoreImage {
+                pid: Pid(pid),
+                parent: None,
+                name: "p".into(),
+                regs: [0; 16],
+                pc: 0,
+                flags_bits: 0,
+                sigactions: [SigAction::default(); Signal::COUNT],
+                signal_depth: 0,
+                insns_retired: 0,
+                modules: Vec::new(),
+                syscall_filter: u64::MAX,
+            },
+            mm: MmImage {
+                vmas: vec![VmaImage {
+                    start: 0x1000,
+                    end: 0x1000 + 16 * PAGE_SIZE,
+                    perms: Perms::RW,
+                    name: "heap".into(),
+                }],
+            },
+            pages: (0x1000..)
+                .step_by(PAGE_SIZE as usize)
+                .zip(fills)
+                .map(|(base, &fill)| (base, SharedFrame::new(&[fill; PAGE_SIZE as usize])))
+                .collect(),
+            files: FilesImage::default(),
+            tcp: TcpImage::default(),
+            exec_pages_dumped: true,
+        };
+        CheckpointImage {
+            procs: (1..)
+                .zip(procs)
+                .map(|(pid, fills)| image(pid, fills))
+                .collect(),
+            time_ns: 0,
+        }
+    }
+
+    /// A colliding page part-way through a checkpoint must not strand the
+    /// references taken for the pages put before it, in its own process
+    /// or an earlier one.
+    #[test]
+    fn put_full_unwinds_refs_on_a_collision_part_way() {
+        let mut store = CheckpointStore::new();
+        store.pages.hasher = Some(|bytes| PageKey::of(&[bytes[0] & 0x0F]));
+        // 0x11 collides with 0x01.
+        let err = store
+            .put_full(&checkpoint(&[&[0x01, 0x02], &[0x03, 0x11, 0x04]]))
+            .unwrap_err();
+        assert!(matches!(err, CriuError::PageCollision(_)), "got {err}");
+        assert!(store.is_empty(), "nothing was stored");
+        assert_eq!(
+            store.page_store().unique_pages(),
+            0,
+            "partial refs were unwound"
+        );
+        assert_eq!(store.logical_pages_bytes(), 0);
+    }
+
+    /// A release miss is reported, but does not leak the entry's other
+    /// references.
+    #[test]
+    fn release_reports_a_missing_ref_but_frees_the_rest() {
+        let mut store = CheckpointStore::new();
+        let id = store.put_full(&checkpoint(&[&[0x01, 0x02]])).unwrap();
+        let first = store.get(id).unwrap().keys[0];
+        // Drop the first page's reference behind the entry's back.
+        store.pages.release(first).unwrap();
+        assert_eq!(store.release(id), Err(CriuError::UnknownPage(first)));
+        assert_eq!(
+            store.page_store().unique_pages(),
+            0,
+            "the other reference was still freed"
+        );
+        assert!(matches!(
+            store.release(id),
+            Err(CriuError::MissingParent(_))
+        ));
     }
 }

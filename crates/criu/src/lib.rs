@@ -5,14 +5,20 @@
 //! This crate reproduces that layer for DCVM processes:
 //!
 //! * [`ProcessImage`] — the image-file set CRIU produces per process:
-//!   `core` (registers, sigactions), `mm` (VMAs), `pagemap` (which pages
-//!   are populated), `pages` (raw page bytes), `files` (descriptors) and
-//!   `tcp` (repaired connections),
+//!   `core` (registers, sigactions), `mm` (VMAs), the populated pages
+//!   (`pagemap` + `pages`, held in memory as one map from page base to
+//!   [`SharedFrame`](dynacut_vm::SharedFrame) and split into the two
+//!   files only by the codec), `files` (descriptors) and `tcp` (repaired
+//!   connections),
 //! * [`dump`]/[`CheckpointStore::restore`] — checkpoint a frozen process
 //!   and bring it back from its store entry, including live TCP
-//!   connections (`TCP_REPAIR` analogue); restored pages are zero-copy
-//!   frames out of the store's content-addressed [`PageStore`], and a
-//!   [`RestoreTransaction`] swaps them in all-or-nothing,
+//!   connections (`TCP_REPAIR` analogue). A page travels as one frame
+//!   from dump to restore: the dump shares a page still backed by a
+//!   shared frame and copies a private one, an image edit copies only
+//!   the page it writes, the store keeps its own frame per distinct
+//!   page in a content-addressed [`PageStore`], and the restore
+//!   installs those frames, zero-copy; a [`RestoreTransaction`] swaps
+//!   the restored processes in all-or-nothing,
 //! * [`DumpOptions::dump_exec_pages`] — the paper's one-line but essential
 //!   CRIU patch: stock CRIU skips file-backed executable pages (they are
 //!   reconstructed from the binary on restore), so **rewites to text would
@@ -29,10 +35,10 @@
 //! * **incremental checkpointing** ([`pre_dump`], [`CheckpointStore`]) —
 //!   the dirty-page bitmap and the two-phase pre-dump protocol that
 //!   shrink the rewrite freeze window. Every checkpoint enters the
-//!   store through [`CheckpointStore::put_full`] and is kept flat (a
-//!   skeleton plus one content-addressed page key per page), so pages
-//!   unchanged since an earlier checkpoint are shared, not copied, and
-//!   no read walks a chain,
+//!   store through [`CheckpointStore::put_full`] and is kept flat (the
+//!   image itself, on the store's frames, plus one content-addressed
+//!   page key per page), so pages unchanged since an earlier checkpoint
+//!   are shared, not copied, and no read walks a chain,
 //! * **promotion** ([`CheckpointStore::promote`]) — a rollout's canary
 //!   cycle's code changes, installed in place on the other replicas as
 //!   shared store frames, with a [`Promotion`] receipt that undoes
@@ -52,13 +58,13 @@ mod text;
 
 pub use dump::{dump, dump_many, DumpOptions};
 pub use images::{
-    CheckpointImage, CoreImage, FdImage, FilesImage, MmImage, ModuleRef, PagemapImage,
-    PagesImage, ProcessImage, TcpConnImage, TcpImage, VmaImage,
+    CheckpointImage, CoreImage, FdImage, FilesImage, MmImage, ModuleRef, ProcessImage,
+    TcpConnImage, TcpImage, VmaImage,
 };
 pub use incremental::{
     mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDump, PreDumpStats,
 };
-pub use page_store::{PageKey, PageStore, SharedPages};
+pub use page_store::{PageKey, PageStore};
 pub use promote::Promotion;
 pub use restore::{CommittedRestore, ModuleRegistry, RestoreTransaction};
 

@@ -10,24 +10,24 @@
 //!
 //! Invariants:
 //!
-//! * **Bit identity** — [`SharedPages::intern`] followed by
-//!   [`SharedPages::materialize`] reproduces the original
-//!   [`PagesImage`] byte for byte (tested by property in
-//!   `tests/page_store.rs`).
-//! * **Refcount lifecycle** — every `intern` bumps the refcount of each
-//!   page it references; [`SharedPages::release`] decrements them and a
-//!   page's bytes are dropped exactly when its last reference goes.
-//!   Materializing after release fails loudly
-//!   ([`CriuError::Inconsistent`]) instead of fabricating pages.
+//! * **Bit identity** — [`PageStore::intern`] hands back a frame
+//!   holding exactly the bytes interned: a copy made on first sight, or
+//!   on a hash hit the frame it already holds, whose bytes it compared
+//!   equal.
+//! * **Refcount lifecycle** — every `intern` takes one reference on its
+//!   page; [`PageStore::release`] drops one, and the store lets go of a
+//!   page's frame exactly when its last reference goes. A
+//!   [`CheckpointStore`](crate::CheckpointStore) entry holds one
+//!   reference per page it keeps (tested by property in
+//!   `tests/page_store.rs` and `tests/zero_copy.rs`).
 //! * **Accounting** — [`PageStore::logical_bytes`] counts what callers
 //!   handed in (references × page size), [`PageStore::unique_bytes`]
 //!   counts what is actually held; their ratio is the dedup win the
 //!   fleet experiment reports.
 
-use crate::images::PagesImage;
 use crate::CriuError;
 use dynacut_obj::PAGE_SIZE;
-use dynacut_vm::SharedFrame;
+use dynacut_vm::{Page, SharedFrame};
 use std::collections::BTreeMap;
 
 /// Content hash of one page: 128-bit FNV-1a taken a word at a time.
@@ -71,8 +71,9 @@ impl std::fmt::Display for PageKey {
 
 #[derive(Debug, Clone)]
 struct PageEntry {
-    /// The page bytes, held as a [`SharedFrame`] so restores can hand
-    /// zero-copy handles straight into guest address spaces.
+    /// The page bytes, held as a [`SharedFrame`] that every checkpoint
+    /// entry keeping the page shares, and restores hand straight into
+    /// guest address spaces.
     frame: SharedFrame,
     refs: u64,
 }
@@ -84,8 +85,8 @@ struct PageEntry {
 /// keep retrievable), while [`SharedFrame::handle_count`] counts every
 /// live alias including pages mapped into running address spaces. A
 /// frame whose store entry is released stays alive for as long as any
-/// guest still maps it — but [`PageStore::get`] and materialization fail
-/// loudly, because the *store* no longer vouches for it.
+/// guest still maps it — but [`PageStore::get`] fails, because the
+/// *store* no longer vouches for it.
 #[derive(Debug, Clone, Default)]
 pub struct PageStore {
     pages: BTreeMap<PageKey, PageEntry>,
@@ -96,7 +97,7 @@ pub struct PageStore {
     /// Test hook: overrides the content hash so a unit test can force two
     /// distinct pages onto one key and exercise the collision guard.
     #[cfg(test)]
-    hasher: Option<fn(&[u8]) -> PageKey>,
+    pub(crate) hasher: Option<fn(&[u8]) -> PageKey>,
 }
 
 impl PageStore {
@@ -113,8 +114,9 @@ impl PageStore {
         PageKey::of(bytes)
     }
 
-    /// Interns one page, bumping its refcount, and returns its key. The
-    /// bytes are copied only on first sight.
+    /// Interns one page, bumping its refcount, and returns its key with
+    /// the store's frame for it. The bytes are copied into a new frame
+    /// only on first sight; a hit hands out the frame already held.
     ///
     /// # Errors
     ///
@@ -122,7 +124,7 @@ impl PageStore {
     /// held by a page with *different* bytes. Bytes are compared on every
     /// hash hit — in release builds too — because handing out the wrong
     /// page would silently corrupt a restored guest.
-    pub fn intern(&mut self, bytes: &[u8]) -> Result<PageKey, CriuError> {
+    pub fn intern(&mut self, bytes: &Page) -> Result<(PageKey, SharedFrame), CriuError> {
         let key = self.key_of(bytes);
         match self.pages.get_mut(&key) {
             Some(entry) => {
@@ -130,37 +132,31 @@ impl PageStore {
                     return Err(CriuError::PageCollision(key));
                 }
                 entry.refs += 1;
+                Ok((key, entry.frame.clone()))
             }
             None => {
-                self.copied_bytes += bytes.len() as u64;
+                self.copied_bytes += PAGE_SIZE;
+                let frame = SharedFrame::new(bytes);
                 self.pages.insert(
                     key,
                     PageEntry {
-                        frame: SharedFrame::new(bytes),
+                        frame: frame.clone(),
                         refs: 1,
                     },
                 );
+                Ok((key, frame))
             }
         }
-        Ok(key)
     }
 
     /// The bytes of an interned page, if it is still referenced.
     pub fn get(&self, key: PageKey) -> Option<&[u8]> {
-        self.pages.get(&key).map(|entry| entry.frame.bytes())
-    }
-
-    /// A zero-copy handle on an interned page, if it is still
-    /// referenced. Cloning the frame does **not** take a store
-    /// reference — the Arc keeps the bytes alive, the store's refcount
-    /// keeps them *retrievable*.
-    pub fn frame(&self, key: PageKey) -> Option<SharedFrame> {
-        self.pages.get(&key).map(|entry| entry.frame.clone())
+        self.pages.get(&key).map(|entry| &entry.frame.bytes()[..])
     }
 
     /// Cumulative bytes physically copied into the store by first-sight
-    /// interns (hash hits and frame handouts copy nothing). Monotonic:
-    /// never decremented by releases.
+    /// interns (hash hits copy nothing). Monotonic: never decremented by
+    /// releases.
     pub fn copied_bytes(&self) -> u64 {
         self.copied_bytes
     }
@@ -196,10 +192,7 @@ impl PageStore {
 
     /// Bytes actually held: one copy per distinct page content.
     pub fn unique_bytes(&self) -> usize {
-        self.pages
-            .values()
-            .map(|entry| entry.frame.bytes().len())
-            .sum()
+        self.pages.len() * PAGE_SIZE as usize
     }
 
     /// Bytes callers handed in: every reference counts its page size.
@@ -207,8 +200,9 @@ impl PageStore {
     pub fn logical_bytes(&self) -> usize {
         self.pages
             .values()
-            .map(|entry| entry.refs as usize * entry.frame.bytes().len())
-            .sum()
+            .map(|entry| entry.refs as usize)
+            .sum::<usize>()
+            * PAGE_SIZE as usize
     }
 
     /// Bytes shared away: `logical_bytes − unique_bytes`, i.e. the
@@ -228,108 +222,13 @@ impl PageStore {
     }
 }
 
-/// The interned form of a [`PagesImage`]: an ordered list of page
-/// references into a [`PageStore`]. Holding one of these *is* holding a
-/// reference on every page it lists — drop it through [`release`]
-/// (never silently), and rebuild the original byte-identical payload
-/// with [`materialize`].
-///
-/// [`release`]: SharedPages::release
-/// [`materialize`]: SharedPages::materialize
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedPages {
-    keys: Vec<PageKey>,
-}
-
-impl SharedPages {
-    /// Interns every page of `pages` (in order), taking one reference on
-    /// each.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::PageCollision`] if any page's key is held
-    /// by different bytes; references taken for earlier pages are
-    /// released again, leaving the store exactly as it was.
-    pub fn intern(store: &mut PageStore, pages: &PagesImage) -> Result<Self, CriuError> {
-        let mut keys = Vec::with_capacity(pages.bytes.len() / PAGE_SIZE as usize);
-        for page in pages.bytes.chunks(PAGE_SIZE as usize) {
-            match store.intern(page) {
-                Ok(key) => keys.push(key),
-                Err(err) => {
-                    for &taken in keys.iter().rev() {
-                        // These references were just taken above, so the
-                        // release cannot miss; the collision is the error
-                        // worth reporting.
-                        let _ = store.release(taken);
-                    }
-                    return Err(err);
-                }
-            }
-        }
-        Ok(SharedPages { keys })
-    }
-
-    /// Rebuilds the original [`PagesImage`], byte for byte.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::Inconsistent`] if any referenced page is
-    /// gone — i.e. these shared pages were already released.
-    pub fn materialize(&self, store: &PageStore) -> Result<PagesImage, CriuError> {
-        let mut bytes = Vec::with_capacity(self.keys.len() * PAGE_SIZE as usize);
-        for &key in &self.keys {
-            let page = store.get(key).ok_or_else(|| {
-                CriuError::Inconsistent(format!("{key} is not in the page store"))
-            })?;
-            bytes.extend_from_slice(page);
-        }
-        Ok(PagesImage { bytes })
-    }
-
-    /// Releases one reference on every page listed.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`CriuError::UnknownPage`] naming the first key the
-    /// store did not hold. Every *other* listed reference is still
-    /// released — the miss is an accounting bug to surface, not a reason
-    /// to leak the rest.
-    pub fn release(&self, store: &mut PageStore) -> Result<(), CriuError> {
-        let mut first_miss = None;
-        for &key in &self.keys {
-            if let Err(err) = store.release(key) {
-                first_miss.get_or_insert(err);
-            }
-        }
-        match first_miss {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
-
-    /// Number of page references held.
-    pub fn page_count(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Logical payload size: references × page size.
-    pub fn pages_bytes(&self) -> usize {
-        self.keys.len() * PAGE_SIZE as usize
-    }
-
-    /// The page keys, in payload order.
-    pub fn keys(&self) -> &[PageKey] {
-        &self.keys
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn page(fill: u8) -> Vec<u8> {
-        vec![fill; PAGE_SIZE as usize]
+    fn page(fill: u8) -> Page {
+        [fill; PAGE_SIZE as usize]
     }
 
     proptest! {
@@ -385,11 +284,15 @@ mod tests {
     #[test]
     fn intern_dedups_and_refcounts() {
         let mut store = PageStore::new();
-        let a1 = store.intern(&page(0xAA)).unwrap();
-        let a2 = store.intern(&page(0xAA)).unwrap();
-        let b = store.intern(&page(0xBB)).unwrap();
+        let (a1, frame_a1) = store.intern(&page(0xAA)).unwrap();
+        let (a2, frame_a2) = store.intern(&page(0xAA)).unwrap();
+        let (b, _) = store.intern(&page(0xBB)).unwrap();
         assert_eq!(a1, a2);
         assert_ne!(a1, b);
+        assert!(
+            std::ptr::eq(frame_a1.bytes(), frame_a2.bytes()),
+            "a hit hands out the frame already held"
+        );
         assert_eq!(store.unique_pages(), 2);
         assert_eq!(store.refs(a1), 2);
         assert_eq!(store.refs(b), 1);
@@ -401,7 +304,7 @@ mod tests {
     #[test]
     fn release_frees_at_zero_refs() {
         let mut store = PageStore::new();
-        let key = store.intern(&page(0x11)).unwrap();
+        let (key, _) = store.intern(&page(0x11)).unwrap();
         store.intern(&page(0x11)).unwrap();
         store.release(key).unwrap();
         assert_eq!(store.refs(key), 1);
@@ -420,55 +323,29 @@ mod tests {
         store.intern(&page(0x01)).unwrap();
         store.intern(&page(0x02)).unwrap();
         assert_eq!(store.copied_bytes(), 2 * PAGE_SIZE, "hash hits copy nothing");
-        let key = PageKey::of(&page(0x01));
-        store.frame(key).unwrap();
-        assert_eq!(store.copied_bytes(), 2 * PAGE_SIZE, "handouts copy nothing");
     }
 
     #[test]
     fn frames_outlive_released_entries_but_store_lookups_fail() {
         let mut store = PageStore::new();
-        let key = store.intern(&page(0x77)).unwrap();
-        let frame = store.frame(key).unwrap();
+        let (key, frame) = store.intern(&page(0x77)).unwrap();
         store.release(key).unwrap();
         assert!(store.get(key).is_none(), "store no longer vouches");
-        assert!(store.frame(key).is_none());
-        assert_eq!(frame.bytes(), &page(0x77)[..], "the handle keeps the bytes alive");
+        assert_eq!(frame.bytes(), &page(0x77), "the handle keeps the bytes alive");
         assert_eq!(frame.handle_count(), 1);
     }
 
     #[test]
     fn reintern_after_release_recopies_and_yields_a_fresh_frame() {
         let mut store = PageStore::new();
-        let key = store.intern(&page(0x33)).unwrap();
-        let old = store.frame(key).unwrap();
+        let (key, old) = store.intern(&page(0x33)).unwrap();
         store.release(key).unwrap();
-        let key2 = store.intern(&page(0x33)).unwrap();
+        let (key2, fresh) = store.intern(&page(0x33)).unwrap();
         assert_eq!(key, key2, "content addressing is stable");
         assert_eq!(store.copied_bytes(), 2 * PAGE_SIZE);
-        let fresh = store.frame(key2).unwrap();
         assert_eq!(old.bytes(), fresh.bytes());
+        assert!(!std::ptr::eq(old.bytes(), fresh.bytes()), "a fresh copy");
         assert_eq!(old.handle_count(), 1, "old frame is not resurrected");
-    }
-
-    #[test]
-    fn shared_pages_round_trip_bit_identical() {
-        let mut store = PageStore::new();
-        let mut image = PagesImage::default();
-        image.bytes.extend_from_slice(&page(0x01));
-        image.bytes.extend_from_slice(&page(0x02));
-        image.bytes.extend_from_slice(&page(0x01));
-        let shared = SharedPages::intern(&mut store, &image).unwrap();
-        assert_eq!(shared.page_count(), 3);
-        assert_eq!(store.unique_pages(), 2);
-        let back = shared.materialize(&store).unwrap();
-        assert_eq!(back, image);
-        shared.release(&mut store).unwrap();
-        assert_eq!(store.unique_pages(), 0);
-        assert!(matches!(
-            shared.materialize(&store),
-            Err(CriuError::Inconsistent(_))
-        ));
     }
 
     /// Regression (PR 7): a hash collision used to be guarded only by a
@@ -480,7 +357,7 @@ mod tests {
     fn intern_refuses_hash_collisions() {
         let mut store = PageStore::new();
         store.hasher = Some(|_| PageKey(0xDEAD_BEEF));
-        let key = store.intern(&page(0xAA)).unwrap();
+        let (key, _) = store.intern(&page(0xAA)).unwrap();
         assert_eq!(key, PageKey(0xDEAD_BEEF));
         // Same bytes, same key: a legitimate dedup hit.
         store.intern(&page(0xAA)).unwrap();
@@ -494,22 +371,6 @@ mod tests {
         assert_eq!(store.get(key).unwrap(), &page(0xAA)[..], "original bytes intact");
     }
 
-    /// A colliding page mid-image must not strand references taken for
-    /// the pages interned before it.
-    #[test]
-    fn shared_intern_unwinds_refs_on_collision() {
-        let mut store = PageStore::new();
-        store.hasher = Some(|bytes| PageKey(u128::from(bytes[0] & 0x0F)));
-        let mut image = PagesImage::default();
-        image.bytes.extend_from_slice(&page(0x01));
-        image.bytes.extend_from_slice(&page(0x02));
-        image.bytes.extend_from_slice(&page(0x11)); // collides with 0x01
-        let err = SharedPages::intern(&mut store, &image).unwrap_err();
-        assert!(matches!(err, CriuError::PageCollision(_)));
-        assert_eq!(store.unique_pages(), 0, "partial refs were unwound");
-        assert_eq!(store.logical_bytes(), 0);
-    }
-
     /// Regression (PR 7): releasing an unknown key used to be a silent
     /// no-op, masking double-release bugs from the leak invariant.
     #[test]
@@ -517,28 +378,12 @@ mod tests {
         let mut store = PageStore::new();
         let never = PageKey::of(&page(0x42));
         assert_eq!(store.release(never), Err(CriuError::UnknownPage(never)));
-        let key = store.intern(&page(0x42)).unwrap();
+        let (key, _) = store.intern(&page(0x42)).unwrap();
         store.release(key).unwrap();
         assert_eq!(
             store.release(key),
             Err(CriuError::UnknownPage(key)),
             "double release is reported, not swallowed"
         );
-    }
-
-    /// A release miss is reported but does not leak the remaining
-    /// references in the same [`SharedPages`].
-    #[test]
-    fn shared_release_reports_miss_but_frees_the_rest() {
-        let mut store = PageStore::new();
-        let mut image = PagesImage::default();
-        image.bytes.extend_from_slice(&page(0x01));
-        image.bytes.extend_from_slice(&page(0x02));
-        let shared = SharedPages::intern(&mut store, &image).unwrap();
-        // Drop the first page's reference behind the SharedPages' back.
-        store.release(shared.keys()[0]).unwrap();
-        let err = shared.release(&mut store).unwrap_err();
-        assert_eq!(err, CriuError::UnknownPage(shared.keys()[0]));
-        assert_eq!(store.unique_pages(), 0, "the other reference was still freed");
     }
 }

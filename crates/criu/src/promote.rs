@@ -31,7 +31,6 @@
 
 use crate::images::{ProcessImage, VmaImage};
 use crate::incremental::{CheckpointStore, CkptId};
-use crate::page_store::PageKey;
 use crate::restore::{CommittedRestore, ModuleRegistry};
 use crate::CriuError;
 use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
@@ -235,10 +234,9 @@ impl CodeEdit<'_> {
         for (base, frame) in &self.text_pages {
             // A page the replica took in an earlier promotion usually
             // shares the very frame the entry holds.
-            let same = proc
-                .mem
-                .page_bytes(*base)
-                .is_some_and(|old| std::ptr::eq(old, frame.bytes()) || old == frame.bytes());
+            let same = proc.mem.page_bytes(*base).is_some_and(|old| {
+                std::ptr::eq(old.as_ptr(), frame.bytes().as_ptr()) || old == frame.bytes()
+            });
             if !same {
                 displaced
                     .text_pages
@@ -336,23 +334,16 @@ impl Promotion {
     }
 }
 
-impl CheckpointStore {
-    /// The code changes of one canary process: its stored image `image`
-    /// (page keys `keys`), its boot modules and new libraries told apart
-    /// by its pre-edit process `before`.
-    fn code_edit<'a>(
-        &self,
+impl<'a> CodeEdit<'a> {
+    /// The code changes of one canary process: its stored image `image`,
+    /// its boot modules and new libraries told apart by its pre-edit
+    /// process `before`.
+    fn of(
         image: &'a ProcessImage,
-        keys: &[PageKey],
         before: &'a Process,
         registry: &ModuleRegistry,
         injected: fn(&str) -> bool,
-    ) -> Result<CodeEdit<'a>, CriuError> {
-        let frame = |key: PageKey| {
-            self.page_store()
-                .frame(key)
-                .ok_or_else(|| CriuError::Inconsistent(format!("{key} is not in the page store")))
-        };
+    ) -> Result<Self, CriuError> {
         let mut edit = CodeEdit {
             boot: before
                 .modules
@@ -406,24 +397,26 @@ impl CheckpointStore {
                 base,
             });
         }
-        for (&base, &key) in image.pagemap.pages.iter().zip(keys) {
+        for (&base, frame) in &image.pages {
             if edit
                 .boot_text
                 .iter()
                 .any(|&(start, end, _)| base >= start && base < end)
             {
-                edit.text_pages.push((base, frame(key)?));
+                edit.text_pages.push((base, frame.clone()));
             } else if edit
                 .library_vmas
                 .iter()
                 .any(|vma| base >= vma.start && base < vma.end)
             {
-                edit.library_pages.push((base, frame(key)?));
+                edit.library_pages.push((base, frame.clone()));
             }
         }
         Ok(edit)
     }
+}
 
+impl CheckpointStore {
     /// Promotes the code changes of the canary cycle that stored `id`
     /// onto a replica group: each frozen `target` is patched in place
     /// with the text pages of boot modules whose bytes differ from the
@@ -455,9 +448,9 @@ impl CheckpointStore {
     ///
     /// Fails with [`CriuError::MissingParent`] if `id` is absent or
     /// released; [`CriuError::Inconsistent`] on a group-size mismatch, a
-    /// canary pid `canary` does not hold, an edit that remapped boot
-    /// text or mapped a module other than an injected library, or a key
-    /// the store no longer holds; [`CriuError::UnknownModule`] if a new
+    /// canary pid `canary` does not hold, or an edit that remapped boot
+    /// text or mapped a module other than an injected library;
+    /// [`CriuError::UnknownModule`] if a new
     /// library's binary is missing from `registry`;
     /// [`CriuError::ReplicaMismatch`] if a target fails its checks; or
     /// [`CriuError::Vm`] if a target is missing or not frozen.
@@ -472,16 +465,16 @@ impl CheckpointStore {
         injected: fn(&str) -> bool,
         targets: &[Pid],
     ) -> Result<Promotion, CriuError> {
-        let entry = self.get(id)?;
-        if entry.pages.len() != targets.len() {
+        let procs = &self.get(id)?.image.procs;
+        if procs.len() != targets.len() {
             return Err(CriuError::Inconsistent(format!(
                 "canary image holds {} processes but the target group has {}",
-                entry.pages.len(),
+                procs.len(),
                 targets.len()
             )));
         }
         let mut checked = Vec::with_capacity(targets.len());
-        for ((image, shared), &pid) in entry.skeleton.procs.iter().zip(&entry.pages).zip(targets) {
+        for (image, &pid) in procs.iter().zip(targets) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::PromoteRestore,
@@ -493,7 +486,7 @@ impl CheckpointStore {
                     image.core.pid
                 ))
             })?;
-            let edit = self.code_edit(image, shared.keys(), before, registry, injected)?;
+            let edit = CodeEdit::of(image, before, registry, injected)?;
             let plan = edit.check(kernel.process(pid)?, injected)?;
             checked.push((pid, edit, plan));
         }

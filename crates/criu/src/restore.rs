@@ -4,19 +4,19 @@
 //! stages it ([`CheckpointStore::stage_restore`]) and a
 //! [`RestoreTransaction`] commits it. Restored pages are never copied
 //! into the staged address space: each dumped page is installed as a
-//! refcounted [`SharedFrame`](dynacut_vm::SharedFrame) handle out of
-//! the content-addressed [`PageStore`] (`build_process`), deferring any
-//! physical copy to the first guest write (CoW, DESIGN §12). The test
+//! handle on the entry's refcounted [`SharedFrame`](dynacut_vm::SharedFrame),
+//! the content-addressed [`PageStore`]'s own (`build_process`), deferring
+//! any physical copy to the first guest write (CoW, DESIGN §12). The test
 //! battery checks the result against [`CheckpointStore::materialize`]:
 //! re-dumping a restored process gives back the materialized image,
 //! byte for byte.
 //!
 //! [`CheckpointStore`]: crate::CheckpointStore
+//! [`PageStore`]: crate::PageStore
 //! [`CheckpointStore::stage_restore`]: crate::CheckpointStore::stage_restore
 //! [`CheckpointStore::materialize`]: crate::CheckpointStore::materialize
 
 use crate::images::*;
-use crate::page_store::{PageKey, PageStore};
 use crate::CriuError;
 use dynacut_obj::{materialize, Image, PAGE_SIZE};
 use dynacut_vm::{
@@ -54,8 +54,8 @@ impl ModuleRegistry {
 /// [`build_process`] produces these; [`RestoreTransaction::commit`] swaps
 /// them in. Keeping the build phase kernel-free is what makes the restore
 /// transactional: every expensive, failure-prone step (module lookup,
-/// text materialization, pagemap consistency checks) happens before the
-/// first original process is disturbed.
+/// text materialization) happens before the first original process is
+/// disturbed.
 #[derive(Debug, Clone)]
 pub(crate) struct StagedProcess {
     /// The process, ready for [`Kernel::insert_process`].
@@ -73,28 +73,23 @@ pub(crate) struct StagedProcess {
 /// effects (listeners to ensure, connections to unrepair) for the commit
 /// phase to apply.
 ///
-/// Dumped pages are backed by zero-copy
-/// [`SharedFrame`](dynacut_vm::SharedFrame) handles out of `store`:
-/// `keys[i]` names the frame for `image.pagemap.pages[i]`, and
-/// `image.pages` is ignored (typically empty — the payload lives in the
-/// store). Every installed page starts shared; the first guest write
-/// copy-on-writes it private. Because the frames hold the dumped bytes,
-/// image edits take effect. Executable VMAs with **no** dumped pages
-/// are reconstructed from the binary in `registry` — the stock-CRIU
-/// file-backed-page path that silently discards text rewrites (see
+/// Dumped pages are backed by zero-copy handles on the image's own
+/// [`SharedFrame`](dynacut_vm::SharedFrame)s. Every installed page
+/// starts shared; the first guest write copy-on-writes it private.
+/// Because the frames hold the dumped bytes, image edits take effect.
+/// Executable VMAs with **no** dumped pages are reconstructed from the
+/// binary in `registry` — the stock-CRIU file-backed-page path that
+/// silently discards text rewrites (see
 /// [`DumpOptions`](crate::DumpOptions)).
 ///
 /// # Errors
 ///
-/// Fails if a module is missing from the registry, the images are
-/// inconsistent, a key has no live frame in the store, or the key list
-/// disagrees with the pagemap ([`CriuError::Inconsistent`]).
+/// Fails if a module is missing from the registry or the images are
+/// inconsistent.
 pub(crate) fn build_process(
     kernel: &Kernel,
     image: &ProcessImage,
     registry: &ModuleRegistry,
-    keys: &[PageKey],
-    store: &PageStore,
 ) -> Result<StagedProcess, CriuError> {
     if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreBuild) {
         return Err(CriuError::FaultInjected(
@@ -124,9 +119,8 @@ pub(crate) fn build_process(
         });
     }
 
-    // 3. File-backed reconstruction for text not present in the pagemap
+    // 3. File-backed reconstruction for text with no dumped page
     //    (stock-CRIU behaviour).
-    let dumped: std::collections::BTreeSet<u64> = image.pagemap.pages.iter().copied().collect();
     let globals: BTreeMap<&str, u64> = modules
         .iter()
         .flat_map(|m| {
@@ -152,7 +146,7 @@ pub(crate) fn build_process(
                 // With stock CRIU options the page-fault handler always
                 // reconstructs file-backed text from the binary; dumped
                 // copies of text pages (if any) are irrelevant.
-                if !image.exec_pages_dumped || !dumped.contains(&page_base) {
+                if !image.exec_pages_dumped || !image.pages.contains_key(&page_base) {
                     proc.mem
                         .write_unchecked(page_base, &segment.bytes[offset..offset + chunk]);
                 }
@@ -169,21 +163,10 @@ pub(crate) fn build_process(
             dynacut_vm::fault::FaultPhase::CowMaterialize,
         ));
     }
-    if keys.len() != image.pagemap.pages.len() {
-        return Err(CriuError::Inconsistent(format!(
-            "{} page handles but pagemap lists {} pages",
-            keys.len(),
-            image.pagemap.pages.len()
-        )));
-    }
-    for (&key, &page_base) in keys.iter().zip(&image.pagemap.pages) {
-        if skip_undumped_text(image, page_base) {
-            continue;
+    for (&page_base, frame) in &image.pages {
+        if !skip_undumped_text(image, page_base) {
+            proc.mem.install_shared_page(page_base, frame.clone());
         }
-        let frame = store
-            .frame(key)
-            .ok_or_else(|| CriuError::Inconsistent(format!("{key} is not in the page store")))?;
-        proc.mem.install_shared_page(page_base, frame);
     }
 
     // 5. Registers and signal state.

@@ -1,6 +1,7 @@
 //! `crit decode`-style textual rendering of images.
 
 use crate::images::{CheckpointImage, FdImage, ProcessImage};
+use dynacut_obj::PAGE_SIZE;
 use std::fmt::Write as _;
 
 impl ProcessImage {
@@ -42,8 +43,8 @@ impl ProcessImage {
         let _ = writeln!(
             out,
             "pagemap: {} pages ({} bytes)",
-            self.pagemap.pages.len(),
-            self.pages.bytes.len()
+            self.pages.len(),
+            self.pages.len() * PAGE_SIZE as usize
         );
         let _ = writeln!(out, "files:");
         for (fd, entry) in &self.files.fds {

@@ -3,7 +3,7 @@
 
 use dynacut_criu::{
     dump, dump_many, CheckpointImage, CheckpointStore, CriuError, DumpOptions, ModuleRegistry,
-    ProcessImage,
+    PageKey, ProcessImage,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg, TRAP_OPCODE};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
@@ -163,6 +163,34 @@ fn checkpoint_serialisation_round_trips() {
     }
 }
 
+/// The encoding is pinned: a booted server that answered one request over
+/// a connection it still holds dumps, with DynaCut's and with stock
+/// CRIU's options, to the length and 128-bit FNV-1a hash recorded when
+/// the pages were still held in memory as the on-disk pair. The
+/// encoding must not depend on the in-memory form, and every guest step
+/// is deterministic, so any other value is a codec change.
+#[test]
+fn checkpoint_encoding_matches_the_golden_bytes() {
+    let mut setup = boot();
+    let conn = setup.kernel.client_connect(8080).unwrap();
+    assert_eq!(
+        setup.kernel.client_request(conn, b"F1", 1_000_000).unwrap(),
+        b"FEAT"
+    );
+    setup.kernel.freeze(setup.pid).unwrap();
+    let golden = [
+        (DumpOptions::default(), 12_939, "page-1af8e9d3e867c071f06d44a9f1251a10"),
+        (DumpOptions::stock_criu(), 8_835, "page-e37bf809ebb5c74c1dd839f93b58e569"),
+    ];
+    for (options, len, hash) in golden {
+        let checkpoint = dump_many(&mut setup.kernel, &[setup.pid], &options).unwrap();
+        let bytes = checkpoint.to_bytes();
+        assert_eq!(bytes.len(), len, "{options:?}");
+        assert_eq!(checkpoint.encoded_len(), len, "{options:?}");
+        assert_eq!(PageKey::of(&bytes).to_string(), hash, "{options:?}");
+    }
+}
+
 /// The paper's criu/mem.c patch: with exec-page dumping, a text rewrite in
 /// the image survives restore and blocks the feature; with stock CRIU
 /// options the rewrite is lost because the restorer reconstructs the text
@@ -213,12 +241,12 @@ fn unmap_range_in_image_removes_pages_and_vma() {
         .find(|v| v.name.contains("text"))
         .unwrap()
         .clone();
-    let pages_before = image.pagemap.pages.len();
+    let pages_before = image.pages.len();
     image.unmap_range(text_vma.start, text_vma.end).unwrap();
     assert!(image.mm.vma_at(text_vma.start).is_none());
-    assert!(image.pagemap.pages.len() < pages_before);
+    assert!(image.pages.len() < pages_before);
     // Consistency: every remaining page is inside some VMA.
-    for &page in &image.pagemap.pages {
+    for &page in image.pages.keys() {
         assert!(image.mm.vma_at(page).is_some(), "orphan page {page:#x}");
     }
 }

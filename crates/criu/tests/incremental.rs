@@ -13,7 +13,7 @@ use dynacut_criu::{
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
-use dynacut_vm::{Kernel, LoadSpec, Pid, Sysno};
+use dynacut_vm::{Kernel, LoadSpec, Pid, SharedFrame, Sysno};
 
 /// A small echo server with a multi-page BSS scratch area, so guest
 /// activity between checkpoints dirties a predictable handful of pages.
@@ -229,12 +229,41 @@ fn unknown_and_released_ids_fail_cleanly() {
     }
 }
 
+/// The pre-dump snapshots pages while the guest runs, and the completed
+/// dump equals a plain frozen dump while only the residue counts as
+/// frozen. Both share frames instead of copying them: on a process
+/// restored from the store, the snapshot takes one more handle on each
+/// page's frame, and the checkpoint holds the entry's own frame for
+/// every page the guest has not written since.
 #[test]
 fn pre_dump_moves_clean_pages_before_the_freeze() {
     let mut setup = boot();
+    setup.kernel.freeze(setup.pid).unwrap();
+    let mut store = CheckpointStore::new();
+    let id = store.put_full(&baseline(&mut setup)).unwrap();
+    setup.kernel.remove_process(setup.pid).unwrap();
+    store
+        .restore(&mut setup.kernel, id, &setup.registry)
+        .unwrap();
+    let mem = &setup.kernel.process(setup.pid).unwrap().mem;
+    let frames: Vec<SharedFrame> = mem.page_frames().map(|(_, frame)| frame).collect();
+    assert_eq!(
+        mem.shared_page_count(),
+        frames.len(),
+        "every page restored shared"
+    );
+    let handles: Vec<usize> = frames.iter().map(SharedFrame::handle_count).collect();
+
     // Phase one runs against the live (unfrozen) process.
     let pre = pre_dump(&mut setup.kernel, &[setup.pid]).unwrap();
-    assert!(pre.page_bytes() > 0);
+    assert_eq!(pre.page_bytes(), frames.len() * PAGE_SIZE as usize);
+    for (frame, before) in frames.iter().zip(handles) {
+        assert_eq!(
+            frame.handle_count(),
+            before + 1,
+            "the snapshot shares the frame"
+        );
+    }
 
     // The guest keeps running and dirties a little residue.
     let conn = setup.kernel.client_connect(8080).unwrap();
@@ -259,6 +288,13 @@ fn pre_dump_moves_clean_pages_before_the_freeze() {
         stats.total_page_bytes()
     );
     assert!(stats.prewritten_page_bytes > 0);
+    let entry = store.materialize(id).unwrap();
+    let mem = &setup.kernel.process(setup.pid).unwrap().mem;
+    for (base, frame) in &checkpoint.procs[0].pages {
+        let held = entry.procs[0].pages.get(base);
+        let same_frame = held.is_some_and(|held| std::ptr::eq(held.bytes(), frame.bytes()));
+        assert_eq!(same_frame, mem.page_shared(*base), "page {base:#x}");
+    }
 }
 
 #[test]

@@ -1,104 +1,113 @@
 //! Property tests for the content-addressed page store: dedup and
-//! refcount bookkeeping over arbitrary intern/release interleavings,
-//! and the fleet dedup claim at its smallest scale — two identical
-//! processes checkpointed into one store.
+//! refcount bookkeeping over arbitrary `put_full`/`release`
+//! interleavings, and the fleet dedup claim at its smallest scale — two
+//! identical processes checkpointed into one store.
 
 use dynacut_criu::{
-    dump_many, CheckpointStore, CriuError, DumpOptions, ModuleRegistry, PageStore, PagesImage,
-    SharedPages,
+    dump_many, CheckpointImage, CheckpointStore, CriuError, DumpOptions, ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
 use dynacut_vm::{Kernel, LoadSpec, Sysno};
 use proptest::prelude::*;
 
-/// Page payloads drawn from a tiny alphabet so random inputs actually
-/// collide — the dedup paths are pointless to test on unique pages.
-fn arb_pages() -> impl Strategy<Value = PagesImage> {
-    proptest::collection::vec(0u8..4, 0..12).prop_map(|fills| {
-        let mut bytes = Vec::with_capacity(fills.len() * PAGE_SIZE as usize);
-        for fill in fills {
-            bytes.extend(std::iter::repeat_n(fill, PAGE_SIZE as usize));
-        }
-        PagesImage { bytes }
+mod common;
+
+/// One-process checkpoints whose pages are drawn from a tiny alphabet so
+/// random inputs actually collide — the dedup paths are pointless to
+/// test on unique pages.
+fn arb_checkpoint() -> impl Strategy<Value = CheckpointImage> {
+    proptest::collection::vec(0u8..4, 0..12).prop_map(|fills| CheckpointImage {
+        procs: vec![common::image_with_pages(
+            (common::VMA_START..).step_by(PAGE_SIZE as usize).zip(fills),
+        )],
+        time_ns: 0,
     })
+}
+
+/// The page contents of a checkpoint, page by page, in address order.
+fn page_bytes(image: &CheckpointImage) -> Vec<Vec<u8>> {
+    image.procs[0]
+        .pages
+        .values()
+        .map(|frame| frame.bytes().to_vec())
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Interning any payload and materializing it back is bit-identical,
-    /// and the store never holds more unique pages than the payload has
-    /// distinct page contents.
+    /// Putting any checkpoint and materializing it back is bit-identical,
+    /// and the store never holds more unique pages than the checkpoint
+    /// has distinct page contents.
     #[test]
-    fn intern_materialize_round_trips_bit_identically(pages in arb_pages()) {
-        let mut store = PageStore::new();
-        let shared = SharedPages::intern(&mut store, &pages).unwrap();
-        prop_assert_eq!(shared.pages_bytes(), pages.bytes.len());
-        let back = shared.materialize(&store).expect("all pages present");
-        prop_assert_eq!(&back.bytes, &pages.bytes);
+    fn put_full_materialize_round_trips_bit_identically(image in arb_checkpoint()) {
+        let mut store = CheckpointStore::new();
+        let id = store.put_full(&image).unwrap();
+        prop_assert_eq!(store.stored_pages_bytes(), image.pages_bytes());
+        let back = store.materialize(id).expect("live entry");
+        prop_assert_eq!(page_bytes(&back), page_bytes(&image));
+        prop_assert_eq!(&back, &image);
 
-        let mut distinct: Vec<&[u8]> = pages.bytes.chunks(PAGE_SIZE as usize).collect();
+        let mut distinct = page_bytes(&image);
         distinct.sort();
         distinct.dedup();
-        prop_assert_eq!(store.unique_pages(), distinct.len());
-        prop_assert_eq!(store.logical_bytes(), pages.bytes.len());
+        prop_assert_eq!(store.page_store().unique_pages(), distinct.len());
+        prop_assert_eq!(store.logical_pages_bytes(), image.pages_bytes());
         prop_assert!(store.dedup_ratio() >= 1.0);
 
-        // Releasing the only reference empties the store.
-        shared.release(&mut store).unwrap();
-        prop_assert_eq!(store.unique_pages(), 0);
-        prop_assert_eq!(store.logical_bytes(), 0);
+        // Releasing the only entry empties the store.
+        store.release(id).unwrap();
+        prop_assert_eq!(store.page_store().unique_pages(), 0);
+        prop_assert_eq!(store.logical_pages_bytes(), 0);
     }
 
-    /// Arbitrary interleavings of intern and release keep the refcount
+    /// Arbitrary interleavings of put and release keep the refcount
     /// accounting exact: the logical footprint always equals the sum
-    /// over live handles, every handle still materializes bit-identically
-    /// however many twins were interned or released around it, and
-    /// releasing the survivors drains the store to empty.
+    /// over live entries, every entry still materializes bit-identically
+    /// however many twins were put or released around it, and releasing
+    /// the survivors drains the store to empty.
     #[test]
     fn refcounts_balance_over_arbitrary_interleavings(
         ops in proptest::collection::vec(
-            (arb_pages(), any::<bool>(), any::<proptest::sample::Index>()),
+            (arb_checkpoint(), any::<bool>(), any::<proptest::sample::Index>()),
             1..24,
         ),
     ) {
-        let mut store = PageStore::new();
-        let mut live: Vec<(SharedPages, PagesImage)> = Vec::new();
-        for (pages, do_release, victim) in ops {
-            let shared = SharedPages::intern(&mut store, &pages).unwrap();
-            live.push((shared, pages));
+        let mut store = CheckpointStore::new();
+        let mut live = Vec::new();
+        for (image, do_release, victim) in ops {
+            let id = store.put_full(&image).unwrap();
+            live.push((id, image));
             if do_release && !live.is_empty() {
-                let (shared, _) = live.swap_remove(victim.index(live.len()));
-                shared.release(&mut store).unwrap();
+                let (id, _) = live.swap_remove(victim.index(live.len()));
+                store.release(id).unwrap();
             }
-            let logical: usize = live.iter().map(|(s, _)| s.pages_bytes()).sum();
-            prop_assert_eq!(store.logical_bytes(), logical);
-            for (shared, pages) in &live {
-                let back = shared.materialize(&store).expect("live handle");
-                prop_assert_eq!(&back.bytes, &pages.bytes);
+            let logical: usize = live.iter().map(|(_, image)| image.pages_bytes()).sum();
+            prop_assert_eq!(store.logical_pages_bytes(), logical);
+            prop_assert_eq!(store.stored_pages_bytes(), logical);
+            for (id, image) in &live {
+                let back = store.materialize(*id).expect("live entry");
+                prop_assert_eq!(page_bytes(&back), page_bytes(image));
             }
         }
-        for (shared, _) in live.drain(..) {
-            shared.release(&mut store).unwrap();
+        for (id, _) in live.drain(..) {
+            store.release(id).unwrap();
         }
-        prop_assert_eq!(store.unique_pages(), 0);
-        prop_assert_eq!(store.unique_bytes(), 0);
+        prop_assert_eq!(store.page_store().unique_pages(), 0);
+        prop_assert_eq!(store.unique_pages_bytes(), 0);
     }
 
-    /// A handle whose pages were released out from under it reports the
-    /// missing page instead of fabricating bytes — the store-level
-    /// missing-parent analogue.
+    /// A released entry is gone: materializing it fails with
+    /// `MissingParent` instead of fabricating pages, and it holds no page
+    /// reference any more.
     #[test]
-    fn materialize_after_release_errors_cleanly(pages in arb_pages()) {
-        prop_assume!(!pages.bytes.is_empty());
-        let mut store = PageStore::new();
-        let shared = SharedPages::intern(&mut store, &pages).unwrap();
-        shared.release(&mut store).unwrap();
-        prop_assert!(matches!(
-            shared.materialize(&store),
-            Err(CriuError::Inconsistent(_))
-        ));
+    fn materialize_after_release_errors_cleanly(image in arb_checkpoint()) {
+        let mut store = CheckpointStore::new();
+        let id = store.put_full(&image).unwrap();
+        store.release(id).unwrap();
+        prop_assert!(matches!(store.materialize(id), Err(CriuError::MissingParent(_))));
+        prop_assert_eq!(store.logical_pages_bytes(), 0);
     }
 }
 

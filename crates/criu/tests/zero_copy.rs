@@ -1,16 +1,18 @@
 //! The zero-copy restore battery (DESIGN §12): arbitrary
-//! restore-via-handle / guest-write-CoW / release interleavings must
-//! keep the PageStore's refcounts exact and every page bit-identical to
-//! a byte-exact model of the interned payload; live guests restored
-//! through `CheckpointStore::restore` must re-dump to exactly what the
-//! store materializes, take CoW faults only on first write, and never
-//! write through a shared frame into a sibling replica or the store.
+//! put / restore-via-frames / guest-write-CoW / release interleavings
+//! must keep the PageStore's refcounts exact and every page
+//! bit-identical to a byte-exact model of the checkpoint put; live
+//! guests restored through `CheckpointStore::restore` must re-dump to
+//! exactly what the store materializes, sharing the entry's frames for
+//! every page they have not written, take CoW faults only on first
+//! write, and never write through a shared frame into a sibling replica
+//! or the store.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, CheckpointImage, CheckpointStore, CkptId, CriuError,
-    DumpOptions, ModuleRegistry, PageStore, PagesImage, SharedPages,
+    DumpOptions, ModuleRegistry,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
@@ -18,39 +20,40 @@ use dynacut_vm::{AddressSpace, Kernel, LoadSpec, Pid, Sysno};
 use proptest::prelude::*;
 use proptest::sample::Index;
 
-// ----- property tests over handle/CoW/release interleavings -------------
+mod common;
 
-/// Page payloads drawn from a tiny alphabet so random inputs actually
-/// collide and exercise the dedup paths.
-fn arb_pages() -> impl Strategy<Value = PagesImage> {
-    proptest::collection::vec(0u8..4, 0..8).prop_map(|fills| {
-        let mut bytes = Vec::with_capacity(fills.len() * PAGE_SIZE as usize);
-        for fill in fills {
-            bytes.extend(std::iter::repeat_n(fill, PAGE_SIZE as usize));
-        }
-        PagesImage { bytes }
+// ----- property tests over put/restore/CoW/release interleavings --------
+
+/// One-process checkpoints whose pages are drawn from a tiny alphabet so
+/// random inputs actually collide and exercise the dedup paths.
+fn arb_checkpoint() -> impl Strategy<Value = CheckpointImage> {
+    proptest::collection::vec(0u8..4, 0..8).prop_map(|fills| CheckpointImage {
+        procs: vec![common::image_with_pages(
+            (common::VMA_START..).step_by(PAGE_SIZE as usize).zip(fills),
+        )],
+        time_ns: 0,
     })
 }
 
-/// One step of the interleaving the tentpole must survive.
+/// One step of the interleaving the zero-copy restore must survive.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Checkpoint a payload into the store (takes store refs).
-    Intern(PagesImage),
-    /// Restore a live checkpoint into a fresh address space by handing
-    /// out frames — the zero-copy path; takes **no** store refs.
+    /// Put a checkpoint into the store (takes store refs).
+    Put(CheckpointImage),
+    /// Restore a live entry into a fresh address space by installing the
+    /// entry's frames — the zero-copy path; takes **no** store refs.
     Restore(Index),
     /// Guest write into a restored space: first touch per page CoWs.
     GuestWrite { space: Index, page: Index, fill: u8 },
     /// Tear a replica down (drops its frame handles).
     DropSpace(Index),
-    /// Release a checkpoint's store refs.
+    /// Release an entry's store refs.
     Release(Index),
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        arb_pages().prop_map(Op::Intern),
+        arb_checkpoint().prop_map(Op::Put),
         any::<Index>().prop_map(Op::Restore),
         (any::<Index>(), any::<Index>(), any::<u8>())
             .prop_map(|(space, page, fill)| Op::GuestWrite { space, page, fill }),
@@ -59,11 +62,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Where restored pages land in the model address spaces.
-const BASE: u64 = 0x10_0000;
-
 /// A restored replica plus the byte-exact model of its pages: the
-/// interned payload, updated by every guest write.
+/// checkpoint that was put, updated by every guest write.
 struct Replica {
     space: AddressSpace,
     /// page base → expected bytes (updated on guest writes).
@@ -75,41 +75,42 @@ struct Replica {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole's core safety argument, stated as a property:
-    /// however intern / restore-via-handle / guest-write-CoW / drop /
-    /// release interleave, (1) the store's refcounts are exactly the
-    /// live checkpoint handles — mapping frames into guests never moves
-    /// them, (2) every restored page reads back bit-identical to the
-    /// model, before and after CoW, and (3) CoW faults happen
-    /// exactly once per written page.
+    /// The zero-copy restore's core safety argument, stated as a
+    /// property: however put / restore-via-frames / guest-write-CoW /
+    /// drop / release interleave, (1) the store's refcounts are exactly
+    /// the live entries — mapping frames into guests never moves them,
+    /// (2) every restored page reads back bit-identical to the model,
+    /// before and after CoW, and (3) CoW faults happen exactly once per
+    /// written page.
     #[test]
     fn interleavings_keep_refcounts_exact_and_bytes_identical(
         ops in proptest::collection::vec(arb_op(), 1..32),
     ) {
-        let mut store = PageStore::new();
-        let mut handles: Vec<(SharedPages, PagesImage)> = Vec::new();
+        let mut store = CheckpointStore::new();
+        let mut entries: Vec<(CkptId, CheckpointImage)> = Vec::new();
         let mut replicas: Vec<Replica> = Vec::new();
 
         for op in ops {
             match op {
-                Op::Intern(pages) => {
-                    let shared = SharedPages::intern(&mut store, &pages).unwrap();
-                    handles.push((shared, pages));
+                Op::Put(image) => {
+                    let id = store.put_full(&image).unwrap();
+                    entries.push((id, image));
                 }
                 Op::Restore(which) => {
-                    if handles.is_empty() {
+                    if entries.is_empty() {
                         continue;
                     }
-                    let (handle, pages) = &handles[which.index(handles.len())];
+                    let (id, image) = &entries[which.index(entries.len())];
                     let mut space = AddressSpace::new();
-                    let mut model = BTreeMap::new();
-                    for (i, key) in handle.keys().iter().enumerate() {
-                        let addr = BASE + i as u64 * PAGE_SIZE;
-                        let frame = store.frame(*key).expect("live handle");
-                        space.install_shared_page(addr, frame);
-                        let bytes = &pages.bytes[i * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
-                        model.insert(addr, bytes.to_vec());
+                    let stored = store.materialize(*id).expect("live entry");
+                    for (&base, frame) in &stored.procs[0].pages {
+                        space.install_shared_page(base, frame.clone());
                     }
+                    let model = image.procs[0]
+                        .pages
+                        .iter()
+                        .map(|(&base, frame)| (base, frame.bytes().to_vec()))
+                        .collect();
                     replicas.push(Replica { space, model, privatised: BTreeSet::new() });
                 }
                 Op::GuestWrite { space, page, fill } => {
@@ -137,19 +138,19 @@ proptest! {
                     replicas.swap_remove(which.index(replicas.len()));
                 }
                 Op::Release(which) => {
-                    if handles.is_empty() {
+                    if entries.is_empty() {
                         continue;
                     }
-                    let (handle, _) = handles.swap_remove(which.index(handles.len()));
-                    handle.release(&mut store).unwrap();
+                    let (id, _) = entries.swap_remove(which.index(entries.len()));
+                    store.release(id).unwrap();
                 }
             }
 
             // (1) Refcount exactness: the store's logical footprint is
-            // the sum over live checkpoint handles and nothing else —
-            // restores, CoW faults and teardowns never move it.
-            let logical: usize = handles.iter().map(|(h, _)| h.pages_bytes()).sum();
-            prop_assert_eq!(store.logical_bytes(), logical);
+            // the sum over live entries and nothing else — restores,
+            // CoW faults and teardowns never move it.
+            let logical: usize = entries.iter().map(|(_, image)| image.pages_bytes()).sum();
+            prop_assert_eq!(store.logical_pages_bytes(), logical);
 
             // (2) Byte identity with the model, per replica.
             for replica in &replicas {
@@ -174,14 +175,14 @@ proptest! {
             }
         }
 
-        // Draining the checkpoint handles empties the store even while
-        // replicas still hold frames: mapped guests never pin store
-        // entries, only the frames themselves.
-        for (handle, _) in handles.drain(..) {
-            handle.release(&mut store).unwrap();
+        // Releasing every entry empties the store even while replicas
+        // still hold frames: mapped guests never pin store entries, only
+        // the frames themselves.
+        for (id, _) in entries.drain(..) {
+            store.release(id).unwrap();
         }
-        prop_assert_eq!(store.unique_pages(), 0);
-        prop_assert_eq!(store.logical_bytes(), 0);
+        prop_assert_eq!(store.page_store().unique_pages(), 0);
+        prop_assert_eq!(store.logical_pages_bytes(), 0);
         for replica in &replicas {
             let actual: BTreeMap<u64, Vec<u8>> = replica
                 .space
@@ -350,6 +351,29 @@ fn store_restore_round_trips_without_copying() {
         .unwrap();
     assert_eq!(reply, b"still-here");
 
+    // A later dump hands back the entry's own frame for every page the
+    // guest has not written since the restore, and a copy of each page
+    // it wrote.
+    setup.kernel.freeze(setup.pid).unwrap();
+    let redump = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let entry = store.materialize(id).unwrap();
+    let mem = &setup.kernel.process(setup.pid).unwrap().mem;
+    let mut written = 0;
+    for (base, frame) in &redump.procs[0].pages {
+        let held = entry.procs[0].pages.get(base);
+        let same_frame = held.is_some_and(|held| std::ptr::eq(held.bytes(), frame.bytes()));
+        assert_eq!(same_frame, mem.page_shared(*base), "page {base:#x}");
+        written += usize::from(!same_frame);
+    }
+    assert!(
+        0 < written && written < redump.procs[0].pages.len(),
+        "serving wrote {written} of {} pages",
+        redump.procs[0].pages.len()
+    );
+    setup.kernel.thaw(setup.pid).unwrap();
+    let ids = setup.kernel.conn_ids_of(setup.pid).unwrap();
+    setup.kernel.unrepair_connections(&ids);
+
     // ...and a host-side patch to a restored page — how the rewriter
     // edits a replica — arrives as exactly one CoW fault.
     let target = first_shared_page(&setup.kernel, setup.pid);
@@ -429,7 +453,7 @@ fn unmap_and_remap_between_checkpoints_store_and_restore_exactly() {
     }
     let parent = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     mark_clean_after_dump(&mut setup.kernel, &[setup.pid]).unwrap();
-    assert!(parent.procs[0].pagemap.pages.contains(&gone));
+    assert!(parent.procs[0].pages.contains_key(&gone));
     let mut store = CheckpointStore::new();
     let parent_id = store.put_full(&parent).unwrap();
 
@@ -460,10 +484,8 @@ fn unmap_and_remap_between_checkpoints_store_and_restore_exactly() {
     assert_eq!(materialized, full);
     assert_eq!(materialized.to_bytes(), full.to_bytes());
     let image = &materialized.procs[0];
-    assert!(!image.pagemap.pages.contains(&gone));
-    let index = image.pagemap.pages.binary_search(&recycled).unwrap();
-    let bytes = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
-    assert_eq!(&bytes[..16], &[0x33; 16]);
+    assert!(!image.pages.contains_key(&gone));
+    assert_eq!(&image.pages[&recycled].bytes()[..16], &[0x33; 16]);
 
     let copied_before = store.page_store().copied_bytes();
     setup.kernel.remove_process(setup.pid).unwrap();
@@ -586,18 +608,18 @@ fn restore_after_release_fails_without_touching_the_kernel() {
     assert_eq!(setup.kernel.state_fingerprint(), before);
 }
 
-/// Regression: a full checkpoint whose payload is 2 KiB short of its
-/// pagemap survives the codec round trip and used to be stored; the next
-/// restore then panicked the host on a partial page frame. The store now
-/// refuses it at put time, taking no page refs.
+/// Regression: an in-memory image with a page base 8 bytes past a page
+/// boundary used to be stored, and a restore then landed its frame on
+/// the page below. The store now refuses it at put time, taking no page
+/// refs.
 #[test]
-fn put_full_rejects_a_payload_that_disagrees_with_its_pagemap() {
+fn put_full_rejects_an_unaligned_page_base() {
     let mut setup = boot();
     setup.kernel.freeze(setup.pid).unwrap();
     let mut full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
-    let payload = &mut full.procs[0].pages.bytes;
-    payload.truncate(payload.len() - 2048);
-    let full = CheckpointImage::from_bytes(&full.to_bytes()).expect("the codec carries it");
+    let pages = &mut full.procs[0].pages;
+    let (base, frame) = pages.pop_last().expect("populated pages");
+    pages.insert(base + 8, frame);
 
     let mut store = CheckpointStore::new();
     let err = store.put_full(&full).unwrap_err();

@@ -56,7 +56,7 @@ pub use kernel::{
     ClientConn, ExitStatus, Kernel, RunOutcome, DEFAULT_EVENT_CAPACITY, DEFAULT_PUMP_CHUNK_NS,
 };
 pub use loader::{LoadSpec, LoadedModule, EXE_BASE, LIB_BASE, STACK_BASE, STACK_SIZE};
-pub use mem::{AddressSpace, DisplacedPage, SharedFrame};
+pub use mem::{AddressSpace, DisplacedPage, Page, SharedFrame};
 pub use net::{ConnId, TcpConn, TcpState};
 pub use process::{Pid, Process, ProcState, SYSCALL_FILTER_BITS};
 pub use sched::{SchedClass, BOOST_INTERVAL_NS, SCHED_LEVELS};

@@ -5,31 +5,49 @@ use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// One immutable, refcounted page frame that several address spaces (and
-/// a host-side page store) can back simultaneously.
+/// One page of bytes: the unit every frame, slot and checkpoint image
+/// holds.
+pub type Page = [u8; PAGE_SIZE as usize];
+
+/// One refcounted page frame that several address spaces, checkpoint
+/// images and a host-side page store can back simultaneously.
 ///
-/// This is the zero-copy restore currency: a restore installs clones of
-/// a frame into every replica instead of copying the page bytes N
-/// times. Frames are **immutable by construction** — the only way to
-/// change what a guest reads is copy-on-write inside the owning
-/// [`AddressSpace`] — so sharing a frame across processes can never leak
-/// one replica's writes into another.
+/// This is the zero-copy currency of checkpoint and restore: a dump
+/// hands out a shared slot's frame instead of copying it, and a restore
+/// installs clones of one frame into every replica instead of copying
+/// the page N times. A frame is one page by type. It is written only
+/// through [`make_mut`](SharedFrame::make_mut), which first copies it
+/// when another handle can see it, so a frame another handle can see is
+/// never written: sharing one across processes, images and the store
+/// can never leak one holder's writes into another.
 #[derive(Clone, PartialEq, Eq)]
-pub struct SharedFrame(Arc<[u8]>);
+pub struct SharedFrame(Arc<Page>);
 
 impl SharedFrame {
-    /// Wraps one page's bytes in a shareable frame.
-    pub fn new(bytes: &[u8]) -> Self {
-        SharedFrame(Arc::from(bytes))
+    /// Copies one page into a new frame.
+    pub fn new(bytes: &Page) -> Self {
+        SharedFrame(Arc::new(*bytes))
+    }
+
+    /// A new frame of zeros.
+    pub fn zeroed() -> Self {
+        SharedFrame(Arc::new([0; PAGE_SIZE as usize]))
     }
 
     /// The page bytes.
-    pub fn bytes(&self) -> &[u8] {
+    pub fn bytes(&self) -> &Page {
         &self.0
     }
 
-    /// How many handles (address-space slots, store entries, staged
-    /// processes) currently share this frame.
+    /// The page bytes, for writing: copied into a frame of this
+    /// handle's own first if another handle can see them (copy on
+    /// write), written in place otherwise.
+    pub fn make_mut(&mut self) -> &mut Page {
+        Arc::make_mut(&mut self.0)
+    }
+
+    /// How many handles (address-space slots, checkpoint images, store
+    /// entries, staged processes) currently share this frame.
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.0)
     }
@@ -37,12 +55,7 @@ impl SharedFrame {
 
 impl std::fmt::Debug for SharedFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "SharedFrame({} bytes, {} handles)",
-            self.0.len(),
-            self.handle_count()
-        )
+        write!(f, "SharedFrame({} handles)", self.handle_count())
     }
 }
 
@@ -52,16 +65,25 @@ impl std::fmt::Debug for SharedFrame {
 #[derive(Debug, Clone)]
 enum PageSlot {
     /// Bytes owned by this address space alone.
-    Private(Box<[u8]>),
+    Private(Box<Page>),
     /// A shared read-only frame; the first write copies it private.
     Shared(SharedFrame),
 }
 
 impl PageSlot {
-    fn bytes(&self) -> &[u8] {
+    fn bytes(&self) -> &Page {
         match self {
             PageSlot::Private(page) => page,
             PageSlot::Shared(frame) => frame.bytes(),
+        }
+    }
+
+    /// The page as a frame: a shared slot's own frame, or a new frame
+    /// copied from a private page.
+    fn frame(&self) -> SharedFrame {
+        match self {
+            PageSlot::Private(page) => SharedFrame::new(page),
+            PageSlot::Shared(frame) => frame.clone(),
         }
     }
 }
@@ -420,12 +442,12 @@ impl AddressSpace {
             let slot = self
                 .pages
                 .entry(page_base)
-                .or_insert_with(|| PageSlot::Private(vec![0u8; PAGE_SIZE as usize].into_boxed_slice()));
+                .or_insert_with(|| PageSlot::Private(Box::new([0; PAGE_SIZE as usize])));
             // Copy-on-write: the first write to a shared frame privatises
             // the whole page, leaving the frame (and every other space
             // mapping it) untouched.
             if let PageSlot::Shared(frame) = slot {
-                *slot = PageSlot::Private(frame.bytes().to_vec().into_boxed_slice());
+                *slot = PageSlot::Private(Box::new(*frame.bytes()));
                 self.cow_faults += 1;
             }
             let PageSlot::Private(page) = slot else {
@@ -450,16 +472,7 @@ impl AddressSpace {
     /// it marks the page dirty and bumps a registered code-page
     /// generation — so fingerprints cannot distinguish a shared-backed
     /// page from one written byte for byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame is not exactly [`PAGE_SIZE`] bytes.
     pub fn install_shared_page(&mut self, addr: u64, frame: SharedFrame) {
-        assert_eq!(
-            frame.bytes().len(),
-            PAGE_SIZE as usize,
-            "shared frames are whole pages"
-        );
         let base = addr & !(PAGE_SIZE - 1);
         self.pages.insert(base, PageSlot::Shared(frame));
         self.dirty.insert(base);
@@ -545,12 +558,24 @@ impl AddressSpace {
 
     /// The bytes of the page containing `addr`, if it is populated.
     pub fn page_bytes(&self, addr: u64) -> Option<&[u8]> {
-        self.pages.get(&(addr & !(PAGE_SIZE - 1))).map(PageSlot::bytes)
+        self.pages
+            .get(&(addr & !(PAGE_SIZE - 1)))
+            .map(|slot| &slot.bytes()[..])
     }
 
     /// Iterates over populated pages as `(page_base, bytes)`.
     pub fn populated_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
-        self.pages.iter().map(|(&base, slot)| (base, slot.bytes()))
+        self.pages
+            .iter()
+            .map(|(&base, slot)| (base, &slot.bytes()[..]))
+    }
+
+    /// Iterates over populated pages as `(page_base, frame)`, the form a
+    /// checkpoint holds them in: a page backed by a shared frame yields
+    /// that frame, no byte copied; a private page yields a new frame
+    /// copied from it.
+    pub fn page_frames(&self) -> impl Iterator<Item = (u64, SharedFrame)> + '_ {
+        self.pages.iter().map(|(&base, slot)| (base, slot.frame()))
     }
 
     /// Number of populated pages.
@@ -900,8 +925,8 @@ mod tests {
         assert_eq!(space.dirty_pages().collect::<Vec<_>>(), vec![0x1000]);
     }
 
-    fn full_page(fill: u8) -> Vec<u8> {
-        vec![fill; PAGE_SIZE as usize]
+    fn full_page(fill: u8) -> Page {
+        [fill; PAGE_SIZE as usize]
     }
 
     #[test]
@@ -1055,7 +1080,7 @@ mod tests {
                 let addr = 0x1000 + page * PAGE_SIZE;
                 match op {
                     0 => {
-                        let bytes = vec![fill; PAGE_SIZE as usize];
+                        let bytes = [fill; PAGE_SIZE as usize];
                         shared.install_shared_page(addr, SharedFrame::new(&bytes));
                         copied.write_unchecked(addr, &bytes);
                     }

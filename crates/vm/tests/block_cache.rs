@@ -219,7 +219,7 @@ fn fingerprints_match_cached_vs_uncached() {
 fn shared_text_frame(insns: &[Insn]) -> (SharedFrame, Vec<u64>) {
     let (bytes, offsets) = assemble(insns);
     assert!(bytes.len() as u64 <= PAGE_SIZE, "test program fits one page");
-    let mut page = vec![0u8; PAGE_SIZE as usize];
+    let mut page = [0u8; PAGE_SIZE as usize];
     page[..bytes.len()].copy_from_slice(&bytes);
     (
         SharedFrame::new(&page),

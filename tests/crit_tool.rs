@@ -3,7 +3,7 @@
 //! it through the CLI's library surface.
 
 use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
-use dynacut_criu::{dump_many, CheckpointImage, DumpOptions};
+use dynacut_criu::{dump_many, CheckpointImage, DumpOptions, PageKey};
 use dynacut_vm::{Kernel, LoadSpec};
 
 fn checkpoint_redis() -> CheckpointImage {
@@ -17,6 +17,44 @@ fn checkpoint_redis() -> CheckpointImage {
     kernel.run_until_event(EVENT_READY, 200_000_000).unwrap();
     kernel.freeze(pid).unwrap();
     dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap()
+}
+
+/// The encoding and the `crit decode` text are pinned: redis, booted and
+/// holding the connection it answered one SET on, dumps to the length
+/// and 128-bit FNV-1a hashes recorded when the pages were still held in
+/// memory as the on-disk pair. The encoding must not depend on the
+/// in-memory form, and every guest step is deterministic, so any other
+/// value is a codec or decoder change.
+#[test]
+fn checkpoint_encoding_matches_the_golden_bytes() {
+    let libc = guest_libc();
+    let exe = redis::image(&libc);
+    let mut kernel = Kernel::new();
+    kernel.add_file(redis::CONFIG_PATH, &redis::config_file());
+    let pid = kernel
+        .spawn(&LoadSpec::with_libs(exe, vec![libc]))
+        .unwrap();
+    kernel.run_until_event(EVENT_READY, 200_000_000).unwrap();
+    let conn = kernel.client_connect(6379).unwrap();
+    assert_eq!(
+        kernel
+            .client_request(conn, b"SET k v\n", 5_000_000)
+            .unwrap(),
+        b"+OK\n"
+    );
+    kernel.freeze(pid).unwrap();
+    let checkpoint = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
+    let bytes = checkpoint.to_bytes();
+    assert_eq!(checkpoint.procs[0].pages.len(), 167);
+    assert_eq!(bytes.len(), 686_046);
+    assert_eq!(
+        PageKey::of(&bytes).to_string(),
+        "page-4964294ee18054e4fba899c616784c4e"
+    );
+    assert_eq!(
+        PageKey::of(checkpoint.decode_text().as_bytes()).to_string(),
+        "page-084c17ba301c4901946cdbf3114262ce"
+    );
 }
 
 #[test]
@@ -55,10 +93,10 @@ fn checkpoint_summary_facts_are_consistent() {
     assert!(image.exec_pages_dumped, "DynaCut default dumps text pages");
     assert_eq!(
         checkpoint.pages_bytes(),
-        image.pagemap.pages.len() * dynacut_obj::PAGE_SIZE as usize
+        image.pages.len() * dynacut_obj::PAGE_SIZE as usize
     );
     // The redis heap (160 pages) plus text/data dominates the image.
-    assert!(image.pagemap.pages.len() > 160);
+    assert!(image.pages.len() > 160);
     // Every fd the files image lists decodes to something printable.
     assert!(image.files.fds.iter().any(|(_, fd)| matches!(
         fd,

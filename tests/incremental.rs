@@ -141,14 +141,12 @@ fn assert_dirty_covers_changes(
     after: &CheckpointImage,
     dirty: &BTreeSet<u64>,
 ) -> Result<(), TestCaseError> {
-    let page = PAGE_SIZE as usize;
     let (old, new) = (&before.procs[0], &after.procs[0]);
-    for (index, base) in new.pagemap.pages.iter().enumerate() {
-        let Ok(at) = old.pagemap.pages.binary_search(base) else {
+    for (base, frame) in &new.pages {
+        let Some(old_frame) = old.pages.get(base) else {
             continue; // absent from the first entry
         };
-        let changed =
-            old.pages.bytes[at * page..][..page] != new.pages.bytes[index * page..][..page];
+        let changed = old_frame.bytes()[..] != frame.bytes()[..];
         prop_assert!(
             !changed || dirty.contains(base),
             "page {:#x} changed but the bitmap did not flag it",
@@ -199,11 +197,10 @@ proptest! {
         store.restore(&mut kernel, previous, &registry).unwrap();
         let restored = kernel.process(pid).unwrap();
         let image = &last.procs[0];
-        for (index, &page) in image.pagemap.pages.iter().enumerate() {
-            let expected = &image.pages.bytes[index * PAGE_SIZE as usize..][..PAGE_SIZE as usize];
+        for (&page, frame) in &image.pages {
             let mut got = vec![0u8; PAGE_SIZE as usize];
             restored.mem.read_unchecked(page, &mut got);
-            prop_assert_eq!(&got[..], expected, "page {:#x} differs after restore", page);
+            prop_assert_eq!(&got[..], &frame.bytes()[..], "page {:#x} differs after restore", page);
         }
     }
 
