@@ -95,6 +95,11 @@ grep -q '"fingerprints_match": true' results/interp.json
 # enter the store, every entry is the image on the store's own frames
 # plus the key of each page it holds a ref on, and reads no other, so
 # releasing an earlier entry leaves every later one intact (zero_copy).
+# put_full hashes each distinct frame of an image once, however many
+# pages it backs, and still takes one ref per page: the criu unit run
+# pins the hash count and the unwind of every ref on a collision, and
+# the page_store and zero_copy proptests put images whose pages share
+# frame handles, within the image and with a live entry's frames.
 # An image's pages are one map from base to frame; the codec suite
 # (codec_props) pins that from_bytes refuses a pagemap.img + pages.img
 # pair that disagrees with itself (entries out of order, repeated or
@@ -105,10 +110,15 @@ grep -q '"fingerprints_match": true' results/interp.json
 # checkpoint adds only its dirtied pages to the bytes physically held,
 # and ids that are sequential, never reused and fail cleanly once
 # released; restore_accounting pins that each customize cycle interns
-# its checkpoint once.
+# its checkpoint once. The root incremental suite holds the dirty-bitmap
+# property: every page that changed between two checkpoints is dirty,
+# for guest writes, drops, remaps and page replacements whose undo
+# lands after a sweep.
+cargo test -q -p dynacut-criu --lib
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props
 cargo test -q -p dynacut-criu --test incremental
+cargo test -q --test incremental
 cargo test -q -p dynacut --test restore_accounting
 cargo test -q -p dynacut-bench experiments::restore
 cargo run --release -q -p dynacut-bench --bin figures -- restore > /dev/null
@@ -129,7 +139,8 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 # typed error and the canary is demoted with fingerprint parity, a
 # replica frozen inside its handler keeps its library, an unwind leaves
 # a replica inside the new library's handler promoted instead of
-# unmapping the library under it, and a rollout rejects UnmapPages;
+# unmapping the library under it, journalling a PromotionKept event
+# with its pid, and a rollout rejects UnmapPages;
 # the fault battery adds the CanarySoak /
 # PromoteRestore phases and the synthetic mid-soak report, each with
 # fleet-wide parity + no leaked page refs + retry-promotes. The page

@@ -1017,8 +1017,9 @@ fn a_trap_the_canary_healed_is_cleared_on_every_replica() {
 /// on it, its serve slice traps it into the new library's handler, and
 /// the next window, a foreign replica's, fails. Undoing the replica
 /// would unmap the library it is running in and kill it, so it keeps
-/// its promotion, finishes the handler and serves; the canary is
-/// demoted. The next rollout, at depth 0, brings it back in line.
+/// its promotion, which the journal records with its pid, finishes the
+/// handler and serves; the canary is demoted. The next rollout, at
+/// depth 0, brings it back in line.
 #[test]
 fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
     let mut fleet = boot_fleet(3);
@@ -1052,6 +1053,7 @@ fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
         soak_slices: 1,
         serve_slice_ns: 1,
     };
+    let seq0 = fleet.kernel.flight().next_seq();
     let err = dynacut
         .rollout(&mut fleet.kernel, &wave, &plan, &one_step)
         .expect_err("the foreign replica's window fails");
@@ -1060,6 +1062,18 @@ fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
         "{err}"
     );
     assert_eq!(fleet.kernel.process(replica).unwrap().signal_depth, 1);
+    let kept: Vec<Option<Pid>> = fleet
+        .kernel
+        .flight()
+        .since(seq0)
+        .filter(|event| event.kind == EventKind::PromotionKept)
+        .map(|event| event.pid)
+        .collect();
+    assert_eq!(
+        kept,
+        vec![Some(replica)],
+        "one kept promotion, journalled with its pid"
+    );
     assert_eq!(
         fleet.kernel.client_request(conn, b"", 5_000_000).unwrap(),
         b"+OK\n",

@@ -232,6 +232,16 @@ impl CheckpointStore {
     /// the page store's, so no byte is copied but a page the store has
     /// never seen.
     ///
+    /// Each distinct frame of the image is interned once, however many
+    /// pages it backs: its first page is hashed and, on a hit, compared
+    /// byte for byte ([`PageStore::intern`]); every later page on the
+    /// same frame takes one more reference on that key, with no hashing
+    /// and no compare. One frame holds one set of bytes, and `image`
+    /// keeps every frame alive for the whole call, so no frame's address
+    /// can name another within it. The store's rules are those of one
+    /// intern per page: one reference per page, the same keys and the
+    /// same [`PageStore::copied_bytes`].
+    ///
     /// # Errors
     ///
     /// Fails with [`CriuError::BadImage`] if a page base is not
@@ -246,12 +256,21 @@ impl CheckpointStore {
         }
         let mut stored = image.clone();
         let mut keys = Vec::with_capacity(image.procs.iter().map(|proc| proc.pages.len()).sum());
+        // The key each frame of `image` was interned under, by address.
+        let mut interned: BTreeMap<usize, PageKey> = BTreeMap::new();
         for frame in stored
             .procs
             .iter_mut()
             .flat_map(|proc| proc.pages.values_mut())
         {
-            match self.pages.intern(frame.bytes()) {
+            let addr = frame.addr();
+            let taken = match interned.get(&addr) {
+                Some(&key) => self.pages.retain(key).map(|own| (key, own)),
+                None => self.pages.intern(frame.bytes()).inspect(|&(key, _)| {
+                    interned.insert(addr, key);
+                }),
+            };
+            match taken {
                 Ok((key, own)) => {
                     keys.push(key);
                     *frame = own;
@@ -491,11 +510,14 @@ mod tests {
     use super::*;
     use dynacut_obj::Perms;
     use dynacut_vm::{SigAction, Signal};
+    use std::cell::Cell;
 
     /// A checkpoint of one process per entry of `procs`, the `i`-th page
-    /// of each filled with its `i`-th byte.
+    /// of each filled with its `i`-th byte. Pages with the same fill
+    /// share one frame, across processes too.
     fn checkpoint(procs: &[&[u8]]) -> CheckpointImage {
-        let image = |pid: u32, fills: &[u8]| ProcessImage {
+        let mut frames: BTreeMap<u8, SharedFrame> = BTreeMap::new();
+        let mut image = |pid: u32, fills: &[u8]| ProcessImage {
             core: CoreImage {
                 pid: Pid(pid),
                 parent: None,
@@ -520,7 +542,12 @@ mod tests {
             pages: (0x1000..)
                 .step_by(PAGE_SIZE as usize)
                 .zip(fills)
-                .map(|(base, &fill)| (base, SharedFrame::new(&[fill; PAGE_SIZE as usize])))
+                .map(|(base, &fill)| {
+                    let frame = frames
+                        .entry(fill)
+                        .or_insert_with(|| SharedFrame::new(&[fill; PAGE_SIZE as usize]));
+                    (base, frame.clone())
+                })
                 .collect(),
             files: FilesImage::default(),
             tcp: TcpImage::default(),
@@ -535,16 +562,80 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// Pages hashed on this thread through the `hasher` hook.
+        static HASHES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The content hash, counted in [`HASHES`].
+    fn counted_hash(bytes: &[u8]) -> PageKey {
+        HASHES.with(|hashes| hashes.set(hashes.get() + 1));
+        PageKey::of(bytes)
+    }
+
+    /// Puts `image` into a new store whose hashes are counted; returns
+    /// the store, the entry's keys and the number of pages hashed.
+    fn put_counted(image: &CheckpointImage) -> (CheckpointStore, Vec<PageKey>, usize) {
+        let mut store = CheckpointStore::new();
+        store.pages.hasher = Some(counted_hash);
+        HASHES.set(0);
+        let id = store.put_full(image).unwrap();
+        assert_eq!(store.materialize(id).unwrap(), *image);
+        let keys = store.get(id).unwrap().keys.clone();
+        (store, keys, HASHES.get())
+    }
+
+    /// `put_full` hashes each distinct frame once, however many pages it
+    /// backs, and leaves the store as one intern per page does: the same
+    /// keys, refs per key, copied bytes and stored bytes.
+    #[test]
+    fn put_full_hashes_each_frame_once() {
+        // Nine pages on four frames: 0x00's backs five pages in both
+        // processes, 0x01's two, and the last page is a frame of its
+        // own holding 0x01's bytes.
+        let mut shared = checkpoint(&[&[0x00, 0x01, 0x00, 0x00], &[0x00, 0x02, 0x01, 0x00]]);
+        shared.procs[1].pages.insert(
+            0x1000 + 4 * PAGE_SIZE,
+            SharedFrame::new(&[0x01; PAGE_SIZE as usize]),
+        );
+        // The same bytes on one frame per page.
+        let mut private = shared.clone();
+        for frame in private
+            .procs
+            .iter_mut()
+            .flat_map(|proc| proc.pages.values_mut())
+        {
+            *frame = SharedFrame::new(frame.bytes());
+        }
+
+        let (store, keys, hashes) = put_counted(&shared);
+        let (reference, reference_keys, reference_hashes) = put_counted(&private);
+        assert_eq!(hashes, 4, "one hash per distinct frame");
+        assert_eq!(reference_hashes, 9, "one hash per page");
+        assert_eq!(keys, reference_keys);
+        for key in &keys {
+            assert_eq!(store.pages.refs(*key), reference.pages.refs(*key), "{key}");
+        }
+        assert_eq!(store.pages.copied_bytes(), 3 * PAGE_SIZE);
+        assert_eq!(store.pages.copied_bytes(), reference.pages.copied_bytes());
+        assert_eq!(store.stored_pages_bytes(), 9 * PAGE_SIZE as usize);
+        assert_eq!(store.stored_pages_bytes(), reference.stored_pages_bytes());
+    }
+
     /// A colliding page part-way through a checkpoint must not strand the
     /// references taken for the pages put before it, in its own process
-    /// or an earlier one.
+    /// or an earlier one, those taken for a repeated frame included.
     #[test]
     fn put_full_unwinds_refs_on_a_collision_part_way() {
         let mut store = CheckpointStore::new();
         store.pages.hasher = Some(|bytes| PageKey::of(&[bytes[0] & 0x0F]));
-        // 0x11 collides with 0x01.
+        // 0x11 collides with 0x01; 0x02's frame backs three pages
+        // before it.
         let err = store
-            .put_full(&checkpoint(&[&[0x01, 0x02], &[0x03, 0x11, 0x04]]))
+            .put_full(&checkpoint(&[
+                &[0x01, 0x02, 0x02],
+                &[0x03, 0x02, 0x11, 0x04],
+            ]))
             .unwrap_err();
         assert!(matches!(err, CriuError::PageCollision(_)), "got {err}");
         assert!(store.is_empty(), "nothing was stored");

@@ -15,10 +15,13 @@
 //!   on a hash hit the frame it already holds, whose bytes it compared
 //!   equal.
 //! * **Refcount lifecycle** — every `intern` takes one reference on its
-//!   page; [`PageStore::release`] drops one, and the store lets go of a
-//!   page's frame exactly when its last reference goes. A
+//!   page, and so does a `retain` of a key already held;
+//!   [`PageStore::release`] drops one, and the store lets go of a page's
+//!   frame exactly when its last reference goes. A
 //!   [`CheckpointStore`](crate::CheckpointStore) entry holds one
-//!   reference per page it keeps (tested by property in
+//!   reference per page it keeps, however many of its pages share one
+//!   frame: `put_full` interns each distinct frame once and retains its
+//!   key for every later page on it (tested by property in
 //!   `tests/page_store.rs` and `tests/zero_copy.rs`).
 //! * **Accounting** — [`PageStore::logical_bytes`] counts what callers
 //!   handed in (references × page size), [`PageStore::unique_bytes`]
@@ -79,6 +82,10 @@ struct PageEntry {
 }
 
 /// The content-addressed store: hash → (page frame, refcount).
+///
+/// A reference is taken by [`intern`](PageStore::intern), which hashes
+/// the bytes and compares them on a hit, or, for a caller that already
+/// knows the key of these very bytes, by `retain`, which does neither.
 ///
 /// Store refcounts (`refs`) and frame handles are deliberately distinct
 /// lifetimes: `refs` counts *checkpoint* references (what the store must
@@ -147,6 +154,24 @@ impl PageStore {
                 Ok((key, frame))
             }
         }
+    }
+
+    /// Takes one more reference on a page the store holds and hands back
+    /// its frame, as an [`intern`](PageStore::intern) of the same bytes
+    /// would, but hashes and compares nothing: for a caller that knows
+    /// its bytes are the page's, such as a second handle on a frame it
+    /// has just interned.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::UnknownPage`] when the key is not held.
+    pub(crate) fn retain(&mut self, key: PageKey) -> Result<SharedFrame, CriuError> {
+        let entry = self
+            .pages
+            .get_mut(&key)
+            .ok_or(CriuError::UnknownPage(key))?;
+        entry.refs += 1;
+        Ok(entry.frame.clone())
     }
 
     /// The bytes of an interned page, if it is still referenced.

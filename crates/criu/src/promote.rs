@@ -27,7 +27,8 @@
 //! (DESIGN §11). The [`Promotion`] receipt keeps what each replica
 //! displaced, so [`Promotion::undo`] puts it back bit for bit — unless
 //! the replica is inside a signal handler, which may run in the new
-//! library by then.
+//! library by then: that replica keeps the promotion, and the flight
+//! journal records it.
 
 use crate::images::{ProcessImage, VmaImage};
 use crate::incremental::{CheckpointStore, CkptId};
@@ -35,8 +36,8 @@ use crate::restore::{CommittedRestore, ModuleRegistry};
 use crate::CriuError;
 use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
 use dynacut_vm::{
-    DisplacedPage, Kernel, LoadedModule, Pid, ProcState, Process, SharedFrame, SigAction, Signal,
-    Vma, VmError,
+    DisplacedPage, EventKind, Kernel, LoadedModule, Pid, ProcState, Process, SharedFrame,
+    SigAction, Signal, Vma, VmError,
 };
 use std::sync::Arc;
 
@@ -322,13 +323,17 @@ impl Promotion {
     /// descriptors) is its own and stays. A replica that no longer
     /// exists is skipped, and so is one inside a signal handler: it may
     /// have trapped into the new library since, and unmapping that
-    /// under its frame would kill it, so it keeps the promotion.
+    /// under its frame would kill it, so it keeps the promotion, and an
+    /// [`EventKind::PromotionKept`] with its pid is journalled.
     pub fn undo(self, kernel: &mut Kernel) {
         for replica in self.replicas.into_iter().rev() {
-            if let Ok(proc) = kernel.process_mut(replica.pid) {
-                if proc.signal_depth == 0 {
-                    replica.undo(proc);
-                }
+            let Ok(proc) = kernel.process_mut(replica.pid) else {
+                continue;
+            };
+            if proc.signal_depth == 0 {
+                replica.undo(proc);
+            } else {
+                kernel.record_flight(Some(replica.pid), EventKind::PromotionKept);
             }
         }
     }

@@ -1,17 +1,21 @@
 //! Property tests for the content-addressed page store: dedup and
 //! refcount bookkeeping over arbitrary `put_full`/`release`
-//! interleavings, and the fleet dedup claim at its smallest scale — two
-//! identical processes checkpointed into one store.
+//! interleavings, with pages that share frame handles, and the fleet
+//! dedup claim at its smallest scale — two identical processes
+//! checkpointed into one store.
 
 use dynacut_criu::{
-    dump_many, CheckpointImage, CheckpointStore, CriuError, DumpOptions, ModuleRegistry,
+    dump_many, CheckpointImage, CheckpointStore, CkptId, CriuError, DumpOptions, ModuleRegistry,
+    PageKey,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
 use dynacut_vm::{Kernel, LoadSpec, Sysno};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 mod common;
+mod shared_frames;
 
 /// One-process checkpoints whose pages are drawn from a tiny alphabet so
 /// random inputs actually collide — the dedup paths are pointless to
@@ -23,6 +27,11 @@ fn arb_checkpoint() -> impl Strategy<Value = CheckpointImage> {
         )],
         time_ns: 0,
     })
+}
+
+/// The key of a page filled with `fill`.
+fn key_of(fill: u8) -> PageKey {
+    PageKey::of(&[fill; PAGE_SIZE as usize])
 }
 
 /// The page contents of a checkpoint, page by page, in address order.
@@ -66,18 +75,33 @@ proptest! {
     /// accounting exact: the logical footprint always equals the sum
     /// over live entries, every entry still materializes bit-identically
     /// however many twins were put or released around it, and releasing
-    /// the survivors drains the store to empty.
+    /// the survivors drains the store to empty. The pages of a put share
+    /// frame handles, within the image and with the store's own frames
+    /// out of live entries, and still each take one reference: every
+    /// content holds one per page of it in a live entry, and a put copies
+    /// exactly the contents the store did not hold.
     #[test]
     fn refcounts_balance_over_arbitrary_interleavings(
         ops in proptest::collection::vec(
-            (arb_checkpoint(), any::<bool>(), any::<proptest::sample::Index>()),
+            (shared_frames::arb_recipe(12), any::<bool>(), any::<proptest::sample::Index>()),
             1..24,
         ),
     ) {
         let mut store = CheckpointStore::new();
-        let mut live = Vec::new();
-        for (image, do_release, victim) in ops {
+        let mut live: Vec<(CkptId, CheckpointImage)> = Vec::new();
+        for (recipe, do_release, victim) in ops {
+            let image = shared_frames::build(&recipe, &store, live.iter().map(|(id, _)| *id));
+            let new: BTreeSet<u8> = recipe
+                .iter()
+                .map(|&(fill, _)| fill)
+                .filter(|&fill| store.page_store().refs(key_of(fill)) == 0)
+                .collect();
+            let copied_before = store.page_store().copied_bytes();
             let id = store.put_full(&image).unwrap();
+            prop_assert_eq!(
+                store.page_store().copied_bytes() - copied_before,
+                new.len() as u64 * PAGE_SIZE
+            );
             live.push((id, image));
             if do_release && !live.is_empty() {
                 let (id, _) = live.swap_remove(victim.index(live.len()));
@@ -89,6 +113,14 @@ proptest! {
             for (id, image) in &live {
                 let back = store.materialize(*id).expect("live entry");
                 prop_assert_eq!(page_bytes(&back), page_bytes(image));
+            }
+            for fill in 0..4 {
+                let pages = live
+                    .iter()
+                    .flat_map(|(_, image)| image.procs[0].pages.values())
+                    .filter(|frame| frame.bytes()[0] == fill)
+                    .count();
+                prop_assert_eq!(store.page_store().refs(key_of(fill)), pages as u64);
             }
         }
         for (id, _) in live.drain(..) {

@@ -21,25 +21,19 @@ use proptest::prelude::*;
 use proptest::sample::Index;
 
 mod common;
+mod shared_frames;
+
+use shared_frames::Recipe;
 
 // ----- property tests over put/restore/CoW/release interleavings --------
-
-/// One-process checkpoints whose pages are drawn from a tiny alphabet so
-/// random inputs actually collide and exercise the dedup paths.
-fn arb_checkpoint() -> impl Strategy<Value = CheckpointImage> {
-    proptest::collection::vec(0u8..4, 0..8).prop_map(|fills| CheckpointImage {
-        procs: vec![common::image_with_pages(
-            (common::VMA_START..).step_by(PAGE_SIZE as usize).zip(fills),
-        )],
-        time_ns: 0,
-    })
-}
 
 /// One step of the interleaving the zero-copy restore must survive.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Put a checkpoint into the store (takes store refs).
-    Put(CheckpointImage),
+    /// Put a checkpoint into the store (takes store refs). Its pages
+    /// share frame handles, within the image and with the store's own
+    /// frames out of live entries.
+    Put(Recipe),
     /// Restore a live entry into a fresh address space by installing the
     /// entry's frames — the zero-copy path; takes **no** store refs.
     Restore(Index),
@@ -53,7 +47,7 @@ enum Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        arb_checkpoint().prop_map(Op::Put),
+        shared_frames::arb_recipe(8).prop_map(Op::Put),
         any::<Index>().prop_map(Op::Restore),
         (any::<Index>(), any::<Index>(), any::<u8>())
             .prop_map(|(space, page, fill)| Op::GuestWrite { space, page, fill }),
@@ -92,7 +86,12 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Put(image) => {
+                Op::Put(recipe) => {
+                    let image = shared_frames::build(
+                        &recipe,
+                        &store,
+                        entries.iter().map(|(id, _)| *id),
+                    );
                     let id = store.put_full(&image).unwrap();
                     entries.push((id, image));
                 }

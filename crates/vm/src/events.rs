@@ -229,6 +229,11 @@ pub enum EventKind {
         /// Verifier reports observed during the soak.
         reports: usize,
     },
+    /// An unwind left one replica promoted (recorded with its pid): it
+    /// was inside a signal handler, which may run in the new library by
+    /// then, so its promotion was kept, not undone. The fleet stays
+    /// mixed until a later rollout brings the replica in line.
+    PromotionKept,
     /// The MLFQ run loop dispatched a process. Only journalled when
     /// dispatch tracing is enabled via
     /// [`Kernel::set_sched_trace`](crate::Kernel::set_sched_trace) —

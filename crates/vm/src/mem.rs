@@ -51,6 +51,13 @@ impl SharedFrame {
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.0)
     }
+
+    /// The frame's address: two handles share one frame exactly when
+    /// their addresses are equal. It names the frame only while a handle
+    /// keeps the frame alive; a freed frame's address can be reused.
+    pub fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0).addr()
+    }
 }
 
 impl std::fmt::Debug for SharedFrame {
@@ -97,6 +104,8 @@ pub struct DisplacedPage {
     base: u64,
     slot: Option<PageSlot>,
     dirty: bool,
+    /// The space's sweep count when the page was displaced.
+    sweeps: u64,
 }
 
 /// What a guest access wanted to do; decides which permission bit applies.
@@ -145,6 +154,10 @@ pub struct AddressSpace {
     vmas: Vec<Vma>,
     pages: BTreeMap<u64, PageSlot>,
     dirty: BTreeSet<u64>,
+    /// Sweeps of the dirty bitmap so far: whether one happened between a
+    /// [`replace_page`](AddressSpace::replace_page) and its
+    /// [`restore_page`](AddressSpace::restore_page).
+    sweeps: u64,
     /// Copy-on-write faults taken: how many shared pages this space has
     /// privatised because of a write. Host-side accounting only — never
     /// checkpointed, never fingerprinted.
@@ -486,7 +499,8 @@ impl AddressSpace {
     /// dirty bit. An install has [`install_shared_page`]'s effects, a
     /// drop [`drop_page`]'s. [`restore_page`] puts the displaced slot
     /// back exactly, so a host-side patch can be undone without cloning
-    /// the space.
+    /// the space; only its dirty bit is set if the bitmap was swept in
+    /// between.
     ///
     /// [`install_shared_page`]: AddressSpace::install_shared_page
     /// [`drop_page`]: AddressSpace::drop_page
@@ -499,6 +513,7 @@ impl AddressSpace {
             base,
             slot: self.pages.remove(&base),
             dirty: self.dirty.remove(&base),
+            sweeps: self.sweeps,
         };
         match frame {
             Some(frame) => self.install_shared_page(base, frame),
@@ -509,13 +524,27 @@ impl AddressSpace {
 
     /// Puts back a slot [`replace_page`](AddressSpace::replace_page)
     /// displaced: the same backing (a shared frame stays shared) and the
-    /// same dirty bit. A registered code page's generation is bumped, as
-    /// for any other change of its bytes.
+    /// same dirty bit, unless the bitmap was swept in between. That sweep
+    /// took the replacing page as the baseline, which the page put back
+    /// may differ from, so a populated page put back across a sweep reads
+    /// dirty. A registered code page's generation is bumped, as for any
+    /// other change of its bytes.
     pub fn restore_page(&mut self, page: DisplacedPage) {
-        let DisplacedPage { base, slot, dirty } = page;
-        match slot {
-            Some(slot) => self.pages.insert(base, slot),
-            None => self.pages.remove(&base),
+        let DisplacedPage {
+            base,
+            slot,
+            dirty,
+            sweeps,
+        } = page;
+        let dirty = match slot {
+            Some(slot) => {
+                self.pages.insert(base, slot);
+                dirty || sweeps != self.sweeps
+            }
+            None => {
+                self.pages.remove(&base);
+                false
+            }
         };
         if dirty {
             self.dirty.insert(base);
@@ -619,6 +648,7 @@ impl AddressSpace {
     /// incremental dump only carries pages written after this point.
     pub fn mark_clean(&mut self) {
         self.dirty.clear();
+        self.sweeps += 1;
     }
 
     /// Re-marks the page containing `addr` dirty — the rollback inverse
@@ -732,6 +762,33 @@ mod tests {
         assert_eq!(space.dirty_pages().collect::<Vec<_>>(), vec![0x1000]);
         assert!(!space.page_shared(0x1000) && space.page_shared(0x2000));
         assert_eq!(space.cow_fault_count(), 0, "nothing was copied");
+    }
+
+    /// A page put back across a sweep reads dirty: the sweep took the
+    /// replacing frame as the baseline, and the bytes put back differ
+    /// from it. An empty slot put back stays unpopulated and clean
+    /// (dirty ⊆ populated).
+    #[test]
+    fn restore_page_across_a_sweep_reads_dirty() {
+        let mut space = space_with(0x1000, 2 * PAGE_SIZE, Perms::RW);
+        space.write_unchecked(0x1000, b"baseline");
+        space.mark_clean();
+        let frame = SharedFrame::new(&[7; PAGE_SIZE as usize]);
+        let displaced = [
+            space.replace_page(0x1000, Some(frame.clone())),
+            space.replace_page(0x2000, Some(frame)),
+        ];
+        space.mark_clean();
+        for page in displaced.into_iter().rev() {
+            space.restore_page(page);
+        }
+        assert_eq!(&space.page_bytes(0x1000).unwrap()[..8], b"baseline");
+        assert!(!space.page_present(0x2000));
+        assert_eq!(
+            space.dirty_pages().collect::<Vec<_>>(),
+            vec![0x1000],
+            "the page put back changed since the sweep"
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use dynacut_criu::{
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
-use dynacut_vm::{Kernel, LoadSpec, Pid, Sysno};
+use dynacut_vm::{DisplacedPage, Kernel, LoadSpec, Pid, SharedFrame, Sysno};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -92,11 +92,13 @@ fn scratch_base(kernel: &Kernel, pid: Pid) -> u64 {
 // ---------------------------------------------------------------------
 // Property: the dirty bitmap covers every page that changed between two
 // consecutive checkpoints of a process, for arbitrary guest write, drop
-// and unmap/remap sequences. `PreDump::complete` counts a clean page as
-// pre-copied on exactly this property.
+// and unmap/remap sequences, and for host-side page replacements whose
+// undo may land after a sweep, as a promotion's does when a rollout
+// unwinds it. `PreDump::complete` counts a clean page as pre-copied on
+// exactly this property.
 // ---------------------------------------------------------------------
 
-/// One guest-side change to a scratch page.
+/// One change to a scratch page.
 #[derive(Debug, Clone)]
 enum Touch {
     /// Write `len` copies of `byte` at the start of the page.
@@ -105,6 +107,12 @@ enum Touch {
     Drop { page: u64 },
     /// Unmap the page and map a fresh one in its place.
     Remap { page: u64 },
+    /// Back the page with a new frame of `byte`s, as a promotion does,
+    /// and hold on to the slot it displaced.
+    Replace { page: u64, byte: u8 },
+    /// Put back the slot displaced last and still held, as a
+    /// promotion's undo does.
+    Undo,
 }
 
 fn arb_touch() -> impl Strategy<Value = Touch> {
@@ -116,10 +124,18 @@ fn arb_touch() -> impl Strategy<Value = Touch> {
         }),
         (0u64..SCRATCH_PAGES).prop_map(|page| Touch::Drop { page }),
         (0u64..SCRATCH_PAGES).prop_map(|page| Touch::Remap { page }),
+        (0u64..SCRATCH_PAGES, any::<u8>()).prop_map(|(page, byte)| Touch::Replace { page, byte }),
+        Just(Touch::Undo),
     ]
 }
 
-fn apply(kernel: &mut Kernel, pid: Pid, base: u64, touch: &Touch) {
+fn apply(
+    kernel: &mut Kernel,
+    pid: Pid,
+    base: u64,
+    touch: &Touch,
+    displaced: &mut Vec<DisplacedPage>,
+) {
     let mem = &mut kernel.process_mut(pid).unwrap().mem;
     match *touch {
         Touch::Write { page, byte, len } => {
@@ -130,6 +146,15 @@ fn apply(kernel: &mut Kernel, pid: Pid, base: u64, touch: &Touch) {
             let addr = base + page * PAGE_SIZE;
             mem.unmap(addr, PAGE_SIZE).unwrap();
             mem.map(addr, PAGE_SIZE, Perms::RW, "recycled").unwrap();
+        }
+        Touch::Replace { page, byte } => {
+            let frame = SharedFrame::new(&[byte; PAGE_SIZE as usize]);
+            displaced.push(mem.replace_page(base + page * PAGE_SIZE, Some(frame)));
+        }
+        Touch::Undo => {
+            if let Some(page) = displaced.pop() {
+                mem.restore_page(page);
+            }
         }
     }
 }
@@ -167,17 +192,27 @@ proptest! {
         let (mut kernel, pid, registry) = boot_scratch();
         let base = scratch_base(&kernel, pid);
         kernel.freeze(pid).unwrap();
+        // Every scratch page is in the first checkpoint, so a replace
+        // can displace a page the sweep leaves clean.
+        for page in 0..SCRATCH_PAGES {
+            let mem = &mut kernel.process_mut(pid).unwrap().mem;
+            mem.write_unchecked(base + page * PAGE_SIZE, &[0xA0 | page as u8; 8]);
+        }
         let mut store = CheckpointStore::new();
         let first = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
         let mut previous = store.put_full(&first).unwrap();
         mark_clean_after_dump(&mut kernel, &[pid]).unwrap();
 
         // Two windows, each ending in a checkpoint compared page by page
-        // with the one before it, then a sweep that re-baselines.
+        // with the one before it, then a sweep that re-baselines. A last
+        // window undoes every replace still held, each after at least
+        // one sweep.
+        let mut displaced = Vec::new();
+        let unwind = vec![Touch::Undo; window_1.len() + window_2.len()];
         let mut last = first;
-        for window in [&window_1, &window_2] {
+        for window in [&window_1, &window_2, &unwind] {
             for touch in window {
-                apply(&mut kernel, pid, base, touch);
+                apply(&mut kernel, pid, base, touch, &mut displaced);
             }
             let dirty: BTreeSet<u64> = kernel.process(pid).unwrap().mem.dirty_pages().collect();
             last = dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap();
