@@ -48,9 +48,14 @@ test -s results/fleet.json
 grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 
 # Superblock-chaining multi-version block cache (DESIGN §11): the vm
-# suite pins rewrite-precise invalidation (self-modifying code,
+# suite pins rewrite-precise invalidation (self-modifying code, which a
+# running block revalidates after any write to a code page,
 # host-planted traps fired mid-superblock, unmap/protect), fingerprint
-# parity with the uncached interpreter and hot-entry survival under
+# parity with the uncached interpreter, which empties the soft TLB
+# before every instruction, the TLB's revocations as a running guest
+# sees them (a sweep, a host install of a frame another process maps,
+# protect, a page written after it was executed), two queued signals
+# delivered one instruction apart, and hot-entry survival under
 # capacity eviction; the core suites pin trap visibility across a full
 # customize cycle with a hot cache, the zero-flush version-swapping
 # commit and the rollback that re-dispatches without re-decoding.
@@ -64,6 +69,11 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # were promoted, the commit version-swapped (swaps > 0, warm-hit ratio
 # > 0), retirement counts are identical and fingerprints match (the
 # dynacut-interp-v3 schema gate).
+# The soft TLB (DESIGN §5): the mem unit run holds the property that a
+# space using the table and one that empties it before every access
+# agree on every access, page, dirty bit and code generation, and that
+# the table never holds a right the slow path would refuse.
+cargo test -q -p dynacut-vm --lib mem::
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
 cargo test -q -p dynacut-vm --test robustness

@@ -50,28 +50,41 @@
 //! generation counter for every page the cache has registered
 //! ([`AddressSpace::note_code_page`]); any mutation of such a page —
 //! guest stores, host `write_unchecked`, `unmap`, `protect`,
-//! `drop_page` — bumps its generation. A [`CachedBlock`] snapshots the
-//! generations of every page it decodes from, and the dispatcher
-//! revalidates the snapshot before executing the block (and again after
-//! any memory-writing instruction inside it, so self-modifying code —
-//! and a host-planted trap byte — takes effect on the very next
-//! instruction, even mid-superblock). CRIU image swaps still flush: a
-//! restored image may carry arbitrary foreign bytes, and only the
-//! engine's customize commit knows enough to seed generations instead
-//! (see `CommittedRestore::carry_block_caches`).
+//! `drop_page` — bumps its generation, and the space counts every such
+//! bump. A [`CachedBlock`] snapshots the generations of every page it
+//! decodes from, and the dispatcher revalidates the snapshot before
+//! executing the block, and again after any instruction inside it that
+//! moved the space's count: self-modifying code — and a host-planted
+//! trap byte — takes effect on the very next instruction, even
+//! mid-superblock, while a store to a data page costs one comparison.
+//! CRIU image swaps still flush: a restored image may carry arbitrary
+//! foreign bytes, and only the engine's customize commit knows enough to
+//! seed generations instead (see `CommittedRestore::carry_block_caches`).
 //!
 //! The cache is **excluded from [`Kernel::state_fingerprint`]**: cached
 //! and uncached execution of the same workload are bit-identical in
 //! every guest-observable way, and the fingerprint enumerates exactly
 //! the guest-observable fields.
 //!
+//! # Dispatch
+//!
+//! Every dispatch probes the map once, so the map hashes its
+//! `(entry pc, version)` keys with [`KeyHasher`], a fixed
+//! multiply-and-fold, instead of SipHash. Nothing depends on the map's
+//! iteration order: capacity eviction sorts by `(heat, last_hit, key)`.
+//! Inside a block, the dispatcher tests for pending signals once, at
+//! entry, and compares the guest pc with the decoded chain only after a
+//! conditional branch, the one instruction that can leave it.
+//!
 //! [`AddressSpace`]: crate::AddressSpace
 //! [`AddressSpace::note_code_page`]: crate::AddressSpace::note_code_page
 //! [`Kernel::state_fingerprint`]: crate::Kernel::state_fingerprint
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::mem::AddressSpace;
 use dynacut_isa::Insn;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Upper bound on instructions per basic block. Blocks end at the
@@ -128,6 +141,45 @@ impl CachedBlock {
     }
 }
 
+/// The dispatch map's hasher: each 64-bit word of the key is XORed into
+/// the state, and the state is multiplied by an odd constant into 128
+/// bits whose two halves are XORed together. The fold carries every key
+/// bit into the low bits (the bucket index) and the high bits (the
+/// map's tag byte), so pcs that differ only in high bits do not share
+/// buckets. It has no key: a guest that picks colliding pcs slows only
+/// its own dispatch, and its cache holds at most [`MAX_CACHED_BLOCKS`]
+/// entries.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+/// The golden ratio's fraction: odd, with its bits well spread.
+const KEY_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        let product = u128::from(self.0 ^ word) * u128::from(KEY_MIX);
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "splits the 128-bit product into its two halves"
+        )]
+        let (low, high) = (product as u64, (product >> 64) as u64);
+        self.0 = low ^ high;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One cache entry: the decoded block plus the dispatch profile that
 /// drives superblock promotion and capacity eviction.
 #[derive(Debug, Clone)]
@@ -150,7 +202,7 @@ struct Entry {
 /// alongside.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
-    blocks: HashMap<(u64, u64), Entry>,
+    blocks: HashMap<(u64, u64), Entry, BuildHasherDefault<KeyHasher>>,
     /// The active version: lookups and inserts use `(pc, epoch)`.
     epoch: u64,
     /// Monotonic dispatch counter backing `Entry::last_hit`.
@@ -161,6 +213,7 @@ impl BlockCache {
     /// Looks up the active-version entry at `pc`, bumping its dispatch
     /// profile. Returns the block and its post-bump heat. Validity is
     /// not checked — the dispatcher revalidates page generations.
+    #[inline]
     pub(crate) fn hit(&mut self, pc: u64) -> Option<(Arc<CachedBlock>, u32)> {
         self.tick += 1;
         let tick = self.tick;
@@ -302,6 +355,24 @@ mod tests {
             pages: vec![(page, gen)],
             is_superblock: false,
         }
+    }
+
+    /// Keys whose pcs differ only above bit 40 spread over the hash's
+    /// low bits, which pick the bucket, and over its top seven bits,
+    /// which the map keeps as a tag.
+    #[test]
+    fn key_hash_spreads_high_pc_bits() {
+        use std::collections::BTreeSet;
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<KeyHasher>::default();
+        let hashes: Vec<u64> = (0..4096u64)
+            .map(|i| hasher.hash_one((i << 40, 0u64)))
+            .collect();
+        let low: BTreeSet<u64> = hashes.iter().map(|hash| hash & 0xFFF).collect();
+        let top: BTreeSet<u64> = hashes.iter().map(|hash| hash >> 57).collect();
+        // A random function fills ~2,590 of the 4,096 low-bit values.
+        assert!(low.len() >= 2_300, "{} distinct low-bit values", low.len());
+        assert_eq!(top.len(), 128, "every tag value is used");
     }
 
     #[test]

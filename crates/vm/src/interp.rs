@@ -1,12 +1,13 @@
 //! The instruction interpreter: fetch, decode, execute, fault.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::bcache::{CachedBlock, MAX_BLOCK_INSNS, MAX_SUPERBLOCK_INSNS};
 use crate::cpu::Flags;
 use crate::hook::Hook;
 use crate::process::Process;
 use crate::signal::{
-    Signal, SIGFRAME_SIZE, SIG_FRAME_FAULT_ADDR, SIG_FRAME_FLAGS, SIG_FRAME_PC, SIG_FRAME_REGS,
-    SIG_FRAME_SIGNO,
+    Signal, SIGFRAME_LEN, SIGFRAME_SIZE, SIG_FRAME_FAULT_ADDR, SIG_FRAME_FLAGS, SIG_FRAME_PC,
+    SIG_FRAME_REGS, SIG_FRAME_SIGNO,
 };
 use dynacut_isa::{decode, Cond, Insn, IsaError, Reg, MAX_INSN_LEN};
 use dynacut_obj::PAGE_SIZE;
@@ -22,7 +23,7 @@ pub(crate) enum Exec {
 ///
 /// Returns the instruction and its length, or the fault signal to raise.
 /// Decodes out of a fixed `[u8; MAX_INSN_LEN]` stack buffer (no per-fetch
-/// allocation) and goes through the software iTLB
+/// allocation) and goes through the address space's soft TLB
 /// ([`AddressSpace::fetch_exec`](crate::AddressSpace::fetch_exec)), which
 /// is why it takes `&mut Process`.
 pub(crate) fn fetch_insn(proc: &mut Process, pc: u64) -> Result<(Insn, usize), (Signal, u64)> {
@@ -115,7 +116,8 @@ pub(crate) fn decode_block(
             Err(_) => break,
         };
         note_insn_pages(proc, &mut pages, pc, len);
-        insns.push((insn, len as u8));
+        let len_byte = u8::try_from(len).expect("an instruction is at most MAX_INSN_LEN bytes");
+        insns.push((insn, len_byte));
         pcs.push(pc);
         let next = pc + len as u64;
         if insns.len() >= cap {
@@ -138,21 +140,11 @@ pub(crate) fn decode_block(
     })
 }
 
-/// Whether executing the instruction can write guest memory (stores and
-/// stack pushes). After one of these retires inside a cached block, the
-/// dispatcher must revalidate the block's page generations so
-/// self-modifying code takes effect on the very next instruction.
-pub(crate) fn writes_memory(insn: &Insn) -> bool {
-    matches!(
-        insn,
-        Insn::St(..) | Insn::Push(_) | Insn::Call(_) | Insn::Callr(_)
-    )
-}
-
 /// Executes one decoded instruction against the process state.
 ///
 /// On success the pc has been advanced (sequentially or to a branch
 /// target). Syscall dispatch and faults are returned to the caller.
+#[inline]
 pub(crate) fn exec_insn(proc: &mut Process, insn: &Insn, len: usize) -> Exec {
     let pc = proc.cpu.pc;
     let next = pc + len as u64;
@@ -333,7 +325,7 @@ pub(crate) fn deliver_signal(
     fault_addr: u64,
     hook: Option<&mut (dyn Hook + '_)>,
 ) -> bool {
-    let action = proc.sigactions[signal.number() as usize];
+    let action = proc.sigactions[signal.index()];
     let handled = action.is_handled() && signal.catchable() && proc.signal_depth < 16;
     if let Some(hook) = hook {
         hook.on_signal(proc.pid, signal, handled);
@@ -344,7 +336,7 @@ pub(crate) fn deliver_signal(
     }
     // Build the signal frame below the current stack pointer.
     let frame = proc.cpu.sp().wrapping_sub(SIGFRAME_SIZE);
-    let mut bytes = Vec::with_capacity(SIGFRAME_SIZE as usize);
+    let mut bytes = Vec::with_capacity(SIGFRAME_LEN);
     bytes.extend_from_slice(&proc.cpu.pc.to_le_bytes()); // SIG_FRAME_PC
     bytes.extend_from_slice(&proc.cpu.flags.to_bits().to_le_bytes()); // SIG_FRAME_FLAGS
     bytes.extend_from_slice(&fault_addr.to_le_bytes()); // SIG_FRAME_FAULT_ADDR
@@ -352,7 +344,7 @@ pub(crate) fn deliver_signal(
     for reg in proc.cpu.regs {
         bytes.extend_from_slice(&reg.to_le_bytes()); // SIG_FRAME_REGS
     }
-    debug_assert_eq!(bytes.len() as u64, SIGFRAME_SIZE);
+    debug_assert_eq!(bytes.len(), SIGFRAME_LEN);
     if proc.mem.write_checked(frame, &bytes).is_err() {
         // Double fault: cannot even build the frame.
         proc.kill(Signal::Sigsegv);
@@ -379,12 +371,13 @@ pub(crate) fn deliver_signal(
 /// Restores the context saved in the signal frame at `frame` (the
 /// `sigreturn` syscall).
 pub(crate) fn sigreturn(proc: &mut Process, frame: u64) -> Result<(), ()> {
-    let mut bytes = vec![0u8; SIGFRAME_SIZE as usize];
+    let mut bytes = [0u8; SIGFRAME_LEN];
     if proc.mem.read_checked(frame, &mut bytes).is_err() {
         return Err(());
     }
     let word = |off: u64| -> u64 {
-        u64::from_le_bytes(bytes[off as usize..off as usize + 8].try_into().expect("in range"))
+        let off = usize::try_from(off).expect("a frame offset is below SIGFRAME_LEN");
+        u64::from_le_bytes(bytes[off..off + 8].try_into().expect("in range"))
     };
     let _ = word(SIG_FRAME_FAULT_ADDR);
     let _ = word(SIG_FRAME_SIGNO);
@@ -500,7 +493,7 @@ mod tests {
     #[test]
     fn handled_signal_builds_frame_and_sigreturn_restores() {
         let mut proc = proc_with_stack();
-        proc.sigactions[Signal::Sigtrap.number() as usize] = SigAction {
+        proc.sigactions[Signal::Sigtrap.index()] = SigAction {
             handler: 0x7000,
             restorer: 0x7100,
             mask: 0,
@@ -540,7 +533,7 @@ mod tests {
     #[test]
     fn frame_records_fault_addr_and_signo() {
         let mut proc = proc_with_stack();
-        proc.sigactions[Signal::Sigtrap.number() as usize] = SigAction {
+        proc.sigactions[Signal::Sigtrap.index()] = SigAction {
             handler: 0x7000,
             restorer: 0x7100,
             mask: 0,
@@ -563,7 +556,7 @@ mod tests {
     fn signal_with_unwritable_stack_double_faults() {
         let mut proc = Process::new(Pid(1), "t");
         proc.cpu.set_sp(0x10); // no stack mapped
-        proc.sigactions[Signal::Sigtrap.number() as usize] = SigAction {
+        proc.sigactions[Signal::Sigtrap.index()] = SigAction {
             handler: 0x7000,
             restorer: 0x7100,
             mask: 0,

@@ -12,7 +12,7 @@ use crate::sched::{SchedClass, Scheduler, WakeHint, BOOST_INTERVAL_NS};
 use crate::signal::{SigAction, Signal};
 use crate::syscall::{self, perms_from_bits, Errno, Outcome, Sysno};
 use crate::VmError;
-use dynacut_isa::Reg;
+use dynacut_isa::{Insn, Reg};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -1302,6 +1302,12 @@ impl Kernel {
             if !proc.is_runnable() {
                 break;
             }
+            if !use_cache {
+                // The reference path starts every instruction, its signal
+                // delivery included, with an empty soft TLB, so parity
+                // with it also checks the TLB.
+                proc.mem.empty_tlb();
+            }
             // Deliver pending (asynchronous) signals first.
             if let Some(signal) = proc.pending_signals.pop_front() {
                 let pc = proc.cpu.pc;
@@ -1447,37 +1453,35 @@ impl Kernel {
                 }
             };
 
-            // Execute the block with the process borrow held across the
-            // whole run (the per-instruction map lookup the old loop
-            // paid is most of the dispatch cost for short blocks); the
-            // clock is accumulated locally and flushed before anything
-            // that reads it (the trap journal, syscall dispatch).
+            // Execute the block with the process borrow from the top of
+            // the loop held across the whole run (the per-instruction map
+            // lookup the old loop paid is most of the dispatch cost for
+            // short blocks); the clock is accumulated locally and flushed
+            // before anything that reads it (the trap journal, syscall
+            // dispatch).
             let mut clock_delta = 0u64;
             let action = 'exec: {
-                let Some(proc) = self.procs.get_mut(&pid) else {
-                    break 'exec Action::Stop;
+                // Nothing inside a block can queue a signal (hooks see only
+                // `(pid, pc)`; syscalls and faults end the block), so one
+                // test at entry stands for every instruction. A signal
+                // still queued behind the one delivered above is due
+                // after this block's first instruction, which shares the
+                // delivery's budget unit as on the uncached path.
+                let run = if proc.pending_signals.is_empty() {
+                    &block.insns[..]
+                } else {
+                    &block.insns[..1]
                 };
-                for (i, &(insn, len)) in block.insns.iter().enumerate() {
+                let mut validated_at = proc.mem.code_write_count();
+                for (i, &(insn, len)) in run.iter().enumerate() {
                     if budget_left == 0 {
                         // Slice over mid-block; the next slice re-enters
                         // at the current pc (a fresh cache key).
                         break 'exec Action::Stop;
                     }
-                    // The first instruction runs in the same budget unit
-                    // as the signal delivered above (matching the
-                    // uncached interleaving); before any later one, a
-                    // newly pending signal sends us back to the delivery
-                    // point, and a pc that diverges from the decoded
-                    // chain is a superblock side-exit (mispredicted
-                    // branch) — re-enter the dispatcher at the real pc.
-                    if i > 0
-                        && (!proc.pending_signals.is_empty() || proc.cpu.pc != block.pcs[i])
-                    {
-                        break 'exec Action::Redispatch;
-                    }
                     budget_left -= 1;
                     let pc = proc.cpu.pc;
-                    match interp::exec_insn(proc, &insn, len as usize) {
+                    match interp::exec_insn(proc, &insn, usize::from(len)) {
                         Exec::Done => {
                             proc.insns_retired += 1;
                             retired += 1;
@@ -1486,13 +1490,25 @@ impl Kernel {
                                 hook.on_insn(pid, pc);
                             }
                             // Self-modifying code: if that instruction
-                            // wrote memory, it may have overwritten this
-                            // very block (even mid-superblock).
+                            // changed a code page, it may have overwritten
+                            // this very block (even mid-superblock).
                             // Revalidate before running another cached
                             // instruction.
-                            if interp::writes_memory(&insn) && !block.pages_valid(&proc.mem) {
-                                cache_invalidations += 1;
-                                proc.block_cache.remove(entry);
+                            if proc.mem.code_write_count() != validated_at {
+                                if !block.pages_valid(&proc.mem) {
+                                    cache_invalidations += 1;
+                                    proc.block_cache.remove(entry);
+                                    break 'exec Action::Redispatch;
+                                }
+                                validated_at = proc.mem.code_write_count();
+                            }
+                            // Only a conditional branch can leave the
+                            // decoded chain: a pc that diverges from it is
+                            // a superblock side-exit (mispredicted branch),
+                            // so re-enter the dispatcher at the real pc.
+                            if matches!(insn, Insn::Jcc(..))
+                                && block.pcs.get(i + 1).is_some_and(|&next| next != proc.cpu.pc)
+                            {
                                 break 'exec Action::Redispatch;
                             }
                         }

@@ -1,13 +1,30 @@
 //! Paged address spaces with VMA-granular permissions.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::{VmError, Vma};
 use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::sync::Arc;
+
+/// [`PAGE_SIZE`] as a length.
+const PAGE_LEN: usize = 4096;
+const _: () = assert!(PAGE_LEN as u64 == PAGE_SIZE);
 
 /// One page of bytes: the unit every frame, slot and checkpoint image
 /// holds.
-pub type Page = [u8; PAGE_SIZE as usize];
+pub type Page = [u8; PAGE_LEN];
+
+/// The base of the page containing `addr`.
+#[inline]
+fn page_base(addr: u64) -> u64 {
+    addr & !(PAGE_SIZE - 1)
+}
+
+/// The offset of `addr` inside its page.
+#[inline]
+fn page_offset(addr: u64) -> usize {
+    usize::try_from(addr & (PAGE_SIZE - 1)).expect("an in-page offset is below PAGE_LEN")
+}
 
 /// One refcounted page frame that several address spaces, checkpoint
 /// images and a host-side page store can back simultaneously.
@@ -31,7 +48,7 @@ impl SharedFrame {
 
     /// A new frame of zeros.
     pub fn zeroed() -> Self {
-        SharedFrame(Arc::new([0; PAGE_SIZE as usize]))
+        SharedFrame(Arc::new([0; PAGE_LEN]))
     }
 
     /// The page bytes.
@@ -116,6 +133,86 @@ pub(crate) enum Access {
     Exec,
 }
 
+impl Access {
+    /// The TLB right that lets this access skip the slow path.
+    fn tlb_right(self) -> u64 {
+        match self {
+            Access::Read => TLB_READ,
+            Access::Write => TLB_WRITE,
+            Access::Exec => TLB_EXEC,
+        }
+    }
+}
+
+/// Entries in an address space's soft TLB: the page at `base` has entry
+/// `base / PAGE_SIZE % TLB_ENTRIES`.
+const TLB_ENTRIES: usize = 64;
+
+/// A TLB entry's rights, kept in the bits below its page base.
+const TLB_READ: u64 = 1;
+const TLB_WRITE: u64 = 2;
+const TLB_EXEC: u64 = 4;
+
+/// The soft TLB, after QEMU's softmmu TLB: a direct-mapped table that
+/// names, per page, the rights a guest access wholly inside that page may
+/// use without the slow path (the VMA walk, and for a write the dirty
+/// and code-page bookkeeping). An entry is `base | rights`; an empty
+/// entry is 0 and grants nothing.
+///
+/// - *read*: the page's VMA is readable;
+/// - *exec*: the page's VMA is executable;
+/// - *write*: the page's VMA is writable, its slot is private, it is
+///   already dirty, and it is not a registered code page.
+///
+/// The table is a memo of the rest of the [`AddressSpace`], never state
+/// of its own: every method that can take a right away revokes it, and
+/// the slow path re-grants whatever it finds, so no access can tell
+/// whether it hit (DESIGN §5). Never checkpointed, never fingerprinted.
+#[derive(Debug, Clone)]
+struct Tlb([u64; TLB_ENTRIES]);
+
+impl Default for Tlb {
+    fn default() -> Self {
+        Tlb([0; TLB_ENTRIES])
+    }
+}
+
+impl Tlb {
+    #[inline]
+    fn index(base: u64) -> usize {
+        usize::try_from(base / PAGE_SIZE % TLB_ENTRIES as u64).expect("below TLB_ENTRIES")
+    }
+
+    /// Whether the table grants `right` to an access of `len` bytes at
+    /// `addr`: never to one that leaves its page.
+    #[inline]
+    fn grants(&self, addr: u64, len: usize, right: u64) -> bool {
+        let base = page_base(addr);
+        page_offset(addr) + len <= PAGE_LEN
+            && self.0[Self::index(base)] & (!(PAGE_SIZE - 1) | right) == base | right
+    }
+
+    fn set(&mut self, base: u64, rights: u64) {
+        self.0[Self::index(base)] = base | rights;
+    }
+
+    /// Revokes every right the table holds for the page at `base`.
+    fn drop_page(&mut self, base: u64) {
+        self.0[Self::index(base)] = 0;
+    }
+
+    /// Revokes every write right.
+    fn drop_write_rights(&mut self) {
+        for entry in &mut self.0 {
+            *entry &= !TLB_WRITE;
+        }
+    }
+
+    fn empty(&mut self) {
+        self.0 = [0; TLB_ENTRIES];
+    }
+}
+
 /// A process's virtual address space: a sorted list of [`Vma`]s plus a
 /// sparse page store.
 ///
@@ -131,6 +228,11 @@ pub(crate) enum Access {
 /// [`mark_clean`](AddressSpace::mark_clean) once a dump has established
 /// a new baseline. `dirty_pages() ⊆ populated_pages()` always holds:
 /// unmapping or dropping a page clears its dirty bit too.
+///
+/// Guest loads, stores and fetches go through a soft TLB, a per-page memo
+/// of what the permission walk and the dirty and code-page bookkeeping
+/// would decide. It is invisible: every result, byte, dirty bit and code
+/// generation is what the uncached path would produce (DESIGN §5, §11).
 ///
 /// ```
 /// use dynacut_vm::{AddressSpace, Perms, PAGE_SIZE};
@@ -169,10 +271,11 @@ pub struct AddressSpace {
     /// cached before the unmap can ever revalidate. Excluded from
     /// checkpoints and fingerprints: purely host-side cache metadata.
     code_gen: BTreeMap<u64, u64>,
-    /// Software iTLB: the `(start, end)` bounds of the last VMA an
-    /// instruction fetch hit. A fetch wholly inside the memoised range
-    /// skips the VMA walk; any mapping change clears the memo.
-    exec_vma: Option<(u64, u64)>,
+    /// How many times a registered code page's generation has changed:
+    /// the dispatcher revalidates a running block only when this moved.
+    code_writes: u64,
+    /// The soft TLB that guest loads, stores and fetches share.
+    tlb: Tlb,
 }
 
 impl AddressSpace {
@@ -202,7 +305,8 @@ impl AddressSpace {
         }
         self.vmas.push(Vma::new(start, end, perms, name));
         self.vmas.sort_by_key(|vma| vma.start);
-        self.exec_vma = None;
+        // No TLB revocation: an entry only names a page inside a VMA, and
+        // the new VMA overlaps none.
         Ok(())
     }
 
@@ -245,7 +349,7 @@ impl AddressSpace {
             self.dirty.remove(&base);
         }
         self.bump_code_gens(start, end);
-        self.exec_vma = None;
+        self.tlb.empty();
         Ok(())
     }
 
@@ -299,7 +403,7 @@ impl AddressSpace {
         next.sort_by_key(|vma| vma.start);
         self.vmas = next;
         self.bump_code_gens(start, end);
-        self.exec_vma = None;
+        self.tlb.empty();
         Ok(())
     }
 
@@ -362,9 +466,29 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Guest read (permission-checked).
-    pub(crate) fn read_checked(&self, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
-        self.check(addr, buf.len() as u64, Access::Read)?;
+    /// Guest read (permission-checked, through the soft TLB).
+    #[inline]
+    pub(crate) fn read_checked(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        self.read_through_tlb(addr, buf, Access::Read)
+    }
+
+    /// Instruction fetch (permission-checked, through the soft TLB).
+    #[inline]
+    pub(crate) fn fetch_exec(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
+        self.read_through_tlb(addr, buf, Access::Exec)
+    }
+
+    #[inline]
+    fn read_through_tlb(
+        &mut self,
+        addr: u64,
+        buf: &mut [u8],
+        access: Access,
+    ) -> Result<(), VmError> {
+        if !self.tlb.grants(addr, buf.len(), access.tlb_right()) {
+            self.check(addr, buf.len() as u64, access)?;
+            self.tlb_fill(addr);
+        }
         self.copy_out(addr, buf);
         Ok(())
     }
@@ -381,39 +505,60 @@ impl AddressSpace {
         Ok(buf)
     }
 
-    /// Guest write (permission-checked).
+    /// Guest write (permission-checked, through the soft TLB). A write
+    /// hit skips the VMA walk, the dirty insert and the code-page lookup,
+    /// and still writes only through a slot it finds private: a stale
+    /// entry can never write into a shared frame.
+    #[inline]
     pub(crate) fn write_checked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
+        if self.tlb.grants(addr, bytes.len(), TLB_WRITE) {
+            if let Some(PageSlot::Private(page)) = self.pages.get_mut(&page_base(addr)) {
+                let offset = page_offset(addr);
+                page[offset..offset + bytes.len()].copy_from_slice(bytes);
+                return Ok(());
+            }
+        }
         self.check(addr, bytes.len() as u64, Access::Write)?;
         self.copy_in(addr, bytes);
+        self.tlb_fill(addr);
         Ok(())
     }
 
-    /// Instruction fetch through the software iTLB: a fetch wholly
-    /// inside the last executable VMA skips the permission walk. Any
-    /// mapping change ([`map`](AddressSpace::map),
-    /// [`unmap`](AddressSpace::unmap),
-    /// [`protect`](AddressSpace::protect)) clears the memo, so the fast
-    /// path can never outlive the VMA it memoised.
-    pub(crate) fn fetch_exec(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
-        let end = addr.checked_add(buf.len() as u64).ok_or(VmError::BadAccess {
-            addr,
-            kind: "exec",
-        })?;
-        match self.exec_vma {
-            Some((lo, hi)) if addr >= lo && end <= hi => {}
-            _ => {
-                self.check(addr, buf.len() as u64, Access::Exec)?;
-                // Memoise only single-VMA fetches; a fetch spanning two
-                // executable VMAs stays on the slow path.
-                if let Some(vma) = self.vma_at(addr) {
-                    if end <= vma.end {
-                        self.exec_vma = Some((vma.start, vma.end));
-                    }
-                }
-            }
+    /// Gives the page containing `addr` every right the slow path
+    /// grants it now; an access that passed the slow path calls this.
+    fn tlb_fill(&mut self, addr: u64) {
+        let base = page_base(addr);
+        self.tlb.set(base, self.page_rights(base));
+    }
+
+    /// The TLB rights the page at `base` may hold now (see [`Tlb`]).
+    fn page_rights(&self, base: u64) -> u64 {
+        let Some(vma) = self.vma_at(base) else {
+            return 0;
+        };
+        let mut rights = 0;
+        if vma.perms.read {
+            rights |= TLB_READ;
         }
-        self.copy_out(addr, buf);
-        Ok(())
+        if vma.perms.exec {
+            rights |= TLB_EXEC;
+        }
+        if vma.perms.write
+            && matches!(self.pages.get(&base), Some(PageSlot::Private(_)))
+            && self.dirty.contains(&base)
+            && !self.code_gen.contains_key(&base)
+        {
+            rights |= TLB_WRITE;
+        }
+        rights
+    }
+
+    /// Empties the soft TLB, so that every access until the next fill
+    /// takes the slow path. The uncached interpreter, the reference the
+    /// block cache is checked against, calls this before every
+    /// instruction.
+    pub(crate) fn empty_tlb(&mut self) {
+        self.tlb.empty();
     }
 
     /// Host-side read ignoring permissions (checkpointing, debuggers).
@@ -427,14 +572,14 @@ impl AddressSpace {
         self.copy_in(addr, bytes);
     }
 
+    #[inline]
     fn copy_out(&self, addr: u64, buf: &mut [u8]) {
         let mut done = 0usize;
         while done < buf.len() {
             let cursor = addr + done as u64;
-            let page_base = cursor & !(PAGE_SIZE - 1);
-            let in_page = (cursor - page_base) as usize;
-            let chunk = ((PAGE_SIZE as usize) - in_page).min(buf.len() - done);
-            match self.pages.get(&page_base) {
+            let in_page = page_offset(cursor);
+            let chunk = (PAGE_LEN - in_page).min(buf.len() - done);
+            match self.pages.get(&page_base(cursor)) {
                 Some(slot) => {
                     let page = slot.bytes();
                     buf[done..done + chunk].copy_from_slice(&page[in_page..in_page + chunk]);
@@ -449,13 +594,13 @@ impl AddressSpace {
         let mut done = 0usize;
         while done < bytes.len() {
             let cursor = addr + done as u64;
-            let page_base = cursor & !(PAGE_SIZE - 1);
-            let in_page = (cursor - page_base) as usize;
-            let chunk = ((PAGE_SIZE as usize) - in_page).min(bytes.len() - done);
+            let base = page_base(cursor);
+            let in_page = page_offset(cursor);
+            let chunk = (PAGE_LEN - in_page).min(bytes.len() - done);
             let slot = self
                 .pages
-                .entry(page_base)
-                .or_insert_with(|| PageSlot::Private(Box::new([0; PAGE_SIZE as usize])));
+                .entry(base)
+                .or_insert_with(|| PageSlot::Private(Box::new([0; PAGE_LEN])));
             // Copy-on-write: the first write to a shared frame privatises
             // the whole page, leaving the frame (and every other space
             // mapping it) untouched.
@@ -467,10 +612,8 @@ impl AddressSpace {
                 unreachable!("slot privatised above")
             };
             page[in_page..in_page + chunk].copy_from_slice(&bytes[done..done + chunk]);
-            self.dirty.insert(page_base);
-            if let Some(gen) = self.code_gen.get_mut(&page_base) {
-                *gen += 1;
-            }
+            self.dirty.insert(base);
+            self.bump_code_gen(base);
             done += chunk;
         }
     }
@@ -486,12 +629,11 @@ impl AddressSpace {
     /// generation — so fingerprints cannot distinguish a shared-backed
     /// page from one written byte for byte.
     pub fn install_shared_page(&mut self, addr: u64, frame: SharedFrame) {
-        let base = addr & !(PAGE_SIZE - 1);
+        let base = page_base(addr);
         self.pages.insert(base, PageSlot::Shared(frame));
         self.dirty.insert(base);
-        if let Some(gen) = self.code_gen.get_mut(&base) {
-            *gen += 1;
-        }
+        self.bump_code_gen(base);
+        self.tlb.drop_page(base);
     }
 
     /// Backs the page containing `addr` with `frame`, or drops it when
@@ -506,7 +648,7 @@ impl AddressSpace {
     /// [`drop_page`]: AddressSpace::drop_page
     /// [`restore_page`]: AddressSpace::restore_page
     pub fn replace_page(&mut self, addr: u64, frame: Option<SharedFrame>) -> DisplacedPage {
-        let base = addr & !(PAGE_SIZE - 1);
+        let base = page_base(addr);
         // Moved out, never cloned: a private page's bytes stay where
         // they are.
         let displaced = DisplacedPage {
@@ -515,6 +657,7 @@ impl AddressSpace {
             dirty: self.dirty.remove(&base),
             sweeps: self.sweeps,
         };
+        // Both revoke the page's TLB entry.
         match frame {
             Some(frame) => self.install_shared_page(base, frame),
             None => self.drop_page(base),
@@ -551,18 +694,14 @@ impl AddressSpace {
         } else {
             self.dirty.remove(&base);
         }
-        if let Some(gen) = self.code_gen.get_mut(&base) {
-            *gen += 1;
-        }
+        self.bump_code_gen(base);
+        self.tlb.drop_page(base);
     }
 
     /// Whether the page containing `addr` is currently backed by a
     /// shared frame (no copy-on-write fault taken yet).
     pub fn page_shared(&self, addr: u64) -> bool {
-        matches!(
-            self.pages.get(&(addr & !(PAGE_SIZE - 1))),
-            Some(PageSlot::Shared(_))
-        )
+        matches!(self.pages.get(&page_base(addr)), Some(PageSlot::Shared(_)))
     }
 
     /// Number of populated pages still backed by shared frames.
@@ -582,14 +721,12 @@ impl AddressSpace {
 
     /// Whether the page containing `addr` has been populated (written).
     pub fn page_present(&self, addr: u64) -> bool {
-        self.pages.contains_key(&(addr & !(PAGE_SIZE - 1)))
+        self.pages.contains_key(&page_base(addr))
     }
 
     /// The bytes of the page containing `addr`, if it is populated.
     pub fn page_bytes(&self, addr: u64) -> Option<&[u8]> {
-        self.pages
-            .get(&(addr & !(PAGE_SIZE - 1)))
-            .map(|slot| &slot.bytes()[..])
+        self.pages.get(&page_base(addr)).map(|slot| &slot.bytes()[..])
     }
 
     /// Iterates over populated pages as `(page_base, bytes)`.
@@ -616,12 +753,11 @@ impl AddressSpace {
     /// again. The mapping itself remains. Used by the rewriter's
     /// wipe-policy analogue of `madvise(MADV_DONTNEED)`.
     pub fn drop_page(&mut self, addr: u64) {
-        let base = addr & !(PAGE_SIZE - 1);
+        let base = page_base(addr);
         self.pages.remove(&base);
         self.dirty.remove(&base);
-        if let Some(gen) = self.code_gen.get_mut(&base) {
-            *gen += 1;
-        }
+        self.bump_code_gen(base);
+        self.tlb.drop_page(base);
     }
 
     /// Iterates over the bases of pages written since the last
@@ -640,7 +776,7 @@ impl AddressSpace {
 
     /// Whether the page containing `addr` is dirty.
     pub fn page_dirty(&self, addr: u64) -> bool {
-        self.dirty.contains(&(addr & !(PAGE_SIZE - 1)))
+        self.dirty.contains(&page_base(addr))
     }
 
     /// Clears the dirty bitmap. The checkpoint layer calls this once a
@@ -649,6 +785,7 @@ impl AddressSpace {
     pub fn mark_clean(&mut self) {
         self.dirty.clear();
         self.sweeps += 1;
+        self.tlb.drop_write_rights();
     }
 
     /// Re-marks the page containing `addr` dirty — the rollback inverse
@@ -657,7 +794,7 @@ impl AddressSpace {
     /// swept. A no-op for unpopulated pages, preserving
     /// `dirty_pages() ⊆ populated_pages()`.
     pub fn mark_dirty(&mut self, addr: u64) {
-        let base = addr & !(PAGE_SIZE - 1);
+        let base = page_base(addr);
         if self.pages.contains_key(&base) {
             self.dirty.insert(base);
         }
@@ -670,8 +807,19 @@ impl AddressSpace {
     /// bumps the generation, invalidating every block that snapshotted
     /// the old value. Entries are never removed (see the field docs).
     pub fn note_code_page(&mut self, addr: u64) -> u64 {
-        let base = addr & !(PAGE_SIZE - 1);
-        *self.code_gen.entry(base).or_insert(0)
+        *self.code_gen_slot(page_base(addr))
+    }
+
+    /// The generation of the page at `base`, registering the page (and
+    /// revoking its TLB write right) if it is not a code page yet.
+    fn code_gen_slot(&mut self, base: u64) -> &mut u64 {
+        match self.code_gen.entry(base) {
+            btree_map::Entry::Occupied(slot) => slot.into_mut(),
+            btree_map::Entry::Vacant(slot) => {
+                self.tlb.drop_page(base);
+                slot.insert(0)
+            }
+        }
     }
 
     /// The current generation of the page containing `addr`: 0 until
@@ -679,16 +827,31 @@ impl AddressSpace {
     /// [`note_code_page`](AddressSpace::note_code_page), bumped on every
     /// mutation thereafter.
     pub fn code_page_gen(&self, addr: u64) -> u64 {
-        let base = addr & !(PAGE_SIZE - 1);
-        self.code_gen.get(&base).copied().unwrap_or(0)
+        self.code_gen.get(&page_base(addr)).copied().unwrap_or(0)
+    }
+
+    /// How many times the generation of a registered code page has
+    /// changed. A block that validated when the count read `n` still
+    /// validates while it reads `n`.
+    pub(crate) fn code_write_count(&self) -> u64 {
+        self.code_writes
+    }
+
+    /// Bumps the generation of the page at `base` if it is a registered
+    /// code page.
+    fn bump_code_gen(&mut self, base: u64) {
+        if let Some(gen) = self.code_gen.get_mut(&base) {
+            *gen += 1;
+            self.code_writes += 1;
+        }
     }
 
     /// Bumps the generation of every registered code page intersecting
     /// `[start, end)`.
     fn bump_code_gens(&mut self, start: u64, end: u64) {
-        let first = start & !(PAGE_SIZE - 1);
-        for (_, gen) in self.code_gen.range_mut(first..end) {
+        for (_, gen) in self.code_gen.range_mut(page_base(start)..end) {
             *gen += 1;
+            self.code_writes += 1;
         }
     }
 
@@ -706,9 +869,10 @@ impl AddressSpace {
     /// that spuriously re-decodes, never one that validates against
     /// changed bytes.
     pub fn seed_code_page_gen(&mut self, addr: u64, gen: u64) {
-        let base = addr & !(PAGE_SIZE - 1);
-        let entry = self.code_gen.entry(base).or_insert(0);
-        *entry = (*entry).max(gen);
+        let slot = self.code_gen_slot(page_base(addr));
+        let raised = *slot < gen;
+        *slot = (*slot).max(gen);
+        self.code_writes += u64::from(raised);
     }
 }
 
@@ -737,7 +901,7 @@ mod tests {
     fn restore_page_puts_back_what_replace_page_displaced() {
         let mut space = space_with(0x1000, 3 * PAGE_SIZE, Perms::RW);
         space.write_unchecked(0x1000, b"private");
-        let frame = SharedFrame::new(&[7; PAGE_SIZE as usize]);
+        let frame = SharedFrame::new(&[7; PAGE_LEN]);
         space.install_shared_page(0x2000, frame.clone());
         space.mark_clean();
         space.mark_dirty(0x1000);
@@ -773,7 +937,7 @@ mod tests {
         let mut space = space_with(0x1000, 2 * PAGE_SIZE, Perms::RW);
         space.write_unchecked(0x1000, b"baseline");
         space.mark_clean();
-        let frame = SharedFrame::new(&[7; PAGE_SIZE as usize]);
+        let frame = SharedFrame::new(&[7; PAGE_LEN]);
         let displaced = [
             space.replace_page(0x1000, Some(frame.clone())),
             space.replace_page(0x2000, Some(frame)),
@@ -789,6 +953,22 @@ mod tests {
             vec![0x1000],
             "the page put back changed since the sweep"
         );
+    }
+
+    /// A page put back clean loses the write right a store to the
+    /// replacing frame earned: the next store through the TLB must still
+    /// dirty it.
+    #[test]
+    fn restore_page_revokes_the_write_right() {
+        let mut space = space_with(0x1000, PAGE_SIZE, Perms::RW);
+        space.write_checked(0x1000, &[1]).unwrap();
+        space.mark_clean();
+        let displaced = space.replace_page(0x1000, Some(SharedFrame::zeroed()));
+        space.write_checked(0x1000, &[2]).unwrap();
+        space.restore_page(displaced);
+        assert!(!space.page_dirty(0x1000), "put back clean");
+        space.write_checked(0x1000, &[3]).unwrap();
+        assert!(space.page_dirty(0x1000), "the store dirtied the page put back");
     }
 
     #[test]
@@ -811,7 +991,7 @@ mod tests {
 
     #[test]
     fn read_of_unwritten_page_is_zero() {
-        let space = space_with(0x1000, PAGE_SIZE, Perms::RW);
+        let mut space = space_with(0x1000, PAGE_SIZE, Perms::RW);
         let mut buf = [0xFFu8; 8];
         space.read_checked(0x1000, &mut buf).unwrap();
         assert_eq!(buf, [0; 8]);
@@ -846,7 +1026,7 @@ mod tests {
 
     #[test]
     fn unmapped_access_faults() {
-        let space = AddressSpace::new();
+        let mut space = AddressSpace::new();
         let mut buf = [0u8; 1];
         assert!(space.read_checked(0x5000, &mut buf).is_err());
     }
@@ -894,16 +1074,16 @@ mod tests {
     }
 
     #[test]
-    fn fetch_exec_memo_does_not_outlive_the_vma() {
+    fn fetch_through_the_tlb_does_not_outlive_the_vma() {
         let mut space = space_with(0x1000, 2 * PAGE_SIZE, Perms::RX);
         let mut buf = [0u8; 1];
         assert!(space.fetch_exec(0x1000, &mut buf).is_ok());
-        // Second fetch in the same VMA rides the memo.
+        // Second fetch in the same page hits the TLB.
         assert!(space.fetch_exec(0x1004, &mut buf).is_ok());
         space.protect(0x1000, PAGE_SIZE, Perms::NONE).unwrap();
         assert!(
             space.fetch_exec(0x1000, &mut buf).is_err(),
-            "mprotect must clear the iTLB memo"
+            "mprotect must empty the TLB"
         );
     }
 
@@ -983,7 +1163,7 @@ mod tests {
     }
 
     fn full_page(fill: u8) -> Page {
-        [fill; PAGE_SIZE as usize]
+        [fill; PAGE_LEN]
     }
 
     #[test]
@@ -1102,7 +1282,7 @@ mod tests {
             for (op, page) in ops {
                 let addr = 0x1000 + page * PAGE_SIZE;
                 match op {
-                    0 => space.write_unchecked(addr, &[page as u8; 16]),
+                    0 => space.write_unchecked(addr, &[u8::try_from(page).unwrap(); 16]),
                     1 => space.drop_page(addr),
                     2 => space.mark_clean(),
                     _ => {
@@ -1137,7 +1317,7 @@ mod tests {
                 let addr = 0x1000 + page * PAGE_SIZE;
                 match op {
                     0 => {
-                        let bytes = [fill; PAGE_SIZE as usize];
+                        let bytes = [fill; PAGE_LEN];
                         shared.install_shared_page(addr, SharedFrame::new(&bytes));
                         copied.write_unchecked(addr, &bytes);
                     }
@@ -1168,6 +1348,251 @@ mod tests {
                     copied.dirty_pages().collect::<Vec<_>>(),
                     "dirty bitmaps diverged"
                 );
+            }
+        }
+    }
+    /// Where the TLB property's pages start; `TLB_PAGES` pages follow.
+    const TLB_BASE: u64 = 0x10_000;
+    const TLB_PAGES: u64 = 8;
+
+    /// One step of the TLB property: a guest access, or a host call that
+    /// can change what the table may grant.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Load { addr: u64, len: usize },
+        Store { addr: u64, len: usize, byte: u8 },
+        Fetch { addr: u64, len: usize },
+        HostWrite { addr: u64, len: usize, byte: u8 },
+        Map { page: u64, pages: u64, perms: Perms },
+        Unmap { page: u64, pages: u64 },
+        Protect { page: u64, pages: u64, perms: Perms },
+        DropPage { page: u64 },
+        Install { page: u64, fill: u8 },
+        Replace { page: u64, fill: Option<u8> },
+        RestorePage,
+        MarkClean,
+        MarkDirty { page: u64 },
+        NoteCodePage { page: u64 },
+        SeedCodePageGen { page: u64, gen: u64 },
+        Clone,
+    }
+
+    impl Step {
+        /// Reads a step from one draw, weighted towards guest accesses.
+        /// An access starts near the start of its page or near its end,
+        /// so that a long one straddles into the next page.
+        fn from_draw((kind, index, offset, len, byte): (u8, u64, u64, usize, u8)) -> Step {
+            let page = TLB_BASE + index * PAGE_SIZE;
+            let addr = page + if offset < 32 { offset } else { PAGE_SIZE - (offset - 31) };
+            let pages = u64::from(byte % 2) + 1;
+            let perms = Perms {
+                read: byte & 1 != 0,
+                write: byte & 2 != 0,
+                exec: byte & 4 != 0,
+            };
+            match kind {
+                0..=7 => Step::Load { addr, len },
+                8..=14 => Step::Store { addr, len, byte },
+                15..=17 => Step::Fetch { addr, len },
+                18 => Step::HostWrite { addr, len, byte },
+                19 => Step::Map { page, pages, perms },
+                20 => Step::Unmap { page, pages },
+                21 => Step::Protect { page, pages, perms },
+                22 => Step::DropPage { page },
+                23 => Step::Install { page, fill: byte },
+                24 => Step::Replace {
+                    page,
+                    fill: (byte % 3 != 0).then_some(byte),
+                },
+                25 => Step::RestorePage,
+                26 => Step::MarkClean,
+                27 => Step::MarkDirty { page },
+                28 => Step::NoteCodePage { page },
+                29 => Step::SeedCodePageGen {
+                    page,
+                    gen: u64::from(byte % 8),
+                },
+                _ => Step::Clone,
+            }
+        }
+
+        /// The page a step backs with a new shared frame, and its fill.
+        fn frame(self) -> Option<(u64, u8)> {
+            match self {
+                Step::Install { page, fill } | Step::Replace { page, fill: Some(fill) } => {
+                    Some((page, fill))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    /// A space with a read-write, a read-write-execute and a read-only
+    /// VMA of two pages each, then two unmapped pages.
+    fn tlb_space() -> AddressSpace {
+        let mut space = AddressSpace::new();
+        let rwx = Perms {
+            read: true,
+            write: true,
+            exec: true,
+        };
+        for (i, perms) in [Perms::RW, rwx, Perms::R].into_iter().enumerate() {
+            let start = TLB_BASE + 2 * PAGE_SIZE * u64::try_from(i).unwrap();
+            space.map(start, 2 * PAGE_SIZE, perms, "tlb").unwrap();
+        }
+        space
+    }
+
+    /// Applies `step` to `space`. `empty_first` empties the table before
+    /// an access, so the access takes the slow path. Returns what the
+    /// guest or host saw: the bytes an access read, or the error a call
+    /// returned.
+    fn apply(
+        space: &mut AddressSpace,
+        step: Step,
+        frame: Option<&SharedFrame>,
+        displaced: &mut Vec<DisplacedPage>,
+        empty_first: bool,
+    ) -> Result<Vec<u8>, VmError> {
+        if empty_first {
+            space.empty_tlb();
+        }
+        match step {
+            Step::Load { addr, len } => {
+                let mut buf = vec![0; len];
+                space.read_checked(addr, &mut buf).map(|()| buf)
+            }
+            Step::Fetch { addr, len } => {
+                let mut buf = vec![0; len];
+                space.fetch_exec(addr, &mut buf).map(|()| buf)
+            }
+            Step::Store { addr, len, byte } => {
+                space.write_checked(addr, &vec![byte; len]).map(|()| vec![])
+            }
+            Step::HostWrite { addr, len, byte } => {
+                space.write_unchecked(addr, &vec![byte; len]);
+                Ok(vec![])
+            }
+            Step::Map { page, pages, perms } => space
+                .map(page, pages * PAGE_SIZE, perms, "tlb")
+                .map(|()| vec![]),
+            Step::Unmap { page, pages } => space.unmap(page, pages * PAGE_SIZE).map(|()| vec![]),
+            Step::Protect { page, pages, perms } => space
+                .protect(page, pages * PAGE_SIZE, perms)
+                .map(|()| vec![]),
+            Step::DropPage { page } => {
+                space.drop_page(page);
+                Ok(vec![])
+            }
+            Step::Install { page, .. } => {
+                space.install_shared_page(page, frame.expect("an install has a frame").clone());
+                Ok(vec![])
+            }
+            Step::Replace { page, .. } => {
+                displaced.push(space.replace_page(page, frame.cloned()));
+                Ok(vec![])
+            }
+            Step::RestorePage => {
+                if let Some(page) = displaced.pop() {
+                    space.restore_page(page);
+                }
+                Ok(vec![])
+            }
+            Step::MarkClean => {
+                space.mark_clean();
+                Ok(vec![])
+            }
+            Step::MarkDirty { page } => {
+                space.mark_dirty(page);
+                Ok(vec![])
+            }
+            Step::NoteCodePage { page } => Ok(space.note_code_page(page).to_le_bytes().to_vec()),
+            Step::SeedCodePageGen { page, gen } => {
+                space.seed_code_page_gen(page, gen);
+                Ok(vec![])
+            }
+            Step::Clone => {
+                *space = space.clone();
+                Ok(vec![])
+            }
+        }
+    }
+
+    /// Every page's bytes, dirty bit, code generation and backing, and
+    /// the space's copy-on-write and code-write counts.
+    fn observed(space: &AddressSpace) -> impl PartialEq + std::fmt::Debug {
+        let pages: Vec<(u64, Vec<u8>)> = space
+            .populated_pages()
+            .map(|(base, bytes)| (base, bytes.to_vec()))
+            .collect();
+        let shared: Vec<bool> = (0..TLB_PAGES)
+            .map(|index| space.page_shared(TLB_BASE + index * PAGE_SIZE))
+            .collect();
+        (
+            pages,
+            space.dirty_pages().collect::<Vec<_>>(),
+            space.code_pages().collect::<Vec<_>>(),
+            shared,
+            space.cow_fault_count(),
+            space.code_write_count(),
+        )
+    }
+
+    /// Every right the table holds is one the slow path would grant now.
+    fn tlb_is_sound(space: &AddressSpace) -> Result<(), String> {
+        for &entry in &space.tlb.0 {
+            let base = page_base(entry);
+            let rights = entry - base;
+            let allowed = space.page_rights(base);
+            if rights & !allowed != 0 {
+                return Err(format!(
+                    "entry for {base:#x} grants {rights:#b}, the slow path {allowed:#b}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The soft TLB is invisible: a space that uses it and one that
+        /// empties it before every access return the same result and
+        /// bytes for every load, store and fetch (in-page or straddling)
+        /// and agree after every step on page bytes, dirty bits, code
+        /// generations, shared backings and copy-on-write faults, across
+        /// every call that can take a right away. A third space maps
+        /// every installed frame, and its bytes never change. Every
+        /// right the table holds is one the slow path would grant.
+        #[test]
+        fn the_tlb_is_invisible(
+            draws in proptest::collection::vec(
+                (0u8..32, 0u64..TLB_PAGES, 0u64..64, 1usize..=16, proptest::prelude::any::<u8>()),
+                1..160,
+            )
+        ) {
+            use proptest::prelude::*;
+            let mut fast = tlb_space();
+            let mut slow = tlb_space();
+            let mut other = space_with(TLB_BASE, TLB_PAGES * PAGE_SIZE, Perms::RW);
+            let mut other_fills = BTreeMap::new();
+            let (mut fast_displaced, mut slow_displaced) = (Vec::new(), Vec::new());
+            for draw in draws {
+                let step = Step::from_draw(draw);
+                let frame = step.frame().map(|(page, fill)| {
+                    let frame = SharedFrame::new(&[fill; PAGE_LEN]);
+                    other.install_shared_page(page, frame.clone());
+                    other_fills.insert(page, fill);
+                    frame
+                });
+                let seen = apply(&mut fast, step, frame.as_ref(), &mut fast_displaced, false);
+                let expected = apply(&mut slow, step, frame.as_ref(), &mut slow_displaced, true);
+                prop_assert_eq!(seen, expected, "{:?}", step);
+                prop_assert_eq!(observed(&fast), observed(&slow), "after {:?}", step);
+                prop_assert_eq!(tlb_is_sound(&fast), Ok(()), "after {:?}", step);
+                for (&page, &fill) in &other_fills {
+                    prop_assert_eq!(other.page_bytes(page), Some(&[fill; PAGE_LEN][..]));
+                }
             }
         }
     }

@@ -44,6 +44,11 @@ impl Signal {
         self as u64
     }
 
+    /// The signal's index into the sigaction table.
+    pub(crate) fn index(self) -> usize {
+        usize::from(self as u8)
+    }
+
     /// Converts a signal number back to a [`Signal`].
     pub fn from_number(number: u64) -> Option<Signal> {
         Signal::ALL.get(number as usize).copied()
@@ -106,6 +111,9 @@ pub const SIG_FRAME_SIGNO: u64 = 24;
 pub const SIG_FRAME_REGS: u64 = 32;
 /// Total size of a signal frame in bytes.
 pub const SIGFRAME_SIZE: u64 = SIG_FRAME_REGS + 16 * 8;
+/// [`SIGFRAME_SIZE`] as a length.
+pub(crate) const SIGFRAME_LEN: usize = 160;
+const _: () = assert!(SIGFRAME_LEN as u64 == SIGFRAME_SIZE);
 
 #[cfg(test)]
 mod tests {

@@ -9,7 +9,9 @@
 
 use dynacut_isa::{encode, Insn, Reg, Width, TRAP_OPCODE};
 use dynacut_obj::{Perms, PAGE_SIZE};
-use dynacut_vm::{Kernel, Pid, Process, SharedFrame, Signal, Sysno};
+use dynacut_vm::{Hook, Kernel, Pid, Process, SharedFrame, SigAction, Signal, Sysno};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const TEXT: u64 = 0x1000;
 const STACK: u64 = 0x8000;
@@ -148,14 +150,16 @@ fn unmapped_text_faults_instead_of_executing_stale_blocks() {
     kernel.run_for(2_000);
     assert!(kernel.flight().metrics().counter("block_cache.hits") > 0);
 
-    kernel
-        .process_mut(pid)
-        .unwrap()
-        .mem
-        .unmap(TEXT, PAGE_SIZE)
-        .unwrap();
+    let proc = kernel.process_mut(pid).unwrap();
+    let pc = proc.cpu.pc;
+    proc.mem.unmap(TEXT, PAGE_SIZE).unwrap();
     let status = kernel.run_until_exit(pid, 1_000_000).expect("segv kills");
     assert_eq!(status.fatal_signal, Some(Signal::Sigsegv));
+    assert_eq!(
+        kernel.process(pid).unwrap().cpu.pc,
+        pc,
+        "the very next fetch faults: neither a cached block nor a TLB entry outlives the unmap"
+    );
 }
 
 /// `mprotect` to non-executable must stop cached execution too.
@@ -519,4 +523,286 @@ fn self_modifying_store_invalidates_the_running_superblock() {
     let status = kernel.run_until_exit(pid, 1_000_000).expect("trap kills");
     assert_eq!(status.fatal_signal, Some(Signal::Sigtrap));
     assert_eq!(kernel.process(pid).unwrap().cpu.pc, nop_addr);
+}
+
+// ----- the soft TLB at guest level ---------------------------------------
+
+/// A data page next to the test text, or a second code page.
+const DATA: u64 = 0x4000;
+
+/// Appends a `jmp` back to the instruction at index `target`.
+fn with_jump_back(mut insns: Vec<Insn>, target: usize) -> Vec<Insn> {
+    let (bytes, offsets) = assemble(&insns);
+    let jmp_len = encode(&Insn::Jmp(0)).len() as u64;
+    let back = offsets[target] as i64 - (bytes.len() as u64 + jmp_len) as i64;
+    insns.push(Insn::Jmp(back as i32));
+    insns
+}
+
+/// A hot store loop, `loop { [DATA] = r2; r2 += 1 }`, followed by a
+/// SIGSEGV handler that exits with the fault address from its frame.
+/// The data page is read-write.
+fn boot_store_loop(cached: bool) -> (Kernel, Pid) {
+    let mut insns = with_jump_back(
+        vec![
+            Insn::Movi(Reg::R1, DATA),
+            Insn::St(Width::B8, Reg::R1, 0, Reg::R2),
+            Insn::Addi(Reg::R2, 1),
+        ],
+        1,
+    );
+    let handler = insns.len();
+    insns.extend([
+        Insn::Ld(Width::B8, Reg::R1, Reg::R2, dynacut_vm::SIG_FRAME_FAULT_ADDR as i32),
+        Insn::Movi(Reg::R0, Sysno::Exit as u64),
+        Insn::Syscall,
+    ]);
+    let (mut kernel, pid, addrs) = boot(&insns);
+    kernel.set_block_cache_enabled(cached);
+    let proc = kernel.process_mut(pid).unwrap();
+    proc.mem.map(DATA, PAGE_SIZE, Perms::RW, "data").unwrap();
+    proc.sigactions[Signal::Sigsegv.number() as usize] = SigAction {
+        handler: addrs[handler],
+        restorer: 0,
+        mask: 0,
+    };
+    (kernel, pid)
+}
+
+/// Requires the cached and the uncached run of one scenario to end in
+/// the same guest-visible state.
+fn assert_parity(scenario: impl Fn(bool) -> Kernel) {
+    assert_eq!(
+        scenario(true).state_fingerprint(),
+        scenario(false).state_fingerprint(),
+        "the block cache and the soft TLB must be invisible"
+    );
+}
+
+/// The incremental dump's contract (DESIGN §5): a sweep between two guest
+/// stores to one page leaves the page dirty after the second, although
+/// the first store earned a TLB write right.
+#[test]
+fn mark_clean_between_two_guest_stores_leaves_the_page_dirty() {
+    assert_parity(|cached| {
+        let (mut kernel, pid) = boot_store_loop(cached);
+        kernel.run_for(2_000);
+        let mem = &mut kernel.process_mut(pid).unwrap().mem;
+        assert!(mem.page_dirty(DATA));
+        mem.mark_clean();
+        kernel.run_for(2_000);
+        assert!(
+            kernel.process(pid).unwrap().mem.page_dirty(DATA),
+            "a store after the sweep dirtied the page again"
+        );
+        kernel
+    });
+}
+
+/// A host install between two guest stores of a frame another process
+/// maps: the second store copies on write, and the other process still
+/// reads the frame's bytes.
+#[test]
+fn host_install_between_two_stores_copies_on_write() {
+    assert_parity(|cached| {
+        let (mut kernel, writer) = boot_store_loop(cached);
+        kernel.run_for(2_000);
+        let frame = SharedFrame::new(&[0xAB; PAGE_SIZE as usize]);
+        kernel
+            .process_mut(writer)
+            .unwrap()
+            .mem
+            .install_shared_page(DATA, frame.clone());
+        // The reader exits with the byte it loads from the frame.
+        let (code, _) = assemble(&[
+            Insn::Movi(Reg::R2, DATA),
+            Insn::Ld(Width::B1, Reg::R1, Reg::R2, 0),
+            Insn::Movi(Reg::R0, Sysno::Exit as u64),
+            Insn::Syscall,
+        ]);
+        let reader = Pid(2);
+        let mut proc = Process::new(reader, "reader");
+        proc.mem.map(TEXT, PAGE_SIZE, Perms::RX, "text").unwrap();
+        proc.mem.write_unchecked(TEXT, &code);
+        proc.mem.map(DATA, PAGE_SIZE, Perms::RW, "data").unwrap();
+        proc.mem.install_shared_page(DATA, frame.clone());
+        proc.cpu.pc = TEXT;
+        kernel.insert_process(proc).unwrap();
+        kernel.run_for(4_000);
+        assert_eq!(kernel.exit_status(reader).map(|status| status.code), Some(0xAB));
+        let mem = &kernel.process(writer).unwrap().mem;
+        assert_eq!(mem.cow_fault_count(), 1, "the store after the install copied");
+        assert!(!mem.page_shared(DATA));
+        assert_eq!(frame.bytes(), &[0xAB; PAGE_SIZE as usize], "no store wrote the frame");
+        kernel
+    });
+}
+
+/// `protect` read-only between two guest stores: the second store
+/// faults with SIGSEGV at its data address.
+#[test]
+fn protect_read_only_between_two_stores_faults_the_second() {
+    assert_parity(|cached| {
+        let (mut kernel, pid) = boot_store_loop(cached);
+        kernel.run_for(2_000);
+        kernel
+            .process_mut(pid)
+            .unwrap()
+            .mem
+            .protect(DATA, PAGE_SIZE, Perms::R)
+            .unwrap();
+        let status = kernel.run_until_exit(pid, 1_000_000).expect("the handler exits");
+        assert_eq!(status.fatal_signal, None);
+        assert_eq!(status.code, DATA, "the fault names the store's address");
+        kernel
+    });
+}
+
+/// A page the guest writes as data, then calls into, then writes again:
+/// the second write invalidates the block decoded from the page, and the
+/// next call runs the new code.
+#[test]
+fn writing_a_page_after_executing_it_invalidates_its_block() {
+    /// `r3 += imm; ret`, as one little-endian word.
+    fn add_and_return(imm: i32) -> u64 {
+        let mut bytes = encode(&Insn::Addi(Reg::R3, imm));
+        bytes.extend(encode(&Insn::Ret));
+        bytes.resize(8, 0);
+        u64::from_le_bytes(bytes.try_into().unwrap())
+    }
+    let mut insns = vec![
+        Insn::Movi(Reg::R1, DATA),
+        Insn::Movi(Reg::R2, add_and_return(1)),
+        Insn::St(Width::B8, Reg::R1, 0, Reg::R2), // written as data
+        Insn::Movi(Reg::R4, 40),
+        // loop: call it 40 times, hot enough to become a superblock.
+        Insn::Callr(Reg::R1),
+        Insn::Addi(Reg::R4, -1),
+        Insn::Cmpi(Reg::R4, 0),
+    ];
+    let (bytes, offsets) = assemble(&insns);
+    let jcc_len = encode(&Insn::Jcc(dynacut_isa::Cond::Ne, 0)).len() as u64;
+    let back = offsets[4] as i64 - (bytes.len() as u64 + jcc_len) as i64;
+    insns.extend([
+        Insn::Jcc(dynacut_isa::Cond::Ne, back as i32),
+        Insn::Movi(Reg::R2, add_and_return(100)),
+        Insn::St(Width::B8, Reg::R1, 0, Reg::R2), // written again
+        Insn::Callr(Reg::R1),
+        Insn::Movi(Reg::R0, Sysno::Exit as u64),
+        Insn::Mov(Reg::R1, Reg::R3),
+        Insn::Syscall,
+    ]);
+    assert_parity(|cached| {
+        let (mut kernel, pid, _) = boot(&insns);
+        kernel.set_block_cache_enabled(cached);
+        kernel
+            .process_mut(pid)
+            .unwrap()
+            .mem
+            .map(DATA, PAGE_SIZE, RWX, "jit")
+            .unwrap();
+        let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+        assert_eq!(status.code, 40 + 100, "the last call ran the rewritten code");
+        if cached {
+            assert!(kernel.flight().metrics().counter("block_cache.invalidations") >= 1);
+        }
+        kernel
+    });
+}
+
+// ----- queued signals ----------------------------------------------------
+
+/// What a [`Recorder`] saw, in order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Seen {
+    Insn(u64),
+    Signal(Signal),
+}
+
+/// A hook that records every retired instruction and signal delivery.
+struct Recorder(Rc<RefCell<Vec<Seen>>>);
+
+impl Hook for Recorder {
+    fn on_insn(&mut self, _pid: Pid, pc: u64) {
+        self.0.borrow_mut().push(Seen::Insn(pc));
+    }
+
+    fn on_signal(&mut self, _pid: Pid, signal: Signal, _handled: bool) {
+        self.0.borrow_mut().push(Seen::Signal(signal));
+    }
+}
+
+/// Two signals the host queues while the guest spins in a hot superblock
+/// are delivered one instruction apart: the first handler's first
+/// instruction runs, then the second signal nests on top of it. Both
+/// handlers run once, and the cached and uncached runs agree event for
+/// event and in their fingerprints.
+#[test]
+fn two_queued_signals_are_delivered_one_instruction_apart() {
+    /// `[STACK + slot] += 1; ret` — a handler that counts in memory.
+    fn counting_handler(slot: i32) -> [Insn; 5] {
+        [
+            Insn::Movi(Reg::R9, STACK),
+            Insn::Ld(Width::B8, Reg::R8, Reg::R9, slot),
+            Insn::Addi(Reg::R8, 1),
+            Insn::St(Width::B8, Reg::R9, slot, Reg::R8),
+            Insn::Ret,
+        ]
+    }
+    let mut insns = with_jump_back(vec![Insn::Nop, Insn::Nop], 0);
+    let term = insns.len();
+    insns.extend(counting_handler(0));
+    let trap = insns.len();
+    insns.extend(counting_handler(8));
+    let restorer = insns.len();
+    insns.extend([
+        Insn::Movi(Reg::R0, Sysno::Sigreturn as u64),
+        Insn::Mov(Reg::R1, Reg::SP),
+        Insn::Syscall,
+    ]);
+    let run = |cached: bool| {
+        let (mut kernel, pid, addrs) = boot(&insns);
+        kernel.set_block_cache_enabled(cached);
+        let proc = kernel.process_mut(pid).unwrap();
+        for (signal, handler) in [(Signal::Sigterm, term), (Signal::Sigtrap, trap)] {
+            proc.sigactions[signal.number() as usize] = SigAction {
+                handler: addrs[handler],
+                restorer: addrs[restorer],
+                mask: 0,
+            };
+        }
+        kernel.run_for(5_000);
+        if cached {
+            assert!(kernel.flight().metrics().counter("block_cache.superblocks") > 0);
+        }
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        kernel.set_hook(Box::new(Recorder(Rc::clone(&seen))));
+        kernel.post_signal(pid, Signal::Sigterm).unwrap();
+        kernel.post_signal(pid, Signal::Sigtrap).unwrap();
+        kernel.run_for(5_000);
+        let mut counts = [0u8; 16];
+        kernel
+            .process(pid)
+            .unwrap()
+            .mem
+            .read_unchecked(STACK, &mut counts);
+        assert_eq!(counts[0], 1, "the SIGTERM handler ran once");
+        assert_eq!(counts[8], 1, "the SIGTRAP handler ran once");
+        let seen = seen.borrow().clone();
+        assert_eq!(
+            seen[..4],
+            [
+                Seen::Signal(Signal::Sigterm),
+                Seen::Insn(addrs[term]),
+                Seen::Signal(Signal::Sigtrap),
+                Seen::Insn(addrs[trap]),
+            ],
+            "one delivery per instruction"
+        );
+        (kernel, seen)
+    };
+    let (cached, cached_seen) = run(true);
+    let (uncached, uncached_seen) = run(false);
+    assert_eq!(cached_seen, uncached_seen);
+    assert_eq!(cached.state_fingerprint(), uncached.state_fingerprint());
 }
