@@ -56,9 +56,18 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # sees them (a sweep, a host install of a frame another process maps,
 # protect, a page written after it was executed), two queued signals
 # delivered one instruction apart, and hot-entry survival under
-# capacity eviction; the core suites pin trap visibility across a full
-# customize cycle with a hot cache, the zero-flush version-swapping
-# commit and the rollback that re-dispatches without re-decoding.
+# capacity eviction. A block runs by reference out of the cache and
+# settles its budget, retired count and clock once, when it exits: for
+# every slice length from 1 to 64 a cached and an uncached kernel run a
+# loop with a load, a store, taken and not-taken branches, a syscall and
+# a handled fault in lockstep and agree after every slice. A dispatch
+# skips a block's revalidation while its space reads the code stamp the
+# block last validated under; a stamp names one space's generation
+# table, so a cache put next to another space with an equal code-write
+# count still fires a trap planted under it. The core suites pin trap
+# visibility across a full customize cycle with a hot cache, the
+# zero-flush version-swapping commit and the rollback that
+# re-dispatches without re-decoding.
 # The syscall_args, robustness and serve_deadline suites pin the typed
 # syscall ABI (DESIGN §15): fd/pid truncation, wild lengths, a read
 # EFAULT that keeps its source's bytes, fd/pid counters that stop at
@@ -71,8 +80,12 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # dynacut-interp-v3 schema gate).
 # The soft TLB (DESIGN §5): the mem unit run holds the property that a
 # space using the table and one that empties it before every access
-# agree on every access, page, dirty bit and code generation, and that
-# the table never holds a right the slow path would refuse.
+# agree on every access, page, dirty bit and code generation, that the
+# table never holds a right the slow path would refuse, that the slab
+# slot an entry holds is always its page's (a slot freed and handed to
+# another page, a page a host write populates under an entry filled
+# while it was empty), and that an access leaves its page's slot in the
+# table for the next one to hit.
 cargo test -q -p dynacut-vm --lib mem::
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
@@ -125,6 +138,11 @@ grep -q '"fingerprints_match": true' results/interp.json
 # for guest writes, drops, remaps and page replacements whose undo
 # lands after a sweep.
 cargo test -q -p dynacut-criu --lib
+# Restoring an untrusted checkpoint never panics the host: byte
+# mutations of a one-process checkpoint each decode, store, restore and
+# run to Ok or a typed error, and an unaligned module base, one in the
+# top page and a retired count next to u64::MAX are pinned one by one.
+cargo test -q -p dynacut-criu --test restore_fuzz
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props
 cargo test -q -p dynacut-criu --test incremental

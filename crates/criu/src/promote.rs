@@ -79,7 +79,7 @@ type TextRange = (u64, u64, Perms);
 
 /// `[base, end)` of a module placed at `base`, or `None` if it runs past
 /// the top of the address space.
-fn module_range(base: u64, footprint: u64) -> Option<(u64, u64)> {
+pub(crate) fn module_range(base: u64, footprint: u64) -> Option<(u64, u64)> {
     let end = checked_page_align(footprint).and_then(|len| base.checked_add(len))?;
     Some((base, end))
 }

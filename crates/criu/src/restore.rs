@@ -17,6 +17,7 @@
 //! [`CheckpointStore::materialize`]: crate::CheckpointStore::materialize
 
 use crate::images::*;
+use crate::promote::module_range;
 use crate::CriuError;
 use dynacut_obj::{materialize, Image, PAGE_SIZE};
 use dynacut_vm::{
@@ -107,12 +108,22 @@ pub(crate) fn build_process(
     }
 
     // 2. Re-attach modules from the registry (also used to rebuild
-    //    file-backed text where pages were not dumped).
+    //    file-backed text where pages were not dumped). A base comes
+    //    from the image, so it may be anything: one the module cannot
+    //    sit at is refused before any address is computed from it.
     let mut modules = Vec::with_capacity(image.core.modules.len());
     for module_ref in &image.core.modules {
         let binary = registry
             .get(&module_ref.name)
             .ok_or_else(|| CriuError::UnknownModule(module_ref.name.clone()))?;
+        if !module_ref.base.is_multiple_of(PAGE_SIZE)
+            || module_range(module_ref.base, binary.footprint()).is_none()
+        {
+            return Err(CriuError::BadImage(format!(
+                "module `{}` at {:#x} is unaligned or runs past the top of the address space",
+                module_ref.name, module_ref.base
+            )));
+        }
         modules.push(LoadedModule {
             image: Arc::clone(binary),
             base: module_ref.base,
@@ -163,11 +174,13 @@ pub(crate) fn build_process(
             dynacut_vm::fault::FaultPhase::CowMaterialize,
         ));
     }
-    for (&page_base, frame) in &image.pages {
-        if !skip_undumped_text(image, page_base) {
-            proc.mem.install_shared_page(page_base, frame.clone());
-        }
-    }
+    proc.mem.install_shared_pages(
+        image
+            .pages
+            .iter()
+            .filter(|&(&page_base, _)| !skip_undumped_text(image, page_base))
+            .map(|(&page_base, frame)| (page_base, frame.clone())),
+    );
 
     // 5. Registers and signal state.
     proc.cpu = CpuState {

@@ -2,7 +2,7 @@
 //! memory segments with all relocations applied.
 
 use crate::image::{Image, RelocValue};
-use crate::{page_align, ObjError, Perms};
+use crate::{checked_page_align, page_align, ObjError, Perms};
 
 /// One contiguous, uniformly-permissioned memory region produced by
 /// [`materialize`].
@@ -43,14 +43,29 @@ impl SegmentInit {
 /// # Errors
 ///
 /// Returns [`ObjError::MissingImport`] if `resolve` cannot resolve an
-/// imported symbol, and [`ObjError::BadImage`] if a relocation site falls
-/// outside the module.
+/// imported symbol, and [`ObjError::BadImage`] if `base` is not
+/// page-aligned, the module would run past the top of the address
+/// space, or a relocation site falls outside the module.
 pub fn materialize(
     image: &Image,
     base: u64,
     resolve: impl Fn(&str) -> Option<u64>,
 ) -> Result<Vec<SegmentInit>, ObjError> {
-    assert_eq!(base % crate::PAGE_SIZE, 0, "module base must be page-aligned");
+    if !base.is_multiple_of(crate::PAGE_SIZE) {
+        return Err(ObjError::BadImage(format!(
+            "module `{}` base {base:#x} is not page-aligned",
+            image.name
+        )));
+    }
+    if checked_page_align(image.footprint())
+        .and_then(|len| base.checked_add(len))
+        .is_none()
+    {
+        return Err(ObjError::BadImage(format!(
+            "module `{}` at {base:#x} runs past the top of the address space",
+            image.name
+        )));
+    }
 
     // Build one flat module byte image (text | pad | rodata | pad | data),
     // patch it, then split into segments.
@@ -203,6 +218,24 @@ mod tests {
             err,
             ObjError::MissingImport { symbol, .. } if symbol == "libc_write"
         ));
+    }
+
+    /// A base read from a checkpoint is untrusted: an unaligned one, or
+    /// one the module does not fit below the top of the address space
+    /// from, is a typed error, not a panic or a wrapped address.
+    #[test]
+    fn a_base_the_module_cannot_sit_at_is_a_typed_error() {
+        let libc = libc();
+        let image = app(&libc);
+        for base in [0x40_0001, 0xFFFF_FFFF_FFFF_F000] {
+            assert!(
+                matches!(
+                    materialize(&image, base, |_| Some(1)),
+                    Err(ObjError::BadImage(_))
+                ),
+                "base {base:#x}"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!
 //! # Superblocks
 //!
-//! Dispatch cost is paid per *block*: a cache probe, a refcount bump,
-//! and a page-generation check. Short blocks (server request handlers
-//! average a handful of instructions between branches) amortize that
-//! badly, so entries that stay hot ([`HOT_THRESHOLD`] dispatches) are
+//! Dispatch cost is paid per *block*: a cache probe and, after a code
+//! page changed, a page-generation check. Short blocks (server request
+//! handlers average a handful of instructions between branches)
+//! amortize that badly, so entries that stay hot ([`HOT_THRESHOLD`] dispatches) are
 //! re-decoded as **superblocks**: the decoder chains across direct
 //! branches — unconditional jumps and calls always, conditional jumps
 //! by static prediction (backward = loop back-edge = taken, forward =
@@ -53,10 +53,14 @@
 //! `drop_page` — bumps its generation, and the space counts every such
 //! bump. A [`CachedBlock`] snapshots the generations of every page it
 //! decodes from, and the dispatcher revalidates the snapshot before
-//! executing the block, and again after any instruction inside it that
-//! moved the space's count: self-modifying code — and a host-planted
-//! trap byte — takes effect on the very next instruction, even
-//! mid-superblock, while a store to a data page costs one comparison.
+//! executing the block — unless the space still reads the code stamp the
+//! entry last validated under ([`AddressSpace::code_stamp`]) — and again
+//! after any instruction inside it that moved the space's count:
+//! self-modifying code — and a host-planted trap byte — takes effect on
+//! the very next instruction, even mid-superblock, while a store to a
+//! data page costs one comparison. A stamp names one generation table
+//! across every space in the process, so an entry carried onto another
+//! space (a restore) revalidates there whatever that space's count.
 //! CRIU image swaps still flush: a restored image may carry arbitrary
 //! foreign bytes, and only the engine's customize commit knows enough to
 //! seed generations instead (see `CommittedRestore::carry_block_caches`).
@@ -68,22 +72,28 @@
 //!
 //! # Dispatch
 //!
-//! Every dispatch probes the map once, so the map hashes its
-//! `(entry pc, version)` keys with [`KeyHasher`], a fixed
-//! multiply-and-fold, instead of SipHash. Nothing depends on the map's
-//! iteration order: capacity eviction sorts by `(heat, last_hit, key)`.
-//! Inside a block, the dispatcher tests for pending signals once, at
-//! entry, and compares the guest pc with the decoded chain only after a
-//! conditional branch, the one instruction that can leave it.
+//! Every dispatch probes the map once ([`BlockCache::hit`] returns the
+//! entry it found; a miss or a promotion returns the block it put
+//! there), so the map hashes its `(entry pc, version)` keys with
+//! [`KeyHasher`], a fixed multiply-and-fold, instead of SipHash. Nothing
+//! depends on the map's iteration order: capacity eviction sorts by
+//! `(heat, last_hit, key)`. The block runs by reference out of the map
+//! while the process's CPU and address space are borrowed beside it, so
+//! no refcount moves; blocks stay [`Arc`]s so a cloned process shares
+//! them. Inside a block, the dispatcher tests for pending signals once,
+//! at entry, compares the guest pc with the decoded chain only after a
+//! conditional branch, the one instruction that can leave it, and
+//! settles the budget, the retired count and the clock once, when the
+//! block exits.
 //!
 //! [`AddressSpace`]: crate::AddressSpace
 //! [`AddressSpace::note_code_page`]: crate::AddressSpace::note_code_page
+//! [`AddressSpace::code_stamp`]: crate::AddressSpace::code_stamp
 //! [`Kernel::state_fingerprint`]: crate::Kernel::state_fingerprint
-#![deny(clippy::cast_possible_truncation)]
 
 use crate::mem::AddressSpace;
 use dynacut_isa::Insn;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -183,7 +193,7 @@ impl Hasher for KeyHasher {
 /// One cache entry: the decoded block plus the dispatch profile that
 /// drives superblock promotion and capacity eviction.
 #[derive(Debug, Clone)]
-struct Entry {
+pub(crate) struct Entry {
     block: Arc<CachedBlock>,
     /// Saturating dispatch count; [`HOT_THRESHOLD`] triggers promotion.
     /// Halved on every capacity eviction so ancient heat decays.
@@ -191,6 +201,61 @@ struct Entry {
     /// The cache tick of the last dispatch — the recency half of the
     /// eviction order.
     last_hit: u64,
+    /// The code stamp the block last validated under
+    /// ([`AddressSpace::code_stamp`]): while its space reads this stamp,
+    /// a dispatch runs the block without re-reading its page
+    /// generations.
+    validated: u64,
+}
+
+impl Entry {
+    /// The decoded block.
+    #[inline]
+    pub(crate) fn block(&self) -> &CachedBlock {
+        &self.block
+    }
+
+    /// Whether the entry is a plain block dispatched often enough to be
+    /// re-decoded as a superblock.
+    #[inline]
+    pub(crate) fn wants_promotion(&self) -> bool {
+        !self.block.is_superblock && self.heat >= HOT_THRESHOLD
+    }
+
+    /// Replaces the plain block with the superblock decoded at its entry
+    /// pc from `mem`; the dispatch profile stays.
+    pub(crate) fn promote(&mut self, superblock: CachedBlock, mem: &AddressSpace) {
+        self.block = Arc::new(superblock);
+        self.validated = mem.code_stamp();
+    }
+
+    /// Whether the block's pages still carry the generations it was
+    /// decoded under. Known without a look while `mem` reads the stamp
+    /// the block last validated under; a look that succeeds records the
+    /// new stamp.
+    #[inline]
+    fn revalidate(&mut self, mem: &AddressSpace) -> bool {
+        let stamp = mem.code_stamp();
+        if self.validated == stamp {
+            return true;
+        }
+        let valid = self.block.pages_valid(mem);
+        if valid {
+            self.validated = stamp;
+        }
+        valid
+    }
+}
+
+/// What a dispatch probe found at one key.
+pub(crate) enum Probe<'a> {
+    /// An entry whose block validates; its profile has been bumped.
+    Valid(&'a mut Entry),
+    /// An entry whose block no longer validates: a write, remap or page
+    /// drop bumped one of its pages' generations since it was decoded.
+    Stale,
+    /// No entry.
+    Absent,
 }
 
 /// A per-process cache of decoded instruction blocks keyed by
@@ -198,29 +263,37 @@ struct Entry {
 ///
 /// Cloning a [`Process`](crate::Process) clones the cache by bumping
 /// the blocks' refcounts; the page-generation snapshots stay consistent
-/// because the address space (and its generation table) is cloned
-/// alongside.
+/// because the address space (and its generation table, and its code
+/// stamp) is cloned alongside.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
     blocks: HashMap<(u64, u64), Entry, BuildHasherDefault<KeyHasher>>,
     /// The active version: lookups and inserts use `(pc, epoch)`.
     epoch: u64,
-    /// Monotonic dispatch counter backing `Entry::last_hit`.
+    /// Monotonic dispatch counter backing `Entry::last_hit`. Only the
+    /// order of the ticks it hands out matters.
     tick: u64,
 }
 
 impl BlockCache {
-    /// Looks up the active-version entry at `pc`, bumping its dispatch
-    /// profile. Returns the block and its post-bump heat. Validity is
-    /// not checked — the dispatcher revalidates page generations.
+    /// Probes the active-version entry at `pc` once, bumping its
+    /// dispatch profile, and revalidates its block against `mem`. A
+    /// [`Probe::Stale`] entry stays cached until the caller
+    /// [`remove`](BlockCache::remove)s it.
     #[inline]
-    pub(crate) fn hit(&mut self, pc: u64) -> Option<(Arc<CachedBlock>, u32)> {
+    pub(crate) fn hit(&mut self, pc: u64, mem: &AddressSpace) -> Probe<'_> {
         self.tick += 1;
         let tick = self.tick;
-        let entry = self.blocks.get_mut(&(pc, self.epoch))?;
+        let Some(entry) = self.blocks.get_mut(&(pc, self.epoch)) else {
+            return Probe::Absent;
+        };
         entry.heat = entry.heat.saturating_add(1);
         entry.last_hit = tick;
-        Some((Arc::clone(&entry.block), entry.heat))
+        if entry.revalidate(mem) {
+            Probe::Valid(entry)
+        } else {
+            Probe::Stale
+        }
     }
 
     /// The active-version block at `pc` without touching the profile
@@ -231,47 +304,62 @@ impl BlockCache {
     }
 
     /// On a miss at the active version: if the *previous* version still
-    /// holds an entry for `pc`, re-key it to the active version (heat
-    /// and recency preserved) and return it — the version swap. The
-    /// caller must still validate the block's page generations and
-    /// [`remove`](BlockCache::remove) it if they fail.
-    pub(crate) fn swap_forward(&mut self, pc: u64) -> Option<(Arc<CachedBlock>, u32)> {
+    /// holds an entry for `pc` whose block validates against `mem`,
+    /// re-key it to the active version (heat and recency preserved) and
+    /// return it — the version swap. A previous-version entry that does
+    /// not validate decodes pages the rewrite changed: it is dropped and
+    /// reported [`Probe::Stale`]. The active key must be free.
+    pub(crate) fn swap_forward(&mut self, pc: u64, mem: &AddressSpace) -> Probe<'_> {
         if self.epoch == 0 {
-            return None;
+            return Probe::Absent;
         }
-        let mut entry = self.blocks.remove(&(pc, self.epoch - 1))?;
+        let Some(mut entry) = self.blocks.remove(&(pc, self.epoch - 1)) else {
+            return Probe::Absent;
+        };
+        if !entry.revalidate(mem) {
+            return Probe::Stale;
+        }
         self.tick += 1;
         entry.heat = entry.heat.saturating_add(1);
         entry.last_hit = self.tick;
-        let block = Arc::clone(&entry.block);
-        let heat = entry.heat;
-        self.blocks.insert((pc, self.epoch), entry);
-        Some((block, heat))
+        Probe::Valid(self.blocks.entry((pc, self.epoch)).or_insert(entry))
     }
 
-    /// Caches `block` under `(pc, active epoch)`, evicting a batch of
-    /// the coldest entries first if the cache is at capacity. An
-    /// existing entry at the key keeps its dispatch profile (superblock
-    /// promotion replaces the block, not the heat). Returns the number
-    /// of entries evicted for capacity (the
-    /// `block_cache.capacity_evictions` metric).
-    pub(crate) fn insert(&mut self, pc: u64, block: Arc<CachedBlock>) -> u64 {
+    /// Caches `block`, just decoded from `mem`, under `(pc, active
+    /// epoch)`, evicting a batch of the coldest entries first if the
+    /// cache is at capacity, and returns the cached block with the
+    /// number of entries evicted for capacity (the
+    /// `block_cache.capacity_evictions` metric). An existing entry at
+    /// the key keeps its dispatch profile.
+    pub(crate) fn insert(
+        &mut self,
+        pc: u64,
+        block: CachedBlock,
+        mem: &AddressSpace,
+    ) -> (&CachedBlock, u64) {
         let key = (pc, self.epoch);
         let mut evicted = 0u64;
         if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&key) {
             evicted = self.evict_coldest(CAPACITY_EVICT_BATCH);
         }
         self.tick += 1;
-        let tick = self.tick;
-        self.blocks
-            .entry(key)
-            .and_modify(|entry| entry.block = Arc::clone(&block))
-            .or_insert(Entry {
+        let block = Arc::new(block);
+        let validated = mem.code_stamp();
+        let entry = match self.blocks.entry(key) {
+            hash_map::Entry::Occupied(occupied) => {
+                let entry = occupied.into_mut();
+                entry.block = block;
+                entry.validated = validated;
+                entry
+            }
+            hash_map::Entry::Vacant(vacant) => vacant.insert(Entry {
                 block,
                 heat: 0,
-                last_hit: tick,
-            });
-        evicted
+                last_hit: self.tick,
+                validated,
+            }),
+        };
+        (&entry.block, evicted)
     }
 
     /// Removes the `count` entries with the smallest `(heat, last_hit)`
@@ -422,18 +510,21 @@ mod tests {
         let mut mem = one_page_space();
         const HOT_PC: u64 = 7;
         for pc in 0..MAX_CACHED_BLOCKS as u64 {
-            let evicted = cache.insert(pc, Arc::new(block_over(&mut mem, 0x1000)));
+            let (_, evicted) = cache.insert(pc, block_over(&mut mem, 0x1000), &mem);
             assert_eq!(evicted, 0, "no eviction below capacity");
         }
         for _ in 0..64 {
-            assert!(cache.hit(HOT_PC).is_some());
+            assert!(heat(cache.hit(HOT_PC, &mem)).is_some());
         }
         // A storm of fresh entries forces capacity evictions.
         let mut evicted_total = 0u64;
         for pc in 10_000..10_000 + (2 * CAPACITY_EVICT_BATCH) as u64 {
-            evicted_total += cache.insert(pc, Arc::new(block_over(&mut mem, 0x1000)));
+            evicted_total += cache.insert(pc, block_over(&mut mem, 0x1000), &mem).1;
         }
-        assert!(evicted_total >= CAPACITY_EVICT_BATCH as u64, "evictions counted");
+        assert!(
+            evicted_total >= CAPACITY_EVICT_BATCH as u64,
+            "evictions counted"
+        );
         assert!(cache.len() <= MAX_CACHED_BLOCKS);
         assert!(
             cache.get(HOT_PC).is_some(),
@@ -450,24 +541,84 @@ mod tests {
     fn epoch_bump_hides_entries_and_swap_forward_rekeys() {
         let mut cache = BlockCache::default();
         let mut mem = one_page_space();
-        cache.insert(0x1000, Arc::new(block_over(&mut mem, 0x1000)));
-        let heat_before = cache.hit(0x1000).expect("cached").1;
+        cache.insert(0x1000, block_over(&mut mem, 0x1000), &mem);
+        let heat_before = heat(cache.hit(0x1000, &mem)).expect("cached");
 
         cache.bump_epoch();
         assert_eq!(cache.epoch(), 1);
         assert!(cache.get(0x1000).is_none(), "old version is not active");
-        assert!(cache.hit(0x1000).is_none());
+        assert!(matches!(cache.hit(0x1000, &mem), Probe::Absent));
         assert_eq!(cache.len(), 1, "the entry itself survives the bump");
 
-        let (_, heat) = cache.swap_forward(0x1000).expect("previous version");
-        assert_eq!(heat, heat_before + 1, "the swap keeps the dispatch profile");
-        assert!(cache.get(0x1000).is_some(), "re-keyed to the active version");
-        assert!(cache.swap_forward(0x1000).is_none(), "swap is one-shot");
+        let swapped = heat(cache.swap_forward(0x1000, &mem)).expect("previous version");
+        assert_eq!(
+            swapped,
+            heat_before + 1,
+            "the swap keeps the dispatch profile"
+        );
+        assert!(
+            cache.get(0x1000).is_some(),
+            "re-keyed to the active version"
+        );
+        assert!(
+            matches!(cache.swap_forward(0x1000, &mem), Probe::Absent),
+            "swap is one-shot"
+        );
 
         // Two bumps later the entry is out of probe range for good.
         cache.bump_epoch();
         cache.bump_epoch();
         assert!(cache.get(0x1000).is_none());
-        assert!(cache.swap_forward(0x1000).is_none());
+        assert!(matches!(cache.swap_forward(0x1000, &mem), Probe::Absent));
+    }
+
+    /// A previous-version entry whose page changed is dropped by the
+    /// swap, not re-keyed.
+    #[test]
+    fn swap_forward_drops_a_stale_previous_version() {
+        let mut cache = BlockCache::default();
+        let mut mem = one_page_space();
+        cache.insert(0x1000, block_over(&mut mem, 0x1000), &mem);
+        cache.bump_epoch();
+        mem.write_unchecked(0x1000, &[0xCC]);
+        assert!(matches!(cache.swap_forward(0x1000, &mem), Probe::Stale));
+        assert!(cache.is_empty(), "the stale entry is gone");
+    }
+
+    /// The stamp gate: a change to any code page moves the space's
+    /// stamp, and the next hit re-reads the block's generations; a clone
+    /// of the space, whose table is equal, keeps the stamp. Another
+    /// space never shares it, even with an equal code-write count, so a
+    /// cache put next to it reads its table.
+    #[test]
+    fn a_stamp_names_one_table_across_spaces() {
+        let mut cache = BlockCache::default();
+        let mut mem = one_page_space();
+        cache.insert(0x1000, block_over(&mut mem, 0x1000), &mem);
+        let stamp = mem.code_stamp();
+        mem.seed_code_page_gen(0x5000, 1);
+        assert_ne!(mem.code_stamp(), stamp, "another code page changed");
+        assert!(
+            heat(cache.hit(0x1000, &mem)).is_some(),
+            "the block's pages did not"
+        );
+        assert_eq!(mem.clone().code_stamp(), mem.code_stamp());
+        let mut other = one_page_space();
+        other.seed_code_page_gen(0x1000, 1);
+        assert_eq!(other.code_write_count(), mem.code_write_count());
+        assert!(
+            matches!(cache.hit(0x1000, &other), Probe::Stale),
+            "another space's table is read, not trusted"
+        );
+        mem.write_unchecked(0x1004, &[0xCC]);
+        assert!(matches!(cache.hit(0x1000, &mem), Probe::Stale));
+    }
+
+    /// The heat a probe reports, if it found a valid entry.
+    fn heat(probe: Probe<'_>) -> Option<u32> {
+        match probe {
+            Probe::Valid(entry) => Some(entry.heat),
+            Probe::Stale | Probe::Absent => None,
+        }
     }
 }

@@ -335,10 +335,11 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &n)| n > 0)
             .map(|(bit_len, &n)| {
+                // The largest value `bit_len` bits hold.
                 let upper = if bit_len == 0 {
                     0
                 } else {
-                    ((1u128 << bit_len) - 1) as u64
+                    u64::MAX >> (64 - bit_len)
                 };
                 (upper, n)
             })

@@ -1,15 +1,15 @@
 //! The instruction interpreter: fetch, decode, execute, fault.
-#![deny(clippy::cast_possible_truncation)]
 
 use crate::bcache::{CachedBlock, MAX_BLOCK_INSNS, MAX_SUPERBLOCK_INSNS};
-use crate::cpu::Flags;
+use crate::cpu::{CpuState, Flags};
 use crate::hook::Hook;
+use crate::mem::AddressSpace;
 use crate::process::Process;
 use crate::signal::{
     Signal, SIGFRAME_LEN, SIGFRAME_SIZE, SIG_FRAME_FAULT_ADDR, SIG_FRAME_FLAGS, SIG_FRAME_PC,
     SIG_FRAME_REGS, SIG_FRAME_SIGNO,
 };
-use dynacut_isa::{decode, Cond, Insn, IsaError, Reg, MAX_INSN_LEN};
+use dynacut_isa::{decode, Cond, Insn, IsaError, Reg, Width, MAX_INSN_LEN};
 use dynacut_obj::PAGE_SIZE;
 
 /// Outcome of the pure-CPU part of execution.
@@ -24,17 +24,17 @@ pub(crate) enum Exec {
 /// Returns the instruction and its length, or the fault signal to raise.
 /// Decodes out of a fixed `[u8; MAX_INSN_LEN]` stack buffer (no per-fetch
 /// allocation) and goes through the address space's soft TLB
-/// ([`AddressSpace::fetch_exec`](crate::AddressSpace::fetch_exec)), which
-/// is why it takes `&mut Process`.
-pub(crate) fn fetch_insn(proc: &mut Process, pc: u64) -> Result<(Insn, usize), (Signal, u64)> {
+/// ([`AddressSpace::fetch_exec`]), which is why it takes the space by
+/// `&mut`.
+pub(crate) fn fetch_insn(mem: &mut AddressSpace, pc: u64) -> Result<(Insn, usize), (Signal, u64)> {
     let mut buf = [0u8; MAX_INSN_LEN];
-    if proc.mem.fetch_exec(pc, &mut buf[..1]).is_err() {
+    if mem.fetch_exec(pc, &mut buf[..1]).is_err() {
         return Err((Signal::Sigsegv, pc));
     }
     match decode(&buf[..1], 0) {
         Ok((insn, len)) => Ok((insn, len)),
         Err(IsaError::TruncatedInsn { needed, .. }) if needed <= MAX_INSN_LEN => {
-            if proc.mem.fetch_exec(pc, &mut buf[..needed]).is_err() {
+            if mem.fetch_exec(pc, &mut buf[..needed]).is_err() {
                 return Err((Signal::Sigsegv, pc));
             }
             match decode(&buf[..needed], 0) {
@@ -48,12 +48,12 @@ pub(crate) fn fetch_insn(proc: &mut Process, pc: u64) -> Result<(Insn, usize), (
 
 /// Registers (and generation-snapshots) every code page the instruction
 /// at `pc` spans, deduplicating against `pages`.
-fn note_insn_pages(proc: &mut Process, pages: &mut Vec<(u64, u64)>, pc: u64, len: usize) {
+fn note_insn_pages(mem: &mut AddressSpace, pages: &mut Vec<(u64, u64)>, pc: u64, len: usize) {
     let mut base = pc & !(PAGE_SIZE - 1);
     let last = (pc + len as u64 - 1) & !(PAGE_SIZE - 1);
     while base <= last {
         if !pages.iter().any(|&(b, _)| b == base) {
-            let gen = proc.mem.note_code_page(base);
+            let gen = mem.note_code_page(base);
             pages.push((base, gen));
         }
         base += PAGE_SIZE;
@@ -96,7 +96,7 @@ fn note_insn_pages(proc: &mut Process, pages: &mut Vec<(u64, u64)>, pc: u64, len
 /// reach that pc, miss the cache, and raise the fault with the exact
 /// same `(signal, addr)` the uncached interpreter would.
 pub(crate) fn decode_block(
-    proc: &mut Process,
+    mem: &mut AddressSpace,
     entry: u64,
     hot: bool,
 ) -> Result<CachedBlock, (Signal, u64)> {
@@ -110,12 +110,12 @@ pub(crate) fn decode_block(
     let mut pages: Vec<(u64, u64)> = Vec::new();
     let mut pc = entry;
     loop {
-        let (insn, len) = match fetch_insn(proc, pc) {
+        let (insn, len) = match fetch_insn(mem, pc) {
             Ok(pair) => pair,
             Err(fault) if insns.is_empty() => return Err(fault),
             Err(_) => break,
         };
-        note_insn_pages(proc, &mut pages, pc, len);
+        note_insn_pages(mem, &mut pages, pc, len);
         let len_byte = u8::try_from(len).expect("an instruction is at most MAX_INSN_LEN bytes");
         insns.push((insn, len_byte));
         pcs.push(pc);
@@ -140,53 +140,60 @@ pub(crate) fn decode_block(
     })
 }
 
-/// Executes one decoded instruction against the process state.
+/// Executes one decoded instruction against a CPU and its address space.
 ///
 /// On success the pc has been advanced (sequentially or to a branch
 /// target). Syscall dispatch and faults are returned to the caller.
+/// Loads and stores go through [`AddressSpace::load`] and
+/// [`AddressSpace::store`], one fixed-width access each.
 #[inline]
-pub(crate) fn exec_insn(proc: &mut Process, insn: &Insn, len: usize) -> Exec {
-    let pc = proc.cpu.pc;
+pub(crate) fn exec_insn(
+    cpu: &mut CpuState,
+    mem: &mut AddressSpace,
+    insn: &Insn,
+    len: usize,
+) -> Exec {
+    let pc = cpu.pc;
     let next = pc + len as u64;
     macro_rules! binop {
         ($d:expr, $s:expr, $op:expr) => {{
-            let a = proc.cpu.reg(*$d);
-            let b = proc.cpu.reg(*$s);
-            proc.cpu.set_reg(*$d, $op(a, b));
-            proc.cpu.pc = next;
+            let a = cpu.reg(*$d);
+            let b = cpu.reg(*$s);
+            cpu.set_reg(*$d, $op(a, b));
+            cpu.pc = next;
         }};
     }
     match insn {
-        Insn::Nop => proc.cpu.pc = next,
+        Insn::Nop => cpu.pc = next,
         Insn::Movi(d, imm) => {
-            proc.cpu.set_reg(*d, *imm);
-            proc.cpu.pc = next;
+            cpu.set_reg(*d, *imm);
+            cpu.pc = next;
         }
         Insn::Mov(d, s) => {
-            let v = proc.cpu.reg(*s);
-            proc.cpu.set_reg(*d, v);
-            proc.cpu.pc = next;
+            let v = cpu.reg(*s);
+            cpu.set_reg(*d, v);
+            cpu.pc = next;
         }
         Insn::Add(d, s) => binop!(d, s, |a: u64, b: u64| a.wrapping_add(b)),
         Insn::Sub(d, s) => binop!(d, s, |a: u64, b: u64| a.wrapping_sub(b)),
         Insn::Mul(d, s) => binop!(d, s, |a: u64, b: u64| a.wrapping_mul(b)),
         Insn::Divu(d, s) => {
-            let b = proc.cpu.reg(*s);
+            let b = cpu.reg(*s);
             if b == 0 {
                 return Exec::Fault(Signal::Sigfpe, pc);
             }
-            let a = proc.cpu.reg(*d);
-            proc.cpu.set_reg(*d, a / b);
-            proc.cpu.pc = next;
+            let a = cpu.reg(*d);
+            cpu.set_reg(*d, a / b);
+            cpu.pc = next;
         }
         Insn::Modu(d, s) => {
-            let b = proc.cpu.reg(*s);
+            let b = cpu.reg(*s);
             if b == 0 {
                 return Exec::Fault(Signal::Sigfpe, pc);
             }
-            let a = proc.cpu.reg(*d);
-            proc.cpu.set_reg(*d, a % b);
-            proc.cpu.pc = next;
+            let a = cpu.reg(*d);
+            cpu.set_reg(*d, a % b);
+            cpu.pc = next;
         }
         Insn::And(d, s) => binop!(d, s, |a, b| a & b),
         Insn::Or(d, s) => binop!(d, s, |a, b| a | b),
@@ -194,49 +201,45 @@ pub(crate) fn exec_insn(proc: &mut Process, insn: &Insn, len: usize) -> Exec {
         Insn::Shl(d, s) => binop!(d, s, |a: u64, b: u64| a << (b & 63)),
         Insn::Shr(d, s) => binop!(d, s, |a: u64, b: u64| a >> (b & 63)),
         Insn::Addi(d, imm) => {
-            let a = proc.cpu.reg(*d);
-            proc.cpu.set_reg(*d, a.wrapping_add_signed(*imm as i64));
-            proc.cpu.pc = next;
+            let a = cpu.reg(*d);
+            cpu.set_reg(*d, a.wrapping_add_signed(*imm as i64));
+            cpu.pc = next;
         }
         Insn::Muli(d, imm) => {
-            let a = proc.cpu.reg(*d);
-            proc.cpu.set_reg(*d, a.wrapping_mul(*imm as i64 as u64));
-            proc.cpu.pc = next;
+            let a = cpu.reg(*d);
+            cpu.set_reg(*d, a.wrapping_mul(*imm as i64 as u64));
+            cpu.pc = next;
         }
         Insn::Cmp(a, b) => {
-            proc.cpu.flags = Flags::compare(proc.cpu.reg(*a), proc.cpu.reg(*b));
-            proc.cpu.pc = next;
+            cpu.flags = Flags::compare(cpu.reg(*a), cpu.reg(*b));
+            cpu.pc = next;
         }
         Insn::Cmpi(a, imm) => {
-            proc.cpu.flags = Flags::compare(proc.cpu.reg(*a), *imm as i64 as u64);
-            proc.cpu.pc = next;
+            cpu.flags = Flags::compare(cpu.reg(*a), *imm as i64 as u64);
+            cpu.pc = next;
         }
         Insn::Lea(d, disp) => {
-            proc.cpu.set_reg(*d, next.wrapping_add_signed(*disp as i64));
-            proc.cpu.pc = next;
+            cpu.set_reg(*d, next.wrapping_add_signed(*disp as i64));
+            cpu.pc = next;
         }
         Insn::Ld(width, d, base, disp) => {
-            let addr = proc.cpu.reg(*base).wrapping_add_signed(*disp as i64);
-            let mut buf = [0u8; 8];
-            let n = width.bytes();
-            if proc.mem.read_checked(addr, &mut buf[..n]).is_err() {
+            let addr = cpu.reg(*base).wrapping_add_signed(*disp as i64);
+            let Ok(value) = mem.load(addr, *width) else {
                 return Exec::Fault(Signal::Sigsegv, addr);
-            }
-            proc.cpu.set_reg(*d, u64::from_le_bytes(buf));
-            proc.cpu.pc = next;
+            };
+            cpu.set_reg(*d, value);
+            cpu.pc = next;
         }
         Insn::St(width, base, disp, s) => {
-            let addr = proc.cpu.reg(*base).wrapping_add_signed(*disp as i64);
-            let bytes = proc.cpu.reg(*s).to_le_bytes();
-            let n = width.bytes();
-            if proc.mem.write_checked(addr, &bytes[..n]).is_err() {
+            let addr = cpu.reg(*base).wrapping_add_signed(*disp as i64);
+            if mem.store(addr, *width, cpu.reg(*s)).is_err() {
                 return Exec::Fault(Signal::Sigsegv, addr);
             }
-            proc.cpu.pc = next;
+            cpu.pc = next;
         }
-        Insn::Jmp(disp) => proc.cpu.pc = next.wrapping_add_signed(*disp as i64),
+        Insn::Jmp(disp) => cpu.pc = next.wrapping_add_signed(*disp as i64),
         Insn::Jcc(cond, disp) => {
-            let flags = proc.cpu.flags;
+            let flags = cpu.flags;
             let taken = match cond {
                 Cond::Eq => flags.eq,
                 Cond::Ne => !flags.eq,
@@ -249,60 +252,57 @@ pub(crate) fn exec_insn(proc: &mut Process, insn: &Insn, len: usize) -> Exec {
                 Cond::A => !flags.lt_unsigned && !flags.eq,
                 Cond::Ae => !flags.lt_unsigned,
             };
-            proc.cpu.pc = if taken {
+            cpu.pc = if taken {
                 next.wrapping_add_signed(*disp as i64)
             } else {
                 next
             };
         }
-        Insn::Jmpr(r) => proc.cpu.pc = proc.cpu.reg(*r),
+        Insn::Jmpr(r) => cpu.pc = cpu.reg(*r),
         Insn::Call(disp) => {
-            let sp = proc.cpu.sp().wrapping_sub(8);
-            if proc.mem.write_checked(sp, &next.to_le_bytes()).is_err() {
+            let sp = cpu.sp().wrapping_sub(8);
+            if mem.store(sp, Width::B8, next).is_err() {
                 return Exec::Fault(Signal::Sigsegv, sp);
             }
-            proc.cpu.set_sp(sp);
-            proc.cpu.pc = next.wrapping_add_signed(*disp as i64);
+            cpu.set_sp(sp);
+            cpu.pc = next.wrapping_add_signed(*disp as i64);
         }
         Insn::Callr(r) => {
-            let target = proc.cpu.reg(*r);
-            let sp = proc.cpu.sp().wrapping_sub(8);
-            if proc.mem.write_checked(sp, &next.to_le_bytes()).is_err() {
+            let target = cpu.reg(*r);
+            let sp = cpu.sp().wrapping_sub(8);
+            if mem.store(sp, Width::B8, next).is_err() {
                 return Exec::Fault(Signal::Sigsegv, sp);
             }
-            proc.cpu.set_sp(sp);
-            proc.cpu.pc = target;
+            cpu.set_sp(sp);
+            cpu.pc = target;
         }
         Insn::Ret => {
-            let sp = proc.cpu.sp();
-            let mut buf = [0u8; 8];
-            if proc.mem.read_checked(sp, &mut buf).is_err() {
+            let sp = cpu.sp();
+            let Ok(target) = mem.load(sp, Width::B8) else {
                 return Exec::Fault(Signal::Sigsegv, sp);
-            }
-            proc.cpu.set_sp(sp + 8);
-            proc.cpu.pc = u64::from_le_bytes(buf);
+            };
+            cpu.set_sp(sp + 8);
+            cpu.pc = target;
         }
         Insn::Push(r) => {
-            let sp = proc.cpu.sp().wrapping_sub(8);
-            let value = proc.cpu.reg(*r);
-            if proc.mem.write_checked(sp, &value.to_le_bytes()).is_err() {
+            let sp = cpu.sp().wrapping_sub(8);
+            if mem.store(sp, Width::B8, cpu.reg(*r)).is_err() {
                 return Exec::Fault(Signal::Sigsegv, sp);
             }
-            proc.cpu.set_sp(sp);
-            proc.cpu.pc = next;
+            cpu.set_sp(sp);
+            cpu.pc = next;
         }
         Insn::Pop(r) => {
-            let sp = proc.cpu.sp();
-            let mut buf = [0u8; 8];
-            if proc.mem.read_checked(sp, &mut buf).is_err() {
+            let sp = cpu.sp();
+            let Ok(value) = mem.load(sp, Width::B8) else {
                 return Exec::Fault(Signal::Sigsegv, sp);
-            }
-            proc.cpu.set_reg(*r, u64::from_le_bytes(buf));
-            proc.cpu.set_sp(sp + 8);
-            proc.cpu.pc = next;
+            };
+            cpu.set_reg(*r, value);
+            cpu.set_sp(sp + 8);
+            cpu.pc = next;
         }
         Insn::Syscall => {
-            proc.cpu.pc = next;
+            cpu.pc = next;
             return Exec::Syscall;
         }
         Insn::Halt => return Exec::Fault(Signal::Sigill, pc),
@@ -412,12 +412,17 @@ mod tests {
         proc.cpu.set_reg(Reg::R1, 10);
         proc.cpu.set_reg(Reg::R2, 3);
         assert!(matches!(
-            exec_insn(&mut proc, &Insn::Sub(Reg::R1, Reg::R2), 3),
+            exec_insn(
+                &mut proc.cpu,
+                &mut proc.mem,
+                &Insn::Sub(Reg::R1, Reg::R2),
+                3
+            ),
             Exec::Done
         ));
         assert_eq!(proc.cpu.reg(Reg::R1), 7);
         assert!(matches!(
-            exec_insn(&mut proc, &Insn::Cmpi(Reg::R1, 7), 6),
+            exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Cmpi(Reg::R1, 7), 6),
             Exec::Done
         ));
         assert!(proc.cpu.flags.eq);
@@ -429,7 +434,12 @@ mod tests {
         proc.cpu.set_reg(Reg::R1, 10);
         proc.cpu.set_reg(Reg::R2, 0);
         assert!(matches!(
-            exec_insn(&mut proc, &Insn::Divu(Reg::R1, Reg::R2), 3),
+            exec_insn(
+                &mut proc.cpu,
+                &mut proc.mem,
+                &Insn::Divu(Reg::R1, Reg::R2),
+                3
+            ),
             Exec::Fault(Signal::Sigfpe, _)
         ));
     }
@@ -438,9 +448,9 @@ mod tests {
     fn push_pop_round_trip() {
         let mut proc = proc_with_stack();
         proc.cpu.set_reg(Reg::R3, 0xABCD);
-        exec_insn(&mut proc, &Insn::Push(Reg::R3), 2);
+        exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Push(Reg::R3), 2);
         assert_eq!(proc.cpu.sp(), 0x3000 - 8);
-        exec_insn(&mut proc, &Insn::Pop(Reg::R4), 2);
+        exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Pop(Reg::R4), 2);
         assert_eq!(proc.cpu.reg(Reg::R4), 0xABCD);
         assert_eq!(proc.cpu.sp(), 0x3000);
     }
@@ -449,9 +459,9 @@ mod tests {
     fn call_and_ret() {
         let mut proc = proc_with_stack();
         proc.cpu.pc = 100;
-        exec_insn(&mut proc, &Insn::Call(50), 5);
+        exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Call(50), 5);
         assert_eq!(proc.cpu.pc, 105 + 50);
-        exec_insn(&mut proc, &Insn::Ret, 1);
+        exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Ret, 1);
         assert_eq!(proc.cpu.pc, 105);
         assert_eq!(proc.cpu.sp(), 0x3000);
     }
@@ -461,7 +471,7 @@ mod tests {
         let mut proc = proc_with_stack();
         proc.cpu.pc = 0x42;
         assert!(matches!(
-            exec_insn(&mut proc, &Insn::Trap, 1),
+            exec_insn(&mut proc.cpu, &mut proc.mem, &Insn::Trap, 1),
             Exec::Fault(Signal::Sigtrap, 0x42)
         ));
         // pc unchanged so the frame records the trap site.
@@ -474,7 +484,8 @@ mod tests {
         proc.cpu.set_reg(Reg::R1, 0xDEAD_0000);
         assert!(matches!(
             exec_insn(
-                &mut proc,
+                &mut proc.cpu,
+                &mut proc.mem,
                 &Insn::St(dynacut_isa::Width::B8, Reg::R1, 0, Reg::R2),
                 7
             ),

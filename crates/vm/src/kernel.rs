@@ -1,6 +1,7 @@
 //! The kernel: scheduling, syscalls, networking, time, and the
 //! checkpoint/restore surface.
 
+use crate::bcache::Probe;
 use crate::events::{EventKind, FlightRecorder, VERIFIER_EVENT_BIT};
 use crate::fs::{FileDesc, VfsFile};
 use crate::hook::Hook;
@@ -887,7 +888,9 @@ impl Kernel {
                 self.flight.record(
                     self.clock_ns,
                     Some(pid),
-                    EventKind::ContextSwitch { level: level as u8 },
+                    EventKind::ContextSwitch {
+                        level: u8::try_from(level).expect("a level is below SCHED_LEVELS"),
+                    },
                 );
             }
             self.step_slice(pid, budget);
@@ -1251,37 +1254,35 @@ impl Kernel {
     ///
     /// With the block cache enabled (the default), execution dispatches
     /// whole decoded blocks: a cache hit revalidates the block's page
-    /// generations and then retires its instructions without touching
-    /// `decode` or the VMA walk again. Entries that stay hot are
-    /// re-decoded as superblocks chained across predicted-taken direct
-    /// branches (see [`interp::decode_block`]); a recorded
-    /// per-instruction pc guard side-exits the moment the guest's
-    /// control flow diverges from the prediction. Every
-    /// per-instruction accounting rule of the uncached path — clock,
-    /// `insns_retired`, hook callbacks, signal-delivery interleaving —
-    /// is reproduced exactly, so cached and uncached runs are
-    /// bit-identical under
+    /// generations (skipped while the space's code stamp is the one the
+    /// block last validated under) and then retires its instructions
+    /// without touching `decode` or the VMA walk again. Entries that
+    /// stay hot are re-decoded as superblocks chained across
+    /// predicted-taken direct branches (see [`interp::decode_block`]); a
+    /// recorded per-instruction pc guard side-exits the moment the
+    /// guest's control flow diverges from the prediction. A block runs by
+    /// reference out of the cache, and its budget, retired count and
+    /// clock are settled once, when it exits. Every per-instruction
+    /// accounting rule of the uncached path — clock, `insns_retired`,
+    /// hook callbacks, signal-delivery interleaving — is reproduced
+    /// exactly, so cached and uncached runs are bit-identical under
     /// [`state_fingerprint`](Kernel::state_fingerprint).
     fn step_slice(&mut self, pid: Pid, budget: u64) {
-        use crate::bcache::HOT_THRESHOLD;
-        /// How one block dispatch ended; carried out of the execution
-        /// loop so the post-loop handling can borrow `self` again
-        /// (the trap journal and syscalls need the whole kernel).
-        enum Action {
-            /// Budget exhausted or process gone: end the slice.
-            Stop,
-            /// Re-enter the dispatcher at the current pc (block done,
-            /// superblock side-exit, pending signal, invalidation).
+        /// How a block ended; carried out of the block's borrow of the
+        /// cache, so the handling after it can take the whole process
+        /// (signal delivery, eviction) or the whole kernel (the trap
+        /// journal, syscalls).
+        enum Exit {
+            /// Re-enter the dispatcher at the current pc: the block ran
+            /// to its end or to the slice's, or a superblock side-exited.
             Redispatch,
-            /// An instruction faulted; the signal is already delivered.
-            Fault {
-                signal: Signal,
-                fault_addr: u64,
-                handled: bool,
-                exited: bool,
-            },
-            /// A syscall instruction retired at `pc`; dispatch it.
-            Syscall { pc: u64 },
+            /// A code page under the block changed: evict it, then
+            /// re-enter.
+            Invalidated,
+            /// An instruction faulted with this signal and address.
+            Fault(Signal, u64),
+            /// A syscall instruction retired at this pc; dispatch it.
+            Syscall(u64),
         }
         let mut hook = self.hook.take();
         let use_cache = !self.block_cache_disabled;
@@ -1295,7 +1296,7 @@ impl Kernel {
         let mut capacity_evictions = 0u64;
         let mut retired = 0u64;
         let mut budget_left = budget;
-        'outer: while budget_left > 0 {
+        while budget_left > 0 {
             let Some(proc) = self.procs.get_mut(&pid) else {
                 break;
             };
@@ -1322,7 +1323,7 @@ impl Kernel {
                 // Uncached reference path: one fetch/decode/exec per
                 // budget unit.
                 budget_left -= 1;
-                let (insn, len) = match interp::fetch_insn(proc, entry) {
+                let (insn, len) = match interp::fetch_insn(&mut proc.mem, entry) {
                     Ok(pair) => pair,
                     Err((signal, fault_addr)) => {
                         interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
@@ -1330,9 +1331,9 @@ impl Kernel {
                         continue;
                     }
                 };
-                match interp::exec_insn(proc, &insn, len) {
+                match interp::exec_insn(&mut proc.cpu, &mut proc.mem, &insn, len) {
                     Exec::Done => {
-                        proc.insns_retired += 1;
+                        proc.insns_retired = proc.insns_retired.saturating_add(1);
                         retired += 1;
                         self.clock_ns += 1;
                         if let Some(hook) = hook.as_deref_mut() {
@@ -1357,7 +1358,7 @@ impl Kernel {
                         }
                     }
                     Exec::Syscall => {
-                        proc.insns_retired += 1;
+                        proc.insns_retired = proc.insns_retired.saturating_add(1);
                         retired += 1;
                         self.clock_ns += SYSCALL_COST_NS;
                         if let Some(hook) = hook.as_deref_mut() {
@@ -1373,66 +1374,68 @@ impl Kernel {
             }
 
             // ----- cached dispatch --------------------------------------
+            // The block runs by reference out of the cache while the CPU
+            // and the space are borrowed beside it: no refcount moves.
+            let Process {
+                cpu,
+                mem,
+                block_cache,
+                pending_signals,
+                ..
+            } = &mut *proc;
             // Probe the active version first; on a miss, try to carry
             // the previous version forward (a rewrite-epoch version
             // swap — no re-decode if its page generations still hold).
-            let mut lookup = match proc.block_cache.hit(entry) {
-                Some((block, heat)) if block.pages_valid(&proc.mem) => {
+            let found = match block_cache.hit(entry, mem) {
+                Probe::Valid(found) => {
                     cache_hits += 1;
-                    Some((block, heat))
+                    Some(found)
                 }
-                Some(_) => {
-                    // A write, remap, or page drop bumped one of the
-                    // block's page generations since it was decoded.
+                Probe::Stale => {
                     cache_invalidations += 1;
-                    proc.block_cache.remove(entry);
+                    block_cache.remove(entry);
                     None
                 }
-                None => None,
+                Probe::Absent => None,
             };
-            if lookup.is_none() {
-                lookup = match proc.block_cache.swap_forward(entry) {
-                    Some((block, heat)) if block.pages_valid(&proc.mem) => {
+            let found = match found {
+                Some(found) => Some(found),
+                None => match block_cache.swap_forward(entry, mem) {
+                    Probe::Valid(found) => {
                         cache_hits += 1;
                         version_swaps += 1;
-                        Some((block, heat))
+                        Some(found)
                     }
-                    Some(_) => {
-                        // The previous version decodes pages the rewrite
-                        // actually changed — dead for good.
+                    // The previous version decodes pages the rewrite
+                    // actually changed — dead for good.
+                    Probe::Stale => {
                         cache_invalidations += 1;
-                        proc.block_cache.remove(entry);
                         None
                     }
-                    None => None,
-                };
-            }
-            let block = match lookup {
-                Some((block, heat)) if !block.is_superblock && heat >= HOT_THRESHOLD => {
+                    Probe::Absent => None,
+                },
+            };
+            let block = match found {
+                Some(found) => {
                     // Hot entry: re-decode chained across predicted
-                    // branches and replace the plain block in place
-                    // (the entry keeps its dispatch profile).
-                    match interp::decode_block(proc, entry, true) {
-                        Ok(superblock) => {
-                            let superblock = Arc::new(superblock);
-                            capacity_evictions +=
-                                proc.block_cache.insert(entry, Arc::clone(&superblock));
+                    // branches and replace the plain block in place (the
+                    // entry keeps its dispatch profile). The plain block
+                    // just validated, so a decode failure is unreachable
+                    // in practice; it runs the valid block.
+                    if found.wants_promotion() {
+                        if let Ok(superblock) = interp::decode_block(mem, entry, true) {
+                            found.promote(superblock, mem);
                             superblocks_built += 1;
-                            superblock
                         }
-                        // The plain block just validated, so this is
-                        // unreachable in practice; run the valid block.
-                        Err(_) => block,
                     }
+                    found.block()
                 }
-                Some((block, _)) => block,
                 None => {
                     cache_misses += 1;
-                    match interp::decode_block(proc, entry, false) {
+                    match interp::decode_block(mem, entry, false) {
                         Ok(block) => {
-                            let block = Arc::new(block);
-                            capacity_evictions +=
-                                proc.block_cache.insert(entry, Arc::clone(&block));
+                            let (block, evicted) = block_cache.insert(entry, block, mem);
+                            capacity_evictions += evicted;
                             block
                         }
                         Err((signal, fault_addr)) => {
@@ -1453,39 +1456,28 @@ impl Kernel {
                 }
             };
 
-            // Execute the block with the process borrow from the top of
-            // the loop held across the whole run (the per-instruction map
-            // lookup the old loop paid is most of the dispatch cost for
-            // short blocks); the clock is accumulated locally and flushed
-            // before anything that reads it (the trap journal, syscall
-            // dispatch).
-            let mut clock_delta = 0u64;
-            let action = 'exec: {
-                // Nothing inside a block can queue a signal (hooks see only
-                // `(pid, pc)`; syscalls and faults end the block), so one
-                // test at entry stands for every instruction. A signal
-                // still queued behind the one delivered above is due
-                // after this block's first instruction, which shares the
-                // delivery's budget unit as on the uncached path.
-                let run = if proc.pending_signals.is_empty() {
-                    &block.insns[..]
-                } else {
-                    &block.insns[..1]
-                };
-                let mut validated_at = proc.mem.code_write_count();
+            // Nothing inside a block can queue a signal (hooks see only
+            // `(pid, pc)`; syscalls and faults end the block), so one
+            // test at entry stands for every instruction. A signal still
+            // queued behind the one delivered above is due after this
+            // block's first instruction, which shares the delivery's
+            // budget unit as on the uncached path. A block longer than
+            // the budget left runs to the end of the slice; the next
+            // slice re-enters at the current pc (a fresh cache key).
+            let run = if pending_signals.is_empty() {
+                &block.insns[..]
+            } else {
+                &block.insns[..1]
+            };
+            let run = &run[..run.len().min(usize::try_from(budget_left).unwrap_or(usize::MAX))];
+            let mut validated_at = mem.code_write_count();
+            // How many instructions ran to completion, and why the block
+            // ended.
+            let (completed, exit) = 'exec: {
                 for (i, &(insn, len)) in run.iter().enumerate() {
-                    if budget_left == 0 {
-                        // Slice over mid-block; the next slice re-enters
-                        // at the current pc (a fresh cache key).
-                        break 'exec Action::Stop;
-                    }
-                    budget_left -= 1;
-                    let pc = proc.cpu.pc;
-                    match interp::exec_insn(proc, &insn, usize::from(len)) {
+                    let pc = cpu.pc;
+                    match interp::exec_insn(cpu, mem, &insn, usize::from(len)) {
                         Exec::Done => {
-                            proc.insns_retired += 1;
-                            retired += 1;
-                            clock_delta += 1;
                             if let Some(hook) = hook.as_deref_mut() {
                                 hook.on_insn(pid, pc);
                             }
@@ -1494,74 +1486,70 @@ impl Kernel {
                             // this very block (even mid-superblock).
                             // Revalidate before running another cached
                             // instruction.
-                            if proc.mem.code_write_count() != validated_at {
-                                if !block.pages_valid(&proc.mem) {
-                                    cache_invalidations += 1;
-                                    proc.block_cache.remove(entry);
-                                    break 'exec Action::Redispatch;
+                            if mem.code_write_count() != validated_at {
+                                if !block.pages_valid(mem) {
+                                    break 'exec (i + 1, Exit::Invalidated);
                                 }
-                                validated_at = proc.mem.code_write_count();
+                                validated_at = mem.code_write_count();
                             }
                             // Only a conditional branch can leave the
                             // decoded chain: a pc that diverges from it is
                             // a superblock side-exit (mispredicted branch),
                             // so re-enter the dispatcher at the real pc.
                             if matches!(insn, Insn::Jcc(..))
-                                && block.pcs.get(i + 1).is_some_and(|&next| next != proc.cpu.pc)
+                                && block.pcs.get(i + 1).is_some_and(|&next| next != cpu.pc)
                             {
-                                break 'exec Action::Redispatch;
+                                break 'exec (i + 1, Exit::Redispatch);
                             }
                         }
                         Exec::Fault(signal, fault_addr) => {
-                            let handled = interp::deliver_signal(
-                                proc,
-                                signal,
-                                fault_addr,
-                                hook.as_deref_mut(),
-                            );
-                            let exited = proc.is_exited();
-                            clock_delta += 1;
-                            break 'exec Action::Fault {
-                                signal,
-                                fault_addr,
-                                handled,
-                                exited,
-                            };
+                            break 'exec (i, Exit::Fault(signal, fault_addr));
                         }
                         Exec::Syscall => {
-                            proc.insns_retired += 1;
-                            retired += 1;
-                            clock_delta += SYSCALL_COST_NS;
                             if let Some(hook) = hook.as_deref_mut() {
                                 hook.on_insn(pid, pc);
                             }
-                            break 'exec Action::Syscall { pc };
+                            break 'exec (i + 1, Exit::Syscall(pc));
                         }
                     }
                 }
-                Action::Redispatch
+                (run.len(), Exit::Redispatch)
             };
-            self.clock_ns += clock_delta;
-            match action {
-                Action::Stop => break 'outer,
-                Action::Redispatch => continue 'outer,
-                Action::Fault {
-                    signal,
-                    fault_addr,
-                    handled,
-                    exited,
-                } => {
+            // Settle the block's accounting once. Each instruction that
+            // completed took a budget unit and a clock tick and retired,
+            // a syscall's tick being `SYSCALL_COST_NS`; a faulting one
+            // took a unit and a tick and did not retire.
+            let completed = completed as u64;
+            let (units, ticks) = match exit {
+                Exit::Fault(..) => (completed + 1, completed + 1),
+                Exit::Syscall(_) => (completed, completed - 1 + SYSCALL_COST_NS),
+                Exit::Redispatch | Exit::Invalidated => (completed, completed),
+            };
+            budget_left -= units;
+            proc.insns_retired = proc.insns_retired.saturating_add(completed);
+            retired += completed;
+            self.clock_ns += ticks;
+            match exit {
+                Exit::Redispatch => {}
+                Exit::Invalidated => {
+                    cache_invalidations += 1;
+                    proc.block_cache.remove(entry);
+                }
+                Exit::Fault(signal, fault_addr) => {
+                    let handled =
+                        interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
+                    let exited = proc.is_exited();
                     if signal == Signal::Sigtrap {
                         self.flight
                             .record_trap_hit(self.clock_ns, pid, fault_addr, handled);
                     }
                     if exited {
-                        break 'outer;
+                        break;
                     }
                 }
-                Action::Syscall { pc } => {
+                Exit::Syscall(pc) => {
                     if self.do_syscall(pid, pc, hook.as_deref_mut()) {
-                        break 'outer;
+                        break;
                     }
                 }
             }
@@ -1600,7 +1588,6 @@ impl Kernel {
 }
 
 /// The syscall layer (DESIGN §15); its decoders live in [`crate::syscall`].
-#[deny(clippy::cast_possible_truncation)]
 impl Kernel {
     /// Runs the syscall at `pc` and applies its [`Outcome`]: the one place
     /// that writes `r0`, rewinds `pc` and parks the caller. Returns `true`

@@ -24,6 +24,11 @@
 //!
 //! The kernel exposes dump/restore accessors ([`Kernel::freeze`], VMA and
 //! page iteration, register access) consumed by the `dynacut-criu` crate.
+//!
+//! A narrowing `as` cast is denied crate-wide: a value that may not fit
+//! goes through `try_from`, and a cast that truncates on purpose says why
+//! in an `#[allow]`.
+#![deny(clippy::cast_possible_truncation)]
 
 mod bcache;
 mod cpu;

@@ -1,9 +1,10 @@
 //! Paged address spaces with VMA-granular permissions.
-#![deny(clippy::cast_possible_truncation)]
 
 use crate::{VmError, Vma};
+use dynacut_isa::Width;
 use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
 use std::collections::{btree_map, BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// [`PAGE_SIZE`] as a length.
@@ -112,6 +113,109 @@ impl PageSlot {
     }
 }
 
+/// The slots of a space's populated pages, numbered: the space's page
+/// index maps each page base to its slot number, and a TLB entry holds
+/// the number, so a hit reaches its page's bytes with one array index
+/// instead of a walk of the index. A freed number goes on a free list
+/// and is handed out again.
+///
+/// A slot is freed, or its number handed to another page, only where
+/// the page's TLB entry is revoked (DESIGN §5): an entry's slot always
+/// holds the entry's page.
+#[derive(Debug, Clone, Default)]
+struct Slab {
+    slots: Vec<Option<PageSlot>>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    /// Stores `slot` and returns its number.
+    fn insert(&mut self, slot: PageSlot) -> u32 {
+        match self.free.pop() {
+            Some(number) => {
+                self.slots[slab_index(number)] = Some(slot);
+                number
+            }
+            None => {
+                let number = u32::try_from(self.slots.len())
+                    .expect("an address space holds fewer than 2^32 populated pages");
+                self.slots.push(Some(slot));
+                number
+            }
+        }
+    }
+
+    /// Takes the slot out and frees its number.
+    fn remove(&mut self, number: u32) -> PageSlot {
+        let slot = self.slots[slab_index(number)]
+            .take()
+            .expect("an indexed page's slot is occupied");
+        self.free.push(number);
+        slot
+    }
+
+    #[inline]
+    fn get(&self, number: u32) -> Option<&PageSlot> {
+        self.slots.get(slab_index(number))?.as_ref()
+    }
+
+    #[inline]
+    fn get_mut(&mut self, number: u32) -> Option<&mut PageSlot> {
+        self.slots.get_mut(slab_index(number))?.as_mut()
+    }
+
+    /// The slot of an indexed page.
+    fn page(&self, number: u32) -> &PageSlot {
+        self.get(number)
+            .expect("an indexed page's slot is occupied")
+    }
+
+    /// The bytes of a private slot, for writing; `None` for a shared one.
+    #[inline]
+    fn private_mut(&mut self, number: u32) -> Option<&mut Page> {
+        match self.get_mut(number)? {
+            PageSlot::Private(page) => Some(page),
+            PageSlot::Shared(_) => None,
+        }
+    }
+}
+
+/// A slot number as an index into [`Slab::slots`].
+#[inline]
+fn slab_index(number: u32) -> usize {
+    usize::try_from(number).expect("a u32 fits a usize")
+}
+
+/// Reads a little-endian value of `width` bytes at `offset` with one
+/// fixed-size copy.
+#[inline]
+fn read_le(page: &Page, offset: usize, width: Width) -> u64 {
+    fn bytes<const N: usize>(page: &Page, offset: usize) -> [u8; N] {
+        page[offset..offset + N]
+            .try_into()
+            .expect("the range is N bytes long")
+    }
+    match width {
+        Width::B1 => u64::from(page[offset]),
+        Width::B2 => u64::from(u16::from_le_bytes(bytes(page, offset))),
+        Width::B4 => u64::from(u32::from_le_bytes(bytes(page, offset))),
+        Width::B8 => u64::from_le_bytes(bytes(page, offset)),
+    }
+}
+
+/// Writes the low `width` bytes of `value` at `offset`, little-endian,
+/// with one fixed-size copy.
+#[inline]
+fn write_le(page: &mut Page, offset: usize, width: Width, value: u64) {
+    let bytes = value.to_le_bytes();
+    match width {
+        Width::B1 => page[offset] = bytes[0],
+        Width::B2 => page[offset..offset + 2].copy_from_slice(&bytes[..2]),
+        Width::B4 => page[offset..offset + 4].copy_from_slice(&bytes[..4]),
+        Width::B8 => page[offset..offset + 8].copy_from_slice(&bytes),
+    }
+}
+
 /// One page slot taken out of an [`AddressSpace`] by
 /// [`AddressSpace::replace_page`], with its dirty bit: what
 /// [`AddressSpace::restore_page`] needs to put the page back bit for bit.
@@ -153,27 +257,48 @@ const TLB_READ: u64 = 1;
 const TLB_WRITE: u64 = 2;
 const TLB_EXEC: u64 = 4;
 
+/// The slot of a TLB entry filled for an unpopulated page.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One TLB entry: `base | rights` (0 grants nothing) and the page's
+/// slot number, or [`NO_SLOT`].
+#[derive(Debug, Clone, Copy)]
+struct TlbEntry {
+    tag: u64,
+    slot: u32,
+}
+
+const EMPTY_ENTRY: TlbEntry = TlbEntry {
+    tag: 0,
+    slot: NO_SLOT,
+};
+
 /// The soft TLB, after QEMU's softmmu TLB: a direct-mapped table that
 /// names, per page, the rights a guest access wholly inside that page may
 /// use without the slow path (the VMA walk, and for a write the dirty
-/// and code-page bookkeeping). An entry is `base | rights`; an empty
-/// entry is 0 and grants nothing.
+/// and code-page bookkeeping), and where the page lives: its slot in the
+/// space's [`Slab`], so a hit is one array index.
 ///
 /// - *read*: the page's VMA is readable;
 /// - *exec*: the page's VMA is executable;
 /// - *write*: the page's VMA is writable, its slot is private, it is
 ///   already dirty, and it is not a registered code page.
 ///
+/// An entry filled for an unpopulated page holds no slot: an access it
+/// grants still takes the slow path, which refills the entry, so a page
+/// populated behind the entry's back (a host write) is found there.
+///
 /// The table is a memo of the rest of the [`AddressSpace`], never state
-/// of its own: every method that can take a right away revokes it, and
-/// the slow path re-grants whatever it finds, so no access can tell
-/// whether it hit (DESIGN §5). Never checkpointed, never fingerprinted.
+/// of its own: every method that can take a right away, or free a slot,
+/// revokes the entry, and the slow path re-grants whatever it finds, so
+/// no access can tell whether it hit (DESIGN §5). Never checkpointed,
+/// never fingerprinted.
 #[derive(Debug, Clone)]
-struct Tlb([u64; TLB_ENTRIES]);
+struct Tlb([TlbEntry; TLB_ENTRIES]);
 
 impl Default for Tlb {
     fn default() -> Self {
-        Tlb([0; TLB_ENTRIES])
+        Tlb([EMPTY_ENTRY; TLB_ENTRIES])
     }
 }
 
@@ -183,33 +308,70 @@ impl Tlb {
         usize::try_from(base / PAGE_SIZE % TLB_ENTRIES as u64).expect("below TLB_ENTRIES")
     }
 
-    /// Whether the table grants `right` to an access of `len` bytes at
-    /// `addr`: never to one that leaves its page.
+    /// The slot an access of `len` bytes at `addr` may use under `right`
+    /// without the slow path: the entry must grant the right and hold a
+    /// slot, and the access must stay inside its page.
     #[inline]
-    fn grants(&self, addr: u64, len: usize, right: u64) -> bool {
+    fn hit(&self, addr: u64, len: usize, right: u64) -> Option<u32> {
         let base = page_base(addr);
-        page_offset(addr) + len <= PAGE_LEN
-            && self.0[Self::index(base)] & (!(PAGE_SIZE - 1) | right) == base | right
+        let entry = self.0[Self::index(base)];
+        (page_offset(addr) + len <= PAGE_LEN
+            && entry.tag & (!(PAGE_SIZE - 1) | right) == base | right
+            && entry.slot != NO_SLOT)
+            .then_some(entry.slot)
     }
 
-    fn set(&mut self, base: u64, rights: u64) {
-        self.0[Self::index(base)] = base | rights;
+    fn set(&mut self, base: u64, rights: u64, slot: Option<u32>) {
+        self.0[Self::index(base)] = TlbEntry {
+            tag: base | rights,
+            slot: slot.unwrap_or(NO_SLOT),
+        };
     }
 
-    /// Revokes every right the table holds for the page at `base`.
+    /// Revokes every right the table holds for the page at `base`, and
+    /// forgets its slot.
     fn drop_page(&mut self, base: u64) {
-        self.0[Self::index(base)] = 0;
+        self.0[Self::index(base)] = EMPTY_ENTRY;
     }
 
     /// Revokes every write right.
     fn drop_write_rights(&mut self) {
         for entry in &mut self.0 {
-            *entry &= !TLB_WRITE;
+            entry.tag &= !TLB_WRITE;
         }
     }
 
     fn empty(&mut self) {
-        self.0 = [0; TLB_ENTRIES];
+        self.0 = [EMPTY_ENTRY; TLB_ENTRIES];
+    }
+}
+
+/// The next code stamp to hand out. One counter serves every address
+/// space in the process, so two spaces share a stamp only when one is a
+/// clone of the other and neither has changed a code page since.
+static NEXT_CODE_STAMP: AtomicU64 = AtomicU64::new(1);
+
+/// Names one state of a space's code-generation table across every
+/// space in the process: a new space takes a fresh stamp, and so does
+/// every change of a registered code page's generation; a clone keeps
+/// its source's, whose table it copies. A block that validated under a
+/// stamp still validates while its space reads that stamp, whichever
+/// space it validated on, so a cache carried onto a restored space
+/// revalidates there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CodeStamp(u64);
+
+impl CodeStamp {
+    fn fresh() -> Self {
+        // Relaxed: a stamp publishes no other data; the read-modify-write
+        // alone keeps every stamp handed out distinct.
+        CodeStamp(NEXT_CODE_STAMP.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for CodeStamp {
+    fn default() -> Self {
+        CodeStamp::fresh()
     }
 }
 
@@ -254,7 +416,10 @@ impl Tlb {
 #[derive(Debug, Clone, Default)]
 pub struct AddressSpace {
     vmas: Vec<Vma>,
-    pages: BTreeMap<u64, PageSlot>,
+    /// The populated pages in address order: page base to slot number.
+    pages: BTreeMap<u64, u32>,
+    /// Where the populated pages' slots live.
+    slab: Slab,
     dirty: BTreeSet<u64>,
     /// Sweeps of the dirty bitmap so far: whether one happened between a
     /// [`replace_page`](AddressSpace::replace_page) and its
@@ -274,6 +439,10 @@ pub struct AddressSpace {
     /// How many times a registered code page's generation has changed:
     /// the dispatcher revalidates a running block only when this moved.
     code_writes: u64,
+    /// Names the current state of `code_gen` across spaces: a dispatch
+    /// skips a block's revalidation while this reads the stamp the
+    /// block last validated under.
+    code_stamp: CodeStamp,
     /// The soft TLB that guest loads, stores and fetches share.
     tlb: Tlb,
 }
@@ -339,13 +508,14 @@ impl AddressSpace {
         }
         next.sort_by_key(|vma| vma.start);
         self.vmas = next;
-        let doomed: Vec<u64> = self
+        let doomed: Vec<(u64, u32)> = self
             .pages
             .range(start..end)
-            .map(|(&base, _)| base)
+            .map(|(&base, &slot)| (base, slot))
             .collect();
-        for base in doomed {
+        for (base, slot) in doomed {
             self.pages.remove(&base);
+            self.slab.remove(slot);
             self.dirty.remove(&base);
         }
         self.bump_code_gens(start, end);
@@ -466,6 +636,41 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// Guest load of a `width`-byte little-endian value (permission-
+    /// checked, through the soft TLB). A hit is one array index and one
+    /// fixed-size copy.
+    #[inline]
+    pub(crate) fn load(&mut self, addr: u64, width: Width) -> Result<u64, VmError> {
+        if let Some(page) = self
+            .tlb
+            .hit(addr, width.bytes(), TLB_READ)
+            .and_then(|slot| self.slab.get(slot))
+        {
+            return Ok(read_le(page.bytes(), page_offset(addr), width));
+        }
+        let mut buf = [0u8; 8];
+        self.read_slow(addr, &mut buf[..width.bytes()], Access::Read)?;
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    /// Guest store of the low `width` bytes of `value`, little-endian
+    /// (permission-checked, through the soft TLB). A hit is one array
+    /// index and one fixed-size copy, and still writes only through a
+    /// slot it finds private: a stale entry can never write into a
+    /// shared frame.
+    #[inline]
+    pub(crate) fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
+        if let Some(page) = self
+            .tlb
+            .hit(addr, width.bytes(), TLB_WRITE)
+            .and_then(|slot| self.slab.private_mut(slot))
+        {
+            write_le(page, page_offset(addr), width, value);
+            return Ok(());
+        }
+        self.write_slow(addr, &value.to_le_bytes()[..width.bytes()])
+    }
+
     /// Guest read (permission-checked, through the soft TLB).
     #[inline]
     pub(crate) fn read_checked(&mut self, addr: u64, buf: &mut [u8]) -> Result<(), VmError> {
@@ -485,11 +690,34 @@ impl AddressSpace {
         buf: &mut [u8],
         access: Access,
     ) -> Result<(), VmError> {
-        if !self.tlb.grants(addr, buf.len(), access.tlb_right()) {
-            self.check(addr, buf.len() as u64, access)?;
-            self.tlb_fill(addr);
+        if let Some(page) = self
+            .tlb
+            .hit(addr, buf.len(), access.tlb_right())
+            .and_then(|slot| self.slab.get(slot))
+        {
+            let offset = page_offset(addr);
+            buf.copy_from_slice(&page.bytes()[offset..offset + buf.len()]);
+            return Ok(());
         }
-        self.copy_out(addr, buf);
+        self.read_slow(addr, buf, access)
+    }
+
+    /// The slow path of a guest read or fetch: the permission walk, the
+    /// copy, and a refill of the page's entry with its slot. An access
+    /// inside one page looks the page up once.
+    fn read_slow(&mut self, addr: u64, buf: &mut [u8], access: Access) -> Result<(), VmError> {
+        self.check(addr, buf.len() as u64, access)?;
+        let base = page_base(addr);
+        let slot = self.pages.get(&base).copied();
+        self.tlb_fill(base, slot);
+        let offset = page_offset(addr);
+        if offset + buf.len() > PAGE_LEN {
+            self.copy_out(addr, buf);
+        } else if let Some(slot) = slot {
+            buf.copy_from_slice(&self.slab.page(slot).bytes()[offset..offset + buf.len()]);
+        } else {
+            buf.fill(0);
+        }
         Ok(())
     }
 
@@ -511,28 +739,42 @@ impl AddressSpace {
     /// entry can never write into a shared frame.
     #[inline]
     pub(crate) fn write_checked(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
-        if self.tlb.grants(addr, bytes.len(), TLB_WRITE) {
-            if let Some(PageSlot::Private(page)) = self.pages.get_mut(&page_base(addr)) {
-                let offset = page_offset(addr);
-                page[offset..offset + bytes.len()].copy_from_slice(bytes);
-                return Ok(());
-            }
+        if let Some(page) = self
+            .tlb
+            .hit(addr, bytes.len(), TLB_WRITE)
+            .and_then(|slot| self.slab.private_mut(slot))
+        {
+            let offset = page_offset(addr);
+            page[offset..offset + bytes.len()].copy_from_slice(bytes);
+            return Ok(());
         }
+        self.write_slow(addr, bytes)
+    }
+
+    /// The slow path of a guest write: the permission walk, the write
+    /// with its dirty and code-page bookkeeping, and a refill of the
+    /// page's entry with the slot the write found or populated.
+    fn write_slow(&mut self, addr: u64, bytes: &[u8]) -> Result<(), VmError> {
         self.check(addr, bytes.len() as u64, Access::Write)?;
-        self.copy_in(addr, bytes);
-        self.tlb_fill(addr);
+        let base = page_base(addr);
+        let slot = match self.copy_in(addr, bytes) {
+            Some(slot) => Some(slot),
+            None => self.pages.get(&base).copied(),
+        };
+        self.tlb_fill(base, slot);
         Ok(())
     }
 
-    /// Gives the page containing `addr` every right the slow path
-    /// grants it now; an access that passed the slow path calls this.
-    fn tlb_fill(&mut self, addr: u64) {
-        let base = page_base(addr);
-        self.tlb.set(base, self.page_rights(base));
+    /// Gives the page at `base`, whose slot is `slot`, every right the
+    /// slow path grants it now; an access that passed the slow path
+    /// calls this.
+    fn tlb_fill(&mut self, base: u64, slot: Option<u32>) {
+        self.tlb.set(base, self.page_rights(base, slot), slot);
     }
 
-    /// The TLB rights the page at `base` may hold now (see [`Tlb`]).
-    fn page_rights(&self, base: u64) -> u64 {
+    /// The TLB rights the page at `base`, whose slot is `slot`, may hold
+    /// now (see [`Tlb`]).
+    fn page_rights(&self, base: u64, slot: Option<u32>) -> u64 {
         let Some(vma) = self.vma_at(base) else {
             return 0;
         };
@@ -544,7 +786,10 @@ impl AddressSpace {
             rights |= TLB_EXEC;
         }
         if vma.perms.write
-            && matches!(self.pages.get(&base), Some(PageSlot::Private(_)))
+            && matches!(
+                slot.map(|slot| self.slab.page(slot)),
+                Some(PageSlot::Private(_))
+            )
             && self.dirty.contains(&base)
             && !self.code_gen.contains_key(&base)
         {
@@ -580,8 +825,8 @@ impl AddressSpace {
             let in_page = page_offset(cursor);
             let chunk = (PAGE_LEN - in_page).min(buf.len() - done);
             match self.pages.get(&page_base(cursor)) {
-                Some(slot) => {
-                    let page = slot.bytes();
+                Some(&slot) => {
+                    let page = self.slab.page(slot).bytes();
                     buf[done..done + chunk].copy_from_slice(&page[in_page..in_page + chunk]);
                 }
                 None => buf[done..done + chunk].fill(0),
@@ -590,20 +835,31 @@ impl AddressSpace {
         }
     }
 
-    fn copy_in(&mut self, addr: u64, bytes: &[u8]) {
+    /// Writes `bytes` at `addr`, populating, privatising and dirtying
+    /// each page it touches with one index operation per page, and
+    /// returns the slot of the page containing `addr` (none for an
+    /// empty write). A first touch takes no right away, so it revokes
+    /// nothing: an entry filled while the page was unpopulated holds no
+    /// slot, and the slow path it sends its accesses to finds the page.
+    fn copy_in(&mut self, addr: u64, bytes: &[u8]) -> Option<u32> {
+        let mut first = None;
         let mut done = 0usize;
         while done < bytes.len() {
             let cursor = addr + done as u64;
             let base = page_base(cursor);
             let in_page = page_offset(cursor);
             let chunk = (PAGE_LEN - in_page).min(bytes.len() - done);
-            let slot = self
+            let number = *self
                 .pages
                 .entry(base)
-                .or_insert_with(|| PageSlot::Private(Box::new([0; PAGE_LEN])));
+                .or_insert_with(|| self.slab.insert(PageSlot::Private(Box::new([0; PAGE_LEN]))));
+            let slot = self
+                .slab
+                .get_mut(number)
+                .expect("an indexed page's slot is occupied");
             // Copy-on-write: the first write to a shared frame privatises
             // the whole page, leaving the frame (and every other space
-            // mapping it) untouched.
+            // mapping it) untouched. The slot keeps its number.
             if let PageSlot::Shared(frame) = slot {
                 *slot = PageSlot::Private(Box::new(*frame.bytes()));
                 self.cow_faults += 1;
@@ -614,7 +870,30 @@ impl AddressSpace {
             page[in_page..in_page + chunk].copy_from_slice(&bytes[done..done + chunk]);
             self.dirty.insert(base);
             self.bump_code_gen(base);
+            first.get_or_insert(number);
             done += chunk;
+        }
+        first
+    }
+
+    /// Puts `slot` at the page at `base`, or drops the page when `slot`
+    /// is `None`, with one index operation, and hands back the slot it
+    /// displaced. A page that stays populated keeps its slot number.
+    /// Every caller revokes the page's TLB entry.
+    fn set_slot(&mut self, base: u64, slot: Option<PageSlot>) -> Option<PageSlot> {
+        match (self.pages.entry(base), slot) {
+            (btree_map::Entry::Occupied(entry), Some(slot)) => Some(std::mem::replace(
+                self.slab
+                    .get_mut(*entry.get())
+                    .expect("an indexed page's slot is occupied"),
+                slot,
+            )),
+            (btree_map::Entry::Occupied(entry), None) => Some(self.slab.remove(entry.remove())),
+            (btree_map::Entry::Vacant(entry), Some(slot)) => {
+                entry.insert(self.slab.insert(slot));
+                None
+            }
+            (btree_map::Entry::Vacant(_), None) => None,
         }
     }
 
@@ -630,10 +909,42 @@ impl AddressSpace {
     /// page from one written byte for byte.
     pub fn install_shared_page(&mut self, addr: u64, frame: SharedFrame) {
         let base = page_base(addr);
-        self.pages.insert(base, PageSlot::Shared(frame));
+        self.set_slot(base, Some(PageSlot::Shared(frame)));
         self.dirty.insert(base);
         self.bump_code_gen(base);
         self.tlb.drop_page(base);
+    }
+
+    /// Installs each `(address, frame)` of `pages` as
+    /// [`install_shared_page`](AddressSpace::install_shared_page) does,
+    /// in order. Into a space with no populated page, pages given in
+    /// ascending address order (as a restore gives them) go in one pass:
+    /// the index and the dirty bitmap are built from sorted runs, not
+    /// inserted page by page.
+    pub fn install_shared_pages(&mut self, pages: impl IntoIterator<Item = (u64, SharedFrame)>) {
+        let pages: Vec<(u64, SharedFrame)> = pages
+            .into_iter()
+            .map(|(addr, frame)| (page_base(addr), frame))
+            .collect();
+        if !self.pages.is_empty() || !pages.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            for (base, frame) in pages {
+                self.install_shared_page(base, frame);
+            }
+            return;
+        }
+        // No page is populated, so no slot is live and none is dirty, and
+        // no TLB entry holds a slot or a write right: none is revoked.
+        self.slab = Slab::default();
+        self.slab.slots.reserve(pages.len());
+        let index: Vec<(u64, u32)> = pages
+            .into_iter()
+            .map(|(base, frame)| (base, self.slab.insert(PageSlot::Shared(frame))))
+            .collect();
+        for &(base, _) in &index {
+            self.bump_code_gen(base);
+        }
+        self.dirty = index.iter().map(|&(base, _)| base).collect();
+        self.pages = index.into_iter().collect();
     }
 
     /// Backs the page containing `addr` with `frame`, or drops it when
@@ -651,18 +962,21 @@ impl AddressSpace {
         let base = page_base(addr);
         // Moved out, never cloned: a private page's bytes stay where
         // they are.
-        let displaced = DisplacedPage {
-            base,
-            slot: self.pages.remove(&base),
-            dirty: self.dirty.remove(&base),
-            sweeps: self.sweeps,
+        let installs = frame.is_some();
+        let slot = self.set_slot(base, frame.map(PageSlot::Shared));
+        let dirty = if installs {
+            !self.dirty.insert(base)
+        } else {
+            self.dirty.remove(&base)
         };
-        // Both revoke the page's TLB entry.
-        match frame {
-            Some(frame) => self.install_shared_page(base, frame),
-            None => self.drop_page(base),
+        self.bump_code_gen(base);
+        self.tlb.drop_page(base);
+        DisplacedPage {
+            base,
+            slot,
+            dirty,
+            sweeps: self.sweeps,
         }
-        displaced
     }
 
     /// Puts back a slot [`replace_page`](AddressSpace::replace_page)
@@ -679,16 +993,8 @@ impl AddressSpace {
             dirty,
             sweeps,
         } = page;
-        let dirty = match slot {
-            Some(slot) => {
-                self.pages.insert(base, slot);
-                dirty || sweeps != self.sweeps
-            }
-            None => {
-                self.pages.remove(&base);
-                false
-            }
-        };
+        let dirty = slot.is_some() && (dirty || sweeps != self.sweeps);
+        self.set_slot(base, slot);
         if dirty {
             self.dirty.insert(base);
         } else {
@@ -701,15 +1007,22 @@ impl AddressSpace {
     /// Whether the page containing `addr` is currently backed by a
     /// shared frame (no copy-on-write fault taken yet).
     pub fn page_shared(&self, addr: u64) -> bool {
-        matches!(self.pages.get(&page_base(addr)), Some(PageSlot::Shared(_)))
+        matches!(self.slot_at(addr), Some(PageSlot::Shared(_)))
     }
 
     /// Number of populated pages still backed by shared frames.
     pub fn shared_page_count(&self) -> usize {
-        self.pages
-            .values()
-            .filter(|slot| matches!(slot, PageSlot::Shared(_)))
+        self.slab
+            .slots
+            .iter()
+            .filter(|slot| matches!(slot, Some(PageSlot::Shared(_))))
             .count()
+    }
+
+    /// The slot of the page containing `addr`, if it is populated.
+    fn slot_at(&self, addr: u64) -> Option<&PageSlot> {
+        let &slot = self.pages.get(&page_base(addr))?;
+        Some(self.slab.page(slot))
     }
 
     /// Copy-on-write faults this space has taken (pages privatised by a
@@ -726,14 +1039,14 @@ impl AddressSpace {
 
     /// The bytes of the page containing `addr`, if it is populated.
     pub fn page_bytes(&self, addr: u64) -> Option<&[u8]> {
-        self.pages.get(&page_base(addr)).map(|slot| &slot.bytes()[..])
+        self.slot_at(addr).map(|slot| &slot.bytes()[..])
     }
 
     /// Iterates over populated pages as `(page_base, bytes)`.
     pub fn populated_pages(&self) -> impl Iterator<Item = (u64, &[u8])> {
         self.pages
             .iter()
-            .map(|(&base, slot)| (base, &slot.bytes()[..]))
+            .map(|(&base, &slot)| (base, &self.slab.page(slot).bytes()[..]))
     }
 
     /// Iterates over populated pages as `(page_base, frame)`, the form a
@@ -741,7 +1054,9 @@ impl AddressSpace {
     /// that frame, no byte copied; a private page yields a new frame
     /// copied from it.
     pub fn page_frames(&self) -> impl Iterator<Item = (u64, SharedFrame)> + '_ {
-        self.pages.iter().map(|(&base, slot)| (base, slot.frame()))
+        self.pages
+            .iter()
+            .map(|(&base, &slot)| (base, self.slab.page(slot).frame()))
     }
 
     /// Number of populated pages.
@@ -754,7 +1069,7 @@ impl AddressSpace {
     /// wipe-policy analogue of `madvise(MADV_DONTNEED)`.
     pub fn drop_page(&mut self, addr: u64) {
         let base = page_base(addr);
-        self.pages.remove(&base);
+        self.set_slot(base, None);
         self.dirty.remove(&base);
         self.bump_code_gen(base);
         self.tlb.drop_page(base);
@@ -833,8 +1148,17 @@ impl AddressSpace {
     /// How many times the generation of a registered code page has
     /// changed. A block that validated when the count read `n` still
     /// validates while it reads `n`.
+    #[inline]
     pub(crate) fn code_write_count(&self) -> u64 {
         self.code_writes
+    }
+
+    /// The space's code stamp: equal stamps, on this space or any other,
+    /// name equal code-generation tables, so a block that validated
+    /// under the stamp this returns still validates.
+    #[inline]
+    pub(crate) fn code_stamp(&self) -> u64 {
+        self.code_stamp.0
     }
 
     /// Bumps the generation of the page at `base` if it is a registered
@@ -843,15 +1167,20 @@ impl AddressSpace {
         if let Some(gen) = self.code_gen.get_mut(&base) {
             *gen += 1;
             self.code_writes += 1;
+            self.code_stamp = CodeStamp::fresh();
         }
     }
 
     /// Bumps the generation of every registered code page intersecting
     /// `[start, end)`.
     fn bump_code_gens(&mut self, start: u64, end: u64) {
+        let before = self.code_writes;
         for (_, gen) in self.code_gen.range_mut(page_base(start)..end) {
             *gen += 1;
             self.code_writes += 1;
+        }
+        if self.code_writes != before {
+            self.code_stamp = CodeStamp::fresh();
         }
     }
 
@@ -872,7 +1201,10 @@ impl AddressSpace {
         let slot = self.code_gen_slot(page_base(addr));
         let raised = *slot < gen;
         *slot = (*slot).max(gen);
-        self.code_writes += u64::from(raised);
+        if raised {
+            self.code_writes += 1;
+            self.code_stamp = CodeStamp::fresh();
+        }
     }
 }
 
@@ -969,6 +1301,57 @@ mod tests {
         assert!(!space.page_dirty(0x1000), "put back clean");
         space.write_checked(0x1000, &[3]).unwrap();
         assert!(space.page_dirty(0x1000), "the store dirtied the page put back");
+    }
+
+    /// The one-pass install into an empty space, and the page-by-page
+    /// one it falls back to, leave what installing each page in turn
+    /// leaves: bytes, backings, dirty bits and code generations. An entry
+    /// a read filled before the install does not hide the new bytes.
+    #[test]
+    fn install_shared_pages_matches_one_install_per_page() {
+        let frames: Vec<(u64, SharedFrame)> = (0..4u8)
+            .map(|i| {
+                (
+                    0x1000 + u64::from(i) * PAGE_SIZE,
+                    SharedFrame::new(&[i + 1; PAGE_LEN]),
+                )
+            })
+            .collect();
+        let fresh = || {
+            let mut space = space_with(0x1000, 4 * PAGE_SIZE, Perms::RW);
+            space.note_code_page(0x2000);
+            space.read_checked(0x1000, &mut [0; 4]).unwrap();
+            space
+        };
+        let observe = |space: &AddressSpace| {
+            let pages: Vec<(u64, Vec<u8>, bool)> = space
+                .populated_pages()
+                .map(|(base, bytes)| (base, bytes.to_vec(), space.page_shared(base)))
+                .collect();
+            let dirty: Vec<u64> = space.dirty_pages().collect();
+            let code: Vec<(u64, u64)> = space.code_pages().collect();
+            (pages, dirty, code, space.code_write_count())
+        };
+        let mut one_by_one = fresh();
+        for (base, frame) in &frames {
+            one_by_one.install_shared_page(*base, frame.clone());
+        }
+        let mut at_once = fresh();
+        at_once.install_shared_pages(frames.iter().cloned());
+        assert_eq!(observe(&at_once), observe(&one_by_one));
+        let mut buf = [0; 4];
+        at_once.read_checked(0x1000, &mut buf).unwrap();
+        assert_eq!(buf, [1; 4], "the read after the install sees the frame");
+        // Into a populated space, or out of order: one page at a time.
+        let mut populated = fresh();
+        populated.write_unchecked(0x4000, &[9]);
+        populated.install_shared_pages(frames.iter().rev().cloned());
+        let mut expected = fresh();
+        expected.write_unchecked(0x4000, &[9]);
+        for (base, frame) in frames.iter().rev() {
+            expected.install_shared_page(*base, frame.clone());
+        }
+        assert_eq!(observe(&populated), observe(&expected));
     }
 
     #[test]
@@ -1374,6 +1757,12 @@ mod tests {
         MarkDirty { page: u64 },
         NoteCodePage { page: u64 },
         SeedCodePageGen { page: u64, gen: u64 },
+        /// Drops or unmaps `page`, then populates `other`, which takes
+        /// the freed slot if it was unpopulated.
+        Reuse { page: u64, other: u64, unmap: bool, byte: u8 },
+        /// A guest load, a host write that may populate the page, and
+        /// the same load again.
+        TouchAfterRead { addr: u64, len: usize, byte: u8 },
         Clone,
     }
 
@@ -1412,6 +1801,14 @@ mod tests {
                     page,
                     gen: u64::from(byte % 8),
                 },
+                30 => Step::Reuse {
+                    page,
+                    other: TLB_BASE
+                        + (index + 1 + u64::from(byte) % (TLB_PAGES - 1)) % TLB_PAGES * PAGE_SIZE,
+                    unmap: byte & 1 != 0,
+                    byte,
+                },
+                31 => Step::TouchAfterRead { addr, len, byte },
                 _ => Step::Clone,
             }
         }
@@ -1511,6 +1908,36 @@ mod tests {
                 space.seed_code_page_gen(page, gen);
                 Ok(vec![])
             }
+            Step::Reuse {
+                page,
+                other,
+                unmap,
+                byte,
+            } => {
+                if unmap {
+                    let perms = space.vma_at(page).map(|vma| vma.perms);
+                    space.unmap(page, PAGE_SIZE)?;
+                    if let Some(perms) = perms {
+                        space.map(page, PAGE_SIZE, perms, "tlb")?;
+                    }
+                } else {
+                    space.drop_page(page);
+                }
+                space.write_unchecked(other + 8, &[byte; 16]);
+                Ok(vec![])
+            }
+            Step::TouchAfterRead { addr, len, byte } => {
+                let mut first = vec![0; len];
+                space.read_checked(addr, &mut first)?;
+                space.write_unchecked(addr, &vec![byte; len]);
+                if empty_first {
+                    space.empty_tlb();
+                }
+                let mut second = vec![0; len];
+                space.read_checked(addr, &mut second)?;
+                first.extend(second);
+                Ok(first)
+            }
             Step::Clone => {
                 *space = space.clone();
                 Ok(vec![])
@@ -1538,17 +1965,49 @@ mod tests {
         )
     }
 
-    /// Every right the table holds is one the slow path would grant now.
+    /// Every right the table holds is one the slow path would grant now,
+    /// and every slot an entry holds is its page's.
     fn tlb_is_sound(space: &AddressSpace) -> Result<(), String> {
-        for &entry in &space.tlb.0 {
-            let base = page_base(entry);
-            let rights = entry - base;
-            let allowed = space.page_rights(base);
+        for entry in &space.tlb.0 {
+            let base = page_base(entry.tag);
+            let rights = entry.tag - base;
+            let slot = space.pages.get(&base).copied();
+            if entry.slot != NO_SLOT && Some(entry.slot) != slot {
+                return Err(format!(
+                    "entry for {base:#x} holds slot {}, the page has {slot:?}",
+                    entry.slot
+                ));
+            }
+            let allowed = space.page_rights(base, slot);
             if rights & !allowed != 0 {
                 return Err(format!(
                     "entry for {base:#x} grants {rights:#b}, the slow path {allowed:#b}"
                 ));
             }
+        }
+        Ok(())
+    }
+
+    /// After a guest access inside one page succeeded, the page's entry
+    /// holds the page's slot: a slow path refilled it, so the next access
+    /// can hit.
+    fn tlb_holds_slot(space: &AddressSpace, step: Step) -> Result<(), String> {
+        let (Step::Load { addr, len } | Step::Store { addr, len, .. } | Step::Fetch { addr, len }) =
+            step
+        else {
+            return Ok(());
+        };
+        let base = page_base(addr);
+        if page_offset(addr) + len > PAGE_LEN {
+            return Ok(());
+        }
+        let entry = space.tlb.0[Tlb::index(base)];
+        let slot = space.pages.get(&base).copied().unwrap_or(NO_SLOT);
+        if page_base(entry.tag) != base || entry.slot != slot {
+            return Err(format!(
+                "entry for {base:#x} reads {:#x}/{}, the page's slot is {slot}",
+                entry.tag, entry.slot
+            ));
         }
         Ok(())
     }
@@ -1561,13 +2020,17 @@ mod tests {
         /// bytes for every load, store and fetch (in-page or straddling)
         /// and agree after every step on page bytes, dirty bits, code
         /// generations, shared backings and copy-on-write faults, across
-        /// every call that can take a right away. A third space maps
+        /// every call that can take a right away or free a slot, a slot
+        /// handed to another page, and a page a host write populates
+        /// under an entry filled while it was empty. A third space maps
         /// every installed frame, and its bytes never change. Every
-        /// right the table holds is one the slow path would grant.
+        /// right the table holds is one the slow path would grant, every
+        /// slot an entry holds is its page's, and an access that
+        /// succeeded leaves its page's slot in the table.
         #[test]
         fn the_tlb_is_invisible(
             draws in proptest::collection::vec(
-                (0u8..32, 0u64..TLB_PAGES, 0u64..64, 1usize..=16, proptest::prelude::any::<u8>()),
+                (0u8..34, 0u64..TLB_PAGES, 0u64..64, 1usize..=16, proptest::prelude::any::<u8>()),
                 1..160,
             )
         ) {
@@ -1587,9 +2050,13 @@ mod tests {
                 });
                 let seen = apply(&mut fast, step, frame.as_ref(), &mut fast_displaced, false);
                 let expected = apply(&mut slow, step, frame.as_ref(), &mut slow_displaced, true);
+                let succeeded = seen.is_ok();
                 prop_assert_eq!(seen, expected, "{:?}", step);
                 prop_assert_eq!(observed(&fast), observed(&slow), "after {:?}", step);
                 prop_assert_eq!(tlb_is_sound(&fast), Ok(()), "after {:?}", step);
+                if succeeded {
+                    prop_assert_eq!(tlb_holds_slot(&fast, step), Ok(()), "after {:?}", step);
+                }
                 for (&page, &fill) in &other_fills {
                     prop_assert_eq!(other.page_bytes(page), Some(&[fill; PAGE_LEN][..]));
                 }

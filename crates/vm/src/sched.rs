@@ -250,7 +250,7 @@ mod tests {
             sched.demote(Pid(7));
         }
         assert_eq!(sched.effective_level(Pid(7)), SCHED_LEVELS - 1);
-        assert_eq!(sched.stats.demotions as usize, SCHED_LEVELS - 1);
+        assert_eq!(sched.stats.demotions, SCHED_LEVELS as u64 - 1);
         sched.enqueue(Pid(7));
         sched.boost();
         assert_eq!(sched.effective_level(Pid(7)), 0);

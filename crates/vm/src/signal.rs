@@ -51,7 +51,8 @@ impl Signal {
 
     /// Converts a signal number back to a [`Signal`].
     pub fn from_number(number: u64) -> Option<Signal> {
-        Signal::ALL.get(number as usize).copied()
+        let index = usize::try_from(number).ok()?;
+        Signal::ALL.get(index).copied()
     }
 
     /// Whether a handler may be registered (everything but `SIGKILL`).

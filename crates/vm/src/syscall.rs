@@ -7,7 +7,6 @@
 //!
 //! Each raw argument is decoded once, by a function here that returns
 //! `Result<_, Errno>`, and a handler returns one [`Outcome`] (DESIGN §15).
-#![deny(clippy::cast_possible_truncation)]
 
 use crate::fs::{FdTable, FileDesc};
 use crate::mem::AddressSpace;

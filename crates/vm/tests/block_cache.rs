@@ -806,3 +806,144 @@ fn two_queued_signals_are_delivered_one_instruction_apart() {
     assert_eq!(cached_seen, uncached_seen);
     assert_eq!(cached.state_fingerprint(), uncached.state_fingerprint());
 }
+
+// ----- slices that end inside a block ------------------------------------
+
+/// A hot loop whose superblocks hold a load, a store, a handled fault
+/// (a division by `r2 & 7`, which a SIGFPE handler skips), a forward
+/// `jcc` that is never taken, one taken on half the iterations (a
+/// side exit), a syscall, and the backward `jcc` that closes the loop.
+fn boot_mixed_loop(cached: bool) -> (Kernel, Pid) {
+    let mut insns = vec![
+        Insn::Movi(Reg::R1, DATA),
+        Insn::Movi(Reg::R7, 7),
+        // loop:
+        Insn::Ld(Width::B8, Reg::R2, Reg::R1, 0),
+        Insn::Addi(Reg::R2, 1),
+        Insn::St(Width::B8, Reg::R1, 0, Reg::R2),
+        Insn::Mov(Reg::R6, Reg::R2),
+        Insn::And(Reg::R6, Reg::R7),
+        Insn::Movi(Reg::R8, 100),
+        Insn::Divu(Reg::R8, Reg::R6),
+        Insn::Cmpi(Reg::R2, 0),
+        Insn::Jcc(dynacut_isa::Cond::Eq, 0), // never taken; patched below
+        Insn::Cmpi(Reg::R6, 3),
+        Insn::Jcc(dynacut_isa::Cond::Ae, 0), // taken when r2 & 7 >= 3
+        Insn::Addi(Reg::R3, 1),
+        // skip:
+        Insn::Movi(Reg::R0, Sysno::Getpid as u64),
+        Insn::Syscall,
+        Insn::Jmp(0), // back to loop; patched below
+    ];
+    // One more offset, where the instruction after the last would start.
+    let (_, offsets) = assemble(&[&insns[..], &[Insn::Nop]].concat());
+    let jump = |from: usize, to: usize| (offsets[to] as i64 - offsets[from + 1] as i64) as i32;
+    insns[10] = Insn::Jcc(dynacut_isa::Cond::Eq, jump(10, 14));
+    insns[12] = Insn::Jcc(dynacut_isa::Cond::Ae, jump(12, 14));
+    insns[16] = Insn::Jmp(jump(16, 2));
+    let divu_len = offsets[9] - offsets[8];
+    let handler = insns.len();
+    insns.extend([
+        // Skip the faulting division: saved pc += its length.
+        Insn::Ld(Width::B8, Reg::R9, Reg::R2, dynacut_vm::SIG_FRAME_PC as i32),
+        Insn::Addi(Reg::R9, divu_len as i32),
+        Insn::St(Width::B8, Reg::R2, dynacut_vm::SIG_FRAME_PC as i32, Reg::R9),
+        Insn::Ret,
+    ]);
+    let restorer = insns.len();
+    insns.extend([
+        Insn::Movi(Reg::R0, Sysno::Sigreturn as u64),
+        Insn::Mov(Reg::R1, Reg::SP),
+        Insn::Syscall,
+    ]);
+    let (mut kernel, pid, addrs) = boot(&insns);
+    kernel.set_block_cache_enabled(cached);
+    let proc = kernel.process_mut(pid).unwrap();
+    proc.mem.map(DATA, PAGE_SIZE, Perms::RW, "data").unwrap();
+    proc.sigactions[Signal::Sigfpe.number() as usize] = SigAction {
+        handler: addrs[handler],
+        restorer: addrs[restorer],
+        mask: 0,
+    };
+    (kernel, pid)
+}
+
+/// For every slice length from 1 to 64, a cached and an uncached kernel
+/// run the mixed loop in lockstep, one `run_for(k)` at a time, and agree
+/// after every call on the fingerprint and the retired count: a slice
+/// that ends inside a block, at a fault, a side exit or a syscall settles
+/// the block's accounting exactly where the uncached interpreter stands.
+#[test]
+fn every_slice_length_agrees_with_the_uncached_interpreter() {
+    for k in 1..=64u64 {
+        let (mut cached, pid) = boot_mixed_loop(true);
+        let (mut uncached, _) = boot_mixed_loop(false);
+        for call in 0..2_400 / k {
+            cached.run_for(k);
+            uncached.run_for(k);
+            let retired = |kernel: &Kernel| kernel.process(pid).unwrap().insns_retired;
+            assert_eq!(retired(&cached), retired(&uncached), "k={k}, call {call}");
+            assert_eq!(
+                cached.state_fingerprint(),
+                uncached.state_fingerprint(),
+                "k={k}, call {call}"
+            );
+        }
+        let metrics = cached.flight().metrics();
+        assert!(
+            metrics.counter("block_cache.superblocks") > 0,
+            "k={k}: the loop went hot"
+        );
+        // Past 8 iterations the division faulted at least once, and the
+        // handler's skip let the loop go on.
+        let mut data = [0u8; 8];
+        cached
+            .process(pid)
+            .unwrap()
+            .mem
+            .read_unchecked(DATA, &mut data);
+        assert!(
+            u64::from_le_bytes(data) > 8,
+            "k={k}: the handled fault fired"
+        );
+    }
+}
+
+/// A block cache next to a different address space whose code-write
+/// count equals the one the cache's entry last validated under: a trap
+/// byte planted on the page the cached loop spans still fires, because
+/// a dispatch skips revalidation only under the stamp of one space's
+/// generation table, not under a count any space can reach.
+#[test]
+fn a_cache_on_a_foreign_space_revalidates() {
+    let insns = [Insn::Nop, Insn::Nop, Insn::Nop, Insn::Jmp(-8)];
+    let (mut kernel, pid, addrs) = boot(&insns);
+    kernel.run_for(2_000);
+    // A change to a code page the loop does not span moves the space's
+    // code-write count to 1; the loop's entry revalidates under it.
+    kernel
+        .process_mut(pid)
+        .unwrap()
+        .mem
+        .seed_code_page_gen(DATA, 1);
+    kernel.run_for(2_000);
+    let mem = &kernel.process(pid).unwrap().mem;
+    assert_eq!(mem.code_page_gen(TEXT), 0, "the loop's page did not change");
+    let cache = kernel.process(pid).unwrap().block_cache.clone();
+    assert!(!cache.is_empty(), "the loop is cached");
+
+    // Another space with the same text and one code write of its own:
+    // the trap planted on the registered text page.
+    let (mut other_kernel, other_pid, _) = boot(&insns);
+    let other = other_kernel.process_mut(other_pid).unwrap();
+    other.mem.note_code_page(TEXT);
+    other.mem.write_unchecked(addrs[1], &[TRAP_OPCODE]);
+    let writes = |mem: &dynacut_vm::AddressSpace| mem.code_pages().map(|(_, gen)| gen).sum::<u64>();
+    assert_eq!(writes(&other.mem), writes(mem), "equal code-write counts");
+    other.block_cache = cache;
+    let status = other_kernel
+        .run_until_exit(other_pid, 1_000_000)
+        .expect("the trap kills");
+    assert_eq!(status.fatal_signal, Some(Signal::Sigtrap));
+    assert_eq!(other_kernel.process(other_pid).unwrap().cpu.pc, addrs[1]);
+}
