@@ -157,10 +157,7 @@ mod tests {
 
     /// Runs a tiny program that exercises a libc routine and exits with
     /// the result as its exit code.
-    fn run_with_libc(
-        configure: impl FnOnce(&mut Assembler),
-        data: &[(&str, &[u8])],
-    ) -> u64 {
+    fn run_with_libc(configure: impl FnOnce(&mut Assembler), data: &[(&str, &[u8])]) -> u64 {
         let libc = guest_libc();
         let mut asm = Assembler::new();
         asm.func("_start");
@@ -178,9 +175,7 @@ mod tests {
         let exe = builder.link(&[&libc]).unwrap();
 
         let mut kernel = Kernel::new();
-        let pid = kernel
-            .spawn(&LoadSpec::with_libs(exe, vec![libc]))
-            .unwrap();
+        let pid = kernel.spawn(&LoadSpec::with_libs(exe, vec![libc])).unwrap();
         kernel.run_until_exit(pid, 10_000_000).expect("exits").code
     }
 

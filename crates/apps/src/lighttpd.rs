@@ -126,21 +126,41 @@ pub fn image(libc: &Image) -> Image {
             handler,
         );
     }
-    emit_write_lit(&mut asm, Reg::R11, "lt_r405", crate::nginx::RESP_405.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r405",
+        crate::nginx::RESP_405.len() as u64,
+    );
     asm.jmp("lt_finish_request");
     asm.func(ERROR_HANDLER);
-    emit_write_lit(&mut asm, Reg::R11, "lt_r403", crate::nginx::RESP_403.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r403",
+        crate::nginx::RESP_403.len() as u64,
+    );
     asm.jmp("lt_finish_request");
 
     asm.func("lt_get_handler");
     asm.lea_ext(Reg::R1, "lt_req_buf", 0);
     asm.push(Insn::Movi(Reg::R2, 32));
     asm.call_ext("libc_checksum");
-    emit_write_lit(&mut asm, Reg::R11, "lt_r200", crate::nginx::RESP_200.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r200",
+        crate::nginx::RESP_200.len() as u64,
+    );
     asm.jmp("lt_finish_request");
 
     asm.func("lt_head_handler");
-    emit_write_lit(&mut asm, Reg::R11, "lt_r200h", crate::nginx::RESP_200_HEAD.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r200h",
+        crate::nginx::RESP_200_HEAD.len() as u64,
+    );
     asm.jmp("lt_finish_request");
 
     asm.func("lt_put_handler");
@@ -148,7 +168,12 @@ pub fn image(libc: &Image) -> Image {
     asm.lea_ext(Reg::R2, "lt_req_buf", 4);
     asm.push(Insn::Movi(Reg::R3, 32));
     asm.call_ext("libc_memcpy");
-    emit_write_lit(&mut asm, Reg::R11, "lt_r201", crate::nginx::RESP_201.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r201",
+        crate::nginx::RESP_201.len() as u64,
+    );
     asm.jmp("lt_finish_request");
 
     asm.func("lt_delete_handler");
@@ -156,7 +181,12 @@ pub fn image(libc: &Image) -> Image {
     asm.push(Insn::Movi(Reg::R2, 0));
     asm.push(Insn::Movi(Reg::R3, 64));
     asm.call_ext("libc_memset");
-    emit_write_lit(&mut asm, Reg::R11, "lt_r204", crate::nginx::RESP_204.len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "lt_r204",
+        crate::nginx::RESP_204.len() as u64,
+    );
     asm.jmp("lt_finish_request");
 
     // Never-used modules (mod_cgi, mod_rewrite, mod_auth, mod_ssi,

@@ -303,10 +303,10 @@ mod tests {
         let exe = image(&libc);
         let mut kernel = Kernel::new();
         kernel.add_file(CONFIG_PATH, &config_file());
-        let pid = kernel
-            .spawn(&LoadSpec::with_libs(exe, vec![libc]))
-            .unwrap();
-        kernel.run_until_event(EVENT_READY, 50_000_000).expect("boots");
+        let pid = kernel.spawn(&LoadSpec::with_libs(exe, vec![libc])).unwrap();
+        kernel
+            .run_until_event(EVENT_READY, 50_000_000)
+            .expect("boots");
         (kernel, pid)
     }
 
@@ -369,9 +369,7 @@ mod tests {
         let exe = image(&libc);
         let mut kernel = Kernel::new();
         kernel.add_file(CONFIG_PATH, &config_file_with_workers(3));
-        let master = kernel
-            .spawn(&LoadSpec::with_libs(exe, vec![libc]))
-            .unwrap();
+        let master = kernel.spawn(&LoadSpec::with_libs(exe, vec![libc])).unwrap();
         kernel
             .run_until_event(EVENT_READY, 100_000_000)
             .expect("boots");

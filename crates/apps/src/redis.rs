@@ -362,7 +362,7 @@ pub fn image(libc: &Image) -> Image {
     asm.push(Insn::Mov(Reg::R1, Reg::R8));
     asm.call("rd_token");
     asm.push(Insn::Add(Reg::R13, Reg::R0)); // sum = len(a) + len(b)
-    // check = sum & 0x3F — the integer-overflow model.
+                                            // check = sum & 0x3F — the integer-overflow model.
     asm.push(Insn::Mov(Reg::R4, Reg::R13));
     asm.push(Insn::Movi(Reg::R5, 0x3F));
     asm.push(Insn::And(Reg::R4, Reg::R5));
@@ -379,7 +379,12 @@ pub fn image(libc: &Image) -> Image {
     emit_write_lit(&mut asm, Reg::R11, "rd_lcs", b"+LCS\n".len() as u64);
     asm.jmp("rd_serve_loop");
     asm.label("rd_stralgo_err");
-    emit_write_lit(&mut asm, Reg::R11, "rd_elong", b"-ERR too long\n".len() as u64);
+    emit_write_lit(
+        &mut asm,
+        Reg::R11,
+        "rd_elong",
+        b"-ERR too long\n".len() as u64,
+    );
     asm.jmp("rd_serve_loop");
 
     // CONFIG v — vulnerable: fixed 24-byte area, no length check.

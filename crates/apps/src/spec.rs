@@ -78,10 +78,18 @@ impl SpecProgram {
             emit_busy_func(&mut asm, name, self.blocks_per_func);
         }
         for i in 0..self.hot_funcs {
-            emit_busy_func(&mut asm, &format!("{prefix}_hot_{i:03}"), self.blocks_per_func);
+            emit_busy_func(
+                &mut asm,
+                &format!("{prefix}_hot_{i:03}"),
+                self.blocks_per_func,
+            );
         }
         for i in 0..self.cold_funcs {
-            emit_busy_func(&mut asm, &format!("{prefix}_cold_{i:03}"), self.blocks_per_func);
+            emit_busy_func(
+                &mut asm,
+                &format!("{prefix}_cold_{i:03}"),
+                self.blocks_per_func,
+            );
         }
 
         let mut builder = ModuleBuilder::new(self.name, ObjectKind::Executable);
@@ -208,7 +216,11 @@ mod tests {
             .iter()
             .map(|p| (p.name, p.expected_init_fraction()))
             .collect();
-        let perl = fractions.iter().find(|(n, _)| n.contains("perl")).unwrap().1;
+        let perl = fractions
+            .iter()
+            .find(|(n, _)| n.contains("perl"))
+            .unwrap()
+            .1;
         let mcf = fractions.iter().find(|(n, _)| n.contains("mcf")).unwrap().1;
         for (name, fraction) in &fractions {
             if !name.contains("perl") {
@@ -219,8 +231,7 @@ mod tests {
             }
         }
         // Average ≈ paper's 22.3 %.
-        let avg: f64 =
-            fractions.iter().map(|(_, f)| f).sum::<f64>() / fractions.len() as f64;
+        let avg: f64 = fractions.iter().map(|(_, f)| f).sum::<f64>() / fractions.len() as f64;
         assert!((0.15..0.30).contains(&avg), "average init fraction {avg}");
     }
 

@@ -22,7 +22,9 @@ fn redis_table_capacity_is_enforced() {
     for index in 0..8 {
         let cmd = format!("SET key{index} v\n");
         assert_eq!(
-            kernel.client_request(conn, cmd.as_bytes(), 5_000_000).unwrap(),
+            kernel
+                .client_request(conn, cmd.as_bytes(), 5_000_000)
+                .unwrap(),
             b"+OK\n",
             "slot {index}"
         );
@@ -35,7 +37,9 @@ fn redis_table_capacity_is_enforced() {
     );
     // Deleting frees a slot for reuse.
     assert_eq!(
-        kernel.client_request(conn, b"DEL key3\n", 5_000_000).unwrap(),
+        kernel
+            .client_request(conn, b"DEL key3\n", 5_000_000)
+            .unwrap(),
         b"+OK\n"
     );
     assert_eq!(
@@ -45,7 +49,9 @@ fn redis_table_capacity_is_enforced() {
         b"+OK\n"
     );
     assert_eq!(
-        kernel.client_request(conn, b"GET reused\n", 5_000_000).unwrap(),
+        kernel
+            .client_request(conn, b"GET reused\n", 5_000_000)
+            .unwrap(),
         b"value\n"
     );
     assert!(kernel.exit_status(pid).is_none());
@@ -59,11 +65,15 @@ fn redis_long_keys_and_values_are_truncated_not_fatal() {
     let long_value = "v".repeat(100);
     let cmd = format!("SET {long_key} {long_value}\n");
     assert_eq!(
-        kernel.client_request(conn, cmd.as_bytes(), 5_000_000).unwrap(),
+        kernel
+            .client_request(conn, cmd.as_bytes(), 5_000_000)
+            .unwrap(),
         b"+OK\n"
     );
     let get = format!("GET {long_key}\n");
-    let reply = kernel.client_request(conn, get.as_bytes(), 5_000_000).unwrap();
+    let reply = kernel
+        .client_request(conn, get.as_bytes(), 5_000_000)
+        .unwrap();
     // Value capped at the slot size (47 chars + newline).
     assert_eq!(reply.len(), 48);
     assert!(reply.starts_with(b"vvvv"));
@@ -133,7 +143,9 @@ fn two_clients_interleave_on_nginx() {
     let first = kernel.client_connect(nginx::PORT).unwrap();
     let second = kernel.client_connect(nginx::PORT).unwrap();
     assert_eq!(
-        kernel.client_request(first, b"GET /a\n", 5_000_000).unwrap(),
+        kernel
+            .client_request(first, b"GET /a\n", 5_000_000)
+            .unwrap(),
         nginx::RESP_200
     );
     // While the worker sits on `first`, `second` waits in the backlog.

@@ -8,7 +8,9 @@
 //!    mode.
 
 use crate::workloads::{boot_server, Server};
-use dynacut::{disable_in_image, BlockPolicy, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
+use dynacut::{
+    disable_in_image, BlockPolicy, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan,
+};
 use dynacut_criu::{dump_many, DumpOptions};
 
 /// Image sizes with and without exec-page dumping, per server.
@@ -85,8 +87,7 @@ pub fn policy_ablation() -> Vec<PolicyAblation> {
                 blocks.extend(workload.exe.blocks_of_function(&func.name));
             }
         }
-        let feature =
-            Feature::new("cold modules", "lighttpd", blocks).redirect_to_offset(0);
+        let feature = Feature::new("cold modules", "lighttpd", blocks).redirect_to_offset(0);
         let outcome = disable_in_image(&mut image, &feature, policy).expect("disable");
         PolicyAblation {
             policy: name,

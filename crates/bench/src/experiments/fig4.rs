@@ -3,7 +3,9 @@
 //! functions the discovered blocks belong to.
 
 use crate::workloads::{boot_server, Server};
-use dynacut_analysis::{annotate_functions, feature_blocks, tracediff_report, CovGraph, FunctionCoverage};
+use dynacut_analysis::{
+    annotate_functions, feature_blocks, tracediff_report, CovGraph, FunctionCoverage,
+};
 use dynacut_apps::redis;
 
 /// Results of the discovery run.

@@ -114,12 +114,14 @@ fn run_series(incremental: bool) -> Vec<CycleStats> {
 
         series.push(CycleStats {
             cycle,
-            action: if disable { "disable SET" } else { "re-enable SET" },
+            action: if disable {
+                "disable SET"
+            } else {
+                "re-enable SET"
+            },
             frozen_page_bytes: report.frozen_page_bytes,
             prewritten_page_bytes: report.prewritten_page_bytes,
-            stored_page_bytes: report
-                .stored_page_bytes
-                .unwrap_or(report.frozen_page_bytes),
+            stored_page_bytes: report.stored_page_bytes.unwrap_or(report.frozen_page_bytes),
         });
     }
     series

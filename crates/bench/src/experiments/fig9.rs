@@ -116,7 +116,10 @@ pub fn print() {
     let spec_rows: Vec<&Fig9Row> = rows.iter().filter(|r| r.app.contains('.')).collect();
     let avg: f64 =
         spec_rows.iter().map(|r| r.removed_fraction()).sum::<f64>() / spec_rows.len() as f64;
-    println!("\nSPEC average removed fraction: {:.1}% (paper: 22.3%)", 100.0 * avg);
+    println!(
+        "\nSPEC average removed fraction: {:.1}% (paper: 22.3%)",
+        100.0 * avg
+    );
 }
 
 #[cfg(test)]
@@ -148,8 +151,8 @@ mod tests {
             );
         }
         // SPEC average close to the paper's 22.3 %.
-        let avg: f64 = spec_rows.iter().map(|r| r.removed_fraction()).sum::<f64>()
-            / spec_rows.len() as f64;
+        let avg: f64 =
+            spec_rows.iter().map(|r| r.removed_fraction()).sum::<f64>() / spec_rows.len() as f64;
         assert!((0.15..=0.32).contains(&avg), "average {avg}");
 
         // Total-block ordering: xalancbmk > perlbench > omnetpp > x264 >

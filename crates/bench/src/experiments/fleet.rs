@@ -433,7 +433,10 @@ mod tests {
                         open = Some(pid.0);
                     }
                 }
-                EventKind::StageRetired { stage: Phase::RestoreCommit, .. } => {
+                EventKind::StageRetired {
+                    stage: Phase::RestoreCommit,
+                    ..
+                } => {
                     assert_eq!(open, Some(pid.0), "retired a window it never opened");
                     open = None;
                     windows += 1;

@@ -203,7 +203,8 @@ fn drive_warm(workload: &mut Workload, server: Server, requests: usize) {
 fn measure(server: Server, cache_enabled: bool, requests: usize) -> ServerRun {
     let mut workload = boot_server(server, false);
     workload.kernel.set_block_cache_enabled(cache_enabled);
-    let counter = |workload: &Workload, name: &str| workload.kernel.flight().metrics().counter(name);
+    let counter =
+        |workload: &Workload, name: &str| workload.kernel.flight().metrics().counter(name);
     // Boot ran with the default (enabled) cache either way; count cache
     // activity only from this point, once the toggle is in effect.
     let hits_base = counter(&workload, "block_cache.hits");

@@ -166,7 +166,11 @@ pub fn execute_demotion(fleet_size: usize) -> (RolloutReport, bool) {
     let report = dynacut
         .rollout(&mut fleet.kernel, &groups, &plan, &rollout_plan())
         .expect("a report demotes, it does not error");
-    assert_eq!(report.decision, RolloutDecision::Demoted, "soak saw the report");
+    assert_eq!(
+        report.decision,
+        RolloutDecision::Demoted,
+        "soak saw the report"
+    );
     let matched = fleet.kernel.state_fingerprint_timeless() == pristine;
     (report, matched)
 }
@@ -175,7 +179,15 @@ pub fn execute_demotion(fleet_size: usize) -> (RolloutReport, bool) {
 pub fn run(fleet_size: usize, demote_fleet_size: usize) -> RolloutFigure {
     let (_fleet, report, dumps, promoted_event) = execute(fleet_size);
     let (demotion, matched) = execute_demotion(demote_fleet_size);
-    figure(fleet_size, &report, dumps, promoted_event, demote_fleet_size, &demotion, matched)
+    figure(
+        fleet_size,
+        &report,
+        dumps,
+        promoted_event,
+        demote_fleet_size,
+        &demotion,
+        matched,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -321,9 +333,7 @@ pub fn validate(json: &str, figure: &RolloutFigure) -> Result<(), String> {
         return Err("demotion run saw no verifier report".to_owned());
     }
     if !figure.demotion_fingerprints_match {
-        return Err(
-            "demotion did not restore the fleet's clock-masked fingerprint".to_owned(),
-        );
+        return Err("demotion did not restore the fleet's clock-masked fingerprint".to_owned());
     }
     Ok(())
 }

@@ -98,7 +98,10 @@ pub fn measure(fleet_size: usize) -> SizeRow {
     let blob = "PING\n".repeat(CRUNCH_CMDS);
     for _ in 0..crunchers_for(fleet_size) {
         let conn = fleet.kernel.client_connect(fleet.port).expect("listening");
-        fleet.kernel.client_send(conn, blob.as_bytes()).expect("send");
+        fleet
+            .kernel
+            .client_send(conn, blob.as_bytes())
+            .expect("send");
         fleet.kernel.run_for(2_000);
     }
     // Tag the crunching replicas Background — exactly the class the
@@ -228,7 +231,11 @@ pub fn validate(json: &str, figure: &SchedFigure) -> Result<(), String> {
     if figure.rows.len() < 2 {
         return Err("need at least two fleet sizes to compare".to_owned());
     }
-    if !figure.rows.windows(2).all(|w| w[0].fleet_size < w[1].fleet_size) {
+    if !figure
+        .rows
+        .windows(2)
+        .all(|w| w[0].fleet_size < w[1].fleet_size)
+    {
         return Err("rows must sweep ascending fleet sizes".to_owned());
     }
     let (first, last) = (figure.rows[0], *figure.rows.last().unwrap());

@@ -29,7 +29,13 @@ pub struct CveRow {
     pub blocked_survived: bool,
 }
 
-fn exploits() -> Vec<(&'static str, &'static str, &'static str, &'static str, String)> {
+fn exploits() -> Vec<(
+    &'static str,
+    &'static str,
+    &'static str,
+    &'static str,
+    String,
+)> {
     let a = "a".repeat(32);
     let b = "b".repeat(32);
     let stralgo = format!("STRALGO {a} {b}\n");
@@ -111,8 +117,7 @@ pub fn run() -> Vec<CveRow> {
                 handler,
                 exploit,
                 vanilla_crashed: vanilla_fatal == Some(Signal::Sigsegv),
-                blocked_survived: blocked_fatal.is_none()
-                    && blocked_reply == redis::ERR_BLOCKED,
+                blocked_survived: blocked_fatal.is_none() && blocked_reply == redis::ERR_BLOCKED,
             }
         })
         .collect()

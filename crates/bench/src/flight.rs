@@ -15,15 +15,7 @@ pub const SCHEMA: &str = "dynacut-flight-v1";
 
 /// Top-level keys the JSON must contain (the CI schema check).
 pub const REQUIRED_KEYS: &[&str] = &[
-    "schema",
-    "apps",
-    "app",
-    "total_ns",
-    "phases",
-    "journal",
-    "recorded",
-    "dropped",
-    "events",
+    "schema", "apps", "app", "total_ns", "phases", "journal", "recorded", "dropped", "events",
     "counters",
 ];
 
@@ -71,14 +63,18 @@ fn one_app(server: Server) -> FlightReport {
     let mut workload = boot_server(server, false);
     let mut dynacut = DynaCut::new(workload.registry.clone());
     let features: Vec<Feature> = match server {
-        Server::Nginx => vec![Feature::from_function("PUT", &workload.exe, "ngx_put_handler")
-            .unwrap()
-            .redirect_to_function(&workload.exe, dynacut_apps::nginx::ERROR_HANDLER)
-            .unwrap()],
-        Server::Lighttpd => vec![Feature::from_function("PUT", &workload.exe, "lt_put_handler")
-            .unwrap()
-            .redirect_to_function(&workload.exe, dynacut_apps::lighttpd::ERROR_HANDLER)
-            .unwrap()],
+        Server::Nginx => vec![
+            Feature::from_function("PUT", &workload.exe, "ngx_put_handler")
+                .unwrap()
+                .redirect_to_function(&workload.exe, dynacut_apps::nginx::ERROR_HANDLER)
+                .unwrap(),
+        ],
+        Server::Lighttpd => vec![
+            Feature::from_function("PUT", &workload.exe, "lt_put_handler")
+                .unwrap()
+                .redirect_to_function(&workload.exe, dynacut_apps::lighttpd::ERROR_HANDLER)
+                .unwrap(),
+        ],
         Server::Redis => vec![Feature::from_function("SET", &workload.exe, "rd_cmd_set")
             .unwrap()
             .redirect_to_function(&workload.exe, dynacut_apps::redis::ERROR_HANDLER)
@@ -104,7 +100,9 @@ fn one_app(server: Server) -> FlightReport {
     let flight = workload.kernel.flight();
     let mut events: BTreeMap<String, u64> = BTreeMap::new();
     for event in flight.iter() {
-        *events.entry(kind_label(&event.kind).to_owned()).or_insert(0) += 1;
+        *events
+            .entry(kind_label(&event.kind).to_owned())
+            .or_insert(0) += 1;
     }
     FlightReport {
         app: server.module().to_owned(),

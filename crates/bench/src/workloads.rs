@@ -60,13 +60,21 @@ impl Server {
 pub fn boot_server(server: Server, with_tracer: bool) -> Workload {
     let libc = guest_libc();
     let (exe, config_path, config): (Image, &str, Vec<u8>) = match server {
-        Server::Nginx => (nginx::image(&libc), nginx::CONFIG_PATH, nginx::config_file()),
+        Server::Nginx => (
+            nginx::image(&libc),
+            nginx::CONFIG_PATH,
+            nginx::config_file(),
+        ),
         Server::Lighttpd => (
             lighttpd::image(&libc),
             lighttpd::CONFIG_PATH,
             lighttpd::config_file(),
         ),
-        Server::Redis => (redis::image(&libc), redis::CONFIG_PATH, redis::config_file()),
+        Server::Redis => (
+            redis::image(&libc),
+            redis::CONFIG_PATH,
+            redis::config_file(),
+        ),
     };
     let mut kernel = Kernel::new();
     kernel.add_file(config_path, &config);

@@ -59,7 +59,10 @@ impl fmt::Display for DynacutError {
                 write!(f, "module `{name}` is not mapped in the target process")
             }
             DynacutError::BlockOutOfRange { feature, offset } => {
-                write!(f, "feature `{feature}` block at {offset:#x} is outside the module text")
+                write!(
+                    f,
+                    "feature `{feature}` block at {offset:#x} is outside the module text"
+                )
             }
             DynacutError::Handler(err) => write!(f, "fault-handler build error: {err}"),
             DynacutError::BadPlan(reason) => write!(f, "bad rewrite plan: {reason}"),

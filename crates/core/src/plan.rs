@@ -315,10 +315,7 @@ mod tests {
         let one_sec = Duration::from_secs(1);
         assert_eq!(Downtime::Fixed(7).charge_ns(one_sec), 7);
         assert_eq!(Downtime::None.charge_ns(one_sec), 0);
-        assert_eq!(
-            Downtime::MeasuredTimes(3).charge_ns(one_sec),
-            3_000_000_000
-        );
+        assert_eq!(Downtime::MeasuredTimes(3).charge_ns(one_sec), 3_000_000_000);
         // A huge scale factor must clamp, not wrap.
         assert_eq!(
             Downtime::MeasuredTimes(u64::MAX).charge_ns(one_sec),

@@ -113,9 +113,7 @@ mod tests {
         let mut kernel = Kernel::new();
         let profiler = Profiler::install(&mut kernel);
         assert!(profiler.phase("nope").is_none());
-        assert!(profiler
-            .feature_between("f", "a", "b", "app")
-            .is_none());
+        assert!(profiler.feature_between("f", "a", "b", "app").is_none());
         assert!(profiler.init_only_between("a", "b", "app").is_none());
     }
 

@@ -31,7 +31,9 @@ fn scenario(cache_enabled: bool) -> (String, u64, u64) {
     }
     let exe = Arc::clone(&spec.exe);
     kernel.spawn(&spec).unwrap();
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let pids = kernel.pids();
 
     // Warm the cache on the exact paths the cycle will patch: the PUT
@@ -121,7 +123,9 @@ fn trap_fires_through_a_promoted_replicas_hot_cache() {
     let mut groups = Vec::new();
     for _ in 0..3 {
         groups.push(vec![kernel.spawn(&spec).unwrap()]);
-        kernel.run_until_event(EVENT_READY, 500_000_000).expect("boot");
+        kernel
+            .run_until_event(EVENT_READY, 500_000_000)
+            .expect("boot");
     }
     let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
 
@@ -130,7 +134,10 @@ fn trap_fires_through_a_promoted_replicas_hot_cache() {
     kernel.freeze(last).unwrap();
     let conn = kernel.client_connect(redis::PORT).unwrap();
     for round in 0..3 {
-        for request in [format!("SET k{round} v\n"), format!("SETRANGE {round} abc\n")] {
+        for request in [
+            format!("SET k{round} v\n"),
+            format!("SETRANGE {round} abc\n"),
+        ] {
             assert_eq!(
                 kernel
                     .client_request(conn, request.as_bytes(), 5_000_000)
@@ -180,6 +187,14 @@ fn trap_fires_through_a_promoted_replicas_hot_cache() {
         .filter(|event| matches!(event.kind, EventKind::TrapHit { handled: true, .. }))
         .map(|event| event.pid)
         .collect();
-    assert_eq!(traps, vec![Some(replica)], "one trap, on its first execution");
-    assert_eq!(DynaCut::verifier_reports(&mut kernel).len(), 1, "and one heal");
+    assert_eq!(
+        traps,
+        vec![Some(replica)],
+        "one trap, on its first execution"
+    );
+    assert_eq!(
+        DynaCut::verifier_reports(&mut kernel).len(),
+        1,
+        "and one heal"
+    );
 }

@@ -2,9 +2,7 @@
 //! §3.2/§4 workflows, from trace collection through customization,
 //! redirect handling, re-enabling, and verification.
 
-use dynacut::{
-    BlockPolicy, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan,
-};
+use dynacut::{BlockPolicy, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_analysis::{init_only_blocks, CovGraph};
 use dynacut_apps::{libc::guest_libc, lighttpd, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
@@ -37,7 +35,9 @@ fn boot_nginx() -> Server {
     };
     let exe = Arc::clone(&spec.exe);
     kernel.spawn(&spec).unwrap();
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let pids = kernel.pids();
     Server {
         kernel,
@@ -63,7 +63,9 @@ fn boot_redis() -> Server {
     };
     let exe = Arc::clone(&spec.exe);
     kernel.spawn(&spec).unwrap();
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let pids = kernel.pids();
     Server {
         kernel,
@@ -113,7 +115,11 @@ fn nginx_put_delete_block_redirect_and_reenable() {
         .customize(&mut server.kernel, &server.pids, &plan)
         .unwrap();
     assert!(report.blocks_disabled > 0);
-    assert_eq!(report.handler_bases.len(), 2, "handler in master and worker");
+    assert_eq!(
+        report.handler_bases.len(),
+        2,
+        "handler in master and worker"
+    );
 
     // Same connection: PUT/DELETE now answer 403; GET unaffected.
     assert_eq!(
@@ -304,7 +310,9 @@ fn lighttpd_init_code_removal_keeps_server_working() {
     tracer.track(&kernel, pid).unwrap();
 
     // Init phase, then the nudge.
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let init_cov = CovGraph::from_log(&tracer.nudge());
 
     // Serving phase: exercise GET/HEAD so hot blocks are known.

@@ -64,10 +64,7 @@ struct Server {
     registry: ModuleRegistry,
 }
 
-fn boot(
-    image: fn(&dynacut_obj::Image) -> dynacut_obj::Image,
-    config: (&str, Vec<u8>),
-) -> Server {
+fn boot(image: fn(&dynacut_obj::Image) -> dynacut_obj::Image, config: (&str, Vec<u8>)) -> Server {
     let libc = guest_libc();
     let exe = image(&libc);
     let mut kernel = Kernel::new();
@@ -80,7 +77,9 @@ fn boot(
     }
     let exe = Arc::clone(&spec.exe);
     kernel.spawn(&spec).unwrap();
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let pids = kernel.pids();
     Server {
         kernel,
@@ -161,11 +160,16 @@ fn assert_failed_cycle_journal(
         "journal opens with CustomizeBegin ({ctx})"
     );
     assert!(
-        matches!(events.last().map(|e| &e.kind), Some(EventKind::CustomizeRollback)),
+        matches!(
+            events.last().map(|e| &e.kind),
+            Some(EventKind::CustomizeRollback)
+        ),
         "journal ends with CustomizeRollback ({ctx})"
     );
     assert!(
-        !events.iter().any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
+        !events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
         "a failed cycle must not journal a commit ({ctx})"
     );
 
@@ -217,7 +221,10 @@ fn assert_failed_cycle_journal(
     // The incremental pre-dump snapshots every pid's dirty bits before
     // anything can fail, so the rollback re-marks them in every case.
     assert_eq!(
-        steps.iter().filter(|s| **s == RollbackStep::RestoreDirtyBits).count(),
+        steps
+            .iter()
+            .filter(|s| **s == RollbackStep::RestoreDirtyBits)
+            .count(),
         pids.len(),
         "dirty bits restored per pid ({ctx})"
     );
@@ -262,13 +269,20 @@ fn assert_rollback_then_retry(
     let mut dynacut = DynaCut::new(server.registry.clone()).with_incremental();
     let conn = server.kernel.client_connect(port).unwrap();
     assert_eq!(
-        server.kernel.client_request(conn, probe.0, 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, probe.0, 5_000_000)
+            .unwrap(),
         probe.1,
         "guest serves before the attempt ({ctx})"
     );
 
     let pristine = server.kernel.state_fingerprint();
-    let rollbacks_before = server.kernel.flight().metrics().counter("customize.rollbacks");
+    let rollbacks_before = server
+        .kernel
+        .flight()
+        .metrics()
+        .counter("customize.rollbacks");
     let seq0 = server.kernel.flight().next_seq();
     fault::arm(phase, skip);
     let err = dynacut
@@ -279,7 +293,11 @@ fn assert_rollback_then_retry(
         Some(phase),
         "error names the injected phase, got `{err}` ({ctx})"
     );
-    assert_eq!(fault::armed_count(), 0, "the armed fault was consumed ({ctx})");
+    assert_eq!(
+        fault::armed_count(),
+        0,
+        "the armed fault was consumed ({ctx})"
+    );
 
     // The tentpole invariant: the kernel rolled back to exactly the
     // pre-customization state — processes alive and thawed, memory, TCP,
@@ -290,7 +308,10 @@ fn assert_rollback_then_retry(
         "kernel state must roll back exactly ({ctx})"
     );
     for &pid in &server.pids {
-        assert!(server.kernel.exit_status(pid).is_none(), "{pid} alive ({ctx})");
+        assert!(
+            server.kernel.exit_status(pid).is_none(),
+            "{pid} alive ({ctx})"
+        );
         assert_ne!(
             server.kernel.process(pid).unwrap().state,
             ProcState::Frozen,
@@ -320,9 +341,19 @@ fn assert_rollback_then_retry(
 
     // The flight journal is the observable record of the failure: it
     // must name the phase the cycle died in and every rollback step.
-    assert_failed_cycle_journal(&server.kernel, seq0, flight_phase(phase), &server.pids, &ctx);
+    assert_failed_cycle_journal(
+        &server.kernel,
+        seq0,
+        flight_phase(phase),
+        &server.pids,
+        &ctx,
+    );
     assert_eq!(
-        server.kernel.flight().metrics().counter("customize.rollbacks"),
+        server
+            .kernel
+            .flight()
+            .metrics()
+            .counter("customize.rollbacks"),
         rollbacks_before + 1,
         "rollback counter incremented ({ctx})"
     );
@@ -330,7 +361,10 @@ fn assert_rollback_then_retry(
     // The pre-existing connection survived the aborted attempt (TCP
     // repair mode was left again) and the feature is still enabled.
     assert_eq!(
-        server.kernel.client_request(conn, probe.0, 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, probe.0, 5_000_000)
+            .unwrap(),
         probe.1,
         "established connection still serves after rollback ({ctx})"
     );
@@ -343,7 +377,9 @@ fn assert_rollback_then_retry(
         .unwrap_or_else(|err| panic!("retry after rollback must succeed ({ctx}): {err}"));
     let retry: Vec<_> = server.kernel.flight().since(seq1).collect();
     assert!(
-        retry.iter().any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
+        retry
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
         "retry journals a commit ({ctx})"
     );
     assert!(
@@ -361,7 +397,10 @@ fn assert_rollback_then_retry(
         .iter()
         .filter(|e| matches!(e.kind, EventKind::PhaseEnd { .. }))
         .count();
-    assert_eq!(retry_starts, retry_ends, "no dangling phase on success ({ctx})");
+    assert_eq!(
+        retry_starts, retry_ends,
+        "no dangling phase on success ({ctx})"
+    );
     let flight = server.kernel.flight();
     assert_eq!(
         flight.next_seq(),
@@ -369,17 +408,26 @@ fn assert_rollback_then_retry(
         "recorder accounting: recorded == held + dropped ({ctx})"
     );
     assert_eq!(
-        server.kernel.client_request(conn, proof.0, 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, proof.0, 5_000_000)
+            .unwrap(),
         proof.1,
         "customization applies on the retry ({ctx})"
     );
     assert_eq!(
-        server.kernel.client_request(conn, probe.0, 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, probe.0, 5_000_000)
+            .unwrap(),
         probe.1,
         "benign traffic unaffected after the retry ({ctx})"
     );
     for &pid in &server.pids {
-        assert!(server.kernel.exit_status(pid).is_none(), "{pid} alive after retry ({ctx})");
+        assert!(
+            server.kernel.exit_status(pid).is_none(),
+            "{pid} alive after retry ({ctx})"
+        );
     }
     assert_eq!(
         dynacut.store().logical_pages_bytes(),
@@ -463,7 +511,10 @@ fn nginx_worker_restore_failure_leaves_master_serving() {
 
     let conn = server.kernel.client_connect(nginx::PORT).unwrap();
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_201,
         "PUT works before customization"
     );
@@ -484,11 +535,17 @@ fn nginx_worker_restore_failure_leaves_master_serving() {
     // The established connection survived and the master still serves
     // both reads and (still-enabled) writes through it.
     assert_eq!(
-        server.kernel.client_request(conn, b"GET /i.html\n", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"GET /i.html\n", 5_000_000)
+            .unwrap(),
         nginx::RESP_200
     );
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_201,
         "PUT still enabled: the aborted attempt must not half-apply"
     );
@@ -500,7 +557,10 @@ fn nginx_worker_restore_failure_leaves_master_serving() {
         .customize(&mut server.kernel, &server.pids, &plan)
         .expect("clean retry succeeds");
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_403
     );
 }
@@ -521,7 +581,10 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         .customize(&mut server.kernel, &server.pids, &disable)
         .expect("first cycle");
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_403
     );
 
@@ -546,7 +609,10 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         "second cycle rolled back over the first cycle's committed state"
     );
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_403,
         "cycle one's customization survives the aborted cycle two"
     );
@@ -565,7 +631,10 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
         .customize(&mut server.kernel, &server.pids, &enable)
         .expect("retry of cycle two");
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_201,
         "PUT re-enabled by the retried cycle"
     );
@@ -609,7 +678,10 @@ fn unreached_phase_leaves_customize_untouched() {
     assert_eq!(fault::armed_count(), 0);
     let conn = server.kernel.client_connect(nginx::PORT).unwrap();
     assert_eq!(
-        server.kernel.client_request(conn, b"PUT /f data", 5_000_000).unwrap(),
+        server
+            .kernel
+            .client_request(conn, b"PUT /f data", 5_000_000)
+            .unwrap(),
         nginx::RESP_403
     );
 }
@@ -685,7 +757,10 @@ fn assert_demoted_then_repromote(
         "fleet-wide state parity after demotion ({ctx})"
     );
     for &pid in &server.pids {
-        assert!(server.kernel.exit_status(pid).is_none(), "{pid} alive ({ctx})");
+        assert!(
+            server.kernel.exit_status(pid).is_none(),
+            "{pid} alive ({ctx})"
+        );
         assert_ne!(
             server.kernel.process(pid).unwrap().state,
             ProcState::Frozen,
@@ -739,7 +814,11 @@ fn canary_soak_fault_demotes_and_retry_promotes() {
         };
         let mut dynacut = DynaCut::new(server.registry.clone()).with_incremental();
         let pristine = server.kernel.state_fingerprint_timeless();
-        let demotions = server.kernel.flight().metrics().counter("rollout.demotions");
+        let demotions = server
+            .kernel
+            .flight()
+            .metrics()
+            .counter("rollout.demotions");
 
         fault::arm(FaultPhase::CanarySoak, skip);
         let err = dynacut
@@ -748,7 +827,11 @@ fn canary_soak_fault_demotes_and_retry_promotes() {
         assert_eq!(err.injected_phase(), Some(FaultPhase::CanarySoak), "{ctx}");
         assert_eq!(fault::armed_count(), 0, "fault consumed ({ctx})");
         assert_eq!(
-            server.kernel.flight().metrics().counter("rollout.demotions"),
+            server
+                .kernel
+                .flight()
+                .metrics()
+                .counter("rollout.demotions"),
             demotions + 1,
             "demotion counted ({ctx})"
         );
@@ -785,7 +868,11 @@ fn promote_restore_fault_unwinds_the_whole_wave() {
         let err = dynacut
             .rollout(&mut server.kernel, &groups, &plan, &rollout_plan)
             .expect_err("armed promotion must fail");
-        assert_eq!(err.injected_phase(), Some(FaultPhase::PromoteRestore), "{ctx}");
+        assert_eq!(
+            err.injected_phase(),
+            Some(FaultPhase::PromoteRestore),
+            "{ctx}"
+        );
         assert_eq!(fault::armed_count(), 0, "fault consumed ({ctx})");
 
         // The journal shows the unwind: one UndoRestore per promoted
@@ -803,7 +890,11 @@ fn promote_restore_fault_unwinds_the_whole_wave() {
                 )
             })
             .count();
-        assert_eq!(undos, skip + 1, "replicas 0..k unwound, then the canary ({ctx})");
+        assert_eq!(
+            undos,
+            skip + 1,
+            "replicas 0..k unwound, then the canary ({ctx})"
+        );
         assert!(
             events
                 .iter()

@@ -70,7 +70,10 @@ fn enable_plan(server: &Server) -> RewritePlan {
 
 /// Drives the same two-cycle workload (disable SETRANGE, serve, enable
 /// it back) and returns the two reports plus the kernel for inspection.
-fn run_two_cycles(mut dynacut: DynaCut, mut server: Server) -> (Server, Vec<dynacut::CustomizeReport>) {
+fn run_two_cycles(
+    mut dynacut: DynaCut,
+    mut server: Server,
+) -> (Server, Vec<dynacut::CustomizeReport>) {
     let mut reports = Vec::new();
     let disable = disable_plan(&server);
     reports.push(
@@ -152,8 +155,7 @@ fn zero_copy_counts_only_first_sight_pages() {
             "cycle {i} dumped something"
         );
         assert!(
-            report.restore_copied_bytes
-                <= report.frozen_page_bytes + report.prewritten_page_bytes,
+            report.restore_copied_bytes <= report.frozen_page_bytes + report.prewritten_page_bytes,
             "cycle {i}: the restore never copies more than the dump moved"
         );
     }

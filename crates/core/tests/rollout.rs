@@ -86,7 +86,12 @@ impl Fleet {
     /// [`request`](Fleet::request), served by `pid`: every other
     /// process of the fleet is frozen until the reply is in.
     fn request_on(&mut self, pid: Pid, bytes: &[u8]) -> Vec<u8> {
-        let others: Vec<Pid> = self.kernel.pids().into_iter().filter(|&p| p != pid).collect();
+        let others: Vec<Pid> = self
+            .kernel
+            .pids()
+            .into_iter()
+            .filter(|&p| p != pid)
+            .collect();
         for &other in &others {
             self.kernel.freeze(other).unwrap();
         }
@@ -200,7 +205,11 @@ fn verifier_reports_leave_other_guest_events_queued() {
     fleet.kernel.inject_event(pid, MARKER + 1);
 
     let reports = DynaCut::verifier_reports(&mut fleet.kernel);
-    assert_eq!(reports, vec![ADDR], "the tagged event is extracted, untagged");
+    assert_eq!(
+        reports,
+        vec![ADDR],
+        "the tagged event is extracted, untagged"
+    );
 
     // The interleaved guest markers survived the drain, in order.
     let codes: Vec<u64> = fleet.kernel.events().iter().map(|e| e.code).collect();
@@ -273,7 +282,9 @@ fn clean_soak_promotes_the_canary_image_fleet_wide() {
         "promotion journalled"
     );
     assert!(
-        events.iter().any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
+        events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CustomizeCommit)),
         "the canary cycle committed"
     );
     assert!(
@@ -283,7 +294,11 @@ fn clean_soak_promotes_the_canary_image_fleet_wide() {
         "nothing rolled back"
     );
     assert_eq!(
-        fleet.kernel.flight().metrics().counter("rollout.promotions"),
+        fleet
+            .kernel
+            .flight()
+            .metrics()
+            .counter("rollout.promotions"),
         1
     );
 
@@ -544,7 +559,12 @@ fn bad_rollouts_are_rejected_before_touching_the_fleet() {
     // instead of reporting.
     let redirect = verify_plan(&fleet.exe).with_fault_policy(FaultPolicy::Redirect);
     assert!(matches!(
-        incremental.rollout(&mut fleet.kernel, &groups, &plan.clone().with_fault_policy(FaultPolicy::Terminate), &rollout_plan),
+        incremental.rollout(
+            &mut fleet.kernel,
+            &groups,
+            &plan.clone().with_fault_policy(FaultPolicy::Terminate),
+            &rollout_plan
+        ),
         Err(DynacutError::BadPlan(_))
     ));
     assert!(matches!(
@@ -1002,9 +1022,21 @@ fn a_trap_the_canary_healed_is_cleared_on_every_replica() {
     assert_eq!(report.decision, RolloutDecision::Promoted);
     for group in &groups {
         let pid = group[0];
-        assert_ne!(fleet.setrange_entry_byte(&feature, pid), TRAP_OPCODE, "{pid}");
-        assert_eq!(fleet.request_on(pid, b"SETRANGE 8 abc\n"), b"+OK\n", "{pid}");
-        assert_eq!(fleet.kernel.process(pid).unwrap().fatal_signal, None, "{pid}");
+        assert_ne!(
+            fleet.setrange_entry_byte(&feature, pid),
+            TRAP_OPCODE,
+            "{pid}"
+        );
+        assert_eq!(
+            fleet.request_on(pid, b"SETRANGE 8 abc\n"),
+            b"+OK\n",
+            "{pid}"
+        );
+        assert_eq!(
+            fleet.kernel.process(pid).unwrap().fatal_signal,
+            None,
+            "{pid}"
+        );
     }
     assert!(
         DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),

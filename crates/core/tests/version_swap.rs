@@ -38,7 +38,9 @@ fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
     }
     let exe = Arc::clone(&spec.exe);
     kernel.spawn(&spec).unwrap();
-    kernel.run_until_event(EVENT_READY, 100_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 100_000_000)
+        .expect("boot");
     let pids = kernel.pids();
     let pid = pids[0];
 
@@ -74,7 +76,10 @@ fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
     let proc = kernel.process(pid).unwrap();
     let len_after_commit = proc.block_cache.len();
     let epoch_after_commit = proc.block_cache.epoch();
-    let swaps_before = kernel.flight().metrics().counter("block_cache.version_swaps");
+    let swaps_before = kernel
+        .flight()
+        .metrics()
+        .counter("block_cache.version_swaps");
 
     // Post-cycle traffic: the planted trap fires on PUT, GET still
     // serves — and the warm blocks over unchanged pages come back
@@ -92,8 +97,11 @@ fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
             .unwrap(),
         nginx::RESP_200
     );
-    let version_swaps =
-        kernel.flight().metrics().counter("block_cache.version_swaps") - swaps_before;
+    let version_swaps = kernel
+        .flight()
+        .metrics()
+        .counter("block_cache.version_swaps")
+        - swaps_before;
     (
         kernel.state_fingerprint(),
         len_after_commit,
@@ -209,7 +217,10 @@ fn rollback_redispatches_pristine_version_without_redecode() {
             break;
         }
     }
-    assert!(steady, "the request path reaches a fully decoded steady state");
+    assert!(
+        steady,
+        "the request path reaches a fully decoded steady state"
+    );
 
     // A verifier report mid-soak demotes the canary through the
     // transaction machinery.
@@ -246,7 +257,12 @@ fn rollback_redispatches_pristine_version_without_redecode() {
     // re-enters the dispatcher at a fresh cache key), and the MLFQ's
     // per-level quanta put one boundary of this batch mid-block.
     let misses_before = replica.misses();
-    let cache_len = replica.kernel.process(replica.pid).unwrap().block_cache.len();
+    let cache_len = replica
+        .kernel
+        .process(replica.pid)
+        .unwrap()
+        .block_cache
+        .len();
     assert!(cache_len > 0, "the restored original kept its cache");
     replica.batch();
     oracle.batch();
@@ -277,8 +293,20 @@ fn rollback_redispatches_pristine_version_without_redecode() {
     // every guest-observable byte (clock masked: the soak served real
     // traffic on the demoted side only).
     assert_eq!(
-        replica.kernel.process(replica.pid).unwrap().mem.populated_pages().count(),
-        oracle.kernel.process(oracle.pid).unwrap().mem.populated_pages().count(),
+        replica
+            .kernel
+            .process(replica.pid)
+            .unwrap()
+            .mem
+            .populated_pages()
+            .count(),
+        oracle
+            .kernel
+            .process(oracle.pid)
+            .unwrap()
+            .mem
+            .populated_pages()
+            .count(),
     );
     assert_eq!(
         replica.request(b"GET 3\n"),

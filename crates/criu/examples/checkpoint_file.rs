@@ -39,8 +39,7 @@ fn main() {
     let pid = kernel.spawn(&LoadSpec::exe_only(exe)).expect("spawn");
     kernel.run_until_event(1, 1_000_000).expect("guest up");
     kernel.freeze(pid).expect("freeze");
-    let checkpoint =
-        dump_many(&mut kernel, &[pid], &DumpOptions::default()).expect("dump");
+    let checkpoint = dump_many(&mut kernel, &[pid], &DumpOptions::default()).expect("dump");
     let bytes = checkpoint.to_bytes();
     std::fs::write(&path, &bytes).expect("write checkpoint");
     println!(

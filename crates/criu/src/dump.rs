@@ -50,7 +50,9 @@ pub fn dump(
     options: &DumpOptions,
 ) -> Result<ProcessImage, CriuError> {
     if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::Dump) {
-        return Err(CriuError::FaultInjected(dynacut_vm::fault::FaultPhase::Dump));
+        return Err(CriuError::FaultInjected(
+            dynacut_vm::fault::FaultPhase::Dump,
+        ));
     }
     {
         let proc = kernel.process(pid)?;

@@ -179,8 +179,16 @@ fn checkpoint_encoding_matches_the_golden_bytes() {
     );
     setup.kernel.freeze(setup.pid).unwrap();
     let golden = [
-        (DumpOptions::default(), 12_939, "page-1af8e9d3e867c071f06d44a9f1251a10"),
-        (DumpOptions::stock_criu(), 8_835, "page-e37bf809ebb5c74c1dd839f93b58e569"),
+        (
+            DumpOptions::default(),
+            12_939,
+            "page-1af8e9d3e867c071f06d44a9f1251a10",
+        ),
+        (
+            DumpOptions::stock_criu(),
+            8_835,
+            "page-e37bf809ebb5c74c1dd839f93b58e569",
+        ),
     ];
     for (options, len, hash) in golden {
         let checkpoint = dump_many(&mut setup.kernel, &[setup.pid], &options).unwrap();

@@ -24,18 +24,18 @@ fn arb_perms() -> impl Strategy<Value = Perms> {
 
 fn arb_proc_image() -> impl Strategy<Value = ProcessImage> {
     (
-        1u32..1000,                                             // pid
-        proptest::option::of(1u32..1000),                       // parent
-        "[a-z]{1,12}",                                          // name
-        proptest::array::uniform16(any::<u64>()),               // regs
-        any::<u64>(),                                           // pc
-        0u64..8,                                                // flags
+        1u32..1000,                               // pid
+        proptest::option::of(1u32..1000),         // parent
+        "[a-z]{1,12}",                            // name
+        proptest::array::uniform16(any::<u64>()), // regs
+        any::<u64>(),                             // pc
+        0u64..8,                                  // flags
         proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), Signal::COUNT),
         proptest::collection::vec((0u64..1 << 30, 1u64..64), 0..6), // vmas (page idx, pages)
-        0usize..5,                                              // populated pages
-        proptest::collection::vec((0u32..64, 0u8..5), 0..6),    // fds
-        proptest::collection::vec(any::<u8>(), 0..32),          // tcp payload
-        any::<bool>(),                                          // exec_pages_dumped
+        0usize..5,                                                  // populated pages
+        proptest::collection::vec((0u32..64, 0u8..5), 0..6),        // fds
+        proptest::collection::vec(any::<u8>(), 0..32),              // tcp payload
+        any::<bool>(),                                              // exec_pages_dumped
     )
         .prop_map(
             |(pid, parent, name, regs, pc, flags, sigs, vmas, pages, fds, payload, exec_dumped)| {

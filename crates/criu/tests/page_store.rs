@@ -208,9 +208,13 @@ fn identical_processes_share_pages_and_release_drops_refs() {
     kernel.freeze(a).unwrap();
     kernel.freeze(b).unwrap();
     let mut store = CheckpointStore::new();
-    let id_a = store.put_full(&dump_many(&mut kernel, &[a], &DumpOptions::default()).unwrap()).unwrap();
+    let id_a = store
+        .put_full(&dump_many(&mut kernel, &[a], &DumpOptions::default()).unwrap())
+        .unwrap();
     let unique_after_a = store.unique_pages_bytes();
-    let id_b = store.put_full(&dump_many(&mut kernel, &[b], &DumpOptions::default()).unwrap()).unwrap();
+    let id_b = store
+        .put_full(&dump_many(&mut kernel, &[b], &DumpOptions::default()).unwrap())
+        .unwrap();
 
     // The second replica's pages were already present: the unique
     // footprint barely moves while the logical footprint doubles.

@@ -94,7 +94,10 @@ fn commit_failure_on_second_process_reinserts_the_first() {
         .map(|&port| setup.kernel.client_connect(port).unwrap())
         .collect();
     assert_eq!(
-        setup.kernel.client_request(conns[0], b"x", 1_000_000).unwrap(),
+        setup
+            .kernel
+            .client_request(conns[0], b"x", 1_000_000)
+            .unwrap(),
         b"ALFA"
     );
     for &pid in &setup.pids {
@@ -109,7 +112,9 @@ fn commit_failure_on_second_process_reinserts_the_first() {
     let txn = store
         .stage_restore(&setup.kernel, id, &setup.registry)
         .unwrap();
-    let err = txn.commit(&mut setup.kernel).expect_err("second swap must fail");
+    let err = txn
+        .commit(&mut setup.kernel)
+        .expect_err("second swap must fail");
     assert!(matches!(
         err,
         CriuError::FaultInjected(FaultPhase::RestoreCommit)
@@ -129,11 +134,17 @@ fn commit_failure_on_second_process_reinserts_the_first() {
     let committed = txn.commit(&mut setup.kernel).expect("clean commit");
     assert_eq!(committed.pids(), setup.pids);
     assert_eq!(
-        setup.kernel.client_request(conns[0], b"y", 1_000_000).unwrap(),
+        setup
+            .kernel
+            .client_request(conns[0], b"y", 1_000_000)
+            .unwrap(),
         b"ALFA"
     );
     assert_eq!(
-        setup.kernel.client_request(conns[1], b"z", 1_000_000).unwrap(),
+        setup
+            .kernel
+            .client_request(conns[1], b"z", 1_000_000)
+            .unwrap(),
         b"BRVO"
     );
 }

@@ -476,12 +476,8 @@ mod tests {
         }
         assert_eq!(covered, text.bytes.len() as u64);
         // `mid` and `exit` are both leaders.
-        assert!(text
-            .block_at(text.label_offset("mid").unwrap())
-            .is_some());
-        assert!(text
-            .block_at(text.label_offset("exit").unwrap())
-            .is_some());
+        assert!(text.block_at(text.label_offset("mid").unwrap()).is_some());
+        assert!(text.block_at(text.label_offset("exit").unwrap()).is_some());
     }
 
     #[test]

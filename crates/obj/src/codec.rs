@@ -4,9 +4,7 @@
 //! signal-handler library into a checkpointed process, just as the paper's
 //! implementation parses ELF shared objects with pyelftools (§3.3).
 
-use crate::image::{
-    DynReloc, Image, ObjectKind, PltEntry, RelocValue, SymbolDef, SymbolKind,
-};
+use crate::image::{DynReloc, Image, ObjectKind, PltEntry, RelocValue, SymbolDef, SymbolKind};
 use crate::ObjError;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dynacut_isa::{BasicBlock, FuncSpan};

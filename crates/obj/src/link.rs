@@ -31,15 +31,13 @@ pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, Ob
     let is_local = |symbol: &str| text.labels.contains_key(symbol) || local.contains_key(symbol);
 
     let find_export = |symbol: &str| -> Option<SymbolDef> {
-        libs.iter()
-            .find_map(|lib| lib.symbols.get(symbol).copied())
+        libs.iter().find_map(|lib| lib.symbols.get(symbol).copied())
     };
 
     let mut imports: Vec<String> = Vec::new();
     let note_import = |symbol: &str, imports: &mut Vec<String>| -> Result<(), ObjError> {
-        let export = find_export(symbol).ok_or_else(|| {
-            ObjError::UnresolvedSymbol(symbol.to_owned())
-        })?;
+        let export =
+            find_export(symbol).ok_or_else(|| ObjError::UnresolvedSymbol(symbol.to_owned()))?;
         if export.kind != SymbolKind::Func {
             return Err(ObjError::CrossModuleData(symbol.to_owned()));
         }
@@ -152,7 +150,10 @@ pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, Ob
             displacement: disp,
         })?;
         encode_into(&Insn::Lea(Reg::LT, disp32), &mut text_bytes);
-        encode_into(&Insn::Ld(dynacut_isa::Width::B8, Reg::LT, Reg::LT, 0), &mut text_bytes);
+        encode_into(
+            &Insn::Ld(dynacut_isa::Width::B8, Reg::LT, Reg::LT, 0),
+            &mut text_bytes,
+        );
         encode_into(&Insn::Jmpr(Reg::LT), &mut text_bytes);
         plt.push(PltEntry {
             name: symbol.clone(),

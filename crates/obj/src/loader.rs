@@ -79,9 +79,7 @@ pub fn materialize(
 
     for reloc in &image.dyn_relocs {
         let value = match &reloc.value {
-            RelocValue::Local { offset, addend } => {
-                (base + offset).wrapping_add_signed(*addend)
-            }
+            RelocValue::Local { offset, addend } => (base + offset).wrapping_add_signed(*addend),
             RelocValue::Import { symbol, addend } => resolve(symbol)
                 .ok_or_else(|| ObjError::MissingImport {
                     module: image.name.clone(),
@@ -190,8 +188,11 @@ mod tests {
         .unwrap();
         let data_segment = segments.iter().find(|s| s.name == "app.data").unwrap();
         let got_in_segment = (image.got_off - image.data_off) as usize;
-        let slot =
-            u64::from_le_bytes(data_segment.bytes[got_in_segment..got_in_segment + 8].try_into().unwrap());
+        let slot = u64::from_le_bytes(
+            data_segment.bytes[got_in_segment..got_in_segment + 8]
+                .try_into()
+                .unwrap(),
+        );
         assert_eq!(slot, 0x7000_1234);
     }
 

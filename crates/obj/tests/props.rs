@@ -7,11 +7,11 @@ use proptest::prelude::*;
 /// Generates a small module with arbitrary function/data composition.
 fn arb_module() -> impl Strategy<Value = Image> {
     (
-        1usize..8,                                       // functions
-        0usize..4,                                       // rodata symbols
-        0usize..4,                                       // data symbols
-        0usize..3,                                       // bss symbols
-        proptest::collection::vec(any::<u8>(), 1..64),   // data payload
+        1usize..8,                                     // functions
+        0usize..4,                                     // rodata symbols
+        0usize..4,                                     // data symbols
+        0usize..3,                                     // bss symbols
+        proptest::collection::vec(any::<u8>(), 1..64), // data payload
     )
         .prop_map(|(funcs, rodatas, datas, bsses, payload)| {
             let mut asm = Assembler::new();

@@ -67,7 +67,10 @@ impl fmt::Display for TraceError {
                 "block offset {offset:#x} in module `{module}` exceeds the drcov u32 offset field"
             ),
             TraceError::ModuleLimit { count } => {
-                write!(f, "module table of {count} entries exceeds the drcov u16 id space")
+                write!(
+                    f,
+                    "module table of {count} entries exceeds the drcov u16 id space"
+                )
             }
             TraceError::Vm(err) => write!(f, "kernel error: {err}"),
         }
@@ -216,11 +219,15 @@ impl TraceLog {
     /// Fails with [`TraceError`] on malformed input.
     pub fn from_drcov_text(text: &str) -> Result<TraceLog, TraceError> {
         let mut lines = text.lines();
-        let header = lines.next().ok_or(TraceError::Malformed("empty log".into()))?;
+        let header = lines
+            .next()
+            .ok_or(TraceError::Malformed("empty log".into()))?;
         if !header.starts_with("DRCOV VERSION") {
             return Err(TraceError::Malformed("missing DRCOV header".into()));
         }
-        let module_header = lines.next().ok_or(TraceError::Malformed("missing module table".into()))?;
+        let module_header = lines
+            .next()
+            .ok_or(TraceError::Malformed("missing module table".into()))?;
         let count: usize = module_header
             .rsplit(' ')
             .next()
@@ -229,14 +236,24 @@ impl TraceLog {
         let _columns = lines.next();
         let mut modules = Vec::with_capacity(count);
         for _ in 0..count {
-            let line = lines.next().ok_or(TraceError::Malformed("truncated module table".into()))?;
+            let line = lines
+                .next()
+                .ok_or(TraceError::Malformed("truncated module table".into()))?;
             let mut fields = line.splitn(4, ',').map(str::trim);
             let id: u16 = fields
                 .next()
                 .and_then(|s| s.parse().ok())
                 .ok_or(TraceError::Malformed(format!("bad module id in `{line}`")))?;
-            let base = parse_hex(fields.next().ok_or(TraceError::Malformed("missing base".into()))?)?;
-            let end = parse_hex(fields.next().ok_or(TraceError::Malformed("missing end".into()))?)?;
+            let base = parse_hex(
+                fields
+                    .next()
+                    .ok_or(TraceError::Malformed("missing base".into()))?,
+            )?;
+            let end = parse_hex(
+                fields
+                    .next()
+                    .ok_or(TraceError::Malformed("missing end".into()))?,
+            )?;
             let name = fields
                 .next()
                 .ok_or(TraceError::Malformed("missing name".into()))?
@@ -248,7 +265,9 @@ impl TraceLog {
                 name,
             });
         }
-        let bb_header = lines.next().ok_or(TraceError::Malformed("missing bb table".into()))?;
+        let bb_header = lines
+            .next()
+            .ok_or(TraceError::Malformed("missing bb table".into()))?;
         if !bb_header.starts_with("BB Table") {
             return Err(TraceError::Malformed("missing BB table header".into()));
         }
@@ -298,7 +317,8 @@ fn parse_hex(s: &str) -> Result<u64, TraceError> {
     let stripped = s
         .strip_prefix("0x")
         .ok_or(TraceError::Malformed(format!("`{s}` is not hex")))?;
-    u64::from_str_radix(stripped, 16).map_err(|_| TraceError::Malformed(format!("`{s}` is not hex")))
+    u64::from_str_radix(stripped, 16)
+        .map_err(|_| TraceError::Malformed(format!("`{s}` is not hex")))
 }
 
 #[cfg(test)]

@@ -273,7 +273,8 @@ fn track_rejects_module_with_block_past_4gib() {
     let proc = kernel.process_mut(pid).unwrap();
     let mut huge = (*proc.modules[0].image).clone();
     huge.name = "huge".into();
-    huge.blocks.push(BasicBlock::new(u64::from(u32::MAX) + 1, 4));
+    huge.blocks
+        .push(BasicBlock::new(u64::from(u32::MAX) + 1, 4));
     proc.modules.push(LoadedModule {
         image: Arc::new(huge),
         base: 0x7000_0000,
@@ -289,7 +290,10 @@ fn track_rejects_module_with_block_past_4gib() {
     // All-or-nothing: the valid module alongside it was not registered
     // either, and nothing is tracked for the pid.
     let log = tracer.snapshot();
-    assert!(log.modules.is_empty(), "failed track must not register modules");
+    assert!(
+        log.modules.is_empty(),
+        "failed track must not register modules"
+    );
     assert!(log.blocks.is_empty());
 }
 

@@ -68,7 +68,10 @@ fn coverage_distinguishes_init_hot_and_cold() {
 
     // init_only executed before the nudge, not after.
     for block in &init_blocks {
-        assert!(init_set.contains(block), "init block missing from init phase");
+        assert!(
+            init_set.contains(block),
+            "init block missing from init phase"
+        );
         assert!(
             !serving_set.contains(block),
             "init block wrongly in serving phase"

@@ -53,7 +53,10 @@ impl fmt::Display for VmError {
                 write!(f, "process {pid} is not {expected}")
             }
             VmError::MappingOverlap { start, len } => {
-                write!(f, "mapping [{start:#x}, +{len:#x}) overlaps an existing vma")
+                write!(
+                    f,
+                    "mapping [{start:#x}, +{len:#x}) overlaps an existing vma"
+                )
             }
             VmError::Unaligned(addr) => write!(f, "address {addr:#x} is not page-aligned"),
             VmError::BadAccess { addr, kind } => {

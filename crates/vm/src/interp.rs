@@ -399,9 +399,7 @@ mod tests {
 
     fn proc_with_stack() -> Process {
         let mut proc = Process::new(Pid(1), "t");
-        proc.mem
-            .map(0x1000, 0x2000, Perms::RW, "[stack]")
-            .unwrap();
+        proc.mem.map(0x1000, 0x2000, Perms::RW, "[stack]").unwrap();
         proc.cpu.set_sp(0x3000);
         proc
     }

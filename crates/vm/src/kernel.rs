@@ -147,7 +147,8 @@ impl Kernel {
 
     /// Registers a file in the virtual filesystem.
     pub fn add_file(&mut self, path: &str, contents: &[u8]) {
-        self.vfs.insert(path.to_owned(), Arc::new(contents.to_vec()));
+        self.vfs
+            .insert(path.to_owned(), Arc::new(contents.to_vec()));
     }
 
     /// Contents of a VFS file, if registered (used when restoring open
@@ -777,7 +778,11 @@ impl Kernel {
                 }
             }
             for module in &proc.modules {
-                let _ = writeln!(out, "  module {:?} base={:#x}", module.image.name, module.base);
+                let _ = writeln!(
+                    out,
+                    "  module {:?} base={:#x}",
+                    module.image.name, module.base
+                );
             }
             for vma in proc.mem.vmas() {
                 let _ = writeln!(
@@ -845,8 +850,7 @@ impl Kernel {
                         continue;
                     }
                     _ => {
-                        self.sched.stats.idle_ns +=
-                            deadline.saturating_sub(self.clock_ns);
+                        self.sched.stats.idle_ns += deadline.saturating_sub(self.clock_ns);
                         self.clock_ns = deadline;
                         return RunOutcome::Idle;
                     }
@@ -854,11 +858,7 @@ impl Kernel {
             };
             // Queue entries go stale (freeze, exit, signal death since
             // enqueue): validate before dispatching.
-            if !self
-                .procs
-                .get(&pid)
-                .is_some_and(|p| p.is_runnable())
-            {
+            if !self.procs.get(&pid).is_some_and(|p| p.is_runnable()) {
                 continue;
             }
             // Per-level quantum (doubling per level), clamped to the
@@ -1443,12 +1443,7 @@ impl Kernel {
                             // one budget unit, one clock tick, nothing
                             // retired.
                             budget_left -= 1;
-                            interp::deliver_signal(
-                                proc,
-                                signal,
-                                fault_addr,
-                                hook.as_deref_mut(),
-                            );
+                            interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
                             self.clock_ns += 1;
                             continue;
                         }
@@ -1469,7 +1464,9 @@ impl Kernel {
             } else {
                 &block.insns[..1]
             };
-            let run = &run[..run.len().min(usize::try_from(budget_left).unwrap_or(usize::MAX))];
+            let run = &run[..run
+                .len()
+                .min(usize::try_from(budget_left).unwrap_or(usize::MAX))];
             let mut validated_at = mem.code_write_count();
             // How many instructions ran to completion, and why the block
             // ended.
@@ -1558,10 +1555,14 @@ impl Kernel {
             self.flight.metrics_mut().incr("insns_retired", retired);
         }
         if cache_hits > 0 {
-            self.flight.metrics_mut().incr("block_cache.hits", cache_hits);
+            self.flight
+                .metrics_mut()
+                .incr("block_cache.hits", cache_hits);
         }
         if cache_misses > 0 {
-            self.flight.metrics_mut().incr("block_cache.misses", cache_misses);
+            self.flight
+                .metrics_mut()
+                .incr("block_cache.misses", cache_misses);
         }
         if cache_invalidations > 0 {
             self.flight

@@ -57,19 +57,19 @@ pub use events::{
 };
 pub use fs::{FdTable, FileDesc, VfsFile};
 pub use hook::{Hook, NullHook};
+pub use kernel::Event;
 pub use kernel::{
     ClientConn, ExitStatus, Kernel, RunOutcome, DEFAULT_EVENT_CAPACITY, DEFAULT_PUMP_CHUNK_NS,
 };
 pub use loader::{LoadSpec, LoadedModule, EXE_BASE, LIB_BASE, STACK_BASE, STACK_SIZE};
 pub use mem::{AddressSpace, DisplacedPage, Page, SharedFrame};
 pub use net::{ConnId, TcpConn, TcpState};
-pub use process::{Pid, Process, ProcState, SYSCALL_FILTER_BITS};
+pub use process::{Pid, ProcState, Process, SYSCALL_FILTER_BITS};
 pub use sched::{SchedClass, BOOST_INTERVAL_NS, SCHED_LEVELS};
 pub use signal::{
     SigAction, Signal, SIGFRAME_SIZE, SIG_FRAME_FAULT_ADDR, SIG_FRAME_FLAGS, SIG_FRAME_PC,
     SIG_FRAME_REGS, SIG_FRAME_SIGNO,
 };
-pub use kernel::Event;
 pub use syscall::{err_ret, is_err, perms_from_bits, perms_to_bits, Errno, Sysno};
 pub use vma::Vma;
 

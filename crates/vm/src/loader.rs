@@ -113,19 +113,19 @@ pub(crate) fn load_into(proc: &mut Process, spec: &LoadSpec) -> Result<(), VmErr
             globals.get(symbol).copied()
         })?;
         for segment in &segments {
-            proc.mem
-                .map(segment.vaddr, segment.map_len(), segment.perms, &segment.name)?;
+            proc.mem.map(
+                segment.vaddr,
+                segment.map_len(),
+                segment.perms,
+                &segment.name,
+            )?;
             proc.mem.write_unchecked(segment.vaddr, &segment.bytes);
         }
     }
 
     // Stack.
-    proc.mem.map(
-        STACK_BASE - STACK_SIZE,
-        STACK_SIZE,
-        Perms::RW,
-        "[stack]",
-    )?;
+    proc.mem
+        .map(STACK_BASE - STACK_SIZE, STACK_SIZE, Perms::RW, "[stack]")?;
     proc.cpu.set_sp(STACK_BASE - 64);
 
     // Entry.

@@ -123,7 +123,9 @@ impl NetStack {
 
     /// Whether any connection awaits `accept` on the port.
     pub fn has_backlog(&self, port: u16) -> bool {
-        self.backlog.get(&port).is_some_and(|queue| !queue.is_empty())
+        self.backlog
+            .get(&port)
+            .is_some_and(|queue| !queue.is_empty())
     }
 
     pub fn conn(&self, id: ConnId) -> Option<&TcpConn> {

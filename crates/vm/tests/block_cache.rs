@@ -38,12 +38,17 @@ fn assemble(insns: &[Insn]) -> (Vec<u8>, Vec<u64>) {
 /// Text is RWX so guests can modify their own code.
 fn boot(insns: &[Insn]) -> (Kernel, Pid, Vec<u64>) {
     let (bytes, offsets) = assemble(insns);
-    assert!(bytes.len() as u64 <= PAGE_SIZE, "test program fits one page");
+    assert!(
+        bytes.len() as u64 <= PAGE_SIZE,
+        "test program fits one page"
+    );
     let pid = Pid(1);
     let mut proc = Process::new(pid, "bc_test");
     proc.mem.map(TEXT, PAGE_SIZE, RWX, "text").unwrap();
     proc.mem.write_unchecked(TEXT, &bytes);
-    proc.mem.map(STACK, PAGE_SIZE, Perms::RW, "[stack]").unwrap();
+    proc.mem
+        .map(STACK, PAGE_SIZE, Perms::RW, "[stack]")
+        .unwrap();
     proc.cpu.set_sp(STACK + PAGE_SIZE);
     proc.cpu.pc = TEXT;
     let mut kernel = Kernel::new();
@@ -187,8 +192,8 @@ fn fingerprints_match_cached_vs_uncached() {
         compute_loop(500),
         vec![
             // Exercise call/ret/push/pop through the cache.
-            Insn::Call(1),                           // over the halt
-            Insn::Halt,                              // skipped
+            Insn::Call(1), // over the halt
+            Insn::Halt,    // skipped
             Insn::Push(Reg::R1),
             Insn::Pop(Reg::R2),
             Insn::Movi(Reg::R0, Sysno::Exit as u64),
@@ -222,7 +227,10 @@ fn fingerprints_match_cached_vs_uncached() {
 /// the way a zero-copy restore hands out PageStore pages.
 fn shared_text_frame(insns: &[Insn]) -> (SharedFrame, Vec<u64>) {
     let (bytes, offsets) = assemble(insns);
-    assert!(bytes.len() as u64 <= PAGE_SIZE, "test program fits one page");
+    assert!(
+        bytes.len() as u64 <= PAGE_SIZE,
+        "test program fits one page"
+    );
     let mut page = [0u8; PAGE_SIZE as usize];
     page[..bytes.len()].copy_from_slice(&bytes);
     (
@@ -242,7 +250,9 @@ fn boot_shared(insns: &[Insn], replicas: u32) -> (Kernel, Vec<Pid>, Vec<u64>, Sh
         let mut proc = Process::new(pid, "bc_shared");
         proc.mem.map(TEXT, PAGE_SIZE, RWX, "text").unwrap();
         proc.mem.install_shared_page(TEXT, frame.clone());
-        proc.mem.map(STACK, PAGE_SIZE, Perms::RW, "[stack]").unwrap();
+        proc.mem
+            .map(STACK, PAGE_SIZE, Perms::RW, "[stack]")
+            .unwrap();
         proc.cpu.set_sp(STACK + PAGE_SIZE);
         proc.cpu.pc = TEXT;
         kernel.insert_process(proc).unwrap();
@@ -553,7 +563,12 @@ fn boot_store_loop(cached: bool) -> (Kernel, Pid) {
     );
     let handler = insns.len();
     insns.extend([
-        Insn::Ld(Width::B8, Reg::R1, Reg::R2, dynacut_vm::SIG_FRAME_FAULT_ADDR as i32),
+        Insn::Ld(
+            Width::B8,
+            Reg::R1,
+            Reg::R2,
+            dynacut_vm::SIG_FRAME_FAULT_ADDR as i32,
+        ),
         Insn::Movi(Reg::R0, Sysno::Exit as u64),
         Insn::Syscall,
     ]);
@@ -629,11 +644,22 @@ fn host_install_between_two_stores_copies_on_write() {
         proc.cpu.pc = TEXT;
         kernel.insert_process(proc).unwrap();
         kernel.run_for(4_000);
-        assert_eq!(kernel.exit_status(reader).map(|status| status.code), Some(0xAB));
+        assert_eq!(
+            kernel.exit_status(reader).map(|status| status.code),
+            Some(0xAB)
+        );
         let mem = &kernel.process(writer).unwrap().mem;
-        assert_eq!(mem.cow_fault_count(), 1, "the store after the install copied");
+        assert_eq!(
+            mem.cow_fault_count(),
+            1,
+            "the store after the install copied"
+        );
         assert!(!mem.page_shared(DATA));
-        assert_eq!(frame.bytes(), &[0xAB; PAGE_SIZE as usize], "no store wrote the frame");
+        assert_eq!(
+            frame.bytes(),
+            &[0xAB; PAGE_SIZE as usize],
+            "no store wrote the frame"
+        );
         kernel
     });
 }
@@ -651,7 +677,9 @@ fn protect_read_only_between_two_stores_faults_the_second() {
             .mem
             .protect(DATA, PAGE_SIZE, Perms::R)
             .unwrap();
-        let status = kernel.run_until_exit(pid, 1_000_000).expect("the handler exits");
+        let status = kernel
+            .run_until_exit(pid, 1_000_000)
+            .expect("the handler exits");
         assert_eq!(status.fatal_signal, None);
         assert_eq!(status.code, DATA, "the fault names the store's address");
         kernel
@@ -702,9 +730,19 @@ fn writing_a_page_after_executing_it_invalidates_its_block() {
             .map(DATA, PAGE_SIZE, RWX, "jit")
             .unwrap();
         let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
-        assert_eq!(status.code, 40 + 100, "the last call ran the rewritten code");
+        assert_eq!(
+            status.code,
+            40 + 100,
+            "the last call ran the rewritten code"
+        );
         if cached {
-            assert!(kernel.flight().metrics().counter("block_cache.invalidations") >= 1);
+            assert!(
+                kernel
+                    .flight()
+                    .metrics()
+                    .counter("block_cache.invalidations")
+                    >= 1
+            );
         }
         kernel
     });

@@ -3,9 +3,7 @@
 
 use dynacut_isa::{Assembler, Cond, Insn, Reg, Width};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
-use dynacut_vm::{
-    Kernel, LoadSpec, RunOutcome, Signal, Sysno, SIG_FRAME_PC,
-};
+use dynacut_vm::{Kernel, LoadSpec, RunOutcome, Signal, Sysno, SIG_FRAME_PC};
 
 fn build_exe(asm: &mut Assembler, configure: impl FnOnce(&mut ModuleBuilder)) -> Image {
     let mut builder = ModuleBuilder::new("test_app", ObjectKind::Executable);

@@ -159,7 +159,10 @@ fn runaway_infinite_loop_is_bounded_by_run_for() {
     let pid = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
     let outcome = kernel.run_for(100_000);
     assert_eq!(outcome, dynacut_vm::RunOutcome::Deadline);
-    assert!(kernel.exit_status(pid).is_none(), "still spinning, contained");
+    assert!(
+        kernel.exit_status(pid).is_none(),
+        "still spinning, contained"
+    );
     assert!(kernel.clock_ns() >= 100_000);
 }
 

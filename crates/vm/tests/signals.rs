@@ -4,9 +4,7 @@
 
 use dynacut_isa::{Assembler, Insn, Reg, Width};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
-use dynacut_vm::{
-    Kernel, LoadSpec, Signal, Sysno, SIG_FRAME_PC,
-};
+use dynacut_vm::{Kernel, LoadSpec, Signal, Sysno, SIG_FRAME_PC};
 
 fn build(asm: &mut Assembler) -> Image {
     let mut builder = ModuleBuilder::new("sig_test", ObjectKind::Executable);
@@ -99,7 +97,10 @@ fn register_writes_in_handlers_are_rolled_back() {
     let mut kernel = Kernel::new();
     let pid = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
     let status = kernel.run_until_exit(pid, 5_000_000).expect("completes");
-    assert_eq!(status.code, 5, "r7 restored from the frame, not the handler");
+    assert_eq!(
+        status.code, 5,
+        "r7 restored from the frame, not the handler"
+    );
 }
 
 /// sigreturn with a garbage frame pointer kills the process instead of

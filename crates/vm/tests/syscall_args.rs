@@ -59,12 +59,17 @@ fn boot_with(insns: &[Insn], setup: impl FnOnce(&mut Process)) -> (Kernel, Pid) 
     for insn in insns {
         bytes.extend(encode(insn));
     }
-    assert!(bytes.len() as u64 <= PAGE_SIZE, "test program fits one page");
+    assert!(
+        bytes.len() as u64 <= PAGE_SIZE,
+        "test program fits one page"
+    );
     let pid = Pid(1);
     let mut proc = Process::new(pid, "sys_args");
     proc.mem.map(TEXT, PAGE_SIZE, Perms::RX, "text").unwrap();
     proc.mem.write_unchecked(TEXT, &bytes);
-    proc.mem.map(STACK, PAGE_SIZE, Perms::RW, "[stack]").unwrap();
+    proc.mem
+        .map(STACK, PAGE_SIZE, Perms::RW, "[stack]")
+        .unwrap();
     proc.cpu.set_sp(STACK + PAGE_SIZE);
     proc.cpu.pc = TEXT;
     setup(&mut proc);
@@ -150,7 +155,7 @@ fn bind_rejects_out_of_range_ports() {
         // socket() -> fd in r0
         Insn::Movi(Reg::R0, Sysno::Socket as u64),
         Insn::Syscall,
-        Insn::Mov(Reg::R1, Reg::R0), // fd
+        Insn::Mov(Reg::R1, Reg::R0),   // fd
         Insn::Movi(Reg::R2, 0x1_0050), // would truncate to port 80
         Insn::Movi(Reg::R0, Sysno::Bind as u64),
         Insn::Syscall,
@@ -169,12 +174,7 @@ fn bind_rejects_out_of_range_ports() {
 /// nothing.
 #[test]
 fn kill_does_not_alias_huge_pid_onto_an_existing_process() {
-    let (mut kernel, pid) = boot(&call_then_exit(
-        Sysno::Kill,
-        ALIAS_PID_1,
-        SIGKILL_NUMBER,
-        0,
-    ));
+    let (mut kernel, pid) = boot(&call_then_exit(Sysno::Kill, ALIAS_PID_1, SIGKILL_NUMBER, 0));
     let status = kernel
         .run_until_exit(pid, 1_000_000)
         .expect("the caller survives its own wild kill");

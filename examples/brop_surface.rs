@@ -52,7 +52,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("nginx PLT surface: {executed} entries executed; {removable} used only during init\n");
     println!("removable after initialization:");
     for name in &usage.removable_post_init {
-        println!("  {name}{}", if name == "libc_fork" { "   <- BROP needs this" } else { "" });
+        println!(
+            "  {name}{}",
+            if name == "libc_fork" {
+                "   <- BROP needs this"
+            } else {
+                ""
+            }
+        );
     }
     println!("still required while serving:");
     for name in &usage.still_needed {
@@ -72,7 +79,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_block_policy(dynacut::BlockPolicy::WipeBlocks)
         .with_downtime(Downtime::None);
     dynacut.customize(&mut kernel, &pids, &plan)?;
-    println!("\nwiped {} init-only PLT stubs in both processes.", removable);
+    println!(
+        "\nwiped {} init-only PLT stubs in both processes.",
+        removable
+    );
 
     // The serving path is unaffected…
     let reply = kernel.client_request(conn, b"GET /ok\n", 10_000_000)?;
@@ -101,7 +111,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     kernel.run_for(1_000_000);
     match kernel.exit_status(worker) {
         Some(status) if status.fatal_signal == Some(Signal::Sigtrap) => {
-            println!("\nhijacked jump into fork@plt -> SIGTRAP, worker killed: BROP probe defeated");
+            println!(
+                "\nhijacked jump into fork@plt -> SIGTRAP, worker killed: BROP probe defeated"
+            );
         }
         other => println!("\nunexpected outcome: {other:?}"),
     }

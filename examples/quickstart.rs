@@ -81,7 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. The flight recorder journalled both cycles: per-phase durations,
     //    trap hits on the blocked feature, and the metrics registry.
-    println!("\nflight journal ({} events, {} dropped):", kernel.flight().len(), kernel.flight().dropped());
+    println!(
+        "\nflight journal ({} events, {} dropped):",
+        kernel.flight().len(),
+        kernel.flight().dropped()
+    );
     for event in kernel.flight().iter() {
         match &event.kind {
             dynacut::EventKind::PhaseEnd { phase, duration_ns } => {

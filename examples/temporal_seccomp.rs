@@ -31,7 +31,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let libc_image = Arc::clone(&spec.libs[0]);
     let pid = kernel.spawn(&spec)?;
     profiler.track(&kernel, pid)?;
-    kernel.run_until_event(EVENT_READY, 200_000_000).expect("boot");
+    kernel
+        .run_until_event(EVENT_READY, 200_000_000)
+        .expect("boot");
 
     // During init the server opened its config file, bound its socket,
     // mapped its heap — all syscalls it never needs again.

@@ -19,7 +19,10 @@ fn show(kernel: &mut Kernel, conn: dynacut_vm::ClientConn, request: &[u8]) {
         .expect("request");
     let line = String::from_utf8_lossy(&reply);
     let status = line.lines().next().unwrap_or("<no reply>");
-    println!("  {:30} -> {status}", String::from_utf8_lossy(request).trim_end());
+    println!(
+        "  {:30} -> {status}",
+        String::from_utf8_lossy(request).trim_end()
+    );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -11,9 +11,7 @@ fn checkpoint_redis() -> CheckpointImage {
     let exe = redis::image(&libc);
     let mut kernel = Kernel::new();
     kernel.add_file(redis::CONFIG_PATH, &redis::config_file());
-    let pid = kernel
-        .spawn(&LoadSpec::with_libs(exe, vec![libc]))
-        .unwrap();
+    let pid = kernel.spawn(&LoadSpec::with_libs(exe, vec![libc])).unwrap();
     kernel.run_until_event(EVENT_READY, 200_000_000).unwrap();
     kernel.freeze(pid).unwrap();
     dump_many(&mut kernel, &[pid], &DumpOptions::default()).unwrap()
@@ -31,9 +29,7 @@ fn checkpoint_encoding_matches_the_golden_bytes() {
     let exe = redis::image(&libc);
     let mut kernel = Kernel::new();
     kernel.add_file(redis::CONFIG_PATH, &redis::config_file());
-    let pid = kernel
-        .spawn(&LoadSpec::with_libs(exe, vec![libc]))
-        .unwrap();
+    let pid = kernel.spawn(&LoadSpec::with_libs(exe, vec![libc])).unwrap();
     kernel.run_until_event(EVENT_READY, 200_000_000).unwrap();
     let conn = kernel.client_connect(6379).unwrap();
     assert_eq!(
@@ -98,8 +94,9 @@ fn checkpoint_summary_facts_are_consistent() {
     // The redis heap (160 pages) plus text/data dominates the image.
     assert!(image.pages.len() > 160);
     // Every fd the files image lists decodes to something printable.
-    assert!(image.files.fds.iter().any(|(_, fd)| matches!(
-        fd,
-        dynacut_criu::FdImage::Listener { port: 6379 }
-    )));
+    assert!(image
+        .files
+        .fds
+        .iter()
+        .any(|(_, fd)| matches!(fd, dynacut_criu::FdImage::Listener { port: 6379 })));
 }

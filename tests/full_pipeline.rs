@@ -193,7 +193,13 @@ fn profiler_api_runs_the_paper_workflow() {
     profiler.end_phase("init");
 
     // Wanted phase covers everything the operator keeps.
-    for request in [&b"GET /\n"[..], b"HEAD /\n", b"DELETE /x", b"MKCOL /d", b"PROPFIND /\n"] {
+    for request in [
+        &b"GET /\n"[..],
+        b"HEAD /\n",
+        b"DELETE /x",
+        b"MKCOL /d",
+        b"PROPFIND /\n",
+    ] {
         request_conn(&mut kernel, request);
     }
     profiler.end_phase("wanted");
@@ -252,7 +258,9 @@ fn repeated_customization_cycles_are_stable() {
             nginx::RESP_403,
             "round {round}: blocked"
         );
-        let plan = RewritePlan::new().enable(put.clone()).with_downtime(Downtime::None);
+        let plan = RewritePlan::new()
+            .enable(put.clone())
+            .with_downtime(Downtime::None);
         let pids = world.kernel.pids();
         dynacut.customize(&mut world.kernel, &pids, &plan).unwrap();
         assert_eq!(

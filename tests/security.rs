@@ -147,9 +147,15 @@ fn unmap_policy_segfaults_on_access() {
     // whole pages once coalesced.
     let mut blocks = Vec::new();
     for func in &world.exe.functions {
-        if ["ngx_ssl", "ngx_gzip", "ngx_proxy", "ngx_cache", "ngx_upstream"]
-            .iter()
-            .any(|prefix| func.name.starts_with(prefix))
+        if [
+            "ngx_ssl",
+            "ngx_gzip",
+            "ngx_proxy",
+            "ngx_cache",
+            "ngx_upstream",
+        ]
+        .iter()
+        .any(|prefix| func.name.starts_with(prefix))
         {
             blocks.extend(world.exe.blocks_of_function(&func.name));
         }

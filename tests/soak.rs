@@ -181,8 +181,7 @@ fn randomized_feature_churn_matches_the_model() {
 
         // Probe every feature and GET; replies must match the model.
         let conn = kernel.client_connect(nginx::PORT).unwrap();
-        let mut probes: Vec<(&str, bool)> =
-            vec![("GET", true)];
+        let mut probes: Vec<(&str, bool)> = vec![("GET", true)];
         for (method, (_, enabled)) in &model.features {
             probes.push((method, *enabled));
         }
