@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: release build, full test suite, lint-clean clippy.
+# CI gate: formatting, release build, full test suite, lint-clean clippy.
 # Run from anywhere; everything executes at the repo root.
 set -euo pipefail
 cd "$(dirname "$0")"
 
+cargo fmt --all --check
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
@@ -93,6 +94,13 @@ cargo test -q -p dynacut-vm --test robustness
 cargo test -q -p dynacut-vm --test serve_deadline
 cargo test -q -p dynacut --test cache_trap_visibility
 cargo test -q -p dynacut --test version_swap
+# A customize commit carries only the active version of the cache and
+# seeds only the pages its entries decode from: over forty toggles of
+# one redis process the cache and the registered code pages stay flat,
+# and the criu unit run pins that every page a carried entry spans is
+# seeded (an unseeded page reads generation 0, which a carried snapshot
+# of 0 would validate against rewritten bytes).
+cargo test -q -p dynacut --test carried_state
 cargo test -q -p dynacut-bench interp
 cargo run --release -q -p dynacut-bench --bin figures -- interp > /dev/null
 test -s results/interp.json
@@ -143,6 +151,12 @@ cargo test -q -p dynacut-criu --lib
 # run to Ok or a typed error, and an unaligned module base, one in the
 # top page and a retired count next to u64::MAX are pinned one by one.
 cargo test -q -p dynacut-criu --test restore_fuzz
+# One symbol resolver (DESIGN §12): library injection, the restore's link
+# and the original text take the first definition in load order, and a
+# restore links only text it must rebuild, so a fully dumped image
+# restores when an import no longer resolves and a stock-CRIU one fails
+# with UnresolvedSymbol.
+cargo test -q -p dynacut --test symbol_resolution
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props
 cargo test -q -p dynacut-criu --test incremental

@@ -2,13 +2,17 @@
 
 use std::time::Duration;
 
-/// Mean and standard deviation of a sample of durations.
+/// Mean, standard deviation and best (smallest) of a sample of
+/// durations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Arithmetic mean.
     pub mean: Duration,
     /// Population standard deviation.
     pub stddev: Duration,
+    /// The smallest sample: a host stall only ever adds time, so the
+    /// best of several reps is the estimate one stall cannot move.
+    pub best: Duration,
 }
 
 /// Computes [`Stats`] over a sample.
@@ -17,6 +21,7 @@ pub fn stats(samples: &[Duration]) -> Stats {
         return Stats {
             mean: Duration::ZERO,
             stddev: Duration::ZERO,
+            best: Duration::ZERO,
         };
     }
     let mean_ns = samples.iter().map(|d| d.as_nanos()).sum::<u128>() / samples.len() as u128;
@@ -31,6 +36,7 @@ pub fn stats(samples: &[Duration]) -> Stats {
     Stats {
         mean: Duration::from_nanos(mean_ns as u64),
         stddev: Duration::from_nanos((variance as f64).sqrt() as u64),
+        best: samples.iter().copied().min().unwrap_or_default(),
     }
 }
 
@@ -118,6 +124,17 @@ mod tests {
         let s = stats(&[Duration::from_micros(10); 5]);
         assert_eq!(s.mean, Duration::from_micros(10));
         assert_eq!(s.stddev, Duration::ZERO);
+    }
+
+    #[test]
+    fn stats_best_is_the_smallest_sample() {
+        let s = stats(&[
+            Duration::from_micros(12),
+            Duration::from_micros(10),
+            Duration::from_micros(89),
+        ]);
+        assert_eq!(s.best, Duration::from_micros(10));
+        assert_eq!(s.mean, Duration::from_micros(37));
     }
 
     #[test]

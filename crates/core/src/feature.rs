@@ -97,8 +97,12 @@ impl Feature {
     pub fn with_plt_dependencies(mut self, image: &Image) -> Self {
         let mut extra = Vec::new();
         for block in &self.blocks {
-            let start = block.addr as usize;
-            let end = (start + block.size as usize).min(image.text.len());
+            let Ok(start) = usize::try_from(block.addr) else {
+                continue;
+            };
+            let end = start
+                .saturating_add(block.size as usize)
+                .min(image.text.len());
             if start >= end {
                 continue;
             }

@@ -49,8 +49,21 @@ impl Sink for ByteCount {
     }
 }
 
+/// Writes a string's length or a table's entry count as the format's
+/// `u32`.
+fn put_count(buf: &mut impl Sink, count: usize) {
+    debug_assert!(u32::try_from(count).is_ok(), "count {count} overflows u32");
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "every count is a name's or path's length or the entries of an \
+                  in-memory image table (pages, VMAs, modules, descriptors, \
+                  connections, processes), each far below u32::MAX"
+    )]
+    buf.put_u32_le(count as u32);
+}
+
 fn put_str(buf: &mut impl Sink, s: &str) {
-    buf.put_u32_le(s.len() as u32);
+    put_count(buf, s.len());
     buf.put_slice(s.as_bytes());
 }
 
@@ -99,10 +112,11 @@ impl Reader {
             .map_err(|_| CriuError::BadImage("non-utf8 string".into()))
     }
     fn bytes(&mut self) -> Result<Bytes, CriuError> {
-        let len = self.u64()? as usize;
-        if self.0.remaining() < len {
-            return Err(CriuError::BadImage("truncated byte vector".into()));
-        }
+        let len = self.u64()?;
+        let len = usize::try_from(len)
+            .ok()
+            .filter(|&len| len <= self.0.remaining())
+            .ok_or_else(|| CriuError::BadImage("truncated byte vector".into()))?;
         Ok(self.0.split_to(len))
     }
     fn vec(&mut self) -> Result<Vec<u8>, CriuError> {
@@ -143,7 +157,7 @@ impl CheckpointImage {
     fn encode(&self, buf: &mut impl Sink) {
         buf.put_slice(MAGIC);
         buf.put_u64_le(self.time_ns);
-        buf.put_u32_le(self.procs.len() as u32);
+        put_count(buf, self.procs.len());
         for image in &self.procs {
             encode_proc(buf, image);
         }
@@ -217,7 +231,7 @@ fn encode_core(buf: &mut impl Sink, core: &CoreImage) {
     buf.put_u32_le(core.signal_depth);
     buf.put_u64_le(core.insns_retired);
     buf.put_u64_le(core.syscall_filter);
-    buf.put_u32_le(core.modules.len() as u32);
+    put_count(buf, core.modules.len());
     for module in &core.modules {
         put_str(buf, &module.name);
         buf.put_u64_le(module.base);
@@ -270,7 +284,7 @@ fn decode_core(reader: &mut Reader) -> Result<CoreImage, CriuError> {
 }
 
 fn encode_mm(buf: &mut impl Sink, mm: &MmImage) {
-    buf.put_u32_le(mm.vmas.len() as u32);
+    put_count(buf, mm.vmas.len());
     for vma in &mm.vmas {
         buf.put_u64_le(vma.start);
         buf.put_u64_le(vma.end);
@@ -300,7 +314,7 @@ fn decode_mm(reader: &mut Reader) -> Result<MmImage, CriuError> {
 /// `pagemap.img`, the populated bases in address order, then
 /// `pages.img`, their bytes in the same order.
 fn encode_pages(buf: &mut impl Sink, pages: &BTreeMap<u64, SharedFrame>) {
-    buf.put_u32_le(pages.len() as u32);
+    put_count(buf, pages.len());
     for &base in pages.keys() {
         buf.put_u64_le(base);
     }
@@ -346,7 +360,7 @@ fn decode_pages(reader: &mut Reader) -> Result<BTreeMap<u64, SharedFrame>, CriuE
 }
 
 fn encode_files(buf: &mut impl Sink, files: &FilesImage) {
-    buf.put_u32_le(files.fds.len() as u32);
+    put_count(buf, files.fds.len());
     for (fd, entry) in &files.fds {
         buf.put_u32_le(*fd);
         match entry {
@@ -396,7 +410,7 @@ fn decode_files(reader: &mut Reader) -> Result<FilesImage, CriuError> {
 }
 
 fn encode_tcp(buf: &mut impl Sink, tcp: &TcpImage) {
-    buf.put_u32_le(tcp.conns.len() as u32);
+    put_count(buf, tcp.conns.len());
     for conn in &tcp.conns {
         buf.put_u64_le(conn.id.0);
         buf.put_u16_le(conn.port);

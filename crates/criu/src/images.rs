@@ -1,6 +1,6 @@
 //! The checkpoint image types — one struct per CRIU image file.
 
-use dynacut_obj::{checked_page_align, Perms, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, Perms, PAGE_LEN};
 use dynacut_vm::{ConnId, Pid, SharedFrame, SigAction, Signal};
 use std::collections::BTreeMap;
 
@@ -191,7 +191,7 @@ impl CheckpointImage {
     /// Total size of all page payloads, in bytes (the dominant term of the
     /// paper's reported "image size").
     pub fn pages_bytes(&self) -> usize {
-        self.procs.iter().map(|p| p.pages.len()).sum::<usize>() * PAGE_SIZE as usize
+        self.procs.iter().map(|p| p.pages.len()).sum::<usize>() * PAGE_LEN
     }
 
     /// The image for `pid`, if present.
@@ -203,6 +203,7 @@ impl CheckpointImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynacut_obj::PAGE_SIZE;
 
     #[test]
     fn mm_find_free_skips_vmas() {

@@ -52,6 +52,10 @@ pub use loader::{materialize, SegmentInit};
 /// Page size of the DCVM, in bytes (same as x86-64 small pages).
 pub const PAGE_SIZE: u64 = 4096;
 
+/// [`PAGE_SIZE`] as a length, for indexing and buffers.
+pub const PAGE_LEN: usize = 4096;
+const _: () = assert!(PAGE_LEN as u64 == PAGE_SIZE);
+
 /// Memory protection flags of a segment or VMA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Perms {

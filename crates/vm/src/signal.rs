@@ -45,7 +45,7 @@ impl Signal {
     }
 
     /// The signal's index into the sigaction table.
-    pub(crate) fn index(self) -> usize {
+    pub fn index(self) -> usize {
         usize::from(self as u8)
     }
 
