@@ -57,16 +57,26 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # sees them (a sweep, a host install of a frame another process maps,
 # protect, a page written after it was executed), two queued signals
 # delivered one instruction apart, and hot-entry survival under
-# capacity eviction. A block runs by reference out of the cache and
-# settles its budget, retired count and clock once, when it exits: for
-# every slice length from 1 to 64 a cached and an uncached kernel run a
-# loop with a load, a store, taken and not-taken branches, a syscall and
-# a handled fault in lockstep and agree after every slice. A dispatch
-# skips a block's revalidation while its space reads the code stamp the
-# block last validated under; a stamp names one space's generation
-# table, so a cache put next to another space with an equal code-write
-# count still fires a trap planted under it. The core suites pin trap
-# visibility across a full customize cycle with a hot cache, the
+# capacity eviction. A block runs by reference out of the cache, each
+# instruction executed inline, and settles its budget, retired count and
+# clock once, when it exits: for every slice length from 1 to 64 a cached
+# and an uncached kernel run a loop with a load, a store, taken and
+# not-taken branches, a syscall and a handled fault in lockstep and agree
+# after every slice. Each instruction is checked only for what its class
+# can change: the code-write gate runs after a store (st, push, call,
+# callr, the complete list; one self-modifying guest each, whose stack
+# ones keep the stack pointer inside the code page, must agree with the
+# uncached kernel and execute the new bytes) and the pc guard after a
+# jcc; the process is looked up once per run of blocks, again only
+# after a syscall. The events unit run pins that the interpreter's and
+# scheduler's counters, now in fixed slots, read and list as the named
+# ones do. A dispatch skips a block's revalidation while its space reads
+# the code stamp the block last validated under; a stamp names one
+# space's generation table, so a cache put next to another space with an
+# equal code-write count still fires a trap planted under it. The core suites pin trap
+# visibility across a full customize cycle with a hot cache (a trap on the
+# lower page of a carried two-page superblock fires on the loop's next
+# pass, so a carry that leaves that page unseeded fails), the
 # zero-flush version-swapping commit and the rollback that
 # re-dispatches without re-decoding.
 # The syscall_args, robustness and serve_deadline suites pin the typed

@@ -40,8 +40,8 @@ use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
 use crate::session::{in_freeze_window, unwind, CustomizeReport, Receipt, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
-    dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CkptId, CommittedRestore,
-    CriuError, ModuleRegistry, PreDump, ProcessImage, Promotion, RestoreTransaction,
+    dump_many, mark_clean_after_dump, pre_dump, CanaryEdit, CheckpointImage, CriuError,
+    ModuleRegistry, PreDump, ProcessImage, Promotion, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
@@ -134,6 +134,35 @@ fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
     for &pid in pids {
         kernel.set_sched_class(pid, class);
     }
+}
+
+/// One promotion window's body: freezes `group`, patches it in place
+/// with the canary's code changes `edit`, and thaws it back into the
+/// states it was frozen in. A failure changes nothing in the group and
+/// thaws what the window froze, newest first, before returning.
+fn promote_group(
+    kernel: &mut Kernel,
+    edit: &CanaryEdit<'_>,
+    group: &[Pid],
+) -> Result<Promotion, DynacutError> {
+    let mut frozen = Vec::with_capacity(group.len());
+    let mut promote = || -> Result<Promotion, DynacutError> {
+        for &pid in group {
+            kernel.freeze(pid)?;
+            frozen.push(pid);
+        }
+        Ok(edit.promote(kernel, group)?)
+    };
+    let landed = promote();
+    if landed.is_ok() {
+        for &pid in &frozen {
+            // Frozen above and patched in place, so still frozen.
+            let _ = kernel.thaw(pid);
+        }
+    } else {
+        unwind(kernel, None, frozen.into_iter().rev());
+    }
+    landed
 }
 
 /// One process's accumulated redirect or verifier table, from a
@@ -971,8 +1000,9 @@ impl DynaCut {
     ///
     /// * **Clean soak** — the canary cycle's code changes are promoted
     ///   onto every remaining group via
-    ///   [`CheckpointStore::promote`](dynacut_criu::CheckpointStore::promote):
-    ///   one tiny freeze window per replica group (serialized, with
+    ///   [`CanaryEdit::promote`](dynacut_criu::CanaryEdit::promote),
+    ///   computed once before the first window: one tiny freeze window
+    ///   per replica group (serialized, with
     ///   serve slices pumped between) patches each replica in place with
     ///   the changed boot text pages, the new verifier library, the
     ///   retirement of its own earlier libraries, and the canary's
@@ -1123,9 +1153,11 @@ impl DynaCut {
         // remaining group, serialized like the fleet engine's windows,
         // with serve slices pumped between. The canary cycle is still
         // open: its committed restore holds the pre-edit canary, by
-        // which each window tells the boot modules from the new
-        // library, and a failure at replica k unwinds replicas 0..k and
-        // then demotes the canary, so the fleet is all-or-nothing.
+        // which the edit tells the boot modules from the new library.
+        // The edit is computed once, before the first window, so each
+        // window holds only its group's check and patch. A failure at
+        // replica k unwinds replicas 0..k and then demotes the canary,
+        // so the fleet is all-or-nothing.
         let ckpt_id = cycle
             .report
             .checkpoint_id
@@ -1141,6 +1173,16 @@ impl DynaCut {
             .expect("canary cycle committed its restore before the soak");
         let mut promoted: Vec<(Vec<Pid>, Promotion, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
+        let edit = match self
+            .store
+            .canary_edit(ckpt_id, canary_restore, registry, is_injected)
+        {
+            Ok(edit) => edit,
+            Err(err) => {
+                self.demote_canary(kernel, cycle, reports.len());
+                return Err(err.into());
+            }
+        };
         let mut wave_err: Option<DynacutError> = None;
         for group in &groups[1..] {
             // Background from the window start until the rollout
@@ -1149,7 +1191,7 @@ impl DynaCut {
             set_group_class(kernel, group, SchedClass::Background);
             let bracket = Bracket::open(kernel, group, Phase::Promote);
             let copied_before = self.store.page_store().copied_bytes();
-            match self.promote_group(kernel, ckpt_id, canary_restore, registry, group) {
+            match promote_group(kernel, &edit, group) {
                 Ok(receipt) => {
                     let copied = self.store.page_store().copied_bytes() - copied_before;
                     let window = bracket.close(kernel, group);
@@ -1228,42 +1270,6 @@ impl DynaCut {
             promotion_copied_bytes: promotion_copied,
             wall: started.elapsed(),
         })
-    }
-
-    /// One promotion window's body: freezes `group`, patches it in
-    /// place with the code changes of the canary cycle that stored `id`
-    /// (`canary` is that cycle's committed restore), and thaws it back
-    /// into the states it was frozen in. A failure changes nothing in
-    /// the group and thaws what the window froze, newest first, before
-    /// returning.
-    fn promote_group(
-        &self,
-        kernel: &mut Kernel,
-        id: CkptId,
-        canary: &CommittedRestore,
-        registry: &ModuleRegistry,
-        group: &[Pid],
-    ) -> Result<Promotion, DynacutError> {
-        let mut frozen = Vec::with_capacity(group.len());
-        let mut promote = || -> Result<Promotion, DynacutError> {
-            for &pid in group {
-                kernel.freeze(pid)?;
-                frozen.push(pid);
-            }
-            Ok(self
-                .store
-                .promote(kernel, id, canary, registry, is_injected, group)?)
-        };
-        let landed = promote();
-        if landed.is_ok() {
-            for &pid in &frozen {
-                // Frozen above and patched in place, so still frozen.
-                let _ = kernel.thaw(pid);
-            }
-        } else {
-            unwind(kernel, None, frozen.into_iter().rev());
-        }
-        landed
     }
 
     /// Rolls a held-open canary cycle all the way back: undo the

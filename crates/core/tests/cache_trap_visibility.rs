@@ -11,7 +11,9 @@ use dynacut::{
 };
 use dynacut_apps::{libc::guest_libc, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
-use dynacut_vm::{Kernel, LoadSpec};
+use dynacut_isa::{Assembler, Insn, Reg};
+use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
+use dynacut_vm::{Kernel, LoadSpec, Signal, EXE_BASE};
 use std::sync::Arc;
 
 /// Boots nginx, warms the PUT handler, customizes PUT away with the
@@ -196,5 +198,89 @@ fn trap_fires_through_a_promoted_replicas_hot_cache() {
         DynaCut::verifier_reports(&mut kernel).len(),
         1,
         "and one heal"
+    );
+}
+
+/// A loop on the first text page that calls `gated`, also on the first
+/// page, which jumps on to its tail on the second: the loop's hot
+/// superblock chains through `gated` and spans both pages.
+fn two_page_superblock() -> Image {
+    let mut asm = Assembler::new();
+    asm.func("_start");
+    asm.label("top");
+    asm.push(Insn::Addi(Reg::R1, 1));
+    asm.call("gated");
+    asm.jmp("top");
+    asm.func("gated");
+    asm.push(Insn::Addi(Reg::R3, 1));
+    asm.jmp("gated_tail");
+    asm.align(PAGE_SIZE);
+    asm.func("gated_tail");
+    asm.push(Insn::Addi(Reg::R2, 1));
+    asm.push(Insn::Ret);
+    let mut builder = ModuleBuilder::new("two_page_superblock", ObjectKind::Executable);
+    builder.text(asm.finish().unwrap());
+    builder.entry("_start");
+    builder.link(&[]).unwrap()
+}
+
+/// A customize that plants a trap on the lower of the two text pages a
+/// hot superblock spans, a page the original never wrote (its generation
+/// snapshot is 0): the commit carries the superblock, and the trap still
+/// fires on the next pass, because the carry seeds that page past the
+/// snapshot. An unseeded page would read generation 0 and validate the
+/// carried superblock over the rewritten bytes.
+#[test]
+fn trap_on_the_lower_page_of_a_carried_two_page_superblock_fires() {
+    let spec = LoadSpec::exe_only(two_page_superblock());
+    let exe = Arc::clone(&spec.exe);
+    let mut registry = ModuleRegistry::new();
+    registry.insert(Arc::clone(&exe));
+    let mut kernel = Kernel::new();
+    let pid = kernel.spawn(&spec).unwrap();
+    kernel.run_for(100_000);
+
+    let proc = kernel.process(pid).unwrap();
+    let mut spanned: Vec<u64> = proc.block_cache.code_pages().collect();
+    spanned.sort_unstable();
+    spanned.dedup();
+    assert_eq!(
+        spanned,
+        [EXE_BASE, EXE_BASE + PAGE_SIZE],
+        "both pages cached"
+    );
+    assert_eq!(
+        proc.mem.code_page_gen(EXE_BASE),
+        0,
+        "the lower page never changed"
+    );
+    let gated = exe.symbol_addr(EXE_BASE, "gated").unwrap();
+    assert!(gated < EXE_BASE + PAGE_SIZE, "gated sits on the lower page");
+
+    let feature = Feature::from_function("gated", &exe, "gated").unwrap();
+    let plan = RewritePlan::new()
+        .disable(feature)
+        .with_downtime(Downtime::None);
+    DynaCut::new(registry)
+        .customize(&mut kernel, &[pid], &plan)
+        .unwrap();
+    let proc = kernel.process(pid).unwrap();
+    assert!(!proc.block_cache.is_empty(), "the commit carried the cache");
+    let retired = proc.insns_retired;
+
+    let status = kernel
+        .run_until_exit(pid, 1_000_000)
+        .expect("the planted trap kills");
+    assert_eq!(status.fatal_signal, Some(Signal::Sigtrap));
+    let proc = kernel.process(pid).unwrap();
+    assert_eq!(proc.cpu.pc, gated);
+    // One pass of the loop is seven instructions (`addi`, `call`, `addi`,
+    // `jmp`, `addi`, `ret`, `jmp`); a stale carried superblock would run
+    // the old `gated` until some later re-decode.
+    assert!(
+        proc.insns_retired - retired <= 7,
+        "the trap must fire on the loop's next pass; it fired {} instructions \
+         after the commit",
+        proc.insns_retired - retired
     );
 }

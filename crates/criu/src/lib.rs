@@ -39,8 +39,9 @@
 //!   image itself, on the store's frames, plus one content-addressed
 //!   page key per page), so pages unchanged since an earlier checkpoint
 //!   are shared, not copied, and no read walks a chain,
-//! * **promotion** ([`CheckpointStore::promote`]) — a rollout's canary
-//!   cycle's code changes, installed in place on the other replicas as
+//! * **promotion** ([`CheckpointStore::canary_edit`],
+//!   [`CanaryEdit::promote`]) — a rollout's canary cycle's code changes,
+//!   computed once and installed in place on the other replicas as
 //!   shared store frames, with a [`Promotion`] receipt that undoes
 //!   them, and
 //! * a textual decoder ([`ProcessImage::decode_text`]) mirroring
@@ -76,7 +77,7 @@ pub use incremental::{
     mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDump, PreDumpStats,
 };
 pub use page_store::{PageKey, PageStore};
-pub use promote::Promotion;
+pub use promote::{CanaryEdit, Promotion};
 pub use restore::{CommittedRestore, ModuleRegistry, RestoreTransaction};
 
 /// Error type shared by dump, restore and editing operations.

@@ -3,10 +3,11 @@
 //!
 //! A rollout's canary runs the one real customize cycle. Every other
 //! replica then takes only what that cycle changed in code, never the
-//! canary's process. [`CheckpointStore::promote`] reads the canary's
-//! stored entry, tells its boot modules and new libraries apart by the
-//! canary's pre-edit process, which the canary's [`CommittedRestore`]
-//! still holds, and patches each frozen replica with:
+//! canary's process. [`CheckpointStore::canary_edit`] reads the canary's
+//! stored entry once per rollout and tells its boot modules and new
+//! libraries apart by the canary's pre-edit process, which the canary's
+//! [`CommittedRestore`] still holds. [`CanaryEdit::promote`] then
+//! patches each frozen replica group with:
 //!
 //! * the text pages of boot modules whose bytes differ from the canary's
 //!   edited ones. A boot module is one the canary mapped before its
@@ -63,6 +64,15 @@ struct CodeEdit<'a> {
     sigtrap: SigAction,
     /// The canary's syscall filter after the edit.
     syscall_filter: u64,
+}
+
+/// The code changes of a canary cycle, one per canary process: computed
+/// once per rollout by [`CheckpointStore::canary_edit`], and promoted
+/// onto each replica group by [`CanaryEdit::promote`].
+pub struct CanaryEdit<'a> {
+    edits: Vec<CodeEdit<'a>>,
+    /// Tells an injected library's name.
+    injected: fn(&str) -> bool,
 }
 
 /// What patching one replica changes beyond its pages, settled by the
@@ -315,7 +325,7 @@ impl Displaced {
     }
 }
 
-/// Receipt of a [`CheckpointStore::promote`]: what each replica
+/// Receipt of a [`CanaryEdit::promote`]: what each replica
 /// displaced. Dropping it keeps the promotion; [`undo`](Promotion::undo)
 /// reverses it.
 #[derive(Debug)]
@@ -435,20 +445,60 @@ impl<'a> CodeEdit<'a> {
 }
 
 impl CheckpointStore {
-    /// Promotes the code changes of the canary cycle that stored `id`
-    /// onto a replica group: each frozen `target` is patched in place
-    /// with the text pages of boot modules whose bytes differ from the
-    /// canary's edited ones, the new injected library's VMAs and pages,
-    /// the retirement of its own injected libraries (unless it is inside
-    /// a signal handler) and the canary's SIGTRAP disposition, syscall
-    /// filter and module list. A boot module is one the canary mapped
-    /// before its edit, other than an injected library. Everything else
-    /// stays the replica's own: registers, scheduler state, descriptors,
-    /// heap, stack, data pages and block cache (page generations
-    /// invalidate the blocks over a replaced page). `canary` is the
+    /// The code changes of the canary cycle that stored `id`: for each
+    /// of its processes, the text pages of boot modules, the new injected
+    /// libraries' VMAs and pages, and the SIGTRAP disposition and syscall
+    /// filter after the edit. A boot module is one the canary mapped
+    /// before its edit, other than an injected library. `canary` is the
     /// canary's committed restore: its displaced pre-edit processes tell
     /// the boot modules and the new libraries apart. `injected` tells an
-    /// injected library's name.
+    /// injected library's name. A rollout computes this once, before its
+    /// promotion wave, so no replica's freeze window pays for it.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
+    /// released; [`CriuError::Inconsistent`] on a canary pid `canary`
+    /// does not hold, or an edit that remapped boot text or mapped a
+    /// module other than an injected library; or
+    /// [`CriuError::UnknownModule`] if a new library's binary is missing
+    /// from `registry`.
+    pub fn canary_edit<'a>(
+        &'a self,
+        id: CkptId,
+        canary: &'a CommittedRestore,
+        registry: &ModuleRegistry,
+        injected: fn(&str) -> bool,
+    ) -> Result<CanaryEdit<'a>, CriuError> {
+        let edits = self
+            .get(id)?
+            .image
+            .procs
+            .iter()
+            .map(|image| {
+                let before = canary.original(image.core.pid).ok_or_else(|| {
+                    CriuError::Inconsistent(format!(
+                        "the canary's restore displaced no {}",
+                        image.core.pid
+                    ))
+                })?;
+                CodeEdit::of(image, before, registry, injected)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(CanaryEdit { edits, injected })
+    }
+}
+
+impl CanaryEdit<'_> {
+    /// Promotes the canary's code changes onto a replica group: each
+    /// frozen `target` is patched in place with the text pages of boot
+    /// modules whose bytes differ from the canary's edited ones, the new
+    /// injected library's VMAs and pages, the retirement of its own
+    /// injected libraries (unless it is inside a signal handler) and the
+    /// canary's SIGTRAP disposition, syscall filter and module list.
+    /// Everything else stays the replica's own: registers, scheduler
+    /// state, descriptors, heap, stack, data pages and block cache (page
+    /// generations invalidate the blocks over a replaced page).
     ///
     /// No page byte is copied ([`PageStore::copied_bytes`] does not
     /// move) and no store reference is taken: every installed page is a
@@ -464,48 +514,27 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Fails with [`CriuError::MissingParent`] if `id` is absent or
-    /// released; [`CriuError::Inconsistent`] on a group-size mismatch, a
-    /// canary pid `canary` does not hold, or an edit that remapped boot
-    /// text or mapped a module other than an injected library;
-    /// [`CriuError::UnknownModule`] if a new
-    /// library's binary is missing from `registry`;
+    /// Fails with [`CriuError::Inconsistent`] on a group-size mismatch;
     /// [`CriuError::ReplicaMismatch`] if a target fails its checks; or
     /// [`CriuError::Vm`] if a target is missing or not frozen.
     ///
     /// [`PageStore::copied_bytes`]: crate::PageStore::copied_bytes
-    pub fn promote(
-        &self,
-        kernel: &mut Kernel,
-        id: CkptId,
-        canary: &CommittedRestore,
-        registry: &ModuleRegistry,
-        injected: fn(&str) -> bool,
-        targets: &[Pid],
-    ) -> Result<Promotion, CriuError> {
-        let procs = &self.get(id)?.image.procs;
-        if procs.len() != targets.len() {
+    pub fn promote(&self, kernel: &mut Kernel, targets: &[Pid]) -> Result<Promotion, CriuError> {
+        if self.edits.len() != targets.len() {
             return Err(CriuError::Inconsistent(format!(
                 "canary image holds {} processes but the target group has {}",
-                procs.len(),
+                self.edits.len(),
                 targets.len()
             )));
         }
         let mut checked = Vec::with_capacity(targets.len());
-        for (image, &pid) in procs.iter().zip(targets) {
+        for (edit, &pid) in self.edits.iter().zip(targets) {
             if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PromoteRestore) {
                 return Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::PromoteRestore,
                 ));
             }
-            let before = canary.original(image.core.pid).ok_or_else(|| {
-                CriuError::Inconsistent(format!(
-                    "the canary's restore displaced no {}",
-                    image.core.pid
-                ))
-            })?;
-            let edit = CodeEdit::of(image, before, registry, injected)?;
-            let plan = edit.check(kernel.process(pid)?, injected)?;
+            let plan = edit.check(kernel.process(pid)?, self.injected)?;
             checked.push((pid, edit, plan));
         }
         let mut promotion = Promotion {

@@ -275,8 +275,9 @@ impl Assembler {
     ///
     /// # Errors
     ///
-    /// Reports duplicate labels, undefined local labels, and branch
-    /// displacements that do not fit in 32 bits.
+    /// Reports duplicate labels, undefined local labels, branch
+    /// displacements that do not fit in 32 bits, and text or a basic
+    /// block too large for its size field ([`IsaError::TextTooLarge`]).
     pub fn finish(&mut self) -> Result<TextImage, IsaError> {
         if let Some(err) = self.errors.first() {
             return Err(err.clone());
@@ -296,8 +297,11 @@ impl Assembler {
             labels.get(name).map(|&idx| offsets[idx])
         };
 
-        // Pass 2: encode with displacements resolved.
-        let mut bytes = Vec::with_capacity(total as usize);
+        // Pass 2: encode with displacements resolved. Every pad is part of
+        // the total, so once the total fits in host memory, each pad does.
+        let too_large = |offset, len| IsaError::TextTooLarge { offset, len };
+        let mut bytes =
+            Vec::with_capacity(usize::try_from(total).map_err(|_| too_large(0, total))?);
         let mut relocs = Vec::new();
         for (idx, item) in self.items.iter().enumerate() {
             let next = offsets[idx + 1];
@@ -311,7 +315,8 @@ impl Assembler {
                 })
             };
             if let Item::Align(_) = item {
-                let pad = (offsets[idx + 1] - offsets[idx]) as usize;
+                let pad = offsets[idx + 1] - offsets[idx];
+                let pad = usize::try_from(pad).map_err(|_| too_large(offsets[idx], pad))?;
                 bytes.extend(std::iter::repeat_n(Insn::Nop.opcode(), pad));
                 continue;
             }
@@ -378,10 +383,7 @@ impl Assembler {
             if leader[idx] {
                 if let Some(s) = start {
                     if offsets[idx] > offsets[s] {
-                        blocks.push(BasicBlock::new(
-                            offsets[s],
-                            (offsets[idx] - offsets[s]) as u32,
-                        ));
+                        blocks.push(block_of(offsets[s], offsets[idx])?);
                         start = Some(idx);
                     }
                     // Zero-size span (e.g. a label on a 0-byte align):
@@ -393,7 +395,7 @@ impl Assembler {
         }
         if let Some(s) = start {
             if total > offsets[s] {
-                blocks.push(BasicBlock::new(offsets[s], (total - offsets[s]) as u32));
+                blocks.push(block_of(offsets[s], total)?);
             }
         }
 
@@ -433,9 +435,28 @@ impl Assembler {
     }
 }
 
+/// The basic block `[start, end)` of assembled text.
+fn block_of(start: u64, end: u64) -> Result<BasicBlock, IsaError> {
+    let len = end - start;
+    let size = u32::try_from(len).map_err(|_| IsaError::TextTooLarge { offset: start, len })?;
+    Ok(BasicBlock::new(start, size))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_block_past_the_32_bit_size_field_is_a_typed_error() {
+        assert_eq!(block_of(4, 12), Ok(BasicBlock::new(4, 8)));
+        assert_eq!(
+            block_of(8, 8 + (1 << 32)),
+            Err(IsaError::TextTooLarge {
+                offset: 8,
+                len: 1 << 32
+            })
+        );
+    }
 
     #[test]
     fn forward_and_backward_branches_resolve() {

@@ -31,6 +31,15 @@ pub enum IsaError {
         /// The displacement that did not fit.
         displacement: i64,
     },
+    /// Assembled text, or one basic block of it, is larger than its size
+    /// field holds (a block's size is 32 bits; the text must fit in host
+    /// memory). Only an alignment of gigabytes gets here.
+    TextTooLarge {
+        /// Offset of the text or block that is too large.
+        offset: u64,
+        /// Its size in bytes.
+        len: u64,
+    },
 }
 
 impl fmt::Display for IsaError {
@@ -57,6 +66,12 @@ impl fmt::Display for IsaError {
                 f,
                 "displacement {displacement} to label `{label}` does not fit in 32 bits"
             ),
+            IsaError::TextTooLarge { offset, len } => {
+                write!(
+                    f,
+                    "{len} bytes of text at offset {offset:#x} exceed the size field"
+                )
+            }
         }
     }
 }
@@ -82,6 +97,10 @@ mod tests {
             IsaError::DisplacementOverflow {
                 label: "far".into(),
                 displacement: i64::MAX,
+            },
+            IsaError::TextTooLarge {
+                offset: 0,
+                len: u64::MAX,
             },
         ];
         for err in samples {

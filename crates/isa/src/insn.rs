@@ -296,9 +296,8 @@ impl Insn {
                 Width::B8 => Opcode::St8 as u8,
             },
             Insn::Jmp(_) => Opcode::Jmp as u8,
-            Insn::Jcc(cond, _) => {
-                Opcode::Je as u8 + Cond::ALL.iter().position(|c| c == cond).unwrap() as u8
-            }
+            // `Cond` declares its variants in `Cond::ALL`'s opcode order.
+            Insn::Jcc(cond, _) => Opcode::Je as u8 + *cond as u8,
             Insn::Jmpr(_) => Opcode::Jmpr as u8,
             Insn::Call(_) => Opcode::Call as u8,
             Insn::Callr(_) => Opcode::Callr as u8,
@@ -408,7 +407,8 @@ mod tests {
     #[test]
     fn jcc_opcodes_are_contiguous() {
         for (i, cond) in Cond::ALL.iter().enumerate() {
-            assert_eq!(Insn::Jcc(*cond, 0).opcode(), Opcode::Je as u8 + i as u8);
+            let index = u8::try_from(i).unwrap();
+            assert_eq!(Insn::Jcc(*cond, 0).opcode(), Opcode::Je as u8 + index);
         }
     }
 

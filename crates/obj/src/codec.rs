@@ -12,8 +12,21 @@ use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 4] = b"DCO1";
 
+/// Writes a string's length or a table's entry count as the format's
+/// `u32`.
+fn put_count(buf: &mut BytesMut, count: usize) {
+    debug_assert!(u32::try_from(count).is_ok(), "count {count} overflows u32");
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "every count is a name's length or the entries of an \
+                  in-memory image table (blocks, functions, symbols, PLT \
+                  entries, relocations, imports), each far below u32::MAX"
+    )]
+    buf.put_u32_le(count as u32);
+}
+
 fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
+    put_count(buf, s.len());
     buf.put_slice(s.as_bytes());
 }
 
@@ -38,7 +51,8 @@ fn get_vec(buf: &mut Bytes) -> Result<Vec<u8>, ObjError> {
     if buf.remaining() < 8 {
         return Err(ObjError::BadImage("truncated byte-vector length".into()));
     }
-    let len = buf.get_u64_le() as usize;
+    // A length past `usize` is past the buffer too.
+    let len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
     if buf.remaining() < len {
         return Err(ObjError::BadImage("truncated byte-vector body".into()));
     }
@@ -84,18 +98,18 @@ impl Image {
         buf.put_u64_le(self.data_off);
         buf.put_u64_le(self.got_off);
         buf.put_u64_le(self.bss_off);
-        buf.put_u32_le(self.blocks.len() as u32);
+        put_count(&mut buf, self.blocks.len());
         for block in &self.blocks {
             buf.put_u64_le(block.addr);
             buf.put_u32_le(block.size);
         }
-        buf.put_u32_le(self.functions.len() as u32);
+        put_count(&mut buf, self.functions.len());
         for func in &self.functions {
             put_str(&mut buf, &func.name);
             buf.put_u64_le(func.offset);
             buf.put_u64_le(func.size);
         }
-        buf.put_u32_le(self.symbols.len() as u32);
+        put_count(&mut buf, self.symbols.len());
         for (name, def) in &self.symbols {
             put_str(&mut buf, name);
             buf.put_u64_le(def.offset);
@@ -105,13 +119,13 @@ impl Image {
             });
             buf.put_u64_le(def.size);
         }
-        buf.put_u32_le(self.plt.len() as u32);
+        put_count(&mut buf, self.plt.len());
         for entry in &self.plt {
             put_str(&mut buf, &entry.name);
             buf.put_u64_le(entry.stub_offset);
             buf.put_u64_le(entry.got_offset);
         }
-        buf.put_u32_le(self.dyn_relocs.len() as u32);
+        put_count(&mut buf, self.dyn_relocs.len());
         for reloc in &self.dyn_relocs {
             buf.put_u64_le(reloc.site);
             match &reloc.value {
@@ -134,7 +148,7 @@ impl Image {
             }
             None => buf.put_u8(0),
         }
-        buf.put_u32_le(self.imports.len() as u32);
+        put_count(&mut buf, self.imports.len());
         for import in &self.imports {
             put_str(&mut buf, import);
         }

@@ -36,6 +36,11 @@
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! A narrowing `as` cast is denied crate-wide: a value that may not fit
+//! goes through `try_from`, and a cast that truncates on purpose says why
+//! in an `#[allow]`.
+#![deny(clippy::cast_possible_truncation)]
 
 mod builder;
 mod codec;

@@ -9,6 +9,18 @@ use crate::{page_align, ObjError};
 use dynacut_isa::{encode_into, BasicBlock, FuncSpan, Insn, Reg, RelocKind};
 use std::collections::BTreeMap;
 
+/// [`PLT_STUB_SIZE`] as a basic block's size; a stub that does not fit
+/// fails the build.
+const PLT_STUB_BLOCK_SIZE: u32 = {
+    assert!(PLT_STUB_SIZE <= u32::MAX as u64, "a PLT stub fits a block");
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "the assertion above bounds the size"
+    )]
+    let size = PLT_STUB_SIZE as u32;
+    size
+};
+
 /// Links `builder` against the exports of `libs`.
 pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, ObjError> {
     let text = &builder.text;
@@ -109,8 +121,16 @@ pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, Ob
                     symbol: reloc.symbol.clone(),
                     displacement: disp,
                 })?;
-                let site = reloc.site as usize;
-                text_bytes[site..site + 4].copy_from_slice(&disp32.to_le_bytes());
+                let slot = usize::try_from(reloc.site)
+                    .ok()
+                    .and_then(|site| text_bytes.get_mut(site..site.checked_add(4)?))
+                    .ok_or_else(|| {
+                        ObjError::BadImage(format!(
+                            "relocation site {:#x} outside the text",
+                            reloc.site
+                        ))
+                    })?;
+                slot.copy_from_slice(&disp32.to_le_bytes());
             }
             RelocKind::Abs64 => {
                 let value = if let Some((off, _, _)) = local_offset(&reloc.symbol) {
@@ -160,7 +180,7 @@ pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, Ob
             stub_offset: stub_off,
             got_offset: slot_off,
         });
-        blocks.push(BasicBlock::new(stub_off, PLT_STUB_SIZE as u32));
+        blocks.push(BasicBlock::new(stub_off, PLT_STUB_BLOCK_SIZE));
         functions.push(FuncSpan {
             name: format!("plt${symbol}"),
             offset: stub_off,
@@ -232,9 +252,10 @@ pub(crate) fn link(builder: &ModuleBuilder, libs: &[&Image]) -> Result<Image, Ob
         (ObjectKind::SharedLib, None) => None,
     };
 
-    // The GOT lives inside the data segment bytes: extend with zeroed slots.
+    // The GOT lives inside the data segment bytes: extend with zeroed
+    // slots, `got_len` bytes.
     let mut data = builder.data.clone();
-    data.extend(std::iter::repeat_n(0u8, got_len as usize));
+    data.extend(std::iter::repeat_n(0u8, imports.len() * 8));
 
     Ok(Image {
         name: builder.name.clone(),
@@ -312,9 +333,9 @@ mod tests {
             && matches!(&r.value, RelocValue::Import { symbol, .. } if symbol == "libc_write")));
         // The call displacement points at the stub: call at 0, next = 5.
         let disp = i32::from_le_bytes(image.text[1..5].try_into().unwrap());
-        assert_eq!(disp, entry.stub_offset as i32 - 5);
+        assert_eq!(i64::from(disp), entry.stub_offset as i64 - 5);
         // The stub decodes to lea/ld/jmpr.
-        let stub = &image.text[entry.stub_offset as usize..];
+        let stub = &image.text[usize::try_from(entry.stub_offset).unwrap()..];
         let insns = dynacut_isa::decode_all(stub).unwrap();
         assert!(matches!(insns[0].1, Insn::Lea(Reg::R14, _)));
         assert!(matches!(insns[1].1, Insn::Ld(..)));

@@ -69,12 +69,20 @@ pub fn materialize(
 
     // Build one flat module byte image (text | pad | rodata | pad | data),
     // patch it, then split into segments.
+    let in_host = |offset: u64| {
+        usize::try_from(offset).map_err(|_| {
+            ObjError::BadImage(format!(
+                "module `{}` does not fit in host memory",
+                image.name
+            ))
+        })
+    };
     let data_end = image.data_off + image.data.len() as u64;
-    let mut flat = vec![0u8; data_end as usize];
+    let mut flat = vec![0u8; in_host(data_end)?];
     flat[..image.text.len()].copy_from_slice(&image.text);
-    let ro = image.rodata_off as usize;
+    let ro = in_host(image.rodata_off)?;
     flat[ro..ro + image.rodata.len()].copy_from_slice(&image.rodata);
-    let rw = image.data_off as usize;
+    let rw = in_host(image.data_off)?;
     flat[rw..rw + image.data.len()].copy_from_slice(&image.data);
 
     for reloc in &image.dyn_relocs {
@@ -87,14 +95,16 @@ pub fn materialize(
                 })?
                 .wrapping_add_signed(*addend),
         };
-        let site = reloc.site as usize;
-        if site + 8 > flat.len() {
+        let slot = usize::try_from(reloc.site)
+            .ok()
+            .and_then(|site| flat.get_mut(site..site.checked_add(8)?));
+        let Some(slot) = slot else {
             return Err(ObjError::BadImage(format!(
                 "relocation site {:#x} outside module `{}`",
                 reloc.site, image.name
             )));
-        }
-        flat[site..site + 8].copy_from_slice(&value.to_le_bytes());
+        };
+        slot.copy_from_slice(&value.to_le_bytes());
     }
 
     let mut segments = Vec::new();
@@ -187,7 +197,7 @@ mod tests {
         })
         .unwrap();
         let data_segment = segments.iter().find(|s| s.name == "app.data").unwrap();
-        let got_in_segment = (image.got_off - image.data_off) as usize;
+        let got_in_segment = usize::try_from(image.got_off - image.data_off).unwrap();
         let slot = u64::from_le_bytes(
             data_segment.bytes[got_in_segment..got_in_segment + 8]
                 .try_into()

@@ -346,33 +346,135 @@ impl Histogram {
     }
 }
 
-/// Named monotonic counters plus duration histograms.
+/// A counter the interpreter and the scheduler bump on every slice or
+/// run, kept in a fixed slot of [`Metrics`] instead of a map entry found
+/// by name. Variants are in name order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Counter {
+    BlockCacheCapacityEvictions,
+    BlockCacheHits,
+    BlockCacheInvalidations,
+    BlockCacheMisses,
+    BlockCacheSuperblocks,
+    BlockCacheVersionSwaps,
+    InsnsRetired,
+    SchedBoosts,
+    SchedDemotions,
+    SchedIdleNs,
+    SchedPreemptions,
+    SchedQuanta,
+    SchedWakeups,
+}
+
+/// How many [`Counter`]s there are.
+const SLOTS: usize = 13;
+
+impl Counter {
+    /// Every counter, in name order.
+    const ALL: [Counter; SLOTS] = [
+        Counter::BlockCacheCapacityEvictions,
+        Counter::BlockCacheHits,
+        Counter::BlockCacheInvalidations,
+        Counter::BlockCacheMisses,
+        Counter::BlockCacheSuperblocks,
+        Counter::BlockCacheVersionSwaps,
+        Counter::InsnsRetired,
+        Counter::SchedBoosts,
+        Counter::SchedDemotions,
+        Counter::SchedIdleNs,
+        Counter::SchedPreemptions,
+        Counter::SchedQuanta,
+        Counter::SchedWakeups,
+    ];
+
+    /// The counter's name, as [`Metrics::counter`] and
+    /// [`Metrics::counters`] know it.
+    fn name(self) -> &'static str {
+        match self {
+            Counter::BlockCacheCapacityEvictions => "block_cache.capacity_evictions",
+            Counter::BlockCacheHits => "block_cache.hits",
+            Counter::BlockCacheInvalidations => "block_cache.invalidations",
+            Counter::BlockCacheMisses => "block_cache.misses",
+            Counter::BlockCacheSuperblocks => "block_cache.superblocks",
+            Counter::BlockCacheVersionSwaps => "block_cache.version_swaps",
+            Counter::InsnsRetired => "insns_retired",
+            Counter::SchedBoosts => "sched.boosts",
+            Counter::SchedDemotions => "sched.demotions",
+            Counter::SchedIdleNs => "sched.idle_ns",
+            Counter::SchedPreemptions => "sched.preemptions",
+            Counter::SchedQuanta => "sched.quanta",
+            Counter::SchedWakeups => "sched.wakeups",
+        }
+    }
+
+    /// The slotted counter called `name`, if there is one.
+    fn from_name(name: &str) -> Option<Counter> {
+        Counter::ALL
+            .into_iter()
+            .find(|counter| counter.name() == name)
+    }
+}
+
+/// Named monotonic counters plus duration histograms. The thirteen
+/// counters the interpreter and the scheduler bump on every slice or run
+/// sit in fixed slots; every other counter is found by name. Both read
+/// and list the same way.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
+    slots: [u64; SLOTS],
+    /// Whether each slot was ever incremented, even by 0: a named
+    /// counter exists from its first increment on, and a slot lists
+    /// alike.
+    touched: [bool; SLOTS],
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 impl Metrics {
+    /// Adds `by` to a slotted counter: an array index, no name search.
+    pub(crate) fn add(&mut self, counter: Counter, by: u64) {
+        self.slots[counter as usize] += by;
+        self.touched[counter as usize] = true;
+    }
+
     /// Adds `by` to the named counter. The key is only allocated the
     /// first time a counter is touched, so steady-state increments from
-    /// hot paths (trap hits, block-cache stats) are allocation-free.
+    /// hot paths (trap hits, failed syscalls) are allocation-free. A
+    /// slotted counter's name reaches its slot.
     pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(value) = self.counters.get_mut(name) {
+        if let Some(counter) = Counter::from_name(name) {
+            self.add(counter, by);
+        } else if let Some(value) = self.counters.get_mut(name) {
             *value += by;
         } else {
             self.counters.insert(name.to_owned(), by);
         }
     }
 
-    /// Current value of a counter (0 if never incremented).
+    /// Current value of a counter, slotted or named (0 if never
+    /// incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match Counter::from_name(name) {
+            Some(counter) => self.slots[counter as usize],
+            None => self.counters.get(name).copied().unwrap_or(0),
+        }
     }
 
-    /// All counters, sorted by name.
+    /// Every counter ever incremented, slotted and named alike, sorted
+    /// by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(name, &v)| (name.as_str(), v))
+        let slotted = Counter::ALL
+            .into_iter()
+            .filter(|&counter| self.touched[counter as usize])
+            .map(|counter| (counter.name(), self.slots[counter as usize]));
+        let mut all: Vec<(&str, u64)> = self
+            .counters
+            .iter()
+            .map(|(name, &v)| (name.as_str(), v))
+            .chain(slotted)
+            .collect();
+        all.sort_unstable_by_key(|&(name, _)| name);
+        all.into_iter()
     }
 
     /// Records a duration observation into the named histogram.
@@ -638,6 +740,63 @@ mod tests {
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 4000);
         assert_eq!(h.mean(), 2000);
+    }
+
+    #[test]
+    fn slotted_counter_names_are_sorted_and_round_trip() {
+        for pair in Counter::ALL.windows(2) {
+            assert!(pair[0].name() < pair[1].name(), "{pair:?} out of order");
+        }
+        for counter in Counter::ALL {
+            assert_eq!(Counter::from_name(counter.name()), Some(counter));
+        }
+        assert_eq!(Counter::from_name("trap_hits.none"), None);
+    }
+
+    #[test]
+    fn counters_list_slotted_and_named_in_one_name_order() {
+        let mut m = Metrics::default();
+        assert_eq!(m.counters().count(), 0, "nothing touched, nothing listed");
+        m.add(Counter::InsnsRetired, 40);
+        m.incr("customize.commits", 1);
+        m.add(Counter::SchedQuanta, 3);
+        m.incr("block_cache.hits", 2);
+        m.incr("syscall.failed.ebadf", 0);
+        m.add(Counter::BlockCacheMisses, 0);
+        m.incr("trap_hits.none", 5);
+        m.add(Counter::InsnsRetired, 2);
+        let listed: Vec<(&str, u64)> = m.counters().collect();
+        assert_eq!(
+            listed,
+            vec![
+                ("block_cache.hits", 2),
+                ("block_cache.misses", 0),
+                ("customize.commits", 1),
+                ("insns_retired", 42),
+                ("sched.quanta", 3),
+                ("syscall.failed.ebadf", 0),
+                ("trap_hits.none", 5),
+            ],
+            "a counter incremented by 0 is listed, one never touched is not"
+        );
+        assert_eq!(m.counter("insns_retired"), 42);
+        assert_eq!(m.counter("block_cache.hits"), 2);
+        assert_eq!(m.counter("customize.commits"), 1);
+        assert_eq!(m.counter("sched.wakeups"), 0);
+        assert_eq!(m.counter("never_touched"), 0);
+
+        // A slot bumped through its name and through its key is one
+        // counter, and equality sees it either way.
+        let mut by_key = Metrics::default();
+        by_key.add(Counter::BlockCacheHits, 2);
+        let mut by_name = Metrics::default();
+        by_name.incr("block_cache.hits", 2);
+        assert_eq!(by_key, by_name);
+        by_name.add(Counter::SchedWakeups, 0);
+        assert_ne!(
+            by_key, by_name,
+            "a touched slot differs from an untouched one"
+        );
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! checkpoint/restore surface.
 
 use crate::bcache::Probe;
-use crate::events::{EventKind, FlightRecorder, VERIFIER_EVENT_BIT};
+use crate::events::{Counter, EventKind, FlightRecorder, VERIFIER_EVENT_BIT};
 use crate::fs::{FileDesc, VfsFile};
 use crate::hook::Hook;
-use crate::interp::{self, Exec};
+use crate::interp::{self, BlockExit, Exec};
 use crate::loader::{load_into, LoadSpec, MMAP_BASE};
 use crate::net::{ConnId, NetStack, TcpConn, TcpState};
 use crate::process::{Pid, ProcState, Process, WaitReason};
@@ -13,7 +13,7 @@ use crate::sched::{SchedClass, Scheduler, WakeHint, BOOST_INTERVAL_NS};
 use crate::signal::{SigAction, Signal};
 use crate::syscall::{self, perms_from_bits, Errno, Outcome, Sysno};
 use crate::VmError;
-use dynacut_isa::{Insn, Reg};
+use dynacut_isa::Reg;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -1185,23 +1185,17 @@ impl Kernel {
     fn flush_sched_stats(&mut self) {
         let stats = self.sched.take_stats();
         let metrics = self.flight.metrics_mut();
-        if stats.quanta > 0 {
-            metrics.incr("sched.quanta", stats.quanta);
-        }
-        if stats.preemptions > 0 {
-            metrics.incr("sched.preemptions", stats.preemptions);
-        }
-        if stats.demotions > 0 {
-            metrics.incr("sched.demotions", stats.demotions);
-        }
-        if stats.boosts > 0 {
-            metrics.incr("sched.boosts", stats.boosts);
-        }
-        if stats.wakeups > 0 {
-            metrics.incr("sched.wakeups", stats.wakeups);
-        }
-        if stats.idle_ns > 0 {
-            metrics.incr("sched.idle_ns", stats.idle_ns);
+        for (counter, by) in [
+            (Counter::SchedQuanta, stats.quanta),
+            (Counter::SchedPreemptions, stats.preemptions),
+            (Counter::SchedDemotions, stats.demotions),
+            (Counter::SchedBoosts, stats.boosts),
+            (Counter::SchedWakeups, stats.wakeups),
+            (Counter::SchedIdleNs, stats.idle_ns),
+        ] {
+            if by > 0 {
+                metrics.add(counter, by);
+            }
         }
     }
 
@@ -1261,29 +1255,16 @@ impl Kernel {
     /// predicted-taken direct branches (see [`interp::decode_block`]); a
     /// recorded per-instruction pc guard side-exits the moment the
     /// guest's control flow diverges from the prediction. A block runs by
-    /// reference out of the cache, and its budget, retired count and
-    /// clock are settled once, when it exits. Every per-instruction
+    /// reference out of the cache in [`interp::run_block`], each
+    /// instruction executed inline and checked only for what its class
+    /// can change, and its budget, retired count and clock are settled
+    /// once, when it exits. The process is looked up once per run of
+    /// blocks, again only after a syscall. Every per-instruction
     /// accounting rule of the uncached path — clock, `insns_retired`,
     /// hook callbacks, signal-delivery interleaving — is reproduced
     /// exactly, so cached and uncached runs are bit-identical under
     /// [`state_fingerprint`](Kernel::state_fingerprint).
     fn step_slice(&mut self, pid: Pid, budget: u64) {
-        /// How a block ended; carried out of the block's borrow of the
-        /// cache, so the handling after it can take the whole process
-        /// (signal delivery, eviction) or the whole kernel (the trap
-        /// journal, syscalls).
-        enum Exit {
-            /// Re-enter the dispatcher at the current pc: the block ran
-            /// to its end or to the slice's, or a superblock side-exited.
-            Redispatch,
-            /// A code page under the block changed: evict it, then
-            /// re-enter.
-            Invalidated,
-            /// An instruction faulted with this signal and address.
-            Fault(Signal, u64),
-            /// A syscall instruction retired at this pc; dispatch it.
-            Syscall(u64),
-        }
         let mut hook = self.hook.take();
         let use_cache = !self.block_cache_disabled;
         // Hot-path stats are accumulated locally and flushed to the
@@ -1296,293 +1277,247 @@ impl Kernel {
         let mut capacity_evictions = 0u64;
         let mut retired = 0u64;
         let mut budget_left = budget;
-        while budget_left > 0 {
+        'slice: while budget_left > 0 {
+            // One lookup per run of blocks: blocks, faults and the trap
+            // journal touch only the process, `self.flight` and
+            // `self.clock_ns`, so the borrow lasts until a syscall, the
+            // one step that can change the process table.
             let Some(proc) = self.procs.get_mut(&pid) else {
                 break;
             };
-            if !proc.is_runnable() {
-                break;
-            }
-            if !use_cache {
-                // The reference path starts every instruction, its signal
-                // delivery included, with an empty soft TLB, so parity
-                // with it also checks the TLB.
-                proc.mem.empty_tlb();
-            }
-            // Deliver pending (asynchronous) signals first.
-            if let Some(signal) = proc.pending_signals.pop_front() {
-                let pc = proc.cpu.pc;
-                interp::deliver_signal(proc, signal, pc, hook.as_deref_mut());
-                if proc.is_exited() {
-                    break;
+            let syscall_pc = loop {
+                if budget_left == 0 || !proc.is_runnable() {
+                    break 'slice;
                 }
-            }
-            let entry = proc.cpu.pc;
+                if !use_cache {
+                    // The reference path starts every instruction, its
+                    // signal delivery included, with an empty soft TLB,
+                    // so parity with it also checks the TLB.
+                    proc.mem.empty_tlb();
+                }
+                // Deliver pending (asynchronous) signals first.
+                if let Some(signal) = proc.pending_signals.pop_front() {
+                    let pc = proc.cpu.pc;
+                    interp::deliver_signal(proc, signal, pc, hook.as_deref_mut());
+                    if proc.is_exited() {
+                        break 'slice;
+                    }
+                }
+                let entry = proc.cpu.pc;
 
-            if !use_cache {
-                // Uncached reference path: one fetch/decode/exec per
-                // budget unit.
-                budget_left -= 1;
-                let (insn, len) = match interp::fetch_insn(&mut proc.mem, entry) {
-                    Ok(pair) => pair,
-                    Err((signal, fault_addr)) => {
-                        interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
-                        self.clock_ns += 1;
-                        continue;
-                    }
-                };
-                match interp::exec_insn(&mut proc.cpu, &mut proc.mem, &insn, len) {
-                    Exec::Done => {
-                        proc.insns_retired = proc.insns_retired.saturating_add(1);
-                        retired += 1;
-                        self.clock_ns += 1;
-                        if let Some(hook) = hook.as_deref_mut() {
-                            hook.on_insn(pid, entry);
-                        }
-                    }
-                    Exec::Fault(signal, fault_addr) => {
-                        let handled =
-                            interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
-                        let exited = proc.is_exited();
-                        self.clock_ns += 1;
-                        if signal == Signal::Sigtrap {
-                            // A patched trap byte fired: record the hit
-                            // and attribute it to the policy that
-                            // planted it, so unhandled traps are not
-                            // just opaque 128+SIGTRAP exit codes.
-                            self.flight
-                                .record_trap_hit(self.clock_ns, pid, fault_addr, handled);
-                        }
-                        if exited {
-                            break;
-                        }
-                    }
-                    Exec::Syscall => {
-                        proc.insns_retired = proc.insns_retired.saturating_add(1);
-                        retired += 1;
-                        self.clock_ns += SYSCALL_COST_NS;
-                        if let Some(hook) = hook.as_deref_mut() {
-                            hook.on_insn(pid, entry);
-                        }
-                        let blocked = self.do_syscall(pid, entry, hook.as_deref_mut());
-                        if blocked {
-                            break;
-                        }
-                    }
-                }
-                continue;
-            }
-
-            // ----- cached dispatch --------------------------------------
-            // The block runs by reference out of the cache while the CPU
-            // and the space are borrowed beside it: no refcount moves.
-            let Process {
-                cpu,
-                mem,
-                block_cache,
-                pending_signals,
-                ..
-            } = &mut *proc;
-            // Probe the active version first; on a miss, try to carry
-            // the previous version forward (a rewrite-epoch version
-            // swap — no re-decode if its page generations still hold).
-            let found = match block_cache.hit(entry, mem) {
-                Probe::Valid(found) => {
-                    cache_hits += 1;
-                    Some(found)
-                }
-                Probe::Stale => {
-                    cache_invalidations += 1;
-                    block_cache.remove(entry);
-                    None
-                }
-                Probe::Absent => None,
-            };
-            let found = match found {
-                Some(found) => Some(found),
-                None => match block_cache.swap_forward(entry, mem) {
-                    Probe::Valid(found) => {
-                        cache_hits += 1;
-                        version_swaps += 1;
-                        Some(found)
-                    }
-                    // The previous version decodes pages the rewrite
-                    // actually changed — dead for good.
-                    Probe::Stale => {
-                        cache_invalidations += 1;
-                        None
-                    }
-                    Probe::Absent => None,
-                },
-            };
-            let block = match found {
-                Some(found) => {
-                    // Hot entry: re-decode chained across predicted
-                    // branches and replace the plain block in place (the
-                    // entry keeps its dispatch profile). The plain block
-                    // just validated, so a decode failure is unreachable
-                    // in practice; it runs the valid block.
-                    if found.wants_promotion() {
-                        if let Ok(superblock) = interp::decode_block(mem, entry, true) {
-                            found.promote(superblock, mem);
-                            superblocks_built += 1;
-                        }
-                    }
-                    found.block()
-                }
-                None => {
-                    cache_misses += 1;
-                    match interp::decode_block(mem, entry, false) {
-                        Ok(block) => {
-                            let (block, evicted) = block_cache.insert(entry, block, mem);
-                            capacity_evictions += evicted;
-                            block
-                        }
+                if !use_cache {
+                    // Uncached reference path: one fetch/decode/exec per
+                    // budget unit.
+                    budget_left -= 1;
+                    let (insn, len) = match interp::fetch_insn(&mut proc.mem, entry) {
+                        Ok(pair) => pair,
                         Err((signal, fault_addr)) => {
-                            // Same accounting as an uncached fetch error:
-                            // one budget unit, one clock tick, nothing
-                            // retired.
-                            budget_left -= 1;
                             interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
                             self.clock_ns += 1;
                             continue;
                         }
-                    }
-                }
-            };
-
-            // Nothing inside a block can queue a signal (hooks see only
-            // `(pid, pc)`; syscalls and faults end the block), so one
-            // test at entry stands for every instruction. A signal still
-            // queued behind the one delivered above is due after this
-            // block's first instruction, which shares the delivery's
-            // budget unit as on the uncached path. A block longer than
-            // the budget left runs to the end of the slice; the next
-            // slice re-enters at the current pc (a fresh cache key).
-            let run = if pending_signals.is_empty() {
-                &block.insns[..]
-            } else {
-                &block.insns[..1]
-            };
-            let run = &run[..run
-                .len()
-                .min(usize::try_from(budget_left).unwrap_or(usize::MAX))];
-            let mut validated_at = mem.code_write_count();
-            // How many instructions ran to completion, and why the block
-            // ended.
-            let (completed, exit) = 'exec: {
-                for (i, &(insn, len)) in run.iter().enumerate() {
-                    let pc = cpu.pc;
-                    match interp::exec_insn(cpu, mem, &insn, usize::from(len)) {
-                        Exec::Done => {
+                    };
+                    match interp::exec_insn(&mut proc.cpu, &mut proc.mem, &insn, len) {
+                        Exec::Done | Exec::Wrote | Exec::Branched => {
+                            proc.insns_retired = proc.insns_retired.saturating_add(1);
+                            retired += 1;
+                            self.clock_ns += 1;
                             if let Some(hook) = hook.as_deref_mut() {
-                                hook.on_insn(pid, pc);
-                            }
-                            // Self-modifying code: if that instruction
-                            // changed a code page, it may have overwritten
-                            // this very block (even mid-superblock).
-                            // Revalidate before running another cached
-                            // instruction.
-                            if mem.code_write_count() != validated_at {
-                                if !block.pages_valid(mem) {
-                                    break 'exec (i + 1, Exit::Invalidated);
-                                }
-                                validated_at = mem.code_write_count();
-                            }
-                            // Only a conditional branch can leave the
-                            // decoded chain: a pc that diverges from it is
-                            // a superblock side-exit (mispredicted branch),
-                            // so re-enter the dispatcher at the real pc.
-                            if matches!(insn, Insn::Jcc(..))
-                                && block.pcs.get(i + 1).is_some_and(|&next| next != cpu.pc)
-                            {
-                                break 'exec (i + 1, Exit::Redispatch);
+                                hook.on_insn(pid, entry);
                             }
                         }
                         Exec::Fault(signal, fault_addr) => {
-                            break 'exec (i, Exit::Fault(signal, fault_addr));
+                            let handled = interp::deliver_signal(
+                                proc,
+                                signal,
+                                fault_addr,
+                                hook.as_deref_mut(),
+                            );
+                            self.clock_ns += 1;
+                            if signal == Signal::Sigtrap {
+                                // A patched trap byte fired: record the
+                                // hit and attribute it to the policy that
+                                // planted it, so unhandled traps are not
+                                // just opaque 128+SIGTRAP exit codes.
+                                self.flight.record_trap_hit(
+                                    self.clock_ns,
+                                    pid,
+                                    fault_addr,
+                                    handled,
+                                );
+                            }
+                            if proc.is_exited() {
+                                break 'slice;
+                            }
                         }
                         Exec::Syscall => {
+                            proc.insns_retired = proc.insns_retired.saturating_add(1);
+                            retired += 1;
+                            self.clock_ns += SYSCALL_COST_NS;
                             if let Some(hook) = hook.as_deref_mut() {
-                                hook.on_insn(pid, pc);
+                                hook.on_insn(pid, entry);
                             }
-                            break 'exec (i + 1, Exit::Syscall(pc));
+                            break entry;
                         }
                     }
+                    continue;
                 }
-                (run.len(), Exit::Redispatch)
+
+                // ----- cached dispatch ----------------------------------
+                // The block runs by reference out of the cache while the
+                // CPU and the space are borrowed beside it: no refcount
+                // moves.
+                let Process {
+                    cpu,
+                    mem,
+                    block_cache,
+                    pending_signals,
+                    ..
+                } = &mut *proc;
+                // Probe the active version first; on a miss, try to carry
+                // the previous version forward (a rewrite-epoch version
+                // swap — no re-decode if its page generations still hold).
+                let found = match block_cache.hit(entry, mem) {
+                    Probe::Valid(found) => {
+                        cache_hits += 1;
+                        Some(found)
+                    }
+                    Probe::Stale => {
+                        cache_invalidations += 1;
+                        block_cache.remove(entry);
+                        None
+                    }
+                    Probe::Absent => None,
+                };
+                let found = match found {
+                    Some(found) => Some(found),
+                    None => match block_cache.swap_forward(entry, mem) {
+                        Probe::Valid(found) => {
+                            cache_hits += 1;
+                            version_swaps += 1;
+                            Some(found)
+                        }
+                        // The previous version decodes pages the rewrite
+                        // actually changed — dead for good.
+                        Probe::Stale => {
+                            cache_invalidations += 1;
+                            None
+                        }
+                        Probe::Absent => None,
+                    },
+                };
+                let block = match found {
+                    Some(found) => {
+                        // Hot entry: re-decode chained across predicted
+                        // branches and replace the plain block in place
+                        // (the entry keeps its dispatch profile). The
+                        // plain block just validated, so a decode failure
+                        // is unreachable in practice; it runs the valid
+                        // block.
+                        if found.wants_promotion() {
+                            if let Ok(superblock) = interp::decode_block(mem, entry, true) {
+                                found.promote(superblock, mem);
+                                superblocks_built += 1;
+                            }
+                        }
+                        found.block()
+                    }
+                    None => {
+                        cache_misses += 1;
+                        match interp::decode_block(mem, entry, false) {
+                            Ok(block) => {
+                                let (block, evicted) = block_cache.insert(entry, block, mem);
+                                capacity_evictions += evicted;
+                                block
+                            }
+                            Err((signal, fault_addr)) => {
+                                // Same accounting as an uncached fetch
+                                // error: one budget unit, one clock tick,
+                                // nothing retired.
+                                budget_left -= 1;
+                                interp::deliver_signal(
+                                    proc,
+                                    signal,
+                                    fault_addr,
+                                    hook.as_deref_mut(),
+                                );
+                                self.clock_ns += 1;
+                                continue;
+                            }
+                        }
+                    }
+                };
+
+                // Nothing inside a block can queue a signal (hooks see
+                // only `(pid, pc)`; syscalls and faults end the block), so
+                // one test at entry stands for every instruction. A
+                // signal still queued behind the one delivered above is
+                // due after this block's first instruction, which shares
+                // the delivery's budget unit as on the uncached path. A
+                // block longer than the budget left runs to the end of
+                // the slice; the next slice re-enters at the current pc
+                // (a fresh cache key).
+                let run = if pending_signals.is_empty() {
+                    &block.insns[..]
+                } else {
+                    &block.insns[..1]
+                };
+                let run = &run[..run
+                    .len()
+                    .min(usize::try_from(budget_left).unwrap_or(usize::MAX))];
+                let (completed, exit) =
+                    interp::run_block(cpu, mem, block, run, pid, hook.as_deref_mut());
+                // Settle the block's accounting once. Each instruction
+                // that completed took a budget unit and a clock tick and
+                // retired, a syscall's tick being `SYSCALL_COST_NS`; a
+                // faulting one took a unit and a tick and did not retire.
+                let completed = completed as u64;
+                let (units, ticks) = match exit {
+                    BlockExit::Fault(..) => (completed + 1, completed + 1),
+                    BlockExit::Syscall(_) => (completed, completed - 1 + SYSCALL_COST_NS),
+                    BlockExit::Redispatch | BlockExit::Invalidated => (completed, completed),
+                };
+                budget_left -= units;
+                proc.insns_retired = proc.insns_retired.saturating_add(completed);
+                retired += completed;
+                self.clock_ns += ticks;
+                match exit {
+                    BlockExit::Redispatch => {}
+                    BlockExit::Invalidated => {
+                        cache_invalidations += 1;
+                        proc.block_cache.remove(entry);
+                    }
+                    BlockExit::Fault(signal, fault_addr) => {
+                        let handled =
+                            interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
+                        if signal == Signal::Sigtrap {
+                            self.flight
+                                .record_trap_hit(self.clock_ns, pid, fault_addr, handled);
+                        }
+                        if proc.is_exited() {
+                            break 'slice;
+                        }
+                    }
+                    BlockExit::Syscall(pc) => break pc,
+                }
             };
-            // Settle the block's accounting once. Each instruction that
-            // completed took a budget unit and a clock tick and retired,
-            // a syscall's tick being `SYSCALL_COST_NS`; a faulting one
-            // took a unit and a tick and did not retire.
-            let completed = completed as u64;
-            let (units, ticks) = match exit {
-                Exit::Fault(..) => (completed + 1, completed + 1),
-                Exit::Syscall(_) => (completed, completed - 1 + SYSCALL_COST_NS),
-                Exit::Redispatch | Exit::Invalidated => (completed, completed),
-            };
-            budget_left -= units;
-            proc.insns_retired = proc.insns_retired.saturating_add(completed);
-            retired += completed;
-            self.clock_ns += ticks;
-            match exit {
-                Exit::Redispatch => {}
-                Exit::Invalidated => {
-                    cache_invalidations += 1;
-                    proc.block_cache.remove(entry);
-                }
-                Exit::Fault(signal, fault_addr) => {
-                    let handled =
-                        interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
-                    let exited = proc.is_exited();
-                    if signal == Signal::Sigtrap {
-                        self.flight
-                            .record_trap_hit(self.clock_ns, pid, fault_addr, handled);
-                    }
-                    if exited {
-                        break;
-                    }
-                }
-                Exit::Syscall(pc) => {
-                    if self.do_syscall(pid, pc, hook.as_deref_mut()) {
-                        break;
-                    }
-                }
+            if self.do_syscall(pid, syscall_pc, hook.as_deref_mut()) {
+                break;
             }
         }
-        if retired > 0 {
-            self.flight.metrics_mut().incr("insns_retired", retired);
-        }
-        if cache_hits > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.hits", cache_hits);
-        }
-        if cache_misses > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.misses", cache_misses);
-        }
-        if cache_invalidations > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.invalidations", cache_invalidations);
-        }
-        if version_swaps > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.version_swaps", version_swaps);
-        }
-        if superblocks_built > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.superblocks", superblocks_built);
-        }
-        if capacity_evictions > 0 {
-            self.flight
-                .metrics_mut()
-                .incr("block_cache.capacity_evictions", capacity_evictions);
+        let metrics = self.flight.metrics_mut();
+        for (counter, by) in [
+            (Counter::InsnsRetired, retired),
+            (Counter::BlockCacheHits, cache_hits),
+            (Counter::BlockCacheMisses, cache_misses),
+            (Counter::BlockCacheInvalidations, cache_invalidations),
+            (Counter::BlockCacheVersionSwaps, version_swaps),
+            (Counter::BlockCacheSuperblocks, superblocks_built),
+            (Counter::BlockCacheCapacityEvictions, capacity_evictions),
+        ] {
+            if by > 0 {
+                metrics.add(counter, by);
+            }
         }
         self.hook = hook;
     }

@@ -638,8 +638,10 @@ impl AddressSpace {
 
     /// Guest load of a `width`-byte little-endian value (permission-
     /// checked, through the soft TLB). A hit is one array index and one
-    /// fixed-size copy.
-    #[inline]
+    /// fixed-size copy. Always inlined, like the block loop's
+    /// [`exec_insn`](crate::interp::exec_insn) it runs in; a miss calls
+    /// out.
+    #[inline(always)]
     pub(crate) fn load(&mut self, addr: u64, width: Width) -> Result<u64, VmError> {
         if let Some(page) = self
             .tlb
@@ -657,8 +659,8 @@ impl AddressSpace {
     /// (permission-checked, through the soft TLB). A hit is one array
     /// index and one fixed-size copy, and still writes only through a
     /// slot it finds private: a stale entry can never write into a
-    /// shared frame.
-    #[inline]
+    /// shared frame. Always inlined, like [`load`](Self::load).
+    #[inline(always)]
     pub(crate) fn store(&mut self, addr: u64, width: Width, value: u64) -> Result<(), VmError> {
         if let Some(page) = self
             .tlb

@@ -985,3 +985,228 @@ fn a_cache_on_a_foreign_space_revalidates() {
     assert_eq!(status.fatal_signal, Some(Signal::Sigtrap));
     assert_eq!(other_kernel.process(other_pid).unwrap().cpu.pc, addrs[1]);
 }
+
+// ----- every store-class instruction reports its write ------------------
+
+/// How many hot-loop iterations a self-modifying guest runs before it
+/// turns its store on its own text: enough to promote the loop.
+const WARM_ITERS: u64 = 40;
+
+/// Runs a self-modifying guest to its end on a cached and an uncached
+/// kernel. The guest warms a loop into a superblock while its store lands
+/// on the stack page, then aims the store at a later instruction of that
+/// superblock and writes a trap byte there. Both kernels must agree on
+/// the exit, the state fingerprint and the retired count, and the trap
+/// must fire at `trap_pc`: a block that ran on past its own store would
+/// retire the stale instruction instead. Returns the cached kernel.
+fn run_self_modifying_guest(insns: &[Insn], trap_pc: u64) -> Kernel {
+    let (mut cached, pid, _) = boot(insns);
+    let (mut uncached, _, _) = boot(insns);
+    uncached.set_block_cache_enabled(false);
+    let status = cached
+        .run_until_exit(pid, 1_000_000)
+        .expect("the planted trap kills");
+    assert_eq!(uncached.run_until_exit(pid, 1_000_000), Some(status));
+    assert_eq!(status.fatal_signal, Some(Signal::Sigtrap));
+    assert_eq!(
+        cached.process(pid).unwrap().cpu.pc,
+        trap_pc,
+        "the new bytes executed"
+    );
+    assert_eq!(
+        cached.process(pid).unwrap().insns_retired,
+        uncached.process(pid).unwrap().insns_retired,
+        "no stale instruction retired"
+    );
+    assert_eq!(
+        cached.state_fingerprint(),
+        uncached.state_fingerprint(),
+        "the block cache must be invisible"
+    );
+    assert!(cached.flight().metrics().counter("block_cache.superblocks") > 0);
+    cached
+}
+
+/// Assembles the program `build` returns for the addresses of its own
+/// instructions: once to lay it out, once with the real addresses (a
+/// `movi`'s length does not depend on its immediate).
+fn assemble_self_referencing(build: impl Fn(&[u64]) -> Vec<Insn>) -> (Vec<Insn>, Vec<u64>) {
+    // One address per byte of the page bounds any instruction index.
+    let layout = build(&vec![0; PAGE_SIZE as usize]);
+    let (_, offsets) = assemble(&layout);
+    let addrs: Vec<u64> = offsets.iter().map(|off| TEXT + off).collect();
+    let insns = build(&addrs);
+    assert_eq!(assemble(&insns).1, offsets, "the layout is stable");
+    (insns, addrs)
+}
+
+/// `Nop`s that end a prefix of `len` bytes so that the call of `call_len`
+/// bytes after it ends at text offset `TRAP_OPCODE`: the return address
+/// it pushes, `TEXT + 0xCC`, then reads as a trap byte where it lands.
+fn pad_to_trap_return(len: usize, call_len: usize) -> Vec<Insn> {
+    assert_eq!(
+        TEXT & 0xff,
+        0,
+        "the return address's low byte is its offset"
+    );
+    vec![Insn::Nop; usize::from(TRAP_OPCODE) - len - call_len]
+}
+
+/// `st` plants a trap byte on the instruction right after it.
+#[test]
+fn a_store_into_its_own_superblock_is_seen_by_the_next_instruction() {
+    const TOP: usize = 5;
+    const TARGET: usize = 6;
+    let (insns, addrs) = assemble_self_referencing(|a| {
+        vec![
+            Insn::Movi(Reg::R1, STACK),
+            Insn::Movi(Reg::R2, WARM_ITERS),
+            Insn::Movi(Reg::R3, 0),
+            Insn::Movi(Reg::R8, a[TARGET]),
+            Insn::Movi(Reg::R9, u64::from(TRAP_OPCODE)),
+            // TOP:
+            Insn::St(Width::B1, Reg::R1, 0, Reg::R3),
+            // TARGET:
+            Insn::Nop,
+            Insn::Addi(Reg::R2, -1),
+            Insn::Cmpi(Reg::R2, 0),
+            Insn::Jcc(dynacut_isa::Cond::Ne, (a[TOP] as i64 - a[10] as i64) as i32),
+            Insn::Mov(Reg::R1, Reg::R8),
+            Insn::Mov(Reg::R3, Reg::R9),
+            Insn::Jmp((a[TOP] as i64 - a[13] as i64) as i32),
+            Insn::Halt,
+        ]
+    });
+    run_self_modifying_guest(&insns, addrs[TARGET]);
+}
+
+/// `push` with the stack pointer inside the code page writes a trap
+/// byte over the instructions right after it.
+#[test]
+fn a_push_into_its_own_superblock_is_seen_by_the_next_instruction() {
+    const TOP: usize = 4;
+    const TARGET: usize = 6;
+    let (insns, addrs) = assemble_self_referencing(|a| {
+        let mut insns = vec![
+            Insn::Movi(Reg::R6, STACK + PAGE_SIZE),
+            Insn::Movi(Reg::R2, WARM_ITERS),
+            Insn::Movi(Reg::R3, 0),
+            Insn::Movi(Reg::R8, a[TARGET] + 8),
+            // TOP:
+            Insn::Mov(Reg::SP, Reg::R6),
+            Insn::Push(Reg::R3),
+        ];
+        // TARGET: the pushed word lands on these eight.
+        insns.extend([Insn::Nop; 8]);
+        let back = insns.len() + 3;
+        insns.extend([
+            Insn::Addi(Reg::R2, -1),
+            Insn::Cmpi(Reg::R2, 0),
+            Insn::Jcc(
+                dynacut_isa::Cond::Ne,
+                (a[TOP] as i64 - a[back] as i64) as i32,
+            ),
+            Insn::Mov(Reg::R6, Reg::R8),
+            Insn::Movi(Reg::R3, u64::from(TRAP_OPCODE)),
+            Insn::Jmp((a[TOP] as i64 - a[back + 3] as i64) as i32),
+            Insn::Halt,
+        ]);
+        insns
+    });
+    run_self_modifying_guest(&insns, addrs[TARGET]);
+}
+
+/// `call` with the stack pointer inside the code page writes its return
+/// address, whose low byte is the trap opcode, over the callee's first
+/// instruction, which the superblock chained right after it.
+#[test]
+fn a_call_into_its_own_superblock_is_seen_by_the_callee() {
+    let head = [
+        Insn::Movi(Reg::R6, STACK + PAGE_SIZE),
+        Insn::Movi(Reg::R2, WARM_ITERS),
+        Insn::Movi(Reg::R8, 0),
+    ];
+    let head_len = assemble(&head).0.len() + encode(&Insn::Mov(Reg::SP, Reg::R6)).len();
+    let pad = pad_to_trap_return(head_len, encode(&Insn::Call(0)).len());
+    let top = head.len() + pad.len();
+    let callee = top + 7;
+    let (insns, addrs) = assemble_self_referencing(|a| {
+        let mut insns = head.to_vec();
+        insns[2] = Insn::Movi(Reg::R8, a[callee] + 8);
+        insns.extend(pad.iter().copied());
+        insns.extend([
+            // top:
+            Insn::Mov(Reg::SP, Reg::R6),
+            Insn::Call((a[callee] as i64 - a[top + 2] as i64) as i32),
+            Insn::Addi(Reg::R2, -1),
+            Insn::Cmpi(Reg::R2, 0),
+            Insn::Jcc(
+                dynacut_isa::Cond::Ne,
+                (a[top] as i64 - a[top + 5] as i64) as i32,
+            ),
+            Insn::Mov(Reg::R6, Reg::R8),
+            Insn::Jmp((a[top] as i64 - a[callee] as i64) as i32),
+        ]);
+        // callee: the return address lands on these eight.
+        insns.extend([Insn::Nop; 8]);
+        insns.push(Insn::Ret);
+        insns
+    });
+    assert_eq!(addrs[top + 2] & 0xff, u64::from(TRAP_OPCODE));
+    run_self_modifying_guest(&insns, addrs[callee]);
+}
+
+/// `callr` with the stack pointer inside the code page writes its return
+/// address, whose low byte is the trap opcode, over the instruction it
+/// returns to. An indirect call ends every chain, so no instruction of
+/// the running block follows it; what its write must still do is evict
+/// that block as it retires. Every block on the page is then stale: the
+/// running one is counted as the `callr` retires, the callee's and the
+/// return point's as they are dispatched.
+#[test]
+fn an_indirect_call_into_its_own_page_evicts_the_running_block() {
+    let head = [
+        Insn::Movi(Reg::R6, STACK + PAGE_SIZE),
+        Insn::Movi(Reg::R2, WARM_ITERS),
+        Insn::Movi(Reg::R7, 0),
+        Insn::Movi(Reg::R8, 0),
+    ];
+    let head_len = assemble(&head).0.len() + encode(&Insn::Mov(Reg::SP, Reg::R6)).len();
+    let pad = pad_to_trap_return(head_len, encode(&Insn::Callr(Reg::R7)).len());
+    let top = head.len() + pad.len();
+    let ret_point = top + 2;
+    let callee = top + 7;
+    let (insns, addrs) = assemble_self_referencing(|a| {
+        let mut insns = head.to_vec();
+        insns[2] = Insn::Movi(Reg::R7, a[callee]);
+        insns[3] = Insn::Movi(Reg::R8, a[ret_point] + 8);
+        insns.extend(pad.iter().copied());
+        insns.extend([
+            // top:
+            Insn::Mov(Reg::SP, Reg::R6),
+            Insn::Callr(Reg::R7),
+            // ret_point: the return address lands here.
+            Insn::Addi(Reg::R2, -1),
+            Insn::Cmpi(Reg::R2, 0),
+            Insn::Jcc(
+                dynacut_isa::Cond::Ne,
+                (a[top] as i64 - a[top + 5] as i64) as i32,
+            ),
+            Insn::Mov(Reg::R6, Reg::R8),
+            Insn::Jmp((a[top] as i64 - a[callee] as i64) as i32),
+            // callee:
+            Insn::Ret,
+        ]);
+        insns
+    });
+    assert_eq!(addrs[ret_point] & 0xff, u64::from(TRAP_OPCODE));
+    let cached = run_self_modifying_guest(&insns, addrs[ret_point]);
+    assert_eq!(
+        cached
+            .flight()
+            .metrics()
+            .counter("block_cache.invalidations"),
+        3,
+        "the running block was evicted when the callr retired"
+    );
+}
