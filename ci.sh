@@ -48,7 +48,7 @@ cargo run --release -q -p dynacut-bench --bin figures -- fleet > /dev/null
 test -s results/fleet.json
 grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 
-# Superblock-chaining multi-version block cache (DESIGN §11): the vm
+# Superblock-chaining block cache keyed by entry pc (DESIGN §11): the vm
 # suite pins rewrite-precise invalidation (self-modifying code, which a
 # running block revalidates after any write to a code page,
 # host-planted traps fired mid-superblock, unmap/protect), fingerprint
@@ -63,22 +63,26 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # and an uncached kernel run a loop with a load, a store, taken and
 # not-taken branches, a syscall and a handled fault in lockstep and agree
 # after every slice. Each instruction is checked only for what its class
-# can change: the code-write gate runs after a store (st, push, call,
+# can change: the code-stamp gate runs after a store (st, push, call,
 # callr, the complete list; one self-modifying guest each, whose stack
 # ones keep the stack pointer inside the code page, must agree with the
 # uncached kernel and execute the new bytes) and the pc guard after a
 # jcc; the process is looked up once per run of blocks, again only
 # after a syscall. The events unit run pins that the interpreter's and
 # scheduler's counters, now in fixed slots, read and list as the named
-# ones do. A dispatch skips a block's revalidation while its space reads
-# the code stamp the block last validated under; a stamp names one
-# space's generation table, so a cache put next to another space with an
-# equal code-write count still fires a trap planted under it. The core suites pin trap
-# visibility across a full customize cycle with a hot cache (a trap on the
-# lower page of a carried two-page superblock fires on the loop's next
-# pass, so a carry that leaves that page unseeded fails), the
-# zero-flush version-swapping commit and the rollback that
-# re-dispatches without re-decoding.
+# ones do. A dispatch, and a running block after a store, skip a block's
+# revalidation while its space reads the code stamp the block last
+# validated under; a stamp names one space's generation table, so a
+# cache put next to another space with an equal count of code writes
+# still fires a trap planted under it. The bcache unit run pins the
+# pc-keyed cache: a carried entry's first valid dispatch is one version
+# swap, a carry takes only the entries that ran since the last one and
+# seeds the pages they span, and a carried entry over a changed page is
+# stale. The core suites pin trap visibility across a full customize
+# cycle with a hot cache (a trap on the lower page of a carried two-page
+# superblock fires on the loop's next pass, so a carry that leaves that
+# page unseeded fails), the commit whose carried entries swap in without
+# a re-decode and the rollback that re-dispatches without re-decoding.
 # The syscall_args, robustness and serve_deadline suites pin the typed
 # syscall ABI (DESIGN §15): fd/pid truncation, wild lengths, a read
 # EFAULT that keeps its source's bytes, fd/pid counters that stop at
@@ -95,17 +99,19 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # table never holds a right the slow path would refuse, that the slab
 # slot an entry holds is always its page's (a slot freed and handed to
 # another page, a page a host write populates under an entry filled
-# while it was empty), and that an access leaves its page's slot in the
-# table for the next one to hit.
+# while it was empty), that an access leaves its page's slot in the
+# table for the next one to hit, and that the code stamp moves exactly
+# when a page's generation does.
 cargo test -q -p dynacut-vm --lib mem::
+cargo test -q -p dynacut-vm --lib bcache::
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
 cargo test -q -p dynacut-vm --test robustness
 cargo test -q -p dynacut-vm --test serve_deadline
 cargo test -q -p dynacut --test cache_trap_visibility
 cargo test -q -p dynacut --test version_swap
-# A customize commit carries only the active version of the cache and
-# seeds only the pages its entries decode from: over forty toggles of
+# A customize commit carries only the entries that ran since the last
+# carry and seeds only the pages they decode from: over forty toggles of
 # one redis process the cache and the registered code pages stay flat,
 # and the criu unit run pins that every page a carried entry spans is
 # seeded (an unseeded page reads generation 0, which a carried snapshot
@@ -161,6 +167,11 @@ cargo test -q -p dynacut-criu --lib
 # run to Ok or a typed error, and an unaligned module base, one in the
 # top page and a retired count next to u64::MAX are pinned one by one.
 cargo test -q -p dynacut-criu --test restore_fuzz
+# A DCO binary whose sections overlap or run past the top of the
+# address space is refused with BadImage by from_bytes and by
+# materialize, never a panic: whatever from_bytes accepts, materialize
+# maps to Ok or a typed error.
+cargo test -q -p dynacut-obj
 # One symbol resolver (DESIGN §12): library injection, the restore's link
 # and the original text take the first definition in load order, and a
 # restore links only text it must rebuild, so a fully dumped image

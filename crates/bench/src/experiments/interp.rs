@@ -75,8 +75,8 @@ pub struct ServerRun {
     pub invalidations: u64,
     /// Superblocks promoted from hot entries over the whole run.
     pub superblocks: u64,
-    /// Entries re-keyed to the new rewrite epoch after the customize
-    /// commit (the carried cache coming back without a re-decode).
+    /// Carried entries swapped in after the customize commit (the
+    /// carried cache coming back without a re-decode).
     pub version_swaps: u64,
     /// Cache hits inside the post-cycle warm batch.
     pub warm_hits: u64,
@@ -141,8 +141,8 @@ fn drive(workload: &mut Workload, server: Server, requests: usize) {
 /// Runs the post-measurement customize cycle — disable one hot command
 /// handler with the redirect policy — and pushes traffic through the
 /// planted traps so the run exercises rewrite-precise invalidation and
-/// the version-swap path (the commit carries the warm cache under a
-/// bumped epoch instead of flushing it).
+/// the version-swap path (the commit carries the warm cache instead of
+/// starting the replacement cold).
 fn customize_and_trap(workload: &mut Workload, server: Server) {
     let mut dynacut = DynaCut::new(workload.registry.clone());
     let (handler, error_handler) = match server {
@@ -230,8 +230,8 @@ fn measure(server: Server, cache_enabled: bool, requests: usize) -> ServerRun {
         insns_measured += trial_insns;
         wall_ns += trial_wall;
     }
-    // Version swaps count from the commit onwards: the carried cache
-    // re-keys on its first post-cycle dispatch, which starts inside the
+    // Version swaps count from the commit onwards: a carried entry
+    // swaps in on its first post-cycle dispatch, which starts inside the
     // trap traffic.
     let swaps_base = counter(&workload, "block_cache.version_swaps");
     customize_and_trap(&mut workload, server);

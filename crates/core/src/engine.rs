@@ -615,17 +615,16 @@ impl DynaCut {
                 let committed = txn.commit(kernel)?;
                 // The swap just replaced these processes' text with the
                 // rewritten images (planted traps, wiped blocks,
-                // re-enables), and `commit` started them with cold
+                // re-enables), and the restore built them with cold
                 // block caches. A customize cycle knows more than a raw
                 // image swap, though: it holds the displaced originals,
-                // so it can carry the active version of each one's
-                // cache forward under the next rewrite epoch — of the
-                // pages the carried blocks decode from, byte-identical
-                // ones keep their generations (their blocks
-                // version-swap in without a re-decode), rewritten ones
-                // are seeded past every carried snapshot (their blocks
-                // can never validate). No flush, no cold restart, traps
-                // still land (DESIGN §11).
+                // so it can carry each one's cache forward
+                // (`BlockCache::carry_into`) — of the pages the carried
+                // blocks decode from, byte-identical ones keep their
+                // generations (their blocks version-swap in without a
+                // re-decode), rewritten ones are seeded past every
+                // carried snapshot (their blocks can never validate).
+                // No cold restart, and traps still land (DESIGN §11).
                 committed.carry_block_caches(kernel);
                 cycle.journal.committed = Some(committed);
                 Ok(())

@@ -5,13 +5,13 @@
 //!
 //! Every function here edits a [`ProcessImage`], never live kernel
 //! memory — rewrites reach a running process only through the restore
-//! swap (`RestoreTransaction::commit`), which starts the replacement
+//! swap (`RestoreTransaction::commit`), whose replacement is built new,
 //! with a cold decoded-block translation cache. The engine's customize
-//! commit then carries the active version of the *original's* cache
-//! forward under the next rewrite epoch, seeding the generation of every
-//! page a carried block decodes from, and of each one an edit here
-//! touched past any carried snapshot, so a carried block over rewritten
-//! bytes can never validate (DESIGN §11). Host-side patches that *do*
+//! commit then carries the *original's* cache into it
+//! (`BlockCache::carry_into`), seeding the generation of every page a
+//! carried block decodes from, and of each one an edit here touched past
+//! any carried snapshot, so a carried block over rewritten bytes can
+//! never validate (DESIGN §11). Host-side patches that *do*
 //! touch live memory (e.g. via `write_unchecked`) are covered
 //! separately by the per-page generation counters in the VM. Either
 //! way, no cached block can hide a freshly planted `int3`, a wiped

@@ -2,11 +2,11 @@
 //!
 //! The customize commit carries the displaced process's block cache into
 //! its replacement, and seeds the replacement's generation of every code
-//! page the carried blocks decode from. Only the active version is
-//! carried: dispatch probes one version back, so an older entry could
-//! never run again, and a page no carried block decodes from needs no
-//! seed. Carrying every version, and seeding every page the original
-//! ever registered, would grow both with the number of earlier cycles:
+//! page the carried blocks decode from. Only the entries that ran since
+//! the last carry are carried again, and a page no carried block
+//! decodes from needs no seed. Carrying every entry, and seeding every
+//! page the original ever registered, would grow both with the number
+//! of earlier cycles:
 //! each cycle's handler library lands at a new base, and its blocks and
 //! pages would be carried forever. This suite pins that both stay flat
 //! over forty toggles of one redis process.

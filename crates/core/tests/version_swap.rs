@@ -1,13 +1,12 @@
-//! Multi-version code-cache pins for the customize cycle (DESIGN §11).
+//! Code-cache carry pins for the customize cycle (DESIGN §11).
 //!
-//! PR 5's cache paid for every customize cycle with a full flush — the
-//! whole request path re-decoded from scratch right after a rewrite.
-//! The cycle now *carries* each displaced process's cache across the
-//! restore swap under a bumped rewrite epoch: blocks over
-//! byte-identical pages version-swap forward on their next dispatch
-//! (no re-decode), blocks over rewritten pages can never revalidate,
-//! and a rollback re-inserts the original process whose cache — keyed
-//! under the old epoch — is hot the moment it lands. These tests pin
+//! A cache that flushed on every customize cycle would re-decode the
+//! whole request path from scratch right after a rewrite. The cycle
+//! instead *carries* each displaced process's cache across the restore
+//! swap: blocks over byte-identical pages come back as version swaps on
+//! their next dispatch (no re-decode), blocks over rewritten pages can
+//! never revalidate, and a rollback re-inserts the original process
+//! whose untouched cache is hot the moment it lands. These tests pin
 //! all three, plus fingerprint parity against the uncached interpreter.
 
 use dynacut::{
@@ -22,9 +21,8 @@ use std::sync::Arc;
 // ----- customize commit: version swap instead of flush ------------------
 
 /// Boots nginx, warms the handlers, customizes PUT away, and returns
-/// `(fingerprint, cache_len_after_commit, epoch_after_commit,
-/// version_swaps_after_traffic)`.
-fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
+/// `(fingerprint, cache_len_after_commit, version_swaps_after_traffic)`.
+fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64) {
     let libc = guest_libc();
     let exe = nginx::image(&libc);
     let mut kernel = Kernel::new();
@@ -75,7 +73,6 @@ fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
     // The commit's cache state, before any post-cycle dispatch.
     let proc = kernel.process(pid).unwrap();
     let len_after_commit = proc.block_cache.len();
-    let epoch_after_commit = proc.block_cache.epoch();
     let swaps_before = kernel
         .flight()
         .metrics()
@@ -102,34 +99,28 @@ fn nginx_cycle(cache_enabled: bool) -> (String, usize, u64, u64) {
         .metrics()
         .counter("block_cache.version_swaps")
         - swaps_before;
-    (
-        kernel.state_fingerprint(),
-        len_after_commit,
-        epoch_after_commit,
-        version_swaps,
-    )
+    (kernel.state_fingerprint(), len_after_commit, version_swaps)
 }
 
 /// The zero-flush commit: after `customize`, the process's cache still
-/// holds the pre-cycle blocks under a bumped epoch, post-cycle traffic
-/// re-keys them forward instead of re-decoding, the planted trap fires
-/// anyway — and the whole cycle stays bit-identical to the uncached
-/// oracle under `state_fingerprint()`.
+/// holds the pre-cycle blocks, post-cycle traffic swaps them in instead
+/// of re-decoding, the planted trap fires anyway — and the whole cycle
+/// stays bit-identical to the uncached oracle under
+/// `state_fingerprint()`.
 #[test]
 fn customize_commit_swaps_versions_instead_of_flushing() {
-    let (fp_cached, len, epoch, version_swaps) = nginx_cycle(true);
+    let (fp_cached, len, version_swaps) = nginx_cycle(true);
     assert!(
         len > 0,
         "commit carried the warm cache instead of flushing (len={len})"
     );
-    assert_eq!(epoch, 1, "one customize cycle bumps the rewrite epoch once");
     assert!(
         version_swaps > 0,
-        "post-cycle traffic re-keyed pristine blocks forward \
+        "post-cycle traffic swapped pristine blocks in \
          (version_swaps={version_swaps})"
     );
 
-    let (fp_uncached, len_off, _, swaps_off) = nginx_cycle(false);
+    let (fp_uncached, len_off, swaps_off) = nginx_cycle(false);
     assert_eq!(len_off, 0, "disabled cache stays empty");
     assert_eq!(swaps_off, 0);
     assert_eq!(
@@ -195,10 +186,10 @@ impl Replica {
 }
 
 /// A demoted rollout re-inserts the original process with its cache
-/// intact under the *old* epoch: the pristine version re-dispatches
-/// immediately — one decode miss where a cold cache takes a whole
-/// request path — and the replica's state matches both the pre-attempt
-/// snapshot and an uncached oracle that served the same traffic.
+/// intact: the pristine version re-dispatches immediately — one decode
+/// miss where a cold cache takes a whole request path — and the
+/// replica's state matches both the pre-attempt snapshot and an
+/// uncached oracle that served the same traffic.
 #[test]
 fn rollback_redispatches_pristine_version_without_redecode() {
     let mut replica = boot_redis();

@@ -458,9 +458,9 @@ impl CheckpointStore {
     /// restored processes gives back
     /// [`materialize`](CheckpointStore::materialize)`(id)` byte for byte.
     ///
-    /// The commit is transactional ([`RestoreTransaction::commit`]) and
-    /// flushes every restored process's block cache (the commit's choke
-    /// point), so no decoded block survives the swap.
+    /// The commit is transactional ([`RestoreTransaction::commit`]), and
+    /// every restored process is built new with an empty block cache, so
+    /// no decoded block survives the swap.
     ///
     /// # Errors
     ///

@@ -21,7 +21,7 @@ use crate::promote::module_range;
 use crate::CriuError;
 use dynacut_obj::{materialize, Image, PAGE_LEN, PAGE_SIZE};
 use dynacut_vm::{
-    AddressSpace, CpuState, FdTable, FileDesc, Flags, Kernel, LoadedModule, Pid, Process, VfsFile,
+    BlockCache, CpuState, FdTable, FileDesc, Flags, Kernel, LoadedModule, Pid, Process, VfsFile,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -349,65 +349,21 @@ impl CommittedRestore {
         }
     }
 
-    /// Carries the active version of each displaced original's block
-    /// cache into its live replacement, under the next rewrite epoch
-    /// ([`BlockCache::carry`]) — the customize commit's alternative to
-    /// flushing. Older versions stay with the original: dispatch probes
-    /// only one version back, so they could never run again.
+    /// Carries each displaced original's block cache into its live
+    /// replacement ([`BlockCache::carry_into`], which also seeds the
+    /// generations of the pages the carried entries decode from) — the
+    /// customize commit's alternative to a cold cache. Fresh restores
+    /// (no displaced original) keep the empty cache they were built
+    /// with.
     ///
-    /// For every code page a carried entry decodes from, and only
-    /// those, the replacement's generation is seeded so that validation
-    /// gives the right answer under the *replacement's* address space:
-    ///
-    /// - pages whose bytes are unchanged (and still mapped executable)
-    ///   keep the original's generation — blocks over them can be
-    ///   version-swapped forward and re-dispatched without a re-decode;
-    /// - pages the rewrite touched (or unmapped, or de-exec'd) are
-    ///   seeded one *past* the original's generation — strictly greater
-    ///   than any snapshot a carried block can hold, so those blocks
-    ///   can never validate and are re-decoded under the new epoch.
-    ///
-    /// Every page of a carried entry must be seeded: an unseeded page
-    /// reads generation 0, and a carried snapshot of 0 would validate
-    /// against rewritten bytes. Seeding only ever raises generations
-    /// (the safe direction: a spurious re-decode, never a stale hit),
-    /// and carried entries surface exclusively through the dispatcher's
-    /// validated `swap_forward` probe. Fresh restores (no displaced
-    /// original) keep the cold cache `commit` gave them.
-    ///
-    /// [`BlockCache::carry`]: dynacut_vm::BlockCache::carry
+    /// [`BlockCache::carry_into`]: dynacut_vm::BlockCache::carry_into
     pub fn carry_block_caches(&self, kernel: &mut Kernel) {
         for (pid, original) in &self.originals {
             let Some(original) = original else { continue };
-            let Ok(replacement) = kernel.process_mut(*pid) else {
-                continue;
-            };
-            let carried = original.block_cache.carry();
-            let mut pages: Vec<u64> = carried.code_pages().collect();
-            pages.sort_unstable();
-            pages.dedup();
-            for base in pages {
-                let gen = original.mem.code_page_gen(base);
-                let unchanged = replacement
-                    .mem
-                    .vma_at(base)
-                    .is_some_and(|vma| vma.perms.exec)
-                    && same_page(&replacement.mem, &original.mem, base);
-                let seed = if unchanged { gen } else { gen + 1 };
-                replacement.mem.seed_code_page_gen(base, seed);
+            if let Ok(replacement) = kernel.process_mut(*pid) {
+                BlockCache::carry_into(original, replacement);
             }
-            replacement.block_cache = carried;
         }
-    }
-}
-
-/// Whether the page at `base` reads the same bytes in both spaces; an
-/// unpopulated page reads as zeros.
-fn same_page(a: &AddressSpace, b: &AddressSpace, base: u64) -> bool {
-    match (a.page_bytes(base), b.page_bytes(base)) {
-        (Some(a), Some(b)) => a == b,
-        (Some(bytes), None) | (None, Some(bytes)) => bytes.iter().all(|&byte| byte == 0),
-        (None, None) => true,
     }
 }
 
@@ -441,7 +397,7 @@ impl RestoreTransaction {
             Vec::with_capacity(self.staged.len());
         for staged in self.staged {
             let StagedProcess {
-                proc: mut replacement,
+                proc: replacement,
                 listeners,
                 conns,
             } = staged;
@@ -454,15 +410,13 @@ impl RestoreTransaction {
                     dynacut_vm::fault::FaultPhase::RestoreCommit,
                 ))
             } else {
-                // A restored process must start with a cold block cache:
-                // its text was rebuilt from images that may carry planted
-                // trap bytes, wiped blocks, or re-enabled code, and no
-                // block decoded before the swap may survive it. This is
-                // THE flush choke point for image swaps (DESIGN §11) —
-                // callers that can prove more (the customize commit)
-                // re-carry the displaced original's cache afterwards via
-                // `CommittedRestore::carry_block_caches`.
-                replacement.block_cache.flush();
+                // A restored process starts with a cold block cache
+                // because `build_process` builds it new: its text may hold
+                // planted trap bytes, wiped blocks, or re-enabled code,
+                // and no block decoded before the swap may survive it.
+                // Only the customize commit carries entries in, afterwards
+                // (`CommittedRestore::carry_block_caches`, DESIGN §11).
+                debug_assert!(replacement.block_cache.is_empty());
                 kernel.insert_process(replacement).map_err(CriuError::from)
             };
             match result {

@@ -160,7 +160,8 @@ impl Image {
     /// # Errors
     ///
     /// Returns [`ObjError::BadImage`] if the input is truncated, has a bad
-    /// magic number, or contains malformed fields.
+    /// magic number, contains malformed fields, or lays out sections that
+    /// overlap or run past the top of the address space.
     pub fn from_bytes(raw: &[u8]) -> Result<Image, ObjError> {
         let mut buf = Bytes::copy_from_slice(raw);
         if buf.remaining() < 4 || &buf.split_to(4)[..] != MAGIC {
@@ -249,7 +250,7 @@ impl Image {
         for _ in 0..n_imports {
             imports.push(get_str(&mut buf)?);
         }
-        Ok(Image {
+        let image = Image {
             name,
             kind,
             text,
@@ -267,7 +268,9 @@ impl Image {
             dyn_relocs,
             entry,
             imports,
-        })
+        };
+        image.check_layout()?;
+        Ok(image)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The linked, loadable module image.
 
+use crate::ObjError;
 use dynacut_isa::{BasicBlock, FuncSpan};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -141,6 +142,40 @@ impl Image {
     /// (text through end of bss).
     pub fn footprint(&self) -> u64 {
         self.bss_off + self.bss_size
+    }
+
+    /// Checks that the sections lie in layout order — `.text` from 0,
+    /// then `.rodata`, `.data` and `.bss`, each starting at or after the
+    /// previous one ends — and that no section's offset plus its length
+    /// overflows. Every offset the loader computes from the layout, the
+    /// footprint included, is in range once this holds.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ObjError::BadImage`] naming the first section that
+    /// starts before the previous one ends or ends past `u64::MAX`.
+    pub(crate) fn check_layout(&self) -> Result<(), ObjError> {
+        let mut end = self.text.len() as u64;
+        for (section, start, len) in [
+            ("rodata", self.rodata_off, self.rodata.len() as u64),
+            ("data", self.data_off, self.data.len() as u64),
+            ("bss", self.bss_off, self.bss_size),
+        ] {
+            if start < end {
+                return Err(ObjError::BadImage(format!(
+                    "module `{}`: .{section} at {start:#x} starts before {end:#x}, \
+                     where the previous section ends",
+                    self.name
+                )));
+            }
+            end = start.checked_add(len).ok_or_else(|| {
+                ObjError::BadImage(format!(
+                    "module `{}`: .{section} at {start:#x} runs past the top of the address space",
+                    self.name
+                ))
+            })?;
+        }
+        Ok(())
     }
 
     /// Size of the text section in bytes (the paper's "code size" column).

@@ -43,14 +43,16 @@ impl SegmentInit {
 /// # Errors
 ///
 /// Returns [`ObjError::MissingImport`] if `resolve` cannot resolve an
-/// imported symbol, and [`ObjError::BadImage`] if `base` is not
+/// imported symbol, and [`ObjError::BadImage`] if the image's sections
+/// overlap or run past the top of the address space, `base` is not
 /// page-aligned, the module would run past the top of the address
-/// space, or a relocation site falls outside the module.
+/// space, or a relocation site does not lie inside one section's bytes.
 pub fn materialize(
     image: &Image,
     base: u64,
     resolve: impl Fn(&str) -> Option<u64>,
 ) -> Result<Vec<SegmentInit>, ObjError> {
+    image.check_layout()?;
     if !base.is_multiple_of(crate::PAGE_SIZE) {
         return Err(ObjError::BadImage(format!(
             "module `{}` base {base:#x} is not page-aligned",
@@ -67,27 +69,16 @@ pub fn materialize(
         )));
     }
 
-    // Build one flat module byte image (text | pad | rodata | pad | data),
-    // patch it, then split into segments.
-    let in_host = |offset: u64| {
-        usize::try_from(offset).map_err(|_| {
-            ObjError::BadImage(format!(
-                "module `{}` does not fit in host memory",
-                image.name
-            ))
-        })
-    };
-    let data_end = image.data_off + image.data.len() as u64;
-    let mut flat = vec![0u8; in_host(data_end)?];
-    flat[..image.text.len()].copy_from_slice(&image.text);
-    let ro = in_host(image.rodata_off)?;
-    flat[ro..ro + image.rodata.len()].copy_from_slice(&image.rodata);
-    let rw = in_host(image.data_off)?;
-    flat[rw..rw + image.data.len()].copy_from_slice(&image.data);
-
+    // Patch each section's own bytes; the padding between sections is
+    // zeros no relocation may land in.
+    let mut text = image.text.clone();
+    let mut rodata = image.rodata.clone();
+    let mut data = image.data.clone();
     for reloc in &image.dyn_relocs {
         let value = match &reloc.value {
-            RelocValue::Local { offset, addend } => (base + offset).wrapping_add_signed(*addend),
+            RelocValue::Local { offset, addend } => {
+                base.wrapping_add(*offset).wrapping_add_signed(*addend)
+            }
             RelocValue::Import { symbol, addend } => resolve(symbol)
                 .ok_or_else(|| ObjError::MissingImport {
                     module: image.name.clone(),
@@ -95,12 +86,19 @@ pub fn materialize(
                 })?
                 .wrapping_add_signed(*addend),
         };
-        let slot = usize::try_from(reloc.site)
-            .ok()
-            .and_then(|site| flat.get_mut(site..site.checked_add(8)?));
+        let slot = [
+            (0, &mut text),
+            (image.rodata_off, &mut rodata),
+            (image.data_off, &mut data),
+        ]
+        .into_iter()
+        .find_map(|(start, bytes)| {
+            let at = usize::try_from(reloc.site.checked_sub(start)?).ok()?;
+            bytes.get_mut(at..at.checked_add(8)?)
+        });
         let Some(slot) = slot else {
             return Err(ObjError::BadImage(format!(
-                "relocation site {:#x} outside module `{}`",
+                "relocation site {:#x} outside the sections of module `{}`",
                 reloc.site, image.name
             )));
         };
@@ -112,8 +110,8 @@ pub fn materialize(
     // is whole pages.
     segments.push(SegmentInit {
         vaddr: base,
-        bytes: flat[..image.text.len()].to_vec(),
-        zero_len: image.rodata_off - image.text.len() as u64,
+        zero_len: image.rodata_off - text.len() as u64,
+        bytes: text,
         perms: Perms::RX,
         name: format!("{}.text", image.name),
     });
@@ -121,8 +119,8 @@ pub fn materialize(
     if image.data_off > image.rodata_off {
         segments.push(SegmentInit {
             vaddr: base + image.rodata_off,
-            bytes: flat[ro..ro + image.rodata.len()].to_vec(),
-            zero_len: image.data_off - image.rodata_off - image.rodata.len() as u64,
+            zero_len: image.data_off - image.rodata_off - rodata.len() as u64,
+            bytes: rodata,
             perms: Perms::R,
             name: format!("{}.rodata", image.name),
         });
@@ -132,7 +130,7 @@ pub fn materialize(
     if data_span > 0 {
         segments.push(SegmentInit {
             vaddr: base + image.data_off,
-            bytes: flat[rw..rw + image.data.len()].to_vec(),
+            bytes: data,
             zero_len: image.bss_size,
             perms: Perms::RW,
             name: format!("{}.data", image.name),
@@ -247,6 +245,96 @@ mod tests {
                 "base {base:#x}"
             );
         }
+    }
+
+    /// Regression: an image whose sections contradict each other used
+    /// to pass `Image::from_bytes` and then panic inside `materialize`'s
+    /// offset arithmetic. Both refuse it with a typed error now.
+    fn assert_refused(edit: impl Fn(&mut Image)) {
+        let libc = libc();
+        let mut image = app(&libc);
+        edit(&mut image);
+        assert!(
+            matches!(
+                Image::from_bytes(&image.to_bytes()),
+                Err(ObjError::BadImage(_))
+            ),
+            "from_bytes refuses it"
+        );
+        assert!(
+            matches!(
+                materialize(&image, 0x40_0000, |_| Some(1)),
+                Err(ObjError::BadImage(_))
+            ),
+            "materialize refuses it"
+        );
+    }
+
+    #[test]
+    fn a_data_section_ending_past_the_address_space_is_refused() {
+        assert_refused(|image| image.data_off = u64::MAX - 1);
+    }
+
+    #[test]
+    fn a_data_section_below_the_text_is_refused() {
+        assert_refused(|image| image.data_off = 0);
+    }
+
+    #[test]
+    fn a_rodata_section_inside_the_text_is_refused() {
+        assert_refused(|image| image.rodata_off = 1);
+    }
+
+    #[test]
+    fn a_bss_ending_past_the_address_space_is_refused() {
+        assert_refused(|image| image.bss_size = u64::MAX);
+    }
+
+    /// A relocation site in the padding between two sections lands in
+    /// no segment's bytes: a typed error, not a silently lost patch.
+    #[test]
+    fn a_relocation_site_between_sections_is_refused() {
+        let libc = libc();
+        let mut image = app(&libc);
+        image.dyn_relocs[0].site = image.text.len() as u64;
+        assert!(matches!(
+            materialize(&image, 0x40_0000, |_| Some(1)),
+            Err(ObjError::BadImage(_))
+        ));
+    }
+
+    /// Sections far apart size nothing: `materialize` copies each
+    /// section's own bytes, so a consistent image whose `.rodata` and
+    /// `.data` sit 2^62 bytes up maps to segments holding as many bytes
+    /// as the linked one's. One buffer spanning the module could not be
+    /// allocated.
+    #[test]
+    fn far_apart_sections_allocate_only_their_bytes() {
+        let libc = libc();
+        let linked = app(&libc);
+        let mut image = linked.clone();
+        let shift = 1 << 62;
+        for offset in [
+            &mut image.rodata_off,
+            &mut image.data_off,
+            &mut image.got_off,
+            &mut image.bss_off,
+        ] {
+            *offset += shift;
+        }
+        for reloc in &mut image.dyn_relocs {
+            if reloc.site >= linked.rodata_off {
+                reloc.site += shift;
+            }
+        }
+        let lens = |image: &Image| {
+            materialize(image, 0x40_0000, |_| Some(1))
+                .unwrap()
+                .iter()
+                .map(|segment| segment.bytes.len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lens(&image), lens(&linked));
     }
 
     #[test]

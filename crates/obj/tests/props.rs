@@ -61,14 +61,39 @@ proptest! {
         prop_assert!(Image::from_bytes(&bytes[..cut]).is_err());
     }
 
-    /// Mutating a single byte of the header region either fails or parses
-    /// into *something* — never panics.
+    /// Mutating a single byte either fails to parse or parses into an
+    /// image that materializes to `Ok` or a typed error — never a panic.
     #[test]
     fn dco_bitflips_never_panic(image in arb_module(), position in any::<proptest::sample::Index>(), flip in 1u8..=255) {
         let mut bytes = image.to_bytes();
         let position = position.index(bytes.len());
         bytes[position] ^= flip;
-        let _ = Image::from_bytes(&bytes); // must not panic
+        if let Ok(parsed) = Image::from_bytes(&bytes) {
+            let _ = materialize(&parsed, 0x40_0000, |_| Some(0)); // must not panic
+        }
+    }
+
+    /// Any value in any section offset or the `.bss` size: whatever
+    /// `from_bytes` accepts, `materialize` maps to `Ok` or a typed
+    /// error, and an image it refuses `materialize` refuses too.
+    #[test]
+    fn dco_layout_fields_never_panic(
+        image in arb_module(),
+        field in 0usize..5,
+        value in prop_oneof![any::<u64>(), 0u64..4 * PAGE_SIZE, (u64::MAX - 2 * PAGE_SIZE)..=u64::MAX],
+    ) {
+        let mut image = image;
+        *[
+            &mut image.rodata_off,
+            &mut image.data_off,
+            &mut image.got_off,
+            &mut image.bss_off,
+            &mut image.bss_size,
+        ][field] = value;
+        let materialized = materialize(&image, 0x40_0000, |_| Some(0));
+        if Image::from_bytes(&image.to_bytes()).is_err() {
+            prop_assert!(materialized.is_err());
+        }
     }
 
     /// Layout invariants hold for every linked module: page-aligned

@@ -26,23 +26,20 @@
 //! branch), so a superblock is *pure speculation about control flow*,
 //! never about instruction semantics.
 //!
-//! # Multi-version entries
+//! # Carried entries
 //!
-//! Keys are `(entry_pc, version)` where the version is the cache's
-//! **rewrite epoch**. A customize cycle used to flush the whole cache;
-//! now it carries the active version's entries across the restore swap
-//! under the next epoch ([`BlockCache::carry`]) and seeds safe
-//! generations for the pages they decode from. Dispatch that misses the
-//! active version probes the previous one and — if its page generations
-//! still validate — re-keys the entry forward (a **version swap**: no
-//! re-decode). Blocks over rewritten pages can never validate (their
-//! generations were seeded past every snapshot) and are re-decoded
-//! under the new version, living *alongside* any still-valid pristine
-//! entries. Older versions are not carried: dispatch probes one version
-//! back, so they could never run again, and the carried cache holds at
-//! most two versions. Rollback re-inserts the original process whose
-//! cache still holds the pristine version under the old epoch —
-//! swapping back is free.
+//! Keys are entry pcs. A customize cycle used to flush the whole cache;
+//! now the commit carries the entries that ran since the cache's own
+//! carry across the restore swap and seeds safe generations for the
+//! pages they decode from ([`BlockCache::carry_into`]). A carried
+//! entry's first dispatch that validates is a **version swap**: the
+//! block comes back without a re-decode. Blocks over rewritten pages
+//! can never validate (their generations were seeded past every
+//! snapshot), so they are stale and re-decoded. An entry nothing
+//! dispatched since the last carry is not carried again, so the carried
+//! state is bounded by what the last version ran. Rollback re-inserts
+//! the original process with its cache untouched — swapping back is
+//! free.
 //!
 //! # Invalidation invariant (DESIGN §11)
 //!
@@ -52,20 +49,19 @@
 //! generation counter for every page the cache has registered
 //! ([`AddressSpace::note_code_page`]); any mutation of such a page —
 //! guest stores, host `write_unchecked`, `unmap`, `protect`,
-//! `drop_page` — bumps its generation, and the space counts every such
-//! bump. A [`CachedBlock`] snapshots the generations of every page it
-//! decodes from, and the dispatcher revalidates the snapshot before
-//! executing the block — unless the space still reads the code stamp the
-//! entry last validated under ([`AddressSpace::code_stamp`]) — and again
-//! after any instruction inside it that moved the space's count:
-//! self-modifying code — and a host-planted trap byte — takes effect on
-//! the very next instruction, even mid-superblock, while a store to a
-//! data page costs one comparison. A stamp names one generation table
-//! across every space in the process, so an entry carried onto another
-//! space (a restore) revalidates there whatever that space's count.
-//! CRIU image swaps still flush: a restored image may carry arbitrary
-//! foreign bytes, and only the engine's customize commit knows enough to
-//! seed generations instead (see `CommittedRestore::carry_block_caches`).
+//! `drop_page` — bumps its generation and gives the space a fresh code
+//! stamp ([`AddressSpace::code_stamp`]). A [`CachedBlock`] snapshots the
+//! generations of every page it decodes from, and the dispatcher
+//! revalidates the snapshot before executing the block — unless the
+//! space still reads the stamp the entry last validated under — and
+//! again after any store inside it that moved the stamp: self-modifying
+//! code — and a host-planted trap byte — takes effect on the very next
+//! instruction, even mid-superblock, while a store to a data page costs
+//! one comparison. A stamp names one generation table across every
+//! space in the process, so an entry carried onto another space (a
+//! restore) revalidates there. A restored process starts with an empty
+//! cache because it is built new; only the engine's customize commit
+//! carries entries into it, seeding generations as it does.
 //!
 //! The cache is **excluded from [`Kernel::state_fingerprint`]**: cached
 //! and uncached execution of the same workload are bit-identical in
@@ -76,10 +72,10 @@
 //!
 //! Every dispatch probes the map once ([`BlockCache::hit`] returns the
 //! entry it found; a miss or a promotion returns the block it put
-//! there), so the map hashes its `(entry pc, version)` keys with
-//! [`KeyHasher`], a fixed multiply-and-fold, instead of SipHash. Nothing
-//! depends on the map's iteration order: capacity eviction sorts by
-//! `(heat, last_hit, key)`. The block runs by reference out of the map
+//! there), so the map hashes its entry-pc keys with [`KeyHasher`], a
+//! fixed rotate, multiply and fold, instead of SipHash. Nothing depends
+//! on the map's iteration order: capacity eviction sorts by
+//! `(heat, last_hit, pc)`. The block runs by reference out of the map
 //! while the process's CPU and address space are borrowed beside it, so
 //! no refcount moves; blocks stay [`Arc`]s so a cloned process shares
 //! them. Inside a block, the dispatcher tests for pending signals once,
@@ -94,6 +90,7 @@
 //! [`Kernel::state_fingerprint`]: crate::Kernel::state_fingerprint
 
 use crate::mem::AddressSpace;
+use crate::Process;
 use dynacut_isa::Insn;
 use std::collections::{hash_map, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -154,11 +151,12 @@ impl CachedBlock {
 }
 
 /// The dispatch map's hasher: each 64-bit word of the key is XORed into
-/// the state, and the state is multiplied by an odd constant into 128
-/// bits whose two halves are XORed together. The fold carries every key
-/// bit into the low bits (the bucket index) and the high bits (the
-/// map's tag byte), so pcs that differ only in high bits do not share
-/// buckets. It has no key: a guest that picks colliding pcs slows only
+/// the state, and the state, rotated by 32 bits, is multiplied by an odd
+/// constant into 128 bits whose two halves are XORed together. The fold
+/// carries every key bit into the low bits (the bucket index) and the
+/// high bits (the map's tag byte), so pcs that differ only in high bits
+/// do not share buckets; the rotation is what spreads them with one
+/// multiply. It has no key: a guest that picks colliding pcs slows only
 /// its own dispatch, and its cache holds at most [`MAX_CACHED_BLOCKS`]
 /// entries.
 #[derive(Debug, Default)]
@@ -178,7 +176,7 @@ impl Hasher for KeyHasher {
 
     #[inline]
     fn write_u64(&mut self, word: u64) {
-        let product = u128::from(self.0 ^ word) * u128::from(KEY_MIX);
+        let product = u128::from((self.0 ^ word).rotate_left(32)) * u128::from(KEY_MIX);
         #[allow(
             clippy::cast_possible_truncation,
             reason = "splits the 128-bit product into its two halves"
@@ -201,7 +199,8 @@ pub(crate) struct Entry {
     /// Halved on every capacity eviction so ancient heat decays.
     heat: u32,
     /// The cache tick of the last dispatch — the recency half of the
-    /// eviction order.
+    /// eviction order, and, against the cache's `carried_at`, whether
+    /// the entry ran since the cache's carry.
     last_hit: u64,
     /// The code stamp the block last validated under
     /// ([`AddressSpace::code_stamp`]): while its space reads this stamp,
@@ -253,101 +252,82 @@ impl Entry {
 pub(crate) enum Probe<'a> {
     /// An entry whose block validates; its profile has been bumped.
     Valid(&'a mut Entry),
+    /// A carried entry's first dispatch since the carry, and its block
+    /// validates: the block comes back without a re-decode (a version
+    /// swap). Its profile has been bumped.
+    Swapped(&'a mut Entry),
     /// An entry whose block no longer validates: a write, remap or page
-    /// drop bumped one of its pages' generations since it was decoded.
+    /// drop bumped one of its pages' generations since it was decoded,
+    /// or a carry seeded one past it.
     Stale,
     /// No entry.
     Absent,
 }
 
-/// A per-process cache of decoded instruction blocks keyed by
-/// `(entry pc, rewrite epoch)`.
+/// A per-process cache of decoded instruction blocks keyed by entry pc.
 ///
-/// Cloning a [`Process`](crate::Process) clones the cache by bumping
-/// the blocks' refcounts; the page-generation snapshots stay consistent
-/// because the address space (and its generation table, and its code
-/// stamp) is cloned alongside.
+/// Cloning a [`Process`] clones the cache by bumping the blocks'
+/// refcounts; the page-generation snapshots stay consistent because the
+/// address space (and its generation table, and its code stamp) is
+/// cloned alongside.
 #[derive(Debug, Clone, Default)]
 pub struct BlockCache {
-    blocks: HashMap<(u64, u64), Entry, BuildHasherDefault<KeyHasher>>,
-    /// The active version: lookups and inserts use `(pc, epoch)`.
-    epoch: u64,
+    blocks: HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>,
+    /// The tick of the carry that built this cache, 0 if none did: an
+    /// entry whose last hit is not past it was carried and has not run
+    /// since.
+    carried_at: u64,
     /// Monotonic dispatch counter backing `Entry::last_hit`. Only the
     /// order of the ticks it hands out matters.
     tick: u64,
 }
 
 impl BlockCache {
-    /// Probes the active-version entry at `pc` once, bumping its
-    /// dispatch profile, and revalidates its block against `mem`. A
-    /// [`Probe::Stale`] entry stays cached until the caller
-    /// [`remove`](BlockCache::remove)s it.
+    /// Probes the entry at `pc` once, bumping its dispatch profile, and
+    /// revalidates its block against `mem`. A [`Probe::Stale`] entry
+    /// stays cached until the caller [`remove`](BlockCache::remove)s it.
     #[inline]
     pub(crate) fn hit(&mut self, pc: u64, mem: &AddressSpace) -> Probe<'_> {
         self.tick += 1;
-        let tick = self.tick;
-        let Some(entry) = self.blocks.get_mut(&(pc, self.epoch)) else {
+        let Some(entry) = self.blocks.get_mut(&pc) else {
             return Probe::Absent;
         };
-        entry.heat = entry.heat.saturating_add(1);
-        entry.last_hit = tick;
-        if entry.revalidate(mem) {
-            Probe::Valid(entry)
-        } else {
-            Probe::Stale
-        }
-    }
-
-    /// The active-version block at `pc` without touching the profile
-    /// (tests and introspection).
-    #[cfg(test)]
-    pub(crate) fn get(&self, pc: u64) -> Option<&Arc<CachedBlock>> {
-        self.blocks.get(&(pc, self.epoch)).map(|entry| &entry.block)
-    }
-
-    /// On a miss at the active version: if the *previous* version still
-    /// holds an entry for `pc` whose block validates against `mem`,
-    /// re-key it to the active version (heat and recency preserved) and
-    /// return it — the version swap. A previous-version entry that does
-    /// not validate decodes pages the rewrite changed: it is dropped and
-    /// reported [`Probe::Stale`]. The active key must be free.
-    pub(crate) fn swap_forward(&mut self, pc: u64, mem: &AddressSpace) -> Probe<'_> {
-        if self.epoch == 0 {
-            return Probe::Absent;
-        }
-        let Some(mut entry) = self.blocks.remove(&(pc, self.epoch - 1)) else {
-            return Probe::Absent;
-        };
-        if !entry.revalidate(mem) {
-            return Probe::Stale;
-        }
-        self.tick += 1;
+        let carried = entry.last_hit <= self.carried_at;
         entry.heat = entry.heat.saturating_add(1);
         entry.last_hit = self.tick;
-        Probe::Valid(self.blocks.entry((pc, self.epoch)).or_insert(entry))
+        match (entry.revalidate(mem), carried) {
+            (false, _) => Probe::Stale,
+            (true, false) => Probe::Valid(entry),
+            (true, true) => Probe::Swapped(entry),
+        }
     }
 
-    /// Caches `block`, just decoded from `mem`, under `(pc, active
-    /// epoch)`, evicting a batch of the coldest entries first if the
-    /// cache is at capacity, and returns the cached block with the
-    /// number of entries evicted for capacity (the
-    /// `block_cache.capacity_evictions` metric). An existing entry at
-    /// the key keeps its dispatch profile.
+    /// The block at `pc` without touching the profile (tests and
+    /// introspection).
+    #[cfg(test)]
+    pub(crate) fn get(&self, pc: u64) -> Option<&Arc<CachedBlock>> {
+        self.blocks.get(&pc).map(|entry| &entry.block)
+    }
+
+    /// Caches `block`, just decoded from `mem`, at `pc`, evicting a batch
+    /// of the coldest entries first if the cache is at capacity, and
+    /// returns the cached block with the number of entries evicted for
+    /// capacity (the `block_cache.capacity_evictions` metric). An
+    /// existing entry at `pc` keeps its dispatch profile.
     pub(crate) fn insert(
         &mut self,
         pc: u64,
         block: CachedBlock,
         mem: &AddressSpace,
     ) -> (&CachedBlock, u64) {
-        let key = (pc, self.epoch);
         let mut evicted = 0u64;
-        if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&key) {
+        if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&pc) {
             evicted = self.evict_coldest(CAPACITY_EVICT_BATCH);
         }
         self.tick += 1;
         let block = Arc::new(block);
         let validated = mem.code_stamp();
-        let entry = match self.blocks.entry(key) {
+        let entry = match self.blocks.entry(pc) {
             hash_map::Entry::Occupied(occupied) => {
                 let entry = occupied.into_mut();
                 entry.block = block;
@@ -370,15 +350,15 @@ impl BlockCache {
     /// pressure by construction: a cold storm of fresh inserts ranks
     /// below anything dispatched more than a couple of times.
     fn evict_coldest(&mut self, count: usize) -> u64 {
-        let mut order: Vec<(u32, u64, (u64, u64))> = self
+        let mut order: Vec<(u32, u64, u64)> = self
             .blocks
             .iter()
-            .map(|(&key, entry)| (entry.heat, entry.last_hit, key))
+            .map(|(&pc, entry)| (entry.heat, entry.last_hit, pc))
             .collect();
         order.sort_unstable();
         order.truncate(count);
-        for &(_, _, key) in &order {
-            self.blocks.remove(&key);
+        for &(_, _, pc) in &order {
+            self.blocks.remove(&pc);
         }
         for entry in self.blocks.values_mut() {
             entry.heat /= 2;
@@ -386,32 +366,58 @@ impl BlockCache {
         order.len() as u64
     }
 
-    /// Evicts the active-version entry at `pc`, if cached.
+    /// Evicts the entry at `pc`, if cached.
     pub(crate) fn remove(&mut self, pc: u64) {
-        self.blocks.remove(&(pc, self.epoch));
+        self.blocks.remove(&pc);
     }
 
-    /// The cache a customize commit hands the process that replaces
-    /// this one: the active version's entries, each with its dispatch
-    /// profile and validation stamp, under the next epoch. A carried
-    /// entry is the previous version there, so it surfaces only through
-    /// `swap_forward`, which revalidates it first. Entries of older
-    /// versions stay behind: `swap_forward` probes one version back, so
-    /// nothing could dispatch them after the carry. The engine's
-    /// customize commit seeds the replacement's generation of every page
-    /// a carried entry decodes from ([`code_pages`](BlockCache::code_pages));
-    /// see `CommittedRestore::carry_block_caches`.
-    pub fn carry(&self) -> BlockCache {
+    /// Carries `original`'s cache into `replacement`, the process a
+    /// customize commit put in its place: the entries that ran since
+    /// `original`'s own carry, each with its dispatch profile and
+    /// validation stamp, and a seed of the replacement's generation of
+    /// every page they decode from, and of no other. A page still
+    /// mapped executable with the same bytes in both spaces keeps the
+    /// original's generation, so the blocks over it validate and come
+    /// back as version swaps; any other page (rewritten, unmapped or
+    /// de-exec'd) gets one more, past every snapshot a carried block
+    /// holds, so those blocks are stale. Every page of a carried entry
+    /// must be seeded: an unseeded page reads generation 0, and a
+    /// carried snapshot of 0 would validate against rewritten bytes.
+    /// Seeding only ever raises a generation (the safe direction: a
+    /// spurious re-decode, never a stale hit).
+    pub fn carry_into(original: &Process, replacement: &mut Process) {
+        let carried = original.block_cache.carry();
+        let mut pages: Vec<u64> = carried.code_pages().collect();
+        pages.sort_unstable();
+        pages.dedup();
+        for base in pages {
+            let gen = original.mem.code_page_gen(base);
+            let unchanged = replacement
+                .mem
+                .vma_at(base)
+                .is_some_and(|vma| vma.perms.exec)
+                && same_page(&replacement.mem, &original.mem, base);
+            let seed = if unchanged { gen } else { gen + 1 };
+            replacement.mem.seed_code_page_gen(base, seed);
+        }
+        replacement.block_cache = carried;
+    }
+
+    /// The entries that ran since this cache's own carry, each with its
+    /// dispatch profile and validation stamp, in a cache built by a
+    /// carry now. An entry that has not run since is left behind, so
+    /// the carried state is bounded by what the last version ran.
+    fn carry(&self) -> BlockCache {
         let live = self
             .blocks
             .iter()
-            .filter(|(&(_, version), _)| version == self.epoch);
+            .filter(|(_, entry)| entry.last_hit > self.carried_at);
         let mut blocks =
             HashMap::with_capacity_and_hasher(live.clone().count(), BuildHasherDefault::default());
-        blocks.extend(live.map(|(&key, entry)| (key, entry.clone())));
+        blocks.extend(live.map(|(&pc, entry)| (pc, entry.clone())));
         BlockCache {
             blocks,
-            epoch: self.epoch + 1,
+            carried_at: self.tick,
             tick: self.tick,
         }
     }
@@ -424,22 +430,13 @@ impl BlockCache {
             .flat_map(|entry| entry.block.pages.iter().map(|&(base, _)| base))
     }
 
-    /// The active rewrite epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Evicts every cached block, all versions. CRIU image swaps call
-    /// this: a restored process's text was rebuilt from images that may
-    /// carry arbitrary rewrites, so nothing decoded before the swap may
-    /// survive it. (The engine's customize commit instead *carries* the
-    /// active version with seeded generations; see
-    /// [`carry`](BlockCache::carry).)
+    /// Evicts every cached block; the kernel does when the cache is
+    /// disabled.
     pub fn flush(&mut self) {
         self.blocks.clear();
     }
 
-    /// Number of blocks currently cached, across all versions.
+    /// Number of blocks currently cached, carried ones included.
     pub fn len(&self) -> usize {
         self.blocks.len()
     }
@@ -450,10 +447,20 @@ impl BlockCache {
     }
 }
 
+/// Whether the page at `base` reads the same bytes in both spaces; an
+/// unpopulated page reads as zeros.
+fn same_page(a: &AddressSpace, b: &AddressSpace, base: u64) -> bool {
+    match (a.page_bytes(base), b.page_bytes(base)) {
+        (Some(a), Some(b)) => a == b,
+        (Some(bytes), None) | (None, Some(bytes)) => bytes.iter().all(|&byte| byte == 0),
+        (None, None) => true,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynacut_obj::{Perms, PAGE_SIZE};
+    use dynacut_obj::{Perms, PAGE_LEN, PAGE_SIZE};
 
     fn one_page_space() -> AddressSpace {
         let mut mem = AddressSpace::new();
@@ -479,9 +486,7 @@ mod tests {
         use std::collections::BTreeSet;
         use std::hash::BuildHasher;
         let hasher = BuildHasherDefault::<KeyHasher>::default();
-        let hashes: Vec<u64> = (0..4096u64)
-            .map(|i| hasher.hash_one((i << 40, 0u64)))
-            .collect();
+        let hashes: Vec<u64> = (0..4096u64).map(|i| hasher.hash_one(i << 40)).collect();
         let low: BTreeSet<u64> = hashes.iter().map(|hash| hash & 0xFFF).collect();
         let top: BTreeSet<u64> = hashes.iter().map(|hash| hash >> 57).collect();
         // A random function fills ~2,590 of the 4,096 low-bit values.
@@ -560,44 +565,37 @@ mod tests {
         assert!(cache.is_empty());
     }
 
-    /// The multi-version key: a carry hides the active entries from
-    /// `get`/`hit` under the next epoch, `swap_forward` re-keys them
-    /// (heat preserved), and a swap is one-shot.
+    /// A carried entry's first dispatch that validates is one version
+    /// swap, and it keeps the dispatch profile; the next is a plain hit.
     #[test]
-    fn carry_hides_entries_and_swap_forward_rekeys() {
+    fn a_carried_entry_swaps_in_once() {
         let mut cache = BlockCache::default();
         let mut mem = one_page_space();
         cache.insert(0x1000, block_over(&mut mem, 0x1000), &mem);
         let heat_before = heat(cache.hit(0x1000, &mem)).expect("cached");
 
         let mut cache = cache.carry();
-        assert_eq!(cache.epoch(), 1);
-        assert!(cache.get(0x1000).is_none(), "old version is not active");
-        assert!(matches!(cache.hit(0x1000, &mem), Probe::Absent));
         assert_eq!(cache.len(), 1, "the entry itself is carried");
-
-        let swapped = heat(cache.swap_forward(0x1000, &mem)).expect("previous version");
+        let Probe::Swapped(swapped) = cache.hit(0x1000, &mem) else {
+            panic!("the first dispatch after a carry is a version swap");
+        };
         assert_eq!(
-            swapped,
+            swapped.heat,
             heat_before + 1,
             "the swap keeps the dispatch profile"
         );
         assert!(
-            cache.get(0x1000).is_some(),
-            "re-keyed to the active version"
-        );
-        assert!(
-            matches!(cache.swap_forward(0x1000, &mem), Probe::Absent),
+            matches!(cache.hit(0x1000, &mem), Probe::Valid(_)),
             "swap is one-shot"
         );
     }
 
-    /// A carry takes the active version only: an entry the last version
-    /// never dispatched (still keyed one version back) is left behind
-    /// with its page, and the active entries come back under `epoch + 1`
-    /// through `swap_forward` with their profile and stamp.
+    /// A carry takes only the entries that ran since the cache's own
+    /// carry: an entry nothing dispatched since is left behind with its
+    /// page, and the others come back through one swap each with their
+    /// profile and stamp.
     #[test]
-    fn carry_keeps_only_the_active_version() {
+    fn carry_keeps_only_what_ran_since_the_last_carry() {
         let mut mem = one_page_space();
         mem.map(0x2000, PAGE_SIZE, Perms::RX, "text2").unwrap();
         let mut cache = BlockCache::default();
@@ -607,42 +605,79 @@ mod tests {
         for _ in 0..3 {
             assert!(heat(cache.hit(0x2000, &mem)).is_some());
         }
-        let stamp = cache.blocks[&(0x2000, 1)].validated;
-        assert_eq!(cache.len(), 2, "one entry per version");
+        let stamp = cache.blocks[&0x2000].validated;
+        assert_eq!(cache.len(), 2, "the carried entry and the new one");
 
         let mut carried = cache.carry();
-        assert_eq!(carried.epoch(), 2);
-        assert_eq!(carried.len(), 1, "the older version is gone");
+        assert_eq!(carried.len(), 1, "the entry that did not run is gone");
         assert_eq!(carried.code_pages().collect::<Vec<_>>(), vec![0x2000]);
-        assert!(matches!(carried.swap_forward(0x1000, &mem), Probe::Absent));
-        let entry = match carried.swap_forward(0x2000, &mem) {
-            Probe::Valid(entry) => entry,
-            Probe::Stale | Probe::Absent => panic!("the active entry is carried"),
+        assert!(matches!(carried.hit(0x1000, &mem), Probe::Absent));
+        let Probe::Swapped(entry) = carried.hit(0x2000, &mem) else {
+            panic!("the entry that ran is carried");
         };
         assert_eq!(entry.heat, 4, "three hits and the swap");
         assert_eq!(entry.validated, stamp, "the stamp is carried");
-        assert!(carried.get(0x2000).is_some(), "keyed under epoch + 1");
-        assert_eq!(cache.len(), 2, "the source keeps every version");
+        assert_eq!(cache.len(), 2, "the source keeps every entry");
     }
 
-    /// A previous-version entry whose page changed is dropped by the
-    /// swap, not re-keyed.
+    /// A carried entry whose page changed is stale, not swapped in, and
+    /// the dispatcher removes it.
     #[test]
-    fn swap_forward_drops_a_stale_previous_version() {
+    fn a_carried_entry_over_a_changed_page_is_stale() {
         let mut cache = BlockCache::default();
         let mut mem = one_page_space();
         cache.insert(0x1000, block_over(&mut mem, 0x1000), &mem);
         let mut cache = cache.carry();
         mem.write_unchecked(0x1000, &[0xCC]);
-        assert!(matches!(cache.swap_forward(0x1000, &mem), Probe::Stale));
+        assert!(matches!(cache.hit(0x1000, &mem), Probe::Stale));
+        cache.remove(0x1000);
         assert!(cache.is_empty(), "the stale entry is gone");
+    }
+
+    /// `carry_into` seeds exactly the pages the carried entries decode
+    /// from: an unchanged executable page at the original's generation,
+    /// so its block swaps in, and a rewritten one past it, so its block
+    /// is stale.
+    #[test]
+    fn carry_into_seeds_the_pages_carried_entries_span() {
+        let process = || {
+            let mut proc = Process::new(crate::Pid(1), "p");
+            proc.mem
+                .map(0x1000, 3 * PAGE_SIZE, Perms::RX, "text")
+                .unwrap();
+            proc.mem.write_unchecked(0x1000, &[0x90; 2 * PAGE_LEN]);
+            proc
+        };
+        let mut original = process();
+        original.mem.note_code_page(0x1000);
+        original.mem.write_unchecked(0x1000, &[0x90]);
+        for page in [0x1000, 0x2000] {
+            let block = block_over(&mut original.mem, page);
+            original.block_cache.insert(page, block, &original.mem);
+        }
+        original.mem.note_code_page(0x3000);
+        let mut replacement = process();
+        replacement.mem.write_unchecked(0x1000, &[0xCC]);
+
+        BlockCache::carry_into(&original, &mut replacement);
+        assert_eq!(
+            replacement.mem.code_pages().collect::<Vec<_>>(),
+            [(0x1000, 2), (0x2000, 0)],
+            "the rewritten page one past the original's generation, the \
+             other at it, and the page no entry spans not at all"
+        );
+        let cache = &mut replacement.block_cache;
+        assert!(matches!(
+            cache.hit(0x2000, &replacement.mem),
+            Probe::Swapped(_)
+        ));
+        assert!(matches!(cache.hit(0x1000, &replacement.mem), Probe::Stale));
     }
 
     /// The stamp gate: a change to any code page moves the space's
     /// stamp, and the next hit re-reads the block's generations; a clone
     /// of the space, whose table is equal, keeps the stamp. Another
-    /// space never shares it, even with an equal code-write count, so a
-    /// cache put next to it reads its table.
+    /// space never shares it, so a cache put next to it reads its table.
     #[test]
     fn a_stamp_names_one_table_across_spaces() {
         let mut cache = BlockCache::default();
@@ -658,7 +693,6 @@ mod tests {
         assert_eq!(mem.clone().code_stamp(), mem.code_stamp());
         let mut other = one_page_space();
         other.seed_code_page_gen(0x1000, 1);
-        assert_eq!(other.code_write_count(), mem.code_write_count());
         assert!(
             matches!(cache.hit(0x1000, &other), Probe::Stale),
             "another space's table is read, not trusted"
@@ -670,7 +704,7 @@ mod tests {
     /// The heat a probe reports, if it found a valid entry.
     fn heat(probe: Probe<'_>) -> Option<u32> {
         match probe {
-            Probe::Valid(entry) => Some(entry.heat),
+            Probe::Valid(entry) | Probe::Swapped(entry) => Some(entry.heat),
             Probe::Stale | Probe::Absent => None,
         }
     }

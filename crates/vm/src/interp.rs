@@ -20,7 +20,7 @@ pub(crate) enum Exec {
     Done,
     /// A store retired (`St`, `Push`, `Call`, `Callr`, the complete
     /// list): it may have changed a code page, so a running block
-    /// revalidates if the space's code-write count moved.
+    /// revalidates if the space's code stamp moved.
     Wrote,
     /// A `Jcc` retired, the one instruction whose successor can leave a
     /// superblock's decoded chain: the new pc is checked against it.
@@ -359,7 +359,7 @@ pub(crate) fn run_block(
     pid: Pid,
     mut hook: Option<&mut (dyn Hook + '_)>,
 ) -> (usize, BlockExit) {
-    let mut validated_at = mem.code_write_count();
+    let mut validated_at = mem.code_stamp();
     for (i, (insn, len)) in run.iter().enumerate() {
         let pc = cpu.pc;
         let class = exec_insn(cpu, mem, insn, usize::from(*len));
@@ -373,11 +373,11 @@ pub(crate) fn run_block(
             // Self-modifying code: a store that changed a code page may
             // have overwritten this very block (even mid-superblock).
             // Revalidate before running another cached instruction.
-            Exec::Wrote if mem.code_write_count() != validated_at => {
+            Exec::Wrote if mem.code_stamp() != validated_at => {
                 if !block.pages_valid(mem) {
                     return (i + 1, BlockExit::Invalidated);
                 }
-                validated_at = mem.code_write_count();
+                validated_at = mem.code_stamp();
             }
             // A pc that diverges from the decoded chain after a
             // conditional branch is a superblock side-exit (mispredicted

@@ -332,15 +332,14 @@ impl Kernel {
                 expected: "a free pid slot",
             });
         }
-        // Deliberately no cache flush here. Every live-memory swap
-        // funnels through this method, but the invalidation choke point
-        // is `RestoreTransaction::commit`, which flushes the *built*
-        // replacement before it ever reaches us: a restored image may
-        // carry arbitrary foreign bytes. Re-inserting an *original*
-        // process (rollback, undo) keeps its cache — its page
-        // generations are part of the address space being swapped back,
-        // so every entry is exactly as valid as it was at dump time.
-        // That is what makes rollback's version swap free (DESIGN §11).
+        // Deliberately no cache flush here. A restored process starts
+        // cold because the restore builds it new, and only a customize
+        // commit carries entries into it, seeding generations as it does
+        // (`BlockCache::carry_into`). Re-inserting an *original* process
+        // (rollback, undo) keeps its cache — its page generations are
+        // part of the address space being swapped back, so every entry
+        // is exactly as valid as it was at dump time. That is what makes
+        // rollback's version swap free (DESIGN §11).
         self.next_pid = self.next_pid.max(proc.pid.0);
         let pid = proc.pid;
         self.procs.insert(pid, proc);
@@ -1374,12 +1373,16 @@ impl Kernel {
                     pending_signals,
                     ..
                 } = &mut *proc;
-                // Probe the active version first; on a miss, try to carry
-                // the previous version forward (a rewrite-epoch version
-                // swap — no re-decode if its page generations still hold).
+                // One probe: a carried entry's first valid dispatch is a
+                // version swap, no re-decode.
                 let found = match block_cache.hit(entry, mem) {
                     Probe::Valid(found) => {
                         cache_hits += 1;
+                        Some(found)
+                    }
+                    Probe::Swapped(found) => {
+                        cache_hits += 1;
+                        version_swaps += 1;
                         Some(found)
                     }
                     Probe::Stale => {
@@ -1388,23 +1391,6 @@ impl Kernel {
                         None
                     }
                     Probe::Absent => None,
-                };
-                let found = match found {
-                    Some(found) => Some(found),
-                    None => match block_cache.swap_forward(entry, mem) {
-                        Probe::Valid(found) => {
-                            cache_hits += 1;
-                            version_swaps += 1;
-                            Some(found)
-                        }
-                        // The previous version decodes pages the rewrite
-                        // actually changed — dead for good.
-                        Probe::Stale => {
-                            cache_invalidations += 1;
-                            None
-                        }
-                        Probe::Absent => None,
-                    },
                 };
                 let block = match found {
                     Some(found) => {

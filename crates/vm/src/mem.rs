@@ -436,12 +436,9 @@ pub struct AddressSpace {
     /// cached before the unmap can ever revalidate. Excluded from
     /// checkpoints and fingerprints: purely host-side cache metadata.
     code_gen: BTreeMap<u64, u64>,
-    /// How many times a registered code page's generation has changed:
-    /// the dispatcher revalidates a running block only when this moved.
-    code_writes: u64,
-    /// Names the current state of `code_gen` across spaces: a dispatch
-    /// skips a block's revalidation while this reads the stamp the
-    /// block last validated under.
+    /// Names the current state of `code_gen` across spaces: a dispatch,
+    /// and a running block after a store, skip a block's revalidation
+    /// while this reads the stamp the block last validated under.
     code_stamp: CodeStamp,
     /// The soft TLB that guest loads, stores and fetches share.
     tlb: Tlb,
@@ -1147,14 +1144,6 @@ impl AddressSpace {
         self.code_gen.get(&page_base(addr)).copied().unwrap_or(0)
     }
 
-    /// How many times the generation of a registered code page has
-    /// changed. A block that validated when the count read `n` still
-    /// validates while it reads `n`.
-    #[inline]
-    pub(crate) fn code_write_count(&self) -> u64 {
-        self.code_writes
-    }
-
     /// The space's code stamp: equal stamps, on this space or any other,
     /// name equal code-generation tables, so a block that validated
     /// under the stamp this returns still validates.
@@ -1168,7 +1157,6 @@ impl AddressSpace {
     fn bump_code_gen(&mut self, base: u64) {
         if let Some(gen) = self.code_gen.get_mut(&base) {
             *gen += 1;
-            self.code_writes += 1;
             self.code_stamp = CodeStamp::fresh();
         }
     }
@@ -1176,12 +1164,12 @@ impl AddressSpace {
     /// Bumps the generation of every registered code page intersecting
     /// `[start, end)`.
     fn bump_code_gens(&mut self, start: u64, end: u64) {
-        let before = self.code_writes;
+        let mut bumped = false;
         for (_, gen) in self.code_gen.range_mut(page_base(start)..end) {
             *gen += 1;
-            self.code_writes += 1;
+            bumped = true;
         }
-        if self.code_writes != before {
+        if bumped {
             self.code_stamp = CodeStamp::fresh();
         }
     }
@@ -1202,7 +1190,6 @@ impl AddressSpace {
         let raised = *slot < gen;
         *slot = (*slot).max(gen);
         if raised {
-            self.code_writes += 1;
             self.code_stamp = CodeStamp::fresh();
         }
     }
@@ -1333,7 +1320,7 @@ mod tests {
                 .collect();
             let dirty: Vec<u64> = space.dirty_pages().collect();
             let code: Vec<(u64, u64)> = space.code_pages().collect();
-            (pages, dirty, code, space.code_write_count())
+            (pages, dirty, code)
         };
         let mut one_by_one = fresh();
         for (base, frame) in &frames {
@@ -2009,7 +1996,7 @@ mod tests {
     }
 
     /// Every page's bytes, dirty bit, code generation and backing, and
-    /// the space's copy-on-write and code-write counts.
+    /// the space's copy-on-write count.
     fn observed(space: &AddressSpace) -> impl PartialEq + std::fmt::Debug {
         let pages: Vec<(u64, Vec<u8>)> = space
             .populated_pages()
@@ -2024,8 +2011,32 @@ mod tests {
             space.code_pages().collect::<Vec<_>>(),
             shared,
             space.cow_fault_count(),
-            space.code_write_count(),
         )
+    }
+
+    /// A space's code stamp and the generation of every registered page.
+    fn code_state(space: &AddressSpace) -> (u64, BTreeMap<u64, u64>) {
+        (space.code_stamp(), space.code_pages().collect())
+    }
+
+    /// The code stamp moved since `before` exactly when a page's
+    /// generation did, an unregistered page reading 0: registering a
+    /// page at 0 moves neither.
+    fn stamp_tracks_generations(
+        space: &AddressSpace,
+        (stamp, gens): &(u64, BTreeMap<u64, u64>),
+    ) -> Result<(), String> {
+        let gens_moved = space
+            .code_pages()
+            .any(|(base, gen)| gens.get(&base).copied().unwrap_or(0) != gen);
+        let stamp_moved = space.code_stamp() != *stamp;
+        if gens_moved == stamp_moved {
+            Ok(())
+        } else {
+            Err(format!(
+                "generations moved: {gens_moved}, stamp moved: {stamp_moved}"
+            ))
+        }
     }
 
     /// Every right the table holds is one the slow path would grant now,
@@ -2089,7 +2100,9 @@ mod tests {
         /// every installed frame, and its bytes never change. Every
         /// right the table holds is one the slow path would grant, every
         /// slot an entry holds is its page's, and an access that
-        /// succeeded leaves its page's slot in the table.
+        /// succeeded leaves its page's slot in the table. On both spaces
+        /// the code stamp, the one gate on a cached block's
+        /// revalidation, moves exactly when a page's generation does.
         #[test]
         fn the_tlb_is_invisible(
             draws in proptest::collection::vec(
@@ -2105,6 +2118,7 @@ mod tests {
             let (mut fast_displaced, mut slow_displaced) = (Vec::new(), Vec::new());
             for draw in draws {
                 let step = Step::from_draw(draw);
+                let before = [code_state(&fast), code_state(&slow)];
                 let frame = step.frame().map(|(page, fill)| {
                     let frame = SharedFrame::new(&[fill; PAGE_LEN]);
                     other.install_shared_page(page, frame.clone());
@@ -2117,6 +2131,14 @@ mod tests {
                 prop_assert_eq!(seen, expected, "{:?}", step);
                 prop_assert_eq!(observed(&fast), observed(&slow), "after {:?}", step);
                 prop_assert_eq!(tlb_is_sound(&fast), Ok(()), "after {:?}", step);
+                for (space, before) in [&fast, &slow].into_iter().zip(&before) {
+                    prop_assert_eq!(
+                        stamp_tracks_generations(space, before),
+                        Ok(()),
+                        "after {:?}",
+                        step
+                    );
+                }
                 if succeeded {
                     prop_assert_eq!(tlb_holds_slot(&fast, step), Ok(()), "after {:?}", step);
                 }

@@ -92,8 +92,8 @@ pub struct Process {
     /// seccomp-filter analogue of paper §5. All-ones permits everything.
     pub syscall_filter: u64,
     /// Decoded-block translation cache. Pure host-side acceleration
-    /// state: never checkpointed, never fingerprinted, flushed on
-    /// restore (see DESIGN §11).
+    /// state: never checkpointed, never fingerprinted, empty in a
+    /// restored process (see DESIGN §11).
     pub block_cache: BlockCache,
 }
 

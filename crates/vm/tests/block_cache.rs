@@ -947,8 +947,8 @@ fn every_slice_length_agrees_with_the_uncached_interpreter() {
     }
 }
 
-/// A block cache next to a different address space whose code-write
-/// count equals the one the cache's entry last validated under: a trap
+/// A block cache next to a different address space whose count of code
+/// writes equals the one the cache's entry last validated under: a trap
 /// byte planted on the page the cached loop spans still fires, because
 /// a dispatch skips revalidation only under the stamp of one space's
 /// generation table, not under a count any space can reach.
@@ -957,8 +957,8 @@ fn a_cache_on_a_foreign_space_revalidates() {
     let insns = [Insn::Nop, Insn::Nop, Insn::Nop, Insn::Jmp(-8)];
     let (mut kernel, pid, addrs) = boot(&insns);
     kernel.run_for(2_000);
-    // A change to a code page the loop does not span moves the space's
-    // code-write count to 1; the loop's entry revalidates under it.
+    // One code write, to a page the loop does not span; the loop's
+    // entry revalidates under the space's new stamp.
     kernel
         .process_mut(pid)
         .unwrap()
@@ -977,7 +977,11 @@ fn a_cache_on_a_foreign_space_revalidates() {
     other.mem.note_code_page(TEXT);
     other.mem.write_unchecked(addrs[1], &[TRAP_OPCODE]);
     let writes = |mem: &dynacut_vm::AddressSpace| mem.code_pages().map(|(_, gen)| gen).sum::<u64>();
-    assert_eq!(writes(&other.mem), writes(mem), "equal code-write counts");
+    assert_eq!(
+        writes(&other.mem),
+        writes(mem),
+        "equal counts of code writes"
+    );
     other.block_cache = cache;
     let status = other_kernel
         .run_until_exit(other_pid, 1_000_000)
