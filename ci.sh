@@ -162,21 +162,34 @@ grep -q '"fingerprints_match": true' results/interp.json
 # for guest writes, drops, remaps and page replacements whose undo
 # lands after a sweep.
 cargo test -q -p dynacut-criu --lib
-# Restoring an untrusted checkpoint never panics the host: byte
-# mutations of a one-process checkpoint each decode, store, restore and
-# run to Ok or a typed error, and an unaligned module base, one in the
+# Restoring an untrusted checkpoint never panics the host: a checkpoint
+# of one process or two with bytes overwritten, cut short, or with a run
+# of 1-16 bytes inserted or deleted each decodes, stores, restores and
+# runs to Ok or a typed error, and an unaligned module base, one in the
 # top page and a retired count next to u64::MAX are pinned one by one.
 cargo test -q -p dynacut-criu --test restore_fuzz
-# A DCO binary whose sections overlap or run past the top of the
-# address space is refused with BadImage by from_bytes and by
-# materialize, never a panic: whatever from_bytes accepts, materialize
-# maps to Ok or a typed error.
+# One wire layer for both binary formats (DESIGN §5): the reader checks
+# every length and table count against the bytes left before it
+# allocates and refuses trailing bytes (codec_props pins a checkpoint
+# with bytes appended as BadImage), and the byte counter gives the
+# length the encoder writes.
+cargo test -q -p dynacut-obj --lib wire::
+# The DCO codec reads every table bounded, refuses trailing bytes and
+# matches its golden encoding; a binary whose sections overlap or run
+# past the top of the address space is refused with BadImage by
+# from_bytes and by materialize, never a panic: whatever from_bytes
+# accepts, even with bytes inserted, materialize maps to Ok or a typed
+# error.
 cargo test -q -p dynacut-obj
-# One symbol resolver (DESIGN §12): library injection, the restore's link
-# and the original text take the first definition in load order, and a
-# restore links only text it must rebuild, so a fully dumped image
-# restores when an import no longer resolves and a stock-CRIU one fails
-# with UnresolvedSymbol.
+# One symbol resolver (DESIGN §12), dynacut_obj::resolve, for spawn and
+# every link against a process image: library injection, the restore's
+# link and the original text take the first definition in load order,
+# and a restore links only text it must rebuild, so a fully dumped
+# image restores when an import no longer resolves and a stock-CRIU one
+# fails with UnresolvedSymbol. At spawn, an import whose address runs
+# past the top of the address space is a MissingImport, and a library
+# holding such a symbol that nothing imports still spawns.
+cargo test -q -p dynacut-vm --test robustness spawn_
 cargo test -q -p dynacut --test symbol_resolution
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props

@@ -180,6 +180,12 @@ impl From<dynacut_vm::VmError> for CriuError {
     }
 }
 
+impl From<dynacut_obj::wire::WireError> for CriuError {
+    fn from(err: dynacut_obj::wire::WireError) -> Self {
+        CriuError::BadImage(err.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,23 +49,14 @@ impl ModuleRegistry {
         self.modules.get(name)
     }
 
-    /// Resolves an import of `symbol` in a process that maps `modules`,
-    /// the one rule every link against a process image follows: the
-    /// modules are walked in load order and the first whose binary
-    /// defines the name wins, as the loader does at spawn. Nothing is
-    /// allocated. A module missing from the registry defines nothing,
-    /// and a definition whose address would run past the top of the
-    /// address space resolves to `None`.
+    /// Resolves an import of `symbol` in a process that maps `modules`
+    /// by [`dynacut_obj::resolve`], the rule the loader follows at spawn.
+    /// A module missing from the registry defines nothing.
     pub fn resolve(&self, modules: &[ModuleRef], symbol: &str) -> Option<u64> {
-        for module in modules {
-            let def = self
-                .get(&module.name)
-                .and_then(|binary| binary.symbols.get(symbol));
-            if let Some(def) = def {
-                return module.base.checked_add(def.offset);
-            }
-        }
-        None
+        let binaries = modules
+            .iter()
+            .filter_map(|module| Some((&**self.get(&module.name)?, module.base)));
+        dynacut_obj::resolve(binaries, symbol)
     }
 }
 

@@ -325,6 +325,18 @@ fn from_bytes_rejects_a_payload_that_disagrees_with_its_pagemap() {
     }
 }
 
+/// Regression: a checkpoint with bytes appended used to decode.
+#[test]
+fn from_bytes_rejects_trailing_bytes() {
+    let mut bytes = CheckpointImage {
+        procs: vec![image_with_pages()],
+        time_ns: 1,
+    }
+    .to_bytes();
+    bytes.push(0);
+    assert_bad_image(&bytes);
+}
+
 #[test]
 fn strategies_compile() {
     // Keep the helper alive even if unused by a future refactor.

@@ -5,113 +5,44 @@
 //! implementation parses ELF shared objects with pyelftools (§3.3).
 
 use crate::image::{DynReloc, Image, ObjectKind, PltEntry, RelocValue, SymbolDef, SymbolKind};
+use crate::wire::{Reader, Sink, WireError};
 use crate::ObjError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dynacut_isa::{BasicBlock, FuncSpan};
-use std::collections::BTreeMap;
 
 const MAGIC: &[u8; 4] = b"DCO1";
-
-/// Writes a string's length or a table's entry count as the format's
-/// `u32`.
-fn put_count(buf: &mut BytesMut, count: usize) {
-    debug_assert!(u32::try_from(count).is_ok(), "count {count} overflows u32");
-    #[allow(
-        clippy::cast_possible_truncation,
-        reason = "every count is a name's length or the entries of an \
-                  in-memory image table (blocks, functions, symbols, PLT \
-                  entries, relocations, imports), each far below u32::MAX"
-    )]
-    buf.put_u32_le(count as u32);
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    put_count(buf, s.len());
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_bytes(buf: &mut BytesMut, b: &[u8]) {
-    buf.put_u64_le(b.len() as u64);
-    buf.put_slice(b);
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, ObjError> {
-    if buf.remaining() < 4 {
-        return Err(ObjError::BadImage("truncated string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(ObjError::BadImage("truncated string body".into()));
-    }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| ObjError::BadImage("non-utf8 string".into()))
-}
-
-fn get_vec(buf: &mut Bytes) -> Result<Vec<u8>, ObjError> {
-    if buf.remaining() < 8 {
-        return Err(ObjError::BadImage("truncated byte-vector length".into()));
-    }
-    // A length past `usize` is past the buffer too.
-    let len = usize::try_from(buf.get_u64_le()).unwrap_or(usize::MAX);
-    if buf.remaining() < len {
-        return Err(ObjError::BadImage("truncated byte-vector body".into()));
-    }
-    Ok(buf.split_to(len).to_vec())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, ObjError> {
-    if buf.remaining() < 8 {
-        return Err(ObjError::BadImage("truncated u64".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, ObjError> {
-    if buf.remaining() < 4 {
-        return Err(ObjError::BadImage("truncated u32".into()));
-    }
-    Ok(buf.get_u32_le())
-}
-
-fn get_u8(buf: &mut Bytes) -> Result<u8, ObjError> {
-    if buf.remaining() < 1 {
-        return Err(ObjError::BadImage("truncated u8".into()));
-    }
-    Ok(buf.get_u8())
-}
 
 impl Image {
     /// Serialises the image to the binary DCO format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_slice(MAGIC);
-        put_str(&mut buf, &self.name);
+        buf.put_str(&self.name);
         buf.put_u8(match self.kind {
             ObjectKind::Executable => 0,
             ObjectKind::SharedLib => 1,
         });
-        put_bytes(&mut buf, &self.text);
-        put_bytes(&mut buf, &self.rodata);
-        put_bytes(&mut buf, &self.data);
+        buf.put_vec(&self.text);
+        buf.put_vec(&self.rodata);
+        buf.put_vec(&self.data);
         buf.put_u64_le(self.bss_size);
         buf.put_u64_le(self.rodata_off);
         buf.put_u64_le(self.data_off);
         buf.put_u64_le(self.got_off);
         buf.put_u64_le(self.bss_off);
-        put_count(&mut buf, self.blocks.len());
+        buf.put_count(self.blocks.len());
         for block in &self.blocks {
             buf.put_u64_le(block.addr);
             buf.put_u32_le(block.size);
         }
-        put_count(&mut buf, self.functions.len());
+        buf.put_count(self.functions.len());
         for func in &self.functions {
-            put_str(&mut buf, &func.name);
+            buf.put_str(&func.name);
             buf.put_u64_le(func.offset);
             buf.put_u64_le(func.size);
         }
-        put_count(&mut buf, self.symbols.len());
+        buf.put_count(self.symbols.len());
         for (name, def) in &self.symbols {
-            put_str(&mut buf, name);
+            buf.put_str(name);
             buf.put_u64_le(def.offset);
             buf.put_u8(match def.kind {
                 SymbolKind::Func => 0,
@@ -119,25 +50,25 @@ impl Image {
             });
             buf.put_u64_le(def.size);
         }
-        put_count(&mut buf, self.plt.len());
+        buf.put_count(self.plt.len());
         for entry in &self.plt {
-            put_str(&mut buf, &entry.name);
+            buf.put_str(&entry.name);
             buf.put_u64_le(entry.stub_offset);
             buf.put_u64_le(entry.got_offset);
         }
-        put_count(&mut buf, self.dyn_relocs.len());
+        buf.put_count(self.dyn_relocs.len());
         for reloc in &self.dyn_relocs {
             buf.put_u64_le(reloc.site);
             match &reloc.value {
                 RelocValue::Local { offset, addend } => {
                     buf.put_u8(0);
                     buf.put_u64_le(*offset);
-                    buf.put_i64_le(*addend);
+                    buf.put_u64_le(*addend as u64);
                 }
                 RelocValue::Import { symbol, addend } => {
                     buf.put_u8(1);
-                    put_str(&mut buf, symbol);
-                    buf.put_i64_le(*addend);
+                    buf.put_str(symbol);
+                    buf.put_u64_le(*addend as u64);
                 }
             }
         }
@@ -148,130 +79,114 @@ impl Image {
             }
             None => buf.put_u8(0),
         }
-        put_count(&mut buf, self.imports.len());
+        buf.put_count(self.imports.len());
         for import in &self.imports {
-            put_str(&mut buf, import);
+            buf.put_str(import);
         }
-        buf.to_vec()
+        buf
     }
 
     /// Parses a DCO image previously produced by [`Image::to_bytes`].
     ///
     /// # Errors
     ///
-    /// Returns [`ObjError::BadImage`] if the input is truncated, has a bad
-    /// magic number, contains malformed fields, or lays out sections that
-    /// overlap or run past the top of the address space.
+    /// Returns [`ObjError::BadImage`] if the input is truncated or runs
+    /// past the image, has a bad magic number, contains malformed fields,
+    /// or lays out sections that overlap or run past the top of the
+    /// address space.
     pub fn from_bytes(raw: &[u8]) -> Result<Image, ObjError> {
-        let mut buf = Bytes::copy_from_slice(raw);
-        if buf.remaining() < 4 || &buf.split_to(4)[..] != MAGIC {
-            return Err(ObjError::BadImage("bad magic".into()));
-        }
-        let name = get_str(&mut buf)?;
-        let kind = match get_u8(&mut buf)? {
-            0 => ObjectKind::Executable,
-            1 => ObjectKind::SharedLib,
-            other => return Err(ObjError::BadImage(format!("bad kind byte {other}"))),
-        };
-        let text = get_vec(&mut buf)?;
-        let rodata = get_vec(&mut buf)?;
-        let data = get_vec(&mut buf)?;
-        let bss_size = get_u64(&mut buf)?;
-        let rodata_off = get_u64(&mut buf)?;
-        let data_off = get_u64(&mut buf)?;
-        let got_off = get_u64(&mut buf)?;
-        let bss_off = get_u64(&mut buf)?;
-        let n_blocks = get_u32(&mut buf)?;
-        let mut blocks = Vec::with_capacity((n_blocks as usize).min(4096));
-        for _ in 0..n_blocks {
-            let addr = get_u64(&mut buf)?;
-            let size = get_u32(&mut buf)?;
-            blocks.push(BasicBlock::new(addr, size));
-        }
-        let n_funcs = get_u32(&mut buf)?;
-        let mut functions = Vec::with_capacity((n_funcs as usize).min(4096));
-        for _ in 0..n_funcs {
-            let name = get_str(&mut buf)?;
-            let offset = get_u64(&mut buf)?;
-            let size = get_u64(&mut buf)?;
-            functions.push(FuncSpan { name, offset, size });
-        }
-        let n_syms = get_u32(&mut buf)?;
-        let mut symbols = BTreeMap::new();
-        for _ in 0..n_syms {
-            let name = get_str(&mut buf)?;
-            let offset = get_u64(&mut buf)?;
-            let kind = match get_u8(&mut buf)? {
-                0 => SymbolKind::Func,
-                1 => SymbolKind::Object,
-                other => return Err(ObjError::BadImage(format!("bad symbol kind {other}"))),
-            };
-            let size = get_u64(&mut buf)?;
-            symbols.insert(name, SymbolDef { offset, kind, size });
-        }
-        let n_plt = get_u32(&mut buf)?;
-        let mut plt = Vec::with_capacity((n_plt as usize).min(4096));
-        for _ in 0..n_plt {
-            let name = get_str(&mut buf)?;
-            let stub_offset = get_u64(&mut buf)?;
-            let got_offset = get_u64(&mut buf)?;
-            plt.push(PltEntry {
-                name,
-                stub_offset,
-                got_offset,
-            });
-        }
-        let n_relocs = get_u32(&mut buf)?;
-        let mut dyn_relocs = Vec::with_capacity((n_relocs as usize).min(4096));
-        for _ in 0..n_relocs {
-            let site = get_u64(&mut buf)?;
-            let value = match get_u8(&mut buf)? {
-                0 => {
-                    let offset = get_u64(&mut buf)?;
-                    let addend = get_u64(&mut buf)? as i64;
-                    RelocValue::Local { offset, addend }
-                }
-                1 => {
-                    let symbol = get_str(&mut buf)?;
-                    let addend = get_u64(&mut buf)? as i64;
-                    RelocValue::Import { symbol, addend }
-                }
-                other => return Err(ObjError::BadImage(format!("bad reloc kind {other}"))),
-            };
-            dyn_relocs.push(DynReloc { site, value });
-        }
-        let entry = match get_u8(&mut buf)? {
-            0 => None,
-            1 => Some(get_u64(&mut buf)?),
-            other => return Err(ObjError::BadImage(format!("bad entry flag {other}"))),
-        };
-        let n_imports = get_u32(&mut buf)?;
-        let mut imports = Vec::with_capacity((n_imports as usize).min(4096));
-        for _ in 0..n_imports {
-            imports.push(get_str(&mut buf)?);
-        }
-        let image = Image {
-            name,
-            kind,
-            text,
-            rodata,
-            data,
-            bss_size,
-            rodata_off,
-            data_off,
-            got_off,
-            bss_off,
-            blocks,
-            functions,
-            symbols,
-            plt,
-            dyn_relocs,
-            entry,
-            imports,
-        };
+        let image = decode(raw)?;
         image.check_layout()?;
         Ok(image)
     }
+}
+
+fn decode(raw: &[u8]) -> Result<Image, WireError> {
+    let mut reader = Reader::new(raw);
+    reader.magic(MAGIC)?;
+    let name = reader.str()?;
+    let kind = match reader.u8()? {
+        0 => ObjectKind::Executable,
+        1 => ObjectKind::SharedLib,
+        other => return Err(WireError(format!("bad kind byte {other}"))),
+    };
+    let text = reader.bytes()?.to_vec();
+    let rodata = reader.bytes()?.to_vec();
+    let data = reader.bytes()?.to_vec();
+    let bss_size = reader.u64()?;
+    let rodata_off = reader.u64()?;
+    let data_off = reader.u64()?;
+    let got_off = reader.u64()?;
+    let bss_off = reader.u64()?;
+    // Each table's first argument is the fewest bytes one of its
+    // entries takes: its fixed-width fields and any name empty.
+    let blocks = reader.table(12, |r| Ok(BasicBlock::new(r.u64()?, r.u32()?)))?;
+    let functions = reader.table(20, |r| {
+        Ok(FuncSpan {
+            name: r.str()?,
+            offset: r.u64()?,
+            size: r.u64()?,
+        })
+    })?;
+    let symbols = reader.table(21, |r| {
+        let name = r.str()?;
+        let offset = r.u64()?;
+        let kind = match r.u8()? {
+            0 => SymbolKind::Func,
+            1 => SymbolKind::Object,
+            other => return Err(WireError(format!("bad symbol kind {other}"))),
+        };
+        let size = r.u64()?;
+        Ok((name, SymbolDef { offset, kind, size }))
+    })?;
+    let plt = reader.table(20, |r| {
+        Ok(PltEntry {
+            name: r.str()?,
+            stub_offset: r.u64()?,
+            got_offset: r.u64()?,
+        })
+    })?;
+    let dyn_relocs = reader.table(21, |r| {
+        let site = r.u64()?;
+        let value = match r.u8()? {
+            0 => RelocValue::Local {
+                offset: r.u64()?,
+                addend: r.u64()? as i64,
+            },
+            1 => RelocValue::Import {
+                symbol: r.str()?,
+                addend: r.u64()? as i64,
+            },
+            other => return Err(WireError(format!("bad reloc kind {other}"))),
+        };
+        Ok(DynReloc { site, value })
+    })?;
+    let entry = match reader.u8()? {
+        0 => None,
+        1 => Some(reader.u64()?),
+        other => return Err(WireError(format!("bad entry flag {other}"))),
+    };
+    let imports = reader.table(4, Reader::str)?;
+    reader.finish()?;
+    Ok(Image {
+        name,
+        kind,
+        text,
+        rodata,
+        data,
+        bss_size,
+        rodata_off,
+        data_off,
+        got_off,
+        bss_off,
+        blocks,
+        functions,
+        symbols: symbols.into_iter().collect(),
+        plt,
+        dyn_relocs,
+        entry,
+        imports,
+    })
 }
 
 #[cfg(test)]
@@ -308,6 +223,29 @@ mod tests {
         let bytes = image.to_bytes();
         let parsed = Image::from_bytes(&bytes).unwrap();
         assert_eq!(parsed, image);
+    }
+
+    /// The format pinned: the length and FNV-1a-64 hash of the sample's
+    /// encoding, recorded before the codec moved onto the wire layer.
+    /// Any other value is a format change.
+    #[test]
+    fn encoding_matches_the_golden_bytes() {
+        let bytes = sample_image().to_bytes();
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), hash), (437, 0x6888_fcf9_477f_0478));
+    }
+
+    /// Regression: an image with bytes appended used to parse.
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = sample_image().to_bytes();
+        bytes.push(0);
+        assert!(matches!(
+            Image::from_bytes(&bytes),
+            Err(ObjError::BadImage(_))
+        ));
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl From<dynacut_isa::IsaError> for ObjError {
     }
 }
 
+impl From<crate::wire::WireError> for ObjError {
+    fn from(err: crate::wire::WireError) -> Self {
+        ObjError::BadImage(err.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

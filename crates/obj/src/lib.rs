@@ -48,11 +48,12 @@ mod error;
 mod image;
 mod link;
 mod loader;
+pub mod wire;
 
 pub use builder::ModuleBuilder;
 pub use error::ObjError;
 pub use image::{DynReloc, Image, ObjectKind, PltEntry, RelocValue, SymbolDef, SymbolKind};
-pub use loader::{materialize, SegmentInit};
+pub use loader::{materialize, resolve, SegmentInit};
 
 /// Page size of the DCVM, in bytes (same as x86-64 small pages).
 pub const PAGE_SIZE: u64 = 4096;

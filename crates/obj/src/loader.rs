@@ -140,6 +140,22 @@ pub fn materialize(
     Ok(segments)
 }
 
+/// Resolves an import of `symbol` in a process that maps `modules`, each
+/// a binary and its base, the one rule the loader at spawn and every
+/// link against a process image follow: the modules are walked in load
+/// order and the first whose binary defines the name wins. Nothing is
+/// allocated, and a definition whose address would run past the top of
+/// the address space resolves to `None`.
+pub fn resolve<'a>(
+    modules: impl IntoIterator<Item = (&'a Image, u64)>,
+    symbol: &str,
+) -> Option<u64> {
+    let (base, def) = modules
+        .into_iter()
+        .find_map(|(image, base)| Some((base, image.symbols.get(symbol)?)))?;
+    base.checked_add(def.offset)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,6 +73,23 @@ proptest! {
         }
     }
 
+    /// Inserting a run of 1 to 16 bytes anywhere, the end included,
+    /// either fails to parse or parses into an image that materializes
+    /// to `Ok` or a typed error — never a panic.
+    #[test]
+    fn dco_insertions_never_panic(
+        image in arb_module(),
+        position in any::<proptest::sample::Index>(),
+        run in proptest::collection::vec(any::<u8>(), 1..=16),
+    ) {
+        let mut bytes = image.to_bytes();
+        let position = position.index(bytes.len() + 1);
+        bytes.splice(position..position, run);
+        if let Ok(parsed) = Image::from_bytes(&bytes) {
+            let _ = materialize(&parsed, 0x40_0000, |_| Some(0)); // must not panic
+        }
+    }
+
     /// Any value in any section offset or the `.bss` size: whatever
     /// `from_bytes` accepts, `materialize` maps to `Ok` or a typed
     /// error, and an image it refuses `materialize` refuses too.

@@ -92,7 +92,7 @@
 use crate::mem::AddressSpace;
 use crate::Process;
 use dynacut_isa::Insn;
-use std::collections::{hash_map, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -312,36 +312,28 @@ impl BlockCache {
     /// Caches `block`, just decoded from `mem`, at `pc`, evicting a batch
     /// of the coldest entries first if the cache is at capacity, and
     /// returns the cached block with the number of entries evicted for
-    /// capacity (the `block_cache.capacity_evictions` metric). An
-    /// existing entry at `pc` keeps its dispatch profile.
+    /// capacity (the `block_cache.capacity_evictions` metric). Dispatch
+    /// inserts only a pc that [`hit`](BlockCache::hit) found absent or
+    /// that it removed as stale, so no entry is there already.
     pub(crate) fn insert(
         &mut self,
         pc: u64,
         block: CachedBlock,
         mem: &AddressSpace,
     ) -> (&CachedBlock, u64) {
+        debug_assert!(!self.blocks.contains_key(&pc), "{pc:#x} is cached");
         let mut evicted = 0u64;
-        if self.blocks.len() >= MAX_CACHED_BLOCKS && !self.blocks.contains_key(&pc) {
+        if self.blocks.len() >= MAX_CACHED_BLOCKS {
             evicted = self.evict_coldest(CAPACITY_EVICT_BATCH);
         }
         self.tick += 1;
-        let block = Arc::new(block);
-        let validated = mem.code_stamp();
-        let entry = match self.blocks.entry(pc) {
-            hash_map::Entry::Occupied(occupied) => {
-                let entry = occupied.into_mut();
-                entry.block = block;
-                entry.validated = validated;
-                entry
-            }
-            hash_map::Entry::Vacant(vacant) => vacant.insert(Entry {
-                block,
-                heat: 0,
-                last_hit: self.tick,
-                validated,
-            }),
-        };
-        (&entry.block, evicted)
+        let entry = self.blocks.entry(pc).insert_entry(Entry {
+            block: Arc::new(block),
+            heat: 0,
+            last_hit: self.tick,
+            validated: mem.code_stamp(),
+        });
+        (&entry.into_mut().block, evicted)
     }
 
     /// Removes the `count` entries with the smallest `(heat, last_hit)`

@@ -2,8 +2,7 @@
 
 use crate::process::Process;
 use crate::VmError;
-use dynacut_obj::{materialize, Image, Perms, PAGE_SIZE};
-use std::collections::BTreeMap;
+use dynacut_obj::{materialize, resolve, Image, Perms, PAGE_SIZE};
 use std::sync::Arc;
 
 /// Default executable base address.
@@ -99,18 +98,11 @@ pub(crate) fn load_into(proc: &mut Process, spec: &LoadSpec) -> Result<(), VmErr
         base: EXE_BASE,
     });
 
-    // Global symbol table across all modules (first definition wins,
-    // libraries before the executable — standard dynamic-linking order).
-    let mut globals: BTreeMap<&str, u64> = BTreeMap::new();
-    for module in &placements {
-        for (name, def) in &module.image.symbols {
-            globals.entry(name).or_insert(module.base + def.offset);
-        }
-    }
-
+    // Imports resolve by the one rule: the first definition in load
+    // order, libraries before the executable.
     for module in &placements {
         let segments = materialize(&module.image, module.base, |symbol| {
-            globals.get(symbol).copied()
+            resolve(placements.iter().map(|m| (&*m.image, m.base)), symbol)
         })?;
         for segment in &segments {
             proc.mem.map(

@@ -1,11 +1,12 @@
 //! Robustness: arbitrary guest code and hostile syscall arguments must
 //! never panic the host — the guest dies with a signal instead. This is
 //! the reproduction's equivalent of the paper's TCB assumption: the
-//! kernel survives anything the rewritten process does.
+//! kernel survives anything the rewritten process does. A binary the DCO
+//! codec accepts gets a typed error from spawn, never a panic.
 
 use dynacut_isa::{Assembler, Insn, Reg};
-use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
-use dynacut_vm::{is_err, Errno, Kernel, LoadSpec, Pid, Process, Sysno};
+use dynacut_obj::{Image, ModuleBuilder, ObjError, ObjectKind, Perms, PAGE_SIZE};
+use dynacut_vm::{is_err, Errno, Kernel, LoadSpec, Pid, Process, Sysno, VmError};
 use proptest::prelude::*;
 
 #[allow(dead_code)]
@@ -181,4 +182,56 @@ fn stack_overflow_becomes_sigsegv() {
     let pid = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
     let status = kernel.run_until_exit(pid, 50_000_000).expect("dies");
     assert_eq!(status.fatal_signal, Some(dynacut_vm::Signal::Sigsegv));
+}
+
+/// A library the DCO codec accepts whose `libc_far` sits at an offset no
+/// base can be added to, and an executable that calls `import` in it and
+/// exits with 3.
+fn far_symbol_spec(import: &str) -> LoadSpec {
+    let mut asm = Assembler::new();
+    asm.func("libc_near");
+    asm.push(Insn::Ret);
+    asm.func("libc_far");
+    asm.push(Insn::Ret);
+    let mut builder = ModuleBuilder::new("libc", ObjectKind::SharedLib);
+    builder.text(asm.finish().unwrap());
+    let mut libc = builder.link(&[]).unwrap();
+
+    let mut asm = Assembler::new();
+    asm.func("_start");
+    asm.call_ext(import);
+    asm.push(Insn::Movi(Reg::R0, Sysno::Exit as u64));
+    asm.push(Insn::Movi(Reg::R1, 3));
+    asm.push(Insn::Syscall);
+    let mut builder = ModuleBuilder::new("app", ObjectKind::Executable);
+    builder.text(asm.finish().unwrap());
+    builder.entry("_start");
+    let exe = builder.link(&[&libc]).unwrap();
+
+    libc.symbols.get_mut("libc_far").unwrap().offset = u64::MAX - 8;
+    let libc = Image::from_bytes(&libc.to_bytes()).expect("the codec accepts it");
+    LoadSpec::with_libs(exe, vec![libc])
+}
+
+/// Regression: spawn added every symbol's offset to its module's base,
+/// imported or not, and overflowed on this one. An import whose address
+/// runs past the top of the address space is a missing import.
+#[test]
+fn spawn_refuses_an_import_past_the_top_of_the_address_space() {
+    match Kernel::new().spawn(&far_symbol_spec("libc_far")) {
+        Err(VmError::Load(ObjError::MissingImport { symbol, .. })) => {
+            assert_eq!(symbol, "libc_far");
+        }
+        other => panic!("expected a missing import, got {other:?}"),
+    }
+}
+
+/// Regression: the same library spawns, and the guest runs, when nothing
+/// imports its far symbol.
+#[test]
+fn spawn_ignores_a_far_symbol_nothing_imports() {
+    let mut kernel = Kernel::new();
+    let pid = kernel.spawn(&far_symbol_spec("libc_near")).expect("spawns");
+    let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
+    assert_eq!(status.code, 3);
 }
