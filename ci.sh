@@ -25,6 +25,9 @@ cargo clippy -p dynacut-vm -p dynacut-criu -p dynacut --features fault-injection
 # the workspace run above, but named here so a regression in either
 # fails with its own line in the log.
 cargo test -q -p dynacut-trace --test boundaries
+# A drcov header whose module count exceeds the lines present (up to
+# usize::MAX, which sized an allocation and panicked) is Malformed.
+cargo test -q -p dynacut-trace --test boundaries parse_rejects_a_module_count
 cargo test -q -p dynacut-vm events::
 cargo test -q -p dynacut-bench flight
 cargo clippy -p dynacut-vm -p dynacut-trace -p dynacut-bench --all-targets -- -D warnings
@@ -190,6 +193,9 @@ cargo test -q -p dynacut-obj
 # past the top of the address space is a MissingImport, and a library
 # holding such a symbol that nothing imports still spawns.
 cargo test -q -p dynacut-vm --test robustness spawn_
+# A module's symbol_addr is None for a symbol past the top of the
+# address space, where the unchecked sum panicked a debug build.
+cargo test -q -p dynacut-vm --test robustness symbol_addr_
 cargo test -q -p dynacut --test symbol_resolution
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props
@@ -204,10 +210,11 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 
 # Canary-then-fleet rollout (DESIGN §13): the core suite pins
 # promote/demote end to end (one dump per rollout, zero-copy
-# promotion, clock-masked fingerprint parity on demotion, selective
-# verifier-event drain, one stored entry after two rollouts, and every
-# stage bracket of a rollout and of a fleet run, promotion windows
-# included, nesting the same way). It also pins that a promotion takes
+# promotion, clock-masked fingerprint parity on demotion, verifier
+# reports read through the session's journal cursor with every other
+# guest event left in place, one stored entry after two rollouts, and
+# every stage bracket of a rollout and of a fleet run, promotion
+# windows included, nesting the same way). It also pins that a promotion takes
 # only the canary's code changes: a promoted replica resumes its own
 # syscall (no EBADF spin) and keeps its session's data, a self-healed
 # replica still takes the next rollout, a trap the canary healed is
@@ -245,11 +252,12 @@ grep -q '"demotion_fingerprints_match": true' results/rollout.json
 # starvation bound (every runnable progresses within two boost
 # windows), zero quanta burned by blocked guests, wake lists never
 # waking the wrong pid, golden single-process fingerprints, the
-# event-ring seq-anchoring regression for run_until_event, and the
-# named pump tunable. `figures sched` regenerates results/sched.json
-# and panics unless the MLFQ serving p99 (guest time) stays within 2x
-# from the 100- to the 1000-replica fleet and MLFQ wakeups stay flat
-# across sizes (the dynacut-sched-v2 schema gate).
+# regression that run_until_event finds its marker by seq cursor after
+# the flight journal wraps, and the named pump tunable. `figures sched`
+# regenerates results/sched.json and panics unless the MLFQ serving p99
+# (guest time) stays within 2x from the 100- to the 1000-replica fleet
+# and MLFQ wakeups stay flat across sizes (the dynacut-sched-v2 schema
+# gate).
 cargo test -q -p dynacut-vm --test sched
 cargo test -q -p dynacut-bench experiments::sched
 cargo run --release -q -p dynacut-bench --bin figures -- sched > /dev/null

@@ -967,8 +967,10 @@ pub struct RolloutReport {
     /// Serve slices actually soaked (a demotion stops at the slice the
     /// first report arrived in).
     pub soak_slices: u64,
-    /// Falsely-blocked addresses the verifier reported during the soak,
-    /// drained selectively — interleaved guest events stay queued.
+    /// Falsely-blocked addresses the soak read through
+    /// [`DynaCut::verifier_reports`]: every report journalled since the
+    /// session last read them, so one from before the rollout that the
+    /// session never read counts too.
     pub verifier_reports: Vec<u64>,
     /// SIGTRAP hits on the canary during the soak. Under
     /// [`FaultPolicy::Verify`] every one self-healed and produced a
@@ -1090,9 +1092,8 @@ impl DynaCut {
         // so the background tag comes off before the soak pumps.
         set_group_class(kernel, &cycle.pids, SchedClass::Normal);
 
-        // Stage 2 — soak: pump serve slices and watch the canary. Only
-        // verifier-tagged events are drained (the PR 7 selective drain);
-        // everything else stays queued for its own consumers.
+        // Stage 2 — soak: pump serve slices and watch the canary's
+        // verifier reports through the session's journal cursor.
         let soak = Bracket::open(kernel, &[], Phase::Soak);
         let seq0 = kernel.flight().next_seq();
         let mut reports: Vec<u64> = Vec::new();
@@ -1105,7 +1106,7 @@ impl DynaCut {
             }
             kernel.run_for(rollout.serve_slice_ns);
             soaked += 1;
-            reports.extend(Self::verifier_reports(kernel));
+            reports.extend(self.verifier_reports(kernel));
             if !reports.is_empty() {
                 // The first report decides; soaking further only delays
                 // the demotion.

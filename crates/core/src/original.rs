@@ -6,6 +6,7 @@
 //! the module's recorded base so load-time relocations (GOT-resolved
 //! `movi` immediates) are reproduced exactly.
 
+use crate::rewrite::module_base;
 use crate::DynacutError;
 use dynacut_criu::{ModuleRegistry, ProcessImage};
 use dynacut_obj::{materialize, Image};
@@ -14,8 +15,8 @@ use std::collections::BTreeMap;
 /// A cache of materialised module text for one process image.
 #[derive(Debug, Default)]
 pub struct OriginalText {
-    /// module name → (base, text bytes with relocations applied).
-    cache: BTreeMap<String, (u64, Vec<u8>)>,
+    /// module name → text bytes with relocations applied.
+    cache: BTreeMap<String, Vec<u8>>,
 }
 
 impl OriginalText {
@@ -42,7 +43,7 @@ impl OriginalText {
             let entry = self.materialise(image, registry, module)?;
             self.cache.insert(module.to_owned(), entry);
         }
-        let (_, text) = self.cache.get(module).expect("just inserted");
+        let text = self.cache.get(module).expect("just inserted");
         let range = usize::try_from(offset)
             .ok()
             .and_then(|start| Some(start..start.checked_add(len)?))
@@ -54,37 +55,17 @@ impl OriginalText {
         Ok(text[range].to_vec())
     }
 
-    /// The module's base address in the target process.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the module is not mapped in the process.
-    pub fn base(&self, image: &ProcessImage, module: &str) -> Result<u64, DynacutError> {
-        image
-            .core
-            .modules
-            .iter()
-            .find(|m| m.name == module)
-            .map(|m| m.base)
-            .ok_or_else(|| DynacutError::UnknownModule(module.to_owned()))
-    }
-
     fn materialise(
         &self,
         image: &ProcessImage,
         registry: &ModuleRegistry,
         module: &str,
-    ) -> Result<(u64, Vec<u8>), DynacutError> {
-        let module_ref = image
-            .core
-            .modules
-            .iter()
-            .find(|m| m.name == module)
-            .ok_or_else(|| DynacutError::UnknownModule(module.to_owned()))?;
+    ) -> Result<Vec<u8>, DynacutError> {
+        let base = module_base(image, module)?;
         let binary: &Image = registry
             .get(module)
             .ok_or_else(|| DynacutError::UnknownModule(module.to_owned()))?;
-        let segments = materialize(binary, module_ref.base, |symbol| {
+        let segments = materialize(binary, base, |symbol| {
             registry.resolve(&image.core.modules, symbol)
         })
         .map_err(DynacutError::Handler)?;
@@ -92,6 +73,6 @@ impl OriginalText {
             .into_iter()
             .find(|s| s.perms.exec)
             .ok_or_else(|| DynacutError::UnknownModule(format!("{module} has no text")))?;
-        Ok((module_ref.base, text_segment.bytes))
+        Ok(text_segment.bytes)
     }
 }

@@ -51,7 +51,8 @@ impl DisableOutcome {
     }
 }
 
-fn module_base(image: &ProcessImage, module: &str) -> Result<u64, DynacutError> {
+/// The base address `module` is mapped at in `image`'s process.
+pub(crate) fn module_base(image: &ProcessImage, module: &str) -> Result<u64, DynacutError> {
     image
         .core
         .modules

@@ -2,7 +2,6 @@
 //! journal. The customize cycle itself is a list of [`Phase`]s run by
 //! the stage runner in `engine.rs`.
 
-use crate::handler::VERIFIER_EVENT_BIT;
 use dynacut_criu::{
     CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry, Promotion,
 };
@@ -192,6 +191,9 @@ pub struct DynaCut {
     pub(crate) redirect_state: BTreeMap<Pid, BTreeMap<u64, u64>>,
     /// Per-pid accumulated verifier table (patched addr → original byte).
     pub(crate) verify_state: BTreeMap<Pid, BTreeMap<u64, u8>>,
+    /// The journal `seq` up to which
+    /// [`verifier_reports`](DynaCut::verifier_reports) has read.
+    pub(crate) reports_read: u64,
 }
 
 impl DynaCut {
@@ -206,6 +208,7 @@ impl DynaCut {
             injections: 0,
             redirect_state: BTreeMap::new(),
             verify_state: BTreeMap::new(),
+            reports_read: 0,
         }
     }
 
@@ -299,22 +302,25 @@ impl DynaCut {
         kernel.record_flight(None, EventKind::CustomizeRollback);
     }
 
-    /// Drains verifier reports from the kernel's event stream: the
-    /// absolute addresses of blocks that were blocked but turned out to be
-    /// needed (paper §3.2.3).
+    /// The verifier reports journalled since this session last read
+    /// them: the absolute addresses of blocks that were blocked but
+    /// turned out to be needed (paper §3.2.3), oldest first.
     ///
-    /// Only events tagged with [`VERIFIER_EVENT_BIT`] are consumed;
-    /// interleaved guest events (phase markers, application codes) stay
-    /// queued for their own consumers. An earlier version drained the
-    /// whole stream and kept just the reports, silently destroying
-    /// everything else — which would have eaten the journal out from
-    /// under a canary soak.
-    pub fn verifier_reports(kernel: &mut Kernel) -> Vec<u64> {
-        kernel
-            .drain_events_where(|event| event.code & VERIFIER_EVENT_BIT != 0)
-            .into_iter()
-            .map(|event| event.code & !VERIFIER_EVENT_BIT)
-            .collect()
+    /// The session keeps a `seq` cursor into the kernel's flight
+    /// journal, starting at 0, and advances it past everything read.
+    /// Reading removes nothing: other guest events, and the reports
+    /// themselves, stay in the journal for every other reader.
+    pub fn verifier_reports(&mut self, kernel: &Kernel) -> Vec<u64> {
+        let flight = kernel.flight();
+        let reports = flight
+            .since(self.reports_read)
+            .filter_map(|event| match event.kind {
+                EventKind::VerifierReport { addr } => Some(addr),
+                _ => None,
+            })
+            .collect();
+        self.reports_read = flight.next_seq();
+        reports
     }
 }
 

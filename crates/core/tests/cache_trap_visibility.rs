@@ -194,11 +194,7 @@ fn trap_fires_through_a_promoted_replicas_hot_cache() {
         vec![Some(replica)],
         "one trap, on its first execution"
     );
-    assert_eq!(
-        DynaCut::verifier_reports(&mut kernel).len(),
-        1,
-        "and one heal"
-    );
+    assert_eq!(dynacut.verifier_reports(&kernel).len(), 1, "and one heal");
 }
 
 /// A loop on the first text page that calls `gated`, also on the first

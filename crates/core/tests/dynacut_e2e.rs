@@ -374,7 +374,7 @@ fn verifier_heals_misclassified_blocks_and_reports_them() {
     dynacut
         .customize(&mut server.kernel, &server.pids, &plan)
         .unwrap();
-    server.kernel.drain_events();
+    dynacut.verifier_reports(&server.kernel);
 
     // The first GET triggers the trap, the verifier restores the byte and
     // the request completes correctly.
@@ -386,7 +386,7 @@ fn verifier_heals_misclassified_blocks_and_reports_them() {
     assert_eq!(reply, nginx::RESP_200, "healed and answered");
 
     // The false positive was reported.
-    let reports = DynaCut::verifier_reports(&mut server.kernel);
+    let reports = dynacut.verifier_reports(&server.kernel);
     let worker = *server.pids.last().unwrap();
     let base = server
         .kernel
@@ -409,7 +409,7 @@ fn verifier_heals_misclassified_blocks_and_reports_them() {
         .client_request(conn, b"GET /y\n", 5_000_000)
         .unwrap();
     assert_eq!(reply, nginx::RESP_200);
-    assert!(DynaCut::verifier_reports(&mut server.kernel).is_empty());
+    assert!(dynacut.verifier_reports(&server.kernel).is_empty());
 }
 
 /// UnmapPages policy removes whole pages from the address space.

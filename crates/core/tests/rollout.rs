@@ -7,9 +7,9 @@
 //! * a verifier report during the soak demotes through the transaction
 //!   machinery and leaves the fleet's clock-masked state fingerprint
 //!   bit-identical to the pre-attempt snapshot,
-//! * [`DynaCut::verifier_reports`] drains **only** verifier-tagged
-//!   events (the old implementation destroyed interleaved guest
-//!   events),
+//! * [`DynaCut::verifier_reports`] reads verifier reports through a
+//!   journal cursor and leaves every other guest event in place (the
+//!   old implementation destroyed interleaved guest events),
 //! * a rollout's commit releases the canary's displaced baseline,
 //! * malformed rollouts are rejected as [`DynacutError::BadPlan`]
 //!   before the fleet is touched,
@@ -188,44 +188,50 @@ fn assert_no_leaked_pages(dynacut: &DynaCut, ctx: &str) {
     );
 }
 
-/// Regression (PR 7 fix): [`DynaCut::verifier_reports`] used
-/// `drain_events()`, silently destroying every queued guest event that
-/// was *not* a verifier report. The selective drain keeps them.
+/// Regression: [`DynaCut::verifier_reports`] once drained the whole
+/// guest event queue, silently destroying every event that was *not* a
+/// verifier report. Reports are now read through the session's cursor
+/// into the flight journal, which removes nothing.
 #[test]
 fn verifier_reports_leave_other_guest_events_queued() {
     let mut fleet = boot_fleet(1);
     let pid = fleet.groups[0][0];
-    // Start from an empty queue so the assertion below is exact (boot
-    // can leave a stray ready marker behind).
-    fleet.kernel.drain_events();
+    let mut dynacut = DynaCut::new(fleet.registry.clone());
+    // Read from here so the assertions below are exact (boot leaves
+    // its ready markers in the journal).
+    dynacut.verifier_reports(&fleet.kernel);
+    let seq0 = fleet.kernel.flight().next_seq();
     const MARKER: u64 = 0x42;
     const ADDR: u64 = 0x7000;
     fleet.kernel.inject_event(pid, MARKER);
     fleet.kernel.inject_event(pid, VERIFIER_EVENT_BIT | ADDR);
     fleet.kernel.inject_event(pid, MARKER + 1);
 
-    let reports = DynaCut::verifier_reports(&mut fleet.kernel);
+    let reports = dynacut.verifier_reports(&fleet.kernel);
     assert_eq!(
         reports,
         vec![ADDR],
         "the tagged event is extracted, untagged"
     );
 
-    // The interleaved guest markers survived the drain, in order.
-    let codes: Vec<u64> = fleet.kernel.events().iter().map(|e| e.code).collect();
+    // The interleaved guest markers are still in the journal, in order.
+    let codes: Vec<u64> = fleet
+        .kernel
+        .flight()
+        .since(seq0)
+        .filter_map(|event| match event.kind {
+            EventKind::GuestMarker { code } => Some(code),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
         codes,
         vec![MARKER, MARKER + 1],
-        "non-verifier events stay queued for their own consumers"
+        "non-verifier events stay for their own readers"
     );
     assert!(
-        DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),
-        "a second drain finds nothing new"
-    );
-    assert_eq!(
-        fleet.kernel.events().len(),
-        2,
-        "and still does not touch the queued markers"
+        dynacut.verifier_reports(&fleet.kernel).is_empty(),
+        "a second read finds nothing new"
     );
 }
 
@@ -333,7 +339,7 @@ fn clean_soak_promotes_the_canary_image_fleet_wide() {
         "promoted replica self-heals and serves"
     );
     fleet.kernel.thaw(groups[0][0]).unwrap();
-    let healed = DynaCut::verifier_reports(&mut fleet.kernel);
+    let healed = dynacut.verifier_reports(&fleet.kernel);
     assert!(
         !healed.is_empty(),
         "the self-heal on a promoted replica is reported"
@@ -407,8 +413,8 @@ fn soak_report_demotes_the_canary_with_state_parity() {
     let groups = fleet.groups.clone();
     let canary = groups[0][0];
 
-    // Snapshot first, then plant the report: the soak drains the event,
-    // so the queue length (part of the fingerprint) round-trips too.
+    // Snapshot first, then plant the report before the rollout: the
+    // soak reads it through the session's journal cursor.
     let pristine = fleet.kernel.state_fingerprint_timeless();
     const ADDR: u64 = 0xBEE;
     fleet.kernel.inject_event(canary, VERIFIER_EVENT_BIT | ADDR);
@@ -854,7 +860,7 @@ fn a_self_healed_replica_still_takes_the_next_rollout() {
     fleet.kernel.freeze(canary).unwrap();
     assert_eq!(fleet.request(b"SETRANGE 8 abc\n"), b"+OK\n");
     assert!(
-        !DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),
+        !dynacut.verifier_reports(&fleet.kernel).is_empty(),
         "a promoted replica self-healed"
     );
     fleet.kernel.thaw(canary).unwrap();
@@ -974,7 +980,7 @@ fn a_replica_inside_its_handler_keeps_its_library_until_depth_zero() {
     let proc = fleet.kernel.process(replica).unwrap();
     assert_eq!(proc.fatal_signal, None);
     assert_eq!(proc.signal_depth, 0);
-    DynaCut::verifier_reports(&mut fleet.kernel);
+    dynacut.verifier_reports(&fleet.kernel);
 
     let third = dynacut
         .rollout(&mut fleet.kernel, &groups, &disable, &SHORT_SOAK)
@@ -1010,7 +1016,7 @@ fn a_trap_the_canary_healed_is_cleared_on_every_replica() {
         .unwrap();
     assert_eq!(fleet.request_on(canary, b"SETRANGE 8 abc\n"), b"+OK\n");
     assert_eq!(
-        DynaCut::verifier_reports(&mut fleet.kernel).len(),
+        dynacut.verifier_reports(&fleet.kernel).len(),
         1,
         "the canary healed"
     );
@@ -1039,7 +1045,7 @@ fn a_trap_the_canary_healed_is_cleared_on_every_replica() {
         );
     }
     assert!(
-        DynaCut::verifier_reports(&mut fleet.kernel).is_empty(),
+        dynacut.verifier_reports(&fleet.kernel).is_empty(),
         "no replica trapped"
     );
 }
@@ -1119,7 +1125,7 @@ fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
         fleet.module_names(canary),
         "the replica kept the new library; the demoted canary did not"
     );
-    DynaCut::verifier_reports(&mut fleet.kernel);
+    dynacut.verifier_reports(&fleet.kernel);
 
     let retry = dynacut
         .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)

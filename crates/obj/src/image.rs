@@ -190,9 +190,9 @@ impl Image {
     }
 
     /// The absolute address of `symbol` when the module is loaded at
-    /// `base`, if defined.
+    /// `base`, if defined and below the top of the address space.
     pub fn symbol_addr(&self, base: u64, symbol: &str) -> Option<u64> {
-        self.symbols.get(symbol).map(|def| base + def.offset)
+        base.checked_add(self.symbols.get(symbol)?.offset)
     }
 
     /// The PLT entry for `symbol`, if the module imports it.

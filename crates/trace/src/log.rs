@@ -234,7 +234,10 @@ impl TraceLog {
             .and_then(|s| s.parse().ok())
             .ok_or(TraceError::Malformed("bad module count".into()))?;
         let _columns = lines.next();
-        let mut modules = Vec::with_capacity(count);
+        // Grown line by line: the header's count is untrusted input, and
+        // a count past the lines present runs out of them as a typed
+        // error instead of sizing an allocation.
+        let mut modules = Vec::new();
         for _ in 0..count {
             let line = lines
                 .next()

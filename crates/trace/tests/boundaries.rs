@@ -178,6 +178,27 @@ fn parse_reports_unknown_module_by_id_on_overflow() {
     }
 }
 
+/// The module count in the header is untrusted: the parser used to size
+/// its table with it before reading a line, so `count usize::MAX`
+/// panicked with "capacity overflow". Both it and a count past the
+/// lines present are a typed error.
+#[test]
+fn parse_rejects_a_module_count_past_the_lines_present() {
+    for count in [u64::MAX, 3] {
+        let text = format!(
+            "DRCOV VERSION: 2\n\
+             Module Table: version 2, count {count}\n\
+             Columns: id, base, end, path\n\
+             0, 0x0000000000400000, 0x0000000000401000, mod0\n\
+             BB Table: 0 bbs\n"
+        );
+        match TraceLog::from_drcov_text(&text) {
+            Err(TraceError::Malformed(_)) => {}
+            other => panic!("count {count}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
 /// A module table of exactly 65 536 entries uses the full `u16` id space
 /// and still merges; one more module is a typed error that leaves the
 /// target untouched.

@@ -23,6 +23,12 @@
 //! ignores it, so a rolled-back customization leaves the kernel
 //! bit-identical while the journal still tells the story of the failure.
 //!
+//! The journal is also the only record of guest `emit_event` calls
+//! ([`EventKind::GuestMarker`], [`EventKind::VerifierReport`]). It is
+//! append-only: a reader such as
+//! [`Kernel::run_until_event`](crate::Kernel::run_until_event) keeps a
+//! `seq` cursor and reads [`since`](FlightRecorder::since) it.
+//!
 //! [`Kernel::state_fingerprint`]: crate::Kernel::state_fingerprint
 
 use crate::process::Pid;
@@ -569,8 +575,11 @@ impl FlightRecorder {
 
     /// Events with `seq >= from`, oldest first — scan the journal tail
     /// written after a [`next_seq`](FlightRecorder::next_seq) snapshot.
+    /// Readers of guest events keep such a `seq` cursor; the first event
+    /// is found by binary search, so a read costs only what it returns.
     pub fn since(&self, from: u64) -> impl Iterator<Item = &FlightEvent> {
-        self.ring.iter().filter(move |e| e.seq >= from)
+        let start = self.ring.partition_point(|e| e.seq < from);
+        self.ring.range(start..)
     }
 
     /// Number of events currently held.
@@ -594,17 +603,10 @@ impl FlightRecorder {
         self.next_seq
     }
 
-    /// Events evicted from the full ring. The accounting invariant
-    /// `next_seq() == len() + dropped()` always holds (minus anything
-    /// removed by [`drain`](FlightRecorder::drain)).
+    /// Events evicted from the full ring. The journal is append-only,
+    /// so `next_seq() == len() + dropped()` always holds.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Removes and returns every held event, oldest first. Sequence and
-    /// drop counters keep their values (they are monotonic by design).
-    pub fn drain(&mut self) -> Vec<FlightEvent> {
-        self.ring.drain(..).collect()
     }
 
     /// The metrics registry.
@@ -691,17 +693,26 @@ mod tests {
         assert_eq!(tail[0].pid, Some(Pid(7)));
     }
 
-    #[test]
-    fn drain_empties_but_keeps_counters() {
-        let mut rec = FlightRecorder::with_capacity(2);
-        for code in 0..4u64 {
-            rec.record(0, None, EventKind::GuestMarker { code });
+    proptest::proptest! {
+        /// `since` finds its first event by binary search and equals the
+        /// filter over every held event it replaced, for a cursor below
+        /// the oldest held event, at it, inside the ring, at `next_seq`
+        /// and past it, whether the ring has wrapped or not.
+        #[test]
+        fn since_matches_the_filter_it_replaced(
+            capacity in 1usize..=8,
+            records in 0u64..24,
+            from in 0u64..32,
+        ) {
+            let mut rec = FlightRecorder::with_capacity(capacity);
+            for code in 0..records {
+                rec.record(code, None, EventKind::GuestMarker { code });
+            }
+            let fast: Vec<&FlightEvent> = rec.since(from).collect();
+            let slow: Vec<&FlightEvent> = rec.iter().filter(|e| e.seq >= from).collect();
+            proptest::prop_assert_eq!(fast, slow);
+            proptest::prop_assert_eq!(rec.next_seq(), rec.len() as u64 + rec.dropped());
         }
-        let drained = rec.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(rec.is_empty());
-        assert_eq!(rec.next_seq(), 4);
-        assert_eq!(rec.dropped(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! checkpoint/restore surface.
 
 use crate::bcache::Probe;
-use crate::events::{Counter, EventKind, FlightRecorder, VERIFIER_EVENT_BIT};
+use crate::events::{Counter, EventKind, FlightEvent, FlightRecorder, VERIFIER_EVENT_BIT};
 use crate::fs::{FileDesc, VfsFile};
 use crate::hook::Hook;
 use crate::interp::{self, BlockExit, Exec};
@@ -15,7 +15,7 @@ use crate::syscall::{self, perms_from_bits, Errno, Outcome, Sysno};
 use crate::VmError;
 use dynacut_isa::Reg;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Base scheduling quantum, in instructions (the level-0 MLFQ quantum;
@@ -31,10 +31,6 @@ const SYSCALL_COST_NS: u64 = 50;
 /// per-call-site chunks, so scheduler experiments can vary pump
 /// granularity in one place.
 pub const DEFAULT_PUMP_CHUNK_NS: u64 = 5_000;
-/// Default capacity of the guest event ring
-/// ([`Kernel::set_event_capacity`]). When full, the oldest event is
-/// dropped; [`Event::seq`] stays monotonic so consumers detect the gap.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
 /// A host-side handle to a client TCP connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,24 +57,6 @@ pub struct ExitStatus {
     pub fatal_signal: Option<Signal>,
 }
 
-/// A guest-emitted phase marker (the `emit_event` syscall), used the way
-/// the paper uses DynamoRIO nudges and server log lines: to observe "the
-/// target server program has initialized" (§3.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Monotonic sequence number (never reused). The event ring is
-    /// bounded, so consumers that rescan incrementally must anchor on
-    /// `seq`, not on buffer indices — a raw index skews the moment the
-    /// ring drops its oldest entries mid-run.
-    pub seq: u64,
-    /// Kernel time at emission.
-    pub time_ns: u64,
-    /// Emitting process.
-    pub pid: Pid,
-    /// Application-defined code.
-    pub code: u64,
-}
-
 /// The DCVM kernel. See the crate-level docs for an overview.
 pub struct Kernel {
     procs: BTreeMap<Pid, Process>,
@@ -87,13 +65,6 @@ pub struct Kernel {
     vfs: BTreeMap<String, Arc<Vec<u8>>>,
     clock_ns: u64,
     hook: Option<Box<dyn Hook>>,
-    events: VecDeque<Event>,
-    /// Sequence number the next guest event will get.
-    next_event_seq: u64,
-    /// Events evicted from the bounded ring so far.
-    events_dropped: u64,
-    /// Ring capacity (oldest events are dropped past this).
-    event_capacity: usize,
     flight: FlightRecorder,
     /// Inverted so a `Default`-constructed kernel runs with the
     /// decoded-block cache *enabled*. See
@@ -115,10 +86,6 @@ impl Default for Kernel {
             vfs: BTreeMap::new(),
             clock_ns: 0,
             hook: None,
-            events: VecDeque::new(),
-            next_event_seq: 0,
-            events_dropped: 0,
-            event_capacity: DEFAULT_EVENT_CAPACITY,
             flight: FlightRecorder::default(),
             block_cache_disabled: false,
             sched: Scheduler::default(),
@@ -132,7 +99,6 @@ impl std::fmt::Debug for Kernel {
         f.debug_struct("Kernel")
             .field("procs", &self.procs.keys().collect::<Vec<_>>())
             .field("clock_ns", &self.clock_ns)
-            .field("events", &self.events.len())
             .finish()
     }
 }
@@ -399,91 +365,16 @@ impl Kernel {
 
     // ----- events -------------------------------------------------------
 
-    /// All phase-marker events currently buffered (the bounded ring may
-    /// have dropped older ones; see [`events_dropped`](Kernel::events_dropped)).
-    pub fn events(&self) -> &VecDeque<Event> {
-        &self.events
-    }
-
-    /// Events evicted from the bounded ring so far.
-    pub fn events_dropped(&self) -> u64 {
-        self.events_dropped
-    }
-
-    /// The sequence number the *next* guest event will get. Consumers
-    /// that rescan incrementally anchor on this (see
-    /// [`run_until_event`](Kernel::run_until_event)).
-    pub fn event_seq(&self) -> u64 {
-        self.next_event_seq
-    }
-
-    /// Resizes the guest event ring (minimum 1). Shrinking drops the
-    /// oldest buffered events immediately.
-    pub fn set_event_capacity(&mut self, capacity: usize) {
-        self.event_capacity = capacity.max(1);
-        while self.events.len() > self.event_capacity {
-            self.events.pop_front();
-            self.events_dropped += 1;
-        }
-    }
-
-    /// Appends to the bounded event ring, evicting the oldest entry
-    /// when full. Every guest event funnels through here so `seq` stays
-    /// monotonic and the drop counter exact.
-    fn push_event(&mut self, pid: Pid, code: u64) {
-        let seq = self.next_event_seq;
-        self.next_event_seq += 1;
-        if self.events.len() >= self.event_capacity {
-            self.events.pop_front();
-            self.events_dropped += 1;
-        }
-        self.events.push_back(Event {
-            seq,
-            time_ns: self.clock_ns,
-            pid,
-            code,
-        });
-    }
-
-    /// Removes and returns all recorded events.
-    pub fn drain_events(&mut self) -> Vec<Event> {
-        self.events.drain(..).collect()
-    }
-
-    /// Removes and returns only the events matching `predicate`; the
-    /// rest stay queued in their original order. This is the selective
-    /// drain consumers like `verifier_reports` need — draining
-    /// everything and keeping only one class would silently destroy the
-    /// interleaved guest events other consumers are waiting for.
-    pub fn drain_events_where<F>(&mut self, mut predicate: F) -> Vec<Event>
-    where
-        F: FnMut(&Event) -> bool,
-    {
-        let mut matched = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.events.len());
-        for event in self.events.drain(..) {
-            if predicate(&event) {
-                matched.push(event);
-            } else {
-                kept.push_back(event);
-            }
-        }
-        self.events = kept;
-        matched
-    }
-
-    /// Queues a guest event exactly as if `pid` had issued
-    /// `emit_event(code)` itself: the raw event is recorded and the
-    /// flight journal gets a [`EventKind::VerifierReport`] or
+    /// Records a guest event exactly as if `pid` had issued
+    /// `emit_event(code)` itself: the flight journal, the only record of
+    /// guest events, gets a [`EventKind::VerifierReport`] or
     /// [`EventKind::GuestMarker`]. Rollout tests use this to synthesize
     /// a verifier report mid-soak without steering traffic at the
     /// canary.
     pub fn inject_event(&mut self, pid: Pid, code: u64) {
-        self.push_event(pid, code);
         let kind = if code & VERIFIER_EVENT_BIT != 0 {
             // The injected verifier library reports a falsely blocked
-            // address (paper §3.2.3): surface it in the journal instead
-            // of leaving it buried in the raw event stream.
+            // address (paper §3.2.3).
             self.flight.metrics_mut().incr("verifier.reports", 1);
             EventKind::VerifierReport {
                 addr: code & !VERIFIER_EVENT_BIT,
@@ -691,13 +582,7 @@ impl Kernel {
     pub fn state_fingerprint(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "clock={} next_pid={} events={}",
-            self.clock_ns,
-            self.next_pid,
-            self.events.len()
-        );
+        let _ = writeln!(out, "clock={} next_pid={}", self.clock_ns, self.next_pid);
         self.fingerprint_body(&mut out);
         out
     }
@@ -711,12 +596,7 @@ impl Kernel {
     pub fn state_fingerprint_timeless(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "clock=* next_pid={} events={}",
-            self.next_pid,
-            self.events.len()
-        );
+        let _ = writeln!(out, "clock=* next_pid={}", self.next_pid);
         self.fingerprint_body(&mut out);
         out
     }
@@ -1199,23 +1079,26 @@ impl Kernel {
     }
 
     /// Runs until the guest emits event `code`, or `max_ns` passes.
-    /// Returns the event if seen.
-    pub fn run_until_event(&mut self, code: u64, max_ns: u64) -> Option<Event> {
+    /// Returns the event's [`EventKind::GuestMarker`] journal entry if
+    /// seen. A marker stands in for the paper's DynamoRIO nudges and
+    /// server log lines: it tells the host "the target server program
+    /// has initialized" (§3.1).
+    pub fn run_until_event(&mut self, code: u64, max_ns: u64) -> Option<FlightEvent> {
         let deadline = self.clock_ns.saturating_add(max_ns);
-        // Anchor the incremental rescan on the monotonic event seq, not
-        // a buffer index: the bounded ring drops its oldest entries
-        // when full, and an index into the shifted buffer would
-        // double-scan old events or skip fresh ones.
-        let mut scanned_seq = self.next_event_seq;
+        // Each rescan starts at a `seq` cursor, not a buffer index: the
+        // bounded journal drops its oldest entries when full, and an
+        // index into the shifted buffer would double-scan old events or
+        // skip fresh ones.
+        let mut scanned_seq = self.flight.next_seq();
         while self.clock_ns < deadline {
             let outcome = self.run_for(self.pump_chunk_ns.min(deadline - self.clock_ns));
-            let start = self.events.partition_point(|event| event.seq < scanned_seq);
-            for event in self.events.iter().skip(start) {
-                if event.code == code {
-                    return Some(*event);
-                }
+            let marker = self.flight.since(scanned_seq).find(
+                |event| matches!(event.kind, EventKind::GuestMarker { code: c } if c == code),
+            );
+            if let Some(event) = marker {
+                return Some(event.clone());
             }
-            scanned_seq = self.next_event_seq;
+            scanned_seq = self.flight.next_seq();
             if outcome == RunOutcome::AllExited {
                 break;
             }

@@ -57,10 +57,7 @@ pub use events::{
 };
 pub use fs::{FdTable, FileDesc, VfsFile};
 pub use hook::{Hook, NullHook};
-pub use kernel::Event;
-pub use kernel::{
-    ClientConn, ExitStatus, Kernel, RunOutcome, DEFAULT_EVENT_CAPACITY, DEFAULT_PUMP_CHUNK_NS,
-};
+pub use kernel::{ClientConn, ExitStatus, Kernel, RunOutcome, DEFAULT_PUMP_CHUNK_NS};
 pub use loader::{LoadSpec, LoadedModule, EXE_BASE, LIB_BASE, STACK_BASE, STACK_SIZE};
 pub use mem::{AddressSpace, DisplacedPage, Page, SharedFrame};
 pub use net::{ConnId, TcpConn, TcpState};

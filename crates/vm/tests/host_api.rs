@@ -3,7 +3,7 @@
 
 use dynacut_isa::{Assembler, Insn, Reg};
 use dynacut_obj::{ModuleBuilder, ObjectKind};
-use dynacut_vm::{Kernel, LoadSpec, RunOutcome, Sysno, VmError};
+use dynacut_vm::{EventKind, Kernel, LoadSpec, Pid, RunOutcome, Sysno, VmError};
 
 fn sleeper() -> dynacut_obj::Image {
     let mut asm = Assembler::new();
@@ -75,8 +75,10 @@ fn freeze_state_machine_is_strict() {
     ));
 }
 
+/// The flight journal is the only record of guest events: each
+/// `emit_event` is journalled once, in order.
 #[test]
-fn drained_events_do_not_reappear() {
+fn guest_events_are_journalled_once_in_order() {
     let mut asm = Assembler::new();
     asm.func("_start");
     for code in [7u64, 8, 9] {
@@ -93,13 +95,18 @@ fn drained_events_do_not_reappear() {
     let exe = builder.link(&[]).unwrap();
 
     let mut kernel = Kernel::new();
-    kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
+    let pid = kernel.spawn(&LoadSpec::exe_only(exe)).unwrap();
     kernel.run_for(100_000);
-    let events = kernel.drain_events();
+    let markers: Vec<(u64, Option<Pid>)> = kernel
+        .flight()
+        .iter()
+        .filter_map(|event| match event.kind {
+            EventKind::GuestMarker { code } => Some((code, event.pid)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(
-        events.iter().map(|e| e.code).collect::<Vec<_>>(),
-        vec![7, 8, 9]
+        markers,
+        vec![(7, Some(pid)), (8, Some(pid)), (9, Some(pid))]
     );
-    assert!(kernel.events().is_empty());
-    assert!(kernel.drain_events().is_empty());
 }

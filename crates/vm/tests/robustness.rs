@@ -235,3 +235,21 @@ fn spawn_ignores_a_far_symbol_nothing_imports() {
     let status = kernel.run_until_exit(pid, 1_000_000).expect("exits");
     assert_eq!(status.code, 3);
 }
+
+/// Regression: `symbol_addr` added the module's base to the symbol's
+/// offset unchecked, so asking a spawned library for its far symbol
+/// panicked a debug build and wrapped in a release one. An address past
+/// the top of the address space is `None`.
+#[test]
+fn symbol_addr_of_a_symbol_past_the_top_of_the_address_space_is_none() {
+    let mut kernel = Kernel::new();
+    let pid = kernel.spawn(&far_symbol_spec("libc_near")).expect("spawns");
+    let process = kernel.process(pid).unwrap();
+    let libc = process
+        .modules
+        .iter()
+        .find(|module| module.image.name == "libc")
+        .expect("libc is mapped");
+    assert_eq!(libc.symbol_addr("libc_far"), None);
+    assert!(libc.symbol_addr("libc_near").is_some());
+}

@@ -12,13 +12,15 @@
 //!   connection leaves a reader blocked on another untouched,
 //! * a single-process workload lands on pinned golden
 //!   `state_fingerprint` hashes after every pump,
-//! * `run_until_event` survives event-ring wrap (the raw-index scan
-//!   regression), and the pump chunk is one named tunable.
+//! * `run_until_event` survives the flight journal wrapping (the
+//!   raw-index scan regression), and the pump chunk is one named
+//!   tunable.
 
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
 use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
 use dynacut_vm::{
-    Kernel, LoadSpec, Pid, RunOutcome, Sysno, BOOST_INTERVAL_NS, DEFAULT_PUMP_CHUNK_NS,
+    EventKind, FlightRecorder, Kernel, LoadSpec, Pid, RunOutcome, Sysno, BOOST_INTERVAL_NS,
+    DEFAULT_PUMP_CHUNK_NS,
 };
 use proptest::prelude::*;
 
@@ -129,45 +131,50 @@ fn retired(kernel: &Kernel, pid: Pid) -> u64 {
     kernel.process(pid).unwrap().insns_retired
 }
 
-// ----- run_until_event: ring wrap regression (satellite fix) ------------
+// ----- run_until_event: journal wrap regression --------------------------
 
 /// `run_until_event` used to anchor its incremental rescans on the raw
 /// buffer index (`scanned = events.len()`): once the bounded ring
 /// dropped its oldest entries, the index pointed past every new event
-/// and the scan silently missed them. Pre-fill the ring to capacity so
-/// the guest's event forces a drop, then demand the event is still
-/// found — anchoring on the monotonic `seq` instead of the index.
+/// and the scan silently missed them. Pre-fill a four-event flight
+/// journal so the guest's event forces a drop, then demand the event is
+/// still found — anchoring on the monotonic `seq` instead of the index.
 #[test]
 fn run_until_event_survives_ring_wrap() {
     let mut kernel = Kernel::new();
-    kernel.set_event_capacity(4);
+    *kernel.flight_mut() = FlightRecorder::with_capacity(4);
     let pid = kernel.spawn(&LoadSpec::exe_only(emitter(42))).unwrap();
-    // Fill the ring: seqs 0..=3 occupy all four slots, so the guest's
-    // event (seq 4) evicts seq 0 and lands at buffer index 3 — behind
-    // the old raw-index anchor of 4.
+    // Fill the journal: seqs 0..=3 occupy all four slots, so the
+    // guest's event (seq 4) evicts seq 0 and lands at buffer index 3 —
+    // behind the old raw-index anchor of 4.
     for _ in 0..4 {
         kernel.inject_event(pid, 7);
     }
-    assert_eq!(kernel.event_seq(), 4);
-    assert_eq!(kernel.events_dropped(), 0);
+    assert_eq!(kernel.flight().next_seq(), 4);
+    assert_eq!(kernel.flight().dropped(), 0);
 
     let event = kernel
         .run_until_event(42, 1_000_000)
-        .expect("event found despite the ring dropping its oldest entry");
-    assert_eq!(event.code, 42);
+        .expect("event found despite the journal dropping its oldest entry");
+    assert_eq!(event.kind, EventKind::GuestMarker { code: 42 });
+    assert_eq!(event.pid, Some(pid));
     assert_eq!(event.seq, 4);
-    assert_eq!(kernel.events_dropped(), 1, "capacity 4 dropped exactly one");
+    assert_eq!(
+        kernel.flight().dropped(),
+        1,
+        "capacity 4 dropped exactly one"
+    );
 }
 
-/// With headroom in the ring nothing is dropped and the same scan
+/// With headroom in the journal nothing is dropped and the same scan
 /// still terminates on the first match.
 #[test]
 fn run_until_event_unwrapped_baseline() {
     let mut kernel = Kernel::new();
     kernel.spawn(&LoadSpec::exe_only(emitter(42))).unwrap();
     let event = kernel.run_until_event(42, 1_000_000).expect("event");
-    assert_eq!(event.code, 42);
-    assert_eq!(kernel.events_dropped(), 0);
+    assert_eq!(event.kind, EventKind::GuestMarker { code: 42 });
+    assert_eq!(kernel.flight().dropped(), 0);
 }
 
 // ----- pump chunk: one named tunable ------------------------------------
@@ -363,7 +370,11 @@ fn fnv1a64(text: &str) -> u64 {
 /// every pump. The hashes were captured from the cooperative
 /// round-robin pump that preceded the MLFQ (fixed 256-instruction
 /// quanta, a full scan of blocked processes per pass); the MLFQ matched
-/// it at every step.
+/// it at every step. When the kernel's guest event ring was deleted,
+/// the fingerprint header lost its ` events=0`; each pin was re-derived
+/// from the kernel before that deletion, as the FNV-1a of its
+/// fingerprint text with that one substring removed, not captured from
+/// the new kernel.
 #[test]
 fn single_process_fingerprints_match_golden_values() {
     let programs = [
@@ -371,32 +382,32 @@ fn single_process_fingerprints_match_golden_values() {
             "sleeper",
             sleeper(3_000),
             [
-                0x385d_7e31_abcc_e3f5,
-                0x7f62_0292_e63d_9d79,
-                0xe8e4_568d_f453_24f8,
-                0x8c15_7f88_e869_a825,
-                0x1351_2df7_37e8_fc9b,
-                0x6990_e4af_8e58_e0ad,
-                0xb42f_0bc6_3002_31e9,
-                0xf2d1_3233_5a32_4773,
-                0xff11_584f_e559_0aa6,
-                0xd41c_3768_c430_1065,
+                0xd36f_6dc5_ec42_2341,
+                0x68f0_fceb_f121_5b0d,
+                0x4d9c_ab2e_6f21_9b34,
+                0x867e_2abe_0bf1_1adb,
+                0xb4cd_c53c_f91e_6359,
+                0xcfb2_aa16_4069_4d29,
+                0x9c15_dcf3_b54a_96dd,
+                0x9c7b_80c4_470d_ad07,
+                0x234c_a436_4746_1dc8,
+                0xb2ad_9a4f_e0fd_e35f,
             ],
         ),
         (
             "busy_loop",
             busy_loop(),
             [
-                0x3c5b_8186_102e_b041,
-                0x5609_1cb3_4e08_6336,
-                0x7a7a_5039_d76a_a6af,
-                0xdd18_00c9_67ff_9256,
-                0xff6a_be5d_0ecf_3581,
-                0x4d13_8364_247d_243e,
-                0x8aba_13a8_e399_b48c,
-                0xc116_f86b_cf9a_7792,
-                0x95b2_ea0d_a620_58dd,
-                0xac7b_bc6e_4157_af6c,
+                0xf1cb_bc74_dbb6_ffb5,
+                0xfd15_9d29_a86f_786a,
+                0xb2e5_e068_7b57_df33,
+                0x7120_4ad0_628c_4654,
+                0x3313_671e_f876_9f23,
+                0x213e_6f02_2728_3832,
+                0x3691_515f_e950_7980,
+                0x5202_d55d_7bd0_886e,
+                0xe51d_f3d2_e45d_f623,
+                0x1266_6442_457b_21ae,
             ],
         ),
     ];

@@ -150,7 +150,7 @@ fn verifier_workflow_recovers_from_thin_training_sets() {
     dynacut
         .customize(&mut world.kernel, &world.pids, &plan)
         .unwrap();
-    world.kernel.drain_events();
+    dynacut.verifier_reports(&world.kernel);
 
     // HEAD was misclassified; under the verifier it heals itself and is
     // reported, instead of killing the worker.
@@ -159,7 +159,7 @@ fn verifier_workflow_recovers_from_thin_training_sets() {
         nginx::RESP_200_HEAD,
         "verifier restores the wanted path"
     );
-    let reports = DynaCut::verifier_reports(&mut world.kernel);
+    let reports = dynacut.verifier_reports(&world.kernel);
     assert!(!reports.is_empty(), "false positives were logged");
     // And the server is still alive and fully functional.
     assert_eq!(request(&mut world.kernel, b"GET /y\n"), nginx::RESP_200);
