@@ -71,9 +71,10 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # ones keep the stack pointer inside the code page, must agree with the
 # uncached kernel and execute the new bytes) and the pc guard after a
 # jcc; the process is looked up once per run of blocks, again only
-# after a syscall. The events unit run pins that the interpreter's and
-# scheduler's counters, now in fixed slots, read and list as the named
-# ones do. A dispatch, and a running block after a store, skip a block's
+# after a syscall. The events unit run pins that every flight-recorder
+# counter, each in a fixed slot keyed by events::Counter, reads and
+# lists by name as the saturating map it replaced did (a proptest
+# against that map). A dispatch, and a running block after a store, skip a block's
 # revalidation while its space reads the code stamp the block last
 # validated under; a stamp names one space's generation table, so a
 # cache put next to another space with an equal count of code writes
@@ -234,6 +235,16 @@ grep -q '"refcount_leaked_bytes": 0' results/restore.json
 # CanaryPromoted was journalled, and the demotion round-trip restored
 # the clock-masked fingerprint (the dynacut-rollout-v1 schema gate).
 cargo test -q -p dynacut --test rollout
+# A verifier report the flight journal evicted before the soak read it
+# still demotes the canary: the soak decides on the verifier.reports
+# count, and only the report's address is lost.
+cargo test -q -p dynacut --test rollout a_report_the_journal_evicted_still_demotes_the_canary
+# A plan naming a block or a redirect past the top of the address space
+# is a typed error (the plan refuses a block whose end overflows, the
+# image edit one that overflows once the module base is added) and
+# leaves no process frozen, where the unchecked sums panicked a debug
+# build after the dump and wrapped in a release build.
+cargo test -q -p dynacut --test dynacut_e2e failed_customize_thaws_and_leaves_server_untouched
 # One live handler library per process (DESIGN §7): forty Redirect
 # toggles and ten Verify rollouts each leave every process at its two
 # boot modules plus one library, and a cycle that freezes a process
@@ -267,7 +278,9 @@ grep -q '"fleet_size": 1000' results/sched.json
 
 # The host-wall benchmark (perfbench/, run by BENCHMARK.json) is a
 # separate cargo package that calls only the crates' public API: it must
-# still build and pass its own unit tests.
+# still build and pass its own unit tests. The build rewrites
+# perfbench/Cargo.lock (it still lists a removed stub); restore it with
+# `git checkout perfbench/Cargo.lock` before committing.
 CARGO_TARGET_DIR=.bench_build cargo build --release -q --offline --manifest-path perfbench/Cargo.toml
 CARGO_TARGET_DIR=.bench_build cargo test -q --offline --manifest-path perfbench/Cargo.toml
 

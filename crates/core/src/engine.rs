@@ -44,7 +44,7 @@ use dynacut_criu::{
     ModuleRegistry, PreDump, ProcessImage, Promotion, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
-use dynacut_vm::{EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
+use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -892,32 +892,32 @@ impl DynaCut {
             self.registry = registry;
         }
         self.injections = staged_injections;
-        // Label future SIGTRAP hits on the targets with the policy that
+        // Count future SIGTRAP hits on the targets under the policy that
         // planted the trap bytes, and fold this cycle's counts into the
         // metrics registry.
-        let policy_label = match plan.fault_policy {
-            FaultPolicy::Redirect => "redirect",
-            FaultPolicy::Verify => "verify",
-            FaultPolicy::Terminate => "terminate",
+        let trap_hits = match plan.fault_policy {
+            FaultPolicy::Redirect => Counter::TrapHitsRedirect,
+            FaultPolicy::Verify => Counter::TrapHitsVerify,
+            FaultPolicy::Terminate => Counter::TrapHitsTerminate,
         };
         for &pid in &pids {
-            kernel.flight_mut().set_trap_policy(pid, policy_label);
+            kernel.flight_mut().set_trap_policy(pid, trap_hits);
         }
         set_group_class(kernel, &pids, SchedClass::Normal);
         let metrics = kernel.flight_mut().metrics_mut();
-        metrics.incr("customize.commits", 1);
-        metrics.incr("blocks_patched", report.blocks_disabled as u64);
-        metrics.incr("bytes_patched", report.bytes_written);
-        metrics.incr("pages_precopied_bytes", report.prewritten_page_bytes as u64);
-        metrics.incr("pages_frozen_bytes", report.frozen_page_bytes as u64);
-        metrics.incr(
-            "pages_restore_copied_bytes",
+        metrics.add(Counter::CustomizeCommits, 1);
+        metrics.add(Counter::BlocksPatched, report.blocks_disabled as u64);
+        metrics.add(Counter::BytesPatched, report.bytes_written);
+        metrics.add(
+            Counter::PagesPrecopiedBytes,
+            report.prewritten_page_bytes as u64,
+        );
+        metrics.add(Counter::PagesFrozenBytes, report.frozen_page_bytes as u64);
+        metrics.add(
+            Counter::PagesRestoreCopiedBytes,
             report.restore_copied_bytes as u64,
         );
-        metrics.incr("injections", report.handler_bases.len() as u64);
-        for (phase, elapsed) in &report.phases {
-            metrics.observe(&format!("phase.{phase}"), saturating_nanos(*elapsed));
-        }
+        metrics.add(Counter::Injections, report.handler_bases.len() as u64);
         kernel.record_flight(None, EventKind::CustomizeCommit);
         kernel.advance_clock(plan.downtime.charge_ns(report.timings().total()));
         report
@@ -970,7 +970,9 @@ pub struct RolloutReport {
     /// Falsely-blocked addresses the soak read through
     /// [`DynaCut::verifier_reports`]: every report journalled since the
     /// session last read them, so one from before the rollout that the
-    /// session never read counts too.
+    /// session never read counts too. A report the journal evicted
+    /// before the soak read it still demotes the canary, but its
+    /// address is not here.
     pub verifier_reports: Vec<u64>,
     /// SIGTRAP hits on the canary during the soak. Under
     /// [`FaultPolicy::Verify`] every one self-healed and produced a
@@ -1093,10 +1095,13 @@ impl DynaCut {
         set_group_class(kernel, &cycle.pids, SchedClass::Normal);
 
         // Stage 2 — soak: pump serve slices and watch the canary's
-        // verifier reports through the session's journal cursor.
+        // verifier reports through the session's cursors: the count
+        // decides, so a report the journal evicted still demotes, and
+        // the addresses are those the journal still holds.
         let soak = Bracket::open(kernel, &[], Phase::Soak);
         let seq0 = kernel.flight().next_seq();
         let mut reports: Vec<u64> = Vec::new();
+        let mut reported = 0u64;
         let mut soaked = 0u64;
         let mut soak_fault = None;
         while soaked < rollout.soak_slices {
@@ -1106,8 +1111,10 @@ impl DynaCut {
             }
             kernel.run_for(rollout.serve_slice_ns);
             soaked += 1;
-            reports.extend(self.verifier_reports(kernel));
-            if !reports.is_empty() {
+            let (counted, addrs) = self.read_verifier_reports(kernel);
+            reported += counted;
+            reports.extend(addrs);
+            if reported > 0 {
                 // The first report decides; soaking further only delays
                 // the demotion.
                 break;
@@ -1127,12 +1134,12 @@ impl DynaCut {
         kernel
             .flight_mut()
             .metrics_mut()
-            .incr("rollout.soak_slices", soaked);
+            .add(Counter::RolloutSoakSlices, soaked);
 
-        if soak_fault.is_some() || !reports.is_empty() {
+        if soak_fault.is_some() || reported > 0 {
             let canary = cycle.pids.clone();
             let canary_report = cycle.report.clone();
-            self.demote_canary(kernel, cycle, reports.len());
+            self.demote_canary(kernel, cycle, reported);
             if let Some(err) = soak_fault {
                 return Err(err);
             }
@@ -1179,7 +1186,7 @@ impl DynaCut {
         {
             Ok(edit) => edit,
             Err(err) => {
-                self.demote_canary(kernel, cycle, reports.len());
+                self.demote_canary(kernel, cycle, reported);
                 return Err(err.into());
             }
         };
@@ -1223,7 +1230,7 @@ impl DynaCut {
                 );
                 set_group_class(kernel, &group, SchedClass::Normal);
             }
-            self.demote_canary(kernel, cycle, reports.len());
+            self.demote_canary(kernel, cycle, reported);
             return Err(err);
         }
 
@@ -1238,7 +1245,9 @@ impl DynaCut {
         for (pids, _receipt, window, copied) in promoted {
             set_group_class(kernel, &pids, SchedClass::Normal);
             for &pid in &pids {
-                kernel.flight_mut().set_trap_policy(pid, "verify");
+                kernel
+                    .flight_mut()
+                    .set_trap_policy(pid, Counter::TrapHitsVerify);
             }
             promotion_copied += copied;
             promoted_out.push(PromotedReplica {
@@ -1258,7 +1267,7 @@ impl DynaCut {
         kernel
             .flight_mut()
             .metrics_mut()
-            .incr("rollout.promotions", 1);
+            .add(Counter::RolloutPromotions, 1);
         Ok(RolloutReport {
             decision: RolloutDecision::Promoted,
             canary,
@@ -1280,7 +1289,7 @@ impl DynaCut {
     /// entry, restore the displaced baseline.
     /// [`EventKind::CanaryDemoted`] is journalled before the rollback so
     /// `CustomizeRollback` stays the terminal event.
-    fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: usize) {
+    fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: u64) {
         let committed = cycle
             .journal
             .committed
@@ -1296,7 +1305,7 @@ impl DynaCut {
         kernel
             .flight_mut()
             .metrics_mut()
-            .incr("rollout.demotions", 1);
+            .add(Counter::RolloutDemotions, 1);
         self.abort_cycle(kernel, cycle);
     }
 }

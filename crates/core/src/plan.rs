@@ -179,9 +179,26 @@ impl RewritePlan {
     /// # Errors
     ///
     /// Fails if a block appears both in a disabled and an enabled
-    /// feature, or if `allow_syscalls` names a syscall number the filter
-    /// bitmask cannot represent.
+    /// feature, if a block's end does not fit a `u64`, or if
+    /// `allow_syscalls` names a syscall number the filter bitmask cannot
+    /// represent.
     pub fn validate(&self) -> Result<(), crate::DynacutError> {
+        let features = self.disable.iter().chain(&self.enable);
+        let init = self
+            .remove_blocks
+            .iter()
+            .map(|(_, blocks)| ("<init>", blocks));
+        let named = features.map(|feature| (feature.name.as_str(), &feature.blocks));
+        for (feature, blocks) in named.chain(init) {
+            for block in blocks {
+                if block.addr.checked_add(u64::from(block.size)).is_none() {
+                    return Err(crate::DynacutError::BlockOutOfRange {
+                        feature: feature.to_owned(),
+                        offset: block.addr,
+                    });
+                }
+            }
+        }
         if let Some(allowed) = &self.allow_syscalls {
             for &sysno in allowed {
                 if sysno >= u64::from(dynacut_vm::SYSCALL_FILTER_BITS) {

@@ -22,7 +22,7 @@ use crate::plan::BlockPolicy;
 use crate::{DynacutError, Feature};
 use dynacut_criu::{ModuleRegistry, ProcessImage};
 use dynacut_isa::{coalesce_blocks, BasicBlock, TRAP_OPCODE};
-use dynacut_obj::{Perms, PAGE_LEN, PAGE_SIZE};
+use dynacut_obj::{checked_page_align, Perms, PAGE_LEN, PAGE_SIZE};
 
 /// What a disable operation did, and what the fault handler needs to
 /// know about it.
@@ -62,18 +62,50 @@ pub(crate) fn module_base(image: &ProcessImage, module: &str) -> Result<u64, Dyn
         .ok_or_else(|| DynacutError::UnknownModule(module.to_owned()))
 }
 
+/// Refuses `feature` if one of its blocks, placed in the module mapped
+/// at `base` and rounded out to whole pages, would pass the top of the
+/// address space; the edits then add the base and round without a
+/// check.
+fn check_blocks_fit(base: u64, feature: &Feature) -> Result<(), DynacutError> {
+    for block in &feature.blocks {
+        let end = block
+            .addr
+            .checked_add(u64::from(block.size))
+            .and_then(|end| end.checked_add(base))
+            .and_then(checked_page_align);
+        if end.is_none() {
+            return Err(DynacutError::BlockOutOfRange {
+                feature: feature.name.clone(),
+                offset: block.addr,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Disables a feature in the image according to `policy` (paper §3.2.2).
 ///
 /// # Errors
 ///
-/// Fails if the module is unknown or blocks fall outside mapped memory.
+/// Fails if the module is unknown, or if blocks or the redirect target
+/// fall outside mapped memory or past the top of the address space.
 pub fn disable_in_image(
     image: &mut ProcessImage,
     feature: &Feature,
     policy: BlockPolicy,
 ) -> Result<DisableOutcome, DynacutError> {
     let base = module_base(image, &feature.module)?;
-    let redirect_abs = feature.redirect_to.map(|offset| base + offset);
+    check_blocks_fit(base, feature)?;
+    let redirect_abs = feature
+        .redirect_to
+        .map(|offset| {
+            base.checked_add(offset)
+                .ok_or_else(|| DynacutError::BlockOutOfRange {
+                    feature: feature.name.clone(),
+                    offset,
+                })
+        })
+        .transpose()?;
     let mut outcome = DisableOutcome::default();
 
     let record_block_entry = |outcome: &mut DisableOutcome, image: &ProcessImage, addr: u64| {
@@ -158,7 +190,8 @@ pub fn disable_in_image(
 ///
 /// # Errors
 ///
-/// Fails if the module is unknown to the registry.
+/// Fails if the module is unknown to the registry, or if a block falls
+/// past the top of the address space.
 pub fn enable_in_image(
     image: &mut ProcessImage,
     feature: &Feature,
@@ -166,6 +199,7 @@ pub fn enable_in_image(
     original: &mut OriginalText,
 ) -> Result<u64, DynacutError> {
     let base = module_base(image, &feature.module)?;
+    check_blocks_fit(base, feature)?;
     let mut restored = 0u64;
 
     // Re-map any missing pages first, restoring their full original

@@ -5,7 +5,7 @@
 use dynacut_criu::{
     CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry, Promotion,
 };
-use dynacut_vm::{EventKind, Kernel, Phase, Pid, RollbackStep};
+use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, RollbackStep};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
@@ -194,6 +194,10 @@ pub struct DynaCut {
     /// The journal `seq` up to which
     /// [`verifier_reports`](DynaCut::verifier_reports) has read.
     pub(crate) reports_read: u64,
+    /// The `verifier.reports` count up to which the session has read;
+    /// unlike the journal, the count keeps a report that was evicted
+    /// before the session read it.
+    pub(crate) reports_counted: u64,
 }
 
 impl DynaCut {
@@ -209,6 +213,7 @@ impl DynaCut {
             redirect_state: BTreeMap::new(),
             verify_state: BTreeMap::new(),
             reports_read: 0,
+            reports_counted: 0,
         }
     }
 
@@ -298,7 +303,7 @@ impl DynaCut {
         kernel
             .flight_mut()
             .metrics_mut()
-            .incr("customize.rollbacks", 1);
+            .add(Counter::CustomizeRollbacks, 1);
         kernel.record_flight(None, EventKind::CustomizeRollback);
     }
 
@@ -311,6 +316,14 @@ impl DynaCut {
     /// Reading removes nothing: other guest events, and the reports
     /// themselves, stay in the journal for every other reader.
     pub fn verifier_reports(&mut self, kernel: &Kernel) -> Vec<u64> {
+        self.read_verifier_reports(kernel).1
+    }
+
+    /// Reads the verifier reports since the session last read them, as
+    /// [`verifier_reports`](DynaCut::verifier_reports) does, and also
+    /// returns how many the kernel counted in that time: more than the
+    /// addresses when the journal evicted some before they were read.
+    pub(crate) fn read_verifier_reports(&mut self, kernel: &Kernel) -> (u64, Vec<u64>) {
         let flight = kernel.flight();
         let reports = flight
             .since(self.reports_read)
@@ -320,7 +333,10 @@ impl DynaCut {
             })
             .collect();
         self.reports_read = flight.next_seq();
-        reports
+        let counted = flight.metrics().counter(Counter::VerifierReports.name());
+        let new = counted.saturating_sub(self.reports_counted);
+        self.reports_counted = counted;
+        (new, reports)
     }
 }
 

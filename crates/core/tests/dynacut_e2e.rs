@@ -2,7 +2,7 @@
 //! §3.2/§4 workflows, from trace collection through customization,
 //! redirect handling, re-enabling, and verification.
 
-use dynacut::{BlockPolicy, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
+use dynacut::{BlockPolicy, Downtime, DynaCut, DynacutError, FaultPolicy, Feature, RewritePlan};
 use dynacut_analysis::{init_only_blocks, CovGraph};
 use dynacut_apps::{libc::guest_libc, lighttpd, nginx, redis, EVENT_READY};
 use dynacut_criu::ModuleRegistry;
@@ -487,8 +487,9 @@ fn downtime_is_charged_to_guest_clock() {
     assert!(server.kernel.clock_ns() >= before + 400_000_000);
 }
 
-/// Error recovery: a plan referencing an unknown module fails cleanly and
-/// the processes are thawed — the server keeps serving as if nothing
+/// Error recovery: a plan referencing an unknown module, or naming a
+/// block or a redirect past the top of the address space, fails cleanly
+/// and the processes are thawed — the server keeps serving as if nothing
 /// happened. The rollback is exact: the whole kernel state fingerprint
 /// matches the pre-attempt snapshot (DESIGN §5).
 #[test]
@@ -496,36 +497,63 @@ fn failed_customize_thaws_and_leaves_server_untouched() {
     let mut server = boot_nginx();
     let mut dynacut = DynaCut::new(server.registry.clone());
     let pristine = server.kernel.state_fingerprint();
-    let bogus = Feature::new(
-        "ghost",
-        "no_such_module",
-        vec![dynacut_isa::BasicBlock::new(0, 4)],
-    );
+    let bogus = Feature::new("ghost", "no_such_module", vec![BasicBlock::new(0, 4)]);
     // remove_blocks on a bogus module is skipped silently (not mapped);
     // but a disable on an out-of-range block of a real module errors.
-    let out_of_range = Feature::new(
-        "oob",
-        nginx::MODULE,
-        vec![dynacut_isa::BasicBlock::new(0xFFFF_F000, 16)],
-    );
+    let out_of_range = Feature::new("oob", nginx::MODULE, vec![BasicBlock::new(0xFFFF_F000, 16)]);
+    let mut plans = vec![(
+        RewritePlan::new().disable(bogus).disable(out_of_range),
+        false,
+    )];
+    // A block whose end overflows a u64, which the plan refuses before
+    // anything is frozen, and one whose end fits until the module base
+    // is added, which the image edit refuses inside the cycle.
+    for block in [
+        BasicBlock::new(u64::MAX - 2, 8),
+        BasicBlock::new(u64::MAX - 0x1000, 16),
+    ] {
+        let feature = Feature::new("past_top", nginx::MODULE, vec![block]);
+        for policy in [
+            BlockPolicy::EntryByte,
+            BlockPolicy::WipeBlocks,
+            BlockPolicy::UnmapPages,
+        ] {
+            let plan = RewritePlan::new()
+                .disable(feature.clone())
+                .with_block_policy(policy);
+            plans.push((plan, true));
+        }
+        plans.push((RewritePlan::new().enable(feature), true));
+    }
+    let far_redirect = put_feature(&server.exe).redirect_to_offset(u64::MAX);
     let plan = RewritePlan::new()
-        .disable(bogus)
-        .disable(out_of_range)
-        .with_downtime(Downtime::None);
-    let err = dynacut
-        .customize(&mut server.kernel, &server.pids, &plan)
-        .unwrap_err();
-    assert!(!format!("{err}").is_empty());
+        .disable(far_redirect)
+        .with_fault_policy(FaultPolicy::Redirect);
+    plans.push((plan, true));
 
-    // The rollback is bit-exact: every process is back in its pre-freeze
-    // scheduler state (not force-thawed to Runnable), memory, dirty
-    // bitmaps and network state are untouched.
-    assert_eq!(server.kernel.state_fingerprint(), pristine);
-    for &pid in &server.pids {
-        assert_ne!(
-            server.kernel.process(pid).unwrap().state,
-            dynacut_vm::ProcState::Frozen
-        );
+    for (plan, past_top) in plans {
+        let plan = plan.with_downtime(Downtime::None);
+        let err = dynacut
+            .customize(&mut server.kernel, &server.pids, &plan)
+            .unwrap_err();
+        assert!(!format!("{err}").is_empty());
+        if past_top {
+            assert!(
+                matches!(err, DynacutError::BlockOutOfRange { .. }),
+                "{plan:?}: {err}"
+            );
+        }
+
+        // The rollback is bit-exact: every process is back in its
+        // pre-freeze scheduler state (not force-thawed to Runnable),
+        // memory, dirty bitmaps and network state are untouched.
+        assert_eq!(server.kernel.state_fingerprint(), pristine, "{plan:?}");
+        for &pid in &server.pids {
+            assert_ne!(
+                server.kernel.process(pid).unwrap().state,
+                dynacut_vm::ProcState::Frozen
+            );
+        }
     }
     // …and the server is fully functional.
     let conn = server.kernel.client_connect(nginx::PORT).unwrap();

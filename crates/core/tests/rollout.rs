@@ -478,6 +478,56 @@ fn soak_report_demotes_the_canary_with_state_parity() {
     assert_no_leaked_pages(&dynacut, "after the retry promotion");
 }
 
+/// Regression: the soak once decided on the reports the flight journal
+/// still held, so a report evicted before the soak read it promoted the
+/// canary. The `verifier.reports` count keeps that report: the canary is
+/// demoted with the count, and only the address is lost.
+#[test]
+fn a_report_the_journal_evicted_still_demotes_the_canary() {
+    let mut fleet = boot_fleet(2);
+    let plan = verify_plan(&fleet.exe);
+    let groups = fleet.groups.clone();
+    let canary = groups[0][0];
+    fleet
+        .kernel
+        .inject_event(canary, VERIFIER_EVENT_BIT | 0xBEE);
+    for code in 0..fleet.kernel.flight().capacity() as u64 {
+        fleet.kernel.inject_event(canary, code);
+    }
+    assert!(
+        !fleet
+            .kernel
+            .flight()
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::VerifierReport { .. })),
+        "the journal evicted the report"
+    );
+    let seq0 = fleet.kernel.flight().next_seq();
+
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &RolloutPlan::default())
+        .unwrap();
+
+    assert_eq!(report.decision, RolloutDecision::Demoted);
+    assert_eq!(report.soak_slices, 1, "the first read decides");
+    assert!(report.verifier_reports.is_empty(), "the address is lost");
+    assert!(report.promoted.is_empty(), "no replica was touched");
+    assert!(
+        fleet
+            .kernel
+            .flight()
+            .since(seq0)
+            .any(|e| matches!(e.kind, EventKind::CanaryDemoted { reports: 1 })),
+        "demotion journalled with the report count"
+    );
+    assert_eq!(
+        fleet.kernel.flight().metrics().counter("rollout.demotions"),
+        1
+    );
+    assert_eq!(fleet.request(b"SETRANGE 8 abc\n"), b"+OK\n");
+}
+
 /// A *real* trap during the soak: a queued SETRANGE request is served by
 /// the canary mid-soak, the verifier self-heals it and reports, and the
 /// report demotes. Connection buffers legitimately diverge here (the

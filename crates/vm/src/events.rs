@@ -12,9 +12,10 @@
 //!   is bounded; when the ring is full the oldest event is evicted and
 //!   the [`dropped`](FlightRecorder::dropped) counter incremented, so
 //!   loss is **always observable**, never silent,
-//! * [`Metrics`] — named monotonic counters plus power-of-two duration
-//!   [`Histogram`]s (blocks patched, pages pre-copied vs frozen-copied,
-//!   injections, rollbacks, trap hits by policy, per-phase durations).
+//! * [`Metrics`] — monotonic counters, one fixed slot per [`Counter`]
+//!   (blocks patched, pages pre-copied vs frozen-copied, injections,
+//!   rollbacks, trap hits by policy, …). A phase's duration is in its
+//!   [`EventKind::PhaseEnd`] event.
 //!
 //! The recorder lives inside the [`Kernel`](crate::Kernel) so producers
 //! across crates (the customize orchestrator, the checkpoint layer, the
@@ -232,8 +233,9 @@ pub enum EventKind {
     /// fault) during the soak rolled the canary back through the
     /// customize transaction machinery.
     CanaryDemoted {
-        /// Verifier reports observed during the soak.
-        reports: usize,
+        /// Verifier reports counted during the soak, the ones the
+        /// journal evicted before the soak read them included.
+        reports: u64,
     },
     /// An unwind left one replica promoted (recorded with its pid): it
     /// was inside a signal handler, which may run in the new library by
@@ -266,239 +268,150 @@ pub struct FlightEvent {
     pub kind: EventKind,
 }
 
-/// A power-of-two-bucketed duration histogram.
-///
-/// Bucket `i` counts observations whose value has bit length `i`
-/// (i.e. `v == 0` lands in bucket 0, `1 ≤ v ≤ 1` in bucket 1,
-/// `2 ≤ v ≤ 3` in bucket 2, …). Invariants, asserted by tests:
-/// bucket counts sum to [`count`](Histogram::count), and
-/// `min ≤ mean ≤ max` whenever `count > 0`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation.
-    pub fn observe(&mut self, value: u64) {
-        let bit_len = (64 - value.leading_zeros()) as usize;
-        self.buckets[bit_len] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observation, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Arithmetic mean, or 0 when empty.
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Non-empty buckets as `(inclusive upper bound, count)` pairs.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(bit_len, &n)| {
-                // The largest value `bit_len` bits hold.
-                let upper = if bit_len == 0 {
-                    0
-                } else {
-                    u64::MAX >> (64 - bit_len)
-                };
-                (upper, n)
-            })
-    }
-}
-
-/// A counter the interpreter and the scheduler bump on every slice or
-/// run, kept in a fixed slot of [`Metrics`] instead of a map entry found
-/// by name. Variants are in name order.
+/// A flight-recorder counter: a fixed slot of [`Metrics`]. Every counter
+/// any layer bumps has a variant, and [`Metrics::add`] is the only way
+/// to bump one, so recording is an array index and never allocates.
+/// Each variant is its [`name`](Counter::name) in camel case; variants
+/// are in name order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Counter {
+pub enum Counter {
     BlockCacheCapacityEvictions,
     BlockCacheHits,
     BlockCacheInvalidations,
     BlockCacheMisses,
     BlockCacheSuperblocks,
     BlockCacheVersionSwaps,
+    BlocksPatched,
+    BytesPatched,
+    CustomizeCommits,
+    CustomizeRollbacks,
+    Injections,
     InsnsRetired,
+    PagesFrozenBytes,
+    PagesPrecopiedBytes,
+    PagesRestoreCopiedBytes,
+    RolloutDemotions,
+    RolloutPromotions,
+    RolloutSoakSlices,
     SchedBoosts,
     SchedDemotions,
     SchedIdleNs,
     SchedPreemptions,
     SchedQuanta,
     SchedWakeups,
+    SyscallFailedEagain,
+    SyscallFailedEbadf,
+    SyscallFailedEfault,
+    SyscallFailedEinval,
+    SyscallFailedEmfile,
+    SyscallFailedEnoent,
+    SyscallFailedEnomem,
+    SyscallFailedEnosys,
+    SyscallFailedEpipe,
+    SyscallFailedEsrch,
+    TrapHitsNone,
+    TrapHitsRedirect,
+    TrapHitsTerminate,
+    TrapHitsVerify,
+    VerifierReports,
 }
 
 /// How many [`Counter`]s there are.
-const SLOTS: usize = 13;
+const COUNTERS: usize = Counter::VerifierReports as usize + 1;
+
+/// Each counter's name, indexed by its variant, so in name order too.
+const NAMES: [&str; COUNTERS] = [
+    "block_cache.capacity_evictions",
+    "block_cache.hits",
+    "block_cache.invalidations",
+    "block_cache.misses",
+    "block_cache.superblocks",
+    "block_cache.version_swaps",
+    "blocks_patched",
+    "bytes_patched",
+    "customize.commits",
+    "customize.rollbacks",
+    "injections",
+    "insns_retired",
+    "pages_frozen_bytes",
+    "pages_precopied_bytes",
+    "pages_restore_copied_bytes",
+    "rollout.demotions",
+    "rollout.promotions",
+    "rollout.soak_slices",
+    "sched.boosts",
+    "sched.demotions",
+    "sched.idle_ns",
+    "sched.preemptions",
+    "sched.quanta",
+    "sched.wakeups",
+    "syscall.failed.eagain",
+    "syscall.failed.ebadf",
+    "syscall.failed.efault",
+    "syscall.failed.einval",
+    "syscall.failed.emfile",
+    "syscall.failed.enoent",
+    "syscall.failed.enomem",
+    "syscall.failed.enosys",
+    "syscall.failed.epipe",
+    "syscall.failed.esrch",
+    "trap_hits.none",
+    "trap_hits.redirect",
+    "trap_hits.terminate",
+    "trap_hits.verify",
+    "verifier.reports",
+];
 
 impl Counter {
-    /// Every counter, in name order.
-    const ALL: [Counter; SLOTS] = [
-        Counter::BlockCacheCapacityEvictions,
-        Counter::BlockCacheHits,
-        Counter::BlockCacheInvalidations,
-        Counter::BlockCacheMisses,
-        Counter::BlockCacheSuperblocks,
-        Counter::BlockCacheVersionSwaps,
-        Counter::InsnsRetired,
-        Counter::SchedBoosts,
-        Counter::SchedDemotions,
-        Counter::SchedIdleNs,
-        Counter::SchedPreemptions,
-        Counter::SchedQuanta,
-        Counter::SchedWakeups,
-    ];
-
     /// The counter's name, as [`Metrics::counter`] and
     /// [`Metrics::counters`] know it.
-    fn name(self) -> &'static str {
-        match self {
-            Counter::BlockCacheCapacityEvictions => "block_cache.capacity_evictions",
-            Counter::BlockCacheHits => "block_cache.hits",
-            Counter::BlockCacheInvalidations => "block_cache.invalidations",
-            Counter::BlockCacheMisses => "block_cache.misses",
-            Counter::BlockCacheSuperblocks => "block_cache.superblocks",
-            Counter::BlockCacheVersionSwaps => "block_cache.version_swaps",
-            Counter::InsnsRetired => "insns_retired",
-            Counter::SchedBoosts => "sched.boosts",
-            Counter::SchedDemotions => "sched.demotions",
-            Counter::SchedIdleNs => "sched.idle_ns",
-            Counter::SchedPreemptions => "sched.preemptions",
-            Counter::SchedQuanta => "sched.quanta",
-            Counter::SchedWakeups => "sched.wakeups",
-        }
-    }
-
-    /// The slotted counter called `name`, if there is one.
-    fn from_name(name: &str) -> Option<Counter> {
-        Counter::ALL
-            .into_iter()
-            .find(|counter| counter.name() == name)
+    pub fn name(self) -> &'static str {
+        NAMES[self as usize]
     }
 }
 
-/// Named monotonic counters plus duration histograms. The thirteen
-/// counters the interpreter and the scheduler bump on every slice or run
-/// sit in fixed slots; every other counter is found by name. Both read
-/// and list the same way.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Monotonic counters, one fixed slot per [`Counter`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metrics {
-    slots: [u64; SLOTS],
-    /// Whether each slot was ever incremented, even by 0: a named
-    /// counter exists from its first increment on, and a slot lists
-    /// alike.
-    touched: [bool; SLOTS],
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    values: [u64; COUNTERS],
+    /// Whether each counter was ever bumped, even by 0: a counter exists,
+    /// and [`counters`](Metrics::counters) lists it, from its first bump
+    /// on.
+    touched: [bool; COUNTERS],
+}
+
+impl Default for Metrics {
+    fn default() -> Self {
+        Metrics {
+            values: [0; COUNTERS],
+            touched: [false; COUNTERS],
+        }
+    }
 }
 
 impl Metrics {
-    /// Adds `by` to a slotted counter: an array index, no name search.
-    pub(crate) fn add(&mut self, counter: Counter, by: u64) {
-        self.slots[counter as usize] += by;
-        self.touched[counter as usize] = true;
+    /// Adds `by` to `counter`, saturating at `u64::MAX`.
+    pub fn add(&mut self, counter: Counter, by: u64) {
+        let slot = counter as usize;
+        self.values[slot] = self.values[slot].saturating_add(by);
+        self.touched[slot] = true;
     }
 
-    /// Adds `by` to the named counter. The key is only allocated the
-    /// first time a counter is touched, so steady-state increments from
-    /// hot paths (trap hits, failed syscalls) are allocation-free. A
-    /// slotted counter's name reaches its slot.
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(counter) = Counter::from_name(name) {
-            self.add(counter, by);
-        } else if let Some(value) = self.counters.get_mut(name) {
-            *value += by;
-        } else {
-            self.counters.insert(name.to_owned(), by);
-        }
-    }
-
-    /// Current value of a counter, slotted or named (0 if never
-    /// incremented).
+    /// Current value of the counter called `name` (0 if never bumped,
+    /// or if no counter has that name).
     pub fn counter(&self, name: &str) -> u64 {
-        match Counter::from_name(name) {
-            Some(counter) => self.slots[counter as usize],
-            None => self.counters.get(name).copied().unwrap_or(0),
-        }
+        NAMES
+            .binary_search(&name)
+            .map_or(0, |slot| self.values[slot])
     }
 
-    /// Every counter ever incremented, slotted and named alike, sorted
-    /// by name.
+    /// Every counter ever bumped, sorted by name.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let slotted = Counter::ALL
+        NAMES
             .into_iter()
-            .filter(|&counter| self.touched[counter as usize])
-            .map(|counter| (counter.name(), self.slots[counter as usize]));
-        let mut all: Vec<(&str, u64)> = self
-            .counters
-            .iter()
-            .map(|(name, &v)| (name.as_str(), v))
-            .chain(slotted)
-            .collect();
-        all.sort_unstable_by_key(|&(name, _)| name);
-        all.into_iter()
-    }
-
-    /// Records a duration observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value_ns: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .observe(value_ns);
-    }
-
-    /// The named histogram, if anything was observed into it.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(name, h)| (name.as_str(), h))
+            .zip(self.values)
+            .zip(self.touched)
+            .filter_map(|(named, touched)| touched.then_some(named))
     }
 }
 
@@ -510,19 +423,11 @@ pub struct FlightRecorder {
     next_seq: u64,
     dropped: u64,
     metrics: Metrics,
-    /// Fault-policy label per pid, set by the orchestrator when a
-    /// customization installs a `SIGTRAP` policy — lets the interpreter
-    /// attribute trap hits to the policy that planted the byte. The
-    /// `trap_hits.<label>` counter key is built once here so the SIGTRAP
-    /// hot path never formats a `String` per trap.
-    trap_policy: BTreeMap<Pid, PolicyLabel>,
-}
-
-/// A trap-policy label plus its pre-built metrics counter key.
-#[derive(Debug, Clone)]
-struct PolicyLabel {
-    label: &'static str,
-    counter_key: String,
+    /// The `trap_hits.<policy>` counter per pid, set by the orchestrator
+    /// when a customization installs a `SIGTRAP` policy — lets the
+    /// interpreter attribute trap hits to the policy that planted the
+    /// byte.
+    trap_policy: BTreeMap<Pid, Counter>,
 }
 
 impl Default for FlightRecorder {
@@ -619,34 +524,24 @@ impl FlightRecorder {
         &mut self.metrics
     }
 
-    /// Labels future `SIGTRAP` hits on `pid` with the fault policy that
-    /// installed the trap bytes (`"redirect"`, `"verify"`, …). The
-    /// per-policy counter key is formatted once, here.
-    pub fn set_trap_policy(&mut self, pid: Pid, label: &'static str) {
-        self.trap_policy.insert(
-            pid,
-            PolicyLabel {
-                label,
-                counter_key: format!("trap_hits.{label}"),
-            },
-        );
+    /// Counts future `SIGTRAP` hits on `pid` under `counter`, the
+    /// `trap_hits.<policy>` counter of the fault policy that installed
+    /// the trap bytes ([`Counter::TrapHitsRedirect`], …).
+    pub fn set_trap_policy(&mut self, pid: Pid, counter: Counter) {
+        self.trap_policy.insert(pid, counter);
     }
 
-    /// The trap-policy label for `pid`; `"none"` if no policy was
-    /// registered.
-    pub fn trap_policy(&self, pid: Pid) -> &'static str {
-        self.trap_policy.get(&pid).map_or("none", |p| p.label)
-    }
-
-    /// Records one `SIGTRAP` hit on `pid`: bumps the policy-attributed
-    /// `trap_hits.<label>` counter (using the key pre-built by
-    /// [`set_trap_policy`](FlightRecorder::set_trap_policy) — no
-    /// allocation on this path) and journals a [`EventKind::TrapHit`].
+    /// Records one `SIGTRAP` hit on `pid`: bumps the counter
+    /// [`set_trap_policy`](FlightRecorder::set_trap_policy) set for it,
+    /// [`Counter::TrapHitsNone`] if none, and journals a
+    /// [`EventKind::TrapHit`].
     pub fn record_trap_hit(&mut self, time_ns: u64, pid: Pid, pc: u64, handled: bool) {
-        match self.trap_policy.get(&pid) {
-            Some(policy) => self.metrics.incr(&policy.counter_key, 1),
-            None => self.metrics.incr("trap_hits.none", 1),
-        }
+        let counter = self
+            .trap_policy
+            .get(&pid)
+            .copied()
+            .unwrap_or(Counter::TrapHitsNone);
+        self.metrics.add(counter, 1);
         self.record(time_ns, Some(pid), EventKind::TrapHit { pc, handled });
     }
 }
@@ -716,52 +611,82 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_sum_to_count() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 2, 3, 100, 5_000, u64::MAX] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 7);
-        let bucket_total: u64 = h.buckets().map(|(_, n)| n).sum();
-        assert_eq!(bucket_total, h.count(), "no observation lost");
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-        assert!(h.min() <= h.mean() && h.mean() <= h.max());
-    }
-
-    #[test]
-    fn histogram_bucket_bounds_cover_extremes() {
-        let mut h = Histogram::default();
-        h.observe(0);
-        h.observe(u64::MAX);
-        let bounds: Vec<u64> = h.buckets().map(|(ub, _)| ub).collect();
-        assert_eq!(bounds, vec![0, u64::MAX]);
-    }
-
-    #[test]
     fn metrics_counters_accumulate() {
         let mut m = Metrics::default();
-        m.incr("blocks_patched", 3);
-        m.incr("blocks_patched", 2);
+        m.add(Counter::BlocksPatched, 3);
+        m.add(Counter::BlocksPatched, 2);
         assert_eq!(m.counter("blocks_patched"), 5);
         assert_eq!(m.counter("never_touched"), 0);
-        m.observe("phase.freeze", 1000);
-        m.observe("phase.freeze", 3000);
-        let h = m.histogram("phase.freeze").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.sum(), 4000);
-        assert_eq!(h.mean(), 2000);
+        m.add(Counter::BlocksPatched, u64::MAX);
+        assert_eq!(m.counter("blocks_patched"), u64::MAX, "adds saturate");
     }
+
+    /// Every counter, in variant order.
+    const ALL: [Counter; COUNTERS] = [
+        Counter::BlockCacheCapacityEvictions,
+        Counter::BlockCacheHits,
+        Counter::BlockCacheInvalidations,
+        Counter::BlockCacheMisses,
+        Counter::BlockCacheSuperblocks,
+        Counter::BlockCacheVersionSwaps,
+        Counter::BlocksPatched,
+        Counter::BytesPatched,
+        Counter::CustomizeCommits,
+        Counter::CustomizeRollbacks,
+        Counter::Injections,
+        Counter::InsnsRetired,
+        Counter::PagesFrozenBytes,
+        Counter::PagesPrecopiedBytes,
+        Counter::PagesRestoreCopiedBytes,
+        Counter::RolloutDemotions,
+        Counter::RolloutPromotions,
+        Counter::RolloutSoakSlices,
+        Counter::SchedBoosts,
+        Counter::SchedDemotions,
+        Counter::SchedIdleNs,
+        Counter::SchedPreemptions,
+        Counter::SchedQuanta,
+        Counter::SchedWakeups,
+        Counter::SyscallFailedEagain,
+        Counter::SyscallFailedEbadf,
+        Counter::SyscallFailedEfault,
+        Counter::SyscallFailedEinval,
+        Counter::SyscallFailedEmfile,
+        Counter::SyscallFailedEnoent,
+        Counter::SyscallFailedEnomem,
+        Counter::SyscallFailedEnosys,
+        Counter::SyscallFailedEpipe,
+        Counter::SyscallFailedEsrch,
+        Counter::TrapHitsNone,
+        Counter::TrapHitsRedirect,
+        Counter::TrapHitsTerminate,
+        Counter::TrapHitsVerify,
+        Counter::VerifierReports,
+    ];
 
     #[test]
     fn slotted_counter_names_are_sorted_and_round_trip() {
-        for pair in Counter::ALL.windows(2) {
-            assert!(pair[0].name() < pair[1].name(), "{pair:?} out of order");
+        assert_eq!(COUNTERS, 39);
+        for pair in NAMES.windows(2) {
+            assert!(pair[0] < pair[1], "{pair:?} out of order");
         }
-        for counter in Counter::ALL {
-            assert_eq!(Counter::from_name(counter.name()), Some(counter));
+        for (slot, counter) in ALL.into_iter().enumerate() {
+            assert_eq!(counter as usize, slot);
+            // The variant is its name in camel case.
+            let camel: String = counter
+                .name()
+                .split(['.', '_'])
+                .map(|word| word[..1].to_uppercase() + &word[1..])
+                .collect();
+            assert_eq!(format!("{counter:?}"), camel);
+            let mut m = Metrics::default();
+            m.add(counter, slot as u64 + 1);
+            assert_eq!(m.counter(counter.name()), slot as u64 + 1);
+            assert_eq!(
+                m.counters().collect::<Vec<_>>(),
+                [(counter.name(), slot as u64 + 1)]
+            );
         }
-        assert_eq!(Counter::from_name("trap_hits.none"), None);
     }
 
     #[test]
@@ -769,12 +694,12 @@ mod tests {
         let mut m = Metrics::default();
         assert_eq!(m.counters().count(), 0, "nothing touched, nothing listed");
         m.add(Counter::InsnsRetired, 40);
-        m.incr("customize.commits", 1);
+        m.add(Counter::CustomizeCommits, 1);
         m.add(Counter::SchedQuanta, 3);
-        m.incr("block_cache.hits", 2);
-        m.incr("syscall.failed.ebadf", 0);
+        m.add(Counter::BlockCacheHits, 2);
+        m.add(Counter::SyscallFailedEbadf, 0);
         m.add(Counter::BlockCacheMisses, 0);
-        m.incr("trap_hits.none", 5);
+        m.add(Counter::TrapHitsNone, 5);
         m.add(Counter::InsnsRetired, 2);
         let listed: Vec<(&str, u64)> = m.counters().collect();
         assert_eq!(
@@ -796,26 +721,58 @@ mod tests {
         assert_eq!(m.counter("sched.wakeups"), 0);
         assert_eq!(m.counter("never_touched"), 0);
 
-        // A slot bumped through its name and through its key is one
-        // counter, and equality sees it either way.
-        let mut by_key = Metrics::default();
-        by_key.add(Counter::BlockCacheHits, 2);
-        let mut by_name = Metrics::default();
-        by_name.incr("block_cache.hits", 2);
-        assert_eq!(by_key, by_name);
-        by_name.add(Counter::SchedWakeups, 0);
+        // Equality sees whether a counter was touched, not only its
+        // value.
+        let mut bumped = Metrics::default();
+        bumped.add(Counter::BlockCacheHits, 2);
+        let mut again = bumped.clone();
+        assert_eq!(bumped, again);
+        again.add(Counter::SchedWakeups, 0);
         assert_ne!(
-            by_key, by_name,
+            bumped, again,
             "a touched slot differs from an untouched one"
         );
     }
 
-    #[test]
-    fn trap_policy_labels_default_to_none() {
-        let mut rec = FlightRecorder::new();
-        assert_eq!(rec.trap_policy(Pid(1)), "none");
-        rec.set_trap_policy(Pid(1), "redirect");
-        assert_eq!(rec.trap_policy(Pid(1)), "redirect");
+    proptest::proptest! {
+        /// `Metrics` reads and lists exactly as the saturating map keyed
+        /// by name that it replaced: a counter bumped by 0 is listed, an
+        /// untouched one is not, and an unknown name reads 0.
+        #[test]
+        fn metrics_match_the_map_they_replaced(
+            bumps in proptest::collection::vec(
+                (
+                    0..COUNTERS,
+                    proptest::prop_oneof![
+                        proptest::strategy::Just(0u64),
+                        0u64..1_000,
+                        (u64::MAX - 8)..=u64::MAX,
+                    ],
+                ),
+                0..=64,
+            ),
+        ) {
+            let mut metrics = Metrics::default();
+            let mut model: BTreeMap<&str, u64> = BTreeMap::new();
+            for (slot, by) in bumps {
+                let counter = ALL[slot];
+                metrics.add(counter, by);
+                let value = model.entry(counter.name()).or_insert(0);
+                *value = value.saturating_add(by);
+            }
+            let listed: Vec<(&str, u64)> = metrics.counters().collect();
+            let expected: Vec<(&str, u64)> = model.iter().map(|(&name, &v)| (name, v)).collect();
+            proptest::prop_assert_eq!(listed, expected);
+            for name in NAMES {
+                proptest::prop_assert_eq!(
+                    metrics.counter(name),
+                    model.get(name).copied().unwrap_or(0)
+                );
+            }
+            for unknown in ["", "never_touched", "trap_hits", "zzz", "block_cache.hits "] {
+                proptest::prop_assert_eq!(metrics.counter(unknown), 0);
+            }
+        }
     }
 
     #[test]
@@ -823,7 +780,7 @@ mod tests {
         let mut rec = FlightRecorder::new();
         rec.record_trap_hit(10, Pid(1), 0x40, false);
         assert_eq!(rec.metrics().counter("trap_hits.none"), 1);
-        rec.set_trap_policy(Pid(1), "redirect");
+        rec.set_trap_policy(Pid(1), Counter::TrapHitsRedirect);
         rec.record_trap_hit(11, Pid(1), 0x40, true);
         rec.record_trap_hit(12, Pid(1), 0x40, true);
         assert_eq!(rec.metrics().counter("trap_hits.redirect"), 2);

@@ -375,7 +375,7 @@ impl Kernel {
         let kind = if code & VERIFIER_EVENT_BIT != 0 {
             // The injected verifier library reports a falsely blocked
             // address (paper §3.2.3).
-            self.flight.metrics_mut().incr("verifier.reports", 1);
+            self.flight.metrics_mut().add(Counter::VerifierReports, 1);
             EventKind::VerifierReport {
                 addr: code & !VERIFIER_EVENT_BIT,
             }
@@ -1408,7 +1408,7 @@ impl Kernel {
         let outcome = if proc.syscall_allowed(nr) {
             let result = self.syscall(pid, hook);
             result.unwrap_or_else(|errno| {
-                self.flight.metrics_mut().incr(errno.failed_counter(), 1);
+                self.flight.metrics_mut().add(errno.failed_counter(), 1);
                 Outcome::Ret(errno.ret())
             })
         } else {

@@ -52,7 +52,7 @@ pub use bcache::BlockCache;
 pub use cpu::{CpuState, Flags};
 pub use error::VmError;
 pub use events::{
-    EventKind, FlightEvent, FlightRecorder, Histogram, Metrics, Phase, RollbackStep,
+    Counter, EventKind, FlightEvent, FlightRecorder, Metrics, Phase, RollbackStep,
     VERIFIER_EVENT_BIT,
 };
 pub use fs::{FdTable, FileDesc, VfsFile};

@@ -8,6 +8,7 @@
 //! Each raw argument is decoded once, by a function here that returns
 //! `Result<_, Errno>`, and a handler returns one [`Outcome`] (DESIGN §15).
 
+use crate::events::Counter;
 use crate::fs::{FdTable, FileDesc};
 use crate::mem::AddressSpace;
 use crate::process::{Pid, WaitReason};
@@ -128,21 +129,19 @@ impl Errno {
     }
 
     /// The flight-recorder counter of syscalls that failed with this
-    /// errno, named after it: `syscall.failed.ebadf`. A static key, so
-    /// counting a failure allocates only the first time
-    /// ([`Metrics::incr`](crate::Metrics::incr)).
-    pub fn failed_counter(self) -> &'static str {
+    /// errno, named after it: `syscall.failed.ebadf`.
+    pub fn failed_counter(self) -> Counter {
         match self {
-            Errno::Enoent => "syscall.failed.enoent",
-            Errno::Esrch => "syscall.failed.esrch",
-            Errno::Ebadf => "syscall.failed.ebadf",
-            Errno::Eagain => "syscall.failed.eagain",
-            Errno::Enomem => "syscall.failed.enomem",
-            Errno::Efault => "syscall.failed.efault",
-            Errno::Einval => "syscall.failed.einval",
-            Errno::Emfile => "syscall.failed.emfile",
-            Errno::Epipe => "syscall.failed.epipe",
-            Errno::Enosys => "syscall.failed.enosys",
+            Errno::Enoent => Counter::SyscallFailedEnoent,
+            Errno::Esrch => Counter::SyscallFailedEsrch,
+            Errno::Ebadf => Counter::SyscallFailedEbadf,
+            Errno::Eagain => Counter::SyscallFailedEagain,
+            Errno::Enomem => Counter::SyscallFailedEnomem,
+            Errno::Efault => Counter::SyscallFailedEfault,
+            Errno::Einval => Counter::SyscallFailedEinval,
+            Errno::Emfile => Counter::SyscallFailedEmfile,
+            Errno::Epipe => Counter::SyscallFailedEpipe,
+            Errno::Enosys => Counter::SyscallFailedEnosys,
         }
     }
 

@@ -415,6 +415,6 @@ fn read_on_a_closed_fd_counts_one_ebadf() {
         .counters()
         .filter(|(name, _)| name.starts_with("syscall.failed."))
         .collect();
-    assert_eq!(failed, vec![(Errno::Ebadf.failed_counter(), 1)]);
-    assert_eq!(Errno::Ebadf.failed_counter(), "syscall.failed.ebadf");
+    assert_eq!(failed, vec![(Errno::Ebadf.failed_counter().name(), 1)]);
+    assert_eq!(Errno::Ebadf.failed_counter().name(), "syscall.failed.ebadf");
 }
