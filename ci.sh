@@ -243,7 +243,11 @@ cargo test -q -p dynacut --test rollout a_report_the_journal_evicted_still_demot
 # is a typed error (the plan refuses a block whose end overflows, the
 # image edit one that overflows once the module base is added) and
 # leaves no process frozen, where the unchecked sums panicked a debug
-# build after the dump and wrapped in a release build.
+# build after the dump and wrapped in a release build. So is a block or
+# a redirect outside its module's text (a block at libc's offset from
+# nginx's base, under disable, enable and init removal, and a redirect
+# just past the text), refused before any image is edited, where the
+# stray block wiped libc's first bytes and the cycle committed.
 cargo test -q -p dynacut --test dynacut_e2e failed_customize_thaws_and_leaves_server_untouched
 # One live handler library per process (DESIGN §7): forty Redirect
 # toggles and ten Verify rollouts each leave every process at its two
@@ -270,6 +274,17 @@ grep -q '"demotion_fingerprints_match": true' results/rollout.json
 # and MLFQ wakeups stay flat across sizes (the dynacut-sched-v2 schema
 # gate).
 cargo test -q -p dynacut-vm --test sched
+# One scheduling record per process (DESIGN §14): level, queue
+# membership, class and trap counter live on the Process. A forked child
+# starts at level 0, Normal, under trap_hits.none whatever its parent's
+# record holds; a removed process leaves the queues with its level
+# reset, so re-inserting it queues it once, at level 0; and a restore
+# swap gives the replacement the original's class and trap counter
+# (an undo gives them back), as the pid-keyed maps it replaced did.
+cargo test -q -p dynacut-vm --lib kernel::tests::forked_child_starts_normal_at_level_zero_under_trap_hits_none
+cargo test -q -p dynacut-vm --lib kernel::tests::removed_and_reinserted_process_starts_at_level_zero_queued_once
+cargo test -q -p dynacut-criu --lib restore::tests::restore_swap_keeps_class_and_trap_counter
+cargo test -q -p dynacut-vm --lib sched::
 cargo test -q -p dynacut-bench experiments::sched
 cargo run --release -q -p dynacut-bench --bin figures -- sched > /dev/null
 test -s results/sched.json

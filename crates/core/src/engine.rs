@@ -36,7 +36,7 @@
 use crate::handler::{build_fault_handler, build_verifier_library, is_injected, name_injected};
 use crate::original::OriginalText;
 use crate::plan::{BlockPolicy, FaultPolicy, RewritePlan, RolloutPlan};
-use crate::rewrite::{disable_in_image, enable_in_image, remove_blocks_in_image};
+use crate::rewrite::{check_in_text, disable_in_image, enable_in_image, remove_blocks_in_image};
 use crate::session::{in_freeze_window, unwind, CustomizeReport, Receipt, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
@@ -636,12 +636,14 @@ impl DynaCut {
 
     /// Edits the dumped images per the plan: re-enables, trap bytes,
     /// wipes, unmaps, and the syscall filter, folding the effects into
-    /// the staged accumulated tables.
+    /// the staged accumulated tables. A block or redirect target outside
+    /// its module's text fails the stage before any image is edited.
     fn stage_image_edit(
         &mut self,
         cycle: &mut CycleState,
         plan: &RewritePlan,
     ) -> Result<(), DynacutError> {
+        check_in_text(plan, &self.registry)?;
         let checkpoint = cycle.checkpoint.as_mut().expect("dump stage ran");
         let mut staged_redirect_state = self.redirect_state.clone();
         let mut staged_verify_state = self.verify_state.clone();
@@ -901,7 +903,7 @@ impl DynaCut {
             FaultPolicy::Terminate => Counter::TrapHitsTerminate,
         };
         for &pid in &pids {
-            kernel.flight_mut().set_trap_policy(pid, trap_hits);
+            kernel.set_trap_policy(pid, trap_hits);
         }
         set_group_class(kernel, &pids, SchedClass::Normal);
         let metrics = kernel.flight_mut().metrics_mut();
@@ -1245,9 +1247,7 @@ impl DynaCut {
         for (pids, _receipt, window, copied) in promoted {
             set_group_class(kernel, &pids, SchedClass::Normal);
             for &pid in &pids {
-                kernel
-                    .flight_mut()
-                    .set_trap_policy(pid, Counter::TrapHitsVerify);
+                kernel.set_trap_policy(pid, Counter::TrapHitsVerify);
             }
             promotion_copied += copied;
             promoted_out.push(PromotedReplica {

@@ -18,7 +18,7 @@
 //! block, or a re-enabled byte.
 
 use crate::original::OriginalText;
-use crate::plan::BlockPolicy;
+use crate::plan::{BlockPolicy, RewritePlan};
 use crate::{DynacutError, Feature};
 use dynacut_criu::{ModuleRegistry, ProcessImage};
 use dynacut_isa::{coalesce_blocks, BasicBlock, TRAP_OPCODE};
@@ -39,16 +39,6 @@ pub struct DisableOutcome {
     pub originals: Vec<(u64, u8)>,
     /// Number of blocks affected.
     pub blocks: usize,
-}
-
-impl DisableOutcome {
-    fn absorb(&mut self, other: DisableOutcome) {
-        self.bytes_written += other.bytes_written;
-        self.pages_unmapped += other.pages_unmapped;
-        self.redirects.extend(other.redirects);
-        self.originals.extend(other.originals);
-        self.blocks += other.blocks;
-    }
 }
 
 /// The base address `module` is mapped at in `image`'s process.
@@ -78,6 +68,38 @@ fn check_blocks_fit(base: u64, feature: &Feature) -> Result<(), DynacutError> {
                 feature: feature.name.clone(),
                 offset: block.addr,
             });
+        }
+    }
+    Ok(())
+}
+
+/// Refuses a plan naming a block (at least its first byte) or a redirect
+/// target outside its module's text as `registry` holds it, which would
+/// edit whatever else is mapped there. A module the registry does not
+/// hold is left to the edit, which skips a module no process maps.
+pub(crate) fn check_in_text(
+    plan: &RewritePlan,
+    registry: &ModuleRegistry,
+) -> Result<(), DynacutError> {
+    let features = plan.disable.iter().chain(&plan.enable);
+    let named = features.map(|f| (f.name.as_str(), &f.module, &f.blocks, f.redirect_to));
+    let init = plan
+        .remove_blocks
+        .iter()
+        .map(|(m, b)| ("<init>", m, b, None));
+    for (feature, module, blocks, redirect) in named.chain(init) {
+        let Some(binary) = registry.get(module) else {
+            continue;
+        };
+        let sizes = blocks.iter().map(|block| (block.addr, block.size.max(1)));
+        for (offset, size) in sizes.chain(redirect.map(|offset| (offset, 1))) {
+            let end = offset.checked_add(u64::from(size));
+            if end.is_none_or(|end| end > binary.text.len() as u64) {
+                return Err(DynacutError::BlockOutOfRange {
+                    feature: feature.to_owned(),
+                    offset,
+                });
+            }
         }
     }
     Ok(())
@@ -276,35 +298,5 @@ pub fn remove_blocks_in_image(
         other => other,
     };
     let feature = Feature::new("<init>", module, blocks.to_vec());
-    let mut outcome = DisableOutcome::default();
-    outcome.absorb(disable_in_image(image, &feature, effective)?);
-    Ok(outcome)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disable_outcome_absorb_accumulates() {
-        let mut a = DisableOutcome {
-            bytes_written: 1,
-            pages_unmapped: 0,
-            redirects: vec![(1, 2)],
-            originals: vec![(1, 0x90)],
-            blocks: 1,
-        };
-        let b = DisableOutcome {
-            bytes_written: 4,
-            pages_unmapped: 2,
-            redirects: vec![(3, 4)],
-            originals: vec![],
-            blocks: 2,
-        };
-        a.absorb(b);
-        assert_eq!(a.bytes_written, 5);
-        assert_eq!(a.pages_unmapped, 2);
-        assert_eq!(a.redirects.len(), 2);
-        assert_eq!(a.blocks, 3);
-    }
+    disable_in_image(image, &feature, effective)
 }

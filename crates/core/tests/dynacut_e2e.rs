@@ -488,9 +488,9 @@ fn downtime_is_charged_to_guest_clock() {
 }
 
 /// Error recovery: a plan referencing an unknown module, or naming a
-/// block or a redirect past the top of the address space, fails cleanly
-/// and the processes are thawed — the server keeps serving as if nothing
-/// happened. The rollback is exact: the whole kernel state fingerprint
+/// block or a redirect outside its module's text or past the top of the
+/// address space, fails cleanly and the processes are thawed — the
+/// server keeps serving as if nothing happened. The rollback is exact: the whole kernel state fingerprint
 /// matches the pre-attempt snapshot (DESIGN §5).
 #[test]
 fn failed_customize_thaws_and_leaves_server_untouched() {
@@ -530,14 +530,43 @@ fn failed_customize_thaws_and_leaves_server_untouched() {
         .disable(far_redirect)
         .with_fault_policy(FaultPolicy::Redirect);
     plans.push((plan, true));
+    // A block past the module's text, at the offset where libc is
+    // mapped, and a redirect just past the text: both are refused before
+    // any image is edited, where the stray block used to wipe libc's
+    // first bytes and commit.
+    let modules = &server.kernel.process(server.pids[0]).unwrap().modules;
+    let base_of = |name: &str| modules.iter().find(|m| m.image.name == name).unwrap().base;
+    let libc_offset = base_of("libc") - base_of(nginx::MODULE);
+    let stray = Feature::new(
+        "stray",
+        nginx::MODULE,
+        vec![BasicBlock::new(libc_offset, 8)],
+    );
+    plans.push((
+        RewritePlan::new()
+            .disable(stray.clone())
+            .with_block_policy(BlockPolicy::WipeBlocks),
+        true,
+    ));
+    plans.push((RewritePlan::new().enable(stray.clone()), true));
+    plans.push((
+        RewritePlan::new().remove_init_blocks(nginx::MODULE, stray.blocks),
+        true,
+    ));
+    let text_end = u64::try_from(server.exe.text.len()).unwrap();
+    let past_text = put_feature(&server.exe).redirect_to_offset(text_end);
+    let plan = RewritePlan::new()
+        .disable(past_text)
+        .with_fault_policy(FaultPolicy::Redirect);
+    plans.push((plan, true));
 
-    for (plan, past_top) in plans {
+    for (plan, block_out_of_range) in plans {
         let plan = plan.with_downtime(Downtime::None);
         let err = dynacut
             .customize(&mut server.kernel, &server.pids, &plan)
             .unwrap_err();
         assert!(!format!("{err}").is_empty());
-        if past_top {
+        if block_out_of_range {
             assert!(
                 matches!(err, DynacutError::BlockOutOfRange { .. }),
                 "{plan:?}: {err}"

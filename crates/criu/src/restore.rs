@@ -316,15 +316,17 @@ impl CommittedRestore {
     }
 
     /// Reverses the commit: removes the restored processes, re-inserts
-    /// the displaced originals, and closes listeners the commit created.
-    /// Connections are deliberately left established — the rollback path
-    /// re-enters/leaves repair mode as part of its own protocol.
+    /// the displaced originals with their pids' class and trap counter,
+    /// and closes listeners the commit created. Connections are
+    /// deliberately left established — the rollback path re-enters/leaves
+    /// repair mode as part of its own protocol.
     pub fn undo(self, kernel: &mut Kernel) {
-        for pid in &self.restored {
-            let _ = kernel.remove_process(*pid);
-        }
-        for (_, original) in self.originals {
-            if let Some(proc) = original {
+        for (pid, original) in self.originals {
+            let restored = kernel.remove_process(pid);
+            if let Some(mut proc) = original {
+                if let Ok(restored) = &restored {
+                    proc.sched = restored.sched;
+                }
                 // The original keeps its block cache: its address space
                 // (and the page generations every cached block is
                 // validated against) is swapped back with it, so each
@@ -388,7 +390,7 @@ impl RestoreTransaction {
             Vec::with_capacity(self.staged.len());
         for staged in self.staged {
             let StagedProcess {
-                proc: replacement,
+                proc: mut replacement,
                 listeners,
                 conns,
             } = staged;
@@ -396,6 +398,10 @@ impl RestoreTransaction {
             let pid = replacement.pid;
             let injected = dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::RestoreCommit);
             let original = kernel.remove_process(pid).ok();
+            // Keeps the pid's class and trap counter (removal reset the rest).
+            if let Some(original) = &original {
+                replacement.sched = original.sched;
+            }
             let result = if injected {
                 Err(CriuError::FaultInjected(
                     dynacut_vm::fault::FaultPhase::RestoreCommit,
@@ -459,7 +465,7 @@ mod tests {
     use crate::{dump, CheckpointStore, DumpOptions};
     use dynacut_isa::{Assembler, Insn, Reg, TRAP_OPCODE};
     use dynacut_obj::{ModuleBuilder, ObjectKind};
-    use dynacut_vm::{LoadSpec, EXE_BASE};
+    use dynacut_vm::{Counter, LoadSpec, SchedClass, EXE_BASE};
 
     /// A loop on the first text page whose body calls a function on the
     /// second, so its blocks decode from both.
@@ -537,5 +543,47 @@ mod tests {
             original.block_cache.len(),
             "the original ran one version, all of it carried"
         );
+    }
+
+    /// A restore swap keeps the pid's class and trap counter: the
+    /// replacement takes them from the original it displaces, and an
+    /// undo gives the original back what its pid holds by then. Without
+    /// the carry the replacement would start `Normal` under
+    /// `trap_hits.none`, and a canary's traps in a session's second
+    /// rollout would count under `none` instead of `verify`.
+    #[test]
+    fn restore_swap_keeps_class_and_trap_counter() {
+        let spec = LoadSpec::exe_only(two_page_loop());
+        let mut registry = ModuleRegistry::new();
+        registry.insert(Arc::clone(&spec.exe));
+        let mut kernel = Kernel::new();
+        let pid = kernel.spawn(&spec).unwrap();
+        kernel.run_for(10_000);
+        kernel.set_sched_class(pid, SchedClass::Background);
+        kernel.set_trap_policy(pid, Counter::TrapHitsVerify);
+        kernel.freeze(pid).unwrap();
+        let image = dump(&mut kernel, pid, &DumpOptions::default()).unwrap();
+        let mut store = CheckpointStore::new();
+        let id = store
+            .put_full(&CheckpointImage {
+                procs: vec![image],
+                time_ns: 0,
+            })
+            .unwrap();
+        let committed = store
+            .stage_restore(&kernel, id, &registry)
+            .unwrap()
+            .commit(&mut kernel)
+            .unwrap();
+        let record = kernel.process(pid).unwrap().sched;
+        assert_eq!(record.class, SchedClass::Background);
+        assert_eq!(record.trap_hits, Counter::TrapHitsVerify);
+
+        kernel.set_sched_class(pid, SchedClass::Normal);
+        kernel.set_trap_policy(pid, Counter::TrapHitsRedirect);
+        committed.undo(&mut kernel);
+        let record = kernel.process(pid).unwrap().sched;
+        assert_eq!(record.class, SchedClass::Normal);
+        assert_eq!(record.trap_hits, Counter::TrapHitsRedirect);
     }
 }

@@ -32,8 +32,8 @@
 //!
 //! [`Kernel::state_fingerprint`]: crate::Kernel::state_fingerprint
 
-use crate::process::Pid;
-use std::collections::{BTreeMap, VecDeque};
+use crate::process::{Pid, Process};
+use std::collections::VecDeque;
 
 /// Bit 63 of a guest `emit_event` code marks a verifier false-positive
 /// report; the remaining bits carry the falsely-blocked address (paper
@@ -423,11 +423,6 @@ pub struct FlightRecorder {
     next_seq: u64,
     dropped: u64,
     metrics: Metrics,
-    /// The `trap_hits.<policy>` counter per pid, set by the orchestrator
-    /// when a customization installs a `SIGTRAP` policy — lets the
-    /// interpreter attribute trap hits to the policy that planted the
-    /// byte.
-    trap_policy: BTreeMap<Pid, Counter>,
 }
 
 impl Default for FlightRecorder {
@@ -451,7 +446,6 @@ impl FlightRecorder {
             next_seq: 0,
             dropped: 0,
             metrics: Metrics::default(),
-            trap_policy: BTreeMap::new(),
         }
     }
 
@@ -524,31 +518,19 @@ impl FlightRecorder {
         &mut self.metrics
     }
 
-    /// Counts future `SIGTRAP` hits on `pid` under `counter`, the
-    /// `trap_hits.<policy>` counter of the fault policy that installed
-    /// the trap bytes ([`Counter::TrapHitsRedirect`], …).
-    pub fn set_trap_policy(&mut self, pid: Pid, counter: Counter) {
-        self.trap_policy.insert(pid, counter);
-    }
-
-    /// Records one `SIGTRAP` hit on `pid`: bumps the counter
-    /// [`set_trap_policy`](FlightRecorder::set_trap_policy) set for it,
-    /// [`Counter::TrapHitsNone`] if none, and journals a
+    /// Records one `SIGTRAP` hit on `proc`: bumps the counter its record
+    /// names ([`crate::SchedRecord::trap_hits`]) and journals a
     /// [`EventKind::TrapHit`].
-    pub fn record_trap_hit(&mut self, time_ns: u64, pid: Pid, pc: u64, handled: bool) {
-        let counter = self
-            .trap_policy
-            .get(&pid)
-            .copied()
-            .unwrap_or(Counter::TrapHitsNone);
-        self.metrics.add(counter, 1);
-        self.record(time_ns, Some(pid), EventKind::TrapHit { pc, handled });
+    pub fn record_trap_hit(&mut self, time_ns: u64, proc: &Process, pc: u64, handled: bool) {
+        self.metrics.add(proc.sched.trap_hits, 1);
+        self.record(time_ns, Some(proc.pid), EventKind::TrapHit { pc, handled });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn sequence_numbers_are_monotonic_and_dense() {
@@ -778,11 +760,12 @@ mod tests {
     #[test]
     fn record_trap_hit_attributes_the_policy_counter_and_journals() {
         let mut rec = FlightRecorder::new();
-        rec.record_trap_hit(10, Pid(1), 0x40, false);
+        let mut proc = Process::new(Pid(1), "x");
+        rec.record_trap_hit(10, &proc, 0x40, false);
         assert_eq!(rec.metrics().counter("trap_hits.none"), 1);
-        rec.set_trap_policy(Pid(1), Counter::TrapHitsRedirect);
-        rec.record_trap_hit(11, Pid(1), 0x40, true);
-        rec.record_trap_hit(12, Pid(1), 0x40, true);
+        proc.sched.trap_hits = Counter::TrapHitsRedirect;
+        rec.record_trap_hit(11, &proc, 0x40, true);
+        rec.record_trap_hit(12, &proc, 0x40, true);
         assert_eq!(rec.metrics().counter("trap_hits.redirect"), 2);
         assert!(matches!(
             rec.iter().last().unwrap().kind,

@@ -9,7 +9,7 @@ use crate::interp::{self, BlockExit, Exec};
 use crate::loader::{load_into, LoadSpec, MMAP_BASE};
 use crate::net::{ConnId, NetStack, TcpConn, TcpState};
 use crate::process::{Pid, ProcState, Process, WaitReason};
-use crate::sched::{SchedClass, Scheduler, WakeHint, BOOST_INTERVAL_NS};
+use crate::sched::{SchedClass, SchedRecord, Scheduler, WakeHint, BOOST_INTERVAL_NS};
 use crate::signal::{SigAction, Signal};
 use crate::syscall::{self, perms_from_bits, Errno, Outcome, Sysno};
 use crate::VmError;
@@ -66,10 +66,8 @@ pub struct Kernel {
     clock_ns: u64,
     hook: Option<Box<dyn Hook>>,
     flight: FlightRecorder,
-    /// Inverted so a `Default`-constructed kernel runs with the
-    /// decoded-block cache *enabled*. See
-    /// [`set_block_cache_enabled`](Kernel::set_block_cache_enabled).
-    block_cache_disabled: bool,
+    /// See [`set_block_cache_enabled`](Kernel::set_block_cache_enabled).
+    block_cache_enabled: bool,
     /// MLFQ run queues and wait-object registry (host-side only: never
     /// fingerprinted, never checkpointed — see DESIGN §14).
     sched: Scheduler,
@@ -87,7 +85,7 @@ impl Default for Kernel {
             clock_ns: 0,
             hook: None,
             flight: FlightRecorder::default(),
-            block_cache_disabled: false,
+            block_cache_enabled: true,
             sched: Scheduler::default(),
             pump_chunk_ns: DEFAULT_PUMP_CHUNK_NS,
         }
@@ -135,7 +133,7 @@ impl Kernel {
     /// bit-identical in every guest-observable way — the toggle exists
     /// for the `figures interp` off/on comparison and for bisecting.
     pub fn set_block_cache_enabled(&mut self, enabled: bool) {
-        self.block_cache_disabled = !enabled;
+        self.block_cache_enabled = enabled;
         if !enabled {
             for proc in self.procs.values_mut() {
                 proc.block_cache.flush();
@@ -145,20 +143,31 @@ impl Kernel {
 
     /// Whether the decoded-block translation cache is enabled.
     pub fn block_cache_enabled(&self) -> bool {
-        !self.block_cache_disabled
+        self.block_cache_enabled
     }
 
     /// Tags a process's scheduling class. [`SchedClass::Background`]
     /// pins it to the bottom MLFQ level — the customize engine applies
     /// this to the process groups of an in-flight cycle so serving
     /// replicas preempt their pumped guest work, and removes it when
-    /// the cycle commits or rolls back. Unknown pids are remembered
-    /// (the tag applies when the pid appears); the tag survives the
-    /// remove/insert swap of a restore, and is host-side only — it
-    /// never reaches [`state_fingerprint`](Kernel::state_fingerprint)
-    /// or a checkpoint image.
+    /// the cycle commits or rolls back. The tag lives on the process's
+    /// [`SchedRecord`](crate::SchedRecord): an unknown pid is ignored, a
+    /// restore swap carries the tag, and it never reaches
+    /// [`state_fingerprint`](Kernel::state_fingerprint) or a checkpoint
+    /// image.
     pub fn set_sched_class(&mut self, pid: Pid, class: SchedClass) {
-        self.sched.set_class(pid, class);
+        if let Some(proc) = self.procs.get_mut(&pid) {
+            proc.sched.class = class;
+        }
+    }
+
+    /// Counts future `SIGTRAP` hits on `pid` under `counter`, the
+    /// `trap_hits.<policy>` counter of the fault policy that planted the
+    /// trap bytes. Kept on the process's record, as the class is.
+    pub fn set_trap_policy(&mut self, pid: Pid, counter: Counter) {
+        if let Some(proc) = self.procs.get_mut(&pid) {
+            proc.sched.trap_hits = counter;
+        }
     }
 
     /// Enables journalling every MLFQ dispatch as an
@@ -276,12 +285,12 @@ impl Kernel {
     ///
     /// Fails if the process does not exist.
     pub fn remove_process(&mut self, pid: Pid) -> Result<Process, VmError> {
-        let proc = self.procs.remove(&pid).ok_or(VmError::NoSuchProcess(pid))?;
+        let mut proc = self.procs.remove(&pid).ok_or(VmError::NoSuchProcess(pid))?;
         // Stale wait-object entries are left behind deliberately: they
         // validate against the live process table on wake, so they can
         // neither fire for a dead pid nor mis-wake a restored reuse of
         // it (the ready condition is always re-checked).
-        self.sched.forget(pid);
+        self.sched.forget(&mut proc);
         Ok(proc)
     }
 
@@ -703,20 +712,8 @@ impl Kernel {
     fn run_for_mlfq(&mut self, deadline: u64) -> RunOutcome {
         loop {
             self.sched_service();
-            let Some((pid, level)) = self.sched.pop_next() else {
-                // Reconcile stray runnables (made runnable by a path
-                // that could not know about the scheduler) before
-                // declaring idleness.
-                let strays: Vec<Pid> = self
-                    .procs
-                    .values()
-                    .filter(|p| p.is_runnable())
-                    .map(|p| p.pid)
-                    .collect();
-                if !strays.is_empty() {
-                    for pid in strays {
-                        self.sched.enqueue(pid);
-                    }
+            let Some((pid, level)) = self.sched.pop_next(&mut self.procs) else {
+                if self.admit_strays() {
                     continue;
                 }
                 if self.procs.values().all(|p| p.is_exited()) {
@@ -735,11 +732,6 @@ impl Kernel {
                     }
                 }
             };
-            // Queue entries go stale (freeze, exit, signal death since
-            // enqueue): validate before dispatching.
-            if !self.procs.get(&pid).is_some_and(|p| p.is_runnable()) {
-                continue;
-            }
             // Per-level quantum (doubling per level), clamped to the
             // deadline, and clamped again if a higher-priority
             // sleeper's timer expires mid-slice — that is the
@@ -752,11 +744,8 @@ impl Kernel {
             let mut budget = full.min(deadline.saturating_sub(self.clock_ns));
             let mut timer_clamped = false;
             if level > 0 {
-                if let Some((t, sleeper)) = self.next_valid_timer() {
-                    if self.sched.effective_level(sleeper) < level
-                        && t > self.clock_ns
-                        && t - self.clock_ns < budget
-                    {
+                if let Some((t, sleeper_level)) = self.next_valid_timer() {
+                    if sleeper_level < level && t > self.clock_ns && t - self.clock_ns < budget {
                         budget = t - self.clock_ns;
                         timer_clamped = true;
                     }
@@ -777,18 +766,19 @@ impl Kernel {
             // on block/exit/freeze, so a still-runnable process with an
             // unclamped full budget provably burned its whole quantum:
             // compute-bound, demote.
-            match self.procs.get(&pid).map(|p| p.state) {
-                None | Some(ProcState::Exited) => self.sched.forget(pid),
-                Some(ProcState::Runnable) => {
-                    if budget == full {
-                        self.sched.demote(pid);
-                    } else if timer_clamped {
-                        self.sched.stats.preemptions += 1;
+            if let Some(proc) = self.procs.get_mut(&pid) {
+                match proc.state {
+                    ProcState::Runnable => {
+                        if budget == full {
+                            self.sched.demote(&mut proc.sched);
+                        } else if timer_clamped {
+                            self.sched.stats.preemptions += 1;
+                        }
+                        self.sched.enqueue(proc);
                     }
-                    self.sched.enqueue(pid);
+                    ProcState::Blocked(_) => self.sched_park(pid),
+                    ProcState::Exited | ProcState::Frozen => {}
                 }
-                Some(ProcState::Blocked(_)) => self.sched_park(pid),
-                Some(ProcState::Frozen) => {}
             }
             if self.clock_ns >= deadline {
                 return RunOutcome::Deadline;
@@ -804,30 +794,18 @@ impl Kernel {
     fn sched_service(&mut self) {
         if self.clock_ns.saturating_sub(self.sched.last_boost_ns) >= BOOST_INTERVAL_NS {
             self.sched.last_boost_ns = self.clock_ns;
-            self.sched.boost();
+            self.sched.boost(&mut self.procs);
             // The boost is also the amortized safety net for runnables
             // that slipped past every hint path: admit them here, off
             // the per-quantum hot path.
-            let strays: Vec<Pid> = self
-                .procs
-                .values()
-                .filter(|p| p.is_runnable())
-                .map(|p| p.pid)
-                .collect();
-            for pid in strays {
-                self.sched.enqueue(pid);
-            }
+            self.admit_strays();
         }
         while let Some(&Reverse((t, pid))) = self.sched.timers.peek() {
             if t > self.clock_ns {
                 break;
             }
             self.sched.timers.pop();
-            let valid = matches!(
-                self.procs.get(&pid).map(|p| p.state),
-                Some(ProcState::Blocked(WaitReason::Until(tt))) if tt == t
-            );
-            if valid {
+            if self.sleeper(t, pid).is_some() {
                 self.wake_pid(pid);
             }
         }
@@ -887,6 +865,26 @@ impl Kernel {
         }
     }
 
+    /// Admits every runnable process to the run queues, in pid order: the
+    /// safety net for a process made runnable by a path that could not
+    /// know about the scheduler. Returns whether any is runnable.
+    fn admit_strays(&mut self) -> bool {
+        let mut any = false;
+        for proc in self.procs.values_mut().filter(|p| p.is_runnable()) {
+            self.sched.enqueue(proc);
+            any = true;
+        }
+        any
+    }
+
+    /// The process a timer entry `(t, pid)` still describes: one blocked
+    /// in a sleep until exactly `t`.
+    fn sleeper(&self, t: u64, pid: Pid) -> Option<&Process> {
+        self.procs
+            .get(&pid)
+            .filter(|p| p.state == ProcState::Blocked(WaitReason::Until(t)))
+    }
+
     /// Whether `pid` is ready to run right now (already-runnable counts
     /// as ready): a pending signal, an expired sleep, readable or
     /// closed connection data, a listener backlog, or an fd that will
@@ -939,7 +937,7 @@ impl Kernel {
             self.sched.stats.wakeups += 1;
         }
         if proc.state == ProcState::Runnable {
-            self.sched.enqueue(pid);
+            self.sched.enqueue(proc);
         }
     }
 
@@ -1034,26 +1032,22 @@ impl Kernel {
     /// This is why scheduler state never needs checkpointing:
     /// everything it holds is derivable on demand.
     fn sched_reattach(&mut self, pid: Pid) {
-        let Some(proc) = self.procs.get(&pid) else {
+        let Some(proc) = self.procs.get_mut(&pid) else {
             return;
         };
         match proc.state {
-            ProcState::Runnable => self.sched.enqueue(pid),
+            ProcState::Runnable => self.sched.enqueue(proc),
             ProcState::Blocked(_) => self.sched_park(pid),
             _ => {}
         }
     }
 
-    /// Earliest still-valid sleeper `(wake_time, pid)`, discarding
-    /// stale heap entries from the top as a side effect.
-    fn next_valid_timer(&mut self) -> Option<(u64, Pid)> {
+    /// Earliest still-valid sleeper `(wake_time, effective level)`,
+    /// discarding stale heap entries from the top as a side effect.
+    fn next_valid_timer(&mut self) -> Option<(u64, usize)> {
         while let Some(&Reverse((t, pid))) = self.sched.timers.peek() {
-            let valid = matches!(
-                self.procs.get(&pid).map(|p| p.state),
-                Some(ProcState::Blocked(WaitReason::Until(tt))) if tt == t
-            );
-            if valid {
-                return Some((t, pid));
+            if let Some(proc) = self.sleeper(t, pid) {
+                return Some((t, proc.sched.effective_level()));
             }
             self.sched.timers.pop();
         }
@@ -1148,7 +1142,7 @@ impl Kernel {
     /// [`state_fingerprint`](Kernel::state_fingerprint).
     fn step_slice(&mut self, pid: Pid, budget: u64) {
         let mut hook = self.hook.take();
-        let use_cache = !self.block_cache_disabled;
+        let use_cache = self.block_cache_enabled;
         // Hot-path stats are accumulated locally and flushed to the
         // metrics registry once per slice.
         let mut cache_hits = 0u64;
@@ -1223,7 +1217,7 @@ impl Kernel {
                                 // just opaque 128+SIGTRAP exit codes.
                                 self.flight.record_trap_hit(
                                     self.clock_ns,
-                                    pid,
+                                    proc,
                                     fault_addr,
                                     handled,
                                 );
@@ -1361,7 +1355,7 @@ impl Kernel {
                             interp::deliver_signal(proc, signal, fault_addr, hook.as_deref_mut());
                         if signal == Signal::Sigtrap {
                             self.flight
-                                .record_trap_hit(self.clock_ns, pid, fault_addr, handled);
+                                .record_trap_hit(self.clock_ns, proc, fault_addr, handled);
                         }
                         if proc.is_exited() {
                             break 'slice;
@@ -1538,6 +1532,7 @@ impl Kernel {
                 let mut child = self.procs[&pid].clone();
                 child.pid = child_pid;
                 child.parent = Some(pid);
+                child.sched = SchedRecord::default();
                 child.cpu.set_reg(Reg::R0, 0);
                 child.console.clear();
                 child.insns_retired = 0;
@@ -1621,4 +1616,92 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynacut_isa::{Assembler, Insn};
+    use dynacut_obj::{Image, ModuleBuilder, ObjectKind};
+
+    fn build_exe(asm: &mut Assembler) -> Image {
+        let mut builder = ModuleBuilder::new("sched_record", ObjectKind::Executable);
+        builder.text(asm.finish().unwrap());
+        builder.entry("_start");
+        builder.link(&[]).unwrap()
+    }
+
+    /// The levels of the run queues `pid` sits in.
+    fn queued_levels(kernel: &Kernel, pid: Pid) -> Vec<usize> {
+        (0..crate::SCHED_LEVELS)
+            .flat_map(|level| {
+                let queue = &kernel.sched.queues[level];
+                queue.iter().filter(move |&&p| p == pid).map(move |_| level)
+            })
+            .collect()
+    }
+
+    /// A forked child starts from a fresh scheduling record — level 0,
+    /// `Normal`, `trap_hits.none` — however the parent's reads.
+    #[test]
+    fn forked_child_starts_normal_at_level_zero_under_trap_hits_none() {
+        let mut asm = Assembler::new();
+        asm.func("_start");
+        asm.push(Insn::Movi(Reg::R0, Sysno::Fork as u64));
+        asm.push(Insn::Syscall);
+        asm.label("zzz");
+        asm.push(Insn::Movi(Reg::R0, Sysno::Nanosleep as u64));
+        asm.push(Insn::Movi(Reg::R1, 1_000_000_000));
+        asm.push(Insn::Syscall);
+        asm.jmp("zzz");
+        let mut kernel = Kernel::new();
+        let parent = kernel
+            .spawn(&LoadSpec::exe_only(build_exe(&mut asm)))
+            .unwrap();
+        kernel.set_sched_class(parent, SchedClass::Background);
+        kernel.set_trap_policy(parent, Counter::TrapHitsVerify);
+        kernel.procs.get_mut(&parent).unwrap().sched.level = 2;
+        kernel.run_for(10_000);
+
+        let pids = kernel.pids();
+        assert_eq!(pids.len(), 2, "the parent forked once");
+        let child = kernel.process(pids[1]).unwrap();
+        assert_eq!(child.parent, Some(parent));
+        assert_eq!(child.sched.class, SchedClass::Normal);
+        assert_eq!(child.sched.level, 0);
+        assert_eq!(child.sched.trap_hits, Counter::TrapHitsNone);
+        let record = kernel.process(parent).unwrap().sched;
+        assert_eq!(record.class, SchedClass::Background);
+        assert_eq!(record.level, 2, "blocking keeps the parent's level");
+        assert_eq!(record.trap_hits, Counter::TrapHitsVerify);
+    }
+
+    /// Removing a process takes it out of the run queues and resets its
+    /// level, so re-inserting it queues it once, at level 0.
+    #[test]
+    fn removed_and_reinserted_process_starts_at_level_zero_queued_once() {
+        let mut asm = Assembler::new();
+        asm.func("_start");
+        asm.label("spin");
+        asm.push(Insn::Addi(Reg::R5, 1));
+        asm.jmp("spin");
+        let mut kernel = Kernel::new();
+        let pid = kernel
+            .spawn(&LoadSpec::exe_only(build_exe(&mut asm)))
+            .unwrap();
+        kernel.run_for(2_000);
+        let demoted = kernel.process(pid).unwrap().sched.level;
+        assert!(demoted > 0, "a busy loop burns full quanta");
+        assert_eq!(queued_levels(&kernel, pid), [demoted]);
+
+        let proc = kernel.remove_process(pid).unwrap();
+        assert_eq!(proc.sched.level, 0);
+        assert!(!proc.sched.queued);
+        assert!(queued_levels(&kernel, pid).is_empty());
+        kernel.insert_process(proc).unwrap();
+        assert_eq!(queued_levels(&kernel, pid), [0]);
+        let retired = kernel.process(pid).unwrap().insns_retired;
+        kernel.run_for(1_000);
+        assert!(kernel.process(pid).unwrap().insns_retired > retired);
+    }
 }

@@ -62,7 +62,7 @@ pub use loader::{LoadSpec, LoadedModule, EXE_BASE, LIB_BASE, STACK_BASE, STACK_S
 pub use mem::{AddressSpace, DisplacedPage, Page, SharedFrame};
 pub use net::{ConnId, TcpConn, TcpState};
 pub use process::{Pid, ProcState, Process, SYSCALL_FILTER_BITS};
-pub use sched::{SchedClass, BOOST_INTERVAL_NS, SCHED_LEVELS};
+pub use sched::{SchedClass, SchedRecord, BOOST_INTERVAL_NS, SCHED_LEVELS};
 pub use signal::{
     SigAction, Signal, SIGFRAME_SIZE, SIG_FRAME_FAULT_ADDR, SIG_FRAME_FLAGS, SIG_FRAME_PC,
     SIG_FRAME_REGS, SIG_FRAME_SIGNO,

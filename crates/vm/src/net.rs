@@ -51,27 +51,24 @@ pub struct TcpConn {
 #[derive(Debug, Default)]
 pub(crate) struct NetStack {
     next_conn: u64,
-    /// port → backlog of connections awaiting `accept`.
+    /// Listening port → backlog of connections awaiting `accept`. A port
+    /// listens iff it has an entry here.
     backlog: BTreeMap<u16, VecDeque<ConnId>>,
-    /// Listening ports.
-    listeners: BTreeMap<u16, ()>,
     conns: BTreeMap<ConnId, TcpConn>,
 }
 
 impl NetStack {
     pub fn listen(&mut self, port: u16) {
-        self.listeners.insert(port, ());
         self.backlog.entry(port).or_default();
     }
 
     pub fn is_listening(&self, port: u16) -> bool {
-        self.listeners.contains_key(&port)
+        self.backlog.contains_key(&port)
     }
 
     /// Removes the listener on `port` (rollback of a restore). Any
     /// connections already queued in the backlog are dropped with it.
     pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
         self.backlog.remove(&port);
     }
 
@@ -80,7 +77,7 @@ impl NetStack {
     pub fn fingerprint(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = writeln!(out, "net next_conn={}", self.next_conn);
-        for port in self.listeners.keys() {
+        for port in self.backlog.keys() {
             let _ = writeln!(out, "listener {port}");
         }
         for (port, queue) in &self.backlog {
@@ -97,11 +94,10 @@ impl NetStack {
 
     /// Client-side connect: creates a connection and queues it for accept.
     pub fn connect(&mut self, port: u16) -> Option<ConnId> {
-        if !self.is_listening(port) {
-            return None;
-        }
+        let backlog = self.backlog.get_mut(&port)?;
         self.next_conn += 1;
         let id = ConnId(self.next_conn);
+        backlog.push_back(id);
         self.conns.insert(
             id,
             TcpConn {
@@ -112,7 +108,6 @@ impl NetStack {
                 state: TcpState::Established,
             },
         );
-        self.backlog.entry(port).or_default().push_back(id);
         Some(id)
     }
 

@@ -5,6 +5,7 @@ use crate::cpu::CpuState;
 use crate::fs::FdTable;
 use crate::loader::LoadedModule;
 use crate::mem::AddressSpace;
+use crate::sched::SchedRecord;
 use crate::signal::{SigAction, Signal};
 use std::collections::VecDeque;
 use std::fmt;
@@ -95,6 +96,9 @@ pub struct Process {
     /// state: never checkpointed, never fingerprinted, empty in a
     /// restored process (see DESIGN §11).
     pub block_cache: BlockCache,
+    /// Host-side scheduling record: never checkpointed, never
+    /// fingerprinted (see DESIGN §14).
+    pub sched: SchedRecord,
 }
 
 impl Process {
@@ -119,6 +123,7 @@ impl Process {
             modules: Vec::new(),
             syscall_filter: u64::MAX,
             block_cache: BlockCache::default(),
+            sched: SchedRecord::default(),
         }
     }
 

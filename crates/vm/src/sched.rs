@@ -23,13 +23,14 @@
 //! re-execute the blocked syscall).
 //!
 //! None of this state is guest-observable: it is rebuilt from
-//! [`ProcState`](crate::ProcState) on demand, excluded from
-//! `state_fingerprint`, and never checkpointed (DESIGN §14).
+//! [`ProcState`](crate::ProcState) on demand or kept in each process's
+//! [`SchedRecord`], never fingerprinted or checkpointed (DESIGN §14).
 
+use crate::events::Counter;
 use crate::net::ConnId;
-use crate::process::Pid;
+use crate::process::{Pid, Process};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Number of run-queue levels. Level 0 is the highest priority; the
 /// per-level quantum doubles with each level.
@@ -90,19 +91,52 @@ pub(crate) struct SchedStats {
     pub idle_ns: u64,
 }
 
+/// A process's host-side scheduling record, kept on its
+/// [`Process`](crate::Process) like the block cache and, like it, never
+/// fingerprinted or checkpointed. A forked child or a fresh restore
+/// starts from the default; a restore swap keeps the class and the trap
+/// counter of the process it displaces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchedRecord {
+    /// See [`Kernel::set_sched_class`](crate::Kernel::set_sched_class).
+    pub class: SchedClass,
+    /// See [`Kernel::set_trap_policy`](crate::Kernel::set_trap_policy).
+    pub trap_hits: Counter,
+    /// MLFQ feedback level (0 = top).
+    pub(crate) level: usize,
+    /// Whether the pid sits in a run queue (guards double-enqueue).
+    pub(crate) queued: bool,
+}
+
+impl Default for SchedRecord {
+    fn default() -> Self {
+        SchedRecord {
+            class: SchedClass::Normal,
+            trap_hits: Counter::TrapHitsNone,
+            level: 0,
+            queued: false,
+        }
+    }
+}
+
+impl SchedRecord {
+    /// The level the process is enqueued at: its feedback level, or the
+    /// bottom for background-class processes.
+    pub(crate) fn effective_level(&self) -> usize {
+        match self.class {
+            SchedClass::Normal => self.level,
+            SchedClass::Background => SCHED_LEVELS - 1,
+        }
+    }
+}
+
 /// The scheduler state owned by the kernel. Pure host-side machinery:
 /// never fingerprinted, never checkpointed — a restored process re-parks
 /// from its `ProcState` alone.
 #[derive(Debug, Default)]
 pub(crate) struct Scheduler {
     /// FIFO run queue per level.
-    queues: [VecDeque<Pid>; SCHED_LEVELS],
-    /// Pids currently sitting in some queue (guards double-enqueue).
-    queued: BTreeSet<Pid>,
-    /// Current MLFQ level per known pid (absent = level 0).
-    level: BTreeMap<Pid, usize>,
-    /// Background-class pids (normal-class pids are not stored).
-    class: BTreeMap<Pid, SchedClass>,
+    pub(crate) queues: [VecDeque<Pid>; SCHED_LEVELS],
     /// Sleepers: `(wake_time_ns, pid)` min-heap. Entries are validated
     /// on pop (the process must still be `Blocked(Until(t))` with the
     /// same `t`).
@@ -125,79 +159,53 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// The process's scheduling class.
-    pub(crate) fn class_of(&self, pid: Pid) -> SchedClass {
-        self.class.get(&pid).copied().unwrap_or_default()
-    }
-
-    /// Sets the scheduling class. Lazy: a queued process finishes its
-    /// current residence and re-enqueues at the new effective level.
-    pub(crate) fn set_class(&mut self, pid: Pid, class: SchedClass) {
-        match class {
-            SchedClass::Normal => {
-                self.class.remove(&pid);
-            }
-            SchedClass::Background => {
-                self.class.insert(pid, class);
-            }
-        }
-    }
-
-    /// The level the process would be enqueued at: its feedback level,
-    /// or the bottom for background-class processes.
-    pub(crate) fn effective_level(&self, pid: Pid) -> usize {
-        if self.class_of(pid) == SchedClass::Background {
-            SCHED_LEVELS - 1
-        } else {
-            self.level.get(&pid).copied().unwrap_or(0)
-        }
-    }
-
     /// Enqueues at the effective level. No-op if already queued.
-    pub(crate) fn enqueue(&mut self, pid: Pid) {
-        if !self.queued.insert(pid) {
-            return;
+    pub(crate) fn enqueue(&mut self, proc: &mut Process) {
+        let record = &mut proc.sched;
+        if !record.queued {
+            record.queued = true;
+            self.queues[record.effective_level()].push_back(proc.pid);
         }
-        let level = self.effective_level(pid);
-        self.queues[level].push_back(pid);
     }
 
-    /// Pops the next pid in (level, FIFO) order, with the level it was
-    /// dispatched from. The caller validates it is still runnable.
-    pub(crate) fn pop_next(&mut self) -> Option<(Pid, usize)> {
+    /// Pops the next runnable pid in (level, FIFO) order, with the level
+    /// it was dispatched from. Entries that went stale since their
+    /// enqueue (freeze, exit, signal death) are dropped on the way.
+    pub(crate) fn pop_next(&mut self, procs: &mut BTreeMap<Pid, Process>) -> Option<(Pid, usize)> {
         for (level, queue) in self.queues.iter_mut().enumerate() {
-            if let Some(pid) = queue.pop_front() {
-                self.queued.remove(&pid);
-                return Some((pid, level));
+            while let Some(pid) = queue.pop_front() {
+                if let Some(proc) = procs.get_mut(&pid) {
+                    proc.sched.queued = false;
+                    if proc.is_runnable() {
+                        return Some((pid, level));
+                    }
+                }
             }
         }
         None
     }
 
     /// One level down (burned a full quantum without blocking).
-    pub(crate) fn demote(&mut self, pid: Pid) {
-        let level = self.level.entry(pid).or_insert(0);
-        if *level + 1 < SCHED_LEVELS {
-            *level += 1;
+    pub(crate) fn demote(&mut self, record: &mut SchedRecord) {
+        if record.level + 1 < SCHED_LEVELS {
+            record.level += 1;
             self.stats.demotions += 1;
         }
     }
 
-    /// Priority boost: every normal-class process returns to level 0.
-    /// Queued pids are re-enqueued in their current (level, FIFO)
-    /// order, so relative order among equals is preserved.
-    pub(crate) fn boost(&mut self) {
+    /// Priority boost: every process returns to level 0. Queued pids are
+    /// re-enqueued in their current (level, FIFO) order, so relative
+    /// order among equals is preserved.
+    pub(crate) fn boost(&mut self, procs: &mut BTreeMap<Pid, Process>) {
         self.stats.boosts += 1;
-        for level in self.level.values_mut() {
-            *level = 0;
+        for proc in procs.values_mut() {
+            proc.sched.level = 0;
         }
-        let mut pids: Vec<Pid> = Vec::with_capacity(self.queued.len());
-        for queue in &mut self.queues {
-            pids.extend(queue.drain(..));
-        }
-        self.queued.clear();
-        for pid in pids {
-            self.enqueue(pid);
+        let queued: Vec<Pid> = self.queues.iter_mut().flat_map(|q| q.drain(..)).collect();
+        for pid in queued {
+            if let Some(proc) = procs.get(&pid) {
+                self.queues[proc.sched.effective_level()].push_back(pid);
+            }
         }
     }
 
@@ -206,17 +214,17 @@ impl Scheduler {
         self.hints.push_back(hint);
     }
 
-    /// Drops a pid from the run queues and the level map (process
-    /// removed). Wait-object entries are left to lazy validation; the
-    /// class tag survives so a restore swap (remove + insert of the
-    /// same pid) keeps an engine-applied background tag.
-    pub(crate) fn forget(&mut self, pid: Pid) {
-        if self.queued.remove(&pid) {
+    /// Takes a removed process out of the run queues and resets its
+    /// level. Wait-object entries are left to lazy validation; the class
+    /// and the trap counter stay on its record.
+    pub(crate) fn forget(&mut self, proc: &mut Process) {
+        if proc.sched.queued {
+            proc.sched.queued = false;
             for queue in &mut self.queues {
-                queue.retain(|&p| p != pid);
+                queue.retain(|&pid| pid != proc.pid);
             }
         }
-        self.level.remove(&pid);
+        proc.sched.level = 0;
     }
 
     /// Takes and zeroes the per-run counters.
@@ -229,55 +237,70 @@ impl Scheduler {
 mod tests {
     use super::*;
 
+    /// A process table of fresh runnable processes.
+    fn table(pids: &[u32]) -> BTreeMap<Pid, Process> {
+        pids.iter()
+            .map(|&pid| (Pid(pid), Process::new(Pid(pid), "p")))
+            .collect()
+    }
+
+    fn at(procs: &mut BTreeMap<Pid, Process>, pid: u32) -> &mut Process {
+        procs.get_mut(&Pid(pid)).expect("in the table")
+    }
+
     #[test]
     fn enqueue_is_level_ordered_and_duplicate_free() {
+        let mut procs = table(&[1, 2, 3]);
         let mut sched = Scheduler::default();
-        sched.enqueue(Pid(1));
-        sched.enqueue(Pid(2));
-        sched.enqueue(Pid(1)); // duplicate ignored
-        sched.demote(Pid(3));
-        sched.enqueue(Pid(3)); // level 1
-        assert_eq!(sched.pop_next(), Some((Pid(1), 0)));
-        assert_eq!(sched.pop_next(), Some((Pid(2), 0)));
-        assert_eq!(sched.pop_next(), Some((Pid(3), 1)));
-        assert_eq!(sched.pop_next(), None);
+        sched.enqueue(at(&mut procs, 1));
+        sched.enqueue(at(&mut procs, 2));
+        sched.enqueue(at(&mut procs, 1)); // duplicate ignored
+        sched.demote(&mut at(&mut procs, 3).sched);
+        sched.enqueue(at(&mut procs, 3)); // level 1
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(1), 0)));
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(2), 0)));
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(3), 1)));
+        assert_eq!(sched.pop_next(&mut procs), None);
     }
 
     #[test]
     fn demotion_saturates_at_bottom_and_boost_resets() {
+        let mut procs = table(&[7]);
         let mut sched = Scheduler::default();
         for _ in 0..10 {
-            sched.demote(Pid(7));
+            sched.demote(&mut at(&mut procs, 7).sched);
         }
-        assert_eq!(sched.effective_level(Pid(7)), SCHED_LEVELS - 1);
+        assert_eq!(procs[&Pid(7)].sched.effective_level(), SCHED_LEVELS - 1);
         assert_eq!(sched.stats.demotions, SCHED_LEVELS as u64 - 1);
-        sched.enqueue(Pid(7));
-        sched.boost();
-        assert_eq!(sched.effective_level(Pid(7)), 0);
-        assert_eq!(sched.pop_next(), Some((Pid(7), 0)));
+        sched.enqueue(at(&mut procs, 7));
+        sched.boost(&mut procs);
+        assert_eq!(procs[&Pid(7)].sched.effective_level(), 0);
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(7), 0)));
     }
 
     #[test]
     fn background_class_pins_to_bottom_through_boosts() {
+        let mut procs = table(&[4]);
         let mut sched = Scheduler::default();
-        sched.set_class(Pid(4), SchedClass::Background);
-        sched.enqueue(Pid(4));
-        assert_eq!(sched.pop_next(), Some((Pid(4), SCHED_LEVELS - 1)));
-        sched.enqueue(Pid(4));
-        sched.boost();
-        assert_eq!(sched.pop_next(), Some((Pid(4), SCHED_LEVELS - 1)));
-        sched.set_class(Pid(4), SchedClass::Normal);
-        sched.enqueue(Pid(4));
-        assert_eq!(sched.pop_next(), Some((Pid(4), 0)));
+        at(&mut procs, 4).sched.class = SchedClass::Background;
+        sched.enqueue(at(&mut procs, 4));
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(4), SCHED_LEVELS - 1)));
+        sched.enqueue(at(&mut procs, 4));
+        sched.boost(&mut procs);
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(4), SCHED_LEVELS - 1)));
+        at(&mut procs, 4).sched.class = SchedClass::Normal;
+        sched.enqueue(at(&mut procs, 4));
+        assert_eq!(sched.pop_next(&mut procs), Some((Pid(4), 0)));
     }
 
     #[test]
     fn forget_removes_queue_presence_but_keeps_class() {
+        let mut procs = table(&[9]);
         let mut sched = Scheduler::default();
-        sched.set_class(Pid(9), SchedClass::Background);
-        sched.enqueue(Pid(9));
-        sched.forget(Pid(9));
-        assert_eq!(sched.pop_next(), None);
-        assert_eq!(sched.class_of(Pid(9)), SchedClass::Background);
+        at(&mut procs, 9).sched.class = SchedClass::Background;
+        sched.enqueue(at(&mut procs, 9));
+        sched.forget(at(&mut procs, 9));
+        assert_eq!(sched.pop_next(&mut procs), None);
+        assert_eq!(procs[&Pid(9)].sched.class, SchedClass::Background);
     }
 }
