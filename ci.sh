@@ -254,7 +254,34 @@ cargo test -q -p dynacut --test dynacut_e2e failed_customize_thaws_and_leaves_se
 # boot modules plus one library, and a cycle that freezes a process
 # inside its SIGTRAP handler keeps the library the handler runs in.
 cargo test -q -p dynacut --test handler_library
+# A session holds only what is live (DESIGN §7, §10): after 200 Redirect
+# toggles the registry holds the boot binaries plus one library; after a
+# demoted rollout it still holds the library the replicas map, and each
+# replica dumps, stores, restores and serves against it; the groups of
+# killed replicas leave no store entry; and a commit leaves no handler
+# record of a dead pid.
+cargo test -q -p dynacut --test handler_library two_hundred_toggles_leave_one_library_in_the_registry
+cargo test -q -p dynacut --test handler_library a_demoted_rollout_leaves_the_replicas_their_library
+cargo test -q -p dynacut --test handler_library killed_replicas_leave_one_store_entry_per_live_group
+cargo test -q -p dynacut --lib engine::tests::a_commit_leaves_no_record_of_a_dead_pid
+# A promotion copies the canary's handler record to each replica, so a
+# replica customized alone, or a former replica as the next canary,
+# builds a library that still heals the promoted SETRANGE trap (the
+# replica exited with code 135 while the record stayed with the canary).
+cargo test -q -p dynacut --test rollout a_promoted_replica_customized_alone_keeps_the_promoted_traps
+cargo test -q -p dynacut --test rollout a_former_replica_canary_carries_the_promoted_traps
+# The library placement draw is the first StdRng draw it stands in for,
+# over a few hundred seeds, so every handler base stays where it was.
+cargo test -q -p dynacut --lib engine::tests::placement_draw_is_the_first_std_rng_draw
+# One journal undoes a failed cycle's kernel and session edits: after
+# every rolled-back phase, and every demoted rollout, the registry lists
+# the binaries it listed before, and the retry injects under the names
+# and at the bases a session that never failed uses.
 cargo test -q -p dynacut --features fault-injection --test fault_injection
+# A re-enable that fails after its image edit leaves the handler record
+# as it was, so the next cycle's library still redirects the trap the
+# rollback kept (an edited record would let SETRANGE kill the server).
+cargo test -q -p dynacut --features fault-injection --test fault_injection a_rolled_back_enable_leaves_the_handler_record_as_it_was
 cargo test -q -p dynacut-bench rollout
 cargo run --release -q -p dynacut-bench --bin figures -- rollout > /dev/null
 test -s results/rollout.json

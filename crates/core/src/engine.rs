@@ -122,6 +122,19 @@ fn saturating_nanos(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
+/// The draw that places an injected library: the first `u64` that
+/// `rand`'s `StdRng::seed_from_u64(seed)` draws. That
+/// generator is xoshiro256** over four splitmix64 outputs of the seed,
+/// and its first output reads only the second of them, `s1`.
+fn placement_draw(seed: u64) -> u64 {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut z = seed.wrapping_add(GAMMA.wrapping_mul(2));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    let s1 = z ^ (z >> 31);
+    s1.wrapping_mul(5).rotate_left(7).wrapping_mul(9)
+}
+
 /// Tags every process of a group with a scheduling class. Cycle work
 /// pumps serve slices between stages, and a group mid-customize
 /// (post-restore catch-up bursts, repair-mode drains) must not steal
@@ -165,25 +178,12 @@ fn promote_group(
     landed
 }
 
-/// One process's accumulated redirect or verifier table, from a
-/// cycle's staged state, in address order: what the handler library
-/// injected into that process carries. The image-edit stage gives every
-/// process of the cycle an entry.
-fn union_table<V: Copy>(
-    state: Option<&BTreeMap<Pid, BTreeMap<u64, V>>>,
-    pid: Pid,
-) -> Vec<(u64, V)> {
-    state
-        .and_then(|state| state.get(&pid))
-        .map(|table| table.iter().map(|(&addr, &value)| (addr, value)).collect())
-        .unwrap_or_default()
-}
-
 /// Unloads every library an earlier injection put into `image` —
 /// "unused shared library code can be dynamically unloaded through the
 /// process rewriting approach" (paper §5). The registry keeps their
-/// binaries: a demoted rollout's replicas, or an image skipped for a
-/// live signal frame, may still map one.
+/// binaries until the commit finds that nothing maps them: a demoted
+/// rollout's replicas, or an image skipped for a live signal frame, may
+/// still map one.
 fn retire_injected(image: &mut ProcessImage, registry: &ModuleRegistry) -> Result<(), CriuError> {
     let retired: Vec<String> = image
         .core
@@ -199,8 +199,8 @@ fn retire_injected(image: &mut ProcessImage, registry: &ModuleRegistry) -> Resul
 }
 
 /// Everything one group's in-flight cycle carries between stages: the
-/// transaction journal, the checkpoint being edited, and the staged
-/// session state that commits only if every stage succeeds.
+/// undo journal of every edit the stages made, in the kernel and in the
+/// session, and the checkpoint being edited.
 pub(crate) struct CycleState {
     pub(crate) pids: Vec<Pid>,
     pub(crate) report: CustomizeReport,
@@ -208,14 +208,23 @@ pub(crate) struct CycleState {
     begun: bool,
     predump: Option<PreDump>,
     checkpoint: Option<CheckpointImage>,
-    staged_redirect_state: Option<BTreeMap<Pid, BTreeMap<u64, u64>>>,
-    staged_verify_state: Option<BTreeMap<Pid, BTreeMap<u64, u8>>>,
-    staged_registry: Option<ModuleRegistry>,
-    staged_injections: u64,
     txn: Option<RestoreTransaction>,
 }
 
 impl CycleState {
+    /// A new cycle over one process group.
+    fn new(pids: &[Pid]) -> CycleState {
+        CycleState {
+            pids: pids.to_vec(),
+            report: CustomizeReport::default(),
+            journal: TxnJournal::default(),
+            begun: false,
+            predump: None,
+            checkpoint: None,
+            txn: None,
+        }
+    }
+
     /// Opens the cycle: journals its `CustomizeBegin` (once) and tags its
     /// group [`SchedClass::Background`] until it commits or rolls back.
     fn begin(&mut self, kernel: &mut Kernel) {
@@ -289,23 +298,6 @@ pub struct FleetTotals {
 }
 
 impl DynaCut {
-    /// Opens a new cycle over one process group.
-    fn begin_cycle(&self, pids: &[Pid]) -> CycleState {
-        CycleState {
-            pids: pids.to_vec(),
-            report: CustomizeReport::default(),
-            journal: TxnJournal::default(),
-            begun: false,
-            predump: None,
-            checkpoint: None,
-            staged_redirect_state: None,
-            staged_verify_state: None,
-            staged_registry: None,
-            staged_injections: self.injections,
-            txn: None,
-        }
-    }
-
     /// The stages this session's cycles run, in order.
     fn stages(&self) -> &'static [Phase] {
         if self.incremental {
@@ -330,13 +322,19 @@ impl DynaCut {
     /// groups, serializing only the freeze windows.
     ///
     /// The whole cycle is **transactional** (DESIGN §5): on any error —
-    /// before, during, or after the restore swap — the kernel is rolled
-    /// back to exactly its pre-customization state (processes alive and
-    /// thawed to their prior scheduler states, TCP connections out of
-    /// repair mode, dirty bitmaps and the incremental baseline restored)
-    /// and this session's accumulated state (registry, redirect/verifier
-    /// tables, injection counter) is left untouched, so retrying the same
-    /// plan afterwards behaves as if the failed attempt never happened.
+    /// before, during, or after the restore swap — one undo journal puts
+    /// back everything the attempt edited. The kernel returns to exactly
+    /// its pre-customization state (processes alive and thawed to their
+    /// prior scheduler states, TCP connections out of repair mode, dirty
+    /// bitmaps and the incremental baseline restored), and so does this
+    /// session (registry, handler records, injection counter), so
+    /// retrying the same plan afterwards behaves as if the failed attempt
+    /// never happened: it injects under the same name, at the same base.
+    ///
+    /// A commit forgets what nothing live uses: the handler records of
+    /// exited processes, the baselines of groups with no live process,
+    /// and every injected library that neither a live process nor a
+    /// store entry maps ([`DynaCut::registry`]).
     ///
     /// # Errors
     ///
@@ -350,7 +348,7 @@ impl DynaCut {
         plan: &RewritePlan,
     ) -> Result<CustomizeReport, DynacutError> {
         plan.validate()?;
-        let cycle = self.run_stages(kernel, self.begin_cycle(pids), plan, self.stages())?;
+        let cycle = self.run_stages(kernel, CycleState::new(pids), plan, self.stages())?;
         Ok(self.commit_cycle(kernel, cycle, plan))
     }
 
@@ -439,13 +437,14 @@ impl DynaCut {
         plan.validate()?;
         let started = Instant::now();
         let stages = self.stages();
+        // Both stage lists `stages` returns hold `Phase::Freeze`.
         let freeze = stages
             .iter()
             .position(|&phase| in_freeze_window(phase))
             .expect("every cycle freezes");
         let (live, window) = stages.split_at(freeze);
         let mut cycles: VecDeque<CycleState> =
-            groups.iter().map(|group| self.begin_cycle(group)).collect();
+            groups.iter().map(|group| CycleState::new(group)).collect();
 
         // Wave 1 — the stages before the freeze. Every group pre-dumps
         // while its own (and everyone else's) processes still run; the
@@ -580,20 +579,19 @@ impl DynaCut {
                 cycle.checkpoint = Some(checkpoint);
                 Ok(())
             }
-            // Session state is mutated on *staged copies* only: the
-            // accumulated redirect/verifier tables, the registry, and
-            // the injection counter all commit together after the
-            // restore (and, in incremental mode, the baseline store)
-            // succeed. A failure anywhere leaves `self` exactly as it
-            // was.
+            // Both edit the session in place: the handler records, the
+            // registry and the injection counter. The journal records
+            // what each edit displaced, so a failure anywhere puts
+            // `self` back exactly as it was.
             Phase::ImageEdit => self.stage_image_edit(cycle, plan),
             Phase::Inject => self.stage_inject(kernel, cycle, plan),
             // Staged: every replacement process is fully built before
             // the first original is touched, and the swap itself rolls
             // back on a mid-commit failure (see `RestoreTransaction`).
             Phase::RestorePrepare => {
+                // Stage order: the dump stage set the checkpoint, and
+                // only the baseline store, after this stage, takes it.
                 let checkpoint = cycle.checkpoint.as_ref().expect("dump stage ran");
-                let registry = cycle.staged_registry.as_ref().expect("inject stage ran");
                 // Put the edited checkpoint into the session's
                 // content-addressed store once (copying only pages it
                 // has never seen — later replicas hash-hit the first
@@ -604,13 +602,16 @@ impl DynaCut {
                 let copied_before = self.store.page_store().copied_bytes();
                 let id = self.store.put_full(checkpoint)?;
                 cycle.journal.stored = Some(id);
+                // The bytes were copied into this process's memory, so
+                // their count fits in usize.
                 cycle.report.restore_copied_bytes =
                     usize::try_from(self.store.page_store().copied_bytes() - copied_before)
                         .expect("bytes copied into memory fit in usize");
-                cycle.txn = Some(self.store.stage_restore(kernel, id, registry)?);
+                cycle.txn = Some(self.store.stage_restore(kernel, id, &self.registry)?);
                 Ok(())
             }
             Phase::RestoreCommit => {
+                // Stage order: restore-prepare, just before, set it.
                 let txn = cycle.txn.take().expect("restore was prepared");
                 let committed = txn.commit(kernel)?;
                 // The swap just replaced these processes' text with the
@@ -636,24 +637,25 @@ impl DynaCut {
 
     /// Edits the dumped images per the plan: re-enables, trap bytes,
     /// wipes, unmaps, and the syscall filter, folding the effects into
-    /// the staged accumulated tables. A block or redirect target outside
-    /// its module's text fails the stage before any image is edited.
+    /// each process's handler record, which the journal holds as it was
+    /// first. A block or redirect target outside its module's text fails
+    /// the stage before any image is edited.
     fn stage_image_edit(
         &mut self,
         cycle: &mut CycleState,
         plan: &RewritePlan,
     ) -> Result<(), DynacutError> {
         check_in_text(plan, &self.registry)?;
+        // Stage order: the dump stage, just before, set it.
         let checkpoint = cycle.checkpoint.as_mut().expect("dump stage ran");
-        let mut staged_redirect_state = self.redirect_state.clone();
-        let mut staged_verify_state = self.verify_state.clone();
         for image in &mut checkpoint.procs {
             if fault::hit(FaultPhase::ImageEdit) {
                 return Err(DynacutError::FaultInjected(FaultPhase::ImageEdit));
             }
             let pid = image.core.pid;
-            let mut redirects: Vec<(u64, u64)> = Vec::new();
-            let mut originals: Vec<(u64, u8)> = Vec::new();
+            let before = self.handlers.get(&pid).cloned();
+            cycle.journal.handlers.push((pid, before));
+            let record = self.handlers.entry(pid).or_default();
             let mut original_text = OriginalText::new();
             for feature in &plan.enable {
                 let Some(module) = image.core.modules.iter().find(|m| m.name == feature.module)
@@ -663,20 +665,17 @@ impl DynaCut {
                 let base = module.base;
                 enable_in_image(image, feature, &self.registry, &mut original_text)?;
                 cycle.report.blocks_enabled += feature.blocks.len();
-                // Re-enabled addresses leave the accumulated tables.
+                // Re-enabled addresses leave the record.
                 let in_feature = |addr: u64| {
                     feature
                         .blocks
                         .iter()
                         .any(|b| addr >= base + b.addr && addr < base + b.range().end)
                 };
-                if let Some(state) = staged_redirect_state.get_mut(&pid) {
-                    state.retain(|addr, _| !in_feature(*addr));
-                }
-                if let Some(state) = staged_verify_state.get_mut(&pid) {
-                    state.retain(|addr, _| !in_feature(*addr));
-                }
+                record.redirects.retain(|addr, _| !in_feature(*addr));
+                record.originals.retain(|addr, _| !in_feature(*addr));
             }
+            let mut originals: Vec<(u64, u8)> = Vec::new();
             for feature in &plan.disable {
                 if !image.core.modules.iter().any(|m| m.name == feature.module) {
                     continue;
@@ -685,7 +684,7 @@ impl DynaCut {
                 cycle.report.blocks_disabled += outcome.blocks;
                 cycle.report.bytes_written += outcome.bytes_written;
                 cycle.report.pages_unmapped += outcome.pages_unmapped;
-                redirects.extend(outcome.redirects);
+                record.redirects.extend(outcome.redirects);
                 originals.extend(outcome.originals);
             }
             for (module, blocks) in &plan.remove_blocks {
@@ -697,6 +696,11 @@ impl DynaCut {
                 cycle.report.bytes_written += outcome.bytes_written;
                 cycle.report.pages_unmapped += outcome.pages_unmapped;
                 originals.extend(outcome.originals);
+            }
+            // A byte patched twice keeps the original from before the
+            // first patch.
+            for (addr, byte) in originals {
+                record.originals.entry(addr).or_insert(byte);
             }
             if let Some(allowed) = &plan.allow_syscalls {
                 let mut mask = 0u64;
@@ -714,67 +718,55 @@ impl DynaCut {
                 mask |= 1 << (dynacut_vm::Sysno::Sigreturn as u64);
                 image.set_syscall_filter(mask);
             }
-            // Fold this plan's effects into the staged accumulated
-            // state; the handler build below injects its union tables.
-            let redirect_acc = staged_redirect_state.entry(pid).or_default();
-            redirect_acc.extend(redirects);
-            let verify_acc = staged_verify_state.entry(pid).or_default();
-            for (addr, byte) in originals {
-                verify_acc.entry(addr).or_insert(byte);
-            }
         }
-        cycle.staged_redirect_state = Some(staged_redirect_state);
-        cycle.staged_verify_state = Some(staged_verify_state);
         Ok(())
     }
 
     /// Builds and injects the fault-handler/verifier library into every
-    /// image and points the `SIGTRAP` sigaction at it.
+    /// image and points the `SIGTRAP` sigaction at it. Each library is
+    /// registered under its `dc_*@N` name and the injection counter
+    /// advances, both journalled.
     fn stage_inject(
         &mut self,
         kernel: &mut Kernel,
         cycle: &mut CycleState,
         plan: &RewritePlan,
     ) -> Result<(), DynacutError> {
-        // Restore resolves every module named in the images, so built
-        // libraries join the (staged) framework registry — later dumps
-        // will see them mapped once the cycle commits.
-        let mut staged_registry = self.registry.clone();
-        let mut staged_injections = self.injections;
+        // Stage order: the dump stage set it, before the image edit.
         let checkpoint = cycle.checkpoint.as_mut().expect("dump stage ran");
-        let redirect_state = cycle.staged_redirect_state.as_ref();
-        let verify_state = cycle.staged_verify_state.as_ref();
         if plan.fault_policy != FaultPolicy::Terminate {
+            cycle.journal.injections = Some(self.injections);
             for image in &mut checkpoint.procs {
                 // One live library per process: the one built below
-                // carries the union tables and takes SIGTRAP over, so
+                // carries the whole record and takes SIGTRAP over, so
                 // only a signal frame still live in the image could
                 // enter an earlier one. Such an image keeps them until
                 // a later cycle finds it at depth 0.
                 if image.core.signal_depth == 0 {
-                    retire_injected(image, &staged_registry)?;
+                    retire_injected(image, &self.registry)?;
                 }
                 let pid = image.core.pid;
+                let tables = self.handlers.get(&pid).cloned().unwrap_or_default();
                 let mut library = match plan.fault_policy {
                     FaultPolicy::Redirect => {
-                        build_fault_handler(&union_table(redirect_state, pid))?
+                        build_fault_handler(&Vec::from_iter(tables.redirects))?
                     }
-                    FaultPolicy::Verify => build_verifier_library(&union_table(verify_state, pid))?,
+                    FaultPolicy::Verify => {
+                        build_verifier_library(&Vec::from_iter(tables.originals))?
+                    }
                     FaultPolicy::Terminate => unreachable!(),
                 };
-                staged_injections += 1;
-                name_injected(&mut library, staged_injections);
+                self.injections += 1;
+                name_injected(&mut library, self.injections);
                 // "By default, DynaCut loads the shared library into a
                 // randomized but unused location" (paper §3.2.1). The
-                // RNG is seeded per injection so runs stay reproducible.
+                // draw is seeded per injection so runs stay
+                // reproducible.
                 let base = {
-                    use rand::{Rng, SeedableRng};
-                    let mut rng = rand::rngs::StdRng::seed_from_u64(
-                        0xD1AC_0DE5 ^ (staged_injections << 8) ^ u64::from(image.core.pid.0),
-                    );
                     let window_pages: u64 = 1 << 18; // a 1 GiB placement window
+                    let seed = 0xD1AC_0DE5 ^ (self.injections << 8) ^ u64::from(pid.0);
                     let hint = 0x6000_0000_0000u64
-                        + (rng.gen::<u64>() % window_pages) * dynacut_obj::PAGE_SIZE;
+                        + (placement_draw(seed) % window_pages) * dynacut_obj::PAGE_SIZE;
                     image
                         .mm
                         .find_free(hint, dynacut_obj::page_align(library.footprint()))
@@ -785,10 +777,11 @@ impl DynaCut {
                             ))
                         })?
                 };
-                let base = image.inject_library(&library, Some(base), &staged_registry)?;
-                staged_registry.insert(std::sync::Arc::new(library.clone()));
+                let base = image.inject_library(&library, Some(base), &self.registry)?;
                 let handler = base + library.symbols["dc_handler"].offset;
                 let restorer = base + library.symbols["dc_restorer"].offset;
+                cycle.journal.registered.push(library.name.clone());
+                self.registry.insert(std::sync::Arc::new(library));
                 image.set_sigaction(
                     Signal::Sigtrap,
                     SigAction {
@@ -797,14 +790,12 @@ impl DynaCut {
                         mask: 0,
                     },
                 );
-                cycle.report.handler_bases.push((image.core.pid, base));
+                cycle.report.handler_bases.push((pid, base));
             }
         }
         for &(pid, base) in &cycle.report.handler_bases {
             kernel.record_flight(Some(pid), EventKind::LibraryInjected { base });
         }
-        cycle.staged_registry = Some(staged_registry);
-        cycle.staged_injections = staged_injections;
         Ok(())
     }
 
@@ -821,6 +812,8 @@ impl DynaCut {
         kernel: &mut Kernel,
         cycle: &mut CycleState,
     ) -> Result<(), DynacutError> {
+        // Stage order: restore-prepare put the entry, and the dump
+        // stage set the checkpoint, which only this stage takes.
         let id = cycle
             .journal
             .stored
@@ -837,10 +830,7 @@ impl DynaCut {
             return Err(DynacutError::FaultInjected(FaultPhase::BaselineStore));
         }
         let bytes = match cycle.journal.last_baseline {
-            Some(parent) => self
-                .store
-                .changed_pages_bytes(parent, id)
-                .expect("a displaced baseline stays stored until its cycle commits"),
+            Some(parent) => self.store.changed_pages_bytes(parent, id)?,
             None => full_bytes,
         };
         cycle.report.stored_page_bytes = Some(bytes);
@@ -849,10 +839,11 @@ impl DynaCut {
         Ok(())
     }
 
-    /// Every stage succeeded: fold the staged session state in, return
-    /// the group to normal scheduling and charge the guest-visible
-    /// downtime. The cycle's journal is dropped — the originals it would
-    /// have resurrected no longer exist.
+    /// Every stage succeeded: release the cycle's spent store entry,
+    /// forget what nothing live uses, return the group to normal
+    /// scheduling and charge the guest-visible downtime. The session
+    /// already holds the cycle's edits; its journal is dropped — the
+    /// originals it would have resurrected no longer exist.
     fn commit_cycle(
         &mut self,
         kernel: &mut Kernel,
@@ -863,10 +854,6 @@ impl DynaCut {
             pids,
             report,
             journal,
-            staged_redirect_state,
-            staged_verify_state,
-            staged_registry,
-            staged_injections,
             ..
         } = cycle;
         // The commit releases the entry it leaves behind, so the store
@@ -880,20 +867,13 @@ impl DynaCut {
             journal.stored
         };
         if let Some(id) = spent {
+            // The cycle's own entry, or the baseline its pre-dump took
+            // out of the map: no other commit can have released either.
             self.store
                 .release(id)
                 .expect("a cycle's spent entry is still stored");
         }
-        if let Some(state) = staged_redirect_state {
-            self.redirect_state = state;
-        }
-        if let Some(state) = staged_verify_state {
-            self.verify_state = state;
-        }
-        if let Some(registry) = staged_registry {
-            self.registry = registry;
-        }
-        self.injections = staged_injections;
+        self.forget_the_dead(kernel);
         // Count future SIGTRAP hits on the targets under the policy that
         // planted the trap bytes, and fold this cycle's counts into the
         // metrics registry.
@@ -1090,7 +1070,7 @@ impl DynaCut {
         // live and serving the rewritten image after RestoreCommit, but
         // the journal and the committed-restore receipt stay in hand so
         // a dirty soak can still demote it.
-        let cycle = self.run_stages(kernel, self.begin_cycle(&groups[0]), plan, self.stages())?;
+        let cycle = self.run_stages(kernel, CycleState::new(&groups[0]), plan, self.stages())?;
         // The soak is the canary's *validation* serving: it must compete
         // for quanta exactly like the replicas it will be promoted onto,
         // so the background tag comes off before the soak pumps.
@@ -1167,14 +1147,14 @@ impl DynaCut {
         // window holds only its group's check and patch. A failure at
         // replica k unwinds replicas 0..k and then demotes the canary,
         // so the fleet is all-or-nothing.
+        //
+        // The rollout checked above that the session is incremental, so
+        // the canary's stage list ended with the baseline store, which
+        // set the id, after the restore commit, which set the receipt.
         let ckpt_id = cycle
             .report
             .checkpoint_id
             .expect("incremental canary cycle stored its baseline");
-        let registry = cycle
-            .staged_registry
-            .as_ref()
-            .expect("canary cycle staged its registry");
         let canary_restore = cycle
             .journal
             .committed
@@ -1182,10 +1162,10 @@ impl DynaCut {
             .expect("canary cycle committed its restore before the soak");
         let mut promoted: Vec<(Vec<Pid>, Promotion, Duration, u64)> =
             Vec::with_capacity(groups.len() - 1);
-        let edit = match self
+        let edited = self
             .store
-            .canary_edit(ckpt_id, canary_restore, registry, is_injected)
-        {
+            .canary_edit(ckpt_id, canary_restore, &self.registry, is_injected);
+        let edit = match edited {
             Ok(edit) => edit,
             Err(err) => {
                 self.demote_canary(kernel, cycle, reported);
@@ -1236,10 +1216,22 @@ impl DynaCut {
             return Err(err);
         }
 
-        // Stage 4 — commit. The canary's staged session state folds in
-        // exactly as a plain cycle's would; then the promoted replicas
-        // get their trap-policy labels (their memory carries the same
-        // verify traps the canary's does).
+        // Stage 4 — commit. A promoted replica now runs the canary's
+        // library over the canary's traps, so it takes the canary's
+        // handler record too: the next library a cycle builds for it
+        // must know those traps. The edit paired the canary image's
+        // i-th process with each group's i-th pid, and the dump kept
+        // the canary's pid order. The canary cycle then commits as a
+        // plain cycle would, and the promoted replicas get their
+        // trap-policy labels (their memory carries the same verify
+        // traps the canary's does).
+        for (group, ..) in &promoted {
+            for (canary_pid, &pid) in cycle.pids.iter().zip(group) {
+                if let Some(record) = self.handlers.get(canary_pid).cloned() {
+                    self.handlers.insert(pid, record);
+                }
+            }
+        }
         let canary = cycle.pids.clone();
         let canary_report = self.commit_cycle(kernel, cycle, plan);
         let mut promoted_out = Vec::with_capacity(promoted.len());
@@ -1290,6 +1282,8 @@ impl DynaCut {
     /// [`EventKind::CanaryDemoted`] is journalled before the rollback so
     /// `CustomizeRollback` stays the terminal event.
     fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: u64) {
+        // Held open: the canary's stage list ran through the restore
+        // commit, and only this demotion takes the receipt.
         let committed = cycle
             .journal
             .committed
@@ -1307,5 +1301,83 @@ impl DynaCut {
             .metrics_mut()
             .add(Counter::RolloutDemotions, 1);
         self.abort_cycle(kernel, cycle);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Downtime, Feature};
+    use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
+    use dynacut_vm::LoadSpec;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    /// The placement draw is the first `u64` `StdRng` draws, for the
+    /// seeds the inject stage forms and for a spread of others, so every
+    /// handler base stays where the generator put it.
+    #[test]
+    fn placement_draw_is_the_first_std_rng_draw() {
+        let injected = (1..=256u64)
+            .flat_map(|injection| [1u32, 2, 9].map(|pid| (injection, pid)))
+            .map(|(injection, pid)| 0xD1AC_0DE5 ^ (injection << 8) ^ u64::from(pid));
+        let spread = (0..64u64).map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (u64::MAX >> k));
+        for seed in injected.chain(spread).chain([0, 1, u64::MAX]) {
+            let drawn: u64 = rand::rngs::StdRng::seed_from_u64(seed).gen();
+            assert_eq!(placement_draw(seed), drawn, "seed {seed:#x}");
+        }
+    }
+
+    /// A commit keeps a handler record only for a live process: after
+    /// one customized replica is killed and another is taken out of the
+    /// kernel, a cycle on the third leaves that one's record alone.
+    #[test]
+    fn a_commit_leaves_no_record_of_a_dead_pid() {
+        let libc = guest_libc();
+        let mut kernel = Kernel::new();
+        kernel.add_file(redis::CONFIG_PATH, &redis::config_file());
+        let spec = LoadSpec::with_libs(redis::image(&libc), vec![libc]);
+        let mut registry = ModuleRegistry::new();
+        registry.insert(Arc::clone(&spec.exe));
+        for lib in &spec.libs {
+            registry.insert(Arc::clone(lib));
+        }
+        let mut pids = Vec::new();
+        for _ in 0..3 {
+            pids.push(kernel.spawn(&spec).unwrap());
+            kernel.run_until_event(EVENT_READY, 500_000_000).unwrap();
+        }
+        let set = Feature::from_function("SET", &spec.exe, "rd_cmd_set")
+            .unwrap()
+            .redirect_to_function(&spec.exe, redis::ERROR_HANDLER)
+            .unwrap();
+        let plan = |disable: bool| {
+            let plan = if disable {
+                RewritePlan::new().disable(set.clone())
+            } else {
+                RewritePlan::new().enable(set.clone())
+            };
+            plan.with_fault_policy(FaultPolicy::Redirect)
+                .with_downtime(Downtime::None)
+        };
+        let mut dynacut = DynaCut::new(registry);
+        for &pid in &pids {
+            dynacut.customize(&mut kernel, &[pid], &plan(true)).unwrap();
+        }
+        assert_eq!(dynacut.handlers.keys().copied().collect::<Vec<_>>(), pids);
+
+        let (killed, gone, live) = (pids[0], pids[1], pids[2]);
+        kernel.post_signal(killed, Signal::Sigkill).unwrap();
+        kernel.run_until_exit(killed, 10_000_000).unwrap();
+        kernel.remove_process(gone).unwrap();
+        dynacut
+            .customize(&mut kernel, &[live], &plan(false))
+            .unwrap();
+        assert_eq!(
+            dynacut.handlers.keys().copied().collect::<Vec<_>>(),
+            vec![live],
+            "no record of a dead pid is left"
+        );
+        assert_eq!(dynacut.handlers[&live], Default::default());
     }
 }

@@ -10,7 +10,7 @@ use crate::rewrite::module_base;
 use crate::DynacutError;
 use dynacut_criu::{ModuleRegistry, ProcessImage};
 use dynacut_obj::{materialize, Image};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// A cache of materialised module text for one process image.
 #[derive(Debug, Default)]
@@ -39,11 +39,10 @@ impl OriginalText {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, DynacutError> {
-        if !self.cache.contains_key(module) {
-            let entry = self.materialise(image, registry, module)?;
-            self.cache.insert(module.to_owned(), entry);
-        }
-        let text = self.cache.get(module).expect("just inserted");
+        let text = match self.cache.entry(module.to_owned()) {
+            Entry::Occupied(cached) => cached.into_mut(),
+            Entry::Vacant(slot) => slot.insert(Self::materialise(image, registry, module)?),
+        };
         let range = usize::try_from(offset)
             .ok()
             .and_then(|start| Some(start..start.checked_add(len)?))
@@ -56,7 +55,6 @@ impl OriginalText {
     }
 
     fn materialise(
-        &self,
         image: &ProcessImage,
         registry: &ModuleRegistry,
         module: &str,

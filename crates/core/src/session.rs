@@ -2,11 +2,12 @@
 //! journal. The customize cycle itself is a list of [`Phase`]s run by
 //! the stage runner in `engine.rs`.
 
+use crate::handler::is_injected;
 use dynacut_criu::{
     CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry, Promotion,
 };
 use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, RollbackStep};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 /// Wall-clock timing breakdown of one customization, matching the legend
@@ -145,10 +146,24 @@ impl CustomizeReport {
     }
 }
 
-/// Pre-customization state one customize attempt must restore on
-/// failure (DESIGN §5): which pids it froze, the dirty-page bits the
-/// pre-dump swept, the group's incremental baseline it displaced, the
-/// store entry it put and the restore it committed.
+/// One process's handler record: the tables every library injected
+/// into it carries (DESIGN §7). A cycle folds its plan into both tables,
+/// whichever policy it injects under, so a later cycle under the other
+/// policy still knows every trap site.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct HandlerTables {
+    /// Blocked address → resume address, for `Redirect`.
+    pub(crate) redirects: BTreeMap<u64, u64>,
+    /// Patched address → original byte, for `Verify`.
+    pub(crate) originals: BTreeMap<u64, u8>,
+}
+
+/// The undo journal of one customize attempt (DESIGN §5): what it
+/// changed in the kernel and in the session, and what each edit
+/// displaced — which pids it froze, the dirty-page bits the pre-dump
+/// swept, the group's incremental baseline it displaced, the store entry
+/// it put, the restore it committed, each handler record it edited, the
+/// libraries it registered and the injection counter it started from.
 #[derive(Default)]
 pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
@@ -160,12 +175,25 @@ pub(crate) struct TxnJournal {
     /// The receipt of the restore swap: undoing it puts the frozen
     /// originals back.
     pub(crate) committed: Option<CommittedRestore>,
+    /// Each edited pid's record as the image edit found it, `None` for
+    /// a pid that had none.
+    pub(crate) handlers: Vec<(Pid, Option<HandlerTables>)>,
+    pub(crate) registered: Vec<String>,
+    /// The counter as the inject stage found it.
+    pub(crate) injections: Option<u64>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
 /// disk") plus dump options.
+///
+/// A session holds only what is live. Each commit forgets the handler
+/// record of every process that is gone or has exited, releases the
+/// baseline of every group with no live process, and drops every
+/// injected library that neither a live process nor a store entry maps.
 #[derive(Debug, Clone)]
 pub struct DynaCut {
+    /// The boot binaries the session was created with, plus every
+    /// injected library a live process or a store entry maps.
     pub(crate) registry: ModuleRegistry,
     pub(crate) dump_options: DumpOptions,
     /// Incremental checkpointing: pre-dump clean pages while the guest
@@ -181,16 +209,14 @@ pub struct DynaCut {
     /// clean against: the edited image restored by the group's previous
     /// customization. A map entry is removed when a cycle displaces it,
     /// re-inserted if that cycle fails and released from the store if it
-    /// commits.
+    /// commits. The first commit after every process of the group has
+    /// exited releases it too.
     pub(crate) baselines: BTreeMap<Vec<Pid>, CkptId>,
     pub(crate) injections: u64,
-    /// Per-pid accumulated redirect table (blocked addr → resume addr):
-    /// every injected handler carries the union of all still-blocked
-    /// features, not just the current plan's, so repeated customizations
-    /// compose.
-    pub(crate) redirect_state: BTreeMap<Pid, BTreeMap<u64, u64>>,
-    /// Per-pid accumulated verifier table (patched addr → original byte).
-    pub(crate) verify_state: BTreeMap<Pid, BTreeMap<u64, u8>>,
+    /// Per live process, its handler record: every library injected
+    /// into it carries the union of all its still-blocked features, not
+    /// just the current plan's, so repeated customizations compose.
+    pub(crate) handlers: BTreeMap<Pid, HandlerTables>,
     /// The journal `seq` up to which
     /// [`verifier_reports`](DynaCut::verifier_reports) has read.
     pub(crate) reports_read: u64,
@@ -210,8 +236,7 @@ impl DynaCut {
             store: CheckpointStore::new(),
             baselines: BTreeMap::new(),
             injections: 0,
-            redirect_state: BTreeMap::new(),
-            verify_state: BTreeMap::new(),
+            handlers: BTreeMap::new(),
             reports_read: 0,
             reports_counted: 0,
         }
@@ -243,18 +268,26 @@ impl DynaCut {
         &self.store
     }
 
-    /// The registry of binaries.
+    /// The registry of binaries: the boot binaries the session was
+    /// created with, which it always keeps, plus each injected handler
+    /// library (`dc_sighandler@N`, `dc_verifier@N`) that a live process
+    /// or a store entry maps. Every commit drops the libraries nothing
+    /// maps any more, so a process's dump restores against this
+    /// registry, and so does every store entry. A failed or demoted
+    /// attempt leaves it listing what it listed before.
     pub fn registry(&self) -> &ModuleRegistry {
         &self.registry
     }
 
-    /// Reverts a failed customization to the pre-call kernel state:
-    /// undoes the restore the attempt committed, thaws every process it
-    /// froze (back to its pre-freeze scheduler state), takes every
-    /// connection of the target pids out of TCP repair mode, re-marks the
-    /// dirty pages the pre-dump swept, releases the store entry the
-    /// attempt put, and restores the incremental baseline the attempt
-    /// displaced.
+    /// Reverts a failed customization to the pre-call state, in the
+    /// kernel and in the session: undoes the restore the attempt
+    /// committed, thaws every process it froze (back to its pre-freeze
+    /// scheduler state), takes every connection of the target pids out
+    /// of TCP repair mode, re-marks the dirty pages the pre-dump swept,
+    /// releases the store entry the attempt put, restores the
+    /// incremental baseline the attempt displaced, puts back every
+    /// handler record it edited, unregisters the libraries it
+    /// registered and resets the injection counter.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
         unwind(
             kernel,
@@ -287,6 +320,9 @@ impl DynaCut {
             );
         }
         if let Some(id) = journal.stored {
+            // The attempt put this entry and nothing else released it:
+            // only a commit releases entries, and this attempt never
+            // committed.
             self.store
                 .release(id)
                 .expect("the attempt's own entry releases cleanly");
@@ -300,11 +336,47 @@ impl DynaCut {
                 },
             );
         }
+        for (pid, record) in journal.handlers.into_iter().rev() {
+            match record {
+                Some(record) => self.handlers.insert(pid, record),
+                None => self.handlers.remove(&pid),
+            };
+        }
+        self.registry
+            .retain(|name| !journal.registered.iter().any(|added| added == name));
+        if let Some(injections) = journal.injections {
+            self.injections = injections;
+        }
         kernel
             .flight_mut()
             .metrics_mut()
             .add(Counter::CustomizeRollbacks, 1);
         kernel.record_flight(None, EventKind::CustomizeRollback);
+    }
+
+    /// Forgets what nothing live uses: the handler record of every
+    /// process that is gone or has exited, the baseline of every group
+    /// with no live process, and every injected library that neither a
+    /// live process nor a store entry maps. Boot binaries always stay.
+    /// A commit runs this once its cycle has released its spent entry.
+    pub(crate) fn forget_the_dead(&mut self, kernel: &Kernel) {
+        let live = |pid: Pid| kernel.process(pid).ok().filter(|proc| !proc.is_exited());
+        self.handlers.retain(|&pid, _| live(pid).is_some());
+        let store = &mut self.store;
+        self.baselines.retain(|group, &mut id| {
+            let live_group = group.iter().any(|&pid| live(pid).is_some());
+            if !live_group {
+                // A baseline stays stored while it is in the map.
+                store.release(id).expect("a group's baseline is stored");
+            }
+            live_group
+        });
+        let mut mapped: BTreeSet<&str> = self.store.module_names().collect();
+        for proc in kernel.pids().into_iter().filter_map(live) {
+            mapped.extend(proc.modules.iter().map(|module| module.image.name.as_str()));
+        }
+        self.registry
+            .retain(|name| !is_injected(name) || mapped.contains(name));
     }
 
     /// The verifier reports journalled since this session last read

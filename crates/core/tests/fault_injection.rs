@@ -10,9 +10,11 @@
 //! 1. the failed `customize` returns the injected phase as a typed error,
 //! 2. the kernel is left **bit-identical** to its pre-attempt state
 //!    ([`Kernel::state_fingerprint`] equality: processes alive and
-//!    thawed, memory, TCP, signal and dirty-bitmap state intact),
+//!    thawed, memory, TCP, signal and dirty-bitmap state intact), and the
+//!    session's registry lists the binaries it listed before,
 //! 3. the established client connection keeps serving, and
-//! 4. retrying the identical plan succeeds and takes effect.
+//! 4. retrying the identical plan succeeds and takes effect, injecting
+//!    under the names and at the bases a session that never failed uses.
 //!
 //! Only built with `--features fault-injection`; the hooks compile to a
 //! constant `false` otherwise.
@@ -248,17 +250,58 @@ fn assert_failed_cycle_journal(
     }
 }
 
-/// Drives one armed phase against a live guest and asserts the
-/// transactional contract end to end: typed error, bit-identical
-/// kernel-state rollback, surviving connection, successful retry.
+/// The names of the binaries in `dynacut`'s registry.
+fn registry_names(dynacut: &DynaCut) -> Vec<String> {
+    dynacut.registry().names().map(String::from).collect()
+}
+
+/// The injected libraries `pid` maps: name and base.
+fn injected_libraries(kernel: &Kernel, pid: Pid) -> Vec<(String, u64)> {
+    kernel
+        .process(pid)
+        .unwrap()
+        .modules
+        .iter()
+        .filter(|module| module.image.name.starts_with("dc_"))
+        .map(|module| (module.image.name.clone(), module.base))
+        .collect()
+}
+
+/// What a cycle leaves that a retry must reproduce: the handler bases,
+/// each pid's injected libraries and the registry's names.
+type Reference = (Vec<(Pid, u64)>, Vec<Vec<(String, u64)>>, Vec<String>);
+
+/// What the first cycle of a session that never failed leaves: a twin
+/// guest, booted by `boot` and served `probe`, customized with `plan`.
+fn never_failed(boot: fn() -> Server, plan: &RewritePlan, port: u16, probe: &[u8]) -> Reference {
+    let mut twin = boot();
+    let mut dynacut = DynaCut::new(twin.registry.clone()).with_incremental();
+    let conn = twin.kernel.client_connect(port).unwrap();
+    twin.kernel.client_request(conn, probe, 5_000_000).unwrap();
+    let report = dynacut
+        .customize(&mut twin.kernel, &twin.pids, plan)
+        .expect("the twin's first cycle commits");
+    let libraries = twin
+        .pids
+        .iter()
+        .map(|&pid| injected_libraries(&twin.kernel, pid))
+        .collect();
+    (report.handler_bases, libraries, registry_names(&dynacut))
+}
+
+/// Drives one armed phase against a live guest `boot` starts and
+/// asserts the transactional contract end to end: typed error,
+/// bit-identical kernel-state rollback, the registry as it was,
+/// surviving connection, and a retry that succeeds and injects what a
+/// session that never failed injects.
 ///
 /// `probe` is a benign request that must answer identically before the
 /// attempt, after the rollback, and after the successful retry; `proof`
 /// is a request whose reply flips once the customization commits.
 #[allow(clippy::too_many_arguments)]
 fn assert_rollback_then_retry(
-    mut server: Server,
-    plan: &RewritePlan,
+    boot: fn() -> Server,
+    plan: fn(&Server) -> RewritePlan,
     port: u16,
     probe: (&[u8], &[u8]),
     proof: (&[u8], &[u8]),
@@ -266,6 +309,9 @@ fn assert_rollback_then_retry(
     skip: usize,
 ) {
     let ctx = format!("phase {phase}, skip {skip}");
+    let mut server = boot();
+    let plan = &plan(&server);
+    let reference = never_failed(boot, plan, port, probe.0);
     let mut dynacut = DynaCut::new(server.registry.clone()).with_incremental();
     let conn = server.kernel.client_connect(port).unwrap();
     assert_eq!(
@@ -278,6 +324,7 @@ fn assert_rollback_then_retry(
     );
 
     let pristine = server.kernel.state_fingerprint();
+    let registry_before = registry_names(&dynacut);
     let rollbacks_before = server
         .kernel
         .flight()
@@ -306,6 +353,11 @@ fn assert_rollback_then_retry(
         server.kernel.state_fingerprint(),
         pristine,
         "kernel state must roll back exactly ({ctx})"
+    );
+    assert_eq!(
+        registry_names(&dynacut),
+        registry_before,
+        "the registry lists the binaries it listed before ({ctx})"
     );
     for &pid in &server.pids {
         assert!(
@@ -372,9 +424,19 @@ fn assert_rollback_then_retry(
     // Success implies the whole multi-process restore committed: the
     // identical plan goes through cleanly on the retry and takes effect.
     let seq1 = server.kernel.flight().next_seq();
-    dynacut
+    let retried = dynacut
         .customize(&mut server.kernel, &server.pids, plan)
         .unwrap_or_else(|err| panic!("retry after rollback must succeed ({ctx}): {err}"));
+    let libraries: Vec<_> = server
+        .pids
+        .iter()
+        .map(|&pid| injected_libraries(&server.kernel, pid))
+        .collect();
+    assert_eq!(
+        (retried.handler_bases, libraries, registry_names(&dynacut)),
+        reference,
+        "the retry injects under the names and at the bases a session that never failed uses ({ctx})"
+    );
     let retry: Vec<_> = server.kernel.flight().since(seq1).collect();
     assert!(
         retry
@@ -445,11 +507,9 @@ const REDIS_PROOF: (&[u8], &[u8]) = (b"SETRANGE 5000 xyz\n", redis::ERR_BLOCKED)
 #[test]
 fn every_phase_rolls_back_single_process_redis() {
     for phase in ALL_PHASES {
-        let server = boot_redis();
-        let plan = redis_plan(&server);
         assert_rollback_then_retry(
-            server,
-            &plan,
+            boot_redis,
+            redis_plan,
             redis::PORT,
             REDIS_PROBE,
             REDIS_PROOF,
@@ -464,11 +524,9 @@ fn every_phase_rolls_back_single_process_redis() {
 #[test]
 fn every_phase_rolls_back_multi_process_nginx() {
     for phase in ALL_PHASES {
-        let server = boot_nginx();
-        let plan = nginx_plan(&server);
         assert_rollback_then_retry(
-            server,
-            &plan,
+            boot_nginx,
+            nginx_plan,
             nginx::PORT,
             NGINX_PROBE,
             NGINX_PROOF,
@@ -483,11 +541,9 @@ fn every_phase_rolls_back_multi_process_nginx() {
 #[test]
 fn per_process_phases_roll_back_when_the_worker_fails() {
     for phase in PER_PROCESS_PHASES {
-        let server = boot_nginx();
-        let plan = nginx_plan(&server);
         assert_rollback_then_retry(
-            server,
-            &plan,
+            boot_nginx,
+            nginx_plan,
             nginx::PORT,
             NGINX_PROBE,
             NGINX_PROOF,
@@ -648,6 +704,58 @@ fn second_cycle_failure_restores_the_displaced_baseline() {
     }
 }
 
+/// A failed cycle puts back the handler records it edited: a re-enable
+/// of SETRANGE that dies after its image edit leaves SETRANGE's redirect
+/// in the record, so the next committed cycle's library still redirects
+/// the trap SETRANGE keeps. Were the record left edited, that library
+/// would lack the redirect and the next SETRANGE would kill the server.
+#[test]
+fn a_rolled_back_enable_leaves_the_handler_record_as_it_was() {
+    let mut server = boot_redis();
+    let mut dynacut = DynaCut::new(server.registry.clone()).with_incremental();
+    let conn = server.kernel.client_connect(redis::PORT).unwrap();
+    let block = |function: &str, disable: bool| {
+        let feature = Feature::from_function(function, &server.exe, function)
+            .unwrap()
+            .redirect_to_function(&server.exe, redis::ERROR_HANDLER)
+            .unwrap();
+        let plan = if disable {
+            RewritePlan::new().disable(feature)
+        } else {
+            RewritePlan::new().enable(feature)
+        };
+        plan.with_fault_policy(FaultPolicy::Redirect)
+            .with_downtime(Downtime::None)
+    };
+    let (disable, enable) = (
+        block("rd_cmd_setrange", true),
+        block("rd_cmd_setrange", false),
+    );
+    let del = block("rd_cmd_del", true);
+    dynacut
+        .customize(&mut server.kernel, &server.pids, &disable)
+        .unwrap();
+
+    fault::arm(FaultPhase::LibraryInjection, 0);
+    let err = dynacut
+        .customize(&mut server.kernel, &server.pids, &enable)
+        .expect_err("armed re-enable must fail");
+    assert_eq!(err.injected_phase(), Some(FaultPhase::LibraryInjection));
+
+    dynacut
+        .customize(&mut server.kernel, &server.pids, &del)
+        .unwrap();
+    assert_eq!(
+        server
+            .kernel
+            .client_request(conn, REDIS_PROOF.0, 5_000_000)
+            .unwrap(),
+        REDIS_PROOF.1,
+        "SETRANGE still redirects"
+    );
+    assert!(server.kernel.exit_status(server.pids[0]).is_none());
+}
+
 /// Bases of the handler libraries a customize cycle injected into `pid`.
 fn injected_library_bases(kernel: &Kernel, pid: Pid) -> Vec<u64> {
     kernel
@@ -740,8 +848,10 @@ fn redis_verify_plan(server: &Server) -> RewritePlan {
 
 /// Asserts the fleet-wide demotion contract after a failed/demoted
 /// rollout: clock-masked fingerprint parity, every pid alive and
-/// thawed, zero leaked page refs — then retries the identical rollout
-/// and requires a clean zero-copy promotion.
+/// thawed, zero leaked page refs, the registry the session started
+/// with — then retries the identical rollout and requires a clean
+/// zero-copy promotion that injects under the names and at the bases
+/// a session that never failed uses.
 fn assert_demoted_then_repromote(
     server: &mut Server,
     dynacut: &mut DynaCut,
@@ -783,10 +893,45 @@ fn assert_demoted_then_repromote(
         0,
         "the demoted attempt left no page ref ({ctx})"
     );
+    let boot_names: Vec<String> = server.registry.names().map(String::from).collect();
+    assert_eq!(
+        registry_names(dynacut),
+        boot_names,
+        "the demoted attempt left the registry as it was ({ctx})"
+    );
+
+    // A session that never failed, on a twin fleet.
+    let (mut twin, twin_groups) = boot_redis_fleet(groups.len());
+    let mut fresh = DynaCut::new(twin.registry.clone()).with_incremental();
+    let first = fresh
+        .rollout(&mut twin.kernel, &twin_groups, plan, rollout_plan)
+        .expect("the twin's first rollout promotes");
+    let reference: Reference = (
+        first.canary_report.handler_bases,
+        twin.pids
+            .iter()
+            .map(|&pid| injected_libraries(&twin.kernel, pid))
+            .collect(),
+        registry_names(&fresh),
+    );
 
     let retry = dynacut
         .rollout(&mut server.kernel, groups, plan, rollout_plan)
         .unwrap_or_else(|err| panic!("retry after demotion must promote ({ctx}): {err}"));
+    let libraries = server
+        .pids
+        .iter()
+        .map(|&pid| injected_libraries(&server.kernel, pid))
+        .collect();
+    assert_eq!(
+        (
+            retry.canary_report.handler_bases.clone(),
+            libraries,
+            registry_names(dynacut)
+        ),
+        reference,
+        "the retry injects under the names and at the bases a session that never failed uses ({ctx})"
+    );
     assert_eq!(retry.decision, RolloutDecision::Promoted, "{ctx}");
     assert_eq!(retry.promoted.len(), groups.len() - 1, "{ctx}");
     assert_eq!(

@@ -1,10 +1,12 @@
-//! One live handler library per process (DESIGN §5, §7).
+//! One live handler library per process, and a session that holds only
+//! what is live (DESIGN §5, §7, §10).
 //!
 //! Every `Redirect` or `Verify` cycle injects a fresh handler library
-//! (paper §3.2.1) carrying the union redirect/verify tables, and unloads
-//! every library an earlier cycle injected — "unused shared library code
-//! can be dynamically unloaded through the process rewriting approach"
-//! (paper §5). The suite pins:
+//! (paper §3.2.1) carrying the process's whole handler record, and
+//! unloads every library an earlier cycle injected — "unused shared
+//! library code can be dynamically unloaded through the process
+//! rewriting approach" (paper §5). Each commit then forgets what nothing
+//! live uses. The suite pins:
 //!
 //! * a process toggled through many `Redirect` cycles maps its boot
 //!   modules plus exactly one library, with a flat VMA and page count
@@ -13,14 +15,20 @@
 //!   same three modules after each promotion;
 //! * a cycle that freezes a process inside its signal handler keeps the
 //!   library the handler runs in, and a later cycle at depth 0 retires
-//!   it.
+//!   it;
+//! * the session's registry holds the boot binaries plus the one
+//!   library its process maps after hundreds of toggles, and after a
+//!   demoted rollout it still holds the library the replicas map, so
+//!   they serve, dump and restore;
+//! * the store holds one entry per live group once killed replicas'
+//!   groups are gone.
 
 use dynacut::{
     CustomizeReport, Downtime, DynaCut, FaultPolicy, Feature, RewritePlan, RolloutDecision,
     RolloutPlan,
 };
 use dynacut_apps::{libc::guest_libc, redis, EVENT_READY};
-use dynacut_criu::ModuleRegistry;
+use dynacut_criu::{dump, CheckpointImage, CheckpointStore, DumpOptions, ModuleRegistry};
 use dynacut_vm::{Kernel, LoadSpec, Pid, Signal};
 use std::sync::Arc;
 
@@ -267,4 +275,162 @@ fn a_live_signal_frame_keeps_its_library_until_depth_zero() {
             .unwrap(),
         redis::ERR_BLOCKED
     );
+}
+
+/// The names of the binaries in `dynacut`'s registry.
+fn registry_names(dynacut: &DynaCut) -> Vec<String> {
+    dynacut.registry().names().map(String::from).collect()
+}
+
+/// Two hundred toggles of SET under `Redirect` on one process: after
+/// every cycle the session's registry holds the boot binaries plus the
+/// one library the process maps, not one binary per cycle.
+#[test]
+fn two_hundred_toggles_leave_one_library_in_the_registry() {
+    let mut fleet = boot_redis(1);
+    let pid = fleet.pids[0];
+    let mut dynacut = DynaCut::new(fleet.registry.clone());
+    let plans = [set_plan(&fleet, true), set_plan(&fleet, false)];
+    for cycle in 0..200 {
+        dynacut
+            .customize(&mut fleet.kernel, &fleet.pids, &plans[cycle % 2])
+            .unwrap_or_else(|err| panic!("cycle {cycle}: {err}"));
+        let names = registry_names(&dynacut);
+        assert_eq!(names.len(), BOOT_MODULES + 1, "cycle {cycle}: {names:?}");
+        let mapped = module_names(&fleet.kernel, pid);
+        assert!(
+            mapped.iter().all(|name| names.contains(name)),
+            "cycle {cycle}: {pid:?} maps {mapped:?}, the registry holds {names:?}"
+        );
+    }
+}
+
+/// `request` served by `pid`: every other process is frozen until the
+/// reply is in.
+fn request_on(fleet: &mut Fleet, pid: Pid, request: &[u8]) -> Vec<u8> {
+    let others: Vec<Pid> = fleet.pids.iter().copied().filter(|&p| p != pid).collect();
+    for &other in &others {
+        fleet.kernel.freeze(other).unwrap();
+    }
+    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
+    let reply = fleet
+        .kernel
+        .client_request(conn, request, 10_000_000)
+        .unwrap();
+    let _ = fleet.kernel.client_close(conn);
+    for &other in &others {
+        fleet.kernel.thaw(other).unwrap();
+    }
+    reply
+}
+
+/// Two promoted `Verify` rollouts, then a demoted one: the registry
+/// holds the boot binaries plus the second rollout's library, which
+/// every replica maps, and not the first one's, which nothing maps. The
+/// demotion leaves it as it was, and each replica still dumps, stores
+/// and restores against it, then self-heals SETRANGE and serves.
+#[test]
+fn a_demoted_rollout_leaves_the_replicas_their_library() {
+    let mut fleet = boot_redis(3);
+    let groups: Vec<Vec<Pid>> = fleet.pids.iter().map(|&pid| vec![pid]).collect();
+    let verify = |function: &str| {
+        let feature = Feature::from_function(function, &fleet.exe, function).unwrap();
+        RewritePlan::new()
+            .disable(feature)
+            .with_fault_policy(FaultPolicy::Verify)
+            .with_downtime(Downtime::None)
+    };
+    let (setrange, stralgo, del) = (
+        verify("rd_cmd_setrange"),
+        verify("rd_cmd_stralgo"),
+        verify("rd_cmd_del"),
+    );
+    let soak = RolloutPlan {
+        soak_slices: 2,
+        serve_slice_ns: 10_000,
+    };
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    for plan in [&setrange, &stralgo] {
+        let report = dynacut
+            .rollout(&mut fleet.kernel, &groups, plan, &soak)
+            .unwrap();
+        assert_eq!(report.decision, RolloutDecision::Promoted);
+    }
+    let promoted = registry_names(&dynacut);
+    assert_eq!(promoted.len(), BOOT_MODULES + 1, "{promoted:?}");
+
+    // A report the session has not read demotes the next rollout.
+    fleet
+        .kernel
+        .inject_event(fleet.pids[0], dynacut::VERIFIER_EVENT_BIT | 0xBAD);
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &del, &soak)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Demoted);
+    assert_eq!(registry_names(&dynacut), promoted, "the demotion kept it");
+
+    for pid in fleet.pids.clone() {
+        let names = module_names(&fleet.kernel, pid);
+        assert!(
+            names.iter().all(|name| promoted.contains(name)),
+            "{pid:?} maps {names:?}"
+        );
+        fleet.kernel.freeze(pid).unwrap();
+        let image = dump(&mut fleet.kernel, pid, &DumpOptions::default()).unwrap();
+        fleet.kernel.remove_process(pid).unwrap();
+        let mut store = CheckpointStore::new();
+        let id = store
+            .put_full(&CheckpointImage {
+                procs: vec![image],
+                time_ns: fleet.kernel.clock_ns(),
+            })
+            .unwrap();
+        store
+            .restore(&mut fleet.kernel, id, dynacut.registry())
+            .unwrap_or_else(|err| panic!("{pid:?} restores: {err}"));
+        assert_eq!(
+            request_on(&mut fleet, pid, b"SETRANGE 8 abc\n"),
+            b"+OK\n",
+            "{pid:?} self-heals SETRANGE"
+        );
+        assert!(fleet.kernel.exit_status(pid).is_none(), "{pid:?} alive");
+    }
+}
+
+/// An incremental session customizes five replicas once each; four are
+/// killed. The next cycle on the live one leaves the store one entry,
+/// that group's baseline, and the registry the boot binaries plus its
+/// one library.
+#[test]
+fn killed_replicas_leave_one_store_entry_per_live_group() {
+    let mut fleet = boot_redis(5);
+    let (disable, enable) = (set_plan(&fleet, true), set_plan(&fleet, false));
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    for pid in fleet.pids.clone() {
+        dynacut
+            .customize(&mut fleet.kernel, &[pid], &disable)
+            .unwrap();
+    }
+    assert_eq!(dynacut.store().len(), 5, "one baseline per group");
+
+    let live = fleet.pids[0];
+    for &pid in &fleet.pids[1..] {
+        fleet.kernel.post_signal(pid, Signal::Sigkill).unwrap();
+        fleet.kernel.run_until_exit(pid, 10_000_000).unwrap();
+    }
+    let report = dynacut
+        .customize(&mut fleet.kernel, &[live], &enable)
+        .unwrap();
+    assert_eq!(dynacut.store().len(), 1, "one entry per live group");
+    dynacut
+        .store()
+        .materialize(report.checkpoint_id.unwrap())
+        .expect("the live group's baseline");
+    assert_eq!(
+        dynacut.store().logical_pages_bytes(),
+        dynacut.store().stored_pages_bytes(),
+        "no leaked page refs"
+    );
+    let names = registry_names(&dynacut);
+    assert_eq!(names.len(), BOOT_MODULES + 1, "{names:?}");
 }

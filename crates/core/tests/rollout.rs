@@ -21,7 +21,10 @@
 //!   does not match the canary fails its window and demotes the canary
 //!   with nothing changed, a replica frozen inside its handler keeps
 //!   the library it runs in, and an unwind never unmaps a library under
-//!   a live signal frame.
+//!   a live signal frame;
+//! * a promoted replica takes the canary's handler record with its
+//!   code, so a later cycle on the replica, or a later rollout whose
+//!   canary it is, builds a library that still knows the promoted traps.
 
 use dynacut::{
     BlockPolicy, Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, FlightEvent,
@@ -1183,4 +1186,73 @@ fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
     assert_eq!(retry.decision, RolloutDecision::Promoted);
     assert_eq!(fleet.module_names(replica), fleet.module_names(canary));
     assert_no_leaked_pages(&dynacut, "after the retry");
+}
+
+/// `function` "misclassified" as undesired under the verifier policy.
+fn verify_function(exe: &dynacut_obj::Image, function: &str) -> RewritePlan {
+    let feature = Feature::from_function(function, exe, function).unwrap();
+    RewritePlan::new()
+        .disable(feature)
+        .with_fault_policy(FaultPolicy::Verify)
+        .with_downtime(Downtime::None)
+}
+
+/// Asserts that `pid` self-heals the SETRANGE trap a promotion planted:
+/// the request completes and the process lives on.
+fn assert_setrange_heals(fleet: &mut Fleet, pid: Pid) {
+    assert_eq!(
+        fleet.request_on(pid, b"SETRANGE 8 abc\n"),
+        b"+OK\n",
+        "{pid} self-heals SETRANGE"
+    );
+    assert_eq!(fleet.kernel.exit_status(pid), None, "{pid} alive");
+}
+
+/// Regression: a promoted replica took the canary's library but not the
+/// canary's handler record, so customizing it alone built a library
+/// that lacked the SETRANGE trap the promotion planted, and the next
+/// SETRANGE killed it (exit 135). The replica now takes the record.
+#[test]
+fn a_promoted_replica_customized_alone_keeps_the_promoted_traps() {
+    let mut fleet = boot_fleet(2);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let replica = groups[1][0];
+    let setrange = verify_function(&fleet.exe, "rd_cmd_setrange");
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &setrange, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Promoted);
+
+    let stralgo = verify_function(&fleet.exe, "rd_cmd_stralgo");
+    dynacut
+        .customize(&mut fleet.kernel, &[replica], &stralgo)
+        .unwrap();
+    assert_setrange_heals(&mut fleet, replica);
+}
+
+/// Regression: a second rollout whose canary is a former replica
+/// injected a library built from the former replica's empty record, and
+/// promoted it onto the first canary, whose SETRANGE trap it no longer
+/// knew. The former replica now holds the first canary's record.
+#[test]
+fn a_former_replica_canary_carries_the_promoted_traps() {
+    let mut fleet = boot_fleet(2);
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let first_canary = groups[0][0];
+    let setrange = verify_function(&fleet.exe, "rd_cmd_setrange");
+    let first = dynacut
+        .rollout(&mut fleet.kernel, &groups, &setrange, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(first.decision, RolloutDecision::Promoted);
+
+    let reversed: Vec<Vec<Pid>> = groups.iter().rev().cloned().collect();
+    let stralgo = verify_function(&fleet.exe, "rd_cmd_stralgo");
+    let second = dynacut
+        .rollout(&mut fleet.kernel, &reversed, &stralgo, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(second.decision, RolloutDecision::Promoted);
+    assert_eq!(second.canary, reversed[0]);
+    assert_setrange_heals(&mut fleet, first_canary);
 }

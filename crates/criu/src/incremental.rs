@@ -339,6 +339,17 @@ impl CheckpointStore {
         self.entries.len()
     }
 
+    /// The name of every module a process of a live entry maps, once
+    /// per process that maps it: the binaries a restore from this store
+    /// resolves.
+    pub fn module_names(&self) -> impl Iterator<Item = &str> {
+        self.entries
+            .values()
+            .flat_map(|entry| &entry.image.procs)
+            .flat_map(|proc| &proc.core.modules)
+            .map(|module| module.name.as_str())
+    }
+
     /// Whether the store holds no live entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

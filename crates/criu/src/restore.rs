@@ -49,6 +49,16 @@ impl ModuleRegistry {
         self.modules.get(name)
     }
 
+    /// The names of the registered binaries, in order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.modules.keys().map(String::as_str)
+    }
+
+    /// Keeps only the binaries whose name `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&str) -> bool) {
+        self.modules.retain(|name, _| keep(name));
+    }
+
     /// Resolves an import of `symbol` in a process that maps `modules`
     /// by [`dynacut_obj::resolve`], the rule the loader follows at spawn.
     /// A module missing from the registry defines nothing.
