@@ -30,6 +30,8 @@ cargo test -q -p dynacut-trace --test boundaries
 cargo test -q -p dynacut-trace --test boundaries parse_rejects_a_module_count
 cargo test -q -p dynacut-vm events::
 cargo test -q -p dynacut-bench flight
+# The one JSON string escape every figures document uses.
+cargo test -q -p dynacut-bench --lib report::tests::json_escape_escapes_quotes_backslashes_and_controls
 cargo clippy -p dynacut-vm -p dynacut-trace -p dynacut-bench --all-targets -- -D warnings
 
 # The machine-readable flight report: `figures flight` regenerates
@@ -249,6 +251,12 @@ cargo test -q -p dynacut --test rollout a_report_the_journal_evicted_still_demot
 # just past the text), refused before any image is edited, where the
 # stray block wiped libc's first bytes and the cycle committed.
 cargo test -q -p dynacut --test dynacut_e2e failed_customize_thaws_and_leaves_server_untouched
+# A pid named twice, within a group or across groups, is BadPlan before
+# the kernel is touched, for customize and customize_fleet (the test
+# above) and for rollout (here): the cycle committed with the process
+# dumped and restored twice, a fleet's second pre-dump tripped the
+# clean-page assertion, and a rollout promoted the canary onto itself.
+cargo test -q -p dynacut --test rollout bad_rollouts_are_rejected_before_touching_the_fleet
 # One live handler library per process (DESIGN §7): forty Redirect
 # toggles and ten Verify rollouts each leave every process at its two
 # boot modules plus one library, and a cycle that freezes a process
@@ -270,6 +278,17 @@ cargo test -q -p dynacut --lib engine::tests::a_commit_leaves_no_record_of_a_dea
 # replica exited with code 135 while the record stayed with the canary).
 cargo test -q -p dynacut --test rollout a_promoted_replica_customized_alone_keeps_the_promoted_traps
 cargo test -q -p dynacut --test rollout a_former_replica_canary_carries_the_promoted_traps
+# A rollout is one transaction: its promotion wave joins the canary
+# cycle's undo journal. A demotion journals CanaryDemoted, then one
+# undo_restore per promoted group, newest first, then the canary's, and
+# ends with CustomizeRollback, for a soak report and for a failed window.
+cargo test -q -p dynacut --test rollout a_demotion_journals_its_decision_before_its_one_rollback
+# A replica that kept its promotion inside its handler when a later
+# window failed stays consistent with the session: the registry lists
+# every module it maps, it customizes alone and self-heals the traps it
+# kept (it failed with `dc_verifier@2 not in registry`), and no later
+# injection reuses its library's name.
+cargo test -q -p dynacut --test rollout a_kept_promotion_leaves_the_session_consistent_with_the_replica
 # The library placement draw is the first StdRng draw it stands in for,
 # over a few hundred seeds, so every handler base stays where it was.
 cargo test -q -p dynacut --lib engine::tests::placement_draw_is_the_first_std_rng_draw

@@ -14,7 +14,7 @@
 //! must sum to its reported total.
 
 use crate::experiments::fig8_incremental::freeze_window_ns;
-use crate::report::{fmt_bytes, Table};
+use crate::report::{fmt_bytes, json_escape, write_result, Table};
 use crate::workloads::{boot_fleet, FleetWorkload};
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, FleetReport, RewritePlan};
 use dynacut_apps::redis;
@@ -142,20 +142,6 @@ fn figure(fleet_size: usize, report: &FleetReport) -> FleetFigure {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serialises the figure as the `dynacut-fleet-v1` JSON document.
 pub fn to_json(figure: &FleetFigure) -> String {
     let mut procs = Vec::new();
@@ -163,7 +149,12 @@ pub fn to_json(figure: &FleetFigure) -> String {
         let phases: Vec<String> = row
             .phases
             .iter()
-            .map(|(name, ns)| format!("        {{\"phase\": \"{}\", \"ns\": {ns}}}", escape(name)))
+            .map(|(name, ns)| {
+                format!(
+                    "        {{\"phase\": \"{}\", \"ns\": {ns}}}",
+                    json_escape(name)
+                )
+            })
             .collect();
         procs.push(format!(
             concat!(
@@ -313,13 +304,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &figure) {
         panic!("fleet JSON failed schema validation: {violation}");
     }
-    let path = "results/fleet.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("fleet", &json);
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! CI: MIPS > 0, superblocks built, version swaps after the cycle,
 //! warm-hit ratio positive, fingerprints bit-identical.
 
-use crate::report::Table;
+use crate::report::{write_result, Table};
 use crate::workloads::{boot_server, Server, Workload};
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, RewritePlan};
 use dynacut_apps::{nginx, redis};
@@ -435,13 +435,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &figure) {
         panic!("interp JSON failed schema validation: {violation}");
     }
-    let path = "results/interp.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("interp", &json);
 }
 
 #[cfg(test)]

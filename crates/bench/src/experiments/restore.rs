@@ -24,7 +24,7 @@
 //! what the store materializes). Restore-phase wall times ride along
 //! informationally.
 
-use crate::report::{fmt_bytes, Table};
+use crate::report::{fmt_bytes, write_result, Table};
 use crate::workloads::boot_fleet;
 use dynacut::{Downtime, DynaCut, FaultPolicy, Feature, Phase, RewritePlan};
 use dynacut_apps::redis;
@@ -281,13 +281,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &figure) {
         panic!("restore JSON failed gate validation: {violation}");
     }
-    let path = "results/restore.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("restore", &json);
 }
 
 #[cfg(test)]

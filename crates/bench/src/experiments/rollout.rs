@@ -17,7 +17,7 @@
 //! CI: one dump, zero promotion bytes, a journalled promotion, and
 //! demotion fingerprint parity.
 
-use crate::report::{fmt_bytes, Table};
+use crate::report::{fmt_bytes, write_result, Table};
 use crate::workloads::{boot_fleet, FleetWorkload};
 use dynacut::{
     Downtime, DynaCut, EventKind, FaultPolicy, Feature, RewritePlan, RolloutDecision, RolloutPlan,
@@ -378,13 +378,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &figure) {
         panic!("rollout JSON failed schema validation: {violation}");
     }
-    let path = "results/rollout.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("rollout", &json);
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! fleet, and MLFQ wakeups must stay flat across fleet sizes — O(1) per
 //! probe, never scaling with N.
 
-use crate::report::{fmt_duration, Table};
+use crate::report::{fmt_duration, write_result, Table};
 use crate::workloads::boot_fleet;
 use dynacut_vm::{Pid, SchedClass};
 use std::time::Duration;
@@ -306,13 +306,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &figure) {
         panic!("sched JSON failed schema validation: {violation}");
     }
-    let path = "results/sched.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("sched", &json);
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! schema invariants CI checks: every required key present, and the
 //! per-phase durations summing to the reported total.
 
+use crate::report::{json_escape, write_result};
 use crate::workloads::{boot_server, Server};
 use dynacut::{Downtime, DynaCut, EventKind, FaultPolicy, Feature, RewritePlan};
 use std::collections::BTreeMap;
@@ -128,27 +129,13 @@ pub fn run() -> Vec<FlightReport> {
         .collect()
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn map_json(map: &BTreeMap<String, u64>, indent: &str) -> String {
     if map.is_empty() {
         return "{}".to_owned();
     }
     let body: Vec<String> = map
         .iter()
-        .map(|(key, value)| format!("{indent}  \"{}\": {value}", escape(key)))
+        .map(|(key, value)| format!("{indent}  \"{}\": {value}", json_escape(key)))
         .collect();
     format!("{{\n{}\n{indent}}}", body.join(",\n"))
 }
@@ -160,7 +147,12 @@ pub fn to_json(reports: &[FlightReport]) -> String {
         let phases: Vec<String> = report
             .phases
             .iter()
-            .map(|(name, ns)| format!("        {{\"phase\": \"{}\", \"ns\": {ns}}}", escape(name)))
+            .map(|(name, ns)| {
+                format!(
+                    "        {{\"phase\": \"{}\", \"ns\": {ns}}}",
+                    json_escape(name)
+                )
+            })
             .collect();
         apps.push(format!(
             concat!(
@@ -176,7 +168,7 @@ pub fn to_json(reports: &[FlightReport]) -> String {
                 "      \"counters\": {counters}\n",
                 "    }}"
             ),
-            app = escape(&report.app),
+            app = json_escape(&report.app),
             total = report.total_ns,
             phases = phases.join(",\n"),
             recorded = report.recorded,
@@ -278,13 +270,7 @@ pub fn print() {
     if let Err(violation) = validate(&json, &reports) {
         panic!("flight JSON failed schema validation: {violation}");
     }
-    let path = "results/flight.json";
-    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, &json))
-    {
-        eprintln!("\n(could not write {path}: {err})");
-    } else {
-        println!("\nwrote {path}");
-    }
+    write_result("flight", &json);
 }
 
 #[cfg(test)]

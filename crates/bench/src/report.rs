@@ -115,6 +115,35 @@ pub fn fmt_bytes(bytes: u64) -> String {
     }
 }
 
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// Writes a figure's JSON document to `results/<name>.json`, creating
+/// the directory, and says where it went. A failed write is reported on
+/// stderr, not fatal: the caller validated the document first.
+pub fn write_result(name: &str, json: &str) {
+    let path = format!("results/{name}.json");
+    if let Err(err) = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, json))
+    {
+        eprintln!("\n(could not write {path}: {err})");
+    } else {
+        println!("\nwrote {path}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +189,13 @@ mod tests {
         assert!(fmt_duration(Duration::from_micros(15)).contains("µs"));
         assert!(fmt_duration(Duration::from_millis(15)).contains("ms"));
         assert!(fmt_duration(Duration::from_secs(2)).contains("s"));
+    }
+
+    #[test]
+    fn json_escape_escapes_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("phase.dump"), "phase.dump");
+        assert_eq!(json_escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\u0009e");
+        assert_eq!(json_escape("µs"), "µs");
     }
 
     #[test]

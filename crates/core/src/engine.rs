@@ -37,7 +37,7 @@ use crate::handler::{build_fault_handler, build_verifier_library, is_injected, n
 use crate::original::OriginalText;
 use crate::plan::{BlockPolicy, FaultPolicy, RewritePlan, RolloutPlan};
 use crate::rewrite::{check_in_text, disable_in_image, enable_in_image, remove_blocks_in_image};
-use crate::session::{in_freeze_window, unwind, CustomizeReport, Receipt, TxnJournal};
+use crate::session::{in_freeze_window, thaw_journalled, CustomizeReport, TxnJournal};
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, pre_dump, CanaryEdit, CheckpointImage, CriuError,
@@ -45,7 +45,7 @@ use dynacut_criu::{
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Every stage of an incremental cycle, in execution order. A full-dump
@@ -143,9 +143,22 @@ fn placement_draw(seed: u64) -> u64 {
 /// host-side scheduler state only: it survives the remove/insert swap of
 /// a restore and never reaches a fingerprint or checkpoint, so tagging
 /// cannot perturb the transactional parity guarantees.
-fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
+pub(crate) fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedClass) {
     for &pid in pids {
         kernel.set_sched_class(pid, class);
+    }
+}
+
+/// Refuses a pid named twice, within a group or across groups, before
+/// anything touches the kernel. A cycle would dump, restore and journal
+/// such a process twice, so its rollback could not put it back (a
+/// fleet's second pre-dump sweeps the bitmap the first one read), and a
+/// rollout would promote the canary onto itself.
+fn check_distinct<'a>(groups: impl IntoIterator<Item = &'a [Pid]>) -> Result<(), DynacutError> {
+    let mut seen = BTreeSet::new();
+    match groups.into_iter().flatten().find(|&&pid| !seen.insert(pid)) {
+        Some(pid) => Err(DynacutError::BadPlan(format!("{pid} is named twice"))),
+        None => Ok(()),
     }
 }
 
@@ -173,7 +186,7 @@ fn promote_group(
             let _ = kernel.thaw(pid);
         }
     } else {
-        unwind(kernel, None, frozen.into_iter().rev());
+        thaw_journalled(kernel, frozen.into_iter().rev());
     }
     landed
 }
@@ -338,7 +351,8 @@ impl DynaCut {
     ///
     /// # Errors
     ///
-    /// Fails on plan validation, missing processes/modules, or
+    /// Fails on plan validation, a pid named twice
+    /// ([`DynacutError::BadPlan`]), missing processes/modules, or
     /// image-editing errors. The kernel is always left as described
     /// above.
     pub fn customize(
@@ -348,6 +362,7 @@ impl DynaCut {
         plan: &RewritePlan,
     ) -> Result<CustomizeReport, DynacutError> {
         plan.validate()?;
+        check_distinct([pids])?;
         let cycle = self.run_stages(kernel, CycleState::new(pids), plan, self.stages())?;
         Ok(self.commit_cycle(kernel, cycle, plan))
     }
@@ -426,8 +441,9 @@ impl DynaCut {
     ///
     /// # Errors
     ///
-    /// Fails on plan validation or on the first group whose cycle fails,
-    /// with the rollback semantics above.
+    /// Fails on plan validation, a pid named twice within a group or
+    /// across groups ([`DynacutError::BadPlan`]), or on the first group
+    /// whose cycle fails, with the rollback semantics above.
     pub fn customize_fleet(
         &mut self,
         kernel: &mut Kernel,
@@ -435,6 +451,7 @@ impl DynaCut {
         plan: &RewritePlan,
     ) -> Result<FleetReport, DynacutError> {
         plan.validate()?;
+        check_distinct(groups.iter().map(Vec::as_slice))?;
         let started = Instant::now();
         let stages = self.stages();
         // Both stage lists `stages` returns hold `Phase::Freeze`.
@@ -800,13 +817,14 @@ impl DynaCut {
     }
 
     /// The restored memory now equals the edited checkpoint on every
-    /// clean page, so sweep the bitmap and adopt the entry the restore
-    /// was staged from as the group's new baseline. The cycle reports as
-    /// stored the pages that are new or changed since the group's
-    /// previous baseline; the rest are shared with it. A failure here
-    /// still rolls the whole cycle back: the journal rollback undoes the
-    /// committed restore first, putting the original (frozen) processes
-    /// back to be thawed, and releases the entry.
+    /// clean page, so sweep the bitmap and name the entry the restore
+    /// was staged from as the cycle's checkpoint, which the commit
+    /// adopts as the group's new baseline. The cycle reports as stored
+    /// the pages that are new or changed since the group's previous
+    /// baseline; the rest are shared with it. A failure here still rolls
+    /// the whole cycle back: the journal rollback undoes the committed
+    /// restore first, putting the original (frozen) processes back to
+    /// be thawed, and releases the entry.
     fn stage_baseline_store(
         &mut self,
         kernel: &mut Kernel,
@@ -835,14 +853,16 @@ impl DynaCut {
         };
         cycle.report.stored_page_bytes = Some(bytes);
         cycle.report.checkpoint_id = Some(id);
-        self.baselines.insert(cycle.pids.clone(), id);
         Ok(())
     }
 
-    /// Every stage succeeded: release the cycle's spent store entry,
-    /// forget what nothing live uses, return the group to normal
-    /// scheduling and charge the guest-visible downtime. The session
-    /// already holds the cycle's edits; its journal is dropped — the
+    /// Every stage succeeded: adopt the cycle's checkpoint as its
+    /// group's baseline, release the cycle's spent store entry, give
+    /// each group a rollout promoted the canary's handler record, forget
+    /// what nothing live uses, return every group the cycle changed to
+    /// normal scheduling under the plan's trap counter and charge the
+    /// guest-visible downtime. The session already holds the cycle's
+    /// edits; its journal is dropped, which keeps every promotion — the
     /// originals it would have resurrected no longer exist.
     fn commit_cycle(
         &mut self,
@@ -856,6 +876,9 @@ impl DynaCut {
             journal,
             ..
         } = cycle;
+        if let Some(id) = report.checkpoint_id {
+            self.baselines.insert(pids.clone(), id);
+        }
         // The commit releases the entry it leaves behind, so the store
         // holds one entry per group: an incremental cycle keeps its own
         // as the group's baseline and drops the one it displaced, any
@@ -873,19 +896,34 @@ impl DynaCut {
                 .release(id)
                 .expect("a cycle's spent entry is still stored");
         }
+        // A promoted replica runs the canary's library over the canary's
+        // traps, so the next library a cycle builds for it must know
+        // them. The edit paired the canary image's i-th process with
+        // each group's i-th pid, and the dump kept the canary's pid
+        // order.
+        for (group, _) in &journal.promoted {
+            for (canary, &pid) in pids.iter().zip(group) {
+                if let Some(record) = self.handlers.get(canary).cloned() {
+                    self.handlers.insert(pid, record);
+                }
+            }
+        }
         self.forget_the_dead(kernel);
-        // Count future SIGTRAP hits on the targets under the policy that
-        // planted the trap bytes, and fold this cycle's counts into the
-        // metrics registry.
+        // Count future SIGTRAP hits on every changed process under the
+        // policy that planted the trap bytes, and fold this cycle's
+        // counts into the metrics registry.
         let trap_hits = match plan.fault_policy {
             FaultPolicy::Redirect => Counter::TrapHitsRedirect,
             FaultPolicy::Verify => Counter::TrapHitsVerify,
             FaultPolicy::Terminate => Counter::TrapHitsTerminate,
         };
-        for &pid in &pids {
-            kernel.set_trap_policy(pid, trap_hits);
+        let promoted = journal.promoted.iter().map(|(group, _)| group);
+        for group in std::iter::once(&pids).chain(promoted) {
+            for &pid in group {
+                kernel.set_trap_policy(pid, trap_hits);
+            }
+            set_group_class(kernel, group, SchedClass::Normal);
         }
-        set_group_class(kernel, &pids, SchedClass::Normal);
         let metrics = kernel.flight_mut().metrics_mut();
         metrics.add(Counter::CustomizeCommits, 1);
         metrics.add(Counter::BlocksPatched, report.blocks_disabled as u64);
@@ -981,7 +1019,10 @@ impl DynaCut {
     /// trap the rewrite planted self-heals and reports instead of
     /// killing the process. The cycle is **held open**: its transaction
     /// journal and committed-restore receipt stay live while the canary
-    /// serves for [`RolloutPlan::soak_slices`] slices.
+    /// serves for [`RolloutPlan::soak_slices`] slices, and the whole
+    /// rollout is that one transaction: every landed promotion joins
+    /// the journal, one rollback demotes the rollout and one commit
+    /// commits it.
     ///
     /// * **Clean soak** — the canary cycle's code changes are promoted
     ///   onto every remaining group via
@@ -997,26 +1038,30 @@ impl DynaCut {
     ///   per-replica re-dump or re-rewrite, and zero page bytes copied —
     ///   every installed page is a shared frame out of the
     ///   content-addressed store. Only then does the canary cycle
-    ///   commit.
+    ///   commit, and with it each promoted group, which takes the
+    ///   canary's handler record and trap counter.
     /// * **Any verifier report** (or injected fault) — the canary is
-    ///   **demoted** through the PR 2 transaction machinery: the
-    ///   committed restore is undone, and the journal rollback
-    ///   thaws/unrepairs/re-marks and releases the just-stored baseline
-    ///   exactly as for a failed cycle. A failure while promoting
-    ///   replica *k* — a replica that does not match the canary
-    ///   ([`CriuError::ReplicaMismatch`]), or a kernel error — first
-    ///   unwinds replicas `0..k`, each getting back what its window
-    ///   displaced, so the fleet is all-or-nothing. The one exception is
-    ///   a replica inside a signal handler, which keeps its promotion
-    ///   ([`Promotion::undo`](dynacut_criu::Promotion::undo)).
+    ///   **demoted**: its journal's rollback undoes the committed
+    ///   restore, thaws, unrepairs, re-marks and releases the
+    ///   just-stored entry exactly as for a failed cycle. A failure
+    ///   while promoting replica *k* — a replica that does not match
+    ///   the canary ([`CriuError::ReplicaMismatch`]), or a kernel error
+    ///   — demotes the canary too, and the same rollback first undoes
+    ///   replicas `0..k`, newest first, each getting back what its
+    ///   window displaced, so the fleet is all-or-nothing. The one
+    ///   exception is a replica inside a signal handler, which keeps its
+    ///   promotion ([`Promotion::undo`](dynacut_criu::Promotion::undo)):
+    ///   it takes the canary's handler record, the library it maps stays
+    ///   registered, and no later injection reuses that library's name.
     ///
     /// # Errors
     ///
     /// Fails with [`DynacutError::BadPlan`] unless the plan uses
     /// [`FaultPolicy::Verify`] and no [`BlockPolicy::UnmapPages`] (a
     /// verifier cannot heal an unmapped page, and a promotion replays
-    /// no VMA change), the session is incremental, and every group
-    /// matches the canary group's size; propagates canary-cycle, soak
+    /// no VMA change), the session is incremental, every group
+    /// matches the canary group's size and no pid is named twice;
+    /// propagates canary-cycle, soak
     /// and promotion failures after rolling the fleet back to its
     /// pre-attempt state.
     pub fn rollout(
@@ -1028,6 +1073,7 @@ impl DynaCut {
     ) -> Result<RolloutReport, DynacutError> {
         plan.validate()?;
         rollout.validate()?;
+        check_distinct(groups.iter().map(Vec::as_slice))?;
         if groups.is_empty() {
             return Err(DynacutError::BadPlan(
                 "rollout needs at least one replica group".into(),
@@ -1070,7 +1116,8 @@ impl DynaCut {
         // live and serving the rewritten image after RestoreCommit, but
         // the journal and the committed-restore receipt stay in hand so
         // a dirty soak can still demote it.
-        let cycle = self.run_stages(kernel, CycleState::new(&groups[0]), plan, self.stages())?;
+        let mut cycle =
+            self.run_stages(kernel, CycleState::new(&groups[0]), plan, self.stages())?;
         // The soak is the canary's *validation* serving: it must compete
         // for quanta exactly like the replicas it will be promoted onto,
         // so the background tag comes off before the soak pumps.
@@ -1144,9 +1191,10 @@ impl DynaCut {
         // open: its committed restore holds the pre-edit canary, by
         // which the edit tells the boot modules from the new library.
         // The edit is computed once, before the first window, so each
-        // window holds only its group's check and patch. A failure at
-        // replica k unwinds replicas 0..k and then demotes the canary,
-        // so the fleet is all-or-nothing.
+        // window holds only its group's check and patch. Each landed
+        // window joins the canary cycle's journal, so a failure at
+        // replica k demotes the canary and replicas 0..k in one
+        // rollback: the fleet is all-or-nothing.
         //
         // The rollout checked above that the session is incremental, so
         // the canary's stage list ended with the baseline store, which
@@ -1160,99 +1208,53 @@ impl DynaCut {
             .committed
             .as_ref()
             .expect("canary cycle committed its restore before the soak");
-        let mut promoted: Vec<(Vec<Pid>, Promotion, Duration, u64)> =
-            Vec::with_capacity(groups.len() - 1);
-        let edited = self
+        let mut promoted = Vec::with_capacity(groups.len() - 1);
+        let wave = self
             .store
-            .canary_edit(ckpt_id, canary_restore, &self.registry, is_injected);
-        let edit = match edited {
-            Ok(edit) => edit,
-            Err(err) => {
-                self.demote_canary(kernel, cycle, reported);
-                return Err(err.into());
-            }
-        };
-        let mut wave_err: Option<DynacutError> = None;
-        for group in &groups[1..] {
-            // Background from the window start until the rollout
-            // commits (or this group is unwound), as a group is through
-            // its own customize cycle.
-            set_group_class(kernel, group, SchedClass::Background);
-            let bracket = Bracket::open(kernel, group, Phase::Promote);
-            let copied_before = self.store.page_store().copied_bytes();
-            match promote_group(kernel, &edit, group) {
-                Ok(receipt) => {
-                    let copied = self.store.page_store().copied_bytes() - copied_before;
-                    let window = bracket.close(kernel, group);
-                    promoted.push((group.clone(), receipt, window, copied));
+            .canary_edit(ckpt_id, canary_restore, &self.registry, is_injected)
+            .map_err(DynacutError::from)
+            .and_then(|edit| {
+                for group in &groups[1..] {
+                    // Background from the window start until the rollout
+                    // commits or rolls back, as a group is through its
+                    // own customize cycle.
+                    set_group_class(kernel, group, SchedClass::Background);
+                    let bracket = Bracket::open(kernel, group, Phase::Promote);
+                    let copied_before = self.store.page_store().copied_bytes();
+                    let receipt = match promote_group(kernel, &edit, group) {
+                        Ok(receipt) => receipt,
+                        Err(err) => {
+                            // The window's PhaseStart stays dangling, as a
+                            // failed stage's always does.
+                            set_group_class(kernel, group, SchedClass::Normal);
+                            return Err(err);
+                        }
+                    };
+                    let copied_bytes = self.store.page_store().copied_bytes() - copied_before;
+                    let freeze_window = bracket.close(kernel, group);
+                    cycle.journal.promoted.push((group.clone(), receipt));
+                    promoted.push(PromotedReplica {
+                        pids: group.clone(),
+                        freeze_window,
+                        copied_bytes,
+                    });
                     kernel.run_for(rollout.serve_slice_ns);
                 }
-                Err(err) => {
-                    // The window's PhaseStart stays dangling, as a
-                    // failed stage's always does.
-                    set_group_class(kernel, group, SchedClass::Normal);
-                    wave_err = Some(err);
-                    break;
-                }
-            }
-        }
-
-        if let Some(err) = wave_err {
-            // Unwind the already-promoted replicas, newest first: each
-            // is frozen again, gets back what its window displaced, and
-            // is thawed back to the scheduler state it was frozen in.
-            for (group, receipt, _, _) in promoted.into_iter().rev() {
-                for &pid in &group {
-                    let _ = kernel.freeze(pid);
-                }
-                unwind(
-                    kernel,
-                    Some(Receipt::Promotion(receipt)),
-                    group.iter().rev().copied(),
-                );
-                set_group_class(kernel, &group, SchedClass::Normal);
-            }
+                Ok(())
+            });
+        if let Err(err) = wave {
             self.demote_canary(kernel, cycle, reported);
             return Err(err);
         }
 
-        // Stage 4 — commit. A promoted replica now runs the canary's
-        // library over the canary's traps, so it takes the canary's
-        // handler record too: the next library a cycle builds for it
-        // must know those traps. The edit paired the canary image's
-        // i-th process with each group's i-th pid, and the dump kept
-        // the canary's pid order. The canary cycle then commits as a
-        // plain cycle would, and the promoted replicas get their
-        // trap-policy labels (their memory carries the same verify
-        // traps the canary's does).
-        for (group, ..) in &promoted {
-            for (canary_pid, &pid) in cycle.pids.iter().zip(group) {
-                if let Some(record) = self.handlers.get(canary_pid).cloned() {
-                    self.handlers.insert(pid, record);
-                }
-            }
-        }
+        // Stage 4 — commit: the canary cycle commits, and with it every
+        // group its journal promoted.
         let canary = cycle.pids.clone();
         let canary_report = self.commit_cycle(kernel, cycle, plan);
-        let mut promoted_out = Vec::with_capacity(promoted.len());
-        let mut promotion_copied = 0u64;
-        for (pids, _receipt, window, copied) in promoted {
-            set_group_class(kernel, &pids, SchedClass::Normal);
-            for &pid in &pids {
-                kernel.set_trap_policy(pid, Counter::TrapHitsVerify);
-            }
-            promotion_copied += copied;
-            promoted_out.push(PromotedReplica {
-                pids,
-                freeze_window: window,
-                copied_bytes: copied,
-            });
-        }
-        let replica_procs: usize = promoted_out.iter().map(|group| group.pids.len()).sum();
         kernel.record_flight(
             None,
             EventKind::CanaryPromoted {
-                replicas: replica_procs,
+                replicas: promoted.iter().map(|group| group.pids.len()).sum(),
                 soak_slices: soaked,
             },
         );
@@ -1267,34 +1269,18 @@ impl DynaCut {
             soak_slices: soaked,
             verifier_reports: reports,
             trap_hits,
-            promoted: promoted_out,
-            promotion_copied_bytes: promotion_copied,
+            promotion_copied_bytes: promoted.iter().map(|group| group.copied_bytes).sum(),
+            promoted,
             wall: started.elapsed(),
         })
     }
 
-    /// Rolls a held-open canary cycle all the way back: undo the
-    /// committed restore (the pre-freeze original returns, its soak
-    /// divergence discarded with the replacement process), drop the
-    /// baseline this cycle adopted, then run the journal rollback —
-    /// thaw, unrepair, re-mark dirty bits, release the cycle's store
-    /// entry, restore the displaced baseline.
-    /// [`EventKind::CanaryDemoted`] is journalled before the rollback so
-    /// `CustomizeRollback` stays the terminal event.
-    fn demote_canary(&mut self, kernel: &mut Kernel, mut cycle: CycleState, reports: u64) {
-        // Held open: the canary's stage list ran through the restore
-        // commit, and only this demotion takes the receipt.
-        let committed = cycle
-            .journal
-            .committed
-            .take()
-            .expect("canary cycle committed its restore before the soak");
-        unwind(
-            kernel,
-            Some(Receipt::Restore(committed)),
-            std::iter::empty(),
-        );
-        self.baselines.remove(&cycle.pids);
+    /// Demotes a held-open canary cycle and every promotion its journal
+    /// holds: journals [`EventKind::CanaryDemoted`], counts the
+    /// demotion and rolls the cycle back, so the decision comes before
+    /// its rollback's steps and `CustomizeRollback` stays the terminal
+    /// event.
+    fn demote_canary(&mut self, kernel: &mut Kernel, cycle: CycleState, reports: u64) {
         kernel.record_flight(None, EventKind::CanaryDemoted { reports });
         kernel
             .flight_mut()

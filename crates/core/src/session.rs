@@ -2,11 +2,12 @@
 //! journal. The customize cycle itself is a list of [`Phase`]s run by
 //! the stage runner in `engine.rs`.
 
+use crate::engine::set_group_class;
 use crate::handler::is_injected;
 use dynacut_criu::{
     CheckpointStore, CkptId, CommittedRestore, DumpOptions, ModuleRegistry, Promotion,
 };
-use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, RollbackStep};
+use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, Process, RollbackStep, SchedClass};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -164,6 +165,8 @@ pub(crate) struct HandlerTables {
 /// swept, the group's incremental baseline it displaced, the store entry
 /// it put, the restore it committed, each handler record it edited, the
 /// libraries it registered and the injection counter it started from.
+/// A rollout's canary cycle also holds its promotion wave here, so one
+/// rollback demotes the whole rollout and one commit commits it.
 #[derive(Default)]
 pub(crate) struct TxnJournal {
     pub(crate) frozen: Vec<Pid>,
@@ -181,6 +184,9 @@ pub(crate) struct TxnJournal {
     pub(crate) registered: Vec<String>,
     /// The counter as the inject stage found it.
     pub(crate) injections: Option<u64>,
+    /// Each landed promotion window's group and receipt, in promotion
+    /// order.
+    pub(crate) promoted: Vec<(Vec<Pid>, Promotion)>,
 }
 
 /// The DynaCut framework handle: a module registry (the "binaries on
@@ -207,10 +213,10 @@ pub struct DynaCut {
     pub(crate) store: CheckpointStore,
     /// Per process group, the stored checkpoint its dirty bitmaps are
     /// clean against: the edited image restored by the group's previous
-    /// customization. A map entry is removed when a cycle displaces it,
-    /// re-inserted if that cycle fails and released from the store if it
-    /// commits. The first commit after every process of the group has
-    /// exited releases it too.
+    /// customization, adopted when that cycle committed. A map entry is
+    /// removed when a cycle displaces it, re-inserted if that cycle fails
+    /// and released from the store if it commits. The first commit after
+    /// every process of the group has exited releases it too.
     pub(crate) baselines: BTreeMap<Vec<Pid>, CkptId>,
     pub(crate) injections: u64,
     /// Per live process, its handler record: every library injected
@@ -274,35 +280,59 @@ impl DynaCut {
     /// or a store entry maps. Every commit drops the libraries nothing
     /// maps any more, so a process's dump restores against this
     /// registry, and so does every store entry. A failed or demoted
-    /// attempt leaves it listing what it listed before.
+    /// attempt leaves it listing what it listed before, plus any library
+    /// of the attempt that a replica which kept its promotion still maps
+    /// (one frozen inside its signal handler, [`DynaCut::rollout`]).
     pub fn registry(&self) -> &ModuleRegistry {
         &self.registry
     }
 
-    /// Reverts a failed customization to the pre-call state, in the
-    /// kernel and in the session: undoes the restore the attempt
-    /// committed, thaws every process it froze (back to its pre-freeze
-    /// scheduler state), takes every connection of the target pids out
-    /// of TCP repair mode, re-marks the dirty pages the pre-dump swept,
+    /// Reverts a failed customization or a demoted rollout to the
+    /// pre-call state, in the kernel and in the session. It undoes the
+    /// promotion wave, newest group first: each group is frozen again,
+    /// gets back what its window displaced and thaws into the states it
+    /// was frozen in. Then it undoes the restore the attempt committed,
+    /// thaws every process it froze (back to its pre-freeze scheduler
+    /// state), takes every connection of the target pids `pids` out of
+    /// TCP repair mode, re-marks the dirty pages the pre-dump swept,
     /// releases the store entry the attempt put, restores the
     /// incremental baseline the attempt displaced, puts back every
     /// handler record it edited, unregisters the libraries it
     /// registered and resets the injection counter.
+    ///
+    /// A replica that kept its promotion ([`Promotion::undo`]) runs the
+    /// canary's library over the canary's traps, so it takes the
+    /// canary's edited record, paired as the commit pairs them; the
+    /// attempt's libraries a live process still maps stay registered;
+    /// and the counter is reset only when none of them is left, so no
+    /// later injection reuses a kept library's name.
     pub(crate) fn rollback(&mut self, kernel: &mut Kernel, pids: &[Pid], journal: TxnJournal) {
-        unwind(
-            kernel,
-            journal.committed.map(Receipt::Restore),
-            journal.frozen,
-        );
+        for (group, promotion) in journal.promoted.into_iter().rev() {
+            for &pid in &group {
+                // Promoted in place, so still alive unless it exited.
+                let _ = kernel.freeze(pid);
+            }
+            journal_step(kernel, None, RollbackStep::UndoRestore);
+            let kept = promotion.undo(kernel);
+            for (canary, pid) in pids.iter().zip(&group) {
+                // The canary's record is still the edited one: the
+                // journal puts it back below.
+                if let Some(record) = self.handlers.get(canary).filter(|_| kept.contains(pid)) {
+                    self.handlers.insert(*pid, record.clone());
+                }
+            }
+            thaw_journalled(kernel, group.iter().rev().copied());
+            set_group_class(kernel, &group, SchedClass::Normal);
+        }
+        if let Some(committed) = journal.committed {
+            journal_step(kernel, None, RollbackStep::UndoRestore);
+            committed.undo(kernel);
+        }
+        thaw_journalled(kernel, journal.frozen);
         for &pid in pids {
             if let Ok(ids) = kernel.conn_ids_of(pid) {
                 kernel.unrepair_connections(&ids);
-                kernel.record_flight(
-                    Some(pid),
-                    EventKind::RollbackStep {
-                        step: RollbackStep::Unrepair,
-                    },
-                );
+                journal_step(kernel, Some(pid), RollbackStep::Unrepair);
             }
         }
         for (pid, pages) in &journal.saved_dirty {
@@ -312,12 +342,7 @@ impl DynaCut {
             for &base in pages {
                 proc.mem.mark_dirty(base);
             }
-            kernel.record_flight(
-                Some(*pid),
-                EventKind::RollbackStep {
-                    step: RollbackStep::RestoreDirtyBits,
-                },
-            );
+            journal_step(kernel, Some(*pid), RollbackStep::RestoreDirtyBits);
         }
         if let Some(id) = journal.stored {
             // The attempt put this entry and nothing else released it:
@@ -329,12 +354,7 @@ impl DynaCut {
         }
         if let Some(baseline) = journal.last_baseline {
             self.baselines.insert(pids.to_vec(), baseline);
-            kernel.record_flight(
-                None,
-                EventKind::RollbackStep {
-                    step: RollbackStep::RestoreBaseline,
-                },
-            );
+            journal_step(kernel, None, RollbackStep::RestoreBaseline);
         }
         for (pid, record) in journal.handlers.into_iter().rev() {
             match record {
@@ -342,9 +362,15 @@ impl DynaCut {
                 None => self.handlers.remove(&pid),
             };
         }
-        self.registry
-            .retain(|name| !journal.registered.iter().any(|added| added == name));
-        if let Some(injections) = journal.injections {
+        let mapped = live_modules(kernel);
+        self.registry.retain(|name| {
+            mapped.contains(name) || !journal.registered.iter().any(|added| added == name)
+        });
+        let kept_library = journal
+            .registered
+            .iter()
+            .any(|name| self.registry.get(name).is_some());
+        if let Some(injections) = journal.injections.filter(|_| !kept_library) {
             self.injections = injections;
         }
         kernel
@@ -360,21 +386,18 @@ impl DynaCut {
     /// live process nor a store entry maps. Boot binaries always stay.
     /// A commit runs this once its cycle has released its spent entry.
     pub(crate) fn forget_the_dead(&mut self, kernel: &Kernel) {
-        let live = |pid: Pid| kernel.process(pid).ok().filter(|proc| !proc.is_exited());
-        self.handlers.retain(|&pid, _| live(pid).is_some());
+        self.handlers.retain(|&pid, _| live(kernel, pid).is_some());
         let store = &mut self.store;
         self.baselines.retain(|group, &mut id| {
-            let live_group = group.iter().any(|&pid| live(pid).is_some());
+            let live_group = group.iter().any(|&pid| live(kernel, pid).is_some());
             if !live_group {
                 // A baseline stays stored while it is in the map.
                 store.release(id).expect("a group's baseline is stored");
             }
             live_group
         });
-        let mut mapped: BTreeSet<&str> = self.store.module_names().collect();
-        for proc in kernel.pids().into_iter().filter_map(live) {
-            mapped.extend(proc.modules.iter().map(|module| module.image.name.as_str()));
-        }
+        let mut mapped = live_modules(kernel);
+        mapped.extend(self.store.module_names());
         self.registry
             .retain(|name| !is_injected(name) || mapped.contains(name));
     }
@@ -412,42 +435,32 @@ impl DynaCut {
     }
 }
 
-/// What a freeze window changed that an unwind can reverse: a committed
-/// restore, which swapped processes, or a promotion, which patched
-/// replicas in place.
-pub(crate) enum Receipt {
-    Restore(CommittedRestore),
-    Promotion(Promotion),
+/// `pid`'s process, if it is present and has not exited.
+fn live(kernel: &Kernel, pid: Pid) -> Option<&Process> {
+    kernel.process(pid).ok().filter(|proc| !proc.is_exited())
 }
 
-/// The one journalled unwind of a freeze window: reverses the receipt,
-/// if any (undoing a committed restore puts the frozen originals back),
-/// then thaws `frozen` in the order given, back to each process's
-/// pre-freeze scheduler state.
-pub(crate) fn unwind(
-    kernel: &mut Kernel,
-    receipt: Option<Receipt>,
-    frozen: impl IntoIterator<Item = Pid>,
-) {
-    if let Some(receipt) = receipt {
-        kernel.record_flight(
-            None,
-            EventKind::RollbackStep {
-                step: RollbackStep::UndoRestore,
-            },
-        );
-        match receipt {
-            Receipt::Restore(committed) => committed.undo(kernel),
-            Receipt::Promotion(promotion) => promotion.undo(kernel),
-        }
-    }
+/// The name of every module a live process maps.
+fn live_modules(kernel: &Kernel) -> BTreeSet<&str> {
+    kernel
+        .pids()
+        .into_iter()
+        .filter_map(|pid| live(kernel, pid))
+        .flat_map(|proc| proc.modules.iter().map(|module| module.image.name.as_str()))
+        .collect()
+}
+
+/// Journals one step of a rollback.
+fn journal_step(kernel: &mut Kernel, pid: Option<Pid>, step: RollbackStep) {
+    kernel.record_flight(pid, EventKind::RollbackStep { step });
+}
+
+/// The one journalled thaw of an unwound freeze window: thaws `frozen`
+/// in the order given, back to each process's pre-freeze scheduler
+/// state.
+pub(crate) fn thaw_journalled(kernel: &mut Kernel, frozen: impl IntoIterator<Item = Pid>) {
     for pid in frozen {
         let _ = kernel.thaw(pid);
-        kernel.record_flight(
-            Some(pid),
-            EventKind::RollbackStep {
-                step: RollbackStep::Thaw,
-            },
-        );
+        journal_step(kernel, Some(pid), RollbackStep::Thaw);
     }
 }

@@ -491,7 +491,9 @@ fn downtime_is_charged_to_guest_clock() {
 /// block or a redirect outside its module's text or past the top of the
 /// address space, fails cleanly and the processes are thawed — the
 /// server keeps serving as if nothing happened. The rollback is exact: the whole kernel state fingerprint
-/// matches the pre-attempt snapshot (DESIGN §5).
+/// matches the pre-attempt snapshot (DESIGN §5). A pid named twice, to
+/// `customize` or `customize_fleet`, is refused before anything is
+/// touched.
 #[test]
 fn failed_customize_thaws_and_leaves_server_untouched() {
     let mut server = boot_nginx();
@@ -583,6 +585,40 @@ fn failed_customize_thaws_and_leaves_server_untouched() {
                 dynacut_vm::ProcState::Frozen
             );
         }
+    }
+    // A pid named twice, within a group or across groups, is refused
+    // before anything is frozen, with a plan that would otherwise
+    // commit: the cycle dumped and restored the process twice, so its
+    // rollback could not put it back, and a fleet's second pre-dump
+    // swept the bitmap the first one read.
+    let put = RewritePlan::new()
+        .disable(put_feature(&server.exe))
+        .with_fault_policy(FaultPolicy::Redirect)
+        .with_downtime(Downtime::None);
+    let mut incremental = DynaCut::new(server.registry.clone()).with_incremental();
+    let (master, worker) = (server.pids[0], server.pids[1]);
+    for twice in [vec![master, master], vec![master, worker, master]] {
+        assert!(
+            matches!(
+                incremental.customize(&mut server.kernel, &twice, &put),
+                Err(DynacutError::BadPlan(_))
+            ),
+            "{twice:?}"
+        );
+        assert_eq!(server.kernel.state_fingerprint(), pristine, "{twice:?}");
+    }
+    for twice in [
+        vec![vec![master], vec![master]],
+        vec![vec![master, worker], vec![worker]],
+    ] {
+        assert!(
+            matches!(
+                incremental.customize_fleet(&mut server.kernel, &twice, &put),
+                Err(DynacutError::BadPlan(_))
+            ),
+            "{twice:?}"
+        );
+        assert_eq!(server.kernel.state_fingerprint(), pristine, "{twice:?}");
     }
     // …and the server is fully functional.
     let conn = server.kernel.client_connect(nginx::PORT).unwrap();

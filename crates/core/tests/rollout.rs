@@ -24,17 +24,23 @@
 //!   a live signal frame;
 //! * a promoted replica takes the canary's handler record with its
 //!   code, so a later cycle on the replica, or a later rollout whose
-//!   canary it is, builds a library that still knows the promoted traps.
+//!   canary it is, builds a library that still knows the promoted traps;
+//! * a rollout is one transaction: a demotion journals its decision,
+//!   then one rollback that undoes the promotion wave newest first and
+//!   then the canary, and a replica that keeps its promotion inside its
+//!   handler leaves the session consistent with it — its library stays
+//!   registered, it holds the canary's record, and no later injection
+//!   reuses its library's name.
 
 use dynacut::{
     BlockPolicy, Downtime, DynaCut, DynacutError, EventKind, FaultPolicy, Feature, FlightEvent,
-    Phase, RewritePlan, RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
+    Phase, RewritePlan, RollbackStep, RolloutDecision, RolloutPlan, VERIFIER_EVENT_BIT,
 };
 use dynacut_apps::{libc::guest_libc, lighttpd, redis, EVENT_READY};
 use dynacut_criu::{CriuError, ModuleRegistry};
 use dynacut_isa::TRAP_OPCODE;
-use dynacut_vm::{Kernel, LoadSpec, Pid, ProcState};
-use std::collections::VecDeque;
+use dynacut_vm::{ClientConn, Kernel, LoadSpec, Pid, ProcState};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A fleet of identical single-process Redis replicas sharing one
@@ -137,6 +143,36 @@ impl Fleet {
             .mem
             .read_unchecked(self.setrange_entry(feature, pid), &mut byte);
         byte[0]
+    }
+
+    /// Sends `SETRANGE 8 abc` over a new connection that only `replica`
+    /// can accept, steps it to the trap on SETRANGE's first byte and
+    /// holds it there, frozen, while every other process serves again.
+    /// Returns the connection.
+    fn hold_at_setrange_trap(&mut self, feature: &Feature, replica: Pid) -> ClientConn {
+        let others: Vec<Pid> = self
+            .kernel
+            .pids()
+            .into_iter()
+            .filter(|&p| p != replica)
+            .collect();
+        for &other in &others {
+            self.kernel.freeze(other).unwrap();
+        }
+        let conn = self.kernel.client_connect(redis::PORT).unwrap();
+        self.kernel.client_send(conn, b"SETRANGE 8 abc\n").unwrap();
+        let trap = self.setrange_entry(feature, replica);
+        let mut steps = 0;
+        while self.kernel.process(replica).unwrap().cpu.pc != trap {
+            assert!(steps < 100_000, "the replica never reached the trap");
+            self.kernel.run_for(1);
+            steps += 1;
+        }
+        self.kernel.freeze(replica).unwrap();
+        for &other in &others {
+            self.kernel.thaw(other).unwrap();
+        }
+        conn
     }
 
     /// Boots a lighttpd server next to the redis replicas: a process
@@ -655,6 +691,19 @@ fn bad_rollouts_are_rejected_before_touching_the_fleet() {
         Err(DynacutError::BadPlan(_))
     ));
 
+    // A pid named twice, across groups or within one: the canary would
+    // be promoted onto itself, or dumped and restored twice in one
+    // cycle (both used to commit).
+    for twice in [vec![vec![pid], vec![pid]], vec![vec![pid, pid]]] {
+        assert!(
+            matches!(
+                incremental.rollout(&mut fleet.kernel, &twice, &plan, &rollout_plan),
+                Err(DynacutError::BadPlan(_))
+            ),
+            "{twice:?}"
+        );
+    }
+
     assert_eq!(
         fleet.kernel.state_fingerprint(),
         pristine,
@@ -977,6 +1026,7 @@ fn a_foreign_replica_fails_its_window_and_demotes_the_canary() {
             .any(|e| matches!(e.kind, EventKind::CanaryDemoted { .. })),
         "the canary was demoted"
     );
+    assert_one_rollback(&events, &groups[1..2], &groups[0], "foreign replica");
     assert_eq!(fleet.module_names(foreign), modules);
     assert_eq!(
         fleet.kernel.state_fingerprint_timeless(),
@@ -985,6 +1035,210 @@ fn a_foreign_replica_fails_its_window_and_demotes_the_canary() {
     );
     assert_no_leaked_pages(&dynacut, "after the foreign replica's window");
     assert!(dynacut.store().is_empty());
+}
+
+/// Asserts that a demoted rollout's journal holds its decision and then
+/// its one rollback: `CanaryDemoted` before any `UndoRestore` step, then
+/// one `UndoRestore` per promoted group, newest first, each followed by
+/// its group's thaws (newest pid first), then the canary's, followed by
+/// the canary's thaws, and `CustomizeRollback` last.
+fn assert_one_rollback(events: &[FlightEvent], promoted: &[Vec<Pid>], canary: &[Pid], ctx: &str) {
+    let is_undo = |event: &FlightEvent| {
+        event.kind
+            == EventKind::RollbackStep {
+                step: RollbackStep::UndoRestore,
+            }
+    };
+    let decided = events
+        .iter()
+        .position(|e| matches!(e.kind, EventKind::CanaryDemoted { .. }))
+        .unwrap_or_else(|| panic!("{ctx}: the demotion is journalled"));
+    assert!(
+        !events[..decided].iter().any(is_undo),
+        "{ctx}: the decision comes before every undo step"
+    );
+    // Each undo step with the pids thawed right after it.
+    let mut undone: Vec<Vec<Pid>> = Vec::new();
+    let mut thawing = false;
+    for event in &events[decided..] {
+        if is_undo(event) {
+            undone.push(Vec::new());
+            thawing = true;
+        } else if thawing
+            && event.kind
+                == (EventKind::RollbackStep {
+                    step: RollbackStep::Thaw,
+                })
+        {
+            undone
+                .last_mut()
+                .unwrap()
+                .push(event.pid.expect("a thaw names its pid"));
+        } else {
+            thawing = false;
+        }
+    }
+    let expected: Vec<Vec<Pid>> = promoted
+        .iter()
+        .rev()
+        .map(|group| group.iter().rev().copied().collect())
+        .chain([canary.to_vec()])
+        .collect();
+    assert_eq!(
+        undone, expected,
+        "{ctx}: one undo per promoted group, newest first, then the canary's"
+    );
+    assert!(
+        matches!(
+            events.last().map(|e| &e.kind),
+            Some(EventKind::CustomizeRollback)
+        ),
+        "{ctx}: the journal ends with the terminal rollback"
+    );
+}
+
+/// A demotion is one decision and one rollback: the journal records
+/// `CanaryDemoted` first, then every undo step of the attempt, the
+/// promotion wave's newest group first and the canary's committed
+/// restore last, and ends with `CustomizeRollback`, both for a soak
+/// report and for a window that fails after two groups landed. (The
+/// canary's restore used to be undone before the decision was
+/// journalled, and the wave before that.)
+#[test]
+fn a_demotion_journals_its_decision_before_its_one_rollback() {
+    let mut fleet = boot_fleet(3);
+    let plan = verify_plan(&fleet.exe);
+    let groups = fleet.groups.clone();
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    fleet
+        .kernel
+        .inject_event(groups[0][0], VERIFIER_EVENT_BIT | 0xBEE);
+    let seq0 = fleet.kernel.flight().next_seq();
+    let report = dynacut
+        .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(report.decision, RolloutDecision::Demoted);
+    let events: Vec<_> = fleet.kernel.flight().since(seq0).cloned().collect();
+    assert_one_rollback(&events, &[], &groups[0], "soak report");
+
+    let foreign = fleet.spawn_lighttpd();
+    let wave: Vec<Vec<Pid>> = groups.iter().cloned().chain([vec![foreign]]).collect();
+    let seq0 = fleet.kernel.flight().next_seq();
+    dynacut
+        .rollout(&mut fleet.kernel, &wave, &plan, &SHORT_SOAK)
+        .expect_err("the foreign replica's window fails");
+    let events: Vec<_> = fleet.kernel.flight().since(seq0).cloned().collect();
+    assert_one_rollback(&events, &groups[1..], &groups[0], "failed window");
+}
+
+/// Regression: a replica that kept its promotion when a later window
+/// failed mapped the attempt's library, which the rollback
+/// unregistered, under its pre-attempt handler record. Customizing it
+/// alone then failed with `module dc_verifier@2 not in registry`, and
+/// the counter reset let the next injection reuse that name. The one
+/// rollback now keeps the library registered, gives the replica the
+/// canary's record for the traps it carries, and leaves the counter
+/// alone.
+#[test]
+fn a_kept_promotion_leaves_the_session_consistent_with_the_replica() {
+    let mut fleet = boot_fleet(3);
+    let setrange = verify_function(&fleet.exe, "rd_cmd_setrange");
+    let feature = setrange.disable[0].clone();
+    let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
+    let groups = fleet.groups.clone();
+    let (canary, replica) = (groups[0][0], groups[1][0]);
+    dynacut
+        .rollout(&mut fleet.kernel, &groups, &setrange, &SHORT_SOAK)
+        .unwrap();
+
+    let conn = fleet.hold_at_setrange_trap(&feature, replica);
+
+    // A wave that disables STRALGO lands on the replica, traps it into
+    // the new library's handler and fails at a lighttpd "replica".
+    let foreign = fleet.spawn_lighttpd();
+    let stralgo = verify_function(&fleet.exe, "rd_cmd_stralgo");
+    let wave = vec![groups[0].clone(), groups[1].clone(), vec![foreign]];
+    let one_step = RolloutPlan {
+        soak_slices: 1,
+        serve_slice_ns: 1,
+    };
+    let err = dynacut
+        .rollout(&mut fleet.kernel, &wave, &stralgo, &one_step)
+        .expect_err("the foreign replica's window fails");
+    assert!(
+        matches!(err, DynacutError::Criu(CriuError::ReplicaMismatch { pid, .. }) if pid == foreign),
+        "{err}"
+    );
+    assert_eq!(
+        fleet.kernel.process(replica).unwrap().signal_depth,
+        1,
+        "the replica kept its promotion inside its handler"
+    );
+    assert_eq!(
+        fleet.kernel.client_request(conn, b"", 5_000_000).unwrap(),
+        b"+OK\n",
+        "the handler finished and the request completed"
+    );
+    fleet.kernel.client_close(conn).unwrap();
+    dynacut.verifier_reports(&fleet.kernel);
+
+    for name in fleet.module_names(replica) {
+        assert!(
+            dynacut.registry().get(&name).is_some(),
+            "the registry lists `{name}`, which {replica} maps"
+        );
+    }
+
+    let mapped = all_module_names(&fleet);
+    let del = verify_function(&fleet.exe, "rd_cmd_del");
+    dynacut
+        .customize(&mut fleet.kernel, &[replica], &del)
+        .unwrap_or_else(|err| panic!("{replica} customizes alone: {err}"));
+    assert_injected_fresh(&fleet, replica, &mapped, "the customize");
+    assert_eq!(
+        fleet.request_on(replica, b"STRALGO abcd efgh\n"),
+        b"+LCS\n",
+        "{replica} self-heals the STRALGO trap its kept promotion planted"
+    );
+    assert_setrange_heals(&mut fleet, replica);
+    // The STRALGO self-heal reported (the SETRANGE trap healed inside
+    // the failed wave); once read, it does not demote the retry.
+    assert_eq!(dynacut.verifier_reports(&fleet.kernel).len(), 1);
+
+    let mapped = all_module_names(&fleet);
+    let retry = dynacut
+        .rollout(&mut fleet.kernel, &groups, &stralgo, &SHORT_SOAK)
+        .unwrap();
+    assert_eq!(retry.decision, RolloutDecision::Promoted);
+    assert_injected_fresh(&fleet, canary, &mapped, "the retry");
+}
+
+/// Every module name any process of `fleet` maps.
+fn all_module_names(fleet: &Fleet) -> BTreeSet<String> {
+    fleet
+        .kernel
+        .pids()
+        .into_iter()
+        .flat_map(|pid| fleet.module_names(pid))
+        .collect()
+}
+
+/// Asserts that `pid` maps an injected library and that none of its
+/// injected libraries is named in `mapped`, the names every process
+/// mapped before `what`.
+fn assert_injected_fresh(fleet: &Fleet, pid: Pid, mapped: &BTreeSet<String>, what: &str) {
+    let injected: Vec<String> = fleet
+        .module_names(pid)
+        .into_iter()
+        .filter(|name| name.starts_with("dc_"))
+        .collect();
+    assert!(!injected.is_empty(), "{what} injected into {pid}");
+    for name in injected {
+        assert!(
+            !mapped.contains(&name),
+            "{what} injected `{name}`, which a process mapped before it"
+        );
+    }
 }
 
 /// A replica frozen inside the verifier's SIGTRAP handler at its window
@@ -1118,25 +1372,12 @@ fn an_unwind_keeps_the_promotion_of_a_replica_inside_its_handler() {
     let feature = plan.disable[0].clone();
     let mut dynacut = DynaCut::new(fleet.registry.clone()).with_incremental();
     let groups = fleet.groups.clone();
-    let (canary, replica, last) = (groups[0][0], groups[1][0], groups[2][0]);
+    let (canary, replica) = (groups[0][0], groups[1][0]);
     dynacut
         .rollout(&mut fleet.kernel, &groups, &plan, &SHORT_SOAK)
         .unwrap();
 
-    fleet.kernel.freeze(canary).unwrap();
-    fleet.kernel.freeze(last).unwrap();
-    let conn = fleet.kernel.client_connect(redis::PORT).unwrap();
-    fleet.kernel.client_send(conn, b"SETRANGE 8 abc\n").unwrap();
-    let trap = fleet.setrange_entry(&feature, replica);
-    let mut steps = 0;
-    while fleet.kernel.process(replica).unwrap().cpu.pc != trap {
-        assert!(steps < 100_000, "the replica never reached the trap");
-        fleet.kernel.run_for(1);
-        steps += 1;
-    }
-    fleet.kernel.freeze(replica).unwrap();
-    fleet.kernel.thaw(canary).unwrap();
-    fleet.kernel.thaw(last).unwrap();
+    let conn = fleet.hold_at_setrange_trap(&feature, replica);
     let foreign = fleet.spawn_lighttpd();
 
     let wave = vec![groups[0].clone(), groups[1].clone(), vec![foreign]];

@@ -28,8 +28,8 @@
 //! (DESIGN §11). The [`Promotion`] receipt keeps what each replica
 //! displaced, so [`Promotion::undo`] puts it back bit for bit — unless
 //! the replica is inside a signal handler, which may run in the new
-//! library by then: that replica keeps the promotion, and the flight
-//! journal records it.
+//! library by then: that replica keeps the promotion, the flight
+//! journal records it, and the undo returns its pid.
 
 use crate::images::{ProcessImage, VmaImage};
 use crate::incremental::{CheckpointStore, CkptId};
@@ -327,7 +327,7 @@ impl Displaced {
 
 /// Receipt of a [`CanaryEdit::promote`]: what each replica
 /// displaced. Dropping it keeps the promotion; [`undo`](Promotion::undo)
-/// reverses it.
+/// reverses it, except on a replica inside a signal handler.
 #[derive(Debug)]
 pub struct Promotion {
     replicas: Vec<Displaced>,
@@ -344,7 +344,13 @@ impl Promotion {
     /// have trapped into the new library since, and unmapping that
     /// under its frame would kill it, so it keeps the promotion, and an
     /// [`EventKind::PromotionKept`] with its pid is journalled.
-    pub fn undo(self, kernel: &mut Kernel) {
+    ///
+    /// Returns the pids that kept their promotion, newest first. Each
+    /// still maps the new library and carries the canary's traps, so the
+    /// caller keeps the library registered and gives the pid the
+    /// canary's handler record.
+    pub fn undo(self, kernel: &mut Kernel) -> Vec<Pid> {
+        let mut kept = Vec::new();
         for replica in self.replicas.into_iter().rev() {
             let Ok(proc) = kernel.process_mut(replica.pid) else {
                 continue;
@@ -353,8 +359,10 @@ impl Promotion {
                 replica.undo(proc);
             } else {
                 kernel.record_flight(Some(replica.pid), EventKind::PromotionKept);
+                kept.push(replica.pid);
             }
         }
+        kept
     }
 }
 
