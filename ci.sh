@@ -28,6 +28,10 @@ cargo test -q -p dynacut-trace --test boundaries
 # A drcov header whose module count exceeds the lines present (up to
 # usize::MAX, which sized an allocation and panicked) is Malformed.
 cargo test -q -p dynacut-trace --test boundaries parse_rejects_a_module_count
+# A drcov module line whose id is not its table index, or a block naming
+# a module the table lacks, is Malformed, parsed or hand-built and
+# merged; both parsed, and merge panicked indexing its remap table.
+cargo test -q -p dynacut-trace --test boundaries module_ids_outside_the_table
 cargo test -q -p dynacut-vm events::
 cargo test -q -p dynacut-bench flight
 # The one JSON string escape every figures document uses.
@@ -109,6 +113,15 @@ grep -q '"schema": "dynacut-fleet-v1"' results/fleet.json
 # table for the next one to hit, and that the code stamp moves exactly
 # when a page's generation does.
 cargo test -q -p dynacut-vm --lib mem::
+# The pre-dump's in-place share (`share_pages`: every private page backed
+# by a shared frame of the same bytes, slot, dirty bit and code
+# generation kept, TLB write rights revoked) is one more step of the TLB
+# property, where a share that keeps a write right fails tlb_is_sound; it
+# stays invisible next to a space that never shares, and dirty stays a
+# subset of populated across it.
+cargo test -q -p dynacut-vm --lib mem::tests::the_tlb_is_invisible
+cargo test -q -p dynacut-vm --lib mem::tests::shared_installs_are_equivalent_to_copying_writes
+cargo test -q -p dynacut-vm --lib mem::tests::dirty_is_subset_of_populated
 cargo test -q -p dynacut-vm --lib bcache::
 cargo test -q -p dynacut-vm --test block_cache
 cargo test -q -p dynacut-vm --test syscall_args
@@ -203,6 +216,12 @@ cargo test -q -p dynacut --test symbol_resolution
 cargo test -q -p dynacut-criu --test zero_copy
 cargo test -q -p dynacut-criu --test codec_props
 cargo test -q -p dynacut-criu --test incremental
+# The freeze copies no clean page: after a pre-dump, random host writes,
+# drops, remaps, protects, replaces and put-backs and guest requests, the
+# frozen dump equals a twin's that never pre-dumped, every clean page is
+# the very frame its slot held right after the pre-dump, and the frozen
+# bytes are exactly the dirty pages; a pre-dump without the share fails.
+cargo test -q -p dynacut-criu --test incremental the_freeze_copies_no_clean_page
 cargo test -q --test incremental
 cargo test -q -p dynacut --test restore_accounting
 cargo test -q -p dynacut-bench experiments::restore
@@ -250,12 +269,17 @@ cargo test -q -p dynacut --test rollout a_report_the_journal_evicted_still_demot
 # nginx's base, under disable, enable and init removal, and a redirect
 # just past the text), refused before any image is edited, where the
 # stray block wiped libc's first bytes and the cycle committed.
+# An empty pid list, or a fleet with an empty group, is BadPlan with the
+# fingerprint, the guest clock and the commit count unchanged (the empty
+# cycle committed and charged 400 ms of downtime); no groups at all is
+# an empty fleet report.
 cargo test -q -p dynacut --test dynacut_e2e failed_customize_thaws_and_leaves_server_untouched
 # A pid named twice, within a group or across groups, is BadPlan before
 # the kernel is touched, for customize and customize_fleet (the test
 # above) and for rollout (here): the cycle committed with the process
 # dumped and restored twice, a fleet's second pre-dump tripped the
 # clean-page assertion, and a rollout promoted the canary onto itself.
+# So is an empty canary or replica group, which a rollout promoted.
 cargo test -q -p dynacut --test rollout bad_rollouts_are_rejected_before_touching_the_fleet
 # One live handler library per process (DESIGN §7): forty Redirect
 # toggles and ten Verify rollouts each leave every process at its two

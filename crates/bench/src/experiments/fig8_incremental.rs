@@ -5,10 +5,9 @@
 //!
 //! Downtime is charged to the kernel clock in proportion to those bytes
 //! ([`freeze_window_ns`]), so the incremental series also shows up as
-//! shorter guest-visible stalls. The model is the protocol's: the
-//! in-memory dump itself still runs in full under the freeze, sharing
-//! each page still backed by a shared frame and copying each private
-//! one.
+//! shorter guest-visible stalls. The incremental freeze copies no clean
+//! page: the pre-dump leaves each one a shared frame, which the frozen
+//! dump hands out without a copy.
 
 use crate::report::{fmt_bytes, Table};
 use crate::workloads::{boot_server, Server, Workload};
@@ -201,8 +200,7 @@ mod tests {
         for (full, incr) in series.full.iter().zip(&series.incremental) {
             // The full series leaves the entire payload for the freeze;
             // the pre-dump protocol leaves at most the dirty residue,
-            // which is what the modeled window charges (the in-memory
-            // dump still runs in full).
+            // which is what the modeled window charges.
             assert!(full.frozen_page_bytes > 0, "cycle {}", full.cycle);
             assert!(
                 incr.frozen_page_bytes < full.frozen_page_bytes,

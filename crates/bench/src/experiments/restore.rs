@@ -62,7 +62,7 @@ pub struct RestoreRun {
     /// Σ `stored_page_bytes` over the cycle: the payload a byte-copying
     /// restore would have moved.
     pub copy_baseline_bytes: usize,
-    /// Page bytes copied inside freeze windows (dump side), for scale.
+    /// Page bytes left for the freeze windows (dump side), for scale.
     pub frozen_page_bytes: usize,
     /// Restore-phase (prepare + commit) wall time summed over the
     /// fleet, nanoseconds. Informational: host timing, not gated.

@@ -41,7 +41,7 @@ use crate::session::{in_freeze_window, thaw_journalled, CustomizeReport, TxnJour
 use crate::{DynaCut, DynacutError};
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, pre_dump, CanaryEdit, CheckpointImage, CriuError,
-    ModuleRegistry, PreDump, ProcessImage, Promotion, RestoreTransaction,
+    ModuleRegistry, PreDumpStats, ProcessImage, Promotion, RestoreTransaction,
 };
 use dynacut_vm::fault::{self, FaultPhase};
 use dynacut_vm::{Counter, EventKind, Kernel, Phase, Pid, SchedClass, SigAction, Signal};
@@ -149,17 +149,22 @@ pub(crate) fn set_group_class(kernel: &mut Kernel, pids: &[Pid], class: SchedCla
     }
 }
 
-/// Refuses a pid named twice, within a group or across groups, before
-/// anything touches the kernel. A cycle would dump, restore and journal
-/// such a process twice, so its rollback could not put it back (a
-/// fleet's second pre-dump sweeps the bitmap the first one read), and a
-/// rollout would promote the canary onto itself.
-fn check_distinct<'a>(groups: impl IntoIterator<Item = &'a [Pid]>) -> Result<(), DynacutError> {
+/// The one check of a cycle's targets, before anything touches the
+/// kernel. An empty group would commit a cycle over nothing and charge
+/// its downtime. A pid named twice, within a group or across groups,
+/// would be dumped, restored and journalled twice, so its rollback could
+/// not put it back, and a rollout would promote the canary onto itself.
+fn check_targets<'a>(groups: impl IntoIterator<Item = &'a [Pid]>) -> Result<(), DynacutError> {
     let mut seen = BTreeSet::new();
-    match groups.into_iter().flatten().find(|&&pid| !seen.insert(pid)) {
-        Some(pid) => Err(DynacutError::BadPlan(format!("{pid} is named twice"))),
-        None => Ok(()),
+    for group in groups {
+        if group.is_empty() {
+            return Err(DynacutError::BadPlan("a target group names no pid".into()));
+        }
+        if let Some(pid) = group.iter().find(|&&pid| !seen.insert(pid)) {
+            return Err(DynacutError::BadPlan(format!("{pid} is named twice")));
+        }
     }
+    Ok(())
 }
 
 /// One promotion window's body: freezes `group`, patches it in place
@@ -219,7 +224,6 @@ pub(crate) struct CycleState {
     pub(crate) report: CustomizeReport,
     pub(crate) journal: TxnJournal,
     begun: bool,
-    predump: Option<PreDump>,
     checkpoint: Option<CheckpointImage>,
     txn: Option<RestoreTransaction>,
 }
@@ -232,7 +236,6 @@ impl CycleState {
             report: CustomizeReport::default(),
             journal: TxnJournal::default(),
             begun: false,
-            predump: None,
             checkpoint: None,
             txn: None,
         }
@@ -273,8 +276,8 @@ pub struct FleetTotals {
     pub groups: usize,
     /// Processes customized (sum of group sizes).
     pub processes: usize,
-    /// Page bytes the pre-dump protocol left for the freeze windows,
-    /// fleet-wide (see [`CustomizeReport::frozen_page_bytes`]).
+    /// Page bytes left for the freeze windows, fleet-wide (see
+    /// [`CustomizeReport::frozen_page_bytes`]).
     pub frozen_page_bytes: usize,
     /// Page bytes pre-copied while guests served, fleet-wide.
     pub prewritten_page_bytes: usize,
@@ -351,7 +354,7 @@ impl DynaCut {
     ///
     /// # Errors
     ///
-    /// Fails on plan validation, a pid named twice
+    /// Fails on plan validation, an empty `pids` or a pid named twice
     /// ([`DynacutError::BadPlan`]), missing processes/modules, or
     /// image-editing errors. The kernel is always left as described
     /// above.
@@ -362,7 +365,7 @@ impl DynaCut {
         plan: &RewritePlan,
     ) -> Result<CustomizeReport, DynacutError> {
         plan.validate()?;
-        check_distinct([pids])?;
+        check_targets([pids])?;
         let cycle = self.run_stages(kernel, CycleState::new(pids), plan, self.stages())?;
         Ok(self.commit_cycle(kernel, cycle, plan))
     }
@@ -441,9 +444,10 @@ impl DynaCut {
     ///
     /// # Errors
     ///
-    /// Fails on plan validation, a pid named twice within a group or
-    /// across groups ([`DynacutError::BadPlan`]), or on the first group
-    /// whose cycle fails, with the rollback semantics above.
+    /// Fails on plan validation, an empty group or a pid named twice
+    /// within a group or across groups ([`DynacutError::BadPlan`]), or
+    /// on the first group whose cycle fails, with the rollback semantics
+    /// above. No groups at all is an empty report.
     pub fn customize_fleet(
         &mut self,
         kernel: &mut Kernel,
@@ -451,7 +455,7 @@ impl DynaCut {
         plan: &RewritePlan,
     ) -> Result<FleetReport, DynacutError> {
         plan.validate()?;
-        check_distinct(groups.iter().map(Vec::as_slice))?;
+        check_targets(groups.iter().map(Vec::as_slice))?;
         let started = Instant::now();
         let stages = self.stages();
         // Both stage lists `stages` returns hold `Phase::Freeze`.
@@ -542,19 +546,19 @@ impl DynaCut {
         phase: Phase,
     ) -> Result<(), DynacutError> {
         match phase {
-            // Incremental mode, phase one: copy clean pages while the
-            // guest still runs, so a pre-dump protocol leaves only the
-            // dirty residue for the freeze. The pre-dump sweeps the dirty
-            // bitmap; snapshot it first so a failed cycle can restore it
-            // (with the bits intact, the old baseline stays valid across
-            // the failure).
+            // Incremental mode, phase one: copy every private page into
+            // a shared frame, in place, while the guest still runs, so
+            // the freeze copies only the dirty residue. The pre-dump
+            // sweeps the dirty bitmap; snapshot it first so a failed
+            // cycle can restore it (with the bits intact, the old
+            // baseline stays valid across the failure).
             Phase::PreDump => {
                 for index in 0..cycle.pids.len() {
                     let pid = cycle.pids[index];
                     let dirty = kernel.process(pid)?.mem.dirty_pages().collect();
                     cycle.journal.saved_dirty.push((pid, dirty));
                 }
-                cycle.predump = Some(pre_dump(kernel, &cycle.pids)?);
+                pre_dump(kernel, &cycle.pids)?;
                 // The bitmap now matches no stored checkpoint until a
                 // new baseline is stored below; the journal holds the
                 // old one for rollback.
@@ -569,25 +573,21 @@ impl DynaCut {
                 }
                 Ok(())
             }
+            // An incremental cycle pre-dumped, so the dump copies no
+            // clean page and only the dirty ones count as frozen; a full
+            // dump counts every page as frozen.
             Phase::Dump => {
-                let dumped = match &cycle.predump {
-                    Some(pre) => pre.complete(kernel, &cycle.pids, &self.dump_options).map(
-                        |(checkpoint, stats)| {
-                            (
-                                checkpoint,
-                                stats.frozen_page_bytes,
-                                stats.prewritten_page_bytes,
-                            )
-                        },
-                    ),
-                    None => dump_many(kernel, &cycle.pids, &self.dump_options).map(|checkpoint| {
-                        let frozen = checkpoint.pages_bytes();
-                        (checkpoint, frozen, 0)
-                    }),
+                let checkpoint = dump_many(kernel, &cycle.pids, &self.dump_options)?;
+                let stats = if self.incremental {
+                    PreDumpStats::of(kernel, &checkpoint)?
+                } else {
+                    PreDumpStats {
+                        frozen_page_bytes: checkpoint.pages_bytes(),
+                        prewritten_page_bytes: 0,
+                    }
                 };
-                let (checkpoint, frozen, prewritten) = dumped?;
-                cycle.report.frozen_page_bytes = frozen;
-                cycle.report.prewritten_page_bytes = prewritten;
+                cycle.report.frozen_page_bytes = stats.frozen_page_bytes;
+                cycle.report.prewritten_page_bytes = stats.prewritten_page_bytes;
                 // The paper checkpoints "into an in-memory filesystem,
                 // i.e., tmpfs"; here the checkpoint stays in memory and
                 // is never serialized, so only its encoded size is
@@ -1059,8 +1059,9 @@ impl DynaCut {
     /// Fails with [`DynacutError::BadPlan`] unless the plan uses
     /// [`FaultPolicy::Verify`] and no [`BlockPolicy::UnmapPages`] (a
     /// verifier cannot heal an unmapped page, and a promotion replays
-    /// no VMA change), the session is incremental, every group
-    /// matches the canary group's size and no pid is named twice;
+    /// no VMA change), the session is incremental, there is a group,
+    /// no group is empty, every group matches the canary group's size
+    /// and no pid is named twice;
     /// propagates canary-cycle, soak
     /// and promotion failures after rolling the fleet back to its
     /// pre-attempt state.
@@ -1073,7 +1074,7 @@ impl DynaCut {
     ) -> Result<RolloutReport, DynacutError> {
         plan.validate()?;
         rollout.validate()?;
-        check_distinct(groups.iter().map(Vec::as_slice))?;
+        check_targets(groups.iter().map(Vec::as_slice))?;
         if groups.is_empty() {
             return Err(DynacutError::BadPlan(
                 "rollout needs at least one replica group".into(),

@@ -68,17 +68,15 @@ pub struct CustomizeReport {
     pub image_bytes: usize,
     /// Base address the handler library was injected at, per process.
     pub handler_bases: Vec<(Pid, u64)>,
-    /// Page bytes a pre-dump protocol leaves for the freeze: the whole
-    /// page payload without incremental mode, only the dirty residue
-    /// with [`DynaCut::with_incremental`]. A modeled freeze window
-    /// charges these bytes (`figures fig8-incremental`). It is a modeled
-    /// count, not what the freeze copies: the in-memory dump runs in
-    /// full while the processes are frozen, sharing each page still
-    /// backed by a shared frame and copying each private one
-    /// ([`PreDump::complete`](dynacut_criu::PreDump::complete)).
+    /// Page bytes left for the freeze: the whole page payload without
+    /// incremental mode, only the dirty residue with
+    /// [`DynaCut::with_incremental`], whose pre-dump left every clean
+    /// page a shared frame the dump hands out without a copy. A modeled
+    /// freeze window charges these bytes (`figures fig8-incremental`).
     pub frozen_page_bytes: usize,
-    /// Page bytes the pre-dump snapshotted while the guest was still
-    /// running (zero without incremental mode).
+    /// Page bytes the pre-dump moved while the guest was still running:
+    /// the pages still clean at the freeze (zero without incremental
+    /// mode).
     pub prewritten_page_bytes: usize,
     /// Page bytes of the stored checkpoint that are absent from, or
     /// different in, the group's previous baseline — the pages it does
@@ -202,7 +200,7 @@ pub struct DynaCut {
     /// injected library a live process or a store entry maps.
     pub(crate) registry: ModuleRegistry,
     pub(crate) dump_options: DumpOptions,
-    /// Incremental checkpointing: pre-dump clean pages while the guest
+    /// Incremental checkpointing: pre-dump every page while the guest
     /// runs and store each cycle's checkpoint as the next baseline.
     pub(crate) incremental: bool,
     /// Checkpoint store, backed by a content-addressed page store shared
@@ -256,13 +254,12 @@ impl DynaCut {
     }
 
     /// Enables incremental checkpointing for disable/enable cycles: each
-    /// customization pre-dumps clean pages while the guest still runs and
+    /// customization pre-dumps its pages while the guest still runs and
     /// stores the checkpoint in the content-addressed [`CheckpointStore`],
     /// where pages unchanged since the previous one are shared, not
     /// copied. The pre-dump leaves only the dirty residue for the freeze
-    /// ([`CustomizeReport::frozen_page_bytes`]), which is what a modeled
-    /// freeze window charges; this in-memory dump still runs in full
-    /// while the processes are frozen. Full dumps remain the default.
+    /// to copy ([`CustomizeReport::frozen_page_bytes`]), which is what a
+    /// modeled freeze window charges. Full dumps remain the default.
     pub fn with_incremental(mut self) -> Self {
         self.incremental = true;
         self

@@ -620,6 +620,35 @@ fn failed_customize_thaws_and_leaves_server_untouched() {
         );
         assert_eq!(server.kernel.state_fingerprint(), pristine, "{twice:?}");
     }
+    // An empty target is refused the same way, under the default
+    // downtime: a cycle over no process committed, counted a commit and
+    // advanced the guest clock by the fixed 400 ms charge, and a fleet of
+    // empty groups reported them as customized. No groups at all is an
+    // empty report.
+    let put_fixed = RewritePlan::new()
+        .disable(put_feature(&server.exe))
+        .with_fault_policy(FaultPolicy::Redirect);
+    let commits = |kernel: &Kernel| kernel.flight().metrics().counter("customize.commits");
+    let commits_before = commits(&server.kernel);
+    assert!(matches!(
+        incremental.customize(&mut server.kernel, &[], &put_fixed),
+        Err(DynacutError::BadPlan(_))
+    ));
+    for empty in [vec![vec![], vec![]], vec![vec![master], vec![]]] {
+        assert!(
+            matches!(
+                incremental.customize_fleet(&mut server.kernel, &empty, &put_fixed),
+                Err(DynacutError::BadPlan(_))
+            ),
+            "{empty:?}"
+        );
+    }
+    let none = incremental
+        .customize_fleet(&mut server.kernel, &[], &put_fixed)
+        .unwrap();
+    assert_eq!((none.totals.groups, none.procs.len()), (0, 0));
+    assert_eq!(server.kernel.state_fingerprint(), pristine, "empty targets");
+    assert_eq!(commits(&server.kernel), commits_before, "empty targets");
     // …and the server is fully functional.
     let conn = server.kernel.client_connect(nginx::PORT).unwrap();
     let reply = server

@@ -691,6 +691,18 @@ fn bad_rollouts_are_rejected_before_touching_the_fleet() {
         Err(DynacutError::BadPlan(_))
     ));
 
+    // An empty canary or replica group: the canary cycle ran over no
+    // process and the rollout was promoted.
+    for empty in [vec![vec![]], vec![vec![], vec![]]] {
+        assert!(
+            matches!(
+                incremental.rollout(&mut fleet.kernel, &empty, &plan, &rollout_plan),
+                Err(DynacutError::BadPlan(_))
+            ),
+            "{empty:?}"
+        );
+    }
+
     // A pid named twice, across groups or within one: the canary would
     // be promoted onto itself, or dumped and restored twice in one
     // cycle (both used to commit).

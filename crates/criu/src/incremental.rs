@@ -5,14 +5,14 @@
 //! copying pages that have not changed since the previous checkpoint.
 //! This module reproduces the CRIU mechanisms that shrink it:
 //!
-//! * **Pre-dump** ([`pre_dump`]): the two-phase protocol that snapshots
-//!   the current pages while the guest is still running, then freezes
-//!   only to collect the *dirty residue* — the pages the kernel's
-//!   dirty-page bitmap (the soft-dirty analogue,
-//!   [`AddressSpace::dirty_pages`]) flags as written since the
-//!   snapshot — plus registers, sigactions and TCP-repair state.
-//!   [`PreDump::complete`] reports how many page bytes a pre-dump
-//!   protocol leaves for the freeze window.
+//! * **Pre-dump** ([`pre_dump`]): the two-phase protocol that copies
+//!   the current pages while the guest is still running, into shared
+//!   frames in place that the checkpoint keeps, then freezes only to
+//!   copy the *dirty residue* — the pages the kernel's dirty-page
+//!   bitmap (the soft-dirty analogue, [`AddressSpace::dirty_pages`])
+//!   flags as written since — plus registers, sigactions and
+//!   TCP-repair state. [`PreDumpStats::of`] splits a dump's page bytes
+//!   between the two.
 //! * **The checkpoint store** ([`CheckpointStore`]): every checkpoint
 //!   enters it whole, through [`CheckpointStore::put_full`], and is
 //!   stored flat — the image itself, each page backed by the
@@ -37,13 +37,12 @@
 //! [`AddressSpace::dirty_pages`]: dynacut_vm::AddressSpace::dirty_pages
 //! [`AddressSpace::mark_clean`]: dynacut_vm::AddressSpace::mark_clean
 
-use crate::dump::{dump_many, DumpOptions};
 use crate::images::*;
 use crate::page_store::{PageKey, PageStore};
 use crate::restore::{build_process, ModuleRegistry, RestoreTransaction, StagedProcess};
 use crate::CriuError;
 use dynacut_obj::{PAGE_LEN, PAGE_SIZE};
-use dynacut_vm::{Kernel, Pid, SharedFrame};
+use dynacut_vm::{Kernel, Pid};
 use std::collections::BTreeMap;
 
 /// Identifier of a checkpoint in a [`CheckpointStore`] (sequential).
@@ -76,114 +75,75 @@ pub fn mark_clean_after_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<(), Cr
     Ok(())
 }
 
-/// The pages [`pre_dump`] snapshotted while the guest was running, as
-/// frames: each shared page's own frame, each private page a copy.
-#[derive(Debug, Clone)]
-pub struct PreDump {
-    snapshots: BTreeMap<Pid, BTreeMap<u64, SharedFrame>>,
-}
-
-/// How [`PreDump::complete`] accounts a checkpoint's page bytes: left
-/// for the freeze, or served from the pre-copy.
+/// How a checkpoint's page bytes split between the freeze and the
+/// pre-copy ([`PreDumpStats::of`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreDumpStats {
-    /// Bytes a pre-dump protocol leaves for the freeze: the dirty
-    /// residue plus pages populated after the pre-copy. A modeled freeze
-    /// window charges these bytes (registers/sigactions/TCP state are
-    /// O(1)). It is a modeled count, not what the freeze copies:
-    /// [`PreDump::complete`] itself runs a full dump under the freeze,
-    /// which shares each page still backed by a shared frame and copies
-    /// each private one.
+    /// Bytes left for the freeze: the dirty residue, every page written
+    /// or populated since the pre-dump. A modeled freeze window charges
+    /// these bytes (registers/sigactions/TCP state are O(1)).
     pub frozen_page_bytes: usize,
-    /// Bytes served from the pre-copy, i.e. moved while the guest ran.
+    /// Bytes the pre-dump moved while the guest ran: the clean pages,
+    /// which the freeze handed out as the pre-dump's frames.
     pub prewritten_page_bytes: usize,
 }
 
 impl PreDumpStats {
-    /// Total page payload of the completed dump.
-    pub fn total_page_bytes(&self) -> usize {
-        self.frozen_page_bytes + self.prewritten_page_bytes
+    /// Splits the page bytes of `checkpoint`, dumped after a [`pre_dump`]
+    /// of its processes, by the dirty bit: a dirty page is frozen, a
+    /// clean one, which still holds the slot the pre-dump shared,
+    /// prewritten.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a process of the checkpoint does not exist.
+    pub fn of(kernel: &Kernel, checkpoint: &CheckpointImage) -> Result<PreDumpStats, CriuError> {
+        let mut stats = PreDumpStats::default();
+        for image in &checkpoint.procs {
+            let mem = &kernel.process(image.core.pid)?.mem;
+            for base in image.pages.keys() {
+                if mem.page_dirty(*base) {
+                    stats.frozen_page_bytes += PAGE_LEN;
+                } else {
+                    stats.prewritten_page_bytes += PAGE_LEN;
+                }
+            }
+        }
+        Ok(stats)
     }
 }
 
-/// Phase one of the two-phase dump: snapshots every populated page of
-/// every process **without requiring a freeze** — sharing each page
-/// still backed by a shared frame, copying each private one — then
-/// sweeps the dirty bitmap so [`PreDump::complete`] can identify the
-/// residue written afterwards.
+/// Phase one of the two-phase dump, run **without a freeze**: backs
+/// every private page of every process with a shared frame holding the
+/// same bytes, in place ([`AddressSpace::share_pages`]), then sweeps
+/// the dirty bitmap. It keeps no page of its own. A page still clean at
+/// the freeze is still that frame, so the frozen [`dump_many`] hands it
+/// out without a copy and copies only the dirty residue;
+/// [`PreDumpStats::of`] splits its bytes.
 ///
 /// # Errors
 ///
 /// Fails if a process does not exist.
-pub fn pre_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<PreDump, CriuError> {
+///
+/// [`AddressSpace::share_pages`]: dynacut_vm::AddressSpace::share_pages
+/// [`dump_many`]: crate::dump_many
+pub fn pre_dump(kernel: &mut Kernel, pids: &[Pid]) -> Result<(), CriuError> {
     if dynacut_vm::fault::hit(dynacut_vm::fault::FaultPhase::PreDump) {
         return Err(CriuError::FaultInjected(
             dynacut_vm::fault::FaultPhase::PreDump,
         ));
     }
-    let mut snapshots = BTreeMap::new();
     for &pid in pids {
         let mem = &mut kernel.process_mut(pid)?.mem;
-        let pages: BTreeMap<u64, SharedFrame> = mem.page_frames().collect();
+        mem.share_pages();
         mem.mark_clean();
-        let page_bytes = (pages.len() * PAGE_LEN) as u64;
-        snapshots.insert(pid, pages);
+        let page_bytes = (mem.populated_page_count() * PAGE_LEN) as u64;
         kernel.record_flight(
             Some(pid),
             dynacut_vm::EventKind::ProcessPreDumped { page_bytes },
         );
     }
-    Ok(PreDump { snapshots })
-}
-
-impl PreDump {
-    /// Total page bytes the pre-dump phase snapshotted.
-    pub fn page_bytes(&self) -> usize {
-        self.snapshots
-            .values()
-            .map(|pages| pages.len() * PAGE_LEN)
-            .sum()
-    }
-
-    /// Phase two: with the processes now frozen, produces a
-    /// [`CheckpointImage`] bit-identical to a plain [`dump_many`] at this
-    /// instant. It runs that full dump while the processes are frozen —
-    /// sharing each page still backed by a shared frame, copying each
-    /// private one — and counts as frozen only the dirty residue: the
-    /// bytes a pre-dump protocol leaves for the freeze, which a modeled
-    /// freeze window charges. Returns the checkpoint plus the phase
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any process is missing or not frozen.
-    pub fn complete(
-        &self,
-        kernel: &mut Kernel,
-        pids: &[Pid],
-        options: &DumpOptions,
-    ) -> Result<(CheckpointImage, PreDumpStats), CriuError> {
-        let checkpoint = dump_many(kernel, pids, options)?;
-        let page = PAGE_LEN;
-        let mut stats = PreDumpStats::default();
-        for image in &checkpoint.procs {
-            let mem = &kernel.process(image.core.pid)?.mem;
-            let snapshot = self.snapshots.get(&image.core.pid);
-            for (base, frame) in &image.pages {
-                let snapped = snapshot.and_then(|pages| pages.get(base));
-                if !mem.page_dirty(*base) && snapped.is_some() {
-                    // The clean page the freeze-window copy skips must
-                    // match what the pre-dump snapshotted — the
-                    // invariant the dirty bitmap guarantees.
-                    debug_assert_eq!(snapped.map(SharedFrame::bytes), Some(frame.bytes()));
-                    stats.prewritten_page_bytes += page;
-                } else {
-                    stats.frozen_page_bytes += page;
-                }
-            }
-        }
-        Ok((checkpoint, stats))
-    }
+    Ok(())
 }
 
 /// One entry of a [`CheckpointStore`]: the checkpoint itself, every
@@ -444,6 +404,8 @@ impl CheckpointStore {
     /// Fails with [`CriuError::MissingParent`] if `id` is absent or
     /// released, or propagates the first build failure; the kernel is
     /// untouched either way.
+    ///
+    /// [`SharedFrame`]: dynacut_vm::SharedFrame
     pub fn stage_restore(
         &self,
         kernel: &Kernel,
@@ -523,7 +485,7 @@ fn check_vmas(mm: &MmImage) -> Result<(), CriuError> {
 mod tests {
     use super::*;
     use dynacut_obj::Perms;
-    use dynacut_vm::{SigAction, Signal};
+    use dynacut_vm::{SharedFrame, SigAction, Signal};
     use std::cell::Cell;
 
     /// A checkpoint of one process per entry of `procs`, the `i`-th page

@@ -73,9 +73,7 @@ pub use images::{
     CheckpointImage, CoreImage, FdImage, FilesImage, MmImage, ModuleRef, ProcessImage,
     TcpConnImage, TcpImage, VmaImage,
 };
-pub use incremental::{
-    mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDump, PreDumpStats,
-};
+pub use incremental::{mark_clean_after_dump, pre_dump, CheckpointStore, CkptId, PreDumpStats};
 pub use page_store::{PageKey, PageStore};
 pub use promote::{CanaryEdit, Promotion};
 pub use restore::{CommittedRestore, ModuleRegistry, RestoreTransaction};

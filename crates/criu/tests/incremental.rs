@@ -1,6 +1,6 @@
 //! Incremental checkpointing: the dirty-page bitmap, the two-phase
-//! pre-dump, and the flat checkpoint store — exercised end to end on a
-//! live guest.
+//! pre-dump whose freeze copies only the dirty residue, and the flat
+//! checkpoint store — exercised end to end on a live guest.
 //!
 //! The load-bearing properties throughout: a stored checkpoint
 //! materializes **bit-identically** to the dump that was put, and a
@@ -9,11 +9,13 @@
 
 use dynacut_criu::{
     dump_many, mark_clean_after_dump, pre_dump, CheckpointImage, CheckpointStore, CkptId,
-    CriuError, DumpOptions, ModuleRegistry,
+    CriuError, DumpOptions, ModuleRegistry, PreDumpStats,
 };
 use dynacut_isa::{Assembler, Cond, Insn, Reg};
-use dynacut_obj::{Image, ModuleBuilder, ObjectKind, PAGE_SIZE};
-use dynacut_vm::{Kernel, LoadSpec, Pid, SharedFrame, Sysno};
+use dynacut_obj::{Image, ModuleBuilder, ObjectKind, Perms, PAGE_SIZE};
+use dynacut_vm::{DisplacedPage, EventKind, Kernel, LoadSpec, Pid, SharedFrame, Sysno};
+use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A small echo server with a multi-page BSS scratch area, so guest
 /// activity between checkpoints dirties a predictable handful of pages.
@@ -229,12 +231,12 @@ fn unknown_and_released_ids_fail_cleanly() {
     }
 }
 
-/// The pre-dump snapshots pages while the guest runs, and the completed
-/// dump equals a plain frozen dump while only the residue counts as
-/// frozen. Both share frames instead of copying them: on a process
-/// restored from the store, the snapshot takes one more handle on each
-/// page's frame, and the checkpoint holds the entry's own frame for
-/// every page the guest has not written since.
+/// The pre-dump moves every page out of the freeze while the guest
+/// runs, and only the residue the guest writes afterwards counts as
+/// frozen. It keeps no page of its own: on a process restored from the
+/// store every page is already backed by the entry's frame, so the
+/// pre-dump takes no handle on any of them, and the checkpoint holds the
+/// entry's own frame for every page the guest has not written since.
 #[test]
 fn pre_dump_moves_clean_pages_before_the_freeze() {
     let mut setup = boot();
@@ -255,14 +257,20 @@ fn pre_dump_moves_clean_pages_before_the_freeze() {
     let handles: Vec<usize> = frames.iter().map(SharedFrame::handle_count).collect();
 
     // Phase one runs against the live (unfrozen) process.
-    let pre = pre_dump(&mut setup.kernel, &[setup.pid]).unwrap();
-    assert_eq!(pre.page_bytes(), frames.len() * PAGE_SIZE as usize);
+    let seq = setup.kernel.flight().next_seq();
+    pre_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+    let pre_dumped: Vec<u64> = setup
+        .kernel
+        .flight()
+        .since(seq)
+        .filter_map(|event| match event.kind {
+            EventKind::ProcessPreDumped { page_bytes } => Some(page_bytes),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(pre_dumped, [frames.len() as u64 * PAGE_SIZE]);
     for (frame, before) in frames.iter().zip(handles) {
-        assert_eq!(
-            frame.handle_count(),
-            before + 1,
-            "the snapshot shares the frame"
-        );
+        assert_eq!(frame.handle_count(), before, "the pre-dump holds no page");
     }
 
     // The guest keeps running and dirties a little residue.
@@ -271,21 +279,20 @@ fn pre_dump_moves_clean_pages_before_the_freeze() {
     assert_eq!(reply, b"go");
 
     setup.kernel.freeze(setup.pid).unwrap();
-    let (checkpoint, stats) = pre
-        .complete(&mut setup.kernel, &[setup.pid], &DumpOptions::default())
-        .unwrap();
+    let checkpoint = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+    let stats = PreDumpStats::of(&setup.kernel, &checkpoint).unwrap();
 
-    // The completed dump is bit-identical to a plain full dump taken at
-    // this instant, but only the residue crossed the freeze window.
+    // The dump is bit-identical to a second full dump taken at this
+    // instant, but only the residue crossed the freeze window.
     let full = dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
     assert_eq!(checkpoint, full);
-    assert_eq!(stats.total_page_bytes(), full.pages_bytes());
+    let total = stats.frozen_page_bytes + stats.prewritten_page_bytes;
+    assert_eq!(total, checkpoint.pages_bytes());
     assert!(stats.frozen_page_bytes > 0, "the residue is never empty");
     assert!(
-        stats.frozen_page_bytes < stats.total_page_bytes(),
-        "freeze window must shrink: frozen {} of {}",
-        stats.frozen_page_bytes,
-        stats.total_page_bytes()
+        stats.frozen_page_bytes < total,
+        "freeze window must shrink: frozen {} of {total}",
+        stats.frozen_page_bytes
     );
     assert!(stats.prewritten_page_bytes > 0);
     let entry = store.materialize(id).unwrap();
@@ -294,6 +301,179 @@ fn pre_dump_moves_clean_pages_before_the_freeze() {
         let held = entry.procs[0].pages.get(base);
         let same_frame = held.is_some_and(|held| std::ptr::eq(held.bytes(), frame.bytes()));
         assert_eq!(same_frame, mem.page_shared(*base), "page {base:#x}");
+    }
+}
+
+/// Scratch pages the freeze property changes: the BSS pages after the
+/// echo server's buffer, which the guest never touches.
+const SCRATCH: std::ops::Range<u64> = 1..4;
+
+/// One change to a process between its pre-dump and its freeze.
+#[derive(Debug, Clone)]
+enum Step {
+    /// A host write of `len` copies of `byte` at the start of a scratch
+    /// page.
+    Write { page: u64, byte: u8, len: usize },
+    /// Drop a scratch page's contents.
+    Drop { page: u64 },
+    /// Unmap a scratch page and map a fresh one in its place.
+    Remap { page: u64 },
+    /// Make a scratch page read-only, or read-write again.
+    Protect { page: u64, write: bool },
+    /// Back a scratch page with a new frame of `byte`s, as a promotion
+    /// does, and hold on to the slot it displaced.
+    Replace { page: u64, byte: u8 },
+    /// Put back the slot displaced last and still held.
+    Undo,
+    /// One echo request: the guest's own stores write its buffer.
+    Serve { byte: u8 },
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (SCRATCH, any::<u8>(), 1usize..64).prop_map(|(page, byte, len)| Step::Write {
+            page,
+            byte,
+            len
+        }),
+        SCRATCH.prop_map(|page| Step::Drop { page }),
+        SCRATCH.prop_map(|page| Step::Remap { page }),
+        (SCRATCH, any::<bool>()).prop_map(|(page, write)| Step::Protect { page, write }),
+        (SCRATCH, any::<u8>()).prop_map(|(page, byte)| Step::Replace { page, byte }),
+        Just(Step::Undo),
+        any::<u8>().prop_map(|byte| Step::Serve { byte }),
+    ]
+}
+
+/// A booted echo server whose scratch pages are populated, restored
+/// from a checkpoint store first when `restored`, so that every page
+/// starts shared. Returns it with the base of its BSS.
+fn boot_scratch(restored: bool) -> (Setup, u64) {
+    let mut setup = boot();
+    let bss = writable_page(&setup, 0);
+    let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
+    for page in SCRATCH {
+        mem.write_unchecked(bss + page * PAGE_SIZE, &[0xA0 | page as u8; 8]);
+    }
+    if restored {
+        setup.kernel.freeze(setup.pid).unwrap();
+        let mut store = CheckpointStore::new();
+        let id = store.put_full(&baseline(&mut setup)).unwrap();
+        setup.kernel.remove_process(setup.pid).unwrap();
+        store
+            .restore(&mut setup.kernel, id, &setup.registry)
+            .unwrap();
+    }
+    (setup, bss)
+}
+
+fn apply_step(setup: &mut Setup, bss: u64, step: &Step, displaced: &mut Vec<DisplacedPage>) {
+    if let Step::Serve { byte } = *step {
+        let conn = setup.kernel.client_connect(8080).unwrap();
+        let reply = setup
+            .kernel
+            .client_request(conn, &[byte; 8], 1_000_000)
+            .unwrap();
+        assert_eq!(reply, [byte; 8]);
+        setup.kernel.client_close(conn).unwrap();
+        return;
+    }
+    let mem = &mut setup.kernel.process_mut(setup.pid).unwrap().mem;
+    match *step {
+        Step::Write { page, byte, len } => {
+            mem.write_unchecked(bss + page * PAGE_SIZE, &vec![byte; len]);
+        }
+        Step::Drop { page } => mem.drop_page(bss + page * PAGE_SIZE),
+        Step::Remap { page } => {
+            let addr = bss + page * PAGE_SIZE;
+            mem.unmap(addr, PAGE_SIZE).unwrap();
+            mem.map(addr, PAGE_SIZE, Perms::RW, "recycled").unwrap();
+        }
+        Step::Protect { page, write } => {
+            let perms = if write { Perms::RW } else { Perms::R };
+            mem.protect(bss + page * PAGE_SIZE, PAGE_SIZE, perms)
+                .unwrap();
+        }
+        Step::Replace { page, byte } => {
+            let frame = SharedFrame::new(&[byte; PAGE_SIZE as usize]);
+            displaced.push(mem.replace_page(bss + page * PAGE_SIZE, Some(frame)));
+        }
+        Step::Undo => {
+            if let Some(page) = displaced.pop() {
+                mem.restore_page(page);
+            }
+        }
+        Step::Serve { .. } => unreachable!("served above"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The freeze copies no clean page. A process is pre-dumped, then
+    /// written by the host and the guest, its pages dropped, remapped,
+    /// protected, replaced and put back, then frozen and dumped. A twin
+    /// kernel takes the same steps without the pre-dump. The dump's
+    /// pages equal the twin's byte for byte; every clean page is the
+    /// very frame its slot held right after the pre-dump, so the freeze
+    /// handed it out without a copy; and the frozen bytes are exactly
+    /// the dirty pages, the prewritten ones the rest.
+    #[test]
+    fn the_freeze_copies_no_clean_page(
+        restored in any::<bool>(),
+        steps in proptest::collection::vec(arb_step(), 0..16),
+    ) {
+        let (mut setup, bss) = boot_scratch(restored);
+        let (mut twin, twin_bss) = boot_scratch(restored);
+        prop_assert_eq!(bss, twin_bss);
+        pre_dump(&mut setup.kernel, &[setup.pid]).unwrap();
+        let pre_dumped: BTreeMap<u64, SharedFrame> = setup
+            .kernel
+            .process(setup.pid)
+            .unwrap()
+            .mem
+            .page_frames()
+            .collect();
+        let (mut displaced, mut twin_displaced) = (Vec::new(), Vec::new());
+        for step in &steps {
+            apply_step(&mut setup, bss, step, &mut displaced);
+            apply_step(&mut twin, bss, step, &mut twin_displaced);
+        }
+        setup.kernel.freeze(setup.pid).unwrap();
+        twin.kernel.freeze(twin.pid).unwrap();
+        let checkpoint =
+            dump_many(&mut setup.kernel, &[setup.pid], &DumpOptions::default()).unwrap();
+        let reference = dump_many(&mut twin.kernel, &[twin.pid], &DumpOptions::default()).unwrap();
+
+        let (pages, twin_pages) = (&checkpoint.procs[0].pages, &reference.procs[0].pages);
+        prop_assert_eq!(
+            pages.keys().collect::<Vec<_>>(),
+            twin_pages.keys().collect::<Vec<_>>()
+        );
+        for ((base, frame), twin_frame) in pages.iter().zip(twin_pages.values()) {
+            prop_assert!(frame.bytes() == twin_frame.bytes(), "page {:#x} differs", base);
+        }
+
+        let mem = &setup.kernel.process(setup.pid).unwrap().mem;
+        let mut dirty_bytes = 0;
+        for (base, frame) in pages {
+            if mem.page_dirty(*base) {
+                dirty_bytes += PAGE_SIZE as usize;
+            } else {
+                prop_assert_eq!(
+                    pre_dumped.get(base).map(SharedFrame::addr),
+                    Some(frame.addr()),
+                    "clean page {:#x} is not the frame the pre-dump left",
+                    base
+                );
+            }
+        }
+        let stats = PreDumpStats::of(&setup.kernel, &checkpoint).unwrap();
+        prop_assert_eq!(
+            stats.frozen_page_bytes + stats.prewritten_page_bytes,
+            checkpoint.pages_bytes()
+        );
+        prop_assert_eq!(stats.frozen_page_bytes, dirty_bytes);
     }
 }
 

@@ -39,7 +39,8 @@ pub struct BlockRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
-    /// A drcov text log is malformed.
+    /// A drcov log is malformed, a module id other than its table index
+    /// or a block naming a module past the table included.
     Malformed(String),
     /// A block's module-relative offset exceeds the drcov `u32` offset
     /// field.
@@ -147,10 +148,13 @@ impl TraceLog {
     ///
     /// # Errors
     ///
-    /// Fails with [`TraceError::ModuleLimit`] if the union would not fit
-    /// the `u16` module-id space; `self` is untouched in that case.
+    /// Fails with [`TraceError::Malformed`] if `other`'s ids are not
+    /// those a parsed log has (its fields are public), or with
+    /// [`TraceError::ModuleLimit`] if the union would not fit the `u16`
+    /// module-id space; `self` is untouched in either case.
     pub fn merge(&mut self, other: &TraceLog) -> Result<(), TraceError> {
         // Validate before mutating: the merge is all-or-nothing.
+        other.check_ids()?;
         let new_names: BTreeSet<&str> = other
             .modules
             .iter()
@@ -163,7 +167,8 @@ impl TraceLog {
                 count: merged_count,
             });
         }
-        let mut remap = vec![0u16; other.modules.len()];
+        // The new id of each module of `other`, whose id is its index.
+        let mut remap = Vec::with_capacity(other.modules.len());
         for module in &other.modules {
             let id = match self.modules.iter().position(|m| m.name == module.name) {
                 Some(index) => u16::try_from(index).expect("table bounded above"),
@@ -176,15 +181,28 @@ impl TraceLog {
                     id
                 }
             };
-            remap[module.id as usize] = id;
+            remap.push(id);
         }
         for block in &other.blocks {
             self.blocks.insert(BlockRecord {
-                module: remap[block.module as usize],
+                module: remap[usize::from(block.module)],
                 ..*block
             });
         }
         Ok(())
+    }
+
+    /// Checks the ids a merge remaps by: each module's id is its table
+    /// index, and each block names a module of the table.
+    fn check_ids(&self) -> Result<(), TraceError> {
+        let count = self.modules.len();
+        let ids = self.modules.iter().map(|m| usize::from(m.id));
+        if ids.eq(0..count) && self.blocks.iter().all(|b| usize::from(b.module) < count) {
+            return Ok(());
+        }
+        Err(TraceError::Malformed(format!(
+            "a module id is not its index in the table of {count}, or a block names none of them"
+        )))
     }
 
     /// Serialises in a drcov-like text format.
@@ -312,7 +330,9 @@ impl TraceLog {
                 size,
             });
         }
-        Ok(TraceLog { modules, blocks })
+        let log = TraceLog { modules, blocks };
+        log.check_ids()?;
+        Ok(log)
     }
 }
 

@@ -199,6 +199,67 @@ fn parse_rejects_a_module_count_past_the_lines_present() {
     }
 }
 
+/// A drcov log whose module line's id is not its table index (id 5 in a
+/// one-module table), and one whose block names a module the table
+/// lacks (module 9). Both used to parse.
+fn logs_with_ids_outside_the_table() -> [(&'static str, TraceLog); 2] {
+    let module = |id| ModuleRecord {
+        id,
+        base: 0x40_0000,
+        end: 0x40_1000,
+        name: "mod0".into(),
+    };
+    let log = |id, block| TraceLog {
+        modules: vec![module(id)],
+        blocks: BTreeSet::from([BlockRecord {
+            module: block,
+            offset: 0x40,
+            size: 4,
+        }]),
+    };
+    [("module id 5", log(5, 5)), ("block module 9", log(0, 9))]
+}
+
+/// Regression: the parser accepted a module id other than its table
+/// index and a block naming a module the table lacks, and `merge` then
+/// panicked indexing its remap table by the id ("index out of bounds:
+/// the len is 1 but the index is 5", and 9). Both are Malformed.
+#[test]
+fn parse_rejects_module_ids_outside_the_table() {
+    for (case, log) in logs_with_ids_outside_the_table() {
+        let text = log.to_drcov_text();
+        match TraceLog::from_drcov_text(&text) {
+            Err(TraceError::Malformed(_)) => {}
+            other => panic!("{case}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
+/// The same logs built by hand, which the public fields allow: `merge`
+/// refuses each as Malformed before it changes the target.
+#[test]
+fn merge_rejects_module_ids_outside_the_table() {
+    let mut target = TraceLog {
+        modules: module_table(1),
+        blocks: BTreeSet::from([BlockRecord {
+            module: 0,
+            offset: 0x10,
+            size: 4,
+        }]),
+    };
+    let before = target.clone();
+    for (case, other) in logs_with_ids_outside_the_table() {
+        match target.merge(&other) {
+            Err(TraceError::Malformed(_)) => {}
+            other => panic!("{case}: expected Malformed, got {other:?}"),
+        }
+        assert_eq!(
+            target, before,
+            "{case}: a refused merge must not mutate the target"
+        );
+    }
+}
+
 /// A module table of exactly 65 536 entries uses the full `u16` id space
 /// and still merges; one more module is a typed error that leaves the
 /// target untouched.

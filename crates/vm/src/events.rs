@@ -163,9 +163,9 @@ pub enum EventKind {
         /// Host wall-clock duration of the phase.
         duration_ns: u64,
     },
-    /// The incremental pre-dump copied one process's pages.
+    /// The incremental pre-dump shared one process's pages in place.
     ProcessPreDumped {
-        /// Bytes copied while the guest was still running.
+        /// Populated page bytes, moved while the guest still ran.
         page_bytes: u64,
     },
     /// One frozen process was dumped into its image set.

@@ -1102,6 +1102,23 @@ impl AddressSpace {
         self.tlb.drop_write_rights();
     }
 
+    /// Backs every private page with a new shared frame of the same
+    /// bytes, in place: slot numbers, dirty bits, code generations and
+    /// the code stamp stay, so no access can tell, and the next write to
+    /// a page copy-on-writes it private. A shared page grants no TLB
+    /// write right, so every one is revoked. Returns the pages copied.
+    pub fn share_pages(&mut self) -> usize {
+        let mut copied = 0;
+        for slot in self.slab.slots.iter_mut().flatten() {
+            if let PageSlot::Private(page) = slot {
+                *slot = PageSlot::Shared(SharedFrame::new(page));
+                copied += 1;
+            }
+        }
+        self.tlb.drop_write_rights();
+        copied
+    }
+
     /// Re-marks the page containing `addr` dirty — the rollback inverse
     /// of [`mark_clean`](AddressSpace::mark_clean), used when a failed
     /// customization must restore the dirty bitmap a pre-dump already
@@ -1649,10 +1666,10 @@ mod tests {
 
         /// Invariant: the dirty set is always a subset of the populated
         /// set, across arbitrary interleavings of writes, page drops,
-        /// unmaps, and clean sweeps.
+        /// unmaps, clean sweeps and in-place shares.
         #[test]
         fn dirty_is_subset_of_populated(
-            ops in proptest::collection::vec((0u8..4, 0u64..8), 1..64)
+            ops in proptest::collection::vec((0u8..5, 0u64..8), 1..64)
         ) {
             use proptest::prelude::*;
             let mut space = space_with(0x1000, 8 * PAGE_SIZE, Perms::RW);
@@ -1662,9 +1679,12 @@ mod tests {
                     0 => space.write_unchecked(addr, &[u8::try_from(page).unwrap(); 16]),
                     1 => space.drop_page(addr),
                     2 => space.mark_clean(),
-                    _ => {
+                    3 => {
                         space.unmap(addr, PAGE_SIZE).unwrap();
                         space.map(addr, PAGE_SIZE, Perms::RW, "test").unwrap();
+                    }
+                    _ => {
+                        space.share_pages();
                     }
                 }
                 let populated: std::collections::BTreeSet<u64> =
@@ -1683,9 +1703,11 @@ mod tests {
         /// by `write_unchecked` of the same bytes agree on populated
         /// pages, their contents, and the dirty bitmap — across arbitrary
         /// interleavings of installs, partial writes, drops, and sweeps.
+        /// So does `share_pages`, applied to the shared space alone at
+        /// random points.
         #[test]
         fn shared_installs_are_equivalent_to_copying_writes(
-            ops in proptest::collection::vec((0u8..4, 0u64..6, 0u8..=255u8), 1..48)
+            ops in proptest::collection::vec((0u8..5, 0u64..6, 0u8..=255u8), 1..48)
         ) {
             use proptest::prelude::*;
             let mut shared = space_with(0x1000, 6 * PAGE_SIZE, Perms::RW);
@@ -1706,9 +1728,12 @@ mod tests {
                         shared.drop_page(addr);
                         copied.drop_page(addr);
                     }
-                    _ => {
+                    3 => {
                         shared.mark_clean();
                         copied.mark_clean();
+                    }
+                    _ => {
+                        shared.share_pages();
                     }
                 }
                 let a: Vec<(u64, Vec<u8>)> = shared
@@ -1781,6 +1806,7 @@ mod tests {
         },
         RestorePage,
         MarkClean,
+        SharePages,
         MarkDirty {
             page: u64,
         },
@@ -1857,6 +1883,7 @@ mod tests {
                     byte,
                 },
                 31 => Step::TouchAfterRead { addr, len, byte },
+                32 => Step::SharePages,
                 _ => Step::Clone,
             }
         }
@@ -1949,6 +1976,7 @@ mod tests {
                 space.mark_clean();
                 Ok(vec![])
             }
+            Step::SharePages => Ok(space.share_pages().to_le_bytes().to_vec()),
             Step::MarkDirty { page } => {
                 space.mark_dirty(page);
                 Ok(vec![])
@@ -2094,9 +2122,10 @@ mod tests {
         /// bytes for every load, store and fetch (in-page or straddling)
         /// and agree after every step on page bytes, dirty bits, code
         /// generations, shared backings and copy-on-write faults, across
-        /// every call that can take a right away or free a slot, a slot
-        /// handed to another page, and a page a host write populates
-        /// under an entry filled while it was empty. A third space maps
+        /// every call that can take a right away or free a slot, an
+        /// in-place share of every private page, a slot handed to
+        /// another page, and a page a host write populates under an
+        /// entry filled while it was empty. A third space maps
         /// every installed frame, and its bytes never change. Every
         /// right the table holds is one the slow path would grant, every
         /// slot an entry holds is its page's, and an access that
@@ -2106,7 +2135,7 @@ mod tests {
         #[test]
         fn the_tlb_is_invisible(
             draws in proptest::collection::vec(
-                (0u8..34, 0u64..TLB_PAGES, 0u64..64, 1usize..=16, proptest::prelude::any::<u8>()),
+                (0u8..35, 0u64..TLB_PAGES, 0u64..64, 1usize..=16, proptest::prelude::any::<u8>()),
                 1..160,
             )
         ) {

@@ -94,7 +94,7 @@ fn scratch_base(kernel: &Kernel, pid: Pid) -> u64 {
 // consecutive checkpoints of a process, for arbitrary guest write, drop
 // and unmap/remap sequences, and for host-side page replacements whose
 // undo may land after a sweep, as a promotion's does when a rollout
-// unwinds it. `PreDump::complete` counts a clean page as pre-copied on
+// unwinds it. `PreDumpStats::of` counts a clean page as prewritten on
 // exactly this property.
 // ---------------------------------------------------------------------
 
